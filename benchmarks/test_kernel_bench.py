@@ -17,14 +17,6 @@ Two gates, both on the 16x16 column-bypass multiplier:
   Folding collapses the stream to its unique transitions, so this must
   be >= 5x.
 
-A third gate covers the **numba JIT backend** (``kernel="numba"``):
-when numba is importable, the compiled value-pass + arrival-replay
-kernels must beat the interpreted SoA stack by >= 3x on the same
-lifetime-sweep workload (bit-identity asserted first); without numba
-the test still runs, asserting the silent fallback to SoA is
-byte-identical, and records ``numba_available: false`` so the results
-file says why no speedup figure exists.
-
 Every comparison asserts bit-identical outputs and delays before
 timing claims are recorded in ``benchmarks/results/BENCH_kernel.json``.
 """
@@ -38,7 +30,6 @@ import numpy as np
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.timing import ArrivalReplay, CompiledCircuit, build_value_plane
-from repro.timing import jit
 from repro.timing.fold import fold_stimulus, unfold_stream
 from repro.workloads import sparse_fir_stream
 
@@ -53,9 +44,6 @@ MIN_SPEEDUP_SWEEP = 2.0
 MIN_SPEEDUP_KERNEL = 1.1
 #: Folding gate on the fig09/10 DSP workload.
 MIN_SPEEDUP_DSP = 5.0
-#: Compiled numba kernels vs the interpreted SoA stack (only enforced
-#: when numba is importable; the fallback path is identity-gated).
-MIN_SPEEDUP_NUMBA = 3.0
 
 _RECORD = {}
 
@@ -160,78 +148,6 @@ def test_lifetime_sweep_kernel_speedup(benchmark):
         "fold+SoA lifetime sweep only %.2fx faster than the PR 3 engine"
         % stack_speedup
     )
-
-
-def test_numba_backend_speedup(benchmark):
-    """JIT backend gate: >= 3x over interpreted SoA with numba, exact
-    fallback identity without it (both recorded to the results file)."""
-    netlist = column_bypass_multiplier(16)
-    factory = AgedCircuitFactory.characterize(netlist, num_patterns=400)
-    md, mr = sparse_fir_stream(16, SWEEP_PATTERNS, seed=1)
-    stimulus = {"md": md, "mr": mr}
-    years = [
-        LIFETIME_YEARS * i / (TIMESTEPS - 1) for i in range(TIMESTEPS)
-    ]
-    scales = factory.lifetime_delay_scales(years)
-    technology = factory.technology
-
-    numba_available = jit.warmup()
-
-    soa_value, soa_replay, soa_result = _two_plane_sweep(
-        netlist, technology, stimulus, scales, "soa"
-    )
-
-    timings = {}
-
-    def numba_sweep():
-        value_s, replay_s, result = _two_plane_sweep(
-            netlist, technology, stimulus, scales, "numba"
-        )
-        timings["value"] = value_s
-        timings["replay"] = replay_s
-        return result
-
-    numba_result = benchmark.pedantic(numba_sweep, rounds=1, iterations=1)
-
-    for j in range(len(years)):
-        want = soa_result.stream_result(j)
-        got = numba_result.stream_result(j)
-        assert np.array_equal(got.delays, want.delays)
-        assert np.array_equal(got.outputs["p"], want.outputs["p"])
-
-    soa_s = soa_value + soa_replay
-    numba_s = timings["value"] + timings["replay"]
-    speedup = soa_s / numba_s
-    _RECORD["numba"] = {
-        "experiment": (
-            "16x16 column-bypass lifetime sweep, numba JIT backend"
-        ),
-        "num_patterns": SWEEP_PATTERNS,
-        "timesteps": TIMESTEPS,
-        "numba_available": bool(numba_available),
-        "bit_identical": True,
-        "soa_seconds": round(soa_s, 4),
-        "numba_value_seconds": round(timings["value"], 4),
-        "numba_replay_seconds": round(timings["replay"], 4),
-        "numba_seconds": round(numba_s, 4),
-        "numba_speedup": round(speedup, 2),
-    }
-    _flush()
-    print()
-    print(
-        "numba(%s): soa %.3fs | numba %.3fs = %.2fx"
-        % (
-            "jit" if numba_available else "fallback",
-            soa_s,
-            numba_s,
-            speedup,
-        )
-    )
-    if numba_available:
-        assert speedup >= MIN_SPEEDUP_NUMBA, (
-            "numba backend only %.2fx faster than interpreted SoA"
-            % speedup
-        )
 
 
 def test_dsp_fold_speedup(benchmark):

@@ -25,7 +25,7 @@ Job kinds:
 
 ``experiment``
     ``{"job": "experiment", "name": "fig7", "scale": 1.0,
-    "characterize_patterns": 2000, "kernel": "soa"}`` -- run one
+    "characterize_patterns": 2000}`` -- run one
     registered experiment.  Result:
     ``{"title": ..., "rendered": ..., "elapsed": ...}``.
 
@@ -80,20 +80,18 @@ def _campaign_for(spec: Dict):
     return _STATE_CACHE[key]
 
 
-def _context_for(scale: float, characterize_patterns: int, kernel: str):
+def _context_for(scale: float, characterize_patterns: int):
     from ..experiments.context import ExperimentContext
 
     spec = {
         "scale": float(scale),
         "characterize_patterns": int(characterize_patterns),
-        "kernel": kernel,
     }
     key = _cache_key("context", spec)
     if key not in _STATE_CACHE:
         _STATE_CACHE[key] = ExperimentContext(
             scale=float(scale),
             characterize_patterns=int(characterize_patterns),
-            kernel=kernel,
         )
     return _STATE_CACHE[key]
 
@@ -188,7 +186,6 @@ def _run_experiment(request: Dict) -> Dict:
     context = _context_for(
         request.get("scale", 1.0),
         request.get("characterize_patterns", 2000),
-        request.get("kernel", "soa"),
     )
     start = time.perf_counter()
     result = spec.run(context)

@@ -63,16 +63,10 @@ class ExperimentContext:
     #: computation is persisted, and factories cache value planes under
     #: the store directory -- a warm re-run touches almost no simulation.
     store: Optional[ArtifactStore] = None
-    #: Execution backend for every circuit this context compiles (all
-    #: kernels are bit-identical, so store artifacts stay shared).
-    kernel: str = "soa"
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ConfigError("scale must be positive")
-        from ..timing.engine import normalize_kernel
-
-        self.kernel = normalize_kernel(self.kernel)
         self._netlists: Dict[Tuple[int, str], Netlist] = {}
         self._factories: Dict[Tuple[int, str], AgedCircuitFactory] = {}
         self._streams: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -158,9 +152,7 @@ class ExperimentContext:
                         seed=CHARACTERIZE_SEED,
                     ),
                 )
-                factory = AgedCircuitFactory(
-                    netlist, stress, self.technology, self.kernel
-                )
+                factory = AgedCircuitFactory(netlist, stress, self.technology)
                 factory.use_plane_cache(
                     ValuePlaneCache(directory=self.store.planes_dir())
                 )
@@ -170,7 +162,6 @@ class ExperimentContext:
                     self.technology,
                     num_patterns=self.characterize_patterns,
                     seed=CHARACTERIZE_SEED,
-                    kernel=self.kernel,
                 )
             self._factories[key] = factory
         return self._factories[key]

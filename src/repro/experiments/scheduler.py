@@ -213,7 +213,7 @@ _WORKER_CONTEXT: Optional[ExperimentContext] = None
 
 
 def _init_worker(technology, config, scale, characterize_patterns,
-                 store_dir, kernel="soa") -> None:
+                 store_dir) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = ExperimentContext(
         technology=technology,
@@ -221,7 +221,6 @@ def _init_worker(technology, config, scale, characterize_patterns,
         scale=scale,
         characterize_patterns=characterize_patterns,
         store=ArtifactStore(store_dir),
-        kernel=kernel,
     )
 
 
@@ -307,7 +306,6 @@ def run_suite(
     characterize_patterns: int = 2000,
     context: Optional[ExperimentContext] = None,
     on_result: Optional[Callable[[SuiteEntry], None]] = None,
-    kernel: str = "soa",
     pool=None,
 ) -> SuiteResult:
     """Run a set of experiments, optionally in parallel over a store.
@@ -327,8 +325,6 @@ def run_suite(
             technology/config/scale win over the other arguments).
         on_result: Called with each :class:`SuiteEntry` as soon as it
             is finalized, always in request order.
-        kernel: Execution backend every worker context compiles
-            circuits with (all backends are bit-identical).
         pool: Optional :class:`~repro.distrib.pool.WorkerPool`;
             experiments run on its workers (default technology/config
             only -- job specs travel as JSON) and return rendered text,
@@ -356,24 +352,24 @@ def run_suite(
                 " which only carry the default technology/config"
             )
         result = _run_pooled(
-            plan, scale, characterize_patterns, kernel, pool, on_result,
+            plan, scale, characterize_patterns, pool, on_result,
         )
     elif jobs == 1 or len(names) <= 1:
         result = _run_serial(
             plan, scale, store, technology, config,
-            characterize_patterns, context, on_result, kernel,
+            characterize_patterns, context, on_result,
         )
     else:
         result = _run_parallel(
             plan, scale, jobs, store, technology, config,
-            characterize_patterns, on_result, kernel,
+            characterize_patterns, on_result,
         )
     result.wall_s = time.perf_counter() - start
     return result
 
 
 def _run_pooled(
-    plan, scale, characterize_patterns, kernel, pool, on_result,
+    plan, scale, characterize_patterns, pool, on_result,
 ) -> SuiteResult:
     """Fan the experiments out over a :class:`WorkerPool`.
 
@@ -389,7 +385,6 @@ def _run_pooled(
             "name": name,
             "scale": scale,
             "characterize_patterns": characterize_patterns,
-            "kernel": kernel,
         }
         for name in plan.names
     ]
@@ -422,7 +417,7 @@ def _run_pooled(
 
 def _run_serial(
     plan, scale, store, technology, config, characterize_patterns,
-    context, on_result, kernel="soa",
+    context, on_result,
 ) -> SuiteResult:
     ctx = context or ExperimentContext(
         technology=technology,
@@ -430,7 +425,6 @@ def _run_serial(
         scale=scale,
         characterize_patterns=characterize_patterns,
         store=store,
-        kernel=kernel,
     )
     warmup_start = time.perf_counter()
     for width, kind in plan.warmup_designs:
@@ -469,14 +463,12 @@ def _run_serial(
 
 def _make_executor(
     jobs, technology, config, scale, characterize_patterns, store_dir,
-    kernel="soa",
 ) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_worker,
         initargs=(
             technology, config, scale, characterize_patterns, store_dir,
-            kernel,
         ),
     )
 
@@ -500,7 +492,7 @@ def _error_entry(name: str, error) -> SuiteEntry:
 
 def _run_parallel(
     plan, scale, jobs, store, technology, config,
-    characterize_patterns, on_result, kernel="soa",
+    characterize_patterns, on_result,
 ) -> SuiteResult:
     temp_dir = None
     if store is None:
@@ -509,7 +501,7 @@ def _run_parallel(
     jobs = min(jobs, len(plan.names))
     executor = _make_executor(
         jobs, technology, config, scale, characterize_patterns,
-        store.directory, kernel,
+        store.directory,
     )
     try:
         warmup_start = time.perf_counter()
@@ -593,7 +585,7 @@ def _run_parallel(
             executor.shutdown(wait=False, cancel_futures=True)
             executor = _make_executor(
                 jobs, technology, config, scale,
-                characterize_patterns, store.directory, kernel,
+                characterize_patterns, store.directory,
             )
             remaining.sort(key=_spec_weight)
             if pool_broke_before:
@@ -610,7 +602,6 @@ def _run_parallel(
                         executor = _make_executor(
                             jobs, technology, config, scale,
                             characterize_patterns, store.directory,
-                            kernel,
                         )
                 remaining = []
             pool_broke_before = True

@@ -90,7 +90,6 @@ class SweepSpec:
     num_patterns: int = 2000
     seed: int = 1
     characterize_patterns: int = 2000
-    kernel: str = "soa"
     num_variants: int = 100
     variant_seed: int = 0
     #: Additive delay (ns) of the per-cell nudge family.
@@ -255,7 +254,6 @@ class VariantSweep:
                 technology=technology,
                 characterize_patterns=spec.characterize_patterns,
                 store=store,
-                kernel=spec.kernel,
             )
         self.context = context
         self.store = context.store
@@ -350,13 +348,12 @@ class VariantSweep:
                 self.stimulus,
                 scales,
                 technology=self.context.technology,
-                kernel=self.spec.kernel,
             )
         return _result_record(variant.site, result), result.method
 
     def _record_key(self, variant: Variant) -> Dict:
         """Store key of one variant record -- parent lineage x stimulus
-        x corners x site.  Engine and kernel are deliberately absent:
+        x corners x site.  The engine is deliberately absent:
         the record is part of the byte-identity surface."""
         return {
             "parent": netlist_fingerprint(self.netlist),

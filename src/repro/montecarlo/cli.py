@@ -17,8 +17,8 @@ Usage::
 
 Per-die RNG substreams and per-row batched replay make the report (and
 the ``--json`` artifact) byte-identical for every ``--jobs`` value,
-for cold vs store-warm runs, for every ``--kernel`` backend and for
-any sharding -- the surface the CI smoke jobs ``cmp``.
+for cold vs store-warm runs and for any sharding -- the surface the
+CI smoke jobs ``cmp``.
 
 Exit status: 0 on success, 2 on configuration errors (unknown spec
 fields come with a did-you-mean suggestion).
@@ -44,15 +44,6 @@ from .spec import MonteCarloSpec
 
 def _floats(text: str):
     return tuple(float(part) for part in text.split(",") if part)
-
-
-def _kernel_arg(text: str) -> str:
-    from ..timing.engine import normalize_kernel
-
-    try:
-        return normalize_kernel(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _shard_arg(text: str):
@@ -112,10 +103,6 @@ def make_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="BTI characterization workload length"
                         " (default 2000)")
-    parser.add_argument("--kernel", type=_kernel_arg, default="soa",
-                        help="gate-kernel backend: soa, percell or numba"
-                        " (all bit-identical; numba falls back to soa"
-                        " when unavailable)")
     parser.add_argument("--shard", type=_shard_arg, metavar="I/N",
                         default=None,
                         help="price only die shard I of N and write its"
@@ -159,7 +146,6 @@ def _job_from_args(args, spec: MonteCarloSpec):
         args.kind,
         args.skip,
         characterize_patterns=args.characterize_patterns,
-        kernel=args.kernel,
     )
 
 
@@ -241,7 +227,6 @@ def main(argv=None) -> int:
             store=args.store,
             characterize_patterns=args.characterize_patterns,
             num_bins=args.bins,
-            kernel=args.kernel,
             pool=pool,
         )
     except ReproError as exc:

@@ -40,7 +40,6 @@ from .engine import (
     CompiledCircuit,
     StreamResult,
     auto_chunk_size,
-    normalize_kernel,
 )
 from .event import EventSimulator, EventResult
 from .fold import FoldPlan, fold_stimulus, unfold_stream
@@ -65,7 +64,6 @@ __all__ = [
     "DeltaResult",
     "KERNELS",
     "NetlistDelta",
-    "normalize_kernel",
     "FoldPlan",
     "StreamResult",
     "EventSimulator",

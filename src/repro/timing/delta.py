@@ -361,12 +361,7 @@ def patch_compiled(
         )
 
     patched = CompiledCircuit.__new__(CompiledCircuit)
-    # The JIT backend compiles its own plan caches; a patched circuit
-    # runs on the (bit-identical) SoA kernel instead.
-    patched.kernel = (
-        "soa" if parent_circuit.kernel == "numba"
-        else parent_circuit.kernel
-    )
+    patched.kernel = parent_circuit.kernel
     patched.netlist = child
     patched.technology = parent_circuit.technology
     patched.mode = parent_circuit.mode
@@ -391,7 +386,6 @@ def patch_compiled(
     )
     patched._soa_value_plan = plan
     patched._soa_replay_plan = plan
-    patched._jit_plan = None
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()
     ) + (delta.fingerprint(),)
@@ -467,22 +461,12 @@ def build_delta_plane(
 
     Raises:
         DeltaError: The circuit carries fault hooks (faulted planes are
-            hook-specific; delta bases must be pristine) or runs on an
-            active numba JIT kernel (the fused kernels do not capture
-            values -- use ``kernel="soa"`` or ``"percell"``).
+            hook-specific; delta bases must be pristine).
     """
     if circuit.fault_hooks:
         raise DeltaError(
             "delta base planes require a hook-free circuit"
         )
-    if circuit.kernel == "numba":
-        from . import jit
-
-        if jit.jit_enabled():
-            raise DeltaError(
-                "delta base planes cannot be captured by the numba JIT"
-                " kernel; build the base with kernel='soa' or 'percell'"
-            )
     lengths = {np.asarray(v).shape[0] for v in stimulus.values()}
     if len(lengths) != 1:
         raise DeltaError("stimulus arrays must be equally long")

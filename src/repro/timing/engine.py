@@ -54,37 +54,14 @@ FaultHook = Callable[[np.ndarray, int], np.ndarray]
 MODES = ("inertial", "floating")
 
 #: Evaluation kernels accepted by :class:`CompiledCircuit`.  ``"soa"``
-#: (the default) evaluates whole (level, opcode) buckets with batched
-#: gather/scatter over ``(num_nets, n)`` matrices; ``"percell"`` is the
-#: original per-cell interpreter, kept as the benchmark baseline and
-#: equivalence reference; ``"numba"`` runs the fused JIT kernels of
-#: :mod:`repro.timing.jit` when numba is importable and silently falls
-#: back to ``"soa"`` otherwise (the dependency is optional).  All
+#: (the default, and the only production path) evaluates whole
+#: (level, opcode) buckets with batched gather/scatter over
+#: ``(num_nets, n)`` matrices; ``"percell"`` is the original per-cell
+#: interpreter, kept only as the test and benchmark reference.  Both
 #: produce bit-identical per-net and per-pattern results (values,
-#: delays, arrivals, toggles); only the cross-cell
-#: switched-capacitance *sum* may differ by float association.
-KERNELS = ("soa", "percell", "numba")
-
-
-def normalize_kernel(name: str) -> str:
-    """Validate a user-supplied kernel name (CLI surface).
-
-    Returns the name unchanged when it is a member of :data:`KERNELS`;
-    otherwise raises :class:`~repro.errors.ConfigError` with a
-    did-you-mean hint, so every ``--kernel`` flag fails the same way.
-    """
-    if name in KERNELS:
-        return name
-    import difflib
-
-    from ..errors import ConfigError
-
-    close = difflib.get_close_matches(str(name), KERNELS, n=1)
-    hint = " (did you mean %r?)" % close[0] if close else ""
-    raise ConfigError(
-        "unknown kernel %r (known: %s)%s"
-        % (name, ", ".join(KERNELS), hint)
-    )
+#: delays, arrivals, toggles); only the cross-cell switched-capacitance
+#: *sum* may differ by float association.
+KERNELS = ("soa", "percell")
 
 #: Peak-memory target for ``chunk_size="auto"``: the streaming loop keeps
 #: on the order of ``num_nets`` live per-pattern arrays (uint8 value,
@@ -95,36 +72,15 @@ AUTO_CHUNK_TARGET_BYTES = 256 * 1024 * 1024
 _AUTO_BYTES_PER_NET = 32
 
 
-#: JIT chunks are this many times larger: the fused kernels touch each
-#: matrix once per pass (no per-bucket numpy temporaries), so the same
-#: memory budget admits more patterns, and larger chunks amortize the
-#: per-call dispatch and thread fork/join overhead better.
-_JIT_CHUNK_FACTOR = 4
-
-
-def auto_chunk_size(
-    num_nets: int, num_patterns: int, kernel: str = "soa"
-) -> int:
+def auto_chunk_size(num_nets: int, num_patterns: int) -> int:
     """Patterns per chunk so a run stays near ``AUTO_CHUNK_TARGET_BYTES``.
 
     Returns a multiple of 8 (so value-plane bit-packing stays
     byte-aligned at chunk boundaries), at least 64, and possibly larger
     than ``num_patterns`` -- in which case the run is unchunked.
-
-    ``kernel`` adapts the target to the active backend: when the JIT
-    backend is both selected *and* runnable the budget grows by
-    ``_JIT_CHUNK_FACTOR`` (chunking is exact, so results are unchanged
-    either way); with numba absent the ``"numba"`` kernel executes on
-    the SoA path and keeps the SoA chunk size.
     """
-    target = AUTO_CHUNK_TARGET_BYTES
-    if kernel == "numba":
-        from . import jit
-
-        if jit.jit_enabled():
-            target *= _JIT_CHUNK_FACTOR
     per_pattern = max(1, num_nets) * _AUTO_BYTES_PER_NET
-    chunk = target // per_pattern
+    chunk = AUTO_CHUNK_TARGET_BYTES // per_pattern
     chunk = max(64, chunk - chunk % 8)
     return chunk
 
@@ -292,7 +248,6 @@ class CompiledCircuit:
         self._cell_delays: Optional[np.ndarray] = None
         self._soa_value_plan = None
         self._soa_replay_plan = None
-        self._jit_plan = None
 
     # ------------------------------------------------------------------
     # Logic-cone reachability
@@ -502,7 +457,7 @@ class CompiledCircuit:
                     'chunk_size must be an int, None or "auto", got %r'
                     % (chunk_size,)
                 )
-            chunk_size = auto_chunk_size(self.num_nets, n, self.kernel)
+            chunk_size = auto_chunk_size(self.num_nets, n)
 
         # Prepend the settling pattern: the state the circuit held before
         # pattern 0.  Index 0 of the simulated stream is dropped from all
@@ -606,16 +561,6 @@ class CompiledCircuit:
         """
         if self.kernel == "percell":
             runner = self._run_chunk_percell
-        elif self.kernel == "numba":
-            from . import jit
-
-            # Graceful fallback: without numba (or forced pure-python
-            # mode) the SoA kernel runs instead, bit-identically.
-            runner = (
-                self._run_chunk_numba
-                if jit.jit_enabled()
-                else self._run_chunk_soa
-            )
         else:
             runner = self._run_chunk_soa
         return runner(
@@ -850,32 +795,6 @@ class CompiledCircuit:
             toggle_counts=tog_sum if collect_net_stats else None,
         )
         return result, final_values, new_held
-
-    def _run_chunk_numba(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
-        collect_bit_arrivals: bool,
-        collect_net_stats: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Fused JIT chunk runner (see :mod:`repro.timing.jit`)."""
-        from . import jit
-
-        return jit.run_chunk(
-            self,
-            arrays,
-            carry_values,
-            carry_held,
-            collect_bit_arrivals,
-            collect_net_stats,
-            drop_first,
-            start_index=start_index,
-            recorder=recorder,
-        )
 
     def _run_chunk_percell(
         self,

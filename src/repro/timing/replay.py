@@ -342,20 +342,7 @@ class ArrivalReplay:
             raise SimulationError("delay_scale entries must be positive")
         k = scales.shape[0]
         n = plane.num_patterns
-        if circuit.kernel == "numba":
-            from . import jit
-
-            if jit.jit_enabled():
-                delays, bit_arrivals = jit.replay(
-                    self, scales, k, n, collect_bit_arrivals
-                )
-            else:
-                # numba absent: fall back to the SoA replay, which is
-                # bit-identical (same arithmetic, different looping).
-                delays, bit_arrivals = self._replay_soa(
-                    scales, k, n, collect_bit_arrivals
-                )
-        elif circuit.kernel != "percell":
+        if circuit.kernel != "percell":
             delays, bit_arrivals = self._replay_soa(
                 scales, k, n, collect_bit_arrivals
             )

@@ -40,7 +40,7 @@ from repro.faults.injector import (
 from repro.faults.models import DelayFault, StuckAtFault
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
 from repro.nets.netlist import CONST0
-from repro.timing import CompiledCircuit, jit
+from repro.timing import CompiledCircuit
 from repro.timing.delta import (
     DeltaBase,
     build_delta_plane,
@@ -258,14 +258,6 @@ class TestPatchCompiled:
         with pytest.raises(DeltaError):
             patch_compiled(parent, child)
 
-    def test_numba_parent_demotes_to_soa(self, design):
-        netlist = design["netlist"]
-        parent = CompiledCircuit(netlist, kernel="numba")
-        child = apply_mutations(
-            netlist, [swap_of(netlist, retypable_cells(netlist)[0])]
-        )
-        assert patch_compiled(parent, child).kernel == "soa"
-
 
 class TestReplayDelta:
     def children_for(self, netlist):
@@ -405,16 +397,6 @@ class TestDeltaErrors:
         )
         with pytest.raises(DeltaError):
             build_delta_plane(hooked, design["stimulus"])
-
-    def test_active_jit_cannot_capture_values(self, design):
-        previous = jit.force_python(not jit.HAVE_NUMBA)
-        try:
-            assert jit.jit_enabled()
-            circuit = CompiledCircuit(design["netlist"], kernel="numba")
-            with pytest.raises(DeltaError):
-                build_delta_plane(circuit, design["stimulus"])
-        finally:
-            jit.force_python(previous)
 
     def test_ragged_stimulus_rejected(self, design):
         circuit = CompiledCircuit(design["netlist"])

@@ -191,6 +191,22 @@ class TestRunJob:
         )
         assert len(jobs._STATE_CACHE) == before
 
+    def test_stale_kernel_key_is_ignored(self, mc_job):
+        # Older drivers still send a "kernel" key; workers must answer
+        # byte-identically so their shards keep merging with new ones.
+        def fault_sites(spec):
+            return {"job": "fault_sites", "spec": spec, "sites": [1]}
+
+        def mc_shard(job):
+            return {"job": "mc_shard", "mc": job, "die_range": [0, 4]}
+
+        for make, spec in ((fault_sites, CAMPAIGN_SPEC),
+                           (mc_shard, mc_job)):
+            stale = run_job(make(dict(spec, kernel="percell")))
+            fresh = run_job(make(dict(spec)))
+            assert (json.dumps(stale, sort_keys=True)
+                    == json.dumps(fresh, sort_keys=True))
+
     def test_local_worker_envelopes_errors(self):
         envelope = local_worker({"job": "bogus"})
         assert envelope["ok"] is False
@@ -425,12 +441,10 @@ class TestCliPlumbing:
         from repro.faults.__main__ import make_parser
 
         args = make_parser().parse_args(
-            ["run", "--shard", "2/4", "--pool", "local:2",
-             "--kernel", "numba"]
+            ["run", "--shard", "2/4", "--pool", "local:2"]
         )
         assert args.shard == (2, 4)
         assert args.pool == "local:2"
-        assert args.kernel == "numba"
 
     def test_faults_parser_rejects_bad_shard(self, capsys):
         from repro.faults.__main__ import make_parser
@@ -444,7 +458,7 @@ class TestCliPlumbing:
 
         args = make_parser().parse_args(
             ["--shard", "1/2", "--shard-json", "x.json",
-             "--kernel", "soa", "--pool", "manifest:/tmp/x"]
+             "--pool", "manifest:/tmp/x"]
         )
         assert args.shard == (1, 2)
         assert args.shard_json == "x.json"
