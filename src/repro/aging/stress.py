@@ -9,10 +9,10 @@ stress duty factors by averaging over its input nets:
     S_pmos(cell) = mean_i P(input_i = 0)
     S_nmos(cell) = mean_i P(input_i = 1)
 
-Signal probabilities come straight from the vectorized logic simulation
-of the target workload (``collect_net_stats=True``), so a bypassing
-multiplier's mostly-idle cells genuinely accumulate different stress
-than its always-active mux spines.
+Signal probabilities come from a values-only logic simulation of the
+target workload (:meth:`repro.timing.CompiledCircuit.signal_probability`),
+so a bypassing multiplier's mostly-idle cells genuinely accumulate
+different stress than its always-active mux spines.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def extract_stress(
     Args:
         netlist: The design the probabilities were measured on.
         signal_prob: Per-net P(net = 1), as produced by
-            :meth:`repro.timing.CompiledCircuit.run` with
-            ``collect_net_stats=True``.  ``None`` falls back to the
-            random-input default P = 0.5 everywhere.
+            :meth:`repro.timing.CompiledCircuit.signal_probability`.
+            ``None`` falls back to the random-input default P = 0.5
+            everywhere.
     """
     cells = netlist.cells
     if signal_prob is None:
@@ -74,10 +74,12 @@ def extract_stress(
         )
     if np.any(probs < -1e-9) or np.any(probs > 1 + 1e-9):
         raise SimulationError("signal probabilities must lie in [0, 1]")
-    pmos = np.empty(len(cells))
+    # One gather per input count (every cell has at least one input):
+    # the row sums add left to right exactly like a per-cell mean.
+    arity = np.array([len(cell.inputs) for cell in cells], dtype=np.intp)
     nmos = np.empty(len(cells))
-    for k, cell in enumerate(cells):
-        ones = float(np.mean([probs[net] for net in cell.inputs]))
-        pmos[k] = 1.0 - ones
-        nmos[k] = ones
-    return StressProfile(netlist.name, pmos, nmos)
+    for m in np.unique(arity):
+        rows = np.flatnonzero(arity == m)
+        pins = np.array([cells[k].inputs for k in rows], dtype=np.intp)
+        nmos[rows] = probs[pins].sum(axis=1) / m
+    return StressProfile(netlist.name, 1.0 - nmos, nmos)

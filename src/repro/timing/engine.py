@@ -11,7 +11,9 @@ every pattern, computes
 * the switched capacitance (dynamic power), with switching inside
   *bypassed* full-adder groups frozen exactly as the tri-state gates do in
   the real circuit,
-* per-net signal probabilities (inputs to the BTI stress model).
+* per-net signal probabilities and toggle counts (``collect_net_stats``;
+  the BTI stress model reads only the probabilities, through the
+  values-only :meth:`CompiledCircuit.signal_probability`).
 
 Two delay semantics are available (see :func:`repro.timing.logic
 .arrival_vector`):
@@ -408,31 +410,7 @@ class CompiledCircuit:
                 needed to replay it) and the returned ``delays`` /
                 ``bit_arrivals`` are not meaningful.
         """
-        ports = self.netlist.input_ports
-        missing = set(ports) - set(stimulus)
-        extra = set(stimulus) - set(ports)
-        if missing or extra:
-            raise SimulationError(
-                "stimulus ports mismatch: missing=%s extra=%s"
-                % (sorted(missing), sorted(extra))
-            )
-        if initial is not None:
-            unknown = set(initial) - set(ports)
-            if unknown:
-                raise SimulationError(
-                    "initial contains unknown input ports: %s (have: %s)"
-                    % (sorted(unknown), sorted(ports))
-                )
-        arrays = {
-            name: np.asarray(values, dtype=np.uint64)
-            for name, values in stimulus.items()
-        }
-        lengths = {arr.shape[0] for arr in arrays.values()}
-        if len(lengths) != 1:
-            raise SimulationError("stimulus arrays must be equally long")
-        (n,) = lengths
-        if n == 0:
-            raise SimulationError("stimulus must contain at least 1 pattern")
+        arrays, prefixed, n = self._settled_stimulus(stimulus, initial)
 
         if (
             fold
@@ -458,19 +436,6 @@ class CompiledCircuit:
                     % (chunk_size,)
                 )
             chunk_size = auto_chunk_size(self.num_nets, n)
-
-        # Prepend the settling pattern: the state the circuit held before
-        # pattern 0.  Index 0 of the simulated stream is dropped from all
-        # per-pattern results, so delays/toggles are exact two-vector
-        # quantities for every reported pattern.
-        prefixed = {}
-        for name, arr in arrays.items():
-            first = (
-                np.uint64(initial[name])
-                if initial is not None and name in initial
-                else arr[0]
-            )
-            prefixed[name] = np.concatenate(([first], arr))
 
         if chunk_size is None or chunk_size >= n + 1:
             result, _, _ = self._run_chunk(
@@ -536,7 +501,88 @@ class CompiledCircuit:
             chunk_size=chunk_size,
         )
 
+    def signal_probability(
+        self, stimulus: Dict[str, Sequence[int]]
+    ) -> np.ndarray:
+        """Per-net probability of logic 1 over a pattern stream.
+
+        Byte-identical to ``run(stimulus, collect_net_stats=True)
+        .signal_prob`` -- the prepended settling pattern counts in the
+        denominator -- but computed by one settled-value pass over
+        :meth:`soa_value_plan` into a single uint8 ``(num_nets, n + 1)``
+        matrix: no arrivals, transitions, toggles or switched
+        capacitance.  This is all the BTI stress model reads.  Stress is
+        a property of the fault-free design, so a circuit with fault
+        hooks is refused.
+        """
+        if self.fault_hooks:
+            raise SimulationError(
+                "signal_probability needs a fault-free circuit, this one "
+                "has %d fault hooks" % len(self.fault_hooks)
+            )
+        _, prefixed, n = self._settled_stimulus(stimulus)
+        V = np.zeros((self.num_nets, n + 1), dtype=np.uint8)
+        V[CONST1] = 1
+        for name, port in self.netlist.input_ports.items():
+            V[list(port.nets)] = logic.unpack_bits(prefixed[name], port.width)
+        for bucket_list in self.soa_value_plan().levels:
+            for bucket in bucket_list:
+                V[bucket.outputs] = logic.eval_vector(
+                    bucket.opcode, [V[pins] for pins in bucket.pins]
+                )
+        return V.sum(axis=1) / (n + 1)
+
     # ------------------------------------------------------------------
+
+    def _settled_stimulus(
+        self,
+        stimulus: Dict[str, Sequence[int]],
+        initial: Optional[Dict[str, int]] = None,
+    ):
+        """Validate a stimulus and prepend its settling pattern.
+
+        Returns ``(arrays, prefixed, n)``: the port -> uint64 pattern
+        arrays, the same arrays with the settling pattern (the state the
+        circuit held before pattern 0: ``initial`` where given, else
+        pattern 0 itself) prepended, and the stream length ``n``.  Index
+        0 of the simulated stream is dropped from all per-pattern
+        results, so delays/toggles are exact two-vector quantities for
+        every reported pattern.
+        """
+        ports = self.netlist.input_ports
+        missing = set(ports) - set(stimulus)
+        extra = set(stimulus) - set(ports)
+        if missing or extra:
+            raise SimulationError(
+                "stimulus ports mismatch: missing=%s extra=%s"
+                % (sorted(missing), sorted(extra))
+            )
+        if initial is not None:
+            unknown = set(initial) - set(ports)
+            if unknown:
+                raise SimulationError(
+                    "initial contains unknown input ports: %s (have: %s)"
+                    % (sorted(unknown), sorted(ports))
+                )
+        arrays = {
+            name: np.asarray(values, dtype=np.uint64)
+            for name, values in stimulus.items()
+        }
+        lengths = {arr.shape[0] for arr in arrays.values()}
+        if len(lengths) != 1:
+            raise SimulationError("stimulus arrays must be equally long")
+        (n,) = lengths
+        if n == 0:
+            raise SimulationError("stimulus must contain at least 1 pattern")
+        prefixed = {}
+        for name, arr in arrays.items():
+            first = (
+                np.uint64(initial[name])
+                if initial is not None and name in initial
+                else arr[0]
+            )
+            prefixed[name] = np.concatenate(([first], arr))
+        return arrays, prefixed, n
 
     def _run_chunk(
         self,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.aging import (
     AgedCircuitFactory,
@@ -11,11 +12,19 @@ from repro.aging import (
     delay_scale_factor,
     extract_stress,
 )
-from repro.arith import column_bypass_multiplier
+from repro.aging.degradation import characterization_stimulus
+from repro.arith import (
+    array_multiplier,
+    column_bypass_multiplier,
+    row_bypass_multiplier,
+)
 from repro.config import DEFAULT_TECHNOLOGY
 from repro.errors import ConfigError, SimulationError
+from repro.faults import StuckAtFault, compile_with_faults
 from repro.timing import CompiledCircuit
 from repro.workloads import uniform_operands
+
+from test_fuzz_engines import random_netlists
 
 
 class TestBTIModel:
@@ -102,6 +111,83 @@ class TestStressExtraction:
     def test_profile_shape_mismatch_rejected(self):
         with pytest.raises(SimulationError):
             StressProfile("x", np.zeros(3), np.zeros(4))
+
+
+def _percell_signal_prob(netlist, stimulus):
+    """The oracle: the per-cell reference kernel's full-run net stats."""
+    return CompiledCircuit(netlist, kernel="percell").run(
+        stimulus, collect_net_stats=True
+    ).signal_prob
+
+
+class TestSignalProbability:
+    """``signal_probability`` is the values-only pass behind stress
+    characterization; it must match the full run byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_netlists())
+    def test_matches_percell_on_random_netlists(self, case):
+        nl, stimulus = case
+        got = CompiledCircuit(nl).signal_probability({"x": stimulus})
+        want = _percell_signal_prob(nl, {"x": stimulus})
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 2000])
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize(
+        "build",
+        [array_multiplier, column_bypass_multiplier, row_bypass_multiplier],
+    )
+    def test_matches_percell_on_multipliers(self, build, width, n):
+        nl = build(width)
+        md, mr = uniform_operands(width, n, seed=width + n)
+        stimulus = {"md": md, "mr": mr}
+        got = CompiledCircuit(nl).signal_probability(stimulus)
+        want = _percell_signal_prob(nl, stimulus)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_characterize_stress_matches_percell_run(self):
+        nl = column_bypass_multiplier(8)
+        profile = AgedCircuitFactory.characterize_stress(
+            nl, num_patterns=2000
+        )
+        stimulus = characterization_stimulus(nl.input_ports, 2000, 2014)
+        probs = _percell_signal_prob(nl, stimulus)
+        want = extract_stress(nl, probs)
+        assert profile.pmos_stress.tobytes() == want.pmos_stress.tobytes()
+        assert profile.nmos_stress.tobytes() == want.nmos_stress.tobytes()
+        # The grouped extraction equals a plain per-cell input mean.
+        per_cell = [float(np.mean(probs[list(c.inputs)])) for c in nl.cells]
+        assert profile.nmos_stress.tolist() == per_cell
+        assert profile.pmos_stress.tolist() == [1.0 - p for p in per_cell]
+
+    @pytest.mark.parametrize(
+        "stimulus",
+        [
+            {"md": [1, 2]},
+            {"md": [1, 2], "mr": [3, 4], "x": [0, 0]},
+            {"md": [1, 2], "mr": [3]},
+            {"md": [], "mr": []},
+        ],
+        ids=["missing-port", "extra-port", "unequal-lengths", "empty"],
+    )
+    def test_bad_stimulus_refused_like_run(self, cb4, stimulus):
+        circuit = CompiledCircuit(cb4)
+        with pytest.raises(SimulationError) as from_run:
+            circuit.run(stimulus, collect_net_stats=True)
+        with pytest.raises(SimulationError) as refused:
+            circuit.signal_probability(stimulus)
+        assert str(refused.value) == str(from_run.value)
+
+    def test_fault_hooks_refused(self, cb4):
+        circuit = compile_with_faults(
+            cb4, [StuckAtFault(net=cb4.cells[0].output, value=1)]
+        )
+        md, mr = uniform_operands(4, 16, seed=3)
+        with pytest.raises(SimulationError, match="fault-free"):
+            circuit.signal_probability({"md": md, "mr": mr})
 
 
 class TestDegradation:
