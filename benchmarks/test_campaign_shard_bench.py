@@ -1,7 +1,7 @@
 """Campaign execution bench: serial vs sharded sweep wall-clock.
 
-Runs the same 52-site fault-injection campaign serially and across two
-worker processes, asserts the sharded sweep is bit-identical to the
+Runs the same 52-site fault-injection campaign serially and on a
+two-worker ``local:2`` pool, asserts the sharded sweep is bit-identical to the
 serial one (the determinism contract of DESIGN.md section 9), and
 reports both wall-clocks.  ``python -m repro.faults bench`` produces the
 committed JSON artifact (``benchmarks/results/campaign_scaling.json``)
@@ -12,31 +12,33 @@ import time
 
 from conftest import run_once
 
-from repro.core import AgingAwareMultiplier
-from repro.faults import InjectionCampaign
+from repro.faults import campaign_from_spec
 
 SITES = 52
 PATTERNS = 400
 
 
 def _campaign():
-    arch = AgingAwareMultiplier.build(
-        8, "column", skip=3, cycle_ns=0.9, characterize_patterns=600
-    )
-    arch = arch.with_cycle(0.6 * arch.critical_path_ns())
-    return InjectionCampaign.sweep(
-        arch, num_sites=SITES, num_patterns=PATTERNS, seed=7
-    )
+    return campaign_from_spec({
+        "width": 8,
+        "kind": "column",
+        "skip": 3,
+        "cycle_fraction": 0.6,
+        "characterize_patterns": 600,
+        "sites": SITES,
+        "patterns": PATTERNS,
+        "seed": 7,
+    })
 
 
 def test_campaign_serial_vs_sharded(benchmark):
     campaign = _campaign()
     start = time.time()
-    serial = campaign.run(workers=1)
+    serial = campaign.run()
     serial_s = time.time() - start
     # The benchmark timer records the sharded sweep; the serial sweep's
     # wall-clock is printed alongside for the comparison.
-    sharded = run_once(benchmark, campaign.run, workers=2)
+    sharded = run_once(benchmark, campaign.run, pool="local:2")
     assert sharded.sites == serial.sites, (
         "sharded sweep diverged from the serial sweep"
     )
@@ -44,7 +46,7 @@ def test_campaign_serial_vs_sharded(benchmark):
     assert serial.complete
     print()
     print(
-        "serial %.2f s vs sharded (workers=2, see benchmark timer); "
+        "serial %.2f s vs sharded (pool local:2, see benchmark timer); "
         "%d sites, %d pruned, %d simulated"
         % (
             serial_s,

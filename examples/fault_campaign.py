@@ -13,10 +13,11 @@ multi-cycle retry (recorded in the per-site stats) instead of aborting
 the sweep.  A second run shows the ``strict`` policy doing exactly
 that -- refusing to continue past the first unrecoverable overrun.
 
-The sweep itself runs as a *campaign job*: sharded over two worker
-processes (bit-identical to serial), checkpointed to a JSONL file after
-every site, and pruned of sites whose logic cone cannot reach any
-product bit.  Re-running the script resumes from the checkpoint instead
+The sweep itself runs as a *campaign job*: built from a JSON-able spec,
+sharded over a two-process ``local:2`` worker pool that rebuilds the
+campaign from that spec (bit-identical to serial), checkpointed to a
+JSONL file after every site, and pruned of sites whose logic cone
+cannot reach any product bit.  Re-running the script resumes from the checkpoint instead
 of re-simulating -- delete the file to start fresh.
 
 Run:  python examples/fault_campaign.py
@@ -25,8 +26,13 @@ Run:  python examples/fault_campaign.py
 import os
 import tempfile
 
-from repro import AgingAwareMultiplier, RecoveryExhaustedError
-from repro.faults import DelayFault, InjectionCampaign, compile_with_faults
+from repro import RecoveryExhaustedError
+from repro.faults import (
+    DelayFault,
+    InjectionCampaign,
+    campaign_from_spec,
+    compile_with_faults,
+)
 
 WIDTH = 8
 SITES = 60
@@ -36,21 +42,25 @@ CHECKPOINT = os.path.join(tempfile.gettempdir(), "repro_campaign.jsonl")
 
 def main():
     print("Building the %dx%d A-VLCB..." % (WIDTH, WIDTH))
-    mult = AgingAwareMultiplier.build(
-        WIDTH, "column", skip=WIDTH // 2 - 1, cycle_ns=0.9
-    )
-    # Run at 60% of the critical path: tight enough that Razor has real
-    # work to do, the operating region the paper's sweeps prefer.
-    mult = mult.with_cycle(0.6 * mult.critical_path_ns())
+    campaign = campaign_from_spec({
+        "width": WIDTH,
+        "kind": "column",
+        "skip": WIDTH // 2 - 1,
+        # Run at 60% of the critical path: tight enough that Razor has
+        # real work to do, the operating region the paper's sweeps
+        # prefer.
+        "cycle_fraction": 0.6,
+        "sites": SITES,
+        "patterns": PATTERNS,
+        "seed": 7,
+    })
+    mult = campaign.architecture
 
     print(
         "Sweeping %d fault sites x %d patterns (degrade policy,"
-        " 2 workers, checkpoint %s)..." % (SITES, PATTERNS, CHECKPOINT)
+        " pool local:2, checkpoint %s)..." % (SITES, PATTERNS, CHECKPOINT)
     )
-    campaign = InjectionCampaign.sweep(
-        mult, num_sites=SITES, num_patterns=PATTERNS, seed=7
-    )
-    result = campaign.run(workers=2, checkpoint=CHECKPOINT)
+    result = campaign.run(pool="local:2", checkpoint=CHECKPOINT)
     print()
     print(result.render())
     if result.resumed_sites:

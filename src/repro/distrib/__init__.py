@@ -1,11 +1,10 @@
-"""Multi-host distributed campaign execution.
+"""The one parallel mechanism: worker pools behind every ``pool=``.
 
-The fault-injection campaigns, the Monte Carlo pricer, and the
-experiment-suite scheduler all fan work out over a local
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This package
-generalizes that fan-out to machines that do not share a Python
-process -- or even a filesystem -- while preserving the repo's
-bit-identity contract: a distributed run merges to byte-identical
+Fault-injection campaigns, the Monte Carlo pricer, variant sweeps and
+the experiment-suite scheduler fan work out only through this package:
+``pool="local:4"`` for local processes, or a pool over machines that do
+not share a Python process -- or even a filesystem.  Every pool keeps
+the repo's bit-identity contract: a pooled run merges to byte-identical
 rendered/JSON output versus the serial run.
 
 The design rests on one rule: **jobs travel as JSON specs, never as
@@ -18,8 +17,9 @@ process, so any host with this repo checked out can serve jobs.
 Three pool flavours, selected by ``--pool SPEC``:
 
 * ``local:N`` -- :class:`~.pool.LocalPool`, a process pool speaking the
-  same JSON job protocol as the remote transports (the reference
-  implementation and the CI stand-in for a cluster);
+  same JSON job protocol as the remote transports (the only local
+  parallel path, the CI stand-in for a cluster, and the owner of the
+  worker-crash policy: rebuild once, then isolate the crasher);
 * ``tcp:host:port,host:port`` -- :class:`~.pool.TcpPool`, newline-
   delimited JSON over sockets to ``python -m repro distrib worker``
   daemons (framing shared with :mod:`repro.service.protocol`);
@@ -37,6 +37,7 @@ from .pool import (
     ManifestPool,
     TcpPool,
     WorkerPool,
+    open_pool,
     parse_pool_spec,
     run_campaign_pooled,
     run_mc_pooled,
@@ -48,6 +49,7 @@ __all__ = [
     "ManifestPool",
     "TcpPool",
     "WorkerPool",
+    "open_pool",
     "parse_pool_spec",
     "run_campaign_pooled",
     "run_mc_pooled",

@@ -27,7 +27,15 @@ Job kinds:
     ``{"job": "experiment", "name": "fig7", "scale": 1.0,
     "characterize_patterns": 2000}`` -- run one
     registered experiment.  Result:
-    ``{"title": ..., "rendered": ..., "elapsed": ...}``.
+    ``{"title": ..., "rendered": ..., "elapsed": ...,
+    "store_delta": {...}}`` (the store counters the run moved).
+
+``warmup``
+    ``{"job": "warmup", "design": [32, "column"], "scale": 1.0,
+    "characterize_patterns": 2000, "store": DIR}`` -- characterize one
+    design (or, with ``"netlist"`` in place of ``"design"``, build one
+    netlist) into the store, so later experiment jobs find it warm.
+    Result: ``{"elapsed": ..., "store_delta": {...}}``.
 
 ``variant_shard``
     ``{"job": "variant_shard", "sweep": {...}, "engine": "delta",
@@ -40,6 +48,12 @@ Job kinds:
 
 ``ping``
     Liveness probe.  Result: ``{"pong": true}``.
+
+``experiment``, ``warmup`` and ``mc_shard`` requests take an optional
+``"store"``: an :class:`~repro.experiments.store.ArtifactStore`
+directory the worker's context reads and writes.  It changes no
+result, so it enters no shard fingerprint or store key; without it the
+worker keeps its state in :data:`_STATE_CACHE` alone.
 """
 
 from __future__ import annotations
@@ -52,7 +66,8 @@ from ..errors import ConfigError
 
 #: Job kinds :func:`run_job` dispatches on.
 JOB_KINDS = (
-    "fault_sites", "mc_shard", "experiment", "variant_shard", "ping"
+    "fault_sites", "mc_shard", "experiment", "warmup", "variant_shard",
+    "ping",
 )
 
 #: Per-process cache of rebuilt heavy state, keyed by
@@ -80,18 +95,23 @@ def _campaign_for(spec: Dict):
     return _STATE_CACHE[key]
 
 
-def _context_for(scale: float, characterize_patterns: int):
+def _context_for(request: Dict):
+    """The experiment context a suite job names (scale,
+    characterization length and optional store directory)."""
     from ..experiments.context import ExperimentContext
+    from ..experiments.store import ArtifactStore
 
-    spec = {
-        "scale": float(scale),
-        "characterize_patterns": int(characterize_patterns),
-    }
-    key = _cache_key("context", spec)
+    scale = float(request.get("scale", 1.0))
+    patterns = int(request.get("characterize_patterns", 2000))
+    store = request.get("store")
+    key = _cache_key(
+        "context", {"scale": scale, "patterns": patterns, "store": store}
+    )
     if key not in _STATE_CACHE:
         _STATE_CACHE[key] = ExperimentContext(
-            scale=float(scale),
-            characterize_patterns=int(characterize_patterns),
+            scale=scale,
+            characterize_patterns=patterns,
+            store=ArtifactStore(store) if store is not None else None,
         )
     return _STATE_CACHE[key]
 
@@ -135,7 +155,9 @@ def _run_mc_shard(request: Dict) -> Dict:
             "mc_shard job needs a 2-element 'die_range', got %r"
             % (die_range,)
         )
-    return run_mc_shard(job, (int(die_range[0]), int(die_range[1])))
+    return run_mc_shard(
+        job, (int(die_range[0]), int(die_range[1])), request.get("store")
+    )
 
 
 def _sweep_for(spec: Dict):
@@ -176,6 +198,7 @@ def _run_variant_shard(request: Dict) -> Dict:
 
 def _run_experiment(request: Dict) -> Dict:
     from ..experiments.registry import get_experiment
+    from ..experiments.scheduler import _delta, _snapshot
 
     name = request.get("name")
     if not isinstance(name, str):
@@ -183,16 +206,37 @@ def _run_experiment(request: Dict) -> Dict:
             "experiment job needs a 'name' string, got %r" % (name,)
         )
     spec = get_experiment(name)
-    context = _context_for(
-        request.get("scale", 1.0),
-        request.get("characterize_patterns", 2000),
-    )
+    context = _context_for(request)
+    before = _snapshot(context)
     start = time.perf_counter()
     result = spec.run(context)
     return {
         "title": spec.title,
         "rendered": result.render(),
         "elapsed": time.perf_counter() - start,
+        "store_delta": _delta(context, before),
+    }
+
+
+def _run_warmup(request: Dict) -> Dict:
+    from ..experiments.scheduler import _delta, _snapshot
+
+    context = _context_for(request)
+    if "design" in request:
+        build, target = context.factory, request["design"]
+    else:
+        build, target = context.netlist, request.get("netlist")
+    if not (isinstance(target, (list, tuple)) and len(target) == 2):
+        raise ConfigError(
+            "warmup job needs a [width, kind] 'design' or 'netlist',"
+            " got %r" % (target,)
+        )
+    before = _snapshot(context)
+    start = time.perf_counter()
+    build(int(target[0]), str(target[1]))
+    return {
+        "elapsed": time.perf_counter() - start,
+        "store_delta": _delta(context, before),
     }
 
 
@@ -213,6 +257,8 @@ def run_job(request: Dict) -> Dict:
         return _run_mc_shard(request)
     if kind == "experiment":
         return _run_experiment(request)
+    if kind == "warmup":
+        return _run_warmup(request)
     if kind == "variant_shard":
         return _run_variant_shard(request)
     import difflib

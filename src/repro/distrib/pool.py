@@ -15,23 +15,29 @@ Pools are selected from one CLI string by :func:`parse_pool_spec`:
   ``N`` logical shards) -- stage request files and merge results
   produced by ``python -m repro distrib exec`` runs.
 
-The driver-facing helpers at the bottom
-(:func:`run_campaign_pooled` / :func:`run_mc_pooled` /
-:func:`run_suite_pooled`) adapt the three orchestrators' native shapes
-onto the job protocol.
+Every orchestrator's ``pool=`` argument takes a :class:`WorkerPool` or
+one of those strings; :func:`open_pool` resolves it and closes a pool
+it built.  :class:`LocalPool` is the only local parallel path, so
+worker-death handling lives there once.  The adapters at the
+bottom (:func:`run_campaign_pooled` /
+:func:`run_mc_pooled` / :func:`run_sweep_pooled` /
+:func:`run_suite_pooled`) adapt the orchestrators' native shapes onto
+the job protocol.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterator, List, Optional
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
-from ..errors import ConfigError, DistribError, ManifestPending
+from ..errors import ConfigError, DistribError, FaultError, ManifestPending
 from ..service.protocol import decode, encode
 from .jobs import run_job
 
@@ -41,6 +47,9 @@ POOL_SCHEMES = ("local", "tcp", "manifest")
 #: Seconds to wait for a TCP connect (job execution itself is
 #: unbounded -- characterizing a wide design legitimately takes long).
 CONNECT_TIMEOUT_S = 10.0
+
+#: Error text of a request whose worker process died while it ran alone.
+WORKER_DIED = "worker process died while running this job"
 
 
 def local_worker(request: Dict) -> Dict:
@@ -91,11 +100,13 @@ class WorkerPool:
         """Run every request; responses in request order."""
         raise NotImplementedError
 
-    def imap_unordered(self, requests: Sequence[Dict]) -> Iterator[Dict]:
-        """Yield response envelopes as they complete (default: the
-        ordered :meth:`map`; transports override for real streaming)."""
-        for response in self.map(requests):
-            yield response
+    def imap_unordered(
+        self, requests: Sequence[Dict]
+    ) -> Iterator[Tuple[int, Dict]]:
+        """Yield ``(request index, envelope)`` pairs as requests
+        complete (default: the ordered :meth:`map`; transports override
+        for real streaming)."""
+        yield from enumerate(self.map(requests))
 
     def close(self) -> None:
         """Release transport resources (idempotent)."""
@@ -110,10 +121,16 @@ class WorkerPool:
 class LocalPool(WorkerPool):
     """A :class:`ProcessPoolExecutor` speaking the JSON job protocol.
 
-    Functionally redundant with the orchestrators' built-in ``workers=N``
-    paths -- deliberately so: it exercises the exact spec-rebuild
-    transport the remote pools use, making it the CI stand-in for a
-    cluster and the reference for byte-identity checks.
+    The only local parallel path: it runs the same spec-rebuild
+    transport the remote pools use, so it is also the CI stand-in for a
+    cluster.  It survives worker deaths.  A worker that calls
+    ``os._exit`` or is OOM-killed breaks the whole executor, and every
+    unfinished request fails with it, innocents included.  On the first
+    break the executor is rebuilt and every unfinished request is
+    resubmitted.  A second break means the crasher is among the
+    survivors, so they run one at a time: a request that breaks the
+    pool while running alone comes back ``{"ok": false, "error":
+    WORKER_DIED}`` and the others complete.
     """
 
     def __init__(self, workers: int):
@@ -129,15 +146,61 @@ class LocalPool(WorkerPool):
             self._executor = ProcessPoolExecutor(max_workers=self.size)
         return self._executor
 
-    def map(self, requests: Sequence[Dict]) -> List[Dict]:
-        executor = self._ensure()
-        return list(executor.map(local_worker, requests))
+    def _discard(self) -> None:
+        """Drop a broken executor; the next request builds a fresh one."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
 
-    def imap_unordered(self, requests: Sequence[Dict]) -> Iterator[Dict]:
-        executor = self._ensure()
-        futures = [executor.submit(local_worker, req) for req in requests]
-        for future in as_completed(futures):
-            yield future.result()
+    def _run_alone(self, request: Dict) -> Dict:
+        try:
+            return self._ensure().submit(local_worker, request).result()
+        except BrokenProcessPool:
+            self._discard()
+            return {"ok": False, "error": WORKER_DIED}
+
+    def imap_unordered(
+        self, requests: Sequence[Dict]
+    ) -> Iterator[Tuple[int, Dict]]:
+        pending = list(range(len(requests)))
+        for _ in range(2):  # the first run, then one parallel retry
+            if not pending:
+                return
+            executor = self._ensure()
+            futures = {}
+            broken: List[int] = []
+            for index in pending:
+                try:
+                    future = executor.submit(local_worker, requests[index])
+                except BrokenProcessPool:
+                    broken.append(index)
+                else:
+                    futures[future] = index
+            try:
+                for future in as_completed(futures):
+                    try:
+                        response = future.result()
+                    except BrokenProcessPool:
+                        broken.append(futures[future])
+                    else:
+                        yield futures[future], response
+            finally:
+                # The consumer stopped early (KeyboardInterrupt, an
+                # error, or it closed this generator): drop every
+                # queued request.  In-flight ones finish and are lost.
+                for future in futures:
+                    future.cancel()
+            pending = sorted(broken)
+            if pending:
+                self._discard()
+        for index in pending:
+            yield index, self._run_alone(requests[index])
+
+    def map(self, requests: Sequence[Dict]) -> List[Dict]:
+        responses: List[Optional[Dict]] = [None] * len(requests)
+        for index, response in self.imap_unordered(requests):
+            responses[index] = response
+        return responses
 
     def close(self) -> None:
         if self._executor is not None:
@@ -202,14 +265,16 @@ class TcpPool(WorkerPool):
                 responses[futures[future]] = future.result()
         return [r for r in responses if r is not None]
 
-    def imap_unordered(self, requests: Sequence[Dict]) -> Iterator[Dict]:
+    def imap_unordered(
+        self, requests: Sequence[Dict]
+    ) -> Iterator[Tuple[int, Dict]]:
         with ThreadPoolExecutor(max_workers=self.size) as executor:
-            futures = [
-                executor.submit(self.call, address, request)
-                for _, address, request in self._assignments(requests)
-            ]
+            futures = {
+                executor.submit(self.call, address, request): i
+                for i, address, request in self._assignments(requests)
+            }
             for future in as_completed(futures):
-                yield future.result()
+                yield futures[future], future.result()
 
     def shutdown_workers(self) -> int:
         """Send every daemon a shutdown op; returns how many answered."""
@@ -396,38 +461,78 @@ def parse_pool_spec(text: str) -> WorkerPool:
     )
 
 
+@contextlib.contextmanager
+def open_pool(pool: Union[WorkerPool, str]) -> Iterator[WorkerPool]:
+    """Resolve an orchestrator's ``pool=`` argument.
+
+    A :class:`WorkerPool` is used as given and left open for its owner;
+    a spec string (``"local:4"``, ``"tcp:..."``, ``"manifest:..."``)
+    builds a pool that this context closes on exit.
+    """
+    if isinstance(pool, WorkerPool):
+        yield pool
+        return
+    built = parse_pool_spec(pool)
+    try:
+        yield built
+    finally:
+        built.close()
+
+
 # -- driver-side adapters ----------------------------------------------
+
+
+def make_batches(
+    pending: Sequence[int], workers: int, chunk_size: Optional[int] = None
+) -> List[List[int]]:
+    """Split pending site / variant indices into per-worker batches.
+
+    Defaults to ~4 batches per worker so a slow site (one fault can cost
+    many recovery cycles) does not straggle the whole shard, while a
+    batch still amortizes the dispatch overhead over several sites.
+    """
+    if not pending:
+        return []
+    if chunk_size is None:
+        chunk_size = max(1, -(-len(pending) // (workers * 4)))
+    if chunk_size < 1:
+        raise FaultError("chunk_size must be >= 1, got %d" % chunk_size)
+    return [
+        list(pending[start:start + chunk_size])
+        for start in range(0, len(pending), chunk_size)
+    ]
 
 
 def run_campaign_pooled(
     pool: WorkerPool,
-    pool_spec: Dict,
+    campaign_spec: Dict,
     pending: Sequence[int],
     chunk_size: Optional[int] = None,
     on_result: Optional[Callable] = None,
 ) -> int:
     """Fan pending campaign site indices out over ``pool``.
 
-    Batching mirrors the local process pool
-    (:func:`repro.faults.parallel.make_batches`), and ``on_result``
-    fires per site as batches stream back -- checkpoint/progress
-    behaviour is identical to a local parallel run.
+    Sites travel in :func:`make_batches` batches, and ``on_result``
+    fires per site as batches stream back, so checkpoints and progress
+    advance while the sweep runs.  When the caller stops consuming
+    (``on_result`` raised, e.g. ``KeyboardInterrupt``), queued batches
+    are cancelled.
     """
     from ..faults.campaign import SiteReport
-    from ..faults.parallel import make_batches
 
     batches = make_batches(pending, pool.size, chunk_size)
     requests = [
-        {"job": "fault_sites", "spec": dict(pool_spec), "sites": batch}
+        {"job": "fault_sites", "spec": dict(campaign_spec), "sites": batch}
         for batch in batches
     ]
     completed = 0
-    for response in pool.imap_unordered(requests):
-        result = _unwrap(response)
-        for index, data in result.get("reports", []):
-            if on_result is not None:
-                on_result(int(index), SiteReport.from_dict(data))
-            completed += 1
+    with contextlib.closing(pool.imap_unordered(requests)) as responses:
+        for _, response in responses:
+            result = _unwrap(response)
+            for index, data in result.get("reports", []):
+                if on_result is not None:
+                    on_result(int(index), SiteReport.from_dict(data))
+                completed += 1
     return completed
 
 
@@ -435,11 +540,19 @@ def run_mc_pooled(
     pool: WorkerPool,
     job: Dict,
     ranges: Sequence[Tuple[int, int]],
+    store: Optional[str] = None,
 ) -> List[Dict]:
     """Price every die range through ``pool``; shard payloads in range
-    order (concatenation order is the merge invariant)."""
+    order (concatenation order is the merge invariant).  ``store`` is
+    an artifact-store directory the workers load the characterized
+    design from; it changes no priced number."""
     requests = [
-        {"job": "mc_shard", "mc": dict(job), "die_range": [lo, hi]}
+        {
+            "job": "mc_shard",
+            "mc": dict(job),
+            "die_range": [lo, hi],
+            "store": store,
+        }
         for lo, hi in ranges
     ]
     return [_unwrap(response) for response in pool.map(requests)]
@@ -459,8 +572,6 @@ def run_sweep_pooled(
     payloads stay tiny.  Yields ``(index, record)`` pairs as batches
     stream back (unordered; the caller owns index placement).
     """
-    from ..faults.parallel import make_batches
-
     batches = make_batches(pending, pool.size, chunk_size)
     requests = [
         {
@@ -471,23 +582,38 @@ def run_sweep_pooled(
         }
         for batch in batches
     ]
-    for response in pool.imap_unordered(requests):
-        result = _unwrap(response)
-        for index, record in result.get("records", []):
-            yield int(index), record
+    with contextlib.closing(pool.imap_unordered(requests)) as responses:
+        for _, response in responses:
+            result = _unwrap(response)
+            for index, record in result.get("records", []):
+                yield int(index), record
+
+
+def _suite_result(response: Dict) -> Dict:
+    if isinstance(response, dict) and response.get("ok") is False:
+        return {"error": str(response.get("error", "unknown error"))}
+    try:
+        return _unwrap(response)
+    except DistribError as exc:
+        return {"error": str(exc)}
 
 
 def run_suite_pooled(
-    pool: WorkerPool, requests: Sequence[Dict]
+    pool: WorkerPool,
+    requests: Sequence[Dict],
+    on_result: Optional[Callable[[int, Dict], None]] = None,
 ) -> List[Dict]:
-    """Run experiment jobs through ``pool``; per-job failures come back
-    as ``{"error": ...}`` entries (degraded, not fatal -- matching the
-    local scheduler's worker-death handling)."""
-    responses = pool.map(requests)
-    out: List[Dict] = []
-    for response in responses:
-        try:
-            out.append(_unwrap(response))
-        except DistribError as exc:
-            out.append({"error": str(exc)})
+    """Run suite jobs (warm-ups, experiments) through ``pool``.
+
+    Per-job failures come back as ``{"error": text}`` entries carrying
+    the worker's own text (degraded, not fatal).  ``on_result(index,
+    result)`` fires as each job completes; the returned list is in
+    request order.
+    """
+    out: List[Optional[Dict]] = [None] * len(requests)
+    with contextlib.closing(pool.imap_unordered(requests)) as responses:
+        for index, response in responses:
+            out[index] = _suite_result(response)
+            if on_result is not None:
+                on_result(index, out[index])
     return out

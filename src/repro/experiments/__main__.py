@@ -8,13 +8,14 @@ Usage::
     python -m repro.experiments fig05,fig07     # run a few
     python -m repro.experiments all             # run everything
     python -m repro.experiments all --scale .1  # quick pass (10% patterns)
-    python -m repro.experiments all --jobs 4    # parallel suite run
+    python -m repro.experiments all --pool local:4   # parallel suite
     python -m repro.experiments all --store .repro-store   # persistent
     python -m repro.experiments all --store .repro-store --cold
 
-``--jobs N`` fans the suite out over N worker processes after a warm-up
-stage characterizes each shared design exactly once; rendered outputs
-are byte-identical to the serial run.  ``--store PATH`` persists
+``--pool local:N`` fans the suite out over N worker processes (with
+``--store``, after a warm-up stage characterizes each shared design
+exactly once into it); rendered outputs are byte-identical to the
+serial run.  ``tcp:`` and ``manifest:`` pools work the same way.  ``--store PATH`` persists
 netlists / stress profiles / stream results across invocations, so a
 warm re-run touches almost no simulation; ``--cold`` clears the store
 first.  Exit status: 0 on success, 1 when any experiment failed (the
@@ -62,13 +63,6 @@ def main(argv=None) -> int:
         "(e.g. paper, extension)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1 = serial; >1 shares a store)",
-    )
-    parser.add_argument(
         "--store",
         metavar="PATH",
         help="persistent artifact store directory (created on demand);"
@@ -90,7 +84,7 @@ def main(argv=None) -> int:
         metavar="SPEC",
         default=None,
         help="worker pool: local:N, tcp:host:port,... or manifest:DIR"
-        " (see 'python -m repro distrib')",
+        " (see 'python -m repro distrib'; default: serial)",
     )
     args = parser.parse_args(argv)
 
@@ -132,24 +126,14 @@ def _run(args) -> int:
         print(entry.rendered)
         print()
 
-    pool = None
-    if args.pool is not None:
-        from ..distrib.pool import parse_pool_spec
-
-        pool = parse_pool_spec(args.pool)
-    try:
-        suite = run_suite(
-            names=names,
-            tag=args.tag if args.experiment == "all" else None,
-            scale=args.scale,
-            jobs=args.jobs,
-            store=store,
-            on_result=emit,
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    suite = run_suite(
+        names=names,
+        tag=args.tag if args.experiment == "all" else None,
+        scale=args.scale,
+        store=store,
+        on_result=emit,
+        pool=args.pool,
+    )
     print(suite.render())
 
     if args.dump_rendered:

@@ -48,7 +48,6 @@ def run_yield(
     seed: Optional[int] = None,
     num_patterns: Optional[int] = None,
     target_yield: Optional[float] = None,
-    jobs: int = 1,
 ) -> MonteCarloResult:
     """Yield / latency surfaces of a sampled die population."""
     # Local import: the runner pulls repro.experiments (context, store,
@@ -60,8 +59,7 @@ def run_yield(
         target_yield,
     )
     return run_montecarlo(
-        spec, width=width, kind=kind, skip=skip, jobs=jobs,
-        context=context,
+        spec, width=width, kind=kind, skip=skip, context=context,
     )
 
 
@@ -118,7 +116,6 @@ def run_guardband(
     seed: Optional[int] = None,
     num_patterns: Optional[int] = None,
     target_yield: Optional[float] = None,
-    jobs: int = 1,
 ) -> GuardbandReport:
     """Per-population AHL Skip-n guard-band tuning."""
     return GuardbandReport(
@@ -133,6 +130,5 @@ def run_guardband(
             seed=seed,
             num_patterns=num_patterns,
             target_yield=target_yield,
-            jobs=jobs,
         )
     )

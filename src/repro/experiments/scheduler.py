@@ -14,33 +14,33 @@ usage into an explicit schedule:
 2. **Warm-up** -- each unique design is characterized exactly once
    (widest first: the 32-bit designs dominate) and persisted to the
    shared :class:`~repro.experiments.store.ArtifactStore`.
-3. **Fan-out** -- the experiments run over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each
-   hold an :class:`~repro.experiments.context.ExperimentContext` backed
-   by the same store, so no worker ever recomputes a warm artifact.
+3. **Fan-out** -- with ``pool=`` (or its shorthand ``jobs=N``, meaning
+   ``pool="local:N"``) the experiments run as ``experiment`` jobs of
+   :mod:`repro.distrib`, widest first.  Each worker holds an
+   :class:`~repro.experiments.context.ExperimentContext` backed by the
+   same store, so no worker recomputes a warm artifact; the pool's
+   ``warmup`` jobs fill that store first.
 
 Rendered experiment outputs are byte-identical to the serial run: every
 random draw is seeded, the store round-trips arrays losslessly, and the
 two-plane replay is bit-identical to direct simulation, so only the
 wall-clock attribution changes.  Workers return rendered strings (plus
 timing and cache accounting), not result objects, which keeps the
-transport picklable and the parent deterministic: entries are emitted
-in request order regardless of completion order.
+transport JSON and the parent deterministic: entries are emitted in
+request order regardless of completion order.  A worker that raises or
+dies becomes an error entry (see :class:`~repro.distrib.pool.LocalPool`
+for the crash policy); the rest of the suite completes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import shutil
-import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import format_table
 from ..config import DEFAULT_SIM_CONFIG, DEFAULT_TECHNOLOGY
-from ..errors import ConfigError
+from ..errors import ConfigError, DistribError
 from .context import ExperimentContext
 from .registry import get_experiment, list_experiments
 from .store import ArtifactStore, counter_delta, delta_totals
@@ -204,26 +204,6 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Worker-process side.  State ships once through the pool initializer
-# (the faults.parallel idiom); tasks then reference it by module global.
-# ----------------------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
-def _init_worker(technology, config, scale, characterize_patterns,
-                 store_dir) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ExperimentContext(
-        technology=technology,
-        config=config,
-        scale=scale,
-        characterize_patterns=characterize_patterns,
-        store=ArtifactStore(store_dir),
-    )
-
-
 def _snapshot(context: ExperimentContext):
     return context.store.snapshot() if context.store is not None else {}
 
@@ -232,46 +212,6 @@ def _delta(context: ExperimentContext, before):
     if context.store is None:
         return {}
     return counter_delta(before, context.store.snapshot())
-
-
-def _warmup_design(pair: Tuple[int, str]):
-    width, kind = pair
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    _WORKER_CONTEXT.factory(width, kind)
-    return (
-        time.perf_counter() - start,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-def _warmup_netlist(pair: Tuple[int, str]):
-    width, kind = pair
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    _WORKER_CONTEXT.netlist(width, kind)
-    return (
-        time.perf_counter() - start,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-def _run_spec(name: str):
-    spec = get_experiment(name)
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    result = spec.run(_WORKER_CONTEXT)
-    elapsed = time.perf_counter() - start
-    return (
-        name,
-        spec.title,
-        result.render(),
-        elapsed,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-# ----------------------------------------------------------------------
 
 
 def _resolve_names(
@@ -314,33 +254,39 @@ def run_suite(
         names: Experiment ids (None: every registered experiment,
             filtered by ``tag``).
         scale: Pattern-count multiplier forwarded to every context.
-        jobs: Worker processes.  1 runs serially in this process;
-            N > 1 fans out over a ``ProcessPoolExecutor`` after the
-            warm-up stage.
-        store: :class:`ArtifactStore`, directory path, or None.  With
-            ``jobs > 1`` and no store, a temporary store is created for
-            the run (the workers need a sharing medium) and removed
-            afterwards.
+        jobs: Shorthand for ``pool="local:N"`` when N > 1; 1 runs
+            serially in this process.
+        store: :class:`ArtifactStore`, directory path, or None.  Pooled
+            workers share it; without one each worker keeps its own
+            in-memory state.
         context: Serial runs only -- reuse an existing context (its
             technology/config/scale win over the other arguments).
         on_result: Called with each :class:`SuiteEntry` as soon as it
             is finalized, always in request order.
-        pool: Optional :class:`~repro.distrib.pool.WorkerPool`;
-            experiments run on its workers (default technology/config
-            only -- job specs travel as JSON) and return rendered text,
-            byte-identical to the serial run.
+        pool: Optional :class:`~repro.distrib.pool.WorkerPool` or pool
+            spec string (``"local:4"``); experiments run on its workers
+            (default technology/config only -- job specs travel as
+            JSON) and return rendered text, byte-identical to the
+            serial run.
 
     Returns:
         A :class:`SuiteResult`; entry order matches the request order,
-        and rendered outputs are byte-identical for any ``jobs``.
+        and rendered outputs are byte-identical for any pool.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
     names = _resolve_names(names, tag)
     plan = plan_suite(names)
+    if jobs > 1:
+        if pool is not None:
+            raise ConfigError(
+                "pass jobs=N or pool=, not both (jobs=N means"
+                " pool='local:N')"
+            )
+        pool = "local:%d" % min(jobs, max(1, len(names)))
     if isinstance(store, str):
         store = ArtifactStore(store)
-    if context is not None and jobs > 1:
+    if context is not None and pool is not None:
         raise ConfigError("an explicit context forces a serial run")
 
     start = time.perf_counter()
@@ -352,66 +298,95 @@ def run_suite(
                 " which only carry the default technology/config"
             )
         result = _run_pooled(
-            plan, scale, characterize_patterns, pool, on_result,
+            plan, scale, store, characterize_patterns, pool, on_result,
         )
-    elif jobs == 1 or len(names) <= 1:
+    else:
         result = _run_serial(
             plan, scale, store, technology, config,
             characterize_patterns, context, on_result,
-        )
-    else:
-        result = _run_parallel(
-            plan, scale, jobs, store, technology, config,
-            characterize_patterns, on_result,
         )
     result.wall_s = time.perf_counter() - start
     return result
 
 
 def _run_pooled(
-    plan, scale, characterize_patterns, pool, on_result,
+    plan, scale, store, characterize_patterns, pool, on_result,
 ) -> SuiteResult:
     """Fan the experiments out over a :class:`WorkerPool`.
 
-    Workers rebuild an :class:`ExperimentContext` from the job spec and
-    return rendered text -- the same transport as the process pool, so
-    outputs stay byte-identical to the serial run.
+    With a store, ``warmup`` jobs first characterize every planned
+    design into it (widest first); then the ``experiment`` jobs run
+    widest first.  Workers rebuild an :class:`ExperimentContext` from
+    the job spec and return rendered text plus store-counter deltas,
+    which the parent folds into ``store``.
     """
-    from ..distrib.pool import run_suite_pooled
+    from ..distrib.pool import open_pool, run_suite_pooled
 
-    requests = [
-        {
-            "job": "experiment",
-            "name": name,
-            "scale": scale,
-            "characterize_patterns": characterize_patterns,
-        }
-        for name in plan.names
-    ]
-    responses = run_suite_pooled(pool, requests)
-    entries: List[SuiteEntry] = []
-    for name, response in zip(plan.names, responses):
-        if response.get("error"):
+    base = {
+        "scale": scale,
+        "characterize_patterns": characterize_patterns,
+        "store": store.directory if store is not None else None,
+    }
+    order = sorted(range(len(plan.names)),
+                   key=lambda i: _spec_weight(plan.names[i]))
+    entries: List[Optional[SuiteEntry]] = [None] * len(plan.names)
+    flushed = 0
+
+    def finalize(position: int, response: Dict) -> None:
+        nonlocal flushed
+        name = plan.names[order[position]]
+        if "error" in response:
             entry = _error_entry(name, response["error"])
         else:
+            delta = response.get("store_delta", {})
+            if store is not None:
+                store.merge_counters(delta)
             entry = SuiteEntry(
                 name=name,
                 title=response["title"],
                 rendered=response["rendered"],
                 elapsed=float(response.get("elapsed", 0.0)),
-                store_delta={},
+                store_delta=delta,
             )
-        entries.append(entry)
-        if on_result is not None:
-            on_result(entry)
+        entries[order[position]] = entry
+        # Flush finalized entries strictly in request order.
+        while flushed < len(entries) and entries[flushed] is not None:
+            if on_result is not None:
+                on_result(entries[flushed])
+            flushed += 1
+
+    with open_pool(pool) as workers:
+        warmup_start = time.perf_counter()
+        if store is not None:
+            warmups = [
+                dict(base, job="warmup", design=list(pair))
+                for pair in plan.warmup_designs
+            ] + [
+                dict(base, job="warmup", netlist=list(pair))
+                for pair in plan.warmup_netlists
+            ]
+            for response in run_suite_pooled(workers, warmups):
+                if "error" in response:
+                    raise DistribError(
+                        "suite warm-up failed: %s" % response["error"]
+                    )
+                store.merge_counters(response["store_delta"])
+        warmup_s = time.perf_counter() - warmup_start
+        run_suite_pooled(
+            workers,
+            [dict(base, job="experiment", name=plan.names[i])
+             for i in order],
+            on_result=finalize,
+        )
+        size = workers.size
     return SuiteResult(
         entries=entries,
         plan=plan,
-        jobs=pool.size,
+        jobs=size,
         wall_s=0.0,
-        warmup_s=0.0,
-        store_dir=None,
-        store_counters=None,
+        warmup_s=warmup_s,
+        store_dir=store.directory if store is not None else None,
+        store_counters=store.snapshot() if store is not None else None,
     )
 
 
@@ -461,25 +436,9 @@ def _run_serial(
     )
 
 
-def _make_executor(
-    jobs, technology, config, scale, characterize_patterns, store_dir,
-) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(
-            technology, config, scale, characterize_patterns, store_dir,
-        ),
-    )
-
-
-def _error_entry(name: str, error) -> SuiteEntry:
+def _error_entry(name: str, message: str) -> SuiteEntry:
     """A degraded-but-typed record for a failed experiment."""
     spec = get_experiment(name)
-    if isinstance(error, BaseException):
-        message = "%s: %s" % (type(error).__name__, error)
-    else:
-        message = str(error)
     return SuiteEntry(
         name=name,
         title=spec.title,
@@ -488,133 +447,3 @@ def _error_entry(name: str, error) -> SuiteEntry:
         store_delta={},
         error=message,
     )
-
-
-def _run_parallel(
-    plan, scale, jobs, store, technology, config,
-    characterize_patterns, on_result,
-) -> SuiteResult:
-    temp_dir = None
-    if store is None:
-        temp_dir = tempfile.mkdtemp(prefix="repro-suite-store-")
-        store = ArtifactStore(temp_dir)
-    jobs = min(jobs, len(plan.names))
-    executor = _make_executor(
-        jobs, technology, config, scale, characterize_patterns,
-        store.directory,
-    )
-    try:
-        warmup_start = time.perf_counter()
-        warmups = [
-            executor.submit(_warmup_design, pair)
-            for pair in plan.warmup_designs
-        ]
-        warmups += [
-            executor.submit(_warmup_netlist, pair)
-            for pair in plan.warmup_netlists
-        ]
-        for future in warmups:
-            _, delta = future.result()  # re-raises worker failures
-            store.merge_counters(delta)
-        warmup_s = time.perf_counter() - warmup_start
-
-        order = {name: i for i, name in enumerate(plan.names)}
-        entries: List[SuiteEntry] = [None] * len(plan.names)
-        done_entries: Dict[int, SuiteEntry] = {}
-        flush = [0]  # next request-order index to emit
-
-        def finalize(entry: SuiteEntry) -> None:
-            index = order[entry.name]
-            entries[index] = entry
-            done_entries[index] = entry
-            # Flush finalized entries strictly in request order.
-            while flush[0] in done_entries:
-                if on_result is not None:
-                    on_result(done_entries[flush[0]])
-                flush[0] += 1
-
-        def harvest(future, name) -> bool:
-            """Finalize one completed future.  Returns True when the
-            future died with the pool (caller must rebuild + retry)."""
-            try:
-                _, title, rendered, elapsed, delta = future.result()
-            except BrokenProcessPool:
-                return True
-            except Exception as exc:
-                # Deterministic in-worker failure: record, no retry.
-                finalize(_error_entry(name, exc))
-                return False
-            store.merge_counters(delta)
-            finalize(SuiteEntry(
-                name=name,
-                title=title,
-                rendered=rendered,
-                elapsed=elapsed,
-                store_delta=delta,
-            ))
-            return False
-
-        # A worker calling os._exit (or being OOM-killed) breaks the
-        # whole pool: every unfinished future raises BrokenProcessPool,
-        # innocents included.  First breakage: rebuild the pool and
-        # resubmit every survivor in parallel.  Second breakage: the
-        # crasher is among the survivors, so isolate -- run them one at
-        # a time so a repeat crash implicates exactly one experiment,
-        # which becomes an error record while the rest complete.
-        remaining = sorted(plan.names, key=_spec_weight)
-        pool_broke_before = False
-        while remaining:
-            futures = {
-                executor.submit(_run_spec, name): name
-                for name in remaining
-            }
-            remaining = []
-            pending = set(futures)
-            broke = False
-            while pending:
-                completed, pending = wait(
-                    pending, return_when=FIRST_COMPLETED
-                )
-                for future in completed:
-                    name = futures[future]
-                    if harvest(future, name):
-                        broke = True
-                        remaining.append(name)
-            if not broke:
-                break
-            executor.shutdown(wait=False, cancel_futures=True)
-            executor = _make_executor(
-                jobs, technology, config, scale,
-                characterize_patterns, store.directory,
-            )
-            remaining.sort(key=_spec_weight)
-            if pool_broke_before:
-                # Isolation pass: one in-flight experiment at a time.
-                for name in remaining:
-                    if harvest(executor.submit(_run_spec, name), name):
-                        finalize(_error_entry(
-                            name, "worker process died while running"
-                            " this experiment",
-                        ))
-                        executor.shutdown(
-                            wait=False, cancel_futures=True
-                        )
-                        executor = _make_executor(
-                            jobs, technology, config, scale,
-                            characterize_patterns, store.directory,
-                        )
-                remaining = []
-            pool_broke_before = True
-        return SuiteResult(
-            entries=entries,
-            plan=plan,
-            jobs=jobs,
-            wall_s=0.0,
-            warmup_s=warmup_s,
-            store_dir=None if temp_dir else store.directory,
-            store_counters=store.snapshot(),
-        )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-        if temp_dir is not None:
-            shutil.rmtree(temp_dir, ignore_errors=True)

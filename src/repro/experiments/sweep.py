@@ -381,7 +381,9 @@ class VariantSweep:
 
         ``payload`` is the canonical engine-independent document (see
         :func:`sweep_payload`); ``stats`` carries engine, wall time and
-        per-method counts for operator output only.
+        per-method counts for operator output only.  ``pool`` is an
+        optional :class:`~repro.distrib.pool.WorkerPool` or pool spec
+        string (``"local:4"``) the pending variants are sharded over.
         """
         if engine not in ENGINES:
             raise ConfigError(
@@ -406,17 +408,18 @@ class VariantSweep:
             pending = list(range(len(self.variants)))
 
         if pending and pool is not None:
-            from ..distrib.pool import run_sweep_pooled
+            from ..distrib.pool import open_pool, run_sweep_pooled
 
-            for index, record in run_sweep_pooled(
-                pool,
-                self.spec.to_dict(),
-                pending,
-                engine=engine,
-                chunk_size=chunk_size,
-            ):
-                records[index] = record
-                methods["pooled"] = methods.get("pooled", 0) + 1
+            with open_pool(pool) as workers:
+                for index, record in run_sweep_pooled(
+                    workers,
+                    self.spec.to_dict(),
+                    pending,
+                    engine=engine,
+                    chunk_size=chunk_size,
+                ):
+                    records[index] = record
+                    methods["pooled"] = methods.get("pooled", 0) + 1
         else:
             for index in pending:
                 record, method = self.evaluate(index, engine=engine)

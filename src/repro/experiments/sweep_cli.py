@@ -110,22 +110,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         max_cone_fraction=args.max_cone_fraction,
     )
     store = ArtifactStore(args.store) if args.store else None
-    pool = None
-    if args.pool is not None:
-        from ..distrib.pool import parse_pool_spec
-
-        pool = parse_pool_spec(args.pool)
     try:
         sweep = VariantSweep(spec, store=store)
         payload, stats = sweep.run(
-            engine=args.engine, pool=pool, chunk_size=args.chunk_size
+            engine=args.engine, pool=args.pool, chunk_size=args.chunk_size
         )
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    finally:
-        if pool is not None:
-            pool.close()
     text = render_payload(payload)
     if args.out == "-":
         sys.stdout.write(text)

@@ -19,19 +19,22 @@ Quickstart::
                                      num_patterns=2000).run()
     print(result.render())
 
-Campaigns are restartable, partitionable jobs: ``run(workers=4,
-checkpoint="campaign.jsonl")`` shards the site list over a process pool
-(bit-identical to the serial sweep), persists every
-:class:`SiteReport` as it completes, resumes from the checkpoint after
-a kill, and prunes sites whose logic cone cannot reach an observed
-product bit.  ``python -m repro.faults run --help`` exposes the same
-machinery from the command line.
+Campaigns are restartable, partitionable jobs.  A campaign built from a
+JSON-able spec (:func:`campaign_from_spec`) can run as
+``run(pool="local:4", checkpoint="campaign.jsonl")``: that shards the
+site list over a :mod:`repro.distrib` worker pool (bit-identical to the
+serial sweep), persists every :class:`SiteReport` as it completes,
+resumes from the checkpoint after a kill, and prunes sites whose logic
+cone cannot reach an observed product bit.
+``python -m repro faults run --help`` exposes the same machinery from
+the command line.
 """
 
 from .campaign import (
     CampaignResult,
     InjectionCampaign,
     SiteReport,
+    campaign_from_spec,
     unique_site_ids,
 )
 from .injector import (
@@ -49,7 +52,6 @@ from .models import (
     StuckAtFault,
     TransientBitFlip,
 )
-from .parallel import make_batches, run_sharded
 from .store import CheckpointStore
 
 __all__ = [
@@ -63,12 +65,11 @@ __all__ = [
     "StuckAtFault",
     "TransientBitFlip",
     "build_fault_hooks",
+    "campaign_from_spec",
     "compile_with_faults",
     "em_fault_sites",
     "enumerate_fault_sites",
     "fault_delay_scale",
     "fault_delay_scales",
-    "make_batches",
-    "run_sharded",
     "unique_site_ids",
 ]

@@ -2,10 +2,11 @@
 
 Usage::
 
-    # sharded, checkpointed sweep (resumes automatically when the
-    # checkpoint already holds reports for the same campaign)
+    # sharded, checkpointed sweep over 4 local workers (resumes
+    # automatically when the checkpoint already holds reports for the
+    # same campaign)
     python -m repro.faults run --width 8 --sites 60 --patterns 2000 \\
-        --workers 4 --checkpoint campaign.jsonl
+        --pool local:4 --checkpoint campaign.jsonl
 
     # distributed: each host runs one shard of the site list...
     python -m repro.faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
@@ -13,11 +14,11 @@ Usage::
     # ...and the merge fuses the checkpoints, byte-identical to serial
     python -m repro.faults merge --sites 60 --checkpoint a.jsonl b.jsonl
 
-    # or dispatch sites through a worker pool (local / tcp / manifest)
+    # or dispatch sites through remote workers (tcp / manifest)
     python -m repro.faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
 
     # serial-vs-sharded wall-clock benchmark, JSON artifact included
-    python -m repro.faults bench --sites 52 --patterns 400 --workers 2 \\
+    python -m repro.faults bench --sites 52 --pool local:2 \\
         --json benchmarks/results/campaign_scaling.json
 
 ``run`` exits 130 on SIGINT after flushing the checkpoint and printing
@@ -99,34 +100,26 @@ def cmd_run(args) -> int:
         index, count = args.shard
         ranges = shard_ranges(len(campaign.faults), count)
         site_range = ranges[index - 1] if index <= len(ranges) else (0, 0)
-    pool = None
-    if args.pool is not None:
-        from ..distrib.pool import parse_pool_spec
-
-        pool = parse_pool_spec(args.pool)
     print(
-        "%s: %d sites x %d patterns (workers=%d%s%s%s)"
+        "%s: %d sites x %d patterns (pool=%s%s%s)"
         % (
             campaign.architecture.name,
             len(campaign.faults),
             campaign.num_patterns,
-            args.workers,
+            args.pool or "serial",
             ", checkpoint=%s" % args.checkpoint if args.checkpoint else "",
             ", shard=%d/%d" % args.shard if args.shard else "",
-            ", pool=%s" % args.pool if args.pool else "",
         )
     )
     start = time.time()
     try:
         result = campaign.run(
-            workers=args.workers,
             checkpoint=args.checkpoint,
             resume=not args.no_resume,
             prune=not args.no_prune,
             progress=None if args.quiet else _progress,
             site_range=site_range,
-            pool=pool,
-            pool_spec=spec_from_args(args) if pool is not None else None,
+            pool=args.pool,
         )
     except CampaignInterrupted as exc:
         sys.stderr.write("\n")
@@ -135,9 +128,6 @@ def cmd_run(args) -> int:
             print()
             print(exc.partial.render())
         return 130
-    finally:
-        if pool is not None:
-            pool.close()
     elapsed = time.time() - start
     print()
     print(result.render())
@@ -175,21 +165,22 @@ def cmd_bench(args) -> int:
     """Serial vs sharded wall-clock on the same campaign (identity
     checked site-for-site), with pruning stats -- the JSON artifact the
     benchmark suite and CI record."""
+    from ..distrib.pool import open_pool
+
     campaign = build_campaign(args)
     print(
-        "benchmarking %d sites x %d patterns, serial vs %d workers..."
-        % (len(campaign.faults), campaign.num_patterns, args.workers)
+        "benchmarking %d sites x %d patterns, serial vs pool %s..."
+        % (len(campaign.faults), campaign.num_patterns, args.pool)
     )
     start = time.time()
-    serial = campaign.run(workers=1, prune=not args.no_prune)
+    serial = campaign.run(prune=not args.no_prune)
     serial_s = time.time() - start
     print("  serial : %.2f s" % serial_s)
-    start = time.time()
-    sharded = campaign.run(
-        workers=args.workers, prune=not args.no_prune
-    )
-    sharded_s = time.time() - start
-    print("  sharded: %.2f s  (workers=%d)" % (sharded_s, args.workers))
+    with open_pool(args.pool) as pool:
+        start = time.time()
+        sharded = campaign.run(pool=pool, prune=not args.no_prune)
+        sharded_s = time.time() - start
+    print("  sharded: %.2f s  (pool=%s)" % (sharded_s, args.pool))
     identical = serial.sites == sharded.sites
     print("  bit-identical: %s" % identical)
     payload = {
@@ -202,7 +193,7 @@ def cmd_bench(args) -> int:
         "sites_total": serial.num_sites,
         "sites_pruned": serial.pruned_sites,
         "sites_simulated": serial.simulated_sites,
-        "workers": args.workers,
+        "workers": pool.size,
         "serial_seconds": round(serial_s, 4),
         "sharded_seconds": round(sharded_s, 4),
         "speedup": round(serial_s / sharded_s, 4) if sharded_s else None,
@@ -244,7 +235,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--characterize-patterns", type=int, default=600,
         help="BTI characterization workload length",
     )
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument(
         "--no-prune", action="store_true",
         help="disable logic-cone pruning",
@@ -276,7 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--pool", metavar="SPEC", default=None,
         help="worker pool: local:N, tcp:host:port,... or manifest:DIR"
-        " (see 'python -m repro distrib')",
+        " (see 'python -m repro distrib'; default: serial)",
     )
     run.set_defaults(func=cmd_run)
 
@@ -294,7 +284,11 @@ def make_parser() -> argparse.ArgumentParser:
         "bench", parents=[common],
         help="serial-vs-sharded wall-clock benchmark (+JSON artifact)",
     )
-    bench.set_defaults(func=cmd_bench, workers_default=2)
+    bench.add_argument(
+        "--pool", metavar="SPEC", default="local:2",
+        help="worker pool the sharded sweep runs on (default local:2)",
+    )
+    bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -304,8 +298,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 0
-    if args.command == "bench" and args.workers < 2:
-        args.workers = 2
     try:
         return args.func(args)
     except ReproError as exc:

@@ -25,12 +25,14 @@ Campaign execution (this layer's production contract):
   :class:`SiteReport` to a JSONL :class:`~repro.faults.store
   .CheckpointStore` as it completes; ``resume=True`` (the default)
   skips sites already recorded for the same campaign fingerprint.
-* **Sharding** -- ``run(workers=N)`` fans the pending sites out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`
-  (:mod:`repro.faults.parallel`).  All randomness (operand streams,
-  SEU flips) is either drawn up-front in the parent or a stateless
-  counter hash, so the sharded sweep is bit-identical to the serial
-  one regardless of worker count or chunk boundaries.
+* **Sharding** -- ``run(pool="local:N")`` fans the pending sites out
+  over a :mod:`repro.distrib` worker pool as ``fault_sites`` jobs.
+  Workers rebuild the campaign from the spec it was built from
+  (:func:`campaign_from_spec`), so only campaigns that carry a spec can
+  be pooled.  All randomness (operand streams, SEU flips) is either a
+  pure function of that spec or a stateless counter hash, so the
+  sharded sweep is bit-identical to the serial one regardless of pool
+  size or chunk boundaries.
 * **Graceful interruption** -- a SIGINT / :class:`KeyboardInterrupt`
   mid-sweep flushes the checkpoint and raises
   :class:`~repro.errors.CampaignInterrupted` carrying the partial
@@ -291,7 +293,9 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     ``faults merge`` subcommand reconstruct the exact campaign from the
     same handful of CLI-level parameters instead of shipping pickled
     state, relying on the campaign's determinism contract (operand
-    streams and site enumeration are pure functions of the spec).
+    streams and site enumeration are pure functions of the spec).  The
+    campaign keeps the spec as :attr:`InjectionCampaign.spec`, which
+    ``run(pool=...)`` ships to the workers.
     """
     mult = AgingAwareMultiplier.build(
         int(spec.get("width", 8)),
@@ -303,13 +307,15 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     mult = mult.with_cycle(
         float(spec.get("cycle_fraction", 0.6)) * mult.critical_path_ns()
     )
-    return InjectionCampaign.sweep(
+    campaign = InjectionCampaign.sweep(
         mult,
         num_sites=int(spec.get("sites", 60)),
         num_patterns=int(spec.get("patterns", 2000)),
         seed=int(spec.get("seed", 7)),
         years=float(spec.get("years", 0.0)),
     )
+    campaign.spec = dict(spec)
+    return campaign
 
 
 def merge_campaign_shards(
@@ -391,6 +397,11 @@ class InjectionCampaign:
         num_patterns: Operand pairs per site.
         seed: Operand-stream seed.
         years: BTI aging point every site is simulated at.
+
+    Attributes:
+        spec: The JSON-able spec this campaign was rebuilt from
+            (:func:`campaign_from_spec`), or None.  Worker pools need
+            it: remote workers rebuild the campaign from it.
     """
 
     def __init__(
@@ -424,6 +435,7 @@ class InjectionCampaign:
             architecture.factory.delay_scale(years) if years else None
         )
         self._pristine = None
+        self.spec: Optional[Dict] = None
 
     @classmethod
     def sweep(
@@ -638,7 +650,6 @@ class InjectionCampaign:
 
     def run(
         self,
-        workers: int = 1,
         checkpoint: Optional[str] = None,
         resume: bool = True,
         prune: bool = True,
@@ -647,14 +658,10 @@ class InjectionCampaign:
         observed_ports: Optional[Sequence[str]] = None,
         site_range: Optional[Tuple[int, int]] = None,
         pool=None,
-        pool_spec: Optional[Dict] = None,
     ) -> CampaignResult:
         """Run every site and collect the campaign result.
 
         Args:
-            workers: Processes to shard the site list over (1 = serial
-                in-process execution).  Results are bit-identical to the
-                serial sweep for any worker count.
             checkpoint: Optional JSONL path; each completed
                 :class:`SiteReport` is appended and flushed immediately,
                 so a killed sweep loses at most the in-flight sites.
@@ -663,7 +670,7 @@ class InjectionCampaign:
             prune: Skip simulating sites whose logic cone cannot reach
                 any observed product bit; their reports are synthesized
                 exactly from the baseline.
-            chunk_size: Sites per worker batch (default: an even split
+            chunk_size: Sites per pool batch (default: an even split
                 into ~4 batches per worker).
             progress: ``(report, completed, total)`` callback after each
                 finished site.
@@ -674,23 +681,21 @@ class InjectionCampaign:
                 carries only those sites; merging every shard's
                 checkpoint reproduces the full serial result exactly
                 (``python -m repro faults merge``).
-            pool: Optional :class:`~repro.distrib.pool.WorkerPool`;
-                pending sites are dispatched through it instead of a
-                local process pool (requires ``pool_spec``).
-            pool_spec: JSON-able campaign spec remote workers rebuild
-                this campaign from (see :func:`campaign_from_spec`).
+            pool: Optional :class:`~repro.distrib.pool.WorkerPool` or
+                pool spec string (``"local:4"``); pending sites are
+                dispatched through it, bit-identically to the serial
+                sweep.  Needs a campaign built by
+                :func:`campaign_from_spec`.
 
         Raises:
             CampaignInterrupted: A SIGINT / :class:`KeyboardInterrupt`
                 landed mid-sweep.  The checkpoint is already flushed and
                 the exception carries the partial result.
         """
-        if workers < 1:
-            raise FaultError("workers must be >= 1, got %d" % workers)
-        if pool is not None and pool_spec is None:
+        if pool is not None and self.spec is None:
             raise FaultError(
-                "a worker pool needs pool_spec (the JSON campaign spec"
-                " remote workers rebuild state from)"
+                "a worker pool rebuilds the campaign from its spec;"
+                " build the campaign with campaign_from_spec"
             )
         total = len(self.faults)
         if site_range is None:
@@ -763,25 +768,16 @@ class InjectionCampaign:
             simulated_indices.extend(pending)
             if pending:
                 if pool is not None:
-                    from ..distrib.pool import run_campaign_pooled
+                    from ..distrib.pool import open_pool, run_campaign_pooled
 
-                    run_campaign_pooled(
-                        pool,
-                        pool_spec,
-                        pending,
-                        chunk_size=chunk_size,
-                        on_result=record,
-                    )
-                elif workers > 1:
-                    from .parallel import run_sharded
-
-                    run_sharded(
-                        self,
-                        pending,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                        on_result=record,
-                    )
+                    with open_pool(pool) as workers:
+                        run_campaign_pooled(
+                            workers,
+                            self.spec,
+                            pending,
+                            chunk_size=chunk_size,
+                            on_result=record,
+                        )
                 else:
                     for index in pending:
                         site, _ = self.run_site(

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro mc --dies 200 --years 0,5,10 --width 8
-    python -m repro mc --dies 10000 --jobs 8 --store .repro-store \\
+    python -m repro mc --dies 10000 --pool local:8 --store .repro-store \\
         --json mc.json
 
     # distributed: price die shards on any hosts...
@@ -12,11 +12,11 @@ Usage::
     # ...then fuse them, byte-identical to the single-host run
     python -m repro mc merge --dies 10000 --shards a.json b.json
 
-    # or dispatch shards through a worker pool (local / tcp / manifest)
+    # or dispatch shards through remote workers (tcp / manifest)
     python -m repro mc --dies 10000 --pool tcp:hostA:9100,hostB:9100
 
 Per-die RNG substreams and per-row batched replay make the report (and
-the ``--json`` artifact) byte-identical for every ``--jobs`` value,
+the ``--json`` artifact) byte-identical for every ``--pool``,
 for cold vs store-warm runs and for any sharding -- the surface the
 CI smoke jobs ``cmp``.
 
@@ -96,9 +96,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="dies per batched replay slab")
     parser.add_argument("--bins", type=int, default=32,
                         help="critical-path histogram bins (default 32)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="die-axis worker processes (default 1;"
-                        " results are bit-identical for any N)")
     parser.add_argument("--characterize-patterns", type=int, default=2000,
                         metavar="N",
                         help="BTI characterization workload length"
@@ -111,7 +108,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="shard payload output path (with --shard)")
     parser.add_argument("--pool", metavar="SPEC", default=None,
                         help="worker pool: local:N, tcp:host:port,... or"
-                        " manifest:DIR (see 'python -m repro distrib')")
+                        " manifest:DIR (see 'python -m repro distrib';"
+                        " default: serial; results are bit-identical)")
     parser.add_argument("--store", metavar="PATH",
                         help="persistent artifact store directory"
                         " (priced populations are reused when warm)")
@@ -210,31 +208,22 @@ def main(argv=None) -> int:
     if argv and argv[0] == "merge":
         return _main_merge(argv[1:])
     args = make_parser().parse_args(argv)
-    pool = None
     try:
         if args.shard is not None:
             return _main_shard(args)
-        if args.pool is not None:
-            from ..distrib.pool import parse_pool_spec
-
-            pool = parse_pool_spec(args.pool)
         result = run_montecarlo(
             _spec_from_args(args),
             width=args.width,
             kind=args.kind,
             skip=args.skip,
-            jobs=args.jobs,
             store=args.store,
             characterize_patterns=args.characterize_patterns,
             num_bins=args.bins,
-            pool=pool,
+            pool=args.pool,
         )
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if pool is not None:
-            pool.close()
     _emit(result, args.json)
     return 0
 

@@ -11,18 +11,18 @@ wires the subsystem into the existing scale-out fabric:
   the :meth:`~repro.montecarlo.spec.MonteCarloSpec.fingerprint`, so a
   warm run replays nothing and byte-identically reproduces the cold
   run's report;
-* ``jobs > 1`` shards the die axis over a ``ProcessPoolExecutor``
-  (contiguous :func:`~repro.experiments.scheduler.shard_ranges`,
-  state shipped once per worker through the pool initializer -- the
-  scheduler/faults idiom).  Per-die substreams and per-row replay make
-  the merged result **bit-identical** for every job count, which the
-  acceptance gate (`--jobs 4` vs serial) checks end to end.
+* ``pool=`` shards the die axis over a :mod:`repro.distrib` worker
+  pool (``"local:4"`` or any :class:`~repro.distrib.pool.WorkerPool`):
+  contiguous :func:`~repro.experiments.scheduler.shard_ranges`, each
+  priced by :func:`run_mc_shard` from the JSON :func:`mc_job_spec`.
+  Per-die substreams and per-row replay make the merged result
+  **bit-identical** for every pool size, which the CI gate
+  (``--pool local:4`` vs serial) checks end to end.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -59,53 +59,6 @@ def _resolve_skip(width: int, skip: Optional[int]) -> int:
             "skip=%r out of the AHL-legal range [0, %d)" % (skip, width)
         )
     return skip
-
-
-# ----------------------------------------------------------------------
-# Worker-process side (state ships once through the pool initializer).
-# ----------------------------------------------------------------------
-
-_MC_WORKER: Optional[Dict] = None
-
-
-def _init_mc_worker(
-    netlist, stress, technology, spec, stimulus, zeros, width, skip,
-    clock_ns, config,
-) -> None:
-    from ..aging.degradation import AgedCircuitFactory
-
-    global _MC_WORKER
-    factory = AgedCircuitFactory(netlist, stress, technology)
-    _MC_WORKER = {
-        "factory": factory,
-        "sampler": CorrelatedVthSampler(len(netlist.cells), spec),
-        "spec": spec,
-        "stimulus": stimulus,
-        "zeros": zeros,
-        "width": width,
-        "skip": skip,
-        "clock_ns": clock_ns,
-        "config": config,
-    }
-
-
-def _price_shard(die_range: Tuple[int, int]) -> PopulationReductions:
-    w = _MC_WORKER
-    return price_population(
-        w["factory"],
-        w["sampler"],
-        w["spec"],
-        w["stimulus"],
-        w["zeros"],
-        w["width"],
-        w["skip"],
-        w["clock_ns"],
-        config=w["config"],
-        die_range=die_range,
-    )
-
-
-# ----------------------------------------------------------------------
 
 
 def population_key(
@@ -184,15 +137,18 @@ def _shard_fingerprint(job: Dict) -> Dict:
     }
 
 
-def run_mc_shard(job: Dict, die_range) -> Dict:
+def run_mc_shard(job: Dict, die_range, store: Optional[str] = None) -> Dict:
     """Price one contiguous die range from a JSON job spec.
 
     Returns a JSON-safe shard payload (``fingerprint`` + ``die_range``
     + the :meth:`PopulationReductions.to_payload` planes as lists);
     :func:`merge_mc_shards` fuses the shards back into the exact
-    single-host result.
+    single-host result.  ``store`` is an optional artifact-store
+    directory the characterized design is loaded from (it changes no
+    number, so it is not part of the fingerprint).
     """
     from ..experiments.context import ExperimentContext
+    from ..experiments.store import ArtifactStore
 
     spec = MonteCarloSpec.from_overrides(**dict(job.get("spec") or {}))
     width = int(job.get("width", 8))
@@ -200,6 +156,7 @@ def run_mc_shard(job: Dict, die_range) -> Dict:
     skip = _resolve_skip(width, job.get("skip"))
     context = ExperimentContext(
         characterize_patterns=int(job.get("characterize_patterns", 2000)),
+        store=ArtifactStore(store) if store is not None else None,
     )
     factory, netlist, stimulus, zeros, clock_ns, _ = _pricing_inputs(
         spec, width, kind, context
@@ -307,7 +264,6 @@ def run_montecarlo(
     width: int = 8,
     kind: str = "column",
     skip: Optional[int] = None,
-    jobs: int = 1,
     store=None,
     context=None,
     technology: Technology = DEFAULT_TECHNOLOGY,
@@ -323,12 +279,14 @@ def run_montecarlo(
         width / kind: Target multiplier design.
         skip: AHL Skip-n the latency/yield surfaces assume (default
             ``width // 2 - 1``, the architecture's default).
-        jobs: Die-axis worker processes (1 = serial in-process; any
-            value yields bit-identical results).
         store: Optional persistent artifact store; priced populations
             and surfaces are fingerprint-keyed there.
         context: Optional shared experiment context (its store wins
             over ``store``; its technology/config win too).
+        pool: Optional :class:`~repro.distrib.pool.WorkerPool` or pool
+            spec string (``"local:4"``); the die axis is sharded over
+            it (default technology/config only) with bit-identical
+            results for any pool size.
 
     Returns:
         The population's :class:`~repro.montecarlo.analytics
@@ -348,8 +306,6 @@ def run_montecarlo(
         raise ConfigError(
             "unknown multiplier kind %r (known: %s)" % (kind, _KINDS)
         )
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
     skip = _resolve_skip(width, skip)
     if isinstance(store, str):
         store = ArtifactStore(store)
@@ -400,21 +356,25 @@ def run_montecarlo(
     if reductions is None:
         sampler = CorrelatedVthSampler(len(netlist.cells), spec)
         if pool is not None and spec.num_dies > 1:
-            from ..distrib.pool import run_mc_pooled
+            from ..distrib.pool import open_pool, run_mc_pooled
 
             job = mc_job_spec(
                 spec, width, kind, skip, characterize_patterns
             )
-            payloads = run_mc_pooled(
-                pool, job, shard_ranges(spec.num_dies, pool.size)
-            )
+            with open_pool(pool) as workers:
+                payloads = run_mc_pooled(
+                    workers,
+                    job,
+                    shard_ranges(spec.num_dies, workers.size),
+                    store=store.directory if store is not None else None,
+                )
             reductions = PopulationReductions.concat([
                 PopulationReductions.from_payload(
                     {"meta": p["meta"], "arrays": p["arrays"]}
                 )
                 for p in payloads
             ])
-        elif jobs == 1 or spec.num_dies == 1:
+        else:
             reductions = price_population(
                 factory,
                 sampler,
@@ -426,18 +386,6 @@ def run_montecarlo(
                 clock_ns,
                 config=config,
             )
-        else:
-            ranges = shard_ranges(spec.num_dies, jobs)
-            with ProcessPoolExecutor(
-                max_workers=len(ranges),
-                initializer=_init_mc_worker,
-                initargs=(
-                    netlist, factory.stress, technology, spec, stimulus,
-                    zeros, width, skip, clock_ns, config,
-                ),
-            ) as executor:
-                shards = list(executor.map(_price_shard, ranges))
-            reductions = PopulationReductions.concat(shards)
         if store is not None:
             store.save("population", key, reductions.to_payload())
 

@@ -2,7 +2,7 @@
 
 The contracts under test (DESIGN.md section 9, "campaign execution"):
 
-* ``run(workers=N)`` is bit-identical to the serial sweep;
+* ``run(pool="local:N")`` is bit-identical to the serial sweep;
 * an interrupted campaign flushes its checkpoint, reports partial
   coverage, and resumes without re-simulating completed sites -- even
   from a checkpoint whose trailing line was torn by a kill;
@@ -21,6 +21,7 @@ from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.config import DEFAULT_TECHNOLOGY
 from repro.core import AgingAwareMultiplier
+from repro.distrib.pool import make_batches
 from repro.errors import CampaignInterrupted, CheckpointError, FaultError
 from repro.faults import (
     CheckpointStore,
@@ -28,30 +29,39 @@ from repro.faults import (
     InjectionCampaign,
     StuckAtFault,
     TransientBitFlip,
-    make_batches,
-    run_sharded,
+    campaign_from_spec,
     unique_site_ids,
 )
 
+#: The shared campaign: 16 sites x 150 patterns on the 8-bit column
+#: design, clocked at 0.6x its critical path.  Built from a spec so the
+#: same campaign can also run on a worker pool.
+CAMPAIGN_SPEC = {
+    "width": 8,
+    "kind": "column",
+    "skip": 3,
+    "cycle_fraction": 0.6,
+    "sites": 16,
+    "patterns": 150,
+    "seed": 2,
+    "years": 0.0,
+    "characterize_patterns": 300,
+}
+
 
 @pytest.fixture(scope="module")
-def arch8():
-    arch = AgingAwareMultiplier.build(
-        8, "column", skip=3, cycle_ns=0.5, characterize_patterns=300
-    )
-    return arch.with_cycle(0.6 * arch.critical_path_ns())
+def campaign():
+    return campaign_from_spec(CAMPAIGN_SPEC)
 
 
 @pytest.fixture(scope="module")
-def campaign(arch8):
-    return InjectionCampaign.sweep(
-        arch8, num_sites=16, num_patterns=150, seed=2
-    )
+def arch8(campaign):
+    return campaign.architecture
 
 
 @pytest.fixture(scope="module")
 def serial_result(campaign):
-    return campaign.run(workers=1, prune=False)
+    return campaign.run(prune=False)
 
 
 class TestSiteIds:
@@ -75,8 +85,9 @@ class TestSiteIds:
 
 class TestShardedIdentity:
     def test_sharded_bit_identical_to_serial(self, campaign, serial_result):
-        """Acceptance: workers=2 reproduces the serial sweep exactly."""
-        sharded = campaign.run(workers=2, prune=False)
+        """Acceptance: a local:2 pool reproduces the serial sweep
+        exactly."""
+        sharded = campaign.run(pool="local:2", prune=False)
         assert sharded.sites == serial_result.sites
         assert sharded.summary() == {
             **serial_result.summary(),
@@ -85,7 +96,7 @@ class TestShardedIdentity:
 
     def test_sharded_identical_with_odd_chunking(self, campaign,
                                                  serial_result):
-        sharded = campaign.run(workers=2, chunk_size=3, prune=False)
+        sharded = campaign.run(pool="local:2", chunk_size=3, prune=False)
         assert sharded.sites == serial_result.sites
 
     def test_make_batches_covers_everything_once(self):
@@ -98,13 +109,11 @@ class TestShardedIdentity:
         with pytest.raises(FaultError):
             make_batches(pending, workers=4, chunk_size=0)
 
-    def test_run_sharded_requires_two_workers(self, campaign):
-        with pytest.raises(FaultError):
-            run_sharded(campaign, [0], workers=1)
-
-    def test_bad_worker_count_rejected(self, campaign):
-        with pytest.raises(FaultError):
-            campaign.run(workers=0)
+    def test_pool_refused_without_spec(self, arch8):
+        bare = InjectionCampaign.sweep(arch8, num_sites=2, num_patterns=20)
+        assert bare.spec is None
+        with pytest.raises(FaultError, match="campaign_from_spec"):
+            bare.run(pool="local:2")
 
 
 class TestCheckpointStore:
@@ -230,12 +239,16 @@ class TestResume:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 40])
         resumed = campaign.run(
-            checkpoint=str(path), workers=2, prune=False
+            checkpoint=str(path), pool="local:2", prune=False
         )
         assert resumed.sites == serial_result.sites
 
 
 class TestInterruption:
+    #: ``campaign.run`` keywords; :class:`TestPooledInterruption` reruns
+    #: every test here on a pool.
+    run_kw = {}
+
     def test_partial_result_flushed_and_resumable(self, tmp_path, campaign,
                                                   serial_result):
         path = str(tmp_path / "cp.jsonl")
@@ -245,7 +258,9 @@ class TestInterruption:
                 raise KeyboardInterrupt
 
         with pytest.raises(CampaignInterrupted) as info:
-            campaign.run(checkpoint=path, prune=False, progress=bomb)
+            campaign.run(
+                checkpoint=path, prune=False, progress=bomb, **self.run_kw
+            )
         exc = info.value
         assert exc.completed == 5
         assert exc.total == len(campaign.faults)
@@ -253,8 +268,12 @@ class TestInterruption:
         assert not exc.partial.complete
         assert exc.partial.num_sites == 5
         assert "[PARTIAL -- interrupted]" in exc.partial.render()
+        flushed = CheckpointStore(path).load(campaign.fingerprint())
+        assert len(flushed) < len(campaign.faults)
 
-        resumed = campaign.run(checkpoint=path, prune=False)
+        resumed = campaign.run(
+            checkpoint=path, prune=False, **self.run_kw
+        )
         assert resumed.complete
         assert resumed.resumed_sites == 5
         assert resumed.simulated_sites == len(campaign.faults) - 5
@@ -266,8 +285,15 @@ class TestInterruption:
                 raise KeyboardInterrupt
 
         with pytest.raises(CampaignInterrupted) as info:
-            campaign.run(prune=False, progress=bomb)
+            campaign.run(prune=False, progress=bomb, **self.run_kw)
         assert info.value.partial.num_sites == 3
+
+
+class TestPooledInterruption(TestInterruption):
+    """The same interruptions on a two-worker pool, one site per batch,
+    so queued batches are left to cancel when the sweep stops."""
+
+    run_kw = {"pool": "local:2", "chunk_size": 1}
 
 
 class TestConePruning:

@@ -25,7 +25,6 @@ from repro.distrib.pool import (
     execute_manifest,
     local_worker,
     parse_pool_spec,
-    run_campaign_pooled,
     run_mc_pooled,
     run_suite_pooled,
 )
@@ -263,16 +262,20 @@ class TestCampaignSharding:
             merge_campaign_shards(campaign_from_spec(CAMPAIGN_SPEC), [path])
 
     def test_pool_requires_spec(self):
-        campaign = campaign_from_spec(CAMPAIGN_SPEC)
-        with pytest.raises(FaultError, match="pool_spec"):
-            campaign.run(pool=LocalPool(1))
+        from repro.faults.campaign import InjectionCampaign
+
+        built = campaign_from_spec(CAMPAIGN_SPEC)
+        assert built.spec == CAMPAIGN_SPEC
+        bare = InjectionCampaign(
+            built.architecture, built.faults, num_patterns=80, seed=7
+        )
+        with pytest.raises(FaultError, match="spec"):
+            bare.run(pool=LocalPool(1))
 
     def test_local_pool_byte_identical(self, serial_campaign):
         _, expected = serial_campaign
         with LocalPool(2) as pool:
-            pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-                pool=pool, pool_spec=dict(CAMPAIGN_SPEC)
-            )
+            pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
 
@@ -373,9 +376,7 @@ class TestTcpTransport:
     def test_campaign_byte_identical(self, tcp_servers, serial_campaign):
         _, expected = serial_campaign
         pool = TcpPool(tcp_servers)
-        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-            pool=pool, pool_spec=dict(CAMPAIGN_SPEC)
-        )
+        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
     def test_unreachable_worker_is_typed(self):
@@ -389,18 +390,13 @@ class TestManifestTransport:
         _, expected = serial_campaign
         directory = str(tmp_path / "shared")
         pool = ManifestPool(directory)
-        spec = dict(CAMPAIGN_SPEC)
         with pytest.raises(ManifestPending) as info:
-            campaign_from_spec(CAMPAIGN_SPEC).run(
-                pool=pool, pool_spec=spec
-            )
+            campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert info.value.directory == directory
         assert info.value.missing > 0
         executed = execute_manifest(directory)
         assert executed == info.value.missing
-        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-            pool=pool, pool_spec=spec
-        )
+        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
     def test_claims_prevent_double_execution(self, tmp_path):
@@ -434,6 +430,69 @@ class TestSuitePooled:
         )
         assert responses[0] == {"pong": True}
         assert "error" in responses[1]
+
+
+def _experiment_jobs(names):
+    return [{"job": "experiment", "name": name} for name in names]
+
+
+class TestLocalPoolCrashes:
+    """A worker that dies mid-job (``os._exit``) breaks the whole
+    executor; the pool rebuilds it, isolates the crasher and finishes
+    every other request."""
+
+    @pytest.fixture(autouse=True)
+    def test_specs(self, monkeypatch):
+        """Register the injected specs here and in spawned workers,
+        removing them from the registry afterwards."""
+        from repro.experiments._testing import register_test_experiments
+        from repro.experiments.registry import REGISTRY
+
+        monkeypatch.setenv("REPRO_TEST_EXPERIMENTS", "1")
+        staged = {}
+        register_test_experiments(staged)
+        for name, spec in staged.items():
+            monkeypatch.setitem(REGISTRY, name, spec)
+
+    @staticmethod
+    def _check(names, responses, crashers):
+        assert len(responses) == len(names)
+        for name, response in zip(names, responses):
+            if name in crashers:
+                assert response["ok"] is False
+                assert "worker process died" in response["error"]
+            else:
+                assert response["ok"] is True, response
+                assert response["result"]["rendered"] == (
+                    "test experiment ok"
+                )
+
+    def test_map_isolates_the_crasher(self):
+        names = ["_test_ok", "_test_crash", "_test_slow"]
+        with LocalPool(2) as pool:
+            responses = pool.map(_experiment_jobs(names))
+        self._check(names, responses, {"_test_crash"})
+
+    def test_imap_unordered_isolates_the_crasher(self):
+        names = ["_test_slow", "_test_crash", "_test_ok"]
+        with LocalPool(2) as pool:
+            pairs = list(pool.imap_unordered(_experiment_jobs(names)))
+        assert sorted(index for index, _ in pairs) == [0, 1, 2]
+        responses = [response for _, response in sorted(
+            pairs, key=lambda pair: pair[0]
+        )]
+        self._check(names, responses, {"_test_crash"})
+
+    def test_two_crashers_both_fail_alone(self):
+        names = ["_test_crash", "_test_ok", "_test_crash", "_test_slow"]
+        with LocalPool(2) as pool:
+            responses = pool.map(_experiment_jobs(names))
+            # The pool stays usable after isolating crashers.
+            assert pool.map([{"job": "ping"}]) == [
+                {"ok": True, "result": {"pong": True}}
+            ]
+        self._check(names, responses, {"_test_crash"})
+        assert sum(not r["ok"] for r in responses) == 2
 
 
 class TestCliPlumbing:

@@ -45,8 +45,8 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_jobs_exits_2(self, capsys):
-        assert main(["fig06", "--jobs", "0"] + RUN) == 2
-        assert "jobs" in capsys.readouterr().err
+        assert main(["fig06", "--pool", "local:0"] + RUN) == 2
+        assert "local pool needs >= 1 worker" in capsys.readouterr().err
 
 
 class TestSingleRun:
@@ -130,7 +130,7 @@ class TestParallelFlag:
         )
         assert (
             main(
-                ["fig06,fig07", "--jobs", "2", "--store",
+                ["fig06,fig07", "--pool", "local:2", "--store",
                  str(tmp_path / "store"), "--dump-rendered",
                  parallel_dump] + RUN
             ) == 0

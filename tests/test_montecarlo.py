@@ -301,8 +301,8 @@ class TestRunner:
             die_chunk=2,
             seed=3,
         )
-        serial = run_montecarlo(spec, jobs=1, **spec_kw)
-        sharded = run_montecarlo(spec, jobs=2, **spec_kw)
+        serial = run_montecarlo(spec, **spec_kw)
+        sharded = run_montecarlo(spec, pool="local:2", **spec_kw)
         assert to_json(sharded) == to_json(serial)
 
     def test_store_warm_byte_identical(self, ctx, tmp_path):
@@ -334,7 +334,7 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_montecarlo(spec, kind="diagonal", context=ctx)
         with pytest.raises(ConfigError):
-            run_montecarlo(spec, jobs=0, context=ctx)
+            run_montecarlo(spec, pool="local:0", context=ctx)
         with pytest.raises(ConfigError):
             run_montecarlo(spec, width=WIDTH, skip=WIDTH, context=ctx)
 

@@ -125,6 +125,16 @@ class TestRunSuiteValidation:
         with pytest.raises(ConfigError):
             run_suite(names=SUBSET, jobs=2, context=ctx)
 
+    def test_jobs_and_pool_refused_together(self):
+        with pytest.raises(ConfigError, match="not both"):
+            run_suite(names=SUBSET, jobs=2, pool="local:2")
+
+    def test_pooled_run_refuses_non_default_technology(self):
+        from repro.config import Technology
+
+        with pytest.raises(ConfigError, match="default technology"):
+            run_suite(names=SUBSET, jobs=2, technology=Technology(vdd=0.8))
+
 
 class TestStoreBackedRuns:
     def test_warm_rerun_hits_store_and_matches(self, tmp_path):

@@ -73,12 +73,16 @@ class TestCrashingSpec:
 
 class TestCliExitCodes:
     def test_failed_suite_exits_1(self, capsys):
-        rc = experiments_cli.main(["_test_ok,_test_raise", "--jobs", "2"])
+        rc = experiments_cli.main(
+            ["_test_ok,_test_raise", "--pool", "local:2"]
+        )
         assert rc == 1
         out = capsys.readouterr().out
         assert "failed: 1 of 2 experiments" in out
 
     def test_clean_suite_exits_0(self, capsys):
-        rc = experiments_cli.main(["_test_ok,_test_slow", "--jobs", "2"])
+        rc = experiments_cli.main(
+            ["_test_ok,_test_slow", "--pool", "local:2"]
+        )
         assert rc == 0
         assert "failed:" not in capsys.readouterr().out
