@@ -3,7 +3,7 @@
 Runs the same 52-site fault-injection campaign serially and on a
 two-worker ``local:2`` pool, asserts the sharded sweep is bit-identical to the
 serial one (the determinism contract of DESIGN.md section 9), and
-reports both wall-clocks.  ``python -m repro.faults bench`` produces the
+reports both wall-clocks.  ``python -m repro faults bench`` produces the
 committed JSON artifact (``benchmarks/results/campaign_scaling.json``)
 from the same machinery.
 """

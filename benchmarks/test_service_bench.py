@@ -2,7 +2,7 @@
 and both degraded paths.
 
 Wraps :func:`repro.service.bench.run_service_bench` -- the same harness
-``python -m repro.service bench`` runs -- against a private server, and
+``python -m repro service bench`` runs -- against a private server, and
 records the result in ``benchmarks/results/BENCH_service.json``.
 
 Gates (also returned as ``invariant_failures`` by the harness):

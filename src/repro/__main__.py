@@ -5,13 +5,12 @@ Usage::
     python -m repro experiments fig05        # paper figures / tables
     python -m repro faults run --width 8     # fault-injection campaigns
     python -m repro service serve            # reliability query service
-    python -m repro mc --dies 10000 --jobs 8 # variation x aging Monte Carlo
+    python -m repro mc --dies 10000 --pool local:8   # variation x aging MC
 
-Each command forwards the remaining arguments to the matching
-sub-CLI (previously the separate ``python -m repro.experiments`` /
-``repro.faults`` / ``repro.service`` entry points, which still work as
-deprecation shims).  Commands import lazily, so ``python -m repro mc``
-never pays for the service or faults stacks.
+Each command forwards the remaining arguments to the ``main(argv)`` of
+its package's CLI module; this is the only executable module.  Commands
+import lazily, so ``python -m repro mc`` never pays for the service or
+faults stacks.
 
 Exit status: the sub-CLI's; 2 for an unknown command (with a
 did-you-mean suggestion).
@@ -26,15 +25,15 @@ from typing import List, Optional
 #: command -> (module with ``main(argv) -> int``, one-line description).
 COMMANDS = {
     "experiments": (
-        "repro.experiments.__main__",
+        "repro.experiments.cli",
         "run / list the paper-reproduction experiments",
     ),
     "faults": (
-        "repro.faults.__main__",
+        "repro.faults.cli",
         "fault-injection campaigns and their benchmarks",
     ),
     "service": (
-        "repro.service.__main__",
+        "repro.service.cli",
         "reliability query service (serve / query / direct / bench)",
     ),
     "mc": (
@@ -42,7 +41,7 @@ COMMANDS = {
         "correlated process-variation x aging Monte Carlo",
     ),
     "distrib": (
-        "repro.distrib.__main__",
+        "repro.distrib.cli",
         "distributed campaign workers (worker / exec / ping / shutdown)",
     ),
     "sweep": (

@@ -4,7 +4,7 @@ Collects experiment results into one markdown document with the same
 structure as EXPERIMENTS.md -- a paper-claims checklist with measured
 values -- so a full reproduction run can emit its own record::
 
-    python -m repro.experiments all --report my_run.md
+    python -m repro experiments all --report my_run.md
 """
 
 from __future__ import annotations

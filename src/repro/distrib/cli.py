@@ -115,6 +115,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,9 +8,9 @@ the paper reports.
 
 Run everything from the command line::
 
-    python -m repro.experiments            # list experiments
-    python -m repro.experiments fig05      # one experiment
-    python -m repro.experiments all        # the whole evaluation
+    python -m repro experiments            # list experiments
+    python -m repro experiments fig05      # one experiment
+    python -m repro experiments all        # the whole evaluation
 
 See DESIGN.md section 4 for the experiment-to-figure index and
 EXPERIMENTS.md for recorded paper-vs-measured values.

@@ -1,6 +1,6 @@
 """The headline claim checklist, evaluated programmatically.
 
-``python -m repro.experiments claims`` runs a compact subset of the
+``python -m repro experiments claims`` runs a compact subset of the
 evaluation and fills a :class:`~repro.analysis.report.ReproductionReport`
 claim table -- the quickest way to see whether a modified library still
 reproduces the paper.  Each claim mirrors a row of EXPERIMENTS.md.

@@ -2,15 +2,15 @@
 
 Usage::
 
-    python -m repro.experiments                 # list experiments
-    python -m repro.experiments --tag paper     # list a tag's experiments
-    python -m repro.experiments fig05           # run one
-    python -m repro.experiments fig05,fig07     # run a few
-    python -m repro.experiments all             # run everything
-    python -m repro.experiments all --scale .1  # quick pass (10% patterns)
-    python -m repro.experiments all --pool local:4   # parallel suite
-    python -m repro.experiments all --store .repro-store   # persistent
-    python -m repro.experiments all --store .repro-store --cold
+    python -m repro experiments                 # list experiments
+    python -m repro experiments --tag paper     # list a tag's experiments
+    python -m repro experiments fig05           # run one
+    python -m repro experiments fig05,fig07     # run a few
+    python -m repro experiments all             # run everything
+    python -m repro experiments all --scale .1  # quick pass (10% patterns)
+    python -m repro experiments all --pool local:4   # parallel suite
+    python -m repro experiments all --store .repro-store   # persistent
+    python -m repro experiments all --store .repro-store --cold
 
 ``--pool local:N`` fans the suite out over N worker processes (with
 ``--store``, after a warm-up stage characterizes each shared design
@@ -37,7 +37,7 @@ from .store import ArtifactStore
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
+        prog="python -m repro experiments",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -156,11 +156,3 @@ def _run(args) -> int:
         print("report written to %s" % args.report)
     return 1 if suite.failures() else 0
 
-
-if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.experiments' is deprecated; use"
-        " 'python -m repro experiments' (same arguments)",
-        file=sys.stderr,
-    )
-    sys.exit(main())

@@ -1,6 +1,6 @@
 """Dependency-aware parallel suite runner.
 
-``python -m repro.experiments all`` used to execute ~30 experiments
+``python -m repro experiments all`` used to execute ~30 experiments
 strictly serially, and every experiment implicitly (re)characterized
 whatever designs it touched.  This module turns the implicit resource
 usage into an explicit schedule:

@@ -21,17 +21,9 @@ import sys
 from typing import List, Optional
 
 from ..errors import ReproError
+from ..util.argtypes import float_list
 from .store import ArtifactStore
 from .sweep import ENGINES, SweepSpec, VariantSweep, render_payload
-
-
-def _years_arg(text: str):
-    try:
-        return tuple(float(part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "years must be a comma-separated float list, got %r" % text
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--years",
-        type=_years_arg,
+        type=float_list,
         default=(0.0, 10.0),
         help="comma-separated aging corners, e.g. 0,5,10 (default 0,10)",
     )
@@ -142,6 +134,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

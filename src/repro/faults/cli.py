@@ -5,20 +5,20 @@ Usage::
     # sharded, checkpointed sweep over 4 local workers (resumes
     # automatically when the checkpoint already holds reports for the
     # same campaign)
-    python -m repro.faults run --width 8 --sites 60 --patterns 2000 \\
+    python -m repro faults run --width 8 --sites 60 --patterns 2000 \\
         --pool local:4 --checkpoint campaign.jsonl
 
     # distributed: each host runs one shard of the site list...
-    python -m repro.faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
-    python -m repro.faults run --sites 60 --shard 2/2 --checkpoint b.jsonl
+    python -m repro faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
+    python -m repro faults run --sites 60 --shard 2/2 --checkpoint b.jsonl
     # ...and the merge fuses the checkpoints, byte-identical to serial
-    python -m repro.faults merge --sites 60 --checkpoint a.jsonl b.jsonl
+    python -m repro faults merge --sites 60 --checkpoint a.jsonl b.jsonl
 
     # or dispatch sites through remote workers (tcp / manifest)
-    python -m repro.faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
+    python -m repro faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
 
     # serial-vs-sharded wall-clock benchmark, JSON artifact included
-    python -m repro.faults bench --sites 52 --pool local:2 \\
+    python -m repro faults bench --sites 52 --pool local:2 \\
         --json benchmarks/results/campaign_scaling.json
 
 ``run`` exits 130 on SIGINT after flushing the checkpoint and printing
@@ -31,27 +31,15 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..errors import CampaignInterrupted, ReproError
+from ..util.argtypes import shard_arg
 from .campaign import (
     InjectionCampaign,
     campaign_from_spec,
     merge_campaign_shards,
 )
-
-
-def _shard_arg(text: str) -> Tuple[int, int]:
-    index, sep, count = text.partition("/")
-    try:
-        pair = (int(index), int(count)) if sep else None
-    except ValueError:
-        pair = None
-    if pair is None or not 1 <= pair[0] <= pair[1]:
-        raise argparse.ArgumentTypeError(
-            "shard must be I/N with 1 <= I <= N, got %r" % (text,)
-        )
-    return pair
 
 
 def spec_from_args(args) -> Dict:
@@ -210,7 +198,7 @@ def cmd_bench(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.faults",
+        prog="python -m repro faults",
         description="Sharded, resumable fault-injection campaigns.",
     )
     sub = parser.add_subparsers(dest="command")
@@ -259,7 +247,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="no per-site progress line"
     )
     run.add_argument(
-        "--shard", type=_shard_arg, metavar="I/N", default=None,
+        "--shard", type=shard_arg, metavar="I/N", default=None,
         help="run only shard I of N (contiguous site slice; merge the"
         " per-shard checkpoints with the 'merge' subcommand)",
     )
@@ -304,11 +292,3 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.faults' is deprecated; use"
-        " 'python -m repro faults' (same arguments)",
-        file=sys.stderr,
-    )
-    sys.exit(main())

@@ -1,8 +1,8 @@
 """Correlated process-variation x aging Monte Carlo at population scale.
 
-The subsystem grows :func:`repro.timing.variation.yield_analysis`'s
-dies-as-corners sketch into a real Monte Carlo (ROADMAP item; Heidary &
-Joardar's co-modeling premise, see PAPERS.md):
+The project's only process-variation model: correlated global, spatial and
+random Vth shifts co-modeled with aging (Heidary & Joardar's premise, see
+PAPERS.md):
 
 * :mod:`~repro.montecarlo.spec` -- the frozen, validated
   :class:`MonteCarloSpec` every sampled population is keyed on;

@@ -8,12 +8,13 @@ no netlists.  Three products:
   dies running *error-free* -- every judged-one-cycle pattern completes
   within the cycle period (no Razor violations) and the critical path
   fits the two-cycle envelope.
-* **Latency surface**: mean cycles (and ns) per operation from the
-  architecture's cycle accounting -- 1 for clean one-cycle patterns,
-  ``1 + razor_penalty_cycles`` for recoverable violations, 2 for
-  two-cycle patterns, ``razor_penalty_cycles + min(ceil(d / T),
-  max_fallback_cycles)`` for operations beyond the two-cycle budget
-  (the degrade-to-multicycle policy).
+* **Latency surface**: mean cycles (and ns) per operation, per die and
+  population-averaged, from the architecture's cycle accounting -- 1
+  for clean one-cycle patterns, ``1 + razor_penalty_cycles`` for
+  recoverable violations, 2 for two-cycle patterns,
+  ``razor_penalty_cycles + min(ceil(d / T), max_fallback_cycles)`` for
+  operations beyond the two-cycle budget (the degrade-to-multicycle
+  policy).
 * **Guard-band tuning**: for every (year, clock) point the smallest
   AHL Skip-n whose timing yield meets ``spec.target_yield``.  Because
   the reductions keep the max delay per judged-operand zero count,
@@ -127,9 +128,9 @@ def latency_surfaces(
     reductions: PopulationReductions,
     config: SimulationConfig = DEFAULT_SIM_CONFIG,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Population-mean ``(cycles, latency_ns)`` surfaces ``(Y, C)`` at
-    the reductions' configured skip, from the architecture's cycle
-    accounting (see module docstring)."""
+    """Per-die mean ``(cycles, latency_ns)`` per operation, each
+    ``(D, Y, C)``, at the reductions' configured skip, from the
+    architecture's cycle accounting (see module docstring)."""
     red = reductions
     total_patterns = float(red.num_patterns)
     one_viol = red.one_violations.astype(float)
@@ -146,9 +147,9 @@ def latency_surfaces(
         + deep_ops * penalty
         + red.deep_cycles
     )
-    cycles = (total_cycles / total_patterns).mean(axis=0)
+    cycles = total_cycles / total_patterns
     clock = np.asarray(red.clock_ns)
-    return cycles, cycles * clock[None, :]
+    return cycles, cycles * clock[None, None, :]
 
 
 def critical_path_histogram(
@@ -301,7 +302,8 @@ def analyze_population(
     """Reduce a priced population to its :class:`MonteCarloResult`."""
     red = reductions
     yield_surface = yield_for_skip(red, red.skip)
-    cycles, latency = latency_surfaces(red, config)
+    cycles = latency_surfaces(red, config)[0].mean(axis=0)
+    latency = cycles * np.asarray(red.clock_ns)[None, :]
     skip_grid, yield_grid = tune_guardband(red, spec.target_yield)
     edges, counts = critical_path_histogram(red, num_bins)
     return MonteCarloResult(

@@ -33,6 +33,7 @@ import sys
 
 from ..analysis.serialize import to_json
 from ..errors import ReproError
+from ..util.argtypes import float_list, shard_arg
 from .runner import (
     mc_job_spec,
     merge_mc_shards,
@@ -40,23 +41,6 @@ from .runner import (
     run_montecarlo,
 )
 from .spec import MonteCarloSpec
-
-
-def _floats(text: str):
-    return tuple(float(part) for part in text.split(",") if part)
-
-
-def _shard_arg(text: str):
-    index, sep, count = text.partition("/")
-    try:
-        pair = (int(index), int(count)) if sep else None
-    except ValueError:
-        pair = None
-    if pair is None or not 1 <= pair[0] <= pair[1]:
-        raise argparse.ArgumentTypeError(
-            "shard must be I/N with 1 <= I <= N, got %r" % (text,)
-        )
-    return pair
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -74,9 +58,9 @@ def make_parser() -> argparse.ArgumentParser:
                         help="multiplier design (default column)")
     parser.add_argument("--skip", type=int, default=None,
                         help="AHL Skip-n (default width//2 - 1)")
-    parser.add_argument("--years", type=_floats, metavar="Y0,Y1,...",
+    parser.add_argument("--years", type=float_list, metavar="Y0,Y1,...",
                         help="ascending aging grid in years")
-    parser.add_argument("--clocks", type=_floats, metavar="F0,F1,...",
+    parser.add_argument("--clocks", type=float_list, metavar="F0,F1,...",
                         help="ascending clock periods as fractions of"
                         " the fresh critical path")
     parser.add_argument("--patterns", type=int, metavar="N",
@@ -100,7 +84,7 @@ def make_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="BTI characterization workload length"
                         " (default 2000)")
-    parser.add_argument("--shard", type=_shard_arg, metavar="I/N",
+    parser.add_argument("--shard", type=shard_arg, metavar="I/N",
                         default=None,
                         help="price only die shard I of N and write its"
                         " payload to --shard-json (fuse with 'merge')")
@@ -227,6 +211,3 @@ def main(argv=None) -> int:
     _emit(result, args.json)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -102,7 +102,7 @@ def compute_direct(
     """The exact records the service would serve, computed in-process.
 
     This is the identity oracle: CI compares served responses byte-wise
-    against this function's output (``python -m repro.service direct``).
+    against this function's output (``python -m repro service direct``).
     """
     ctx = context or build_context(store_dir, characterize_patterns)
     return compute_batch(ctx, spec)

@@ -1,6 +1,6 @@
 """Service benchmark + invariant harness.
 
-One function, two callers: ``python -m repro.service bench`` and
+One function, two callers: ``python -m repro service bench`` and
 ``benchmarks/test_service_bench.py`` both run this end-to-end pass
 against a private server and record the same JSON
 (``benchmarks/results/BENCH_service.json``):

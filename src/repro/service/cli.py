@@ -2,12 +2,12 @@
 
 Usage::
 
-    python -m repro.service serve --store .repro-store --port 7753
-    python -m repro.service query --port 7753 --width 16 --kind column \\
+    python -m repro service serve --store .repro-store --port 7753
+    python -m repro service query --port 7753 --width 16 --kind column \\
         --years 0,5,10 --patterns 2000 --cycle-ns 6.5
-    python -m repro.service direct --store .repro-store --width 16 \\
+    python -m repro service direct --store .repro-store --width 16 \\
         --kind column --years 0,5,10 --patterns 2000 --cycle-ns 6.5
-    python -m repro.service bench --json BENCH_service.json
+    python -m repro service bench --json BENCH_service.json
 
 ``query`` talks to a running server; ``direct`` computes the identical
 records in-process (the identity oracle CI ``cmp``'s served responses
@@ -27,6 +27,7 @@ import sys
 import time
 
 from ..errors import ReproError
+from ..util.argtypes import float_list
 from .backend import compute_direct
 from .client import ServiceClient, run_concurrent_queries
 from .protocol import QuerySpec
@@ -37,15 +38,12 @@ def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _years(text: str):
-    return [float(part) for part in text.split(",") if part]
-
-
 def _add_query_args(parser, with_store: bool) -> None:
     parser.add_argument("--width", type=int, default=16)
     parser.add_argument("--kind", default="column",
                         choices=("am", "column", "row"))
-    parser.add_argument("--years", default="0", metavar="Y1,Y2,...")
+    parser.add_argument("--years", type=float_list, default=(0.0,),
+                        metavar="Y1,Y2,...")
     parser.add_argument("--patterns", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycle-ns", type=float, default=None)
@@ -64,7 +62,7 @@ def _spec_from_args(args) -> QuerySpec:
     return QuerySpec(
         width=args.width,
         kind=args.kind,
-        years=tuple(_years(args.years)),
+        years=args.years,
         num_patterns=args.patterns,
         seed=args.seed,
         cycle_ns=args.cycle_ns,
@@ -73,7 +71,7 @@ def _spec_from_args(args) -> QuerySpec:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
+        prog="python -m repro service",
         description="Aging-aware reliability query service.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -172,7 +170,7 @@ def _cmd_query(args) -> int:
         response = client.query(
             args.width,
             args.kind,
-            _years(args.years),
+            args.years,
             num_patterns=args.patterns,
             seed=args.seed,
             cycle_ns=args.cycle_ns,
@@ -227,11 +225,3 @@ def _cmd_bench(args) -> int:
         print("BENCH INVARIANT FAILED: %s" % failure, file=sys.stderr)
     return 3 if failures else 0
 
-
-if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.service' is deprecated; use"
-        " 'python -m repro service' (same arguments)",
-        file=sys.stderr,
-    )
-    sys.exit(main())

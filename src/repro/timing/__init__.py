@@ -53,7 +53,6 @@ from .soa import SoAPlan, build_soa_plan
 from .sta import StaticTiming, critical_path
 from .power import PowerReport, power_report
 from .value_cache import ValuePlaneCache, plane_cache_key
-from .variation import ProcessVariation, YieldReport, yield_analysis
 from .vcd import render_vcd, write_vcd
 
 __all__ = [
@@ -68,13 +67,11 @@ __all__ = [
     "StreamResult",
     "EventSimulator",
     "EventResult",
-    "ProcessVariation",
     "ReplayResult",
     "SoAPlan",
     "StaticTiming",
     "ValuePlane",
     "ValuePlaneCache",
-    "YieldReport",
     "auto_chunk_size",
     "build_delta_plane",
     "build_soa_plan",
@@ -91,5 +88,4 @@ __all__ = [
     "power_report",
     "render_vcd",
     "write_vcd",
-    "yield_analysis",
 ]

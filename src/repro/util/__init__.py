@@ -10,6 +10,9 @@ same two primitives when they go concurrent:
   :class:`~repro.util.locking.FileLock` (``fcntl`` across processes,
   a registry of ``threading.Lock`` s within one) acquired with a
   timeout through the same backoff schedule.
+
+:mod:`repro.util.argtypes` holds the typed ``argparse`` converters the
+package CLIs share.
 """
 
 from .locking import FileLock

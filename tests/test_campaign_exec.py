@@ -399,7 +399,7 @@ class TestSerialization:
 
 class TestCli:
     def test_run_and_resume(self, tmp_path, capsys):
-        from repro.faults.__main__ import main
+        from repro.faults.cli import main
 
         path = str(tmp_path / "cp.jsonl")
         args = [
@@ -416,7 +416,7 @@ class TestCli:
         assert os.path.exists(path)
 
     def test_listing_without_command(self, capsys):
-        from repro.faults.__main__ import main
+        from repro.faults.cli import main
 
         assert main([]) == 0
         assert "run" in capsys.readouterr().out

@@ -497,7 +497,7 @@ class TestLocalPoolCrashes:
 
 class TestCliPlumbing:
     def test_faults_parser_accepts_distrib_flags(self):
-        from repro.faults.__main__ import make_parser
+        from repro.faults.cli import make_parser
 
         args = make_parser().parse_args(
             ["run", "--shard", "2/4", "--pool", "local:2"]
@@ -506,7 +506,7 @@ class TestCliPlumbing:
         assert args.pool == "local:2"
 
     def test_faults_parser_rejects_bad_shard(self, capsys):
-        from repro.faults.__main__ import make_parser
+        from repro.faults.cli import make_parser
 
         with pytest.raises(SystemExit):
             make_parser().parse_args(["run", "--shard", "3/2"])

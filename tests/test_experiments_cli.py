@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.experiments.__main__ import main
+from repro.experiments.cli import main
 
 #: Cheap flags shared by every run test (16-bit experiments, few
 #: patterns).  The CLI has no characterize-patterns knob, so runs here

@@ -27,11 +27,6 @@ from repro.montecarlo import (
     tune_guardband,
     yield_for_skip,
 )
-from repro.timing.variation import (
-    ProcessVariation,
-    YieldReport,
-    yield_analysis,
-)
 from repro.workloads.generators import uniform_operands
 
 WIDTH = 4
@@ -403,66 +398,3 @@ class TestUnifiedCLI:
             data = json.load(fh)
         assert data["num_dies"] == 3
 
-    def test_legacy_shim_importable(self):
-        """The deprecated per-module entry points must keep their
-        main() callables (the shim only adds a stderr note)."""
-        from repro.experiments.__main__ import main as experiments_main
-        from repro.faults.__main__ import main as faults_main
-
-        assert callable(experiments_main)
-        assert callable(faults_main)
-
-
-class TestYieldAnalysisSpec:
-    """yield_analysis accepts a MonteCarloSpec; legacy kwargs survive
-    behind a deprecation wrapper."""
-
-    @pytest.fixture(scope="class")
-    def arch(self):
-        from repro.core.architecture import AgingAwareMultiplier
-
-        return AgingAwareMultiplier.build(
-            width=4, kind="column", characterize_patterns=300
-        )
-
-    def test_spec_path(self, arch):
-        spec = MonteCarloSpec.from_overrides(
-            num_dies=5, num_patterns=200, seed=31
-        )
-        report = yield_analysis(arch, spec)
-        assert isinstance(report, YieldReport)
-        assert report.num_dies == 5
-
-    def test_legacy_kwargs_deprecated(self, arch):
-        with pytest.deprecated_call():
-            report = yield_analysis(
-                arch, num_dies=4, num_patterns=200, seed=31
-            )
-        assert report.num_dies == 4
-
-    def test_spec_plus_legacy_rejected(self, arch):
-        spec = MonteCarloSpec.from_overrides(num_dies=4)
-        with pytest.raises(ConfigError):
-            yield_analysis(arch, spec, num_dies=4)
-
-    def test_unknown_legacy_kwarg(self, arch):
-        with pytest.raises(ConfigError, match="num_dies"):
-            yield_analysis(arch, num_dise=4)
-
-    def test_from_spec_scales_sigmas(self):
-        spec = MonteCarloSpec.from_overrides(
-            sigma_global_v=0.02, sigma_spatial_v=0.0, sigma_random_v=0.0
-        )
-        variation = ProcessVariation.from_spec(spec)
-        assert variation.sigma_global > 0.0
-        assert variation.sigma_local == 0.0
-
-    def test_yield_report_round_trip(self, arch):
-        spec = MonteCarloSpec.from_overrides(
-            num_dies=4, num_patterns=200, seed=31
-        )
-        report = yield_analysis(arch, spec)
-        assert isinstance(report, Summarizable)
-        back = YieldReport.from_dict(report.to_dict())
-        assert to_json(back) == to_json(report)
-        json.dumps(report.summary())

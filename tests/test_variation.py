@@ -1,114 +1,154 @@
-"""Process-variation sampling and yield analysis."""
+"""Process-variation sampling and the variation-tolerance claims of
+elastic clocking, on repro.montecarlo's correlated Vth sampler."""
+
+from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import AgingAwareMultiplier
 from repro.errors import ConfigError
-from repro.timing.variation import (
-    ProcessVariation,
-    YieldReport,
-    sample_dies,
-    yield_analysis,
+from repro.montecarlo import (
+    CorrelatedVthSampler,
+    MonteCarloSpec,
+    latency_surfaces,
+    price_population,
 )
+from repro.montecarlo.runner import _pricing_inputs
 
 
 @pytest.fixture(scope="module")
-def arch():
-    return AgingAwareMultiplier.build(
-        8, "column", skip=3, cycle_ns=0.55, characterize_patterns=300
+def factory(ctx):
+    return ctx.factory(4, "column")
+
+
+def _sample(factory, num_dies, seed=0, **sigmas):
+    """Signed Vth shifts of dies ``[0, num_dies)`` for the 4-bit column
+    design, and the fresh per-cell delay scales they induce."""
+    spec = MonteCarloSpec.from_overrides(
+        num_dies=num_dies, seed=seed, **sigmas
     )
+    sampler = CorrelatedVthSampler(len(factory.netlist.cells), spec)
+    shifts = sampler.sample(0, num_dies)
+    return shifts, factory.vth_shifted_scales(0.0, shifts)
 
 
 class TestSampling:
-    def test_reproducible(self, cb4):
-        variation = ProcessVariation()
-        first = list(sample_dies(cb4, variation, 3, seed=5))
-        second = list(sample_dies(cb4, variation, 3, seed=5))
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+    def test_reproducible(self, factory):
+        first_shifts, first_scales = _sample(factory, 3, seed=5)
+        second_shifts, second_scales = _sample(factory, 3, seed=5)
+        assert np.array_equal(first_shifts, second_shifts)
+        assert np.array_equal(first_scales, second_scales)
 
-    def test_shape_and_positivity(self, cb4):
-        variation = ProcessVariation(0.1, 0.05)
-        for die in sample_dies(cb4, variation, 5):
-            assert die.shape == (len(cb4.cells),)
-            assert np.all(die > 0)
+    def test_shape_and_positivity(self, factory):
+        _, scales = _sample(
+            factory, 5, sigma_global_v=0.03, sigma_random_v=0.015
+        )
+        assert scales.shape == (5, len(factory.netlist.cells))
+        assert np.all(scales > 0)
 
-    def test_zero_sigma_is_nominal(self, cb4):
-        variation = ProcessVariation(0.0, 0.0)
-        die = next(iter(sample_dies(cb4, variation, 1)))
-        assert np.allclose(die, 1.0)
+    def test_zero_sigma_is_nominal(self, factory):
+        shifts, scales = _sample(
+            factory,
+            1,
+            sigma_global_v=0.0,
+            sigma_spatial_v=0.0,
+            sigma_random_v=0.0,
+        )
+        assert np.all(shifts == 0.0)
+        assert np.allclose(scales, 1.0)
 
-    def test_global_sigma_moves_dies_together(self, cb4):
-        variation = ProcessVariation(sigma_global=0.3, sigma_local=0.0)
-        dies = list(sample_dies(cb4, variation, 8, seed=9))
+    def test_global_sigma_moves_dies_together(self, factory):
+        shifts, scales = _sample(
+            factory,
+            8,
+            seed=9,
+            sigma_global_v=0.05,
+            sigma_spatial_v=0.0,
+            sigma_random_v=0.0,
+        )
         # Each die is internally uniform; dies differ from each other.
-        for die in dies:
+        for die in shifts:
             assert np.allclose(die, die[0])
-        firsts = [die[0] for die in dies]
-        assert max(firsts) / min(firsts) > 1.05
+        means = scales.mean(axis=1)
+        assert means.max() / means.min() > 1.05
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            ProcessVariation(sigma_global=-0.1)
+            MonteCarloSpec.from_overrides(sigma_global_v=-0.1)
 
-    def test_num_dies_validated(self, cb4):
+    def test_num_dies_validated(self, factory):
         with pytest.raises(ConfigError):
-            list(sample_dies(cb4, ProcessVariation(), 0))
+            MonteCarloSpec.from_overrides(num_dies=0)
+        sampler = CorrelatedVthSampler(
+            len(factory.netlist.cells), MonteCarloSpec.from_overrides()
+        )
+        with pytest.raises(ConfigError):
+            sampler.sample(2, 1)
 
 
 class TestYieldAnalysis:
-    @pytest.fixture(scope="class")
-    def report(self, arch):
-        return yield_analysis(
-            arch, num_dies=10, num_patterns=600, seed=13
-        )
+    """Elastic clocking as process-variation tolerance (related work
+    [19]) on the 16x16 column design at Skip-7, clocked at 0.9x its
+    fresh critical path.  Sigmas are log-delay sigmas, mapped onto
+    global / random Vth sigmas through the alpha-power slope
+    ``d(log delay)/dVth = alpha_sat / overdrive``."""
 
-    def test_report_shape(self, report):
-        assert isinstance(report, YieldReport)
-        assert report.num_dies == 10
-        assert report.latencies_ns.shape == (10,)
-        assert 0.0 <= report.yield_fraction <= 1.0
-
-    def test_latency_statistics(self, report):
-        assert report.worst_latency_ns >= report.mean_latency_ns
-        assert report.latency_spread >= 0.0
-
-    def test_variation_spreads_latency(self, arch):
-        calm = yield_analysis(
-            arch,
-            num_dies=8,
-            num_patterns=400,
-            variation=ProcessVariation(0.0, 0.0),
-            seed=17,
+    @staticmethod
+    def _price(ctx, log_global, log_random, seed, num_dies, num_patterns,
+               years=(0.0,)):
+        tech = ctx.technology
+        overdrive = 0.5 * (tech.gate_overdrive_p + tech.gate_overdrive_n)
+        slope = tech.alpha_sat / overdrive
+        spec = MonteCarloSpec.from_overrides(
+            num_dies=num_dies,
+            num_patterns=num_patterns,
+            seed=seed,
+            years=years,
+            clock_fractions=(0.9,),
+            sigma_global_v=log_global / slope,
+            sigma_spatial_v=0.0,
+            sigma_random_v=log_random / slope,
         )
-        wild = yield_analysis(
-            arch,
-            num_dies=8,
-            num_patterns=400,
-            variation=ProcessVariation(0.15, 0.05),
-            seed=17,
+        factory, netlist, stimulus, zeros, clock_ns, _ = _pricing_inputs(
+            spec, 16, "column", ctx
         )
-        assert calm.latency_spread <= 1e-9
-        assert wild.latency_spread > calm.latency_spread
+        sampler = CorrelatedVthSampler(len(netlist.cells), spec)
+        reductions = price_population(
+            factory, sampler, spec, stimulus, zeros, 16, 7, clock_ns
+        )
+        latency = latency_surfaces(reductions)[1][:, :, 0]
+        return reductions, latency
 
-    def test_variable_latency_dampens_corners(self, arch):
-        """The architectural claim from [19]: elastic clocking converts
-        die-to-die delay spread into occasional re-executions, so the
-        *latency* spread across dies is far below the raw delay spread
-        (2-sigma global of 0.15 ~ 35% die-to-die)."""
-        wild = yield_analysis(
-            arch,
-            num_dies=12,
-            num_patterns=500,
-            variation=ProcessVariation(0.15, 0.0),
-            seed=19,
-        )
-        assert wild.latency_spread < 0.35
+    @staticmethod
+    def _spread(values):
+        """(max - min) / mean across dies."""
+        return float((values.max() - values.min()) / values.mean())
 
-    def test_aged_dies_slower(self, arch):
-        fresh = yield_analysis(arch, num_dies=6, num_patterns=400, seed=23)
-        aged = yield_analysis(
-            arch, num_dies=6, num_patterns=400, seed=23, years=7.0
+    def test_variation_spreads_latency(self, ctx):
+        _, calm = self._price(ctx, 0.0, 0.0, 17, 8, 400)
+        _, wild = self._price(ctx, 0.15, 0.05, 17, 8, 400)
+        assert self._spread(calm[:, 0]) <= 1e-9
+        assert self._spread(wild[:, 0]) > self._spread(calm[:, 0])
+
+    def test_variable_latency_dampens_corners(self, ctx):
+        """Slow dies pay Razor re-executions instead of failing, so the
+        latency spread stays far below the critical-path spread (a
+        global log-delay sigma of 0.15 is ~35% die to die at 2 sigma)."""
+        reductions, latency = self._price(ctx, 0.15, 0.0, 19, 12, 500)
+        spread = self._spread(latency[:, 0])
+        assert spread < 0.35
+        assert spread < self._spread(reductions.crit_ns[:, 0])
+
+    def test_aged_dies_slower(self, ctx):
+        _, latency = self._price(
+            ctx, 0.05, 0.03, 23, 6, 400, years=(0.0, 7.0)
         )
-        assert aged.mean_latency_ns >= fresh.mean_latency_ns
+        assert latency[:, 1].mean() >= latency[:, 0].mean()
+
+    def test_yield_across_corners(self, ctx):
+        """A 2-sigma ~ +-20% corner spread stays a bounded latency
+        spread, and the dies stay inside the two-cycle safety envelope
+        (no operation past the two-cycle budget)."""
+        reductions, latency = self._price(ctx, 0.10, 0.03, 3, 12, 800)
+        assert self._spread(latency[:, 0]) < 0.40
+        assert (reductions.deep_ops[:, 0, 0] == 0).mean() >= 0.75
