@@ -29,7 +29,7 @@ Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 ``delta-smoke`` job): ``replay_delta`` reproduces, bit for bit, the
 ``outputs``, ``delays`` and ``bit_arrivals`` of a from-scratch
 :func:`evaluate_full` on the child netlist -- for both delay modes and
-any positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
+any finite, positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
 *excluded* from the delta surface: transition densities propagate
 globally and are already the documented float-association exception
 between kernels (see DESIGN.md section 16).
@@ -51,7 +51,7 @@ import numpy as np
 from ..errors import DeltaError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
-from .engine import CompiledCircuit, _CompiledCell
+from .engine import CompiledCircuit, _CompiledCell, _check_delay_scales
 from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
 from .replay import _active_arrival, _aux_count, build_value_plane
 from .soa import LevelBucket, SoAPlan
@@ -508,15 +508,19 @@ def _replay_all_arrivals(
 ) -> np.ndarray:
     """Dense ``(num_nets, n, k)`` arrival tensor for every net.
 
-    The same bucketed sparse pass as
-    :meth:`~repro.timing.replay.ArrivalReplay._replay_soa`, but keeping
-    *all* per-net rows instead of harvesting only output ports: rows of
+    The bucketed sparse pass of
+    :meth:`~repro.timing.replay.ArrivalReplay._replay_soa`, but
+    scattered into a dense tensor that keeps *all* per-net rows instead
+    of a compact store harvested only at the output ports: rows of
     quiet entries, primary inputs and constant rails stay exactly 0.0
     (the quiet-zero invariant), so a cone replay can gather any
-    boundary net's arrivals with no special-casing.  All arithmetic is
-    elementwise per (cell, pattern, corner) entry, so the tensor is
-    bit-identical to the chunked port replay.  Callers size ``n * k``
-    (the tensor is the product, ~``num_nets * n * k * 8`` bytes).
+    boundary net's arrivals with no special-casing.  ``np.zeros`` pages
+    fault in only where an active entry lands, which keeps this tensor
+    smaller in practice than a compact store plus its slot map (see
+    DESIGN.md section 11).  All arithmetic is elementwise per (cell,
+    pattern, corner) entry, so the tensor is bit-identical to the
+    chunked port replay.  Callers size ``n * k`` (the tensor is the
+    product, ~``num_nets * n * k * 8`` bytes).
     """
     plan = circuit.soa_replay_plan()
     n = plane.num_patterns
@@ -680,8 +684,7 @@ class DeltaBase:
                 " with num_cells=%d, got %r"
                 % (num_cells, np.shape(delay_scales))
             )
-        if np.any(scales <= 0):
-            raise DeltaError("delay_scale entries must be positive")
+        _check_delay_scales(scales, DeltaError)
         self.circuit = circuit
         self.stimulus = {
             name: np.asarray(values, dtype=np.uint64)
@@ -777,8 +780,7 @@ def replay_delta(
                 "delta replay needs the base's scale shape %r, got %r"
                 % (base.scales.shape, scales.shape)
             )
-        if np.any(scales <= 0):
-            raise DeltaError("delay_scale entries must be positive")
+        _check_delay_scales(scales, DeltaError)
     if delta is None:
         delta = diff_netlists(parent_circuit.netlist, child)
     scale_changed = np.nonzero(

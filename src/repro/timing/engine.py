@@ -144,6 +144,18 @@ class _CompiledCell:
     fresh_delay_ns: float = 0.0
 
 
+def _check_delay_scales(scales: np.ndarray, error=SimulationError) -> None:
+    """Refuse delay-scale entries that are not finite and positive.
+
+    NaN and +-inf slip past a plain ``<= 0`` test and would surface
+    only as NaN or inf path delays, so every entry point that accepts
+    scales (:class:`CompiledCircuit`, ``ArrivalReplay.replay`` and the
+    delta base and replay) fails here instead, with its own error type.
+    """
+    if not (np.isfinite(scales).all() and (scales > 0).all()):
+        raise error("delay_scale entries must be finite and positive")
+
+
 class CompiledCircuit:
     """A netlist compiled for vectorized stream simulation.
 
@@ -151,7 +163,8 @@ class CompiledCircuit:
         netlist: A validated combinational :class:`Netlist`.
         technology: Supplies the delay unit (ns per logical-effort unit).
         delay_scale: Optional per-cell multiplicative delay factors
-            (indexed by cell index) -- this is how aging enters timing.
+            (indexed by cell index; finite and positive) -- this is how
+            aging enters timing.
         mode: Delay semantics, ``"inertial"`` or ``"floating"``.
         fault_hooks: Optional net id -> :data:`FaultHook` mapping.  Each
             hook rewrites that net's settled-value stream *before* change
@@ -210,8 +223,7 @@ class CompiledCircuit:
                     "delay_scale must have one entry per cell (%d), got %r"
                     % (len(netlist.cells), scale.shape)
                 )
-            if np.any(scale <= 0):
-                raise SimulationError("delay_scale entries must be positive")
+            _check_delay_scales(scale)
         self.delay_scale = scale
 
         unit = technology.time_unit_ns

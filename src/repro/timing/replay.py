@@ -16,18 +16,22 @@ aging timestep and variation corner.  This module exploits that split:
 * :class:`ArrivalReplay` then recomputes per-pattern path delays for one
   or *many* per-cell delay-scale vectors.  ``replay(scales)`` with a
   ``(k, num_cells)`` matrix evaluates all ``k`` aging timesteps /
-  variation corners in a single numpy pass per cell: every cell's
-  arrival update broadcasts over a leading corner axis, so an
+  variation corners in one pass per (level, opcode) bucket, so an
   O(timesteps x full-sim) lifetime sweep becomes O(1 value pass +
-  timesteps x cheap replay).
+  timesteps x cheap replay).  Arrivals live in a compact store with
+  one ``(k,)`` row per *active* (cell, pattern) entry -- one whose
+  output may change -- plus a shared quiet-zero row; a slot map built
+  from the plane's masks, per call and pattern chunk, tells every pin
+  which store row to read (see ``ArrivalReplay._replay_soa``).
 
 Bit-identity contract: for any scale vector ``s``,
 ``ArrivalReplay(circuit, plane).replay(s)`` reproduces
 ``CompiledCircuit(netlist, tech, s, mode, hooks).run(stimulus)`` bit for
-bit -- same float op sequence through the shared
-:func:`repro.timing.logic.arrival_masks` kernel, same quiet-zero
-invariant, regardless of how the plane build was chunked.  This is
-asserted by ``tests/test_replay.py``.
+bit -- the same float ops as the shared
+:func:`repro.timing.logic.arrival_masks` kernel, the same quiet-zero
+invariant, regardless of how the plane build or the replay was
+chunked.  This is asserted by ``tests/test_replay.py`` and fuzzed
+against the ``percell`` kernel by ``tests/test_fuzz_engines.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..nets.netlist import CONST0, CONST1
 from . import logic
-from .engine import CompiledCircuit, StreamResult
+from .engine import CompiledCircuit, StreamResult, _check_delay_scales
 
 
 def _aux_count(opcode: int, num_inputs: int) -> int:
@@ -52,8 +56,13 @@ def _aux_count(opcode: int, num_inputs: int) -> int:
     return 0
 
 
-#: Peak-memory target for the SoA replay's dense ``(num_nets, k, c)``
-#: per-chunk arrival matrix.
+#: Per-chunk memory target of the SoA replay, priced as if every
+#: (net, pattern) entry of the chunk were active: ``num_nets * c * k * 8``
+#: bytes.  The compact store's buffer has one row per (cell, pattern)
+#: pair, so it stays within the target, and only its active rows --
+#: about a third on the bypass multipliers -- are ever touched.  The
+#: int32 slot map adds ``num_nets * c * 4`` bytes on top: half the
+#: target at ``k = 1``, negligible at Monte Carlo's ``k``.
 REPLAY_CHUNK_TARGET_BYTES = 128 * 1024 * 1024
 
 
@@ -322,8 +331,9 @@ class ArrivalReplay:
         Args:
             delay_scales: ``(num_cells,)`` for a single corner or
                 ``(k, num_cells)`` for a batch; entries must be
-                positive.  Rows are indexed by netlist cell index (the
-                :class:`CompiledCircuit` ``delay_scale`` axis).
+                finite and positive.  Rows are indexed by netlist cell
+                index (the :class:`CompiledCircuit` ``delay_scale``
+                axis).
             collect_bit_arrivals: Keep port -> ``(width, k, n)`` per-bit
                 arrival matrices.
         """
@@ -338,8 +348,7 @@ class ArrivalReplay:
                 "with num_cells=%d, got %r"
                 % (self.num_cells, np.shape(delay_scales))
             )
-        if np.any(scales <= 0):
-            raise SimulationError("delay_scale entries must be positive")
+        _check_delay_scales(scales)
         k = scales.shape[0]
         n = plane.num_patterns
         if circuit.kernel != "percell":
@@ -364,29 +373,45 @@ class ArrivalReplay:
         n: int,
         collect_bit_arrivals: bool,
     ):
-        """Bucketed sparse replay: every (level, opcode) bucket prices
-        all ``k`` corners at once, touching only *active* entries.
+        """Bucketed sparse replay into a compact active-entry store.
 
-        The chunk is laid out ``(num_nets, c, k)`` so a bucket's
-        ``(B, c)`` may-mask indexes (cell, pattern) entries directly:
-        arrivals are computed as a flat ``(nnz, k)`` workspace over the
-        entries whose output may change and scattered into the
-        pre-zeroed chunk.  Inactive entries are exactly the
-        ``where(may, .., 0.0)`` zeros of the reference kernel, so the
-        result stays bit-identical while arithmetic and memory traffic
-        scale with the active fraction (~1/3 on a bypass multiplier
-        under uniform operands, since bypassed columns sit quiet).
+        Only *active* entries -- the (cell, pattern) pairs whose output
+        may change, about a third on a bypass multiplier under uniform
+        operands -- are ever priced.  Per pattern chunk, each bucket's
+        active entries get the next contiguous rows ``[lo, hi)`` of a
+        ``(1 + nnz, k)`` store; row 0 is the shared quiet zero that
+        quiet nets, primary inputs and constant rails map to, exactly
+        the ``where(may, .., 0.0)`` zeros of the reference kernel.  A
+        ``(num_nets, c)`` slot map records each (net, pattern) entry's
+        store row, so pin gathers and the output ports are 1-D slot
+        lookups, and :func:`_active_arrival` writes its result straight
+        into ``store[lo:hi]``: no dense ``(num_nets, c, k)`` matrix, no
+        per-chunk zeroing, no scatter.
 
-        The pattern axis is chunked (multiples of 8, so the bit-packed
-        plane unpacks byte-aligned) to bound the dense
-        ``(num_nets, c, k)`` arrival matrix; replay carries no
-        cross-pattern state, so chunking is exact.
+        The slot schedule depends only on the plane's masks.  It is
+        built bucket by bucket as the replay goes and dropped with the
+        chunk -- kept on the plane, its int indices would outweigh the
+        arrivals at small ``k``.  The ``fresh_delay * scale`` table is
+        built once per call as ``(num_cells, k)``.  The pattern axis is
+        chunked (multiples of 8, so the bit-packed plane unpacks
+        byte-aligned); replay carries no cross-pattern state, so
+        chunking is exact.  One store buffer, sized for a fully active
+        chunk, serves every chunk: only rows that are written are paged
+        in, and reusing it spares each chunk the page faults of a fresh
+        allocation.
         """
         circuit = self.circuit
         plane = self.plane
         plan = circuit.soa_replay_plan()
         num_nets = circuit.num_nets
         chunk = _replay_chunk_size(num_nets, k)
+        fresh = np.zeros(self.num_cells)
+        for bucket_list in plan.levels:
+            for bucket in bucket_list:
+                fresh[bucket.cell_indices] = bucket.fresh_delays
+        # fresh_delay_ns * scale per (cell, corner), exactly the
+        # engine's per-cell delay at every corner.
+        delay = np.multiply(fresh[:, None], scales.T, order="C")
         delays = np.zeros((k, n))
         ports = circuit.netlist.output_ports
         bit_arrivals: Optional[Dict[str, np.ndarray]] = None
@@ -395,58 +420,60 @@ class ArrivalReplay:
                 name: np.zeros((port.width, k, n))
                 for name, port in ports.items()
             }
-        arr = np.zeros((num_nets, min(chunk, n), k))
+        store = np.empty((1 + plan.num_bucketed * min(chunk, n), k))
+        store[0] = 0.0
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             c = stop - start
-            sub = arr[:, :c, :]
-            if start:
-                sub[...] = 0.0  # quiet entries / input rails stay 0
             byte0 = start // 8
             byte1 = (stop + 7) // 8
+            # Flat (net * c + pattern) -> store row.  Rows number fewer
+            # than 2**31, and int32 halves the map at small k.
+            slot = np.zeros(num_nets * c, dtype=np.int32)
+            hi = 1
             for bucket_list in plan.levels:
                 for bucket in bucket_list:
-                    outs = bucket.outputs
-                    pins = bucket.pins
-                    may = np.unpackbits(
-                        plane.may_packed[outs, byte0:byte1],
-                        axis=1,
-                        count=c,
-                    ).view(bool)
-                    rows, cols = np.nonzero(may)
-                    if not rows.size:
-                        continue
-                    count = _aux_count(bucket.opcode, pins.shape[0])
-                    if count:
-                        aux_rows = plane.aux_offsets[bucket.positions]
-                        aux = tuple(
-                            np.unpackbits(
-                                plane.aux_packed[
-                                    aux_rows + lane, byte0:byte1
-                                ],
-                                axis=1,
-                                count=c,
-                            ).view(bool)[rows, cols]
-                            for lane in range(count)
+                    # Flat (row * c + col) entry indices: a 1-D nonzero
+                    # and 1-D takes run several times faster than their
+                    # 2-D forms.
+                    active = np.flatnonzero(
+                        np.unpackbits(
+                            plane.may_packed[bucket.outputs, byte0:byte1],
+                            axis=1,
+                            count=c,
                         )
-                    else:
-                        aux = ()
+                    )
+                    if not active.size:
+                        continue
+                    rows = active // c
+                    cols = active - rows * c
+                    pins = bucket.pins
+                    aux_rows = plane.aux_offsets[bucket.positions]
+                    aux = tuple(
+                        np.unpackbits(
+                            plane.aux_packed[aux_rows + lane, byte0:byte1],
+                            axis=1,
+                            count=c,
+                        ).view(bool).ravel()[active]
+                        for lane in range(
+                            _aux_count(bucket.opcode, pins.shape[0])
+                        )
+                    )
                     arrs = [
-                        sub[pins[j][rows], cols]
-                        for j in range(pins.shape[0])
+                        store[slot[base[rows] + cols]] for base in pins * c
                     ]
-                    # fresh_delay_ns * scale per (cell, corner), exactly
-                    # the engine's per-cell delay at every corner.
-                    delay = (
-                        bucket.fresh_delays[:, None]
-                        * scales[:, bucket.cell_indices].T
+                    lo, hi = hi, hi + active.size
+                    _active_arrival(
+                        bucket.opcode,
+                        aux,
+                        arrs,
+                        delay[bucket.cell_indices[rows]],
+                        out=store[lo:hi],
                     )
-                    out = _active_arrival(
-                        bucket.opcode, aux, arrs, delay[rows]
-                    )
-                    sub[outs[rows], cols] = out
+                    slot[bucket.outputs[rows] * c + cols] = np.arange(lo, hi)
+            slot = slot.reshape(num_nets, c)
             for name, port in ports.items():
-                port_arr = sub[list(port.nets)]
+                port_arr = store[slot[list(port.nets)]]
                 if collect_bit_arrivals:
                     bit_arrivals[name][:, :, start:stop] = (
                         port_arr.transpose(0, 2, 1)
@@ -540,7 +567,7 @@ def _cols(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return arr[idx] if arr.ndim == 1 else arr[:, idx]
 
 
-def _active_arrival(opcode, aux, arrs, delay):
+def _active_arrival(opcode, aux, arrs, delay, out=None):
     """Arrival kernel over flat *active* entries.
 
     Operands are ``(nnz, k)`` arrays (one row per (cell, pattern) entry
@@ -548,13 +575,17 @@ def _active_arrival(opcode, aux, arrs, delay):
     aux masks.  Bit-identical to :func:`repro.timing.logic
     .arrival_masks` restricted to those entries -- the elementwise
     identities are the same ones :func:`_arrival_into` uses, minus the
-    quiet-zero pass (callers scatter into pre-zeroed storage, which IS
-    the ``where(may, .., 0.0)`` branch).
+    quiet-zero pass (callers read quiet entries as 0.0 -- the replay
+    store's row 0, the delta engine's pre-zeroed tensor -- which IS the
+    ``where(may, .., 0.0)`` branch).  The result is written into
+    ``out`` when given, else into a new array.
     """
+    if out is None:
+        out = np.empty_like(arrs[0])
     if opcode in (logic.OP_BUF, logic.OP_INV):
-        return arrs[0] + delay
+        return np.add(arrs[0], delay, out=out)
     if opcode in (logic.OP_XOR2, logic.OP_XNOR2):
-        out = np.maximum(arrs[0], arrs[1])
+        np.maximum(arrs[0], arrs[1], out=out)
         out += delay
         return out
     if (
@@ -563,7 +594,7 @@ def _active_arrival(opcode, aux, arrs, delay):
     ):
         c0, c1 = aux
         a0, a1 = arrs
-        out = np.maximum(a0, a1)
+        np.maximum(a0, a1, out=out)
         both = np.nonzero(c0 & c1)[0]
         if both.size:
             out[both] = np.minimum(a0[both], a1[both])
@@ -577,7 +608,7 @@ def _active_arrival(opcode, aux, arrs, delay):
         return out
     if opcode == logic.OP_MUX2:
         (sel,) = aux
-        out = arrs[0].copy()
+        out[...] = arrs[0]
         chosen = np.nonzero(sel)[0]
         if chosen.size:
             out[chosen] = arrs[1][chosen]
@@ -586,7 +617,7 @@ def _active_arrival(opcode, aux, arrs, delay):
         return out
     if opcode == logic.OP_TRIBUF:
         (enabled,) = aux
-        out = arrs[0].copy()
+        out[...] = arrs[0]
         disabled = np.nonzero(~enabled)[0]
         if disabled.size:
             out[disabled] = 0.0
@@ -596,9 +627,10 @@ def _active_arrival(opcode, aux, arrs, delay):
     # Rare shapes (3-input controlled gates): generic reference kernel
     # with an all-True may -- every row here is active by construction.
     out_may = np.ones(arrs[0].shape, dtype=bool)
-    return logic.arrival_masks(
+    out[...] = logic.arrival_masks(
         opcode, tuple(a[:, None] for a in aux), arrs, delay, out_may
     )
+    return out
 
 
 def _arrival_into(opcode, aux, arrs, delay, out_may, alloc, pool, zeros_f):

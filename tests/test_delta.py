@@ -380,6 +380,18 @@ class TestDeltaErrors:
                 np.zeros((1, len(design["netlist"].cells))),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scales_rejected(self, design, base, bad):
+        netlist = design["netlist"]
+        scales = design["scales"].copy()
+        scales[-1, len(netlist.cells) // 2] = bad
+        with pytest.raises(DeltaError, match="finite"):
+            DeltaBase(
+                CompiledCircuit(netlist), design["stimulus"], scales
+            )
+        with pytest.raises(DeltaError, match="finite"):
+            replay_delta(base, netlist, delay_scales=scales)
+
     def test_replay_scale_shape_must_match_base(self, design, base):
         with pytest.raises(DeltaError):
             replay_delta(

@@ -12,7 +12,10 @@ masking discipline) and checks the engine-agreement invariants:
 * a dump/parse round trip simulates identically;
 * the production ``soa`` kernel is bit-identical to the ``percell``
   reference on values, delays and bit arrivals, with and without
-  folding and fault hooks.
+  folding and fault hooks;
+* batched arrival replay of ``k`` random corners is bit-identical, per
+  corner, to a ``percell`` run at that corner's delay scale, with whole
+  and with forced 8-pattern chunks.
 """
 
 import numpy as np
@@ -23,7 +26,13 @@ from repro.faults.injector import compile_with_faults
 from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.nets.export import dump_netlist, parse_netlist
 from repro.nets.netlist import Netlist
-from repro.timing import CompiledCircuit, EventSimulator
+from repro.timing import (
+    ArrivalReplay,
+    CompiledCircuit,
+    EventSimulator,
+    build_value_plane,
+)
+from repro.timing import replay as replay_mod
 
 GATES_1 = ["INV", "BUF"]
 GATES_2 = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"]
@@ -31,8 +40,9 @@ GATES_3 = ["MUX2", "AND3", "OR3"]
 
 
 @st.composite
-def random_netlists(draw):
-    """A random combinational DAG with 2-5 inputs and 5-25 gates."""
+def random_netlists(draw, max_patterns=8):
+    """A random combinational DAG with 2-5 inputs and 5-25 gates,
+    driven by a stream of 2 to ``max_patterns`` patterns."""
     num_inputs = draw(st.integers(2, 5))
     num_gates = draw(st.integers(5, 25))
     nl = Netlist("fuzz")
@@ -58,7 +68,7 @@ def random_netlists(draw):
     nl.add_output_port("o", nets[-out_count:])
     nl.validate()
 
-    num_patterns = draw(st.integers(2, 8))
+    num_patterns = draw(st.integers(2, max_patterns))
     stimulus = [
         draw(st.integers(0, (1 << num_inputs) - 1))
         for _ in range(num_patterns)
@@ -168,3 +178,72 @@ def test_export_roundtrip_simulates_identically(case):
     roundtrip = CompiledCircuit(parsed).run({"x": stimulus})
     assert np.array_equal(original.outputs["o"], roundtrip.outputs["o"])
     assert np.allclose(original.delays, roundtrip.delays)
+
+
+def assert_replay_matches_percell(nl, stimulus, mode, scales):
+    """Replay ``scales`` over one value plane, whole and in forced
+    8-pattern chunks, and compare every corner byte for byte with a
+    ``percell`` run at that corner's delay scale."""
+    stim = {"x": stimulus}
+    circuit = CompiledCircuit(nl, mode=mode)
+    plane = build_value_plane(circuit, stim)
+    replays = [
+        ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1)
+        assert replay_mod._replay_chunk_size(plane.num_nets, 1) == 8
+        replays.append(
+            ArrivalReplay(circuit, plane).replay(
+                scales, collect_bit_arrivals=True
+            )
+        )
+    reference = CompiledCircuit(nl, mode=mode, kernel="percell")
+    for j, row in enumerate(scales):
+        want = reference.with_delay_scale(row).run(
+            stim, collect_bit_arrivals=True
+        )
+        for got in replays:
+            assert np.array_equal(got.delays[j], want.delays)
+            assert np.array_equal(
+                got.bit_arrivals["o"][:, j, :], want.bit_arrivals["o"]
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_netlists(max_patterns=41),
+       st.sampled_from(["inertial", "floating"]),
+       st.integers(1, 5), st.integers(0, 10**9))
+def test_replay_bit_identical_to_percell_runs(case, mode, k, seed):
+    nl, stimulus = case
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 2.0, (k, len(nl.cells)))
+    assert_replay_matches_percell(nl, stimulus, mode, scales)
+
+
+@pytest.mark.parametrize("mode", ["inertial", "floating"])
+def test_replay_selection_shapes(mode):
+    """MUX2 / AND3 / OR3 with mixed selects and controlling inputs, and
+    a TRIBUF whose data moves while it is disabled (values pass through
+    a tri-state, so it needs no bypass group here), over a 37-pattern
+    stream: four full chunks plus a ragged tail."""
+    nl = Netlist("shapes")
+    x = list(nl.add_input_port("x", 5))
+    a = nl.add_cell("XOR2", [x[0], x[1]])
+    b = nl.add_cell("NAND2", [x[2], x[3]])
+    c = nl.add_cell("INV", [x[4]])
+    outs = [
+        nl.add_cell("MUX2", [a, b, x[4]]),
+        nl.add_cell("AND3", [a, b, c]),
+        nl.add_cell("OR3", [a, c, x[2]]),
+    ]
+    outs.append(nl.add_cell("AND3", outs))
+    outs.append(nl.add_cell("TRIBUF", [a, x[3]]))
+    nl.add_output_port("o", outs)
+    nl.validate()
+    rng = np.random.default_rng(11)
+    stimulus = rng.integers(0, 32, 37).astype(np.uint64)
+    scales = rng.uniform(0.5, 2.0, (3, len(nl.cells)))
+    assert_replay_matches_percell(nl, stimulus, mode, scales)

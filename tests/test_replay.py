@@ -18,6 +18,7 @@ from repro.timing import (
     build_value_plane,
     plane_cache_key,
 )
+from repro.timing.replay import _replay_chunk_size
 from repro.timing.sta import critical_delays
 from repro.workloads import uniform_operands
 
@@ -135,6 +136,27 @@ class TestReplayEquivalence:
         want = circuit.run(stim, initial=initial)
         assert_streams_identical(got, want)
 
+    def test_wide_batch_in_many_chunks_matches_single_runs(
+        self, cb8, stream8
+    ):
+        # Monte Carlo's shape: hundreds of corners per call, so the
+        # replay runs in many pattern chunks.
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, stream8)
+        k = 512
+        assert _replay_chunk_size(plane.num_nets, k) < plane.num_patterns
+        scales = scales_for(circuit, k, seed=9)
+        replayed = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        for j in (0, 1, 200, k - 2, k - 1):
+            want = circuit.with_delay_scale(scales[j]).run(
+                stream8, collect_bit_arrivals=True
+            )
+            assert_streams_identical(
+                replayed.stream_result(j), want, bit_arrivals=True
+            )
+
     def test_mismatched_plane_rejected(self, cb8, stream8):
         inertial = CompiledCircuit(cb8, mode="inertial")
         floating = CompiledCircuit(cb8, mode="floating")
@@ -151,6 +173,15 @@ class TestReplayEquivalence:
             replay.replay(np.ones((2, num_cells + 1)))
         with pytest.raises(SimulationError):
             replay.replay(np.zeros((1, num_cells)))
+        for bad in (np.nan, np.inf, -np.inf):
+            scales = np.ones((3, num_cells))
+            scales[1, num_cells // 2] = bad
+            with pytest.raises(SimulationError, match="finite"):
+                replay.replay(scales)
+            with pytest.raises(SimulationError, match="finite"):
+                circuit.with_delay_scale(scales[1])
+            with pytest.raises(SimulationError, match="finite"):
+                CompiledCircuit(cb8, delay_scale=scales[1])
 
 
 class TestValuePlaneCache:
