@@ -266,25 +266,16 @@ class AgedCircuitFactory:
         ]
         return np.vstack(rows) if rows else np.empty((0, num_cells))
 
-    def value_plane(
-        self,
-        stimulus: Dict[str, np.ndarray],
-        collect_net_stats: bool = False,
-    ):
+    def value_plane(self, stimulus: Dict[str, np.ndarray]):
         """The (cached) delay-independent value plane of ``stimulus``
         through the fresh circuit -- valid at *every* aging timestep."""
-        return self._planes.get_or_build(
-            self.circuit(0.0),
-            stimulus,
-            collect_net_stats=collect_net_stats,
-        )
+        return self._planes.get_or_build(self.circuit(0.0), stimulus)
 
     def stream_results(
         self,
         years: "Sequence[float]",
         stimulus: Dict[str, np.ndarray],
         collect_bit_arrivals: bool = False,
-        collect_net_stats: bool = False,
         fold: bool = True,
     ) -> "List[StreamResult]":
         """Stream results for many aging timesteps via one value pass.
@@ -298,8 +289,7 @@ class AgedCircuitFactory:
         is what the :class:`ValuePlaneCache` keys and the replay
         prices, and every corner's result is scattered back to stream
         order (see :mod:`repro.timing.fold`) -- still bit-identical.
-        Folding is bypassed when net stats are requested (they need
-        per-pattern multiplicity) or when the stream barely repeats.
+        Folding is bypassed when the stream barely repeats.
         """
         years = list(years)
         if not years:
@@ -308,7 +298,6 @@ class AgedCircuitFactory:
             self.lifetime_delay_scales(years),
             stimulus,
             collect_bit_arrivals=collect_bit_arrivals,
-            collect_net_stats=collect_net_stats,
             fold=fold,
         )
 
@@ -317,7 +306,6 @@ class AgedCircuitFactory:
         scales: np.ndarray,
         stimulus: Dict[str, np.ndarray],
         collect_bit_arrivals: bool = False,
-        collect_net_stats: bool = False,
         fold: bool = True,
     ) -> "List[StreamResult]":
         """Stream results for arbitrary ``(k, num_cells)`` delay-scale
@@ -330,11 +318,7 @@ class AgedCircuitFactory:
         if scales.shape[0] == 0:
             return []
         plan = None
-        if (
-            fold
-            and not collect_net_stats
-            and not self.circuit(0.0).fault_hooks
-        ):
+        if fold and not self.circuit(0.0).fault_hooks:
             plan = fold_stimulus(stimulus)
             if not plan.profitable:
                 plan = None
@@ -349,9 +333,7 @@ class AgedCircuitFactory:
                 unfold_stream(result.stream_result(j), plan)
                 for j in range(scales.shape[0])
             ]
-        plane = self.value_plane(
-            stimulus, collect_net_stats=collect_net_stats
-        )
+        plane = self.value_plane(stimulus)
         replayer = ArrivalReplay(self.circuit(0.0), plane)
         result = replayer.replay(
             scales,
@@ -364,7 +346,6 @@ class AgedCircuitFactory:
         years: float,
         stimulus: Dict[str, np.ndarray],
         collect_bit_arrivals: bool = False,
-        collect_net_stats: bool = False,
         fold: bool = True,
     ) -> StreamResult:
         """One aged stream result through the replay fast path."""
@@ -372,7 +353,6 @@ class AgedCircuitFactory:
             [years],
             stimulus,
             collect_bit_arrivals=collect_bit_arrivals,
-            collect_net_stats=collect_net_stats,
             fold=fold,
         )[0]
 

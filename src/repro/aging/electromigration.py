@@ -121,14 +121,17 @@ def cell_toggle_rates(
 ) -> np.ndarray:
     """Per-cell output toggle rates from per-net toggle totals.
 
-    ``toggle_counts`` comes from a :class:`~repro.timing.engine
-    .StreamResult` with ``collect_net_stats=True``.
+    ``toggle_counts`` comes from the values-only
+    :meth:`~repro.timing.engine.CompiledCircuit.toggle_counts` pass
+    (or :meth:`~repro.experiments.context.ExperimentContext
+    .toggle_counts`, which persists it in the artifact store).
     """
     if num_patterns < 1:
         raise SimulationError("num_patterns must be >= 1")
     if toggle_counts is None:
         raise SimulationError(
-            "toggle_counts missing: run with collect_net_stats=True"
+            "toggle_counts missing: compute them with "
+            "CompiledCircuit.toggle_counts"
         )
     counts = np.asarray(toggle_counts, dtype=float)
     if counts.shape[0] < netlist.num_nets:

@@ -112,13 +112,9 @@ class FixedLatencyDesign:
         md: np.ndarray,
         mr: np.ndarray,
         years: float = 0.0,
-        collect_net_stats: bool = False,
     ):
         """Simulate a stream at the given age (for power measurements)."""
-        circuit = self.factory.circuit(years)
-        return circuit.run(
-            {"md": md, "mr": mr}, collect_net_stats=collect_net_stats
-        )
+        return self.factory.circuit(years).run({"md": md, "mr": mr})
 
     def degradation_ratio(self, years: float) -> float:
         """Latency growth vs fresh silicon, e.g. 0.15 for +15%."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import os
 import socket
-import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -39,6 +38,7 @@ from typing import Sequence, Tuple, Union
 
 from ..errors import ConfigError, DistribError, FaultError, ManifestPending
 from ..service.protocol import decode, encode
+from ..util.atomic import write_atomic
 from .jobs import run_job
 
 #: Pool schemes :func:`parse_pool_spec` understands.
@@ -355,16 +355,7 @@ class ManifestPool(WorkerPool):
 def _write_json_atomic(path: str, payload: Dict) -> None:
     """Canonical-JSON write via temp file + rename (NFS-safe enough:
     readers never observe a partial file)."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(encode(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, lambda stream: stream.write(encode(payload)))
 
 
 def execute_manifest(

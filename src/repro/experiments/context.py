@@ -98,6 +98,18 @@ class ExperimentContext:
             "seed": CHARACTERIZE_SEED,
         }
 
+    def _activity_key(
+        self, width: int, kind: str, num_patterns: int, seed: int
+    ) -> Dict:
+        key = self._stress_key(width, kind)
+        key.update(
+            {
+                "stream_seed": STREAM_SEED_BASE + seed,
+                "stream_patterns": num_patterns,
+            }
+        )
+        return key
+
     def _stream_key(
         self,
         width: int,
@@ -105,17 +117,9 @@ class ExperimentContext:
         years: float,
         num_patterns: int,
         seed: int,
-        collect_net_stats: bool,
     ) -> Dict:
-        key = self._stress_key(width, kind)
-        key.update(
-            {
-                "years": float(years),
-                "stream_seed": STREAM_SEED_BASE + seed,
-                "stream_patterns": num_patterns,
-                "net_stats": bool(collect_net_stats),
-            }
-        )
+        key = self._activity_key(width, kind, num_patterns, seed)
+        key["years"] = float(years)
         return key
 
     # ------------------------------------------------------------------
@@ -218,7 +222,6 @@ class ExperimentContext:
         years: float,
         num_patterns: int,
         seed: int = 1,
-        collect_net_stats: bool = False,
     ) -> StreamResult:
         """Cached circuit simulation of the standard stream.
 
@@ -228,12 +231,7 @@ class ExperimentContext:
         ``circuit(years).run(...)``.
         """
         return self.stream_results(
-            width,
-            kind,
-            [years],
-            num_patterns,
-            seed=seed,
-            collect_net_stats=collect_net_stats,
+            width, kind, [years], num_patterns, seed=seed
         )[0]
 
     def stream_results(
@@ -243,7 +241,6 @@ class ExperimentContext:
         years: "Sequence[float]",
         num_patterns: int,
         seed: int = 1,
-        collect_net_stats: bool = False,
     ) -> "List[StreamResult]":
         """Stream results for many aging timesteps (one per ``years``
         entry), batch-replaying every timestep missing from the cache
@@ -254,21 +251,14 @@ class ExperimentContext:
         ]
         missing = []
         for key in keys:
-            cached = self._runs.get(key)
-            if cached is None or (
-                collect_net_stats and cached.signal_prob is None
-            ):
-                if key not in missing:
-                    missing.append(key)
+            if key not in self._runs and key not in missing:
+                missing.append(key)
         if missing and self.store is not None:
             still_missing = []
             for key in missing:
                 stored = self.store.load(
                     "stream",
-                    self._stream_key(
-                        width, kind, key[2], num_patterns, seed,
-                        collect_net_stats,
-                    ),
+                    self._stream_key(width, kind, key[2], num_patterns, seed),
                 )
                 if stored is None:
                     still_missing.append(key)
@@ -278,9 +268,7 @@ class ExperimentContext:
         if missing:
             md, mr = self.stream(width, num_patterns, seed)
             fresh = self.factory(width, kind).stream_results(
-                [key[2] for key in missing],
-                {"md": md, "mr": mr},
-                collect_net_stats=collect_net_stats,
+                [key[2] for key in missing], {"md": md, "mr": mr}
             )
             for key, result in zip(missing, fresh):
                 self._runs[key] = result
@@ -288,12 +276,35 @@ class ExperimentContext:
                     self.store.save(
                         "stream",
                         self._stream_key(
-                            width, kind, key[2], num_patterns, seed,
-                            collect_net_stats,
+                            width, kind, key[2], num_patterns, seed
                         ),
                         result,
                     )
         return [self._runs[key] for key in keys]
+
+    def toggle_counts(
+        self, width: int, kind: str, num_patterns: int, seed: int = 1
+    ) -> np.ndarray:
+        """Per-net toggle counts of the standard stream, persisted as an
+        ``activity`` artifact when a store is set.
+
+        One values-only pass through the fresh circuit
+        (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`):
+        toggles do not depend on delay, so no aging point is involved.
+        """
+
+        def build() -> np.ndarray:
+            md, mr = self.stream(width, num_patterns, seed)
+            circuit = self.factory(width, kind).circuit(0.0)
+            return circuit.toggle_counts({"md": md, "mr": mr})
+
+        if self.store is None:
+            return build()
+        return self.store.get_or_build(
+            "activity",
+            self._activity_key(width, kind, num_patterns, seed),
+            build,
+        )
 
     def clear(self) -> None:
         """Drop every cache (used by memory-sensitive test runs)."""

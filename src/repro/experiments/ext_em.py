@@ -82,10 +82,9 @@ def run(
             vl_cycle = 0.64 * flcb0
         else:
             vl_cycle = cycle_ns
-        stats = ctx.stream_result(
-            width, kind, 0.0, n, collect_net_stats=True
+        rates = cell_toggle_rates(
+            netlist, ctx.toggle_counts(width, kind, n), n
         )
-        rates = cell_toggle_rates(netlist, stats.toggle_counts, n)
 
         fixed_name = "flcb" if kind == "column" else "flrb"
         adaptive_name = "a-vlcb" if kind == "column" else "a-vlrb"

@@ -3,7 +3,7 @@
 Reproducing the paper means running ~30 experiments, and every fresh
 process used to pay netlist construction, ``AgedCircuitFactory
 .characterize`` and the circuit stream simulations again from zero.
-The :class:`ArtifactStore` persists those three artifact classes on
+The :class:`ArtifactStore` persists those artifact classes on
 disk so they are computed once -- across experiments, across worker
 processes of a parallel suite run (:mod:`repro.experiments.scheduler`),
 and across invocations:
@@ -17,10 +17,15 @@ and across invocations:
   workload;
 * ``stream``  -- :class:`~repro.timing.engine.StreamResult` payloads,
   keyed by netlist hash x technology x characterization x aging point x
-  stimulus.
+  stimulus;
+* ``activity`` -- per-net toggle counts of a stimulus
+  (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`, the
+  electromigration input), keyed like ``stream`` minus the aging point:
+  toggles do not depend on delay.
 
-Every entry is a single file written atomically (tmp + ``os.replace``)
-with its full key embedded; on read the embedded key must match the
+Every entry is a single file written atomically (a per-call temp file +
+``os.replace``, see :func:`repro.util.atomic.write_atomic`) with its
+full key embedded; on read the embedded key must match the
 requested key exactly, so a stale, corrupt or truncated file is ignored
 and rebuilt, never trusted -- the fingerprint-guard idiom proven in
 :mod:`repro.faults.store` and :mod:`repro.timing.value_cache`.
@@ -38,8 +43,9 @@ unreadable shard is treated as empty -- counted in
 next ``compact()``.
 
 Concurrent writers are safe by construction: two processes building the
-same artifact race to ``os.replace`` the same content-addressed path,
-and either result is valid for every reader.
+same artifact each write their own temp file and race to ``os.replace``
+the same content-addressed path, and either result is valid for every
+reader.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from ..config import SimulationConfig, Technology
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
 from ..timing.engine import StreamResult
+from ..util.atomic import write_atomic
 from ..util.locking import FileLock
 from ..util.retry import Backoff, retry_call
 
@@ -74,7 +81,15 @@ VERSION = 1
 #: (:mod:`repro.experiments.sweep` evaluation dicts, fingerprint-keyed
 #: on the parent base x mutation site), so re-running a variant sweep
 #: only evaluates mutants the store has not seen.
-KINDS = ("netlist", "stress", "stream", "population", "surface", "delta")
+KINDS = (
+    "netlist",
+    "stress",
+    "stream",
+    "activity",
+    "population",
+    "surface",
+    "delta",
+)
 #: Legacy (pre-sharding) manifest file name, still read if present.
 MANIFEST = "manifest.jsonl"
 #: Manifest shard count; shard = first hex nibble of the digest.
@@ -84,6 +99,7 @@ _EXT = {
     "netlist": ".pkl",
     "stress": ".npz",
     "stream": ".npz",
+    "activity": ".npz",
     "population": ".npz",
     "surface": ".pkl",
     "delta": ".pkl",
@@ -135,19 +151,16 @@ def config_fingerprint(config: SimulationConfig) -> str:
 
 
 def _save_pickle(path: str, key: Dict, payload) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
-        pickle.dump(
-            {
-                "format": FORMAT,
-                "version": VERSION,
-                "key": _canonical(key),
-                "payload": payload,
-            },
-            fp,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    os.replace(tmp, path)
+    record = {
+        "format": FORMAT,
+        "version": VERSION,
+        "key": _canonical(key),
+        "payload": payload,
+    }
+    write_atomic(
+        path,
+        lambda fp: pickle.dump(record, fp, protocol=pickle.HIGHEST_PROTOCOL),
+    )
 
 
 def _load_pickle(path: str, key: Dict):
@@ -174,10 +187,7 @@ def _save_npz(path: str, key: Dict, arrays: Dict, meta: Dict) -> None:
         ).copy()
     }
     payload.update(arrays)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
-        np.savez(fp, **payload)
-    os.replace(tmp, path)
+    write_atomic(path, lambda fp: np.savez(fp, **payload))
 
 
 def _load_npz(path: str, key: Dict):
@@ -230,7 +240,6 @@ def _stream_arrays(result: StreamResult) -> "tuple[Dict, Dict]":
         "num_patterns": result.num_patterns,
         "outputs": sorted(result.outputs),
         "bit_arrivals": sorted(result.bit_arrivals or {}),
-        "has_stats": result.signal_prob is not None,
     }
     arrays = {
         "delays": result.delays,
@@ -240,9 +249,6 @@ def _stream_arrays(result: StreamResult) -> "tuple[Dict, Dict]":
         arrays["out__" + name] = arr
     for name, arr in (result.bit_arrivals or {}).items():
         arrays["arr__" + name] = arr
-    if result.signal_prob is not None:
-        arrays["signal_prob"] = result.signal_prob
-        arrays["toggle_counts"] = result.toggle_counts
     return meta, arrays
 
 
@@ -258,10 +264,6 @@ def _stream_payload(meta: Dict, arrays: Dict) -> StreamResult:
         switched_caps=arrays["switched_caps"],
         num_patterns=int(meta["num_patterns"]),
         bit_arrivals=bit_arrivals or None,
-        signal_prob=arrays["signal_prob"] if meta["has_stats"] else None,
-        toggle_counts=(
-            arrays["toggle_counts"] if meta["has_stats"] else None
-        ),
     )
 
 
@@ -354,6 +356,8 @@ class ArtifactStore:
                         payload = _stress_payload(*loaded)
                     elif kind == "population":
                         payload = _population_payload(*loaded)
+                    elif kind == "activity":
+                        payload = loaded[1]["toggle_counts"]
                     else:
                         payload = _stream_payload(*loaded)
             except Exception:
@@ -410,6 +414,10 @@ class ArtifactStore:
                     for name, arr in payload["arrays"].items()
                 },
                 {"population": payload["meta"]},
+            )
+        elif kind == "activity":
+            _save_npz(
+                path, key, {"toggle_counts": np.asarray(payload)}, {}
             )
         else:
             meta, arrays = _stream_arrays(payload)

@@ -467,11 +467,11 @@ class InjectionCampaign:
             high = 1 << architecture.width
             md = rng.integers(0, high, num_patterns, dtype=np.uint64)
             mr = rng.integers(0, high, num_patterns, dtype=np.uint64)
-            stats = architecture.factory.stream_result(
-                years, {"md": md, "mr": mr}, collect_net_stats=True
+            counts = architecture.factory.circuit(0.0).toggle_counts(
+                {"md": md, "mr": mr}
             )
             rates = cell_toggle_rates(
-                architecture.netlist, stats.toggle_counts, num_patterns
+                architecture.netlist, counts, num_patterns
             )
             site_list = em_fault_sites(
                 architecture.netlist,

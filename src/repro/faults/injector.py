@@ -81,30 +81,23 @@ def fault_delay_scale(
 
     The compiled delay of cell ``i`` is ``delay_units * time_unit_ns *
     scale[i]``, so an additive ``extra_ns`` becomes an additive
-    delay-scale term.  Returns ``base_scale`` (possibly None) untouched
-    when no delay faults are present.
+    delay-scale term.  The one-row form of :func:`fault_delay_scales`;
+    returns ``base_scale`` (possibly None) untouched when no delay
+    faults are present.
     """
-    delay_faults = [f for f in faults if isinstance(f, DelayFault)]
-    if not delay_faults:
+    if not any(isinstance(f, DelayFault) for f in faults):
         return base_scale
     num_cells = len(netlist.cells)
     if base_scale is None:
-        scale = np.ones(num_cells)
+        base = np.ones(num_cells)
     else:
-        scale = np.asarray(base_scale, dtype=float).copy()
-        if scale.shape != (num_cells,):
+        base = np.asarray(base_scale, dtype=float)
+        if base.shape != (num_cells,):
             raise FaultError(
                 "base delay scale must have one entry per cell (%d), got %r"
-                % (num_cells, scale.shape)
+                % (num_cells, base.shape)
             )
-    unit = technology.time_unit_ns
-    for fault in delay_faults:
-        fault.validate(netlist)
-        cell = netlist.cells[fault.cell]
-        scale[fault.cell] += fault.extra_ns / (
-            cell.cell_type.delay_units * unit
-        )
-    return scale
+    return fault_delay_scales(netlist, faults, base, technology)[0]
 
 
 def fault_delay_scales(
@@ -114,8 +107,7 @@ def fault_delay_scales(
     technology: Technology = DEFAULT_TECHNOLOGY,
 ) -> np.ndarray:
     """Fold :class:`DelayFault` extras into a ``(k, num_cells)`` scale
-    *matrix* -- every corner row gets the same additive term, mirroring
-    :func:`fault_delay_scale` per row.
+    *matrix* -- every corner row gets the same additive term.
 
     This is the multi-corner form variant sweeps price through
     :func:`repro.timing.delta.replay_delta`: the perturbed columns are

@@ -54,7 +54,7 @@ from . import logic
 from .engine import CompiledCircuit, _CompiledCell, _check_delay_scales
 from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
 from .replay import _active_arrival, _aux_count, build_value_plane
-from .soa import LevelBucket, SoAPlan
+from .soa import SoAPlan, bucket_level
 from .value_cache import netlist_fingerprint
 
 __all__ = [
@@ -222,47 +222,7 @@ def _plan_levels(plan: SoAPlan, num_cells: int) -> np.ndarray:
     for depth, bucket_list in enumerate(plan.levels):
         for bucket in bucket_list:
             levels[bucket.positions] = depth
-    for depth, scalars in enumerate(plan.scalar_levels):
-        for compiled in scalars:
-            levels[compiled.position] = depth
     return levels
-
-
-def _rebuild_level(members) -> List[LevelBucket]:
-    """Re-bucket one level's compiled cells, replicating
-    :func:`~repro.timing.soa.build_soa_plan` exactly (first-seen opcode
-    bucket order, members in levelized position order)."""
-    per_opcode: Dict[int, List] = {}
-    for compiled in members:
-        per_opcode.setdefault(compiled.opcode, []).append(compiled)
-    packed = []
-    for opcode, group in per_opcode.items():
-        pins = np.array(
-            [c.inputs for c in group], dtype=np.intp
-        ).T.copy()
-        packed.append(
-            LevelBucket(
-                opcode=opcode,
-                positions=np.array(
-                    [c.position for c in group], dtype=np.intp
-                ),
-                pins=pins,
-                outputs=np.array(
-                    [c.output for c in group], dtype=np.intp
-                ),
-                cell_indices=np.array(
-                    [c.index for c in group], dtype=np.intp
-                ),
-                fresh_delays=np.array(
-                    [c.fresh_delay_ns for c in group], dtype=float
-                ),
-                delays=np.array(
-                    [c.delay_ns for c in group], dtype=float
-                ),
-                caps=np.array([c.cap for c in group], dtype=float),
-            )
-        )
-    return packed
 
 
 def patch_compiled(
@@ -310,7 +270,7 @@ def patch_compiled(
                 "delta does not connect this parent/child pair"
             )
     child.validate()
-    plan = parent_circuit.soa_value_plan()
+    plan = parent_circuit.soa_plan()
     cells = list(parent_circuit._cells)
     num_cells = len(cells)
     levels = _plan_levels(plan, num_cells)
@@ -356,9 +316,7 @@ def patch_compiled(
             for bucket in plan.levels[level]
             for p in bucket.positions
         )
-        new_levels[level] = _rebuild_level(
-            [cells[p] for p in positions]
-        )
+        new_levels[level] = bucket_level([cells[p] for p in positions])
 
     patched = CompiledCircuit.__new__(CompiledCircuit)
     patched.kernel = parent_circuit.kernel
@@ -376,16 +334,8 @@ def patch_compiled(
     patched.num_nets = child.num_nets
     patched._reach_masks = None
     patched._cell_delays = None
-    plan = SoAPlan(
-        levels=new_levels,
-        scalar_levels=plan.scalar_levels,
-        grouped=plan.grouped,
-        num_levels=plan.num_levels,
-        num_bucketed=plan.num_bucketed,
-        num_scalar=plan.num_scalar,
-    )
-    patched._soa_value_plan = plan
-    patched._soa_replay_plan = plan
+    patched._soa_plan = SoAPlan(levels=new_levels)
+    patched._hook_rows = {}
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()
     ) + (delta.fingerprint(),)
@@ -447,7 +397,6 @@ class _DeltaRecorder(_PlaneRecorder):
 def build_delta_plane(
     circuit: CompiledCircuit,
     stimulus: Dict[str, Sequence[int]],
-    collect_net_stats: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
     key: Optional[str] = None,
 ) -> DeltaPlane:
@@ -477,7 +426,6 @@ def build_delta_plane(
     result = circuit.run(
         stimulus,
         initial=None,
-        collect_net_stats=collect_net_stats,
         chunk_size=chunk_size,
         _recorder=recorder,
     )
@@ -491,8 +439,6 @@ def build_delta_plane(
         aux_offsets=recorder.aux_offsets,
         outputs=result.outputs,
         switched_caps=result.switched_caps,
-        signal_prob=result.signal_prob,
-        toggle_counts=result.toggle_counts,
         key=key,
         val_packed=recorder.values,
     )
@@ -522,7 +468,7 @@ def _replay_all_arrivals(
     chunked port replay.  Callers size ``n * k`` (the tensor is the
     product, ~``num_nets * n * k * 8`` bytes).
     """
-    plan = circuit.soa_replay_plan()
+    plan = circuit.soa_plan()
     n = plane.num_patterns
     k = scales.shape[0]
     full = np.zeros((circuit.num_nets, n, k))
@@ -706,7 +652,7 @@ class DeltaBase:
                 np.maximum(
                     self.delays, self.arrivals[net].T, out=self.delays
                 )
-        plan = circuit.soa_value_plan()
+        plan = circuit.soa_plan()
         self.level_of_position = _plan_levels(plan, num_cells)
         self.pos_by_index = {
             c.index: c.position for c in circuit._cells

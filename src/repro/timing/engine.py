@@ -10,10 +10,13 @@ every pattern, computes
   Figs. 5, 6 and 13-24 are built from),
 * the switched capacitance (dynamic power), with switching inside
   *bypassed* full-adder groups frozen exactly as the tri-state gates do in
-  the real circuit,
-* per-net signal probabilities and toggle counts (``collect_net_stats``;
-  the BTI stress model reads only the probabilities, through the
-  values-only :meth:`CompiledCircuit.signal_probability`).
+  the real circuit.
+
+Per-net *activity* -- signal probabilities (the BTI stress input) and
+toggle counts (the electromigration input) -- is delay-free, so it comes
+from a separate values-only pass over the same plan
+(:meth:`CompiledCircuit.signal_probability`,
+:meth:`CompiledCircuit.toggle_counts`), not from :meth:`CompiledCircuit.run`.
 
 Two delay semantics are available (see :func:`repro.timing.logic
 .arrival_vector`):
@@ -26,10 +29,9 @@ Two delay semantics are available (see :func:`repro.timing.logic
   the event-driven transport-delay settle time (cross-checked in tests).
 
 All per-pattern quantities are vectorized across the pattern axis; the
-Python-level loop runs once per cell, not once per pattern.  Memory stays
-bounded because each net's arrays are freed as soon as its last consumer
-has been evaluated; exactness across chunk boundaries is preserved by
-carrying each net's final value and each bypass group's held value.
+Python-level loop runs once per (level, opcode) bucket, not once per
+pattern.  Memory stays bounded by chunking the pattern axis; exactness
+across chunk boundaries is preserved by carrying each net's final value.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ MODES = ("inertial", "floating")
 #: ``(num_nets, n)`` matrices; ``"percell"`` is the original per-cell
 #: interpreter, kept only as the test and benchmark reference.  Both
 #: produce bit-identical per-net and per-pattern results (values,
-#: delays, arrivals, toggles); only the cross-cell switched-capacitance
+#: delays, arrivals, activity); only the cross-cell switched-capacitance
 #: *sum* may differ by float association.
 KERNELS = ("soa", "percell")
 
@@ -97,8 +99,6 @@ class StreamResult:
             0 when no output changes).
         switched_caps: Per-pattern switched capacitance in unit caps.
         bit_arrivals: Optional port -> ``(width, n)`` per-bit arrival ns.
-        signal_prob: Optional per-net probability of logic 1.
-        toggle_counts: Optional per-net toggle totals.
         num_patterns: Stream length.
     """
 
@@ -107,8 +107,6 @@ class StreamResult:
     switched_caps: np.ndarray
     num_patterns: int
     bit_arrivals: Optional[Dict[str, np.ndarray]] = None
-    signal_prob: Optional[np.ndarray] = None
-    toggle_counts: Optional[np.ndarray] = None
 
     @property
     def max_delay(self) -> float:
@@ -174,9 +172,9 @@ class CompiledCircuit:
             enter through ``delay_scale``).  Constant rails cannot be
             hooked.
         kernel: Evaluation kernel, one of :data:`KERNELS`.  ``"soa"``
-            runs the levelized bucketed kernel with scalar fallback for
-            hooked cells; ``"percell"`` forces the per-cell reference
-            path everywhere.
+            runs the levelized bucketed kernel (hooks apply to their
+            rows inside the bucket); ``"percell"`` forces the per-cell
+            reference path everywhere.
     """
 
     def __init__(
@@ -250,7 +248,6 @@ class CompiledCircuit:
             self._protected.update(port.nets)
         for port in netlist.output_ports.values():
             self._protected.update(port.nets)
-        self._protected.update(netlist.group_enables.values())
 
         self._last_use: Dict[int, int] = {}
         for compiled in self._cells:
@@ -260,8 +257,8 @@ class CompiledCircuit:
         self.num_nets = netlist.num_nets
         self._reach_masks: Optional[List[int]] = None
         self._cell_delays: Optional[np.ndarray] = None
-        self._soa_value_plan = None
-        self._soa_replay_plan = None
+        self._soa_plan = None
+        self._hook_rows = None
 
     # ------------------------------------------------------------------
     # Logic-cone reachability
@@ -355,29 +352,34 @@ class CompiledCircuit:
             self._cell_delays = delays
         return self._cell_delays
 
-    def soa_value_plan(self):
-        """The bucketed :class:`~repro.timing.soa.SoAPlan` of the value
-        pass: cells with hooked outputs fall into per-level scalar
-        lists (built lazily, cached)."""
-        if self._soa_value_plan is None:
-            self._soa_value_plan = build_soa_plan(
-                self._cells, self.netlist, frozenset(self.fault_hooks)
-            )
-        return self._soa_value_plan
+    def soa_plan(self):
+        """The bucketed :class:`~repro.timing.soa.SoAPlan` shared by the
+        stream run, the values-only pass, arrival replay and the delta
+        engine (built lazily, cached)."""
+        if self._soa_plan is None:
+            self._soa_plan = build_soa_plan(self._cells)
+        return self._soa_plan
 
-    def soa_replay_plan(self):
-        """The all-cells bucket plan used by arrival replay.  Replay
-        consumes recorded (already-faulted) masks, so hooks need no
-        scalar fallback there; hook-free circuits share the value plan.
-        """
-        if self._soa_replay_plan is None:
-            if not self.fault_hooks:
-                self._soa_replay_plan = self.soa_value_plan()
-            else:
-                self._soa_replay_plan = build_soa_plan(
-                    self._cells, self.netlist, frozenset()
-                )
-        return self._soa_replay_plan
+    def _bucket_hooks(self) -> Dict:
+        """``(level, bucket) -> [(row, hook), ...]`` for every bucket
+        with a hooked output net (built once per circuit, cached; empty
+        for hook-free circuits)."""
+        if self._hook_rows is None:
+            hooks = self.fault_hooks
+            rows: Dict = {}
+            if hooks:
+                levels = self.soa_plan().levels
+                for depth, bucket_list in enumerate(levels):
+                    for slot, bucket in enumerate(bucket_list):
+                        hooked = [
+                            (row, hooks[net])
+                            for row, net in enumerate(bucket.outputs.tolist())
+                            if net in hooks
+                        ]
+                        if hooked:
+                            rows[depth, slot] = hooked
+            self._hook_rows = rows
+        return self._hook_rows
 
     # ------------------------------------------------------------------
 
@@ -386,7 +388,6 @@ class CompiledCircuit:
         stimulus: Dict[str, Sequence[int]],
         initial: Optional[Dict[str, int]] = None,
         collect_bit_arrivals: bool = False,
-        collect_net_stats: bool = False,
         chunk_size: "Optional[int | str]" = None,
         fold: bool = False,
         _recorder=None,
@@ -401,8 +402,6 @@ class CompiledCircuit:
                 pattern 0 arrives on a settled, quiet circuit and reports
                 zero delay.  Names must be input ports.
             collect_bit_arrivals: Keep per-output-bit arrival matrices.
-            collect_net_stats: Keep per-net signal probabilities and
-                toggle counts (needed by the aging stress extractor).
             chunk_size: Process the stream in chunks of this many patterns
                 to bound memory; results are exact regardless of chunking.
                 ``"auto"`` picks a chunk from :func:`auto_chunk_size` so
@@ -413,9 +412,8 @@ class CompiledCircuit:
                 :mod:`repro.timing.fold`); results are bit-identical to
                 the unfolded run.  Silently bypassed whenever folding
                 cannot preserve semantics (fault hooks consume global
-                pattern indices; net stats and value-plane recording
-                aggregate with per-pattern multiplicity) or when the
-                stream barely repeats.
+                pattern indices; value-plane recording needs every
+                pattern) or when the stream barely repeats.
             _recorder: Internal -- a value-plane recorder (see
                 :mod:`repro.timing.replay`).  When set, arrival
                 computation is skipped (the recorder captures the masks
@@ -424,12 +422,7 @@ class CompiledCircuit:
         """
         arrays, prefixed, n = self._settled_stimulus(stimulus, initial)
 
-        if (
-            fold
-            and not self.fault_hooks
-            and not collect_net_stats
-            and _recorder is None
-        ):
+        if fold and not self.fault_hooks and _recorder is None:
             from .fold import fold_stimulus, unfold_stream
 
             plan = fold_stimulus(arrays, initial)
@@ -450,12 +443,10 @@ class CompiledCircuit:
             chunk_size = auto_chunk_size(self.num_nets, n)
 
         if chunk_size is None or chunk_size >= n + 1:
-            result, _, _ = self._run_chunk(
+            result, _ = self._run_chunk(
                 prefixed,
                 carry_values=None,
-                carry_held={},
                 collect_bit_arrivals=collect_bit_arrivals,
-                collect_net_stats=collect_net_stats,
                 drop_first=True,
                 start_index=-1,
                 recorder=_recorder,
@@ -472,19 +463,16 @@ class CompiledCircuit:
             )
         pieces: List[StreamResult] = []
         carry_values: Optional[np.ndarray] = None
-        carry_held: Dict[int, int] = {}
         total = n + 1
         start = 0
         first_chunk = True
         while start < total:
             stop = min(start + chunk_size + (1 if first_chunk else 0), total)
             chunk = {name: arr[start:stop] for name, arr in prefixed.items()}
-            result, carry_values, carry_held = self._run_chunk(
+            result, carry_values = self._run_chunk(
                 chunk,
                 carry_values=carry_values,
-                carry_held=carry_held,
                 collect_bit_arrivals=collect_bit_arrivals,
-                collect_net_stats=collect_net_stats,
                 drop_first=first_chunk,
                 start_index=start - 1,
                 recorder=_recorder,
@@ -492,59 +480,94 @@ class CompiledCircuit:
             pieces.append(result)
             start = stop
             first_chunk = False
-        return _concatenate_results(pieces, self.num_nets)
-
-    def value_plane(
-        self,
-        stimulus: Dict[str, Sequence[int]],
-        initial: Optional[Dict[str, int]] = None,
-        collect_net_stats: bool = False,
-        chunk_size: "Optional[int | str]" = "auto",
-    ):
-        """Run the value pass once and return a reusable
-        :class:`~repro.timing.replay.ValuePlane` (see that module)."""
-        from .replay import build_value_plane
-
-        return build_value_plane(
-            self,
-            stimulus,
-            initial=initial,
-            collect_net_stats=collect_net_stats,
-            chunk_size=chunk_size,
-        )
+        return _concatenate_results(pieces)
 
     def signal_probability(
         self, stimulus: Dict[str, Sequence[int]]
     ) -> np.ndarray:
         """Per-net probability of logic 1 over a pattern stream.
 
-        Byte-identical to ``run(stimulus, collect_net_stats=True)
-        .signal_prob`` -- the prepended settling pattern counts in the
-        denominator -- but computed by one settled-value pass over
-        :meth:`soa_value_plan` into a single uint8 ``(num_nets, n + 1)``
-        matrix: no arrivals, transitions, toggles or switched
-        capacitance.  This is all the BTI stress model reads.  Stress is
-        a property of the fault-free design, so a circuit with fault
-        hooks is refused.
+        The prepended settling pattern counts in the denominator, so the
+        result is ``V.sum(axis=1) / (n + 1)`` over the settled-value
+        matrix of :meth:`_settled_values`.  This is all the BTI stress
+        model reads.  Stress is a property of the fault-free design, so
+        a circuit with fault hooks is refused.
+        """
+        V = self._settled_values(stimulus, "signal_probability")
+        return V.sum(axis=1) / V.shape[1]
+
+    def toggle_counts(
+        self, stimulus: Dict[str, Sequence[int]]
+    ) -> np.ndarray:
+        """Per-net functional (zero-delay) toggle totals over a stream.
+
+        Counts settled-value changes between consecutive columns of the
+        :meth:`_settled_values` matrix (its settling column repeats
+        pattern 0, so pattern 0 never toggles).  A bypass-group cell
+        holds its value while the group's enable is low -- its tri-state
+        hold -- so its count comes from
+        :func:`repro.timing.logic.tribuf_masked_toggles`, one call per
+        group enable over all the cells it gates.  Returned as float64
+        totals, the input of
+        :func:`repro.aging.electromigration.cell_toggle_rates`.  Toggles
+        are delay-independent, so any aging point of one design gives
+        the same counts; a circuit with fault hooks is refused.
+        """
+        V = self._settled_values(stimulus, "toggle_counts")
+        counts = np.count_nonzero(V[:, 1:] != V[:, :-1], axis=1).astype(
+            float
+        )
+        enables = self.netlist.group_enables
+        held: Dict[int, List[int]] = {}
+        for compiled in self._cells:
+            if compiled.group in enables:
+                held.setdefault(enables[compiled.group], []).append(
+                    compiled.output
+                )
+        for enable, outs in held.items():
+            toggles, _ = logic.tribuf_masked_toggles(V[outs], V[enable])
+            counts[outs] = toggles.sum(axis=1)
+        return counts
+
+    # ------------------------------------------------------------------
+
+    def _settled_values(
+        self, stimulus: Dict[str, Sequence[int]], what: str
+    ) -> np.ndarray:
+        """Every net's settled value per pattern: a uint8
+        ``(num_nets, n + 1)`` matrix whose column 0 is the settling
+        pattern -- no arrivals, transitions or switched capacitance.
+
+        The pass is unchunked, so it holds ``num_nets * (n + 1)`` bytes:
+        23 MB for the 16x16 column-bypass design at 10,000 patterns,
+        100 MB for the 32x32 row-bypass design.  The SoA kernel
+        evaluates :meth:`soa_plan` a bucket at a time; the ``percell``
+        kernel runs the plain per-cell loop over the levelized cells,
+        the reference the buckets are tested against.  ``what`` names
+        the caller in the refusal of a hooked circuit.
         """
         if self.fault_hooks:
             raise SimulationError(
-                "signal_probability needs a fault-free circuit, this one "
-                "has %d fault hooks" % len(self.fault_hooks)
+                "%s needs a fault-free circuit, this one has %d fault "
+                "hooks" % (what, len(self.fault_hooks))
             )
         _, prefixed, n = self._settled_stimulus(stimulus)
         V = np.zeros((self.num_nets, n + 1), dtype=np.uint8)
         V[CONST1] = 1
         for name, port in self.netlist.input_ports.items():
             V[list(port.nets)] = logic.unpack_bits(prefixed[name], port.width)
-        for bucket_list in self.soa_value_plan().levels:
+        if self.kernel == "percell":
+            for compiled in self._cells:
+                V[compiled.output] = logic.eval_vector(
+                    compiled.opcode, [V[pin] for pin in compiled.inputs]
+                )
+            return V
+        for bucket_list in self.soa_plan().levels:
             for bucket in bucket_list:
                 V[bucket.outputs] = logic.eval_vector(
                     bucket.opcode, [V[pins] for pins in bucket.pins]
                 )
-        return V.sum(axis=1) / (n + 1)
-
-    # ------------------------------------------------------------------
+        return V
 
     def _settled_stimulus(
         self,
@@ -600,9 +623,7 @@ class CompiledCircuit:
         self,
         arrays: Dict[str, np.ndarray],
         carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
         collect_bit_arrivals: bool,
-        collect_net_stats: bool,
         drop_first: bool,
         start_index: int = -1,
         recorder=None,
@@ -615,7 +636,7 @@ class CompiledCircuit:
         ``start_index`` is the global pattern index of the chunk's first
         element (-1 for the settling pattern), forwarded to fault hooks.
         ``recorder``, when set, captures the value plane instead of
-        computing arrivals.
+        computing arrivals.  Returns ``(result, final_values)``.
         """
         if self.kernel == "percell":
             runner = self._run_chunk_percell
@@ -624,9 +645,7 @@ class CompiledCircuit:
         return runner(
             arrays,
             carry_values,
-            carry_held,
             collect_bit_arrivals,
-            collect_net_stats,
             drop_first,
             start_index=start_index,
             recorder=recorder,
@@ -636,9 +655,7 @@ class CompiledCircuit:
         self,
         arrays: Dict[str, np.ndarray],
         carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
         collect_bit_arrivals: bool,
-        collect_net_stats: bool,
         drop_first: bool,
         start_index: int = -1,
         recorder=None,
@@ -647,13 +664,17 @@ class CompiledCircuit:
 
         Holds dense ``(num_nets, n)`` value / may / transition (and,
         unless recording, arrival) matrices and evaluates one
-        (level, opcode) bucket per batched kernel call; cells with
-        hooked outputs run through the scalar fallback after their
-        level's buckets so downstream buckets see the faulted rows.
+        (level, opcode) bucket per batched kernel call.  A fault hook
+        rewrites its cell's row right after the bucket's values are
+        evaluated, before change detection: cells of one level never
+        feed each other, so every later use -- this bucket's masks,
+        arrivals and transitions, and all downstream buckets -- sees
+        the faulted row.
         """
         fault_hooks = self.fault_hooks
         netlist = self.netlist
-        plan = self.soa_value_plan()
+        plan = self.soa_plan()
+        bucket_hooks = self._bucket_hooks()
         n = next(iter(arrays.values())).shape[0]
         num_nets = self.num_nets
         inertial = self.mode == "inertial"
@@ -670,13 +691,7 @@ class CompiledCircuit:
         M = np.zeros((num_nets, n), dtype=bool)
         T = np.zeros((num_nets, n))
         A = None if recorder is not None else np.zeros((num_nets, n))
-
         switched = np.zeros(n)
-        sig_sum = np.zeros(num_nets) if collect_net_stats else None
-        tog_sum = np.zeros(num_nets) if collect_net_stats else None
-        if collect_net_stats:
-            sig_sum[CONST1] = n
-        new_held: Dict[int, int] = {}
 
         # Primary inputs: expand port words into per-net bit rows.
         for name, port in netlist.input_ports.items():
@@ -698,18 +713,19 @@ class CompiledCircuit:
                     recorder.net_may(net, flags)
                     if record_values:
                         recorder.net_values(net, cur)
-                if collect_net_stats:
-                    sig_sum[net] = cur.sum()
-                    tog_sum[net] = flags.sum()
 
-        group_enable_net = netlist.group_enables
-
-        for bucket_list, scalars in zip(plan.levels, plan.scalar_levels):
-            for bucket in bucket_list:
+        for depth, bucket_list in enumerate(plan.levels):
+            for slot, bucket in enumerate(bucket_list):
                 pins = bucket.pins
                 outs = bucket.outputs
                 in_vals = [V[pins[j]] for j in range(pins.shape[0])]
                 out_val = logic.eval_vector(bucket.opcode, in_vals)
+                hooked = bucket_hooks.get((depth, slot))
+                if hooked:
+                    # BUF/TRIBUF return their input rows: copy first.
+                    out_val = out_val.copy()
+                    for row, hook in hooked:
+                        out_val[row] = hook(out_val[row], start_index)
                 changed = logic.changed_matrix(
                     out_val,
                     None if carry_values is None else carry_values[outs],
@@ -750,77 +766,6 @@ class CompiledCircuit:
                 # only on the bucket size, so chunked and unchunked runs
                 # produce bit-identical switched capacitance.
                 switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
-                if collect_net_stats:
-                    sig_sum[outs] = out_val.sum(axis=1)
-                    tog_sum[outs] = changed.sum(axis=1)
-
-            for compiled in scalars:
-                ins = compiled.inputs
-                in_vals = [V[p] for p in ins]
-                out_val = logic.eval_vector(compiled.opcode, in_vals)
-                net = compiled.output
-                out_val = np.asarray(
-                    fault_hooks[net](out_val, start_index), dtype=np.uint8
-                )
-                changed = logic.changed_matrix(
-                    out_val,
-                    None if carry_values is None else carry_values[net],
-                )
-                aux = logic.aux_masks(compiled.opcode, in_vals)
-                if inertial:
-                    out_may = changed
-                else:
-                    out_may = logic.may_vector(
-                        compiled.opcode, in_vals, [M[p] for p in ins], aux
-                    )
-                if recorder is None:
-                    A[net] = logic.arrival_masks(
-                        compiled.opcode,
-                        aux,
-                        [A[p] for p in ins],
-                        compiled.delay_ns,
-                        out_may,
-                    )
-                else:
-                    recorder.cell(compiled.position, net, out_may, aux)
-                    if record_values:
-                        recorder.net_values(net, out_val)
-                V[net] = out_val
-                M[net] = out_may
-                out_trans = logic.transition_vector(
-                    compiled.opcode,
-                    in_vals,
-                    [T[p] for p in ins],
-                    changed,
-                    damping=damping,
-                )
-                T[net] = out_trans
-                switched += out_trans * compiled.cap
-                if collect_net_stats:
-                    if (
-                        compiled.group is not None
-                        and compiled.group in group_enable_net
-                    ):
-                        enable = V[group_enable_net[compiled.group]]
-                        toggles, held_final = logic.tribuf_masked_toggles(
-                            out_val, enable, carry_held.get(net)
-                        )
-                        new_held[net] = held_final
-                        tog_sum[net] = toggles.sum()
-                    else:
-                        tog_sum[net] = changed.sum()
-                    sig_sum[net] = out_val.sum()
-
-        if collect_net_stats:
-            # Bucketed bypass-group cells: replace the functional toggle
-            # count with the tri-state-hold count (all values exist by
-            # now, so the fixup is order-independent).
-            for net, enable_net in plan.grouped:
-                toggles, held_final = logic.tribuf_masked_toggles(
-                    V[net], V[enable_net], carry_held.get(net)
-                )
-                new_held[net] = held_final
-                tog_sum[net] = toggles.sum()
 
         final_values = V[:, -1].copy()
         final_values[CONST0] = 0
@@ -842,25 +787,20 @@ class CompiledCircuit:
             elif collect_bit_arrivals:
                 bit_arrivals[name] = np.zeros((port.width, n - lo))
 
-        reported = n - lo
         result = StreamResult(
             outputs=outputs,
             delays=delays[lo:],
             switched_caps=switched[lo:],
-            num_patterns=reported,
+            num_patterns=n - lo,
             bit_arrivals=bit_arrivals,
-            signal_prob=(sig_sum / n) if collect_net_stats else None,
-            toggle_counts=tog_sum if collect_net_stats else None,
         )
-        return result, final_values, new_held
+        return result, final_values
 
     def _run_chunk_percell(
         self,
         arrays: Dict[str, np.ndarray],
         carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
         collect_bit_arrivals: bool,
-        collect_net_stats: bool,
         drop_first: bool,
         start_index: int = -1,
         recorder=None,
@@ -891,13 +831,7 @@ class CompiledCircuit:
         trans[CONST0] = trans[CONST1] = zeros_f
 
         switched = np.zeros(n)
-        sig_sum = np.zeros(self.num_nets) if collect_net_stats else None
-        tog_sum = np.zeros(self.num_nets) if collect_net_stats else None
-        if collect_net_stats:
-            sig_sum[CONST1] = n
-
         final_values = np.zeros(self.num_nets, dtype=np.uint8)
-        new_held: Dict[int, int] = {}
 
         def changed_flags(net: int, vals: np.ndarray) -> np.ndarray:
             """Per-step value-change flags with exact chunk carry."""
@@ -928,11 +862,6 @@ class CompiledCircuit:
                     recorder.net_may(net, flags)
                     if record_values:
                         recorder.net_values(net, cur)
-                if collect_net_stats:
-                    sig_sum[net] = cur.sum()
-                    tog_sum[net] = flags.sum()
-
-        group_enable_net = netlist.group_enables
 
         for compiled in self._cells:
             in_vals = [values[net] for net in compiled.inputs]
@@ -980,23 +909,6 @@ class CompiledCircuit:
             trans[net] = out_trans
             switched += out_trans * compiled.cap
 
-            if collect_net_stats:
-                # Toggle stats use functional (zero-delay) changes, with
-                # grouped cells held while their bypass enable is low.
-                if (
-                    compiled.group is not None
-                    and compiled.group in group_enable_net
-                ):
-                    enable = values[group_enable_net[compiled.group]]
-                    toggles, held_final = logic.tribuf_masked_toggles(
-                        out_val, enable, carry_held.get(net)
-                    )
-                    new_held[net] = held_final
-                else:
-                    toggles = changed
-                sig_sum[net] = out_val.sum()
-                tog_sum[net] = toggles.sum()
-
             # Free nets whose last consumer has now run.
             for used in compiled.inputs:
                 if (
@@ -1024,22 +936,17 @@ class CompiledCircuit:
             elif collect_bit_arrivals:
                 bit_arrivals[name] = np.zeros((port.width, n - lo))
 
-        reported = n - lo
         result = StreamResult(
             outputs=outputs,
             delays=delays[lo:],
             switched_caps=switched[lo:],
-            num_patterns=reported,
+            num_patterns=n - lo,
             bit_arrivals=bit_arrivals,
-            signal_prob=(sig_sum / n) if collect_net_stats else None,
-            toggle_counts=tog_sum if collect_net_stats else None,
         )
-        return result, final_values, new_held
+        return result, final_values
 
 
-def _concatenate_results(
-    pieces: List[StreamResult], num_nets: int
-) -> StreamResult:
+def _concatenate_results(pieces: List[StreamResult]) -> StreamResult:
     """Stitch per-chunk results back into one stream-long result."""
     total = sum(piece.num_patterns for piece in pieces)
     outputs = {
@@ -1054,21 +961,6 @@ def _concatenate_results(
             )
             for name in pieces[0].bit_arrivals
         }
-    signal_prob = None
-    toggle_counts = None
-    if pieces[0].signal_prob is not None:
-        signal_prob = np.zeros(num_nets)
-        toggle_counts = np.zeros(num_nets)
-        weight = 0
-        for piece in pieces:
-            # Chunk signal probabilities were averaged over the chunk's
-            # simulated patterns (incl. the settling pattern of chunk 0);
-            # re-weight by the simulated length.
-            simulated = piece.num_patterns + (1 if weight == 0 else 0)
-            signal_prob += piece.signal_prob * simulated
-            toggle_counts += piece.toggle_counts
-            weight += simulated
-        signal_prob /= weight
     return StreamResult(
         outputs=outputs,
         delays=np.concatenate([piece.delays for piece in pieces]),
@@ -1077,6 +969,4 @@ def _concatenate_results(
         ),
         num_patterns=total,
         bit_arrivals=bit_arrivals,
-        signal_prob=signal_prob,
-        toggle_counts=toggle_counts,
     )

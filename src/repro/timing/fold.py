@@ -23,10 +23,9 @@ Folding must be bypassed when per-pattern identity does not hold:
 
 * fault hooks consume the *global* pattern index (transient flips are a
   function of it), so any hooked circuit simulates unfolded;
-* per-net statistics (``signal_prob`` / ``toggle_counts``) and value-
-  plane recording aggregate over the whole stream with multiplicity, so
-  ``collect_net_stats`` and recorder runs simulate unfolded (the
-  replay layer instead folds the plane itself and unfolds per corner).
+* value-plane recording keeps every pattern's masks, so recorder runs
+  simulate unfolded (the replay layer instead folds the plane itself
+  and unfolds per corner).
 
 :meth:`FoldPlan.profitable` additionally skips folding when the stream
 barely repeats (``2 * num_unique`` close to ``num_patterns``) -- the
@@ -170,6 +169,4 @@ def unfold_stream(folded_result, plan: FoldPlan):
         switched_caps=folded_result.switched_caps[1::2][pick],
         num_patterns=plan.num_patterns,
         bit_arrivals=bit_arrivals,
-        signal_prob=None,
-        toggle_counts=None,
     )

@@ -402,32 +402,35 @@ def tribuf_masked_toggles(
     enables: np.ndarray,
     carry_value: Optional[int] = None,
 ) -> "tuple[np.ndarray, Optional[int]]":
-    """Per-step toggle mask of a net that holds its value while disabled.
+    """Per-step toggle mask of nets that hold their value while disabled.
 
-    ``values`` is the transparent value stream, ``enables`` the group's
-    enable bit per step.  The *actual* net value is the transparent value
-    at the most recent enabled step (the tri-state hold).  Returns a
-    boolean per-step toggle mask and the held value after the last step
-    (for exact chunked accumulation).
+    ``values`` is the transparent value stream along the last axis --
+    ``(n,)`` for one net, ``(B, n)`` for nets sharing one enable --
+    and ``enables`` the group's ``(n,)`` enable bit per step.  The
+    *actual* net value is the transparent value at the most recent
+    enabled step (the tri-state hold).  Returns a boolean per-step
+    toggle mask shaped like ``values`` and the held value after the
+    last step (an int for one net, ``(B,)`` for a batch; for exact
+    chunked accumulation).
     """
-    n = values.shape[0]
-    if enables.shape[0] != n:
+    n = values.shape[-1]
+    if enables.shape != (n,):
         raise SimulationError("values and enables must have equal length")
-    en = enables.astype(bool)
-    idx = np.where(en, np.arange(n), -1)
+    idx = np.where(enables.astype(bool), np.arange(n), -1)
     last = np.maximum.accumulate(idx)
-    held = np.where(last >= 0, values[np.maximum(last, 0)], 0).astype(np.int16)
-    if carry_value is None:
+    seen = last >= 0
+    held = values[..., np.maximum(last, 0)].astype(np.int16)
+    if carry_value is not None:
+        prev_first = np.asarray(carry_value, dtype=np.int16)
+    elif seen.any():
         # Before the first enabled step the net floats at its first held
         # value: no observable toggle.
-        first_val = held[np.argmax(last >= 0)] if np.any(last >= 0) else 0
-        prev_first = first_val
+        prev_first = held[..., np.argmax(seen)]
     else:
-        prev_first = carry_value
-    held = np.where(last >= 0, held, prev_first)
-    prev = np.empty_like(held)
-    prev[0] = prev_first
-    prev[1:] = held[:-1]
-    toggles = held != prev
-    final = int(held[-1]) if n else carry_value
-    return toggles, final
+        prev_first = np.zeros(values.shape[:-1], dtype=np.int16)
+    held = np.where(seen, held, prev_first[..., None])
+    toggles = np.empty(held.shape, dtype=bool)
+    toggles[..., 0] = held[..., 0] != prev_first
+    toggles[..., 1:] = held[..., 1:] != held[..., :-1]
+    final = held[..., -1]
+    return toggles, int(final) if final.ndim == 0 else final

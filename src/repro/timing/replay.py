@@ -11,7 +11,9 @@ aging timestep and variation corner.  This module exploits that split:
   (controlling-input hits, mux selects, tri-state enables), bit-packed
   via :func:`repro.timing.logic.pack_bits` semantics -- plus all the
   delay-independent :class:`~repro.timing.engine.StreamResult` fields
-  (outputs, switched capacitance, optional net stats).
+  (outputs, switched capacitance).  Per-net activity is not recorded:
+  it comes from the values-only :meth:`CompiledCircuit.toggle_counts`
+  and :meth:`CompiledCircuit.signal_probability`.
 
 * :class:`ArrivalReplay` then recomputes per-pattern path delays for one
   or *many* per-cell delay-scale vectors.  ``replay(scales)`` with a
@@ -94,9 +96,9 @@ class ValuePlane:
         aux_packed: Packed aux-mask rows for all cells, concatenated.
         aux_offsets: ``(num_cells + 1,)`` row ranges into ``aux_packed``
             per cell position.
-        outputs / switched_caps / signal_prob / toggle_counts: The
-            delay-independent :class:`StreamResult` fields, shared by
-            every replayed corner.
+        outputs / switched_caps: The delay-independent
+            :class:`StreamResult` fields, shared by every replayed
+            corner.
         key: Optional cache key (see :mod:`repro.timing.value_cache`).
     """
 
@@ -109,8 +111,6 @@ class ValuePlane:
     aux_offsets: np.ndarray
     outputs: Dict[str, np.ndarray]
     switched_caps: np.ndarray
-    signal_prob: Optional[np.ndarray] = None
-    toggle_counts: Optional[np.ndarray] = None
     key: Optional[str] = None
 
     def may(self, net: int) -> np.ndarray:
@@ -199,7 +199,6 @@ def build_value_plane(
     circuit: CompiledCircuit,
     stimulus: Dict[str, Sequence[int]],
     initial: Optional[Dict[str, int]] = None,
-    collect_net_stats: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
     key: Optional[str] = None,
 ) -> ValuePlane:
@@ -222,7 +221,6 @@ def build_value_plane(
     result = circuit.run(
         stimulus,
         initial=initial,
-        collect_net_stats=collect_net_stats,
         chunk_size=chunk_size,
         _recorder=recorder,
     )
@@ -236,8 +234,6 @@ def build_value_plane(
         aux_offsets=recorder.aux_offsets,
         outputs=result.outputs,
         switched_caps=result.switched_caps,
-        signal_prob=result.signal_prob,
-        toggle_counts=result.toggle_counts,
         key=key,
     )
 
@@ -282,8 +278,6 @@ class ReplayResult:
             switched_caps=self.plane.switched_caps,
             num_patterns=self.plane.num_patterns,
             bit_arrivals=bit_arrivals,
-            signal_prob=self.plane.signal_prob,
-            toggle_counts=self.plane.toggle_counts,
         )
 
     def stream_results(self) -> List[StreamResult]:
@@ -402,7 +396,7 @@ class ArrivalReplay:
         """
         circuit = self.circuit
         plane = self.plane
-        plan = circuit.soa_replay_plan()
+        plan = circuit.soa_plan()
         num_nets = circuit.num_nets
         chunk = _replay_chunk_size(num_nets, k)
         fresh = np.zeros(self.num_cells)
@@ -420,7 +414,7 @@ class ArrivalReplay:
                 name: np.zeros((port.width, k, n))
                 for name, port in ports.items()
             }
-        store = np.empty((1 + plan.num_bucketed * min(chunk, n), k))
+        store = np.empty((1 + len(circuit._cells) * min(chunk, n), k))
         store[0] = 0.0
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)

@@ -21,15 +21,14 @@ the levelized cell list into a **bucketed SoA plan** evaluated a whole
 All cells sharing an opcode have the same pin count (opcodes encode the
 cell arity), which is what makes the rectangular gather matrix valid.
 
-**Hook fallback rule**: a cell whose *output* net carries a fault hook
-falls out of its bucket into a per-level scalar list; the engine runs
-those cells through the original per-cell path (hooks are opaque
-callables operating on one net's stream), interleaved at the right
-level so downstream buckets observe the faulted values.  Input-port
-hooks need no fallback -- they rewrite the port rows before any bucket
-runs.  Arrival *replay* ignores hooks entirely (the recorded plane
-already contains the faulted masks), so replay uses the plan built with
-an empty hook set.
+**Hooks stay in their bucket**: the plan is built from the cells
+alone, so one plan serves the stream run, the values-only pass,
+arrival replay and the delta engine.  A cell whose *output* net carries
+a fault hook is evaluated with its bucket; the engine then applies the
+hook to that cell's row before change detection (cells of one level
+never feed each other, so this is exact).  Input-port hooks rewrite the
+port rows before any bucket runs, and arrival replay consumes recorded,
+already-faulted masks.
 
 Bucket evaluation reuses the exact elementwise kernels of
 :mod:`repro.timing.logic` on stacked ``(B, n)`` rows, so every per-cell
@@ -43,11 +42,11 @@ association; everything per-net/per-pattern is bit-identical.)
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["LevelBucket", "SoAPlan", "build_soa_plan"]
+__all__ = ["LevelBucket", "SoAPlan", "bucket_level", "build_soa_plan"]
 
 
 @dataclasses.dataclass
@@ -82,38 +81,23 @@ class LevelBucket:
 
 @dataclasses.dataclass
 class SoAPlan:
-    """Bucketed levels plus the scalar-fallback cells per level.
-
-    ``levels[d]`` holds the opcode buckets of level ``d`` (insertion
-    order: first-seen opcode first, cells inside a bucket in levelized
-    order); ``scalar_levels[d]`` the hooked-output cells evaluated
-    through the per-cell path after the level's buckets.  ``grouped``
-    lists ``(output net, enable net)`` pairs of bucketed bypass-group
-    cells, for the tri-state-hold toggle fixup (scalar cells handle
-    their own group stats inline, exactly like the per-cell path).
+    """Bucketed levels: ``levels[d]`` holds the opcode buckets of level
+    ``d`` (insertion order: first-seen opcode first, cells inside a
+    bucket in levelized order); every cell sits in exactly one bucket.
     """
 
     levels: List[List[LevelBucket]]
-    scalar_levels: List[List]
-    grouped: List[Tuple[int, int]]
-    num_levels: int
-    num_bucketed: int
-    num_scalar: int
 
 
-def build_soa_plan(cells, netlist, hooked_nets) -> SoAPlan:
+def build_soa_plan(cells) -> SoAPlan:
     """Compile levelized ``_CompiledCell`` s into an :class:`SoAPlan`.
 
     Args:
         cells: The circuit's levelized compiled cells (topological
             order -- every driver precedes its consumers).
-        netlist: The owning netlist (supplies bypass-group enables).
-        hooked_nets: Net ids carrying fault hooks; cells driving one of
-            them become scalar-fallback cells.
     """
     level_of_net: Dict[int, int] = {}
-    cell_levels = []
-    num_levels = 0
+    members: List[List] = []
     for compiled in cells:
         level = 0
         for pin in compiled.inputs:
@@ -121,64 +105,38 @@ def build_soa_plan(cells, netlist, hooked_nets) -> SoAPlan:
             if depth >= level:
                 level = depth + 1
         level_of_net[compiled.output] = level
-        cell_levels.append(level)
-        if level + 1 > num_levels:
-            num_levels = level + 1
+        while len(members) <= level:
+            members.append([])
+        members[level].append(compiled)
+    return SoAPlan(levels=[bucket_level(cells_of) for cells_of in members])
 
-    buckets: List[Dict[int, List]] = [{} for _ in range(num_levels)]
-    scalar_levels: List[List] = [[] for _ in range(num_levels)]
-    grouped: List[Tuple[int, int]] = []
-    group_enable = netlist.group_enables
-    num_scalar = 0
-    for compiled, level in zip(cells, cell_levels):
-        if compiled.output in hooked_nets:
-            scalar_levels[level].append(compiled)
-            num_scalar += 1
-            continue
-        buckets[level].setdefault(compiled.opcode, []).append(compiled)
-        if compiled.group is not None and compiled.group in group_enable:
-            grouped.append(
-                (compiled.output, group_enable[compiled.group])
+
+def bucket_level(members) -> List[LevelBucket]:
+    """Bucket one level's compiled cells by opcode: first-seen opcode
+    first, members in the order given (levelized position order)."""
+    per_opcode: Dict[int, List] = {}
+    for compiled in members:
+        per_opcode.setdefault(compiled.opcode, []).append(compiled)
+    packed = []
+    for opcode, group in per_opcode.items():
+        packed.append(
+            LevelBucket(
+                opcode=opcode,
+                positions=np.array(
+                    [c.position for c in group], dtype=np.intp
+                ),
+                pins=np.array(
+                    [c.inputs for c in group], dtype=np.intp
+                ).T.copy(),
+                outputs=np.array([c.output for c in group], dtype=np.intp),
+                cell_indices=np.array(
+                    [c.index for c in group], dtype=np.intp
+                ),
+                fresh_delays=np.array(
+                    [c.fresh_delay_ns for c in group], dtype=float
+                ),
+                delays=np.array([c.delay_ns for c in group], dtype=float),
+                caps=np.array([c.cap for c in group], dtype=float),
             )
-
-    levels: List[List[LevelBucket]] = []
-    for per_opcode in buckets:
-        packed = []
-        for opcode, members in per_opcode.items():
-            pins = np.array(
-                [c.inputs for c in members], dtype=np.intp
-            ).T.copy()
-            packed.append(
-                LevelBucket(
-                    opcode=opcode,
-                    positions=np.array(
-                        [c.position for c in members], dtype=np.intp
-                    ),
-                    pins=pins,
-                    outputs=np.array(
-                        [c.output for c in members], dtype=np.intp
-                    ),
-                    cell_indices=np.array(
-                        [c.index for c in members], dtype=np.intp
-                    ),
-                    fresh_delays=np.array(
-                        [c.fresh_delay_ns for c in members], dtype=float
-                    ),
-                    delays=np.array(
-                        [c.delay_ns for c in members], dtype=float
-                    ),
-                    caps=np.array(
-                        [c.cap for c in members], dtype=float
-                    ),
-                )
-            )
-        levels.append(packed)
-
-    return SoAPlan(
-        levels=levels,
-        scalar_levels=scalar_levels,
-        grouped=grouped,
-        num_levels=num_levels,
-        num_bucketed=len(cells) - num_scalar,
-        num_scalar=num_scalar,
-    )
+        )
+    return packed

@@ -20,9 +20,11 @@ correctness never depends on hook authors opting in.
 
 On-disk entries follow the fingerprint-guard idiom of
 :mod:`repro.faults.store`: each entry is a single ``.npz`` written
-atomically (tmp + rename) whose embedded key must match the requested
-key exactly -- a stale or corrupt file is ignored and rebuilt, never
-trusted.
+atomically (:func:`repro.util.atomic.write_atomic`) whose embedded key
+must match the requested key exactly -- a stale or corrupt file is
+ignored and rebuilt, never trusted.  Planes carry no per-net activity
+(see :meth:`repro.timing.engine.CompiledCircuit.toggle_counts`), so the
+key has no stats field.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..nets.netlist import Netlist
+from ..util.atomic import write_atomic
 from .engine import CompiledCircuit
 from .replay import ValuePlane, build_value_plane
 
@@ -112,7 +115,6 @@ def plane_cache_key(
     circuit: CompiledCircuit,
     stimulus: Dict[str, Sequence[int]],
     initial: Optional[Dict[str, int]] = None,
-    collect_net_stats: bool = False,
 ) -> Optional[str]:
     """The cache key for a plane build, or None when uncacheable."""
     hooks = hooks_cache_key(circuit.fault_hooks)
@@ -129,7 +131,6 @@ def plane_cache_key(
                 "glitch_damping": circuit.technology.glitch_damping,
                 "stimulus": stimulus_digest(stimulus),
                 "initial": sorted((initial or {}).items()),
-                "net_stats": bool(collect_net_stats),
                 "hooks": hooks or "",
                 # Patched circuits (repro.timing.delta.patch_compiled)
                 # share the child's structural fingerprint with a
@@ -158,7 +159,6 @@ def save_plane(plane: ValuePlane, path: str) -> None:
         "mode": plane.mode,
         "key": plane.key,
         "outputs": list(plane.outputs),
-        "has_stats": plane.signal_prob is not None,
     }
     arrays = {
         "meta": np.frombuffer(
@@ -171,15 +171,8 @@ def save_plane(plane: ValuePlane, path: str) -> None:
     }
     for name, arr in plane.outputs.items():
         arrays["out__" + name] = arr
-    if plane.signal_prob is not None:
-        arrays["signal_prob"] = plane.signal_prob
-        arrays["toggle_counts"] = plane.toggle_counts
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
-        np.savez(fp, **arrays)
-    os.replace(tmp, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, lambda fp: np.savez(fp, **arrays))
 
 
 def load_plane(path: str) -> ValuePlane:
@@ -202,12 +195,6 @@ def load_plane(path: str) -> ValuePlane:
                 name: data["out__" + name] for name in meta["outputs"]
             },
             switched_caps=data["switched_caps"],
-            signal_prob=(
-                data["signal_prob"] if meta["has_stats"] else None
-            ),
-            toggle_counts=(
-                data["toggle_counts"] if meta["has_stats"] else None
-            ),
             key=meta["key"],
         )
 
@@ -254,22 +241,18 @@ class ValuePlaneCache:
         circuit: CompiledCircuit,
         stimulus: Dict[str, Sequence[int]],
         initial: Optional[Dict[str, int]] = None,
-        collect_net_stats: bool = False,
         chunk_size="auto",
     ) -> ValuePlane:
         """Return the plane for (circuit, stimulus), building at most
         once per key.  Uncacheable circuits (opaque fault hooks) always
         build fresh."""
-        key = plane_cache_key(
-            circuit, stimulus, initial, collect_net_stats
-        )
+        key = plane_cache_key(circuit, stimulus, initial)
         if key is None:
             self.bypasses += 1
             return build_value_plane(
                 circuit,
                 stimulus,
                 initial=initial,
-                collect_net_stats=collect_net_stats,
                 chunk_size=chunk_size,
             )
         plane = self._memory.pop(key, None)
@@ -293,7 +276,6 @@ class ValuePlaneCache:
             circuit,
             stimulus,
             initial=initial,
-            collect_net_stats=collect_net_stats,
             chunk_size=chunk_size,
             key=key,
         )

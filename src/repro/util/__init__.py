@@ -11,11 +11,14 @@ same two primitives when they go concurrent:
   a registry of ``threading.Lock`` s within one) acquired with a
   timeout through the same backoff schedule.
 
-:mod:`repro.util.argtypes` holds the typed ``argparse`` converters the
+:mod:`repro.util.atomic` holds :func:`~repro.util.atomic.write_atomic`,
+the unique-temp-file rename every store writes through, and
+:mod:`repro.util.argtypes` the typed ``argparse`` converters the
 package CLIs share.
 """
 
+from .atomic import write_atomic
 from .locking import FileLock
 from .retry import Backoff, retry_call
 
-__all__ = ["Backoff", "FileLock", "retry_call"]
+__all__ = ["Backoff", "FileLock", "retry_call", "write_atomic"]

@@ -91,10 +91,8 @@ class TestStressExtraction:
     def test_complementary(self, cb4):
         circuit = CompiledCircuit(cb4)
         md, mr = uniform_operands(4, 300, seed=19)
-        result = circuit.run(
-            {"md": md, "mr": mr}, collect_net_stats=True
-        )
-        profile = extract_stress(cb4, result.signal_prob)
+        probs = circuit.signal_probability({"md": md, "mr": mr})
+        profile = extract_stress(cb4, probs)
         assert np.allclose(profile.pmos_stress + profile.nmos_stress, 1.0)
         assert 0.0 <= profile.mean_pmos() <= 1.0
 
@@ -114,15 +112,17 @@ class TestStressExtraction:
 
 
 def _percell_signal_prob(netlist, stimulus):
-    """The oracle: the per-cell reference kernel's full-run net stats."""
-    return CompiledCircuit(netlist, kernel="percell").run(
-        stimulus, collect_net_stats=True
-    ).signal_prob
+    """The oracle: the per-cell reference kernel's values-only pass."""
+    return CompiledCircuit(netlist, kernel="percell").signal_probability(
+        stimulus
+    )
 
 
 class TestSignalProbability:
     """``signal_probability`` is the values-only pass behind stress
-    characterization; it must match the full run byte for byte."""
+    characterization; the SoA buckets must match the per-cell loop byte
+    for byte (``tests/test_fuzz_engines.py`` checks both against the
+    event simulator)."""
 
     @settings(max_examples=40, deadline=None)
     @given(random_netlists())
@@ -176,10 +176,13 @@ class TestSignalProbability:
     def test_bad_stimulus_refused_like_run(self, cb4, stimulus):
         circuit = CompiledCircuit(cb4)
         with pytest.raises(SimulationError) as from_run:
-            circuit.run(stimulus, collect_net_stats=True)
-        with pytest.raises(SimulationError) as refused:
-            circuit.signal_probability(stimulus)
-        assert str(refused.value) == str(from_run.value)
+            circuit.run(stimulus)
+        for values_only in (
+            circuit.signal_probability, circuit.toggle_counts
+        ):
+            with pytest.raises(SimulationError) as refused:
+                values_only(stimulus)
+            assert str(refused.value) == str(from_run.value)
 
     def test_fault_hooks_refused(self, cb4):
         circuit = compile_with_faults(
@@ -188,6 +191,8 @@ class TestSignalProbability:
         md, mr = uniform_operands(4, 16, seed=3)
         with pytest.raises(SimulationError, match="fault-free"):
             circuit.signal_probability({"md": md, "mr": mr})
+        with pytest.raises(SimulationError, match="fault-free"):
+            circuit.toggle_counts({"md": md, "mr": mr})
 
 
 class TestDegradation:

@@ -43,11 +43,7 @@ def stress4(netlist4):
 def stream4(netlist4):
     md, mr = uniform_operands(4, 80, seed=5)
     circuit = CompiledCircuit(netlist4)
-    return circuit.run(
-        {"md": md, "mr": mr},
-        collect_bit_arrivals=True,
-        collect_net_stats=True,
-    )
+    return circuit.run({"md": md, "mr": mr}, collect_bit_arrivals=True)
 
 
 class TestFingerprints:
@@ -118,12 +114,21 @@ class TestRoundTrips:
             np.testing.assert_array_equal(
                 loaded.bit_arrivals[name], stream4.bit_arrivals[name]
             )
-        np.testing.assert_array_equal(
-            loaded.signal_prob, stream4.signal_prob
+
+    def test_activity_round_trip_lossless(self, store, netlist4):
+        md, mr = uniform_operands(4, 80, seed=5)
+        counts = CompiledCircuit(netlist4).toggle_counts(
+            {"md": md, "mr": mr}
         )
-        np.testing.assert_array_equal(
-            loaded.toggle_counts, stream4.toggle_counts
-        )
+        key = {"activity": 1}
+        assert store.load("activity", key) is None
+        store.save("activity", key, counts)
+        loaded = store.load("activity", key)
+        assert loaded.dtype == counts.dtype
+        assert loaded.tobytes() == counts.tobytes()
+        assert store.counters["activity"] == {
+            "hits": 1, "misses": 1, "writes": 1,
+        }
 
     def test_stream_without_optionals(self, store, netlist4):
         md, mr = uniform_operands(4, 50, seed=7)
@@ -131,7 +136,6 @@ class TestRoundTrips:
         store.save("stream", {"bare": 1}, result)
         loaded = store.load("stream", {"bare": 1})
         assert loaded.bit_arrivals is None
-        assert loaded.signal_prob is None
         np.testing.assert_array_equal(loaded.delays, result.delays)
 
     def test_netlist_type_checked(self, store):
@@ -269,6 +273,32 @@ class TestManifest:
     def test_empty_store_manifest(self, store):
         assert store.manifest() == []
         assert store.compact() == 0
+
+
+class TestContextActivity:
+    def test_primed_store_serves_toggle_counts(self, tmp_path, monkeypatch):
+        from repro.experiments.context import ExperimentContext
+
+        cold = ExperimentContext(
+            store=ArtifactStore(str(tmp_path)), characterize_patterns=100
+        )
+        counts = cold.toggle_counts(4, "column", 60)
+        md, mr = cold.stream(4, 60)
+        want = CompiledCircuit(cold.netlist(4, "column")).toggle_counts(
+            {"md": md, "mr": mr}
+        )
+        assert counts.tobytes() == want.tobytes()
+
+        def refuse(self, stimulus):
+            raise AssertionError("toggle counts recomputed")
+
+        monkeypatch.setattr(CompiledCircuit, "toggle_counts", refuse)
+        warm_store = ArtifactStore(str(tmp_path))
+        warm = ExperimentContext(store=warm_store, characterize_patterns=100)
+        assert warm.toggle_counts(4, "column", 60).tobytes() == want.tobytes()
+        assert warm_store.counters["activity"] == {
+            "hits": 1, "misses": 0, "writes": 0,
+        }
 
 
 class TestMaintenance:

@@ -238,7 +238,7 @@ class TestPatchCompiled:
         # garbage.
         netlist = design["netlist"]
         parent = CompiledCircuit(netlist)
-        plan = parent.soa_value_plan()
+        plan = parent.soa_plan()
         cells = parent._cells
         victim = other = None
         for buckets in plan.levels:

@@ -71,10 +71,8 @@ class TestDelayScale:
     def test_scale_from_activity(self, em, cb4):
         circuit = CompiledCircuit(cb4)
         md, mr = uniform_operands(4, 400, seed=71)
-        result = circuit.run(
-            {"md": md, "mr": mr}, collect_net_stats=True
-        )
-        rates = cell_toggle_rates(cb4, result.toggle_counts, 400)
+        counts = circuit.toggle_counts({"md": md, "mr": mr})
+        rates = cell_toggle_rates(cb4, counts, 400)
         assert rates.shape == (len(cb4.cells),)
         assert np.all(rates >= 0)
         scale = em.delay_scale(cb4, rates, 7.0)

@@ -7,6 +7,7 @@ from repro.arith import column_bypass_multiplier, golden_products
 from repro.errors import SimulationError
 from repro.nets.netlist import Netlist
 from repro.timing import CompiledCircuit
+from repro.timing.logic import unpack_bits
 from repro.workloads import uniform_operands
 
 
@@ -120,16 +121,25 @@ class TestChunking:
             assert np.allclose(parts.switched_caps, whole.switched_caps)
 
     def test_chunked_net_stats_match(self, cb8):
+        # Net activity comes from the unchunked values-only pass; the
+        # output-bit streams of a chunked run must carry exactly the
+        # same activity on the product nets.
         circuit = CompiledCircuit(cb8)
         md, mr = uniform_operands(8, 200, seed=10)
-        whole = circuit.run(
-            {"md": md, "mr": mr}, collect_net_stats=True
+        stim = {"md": md, "mr": mr}
+        toggles = circuit.toggle_counts(stim)
+        probs = circuit.signal_probability(stim)
+        parts = circuit.run(stim, chunk_size=37)
+        nets = list(cb8.output_ports["p"].nets)
+        bits = unpack_bits(parts.outputs["p"], len(nets))
+        # Prepend the settling pattern (pattern 0 itself).
+        bits = np.concatenate([bits[:, :1], bits], axis=1)
+        assert np.array_equal(
+            toggles[nets], (bits[:, 1:] != bits[:, :-1]).sum(axis=1)
         )
-        parts = circuit.run(
-            {"md": md, "mr": mr}, collect_net_stats=True, chunk_size=37
+        assert np.array_equal(
+            probs[nets], bits.sum(axis=1) / bits.shape[1]
         )
-        assert np.allclose(parts.toggle_counts, whole.toggle_counts)
-        assert np.allclose(parts.signal_prob, whole.signal_prob, atol=1e-9)
 
     def test_bad_chunk_size_rejected(self, cb8):
         circuit = CompiledCircuit(cb8)
@@ -203,11 +213,9 @@ class TestModes:
 class TestStatsCollection:
     def test_signal_probs_in_unit_interval(self, cb16_circuit, stream16):
         md, mr = stream16
-        result = cb16_circuit.run(
-            {"md": md[:400], "mr": mr[:400]}, collect_net_stats=True
+        probs = cb16_circuit.signal_probability(
+            {"md": md[:400], "mr": mr[:400]}
         )
-        probs = result.signal_prob
-        assert probs is not None
         assert np.all(probs >= 0) and np.all(probs <= 1)
         # Constant rails.
         assert probs[0] == 0.0 and probs[1] == 1.0

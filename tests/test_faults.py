@@ -261,12 +261,10 @@ class TestEmFaultSites:
         from repro.aging import cell_toggle_rates
 
         md, mr = uniform_operands(8, 400, seed=13)
-        stats = arch8.factory.stream_result(
-            0.0, {"md": md, "mr": mr}, collect_net_stats=True
+        counts = arch8.factory.circuit(0.0).toggle_counts(
+            {"md": md, "mr": mr}
         )
-        return cell_toggle_rates(
-            arch8.netlist, stats.toggle_counts, 400
-        )
+        return cell_toggle_rates(arch8.netlist, counts, 400)
 
     def test_ranked_by_absolute_delay_gain(self, arch8, rates8):
         from repro.faults import em_fault_sites

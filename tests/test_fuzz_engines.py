@@ -15,13 +15,18 @@ masking discipline) and checks the engine-agreement invariants:
   folding and fault hooks;
 * batched arrival replay of ``k`` random corners is bit-identical, per
   corner, to a ``percell`` run at that corner's delay scale, with whole
-  and with forced 8-pattern chunks.
+  and with forced 8-pattern chunks;
+* net activity (signal probabilities and toggle counts) from the SoA
+  and ``percell`` values-only passes equals activity rebuilt from
+  :meth:`EventSimulator.settle` pattern by pattern, and on bypass
+  multipliers the tri-state hold of grouped cells matches a plain loop.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arith import column_bypass_multiplier, row_bypass_multiplier
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.nets.export import dump_netlist, parse_netlist
@@ -33,6 +38,8 @@ from repro.timing import (
     build_value_plane,
 )
 from repro.timing import replay as replay_mod
+from repro.timing.engine import KERNELS
+from repro.workloads import uniform_operands
 
 GATES_1 = ["INV", "BUF"]
 GATES_2 = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"]
@@ -247,3 +254,66 @@ def test_replay_selection_shapes(mode):
     stimulus = rng.integers(0, 32, 37).astype(np.uint64)
     scales = rng.uniform(0.5, 2.0, (3, len(nl.cells)))
     assert_replay_matches_percell(nl, stimulus, mode, scales)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_netlists(max_patterns=41))
+def test_net_activity_matches_event_settle(case):
+    nl, stimulus = case
+    stim = {"x": stimulus}
+    event = EventSimulator(nl)
+    # The settling pattern (pattern 0 itself) comes first.
+    settled = [
+        event.settle({"x": int(word)})
+        for word in np.concatenate((stimulus[:1], stimulus))
+    ]
+    values = np.array(
+        [[state[net] for state in settled] for net in range(nl.num_nets)]
+    )
+    want_probs = values.sum(axis=1) / values.shape[1]
+    want_toggles = (values[:, 1:] != values[:, :-1]).sum(axis=1)
+    for kernel in KERNELS:
+        circuit = CompiledCircuit(nl, kernel=kernel)
+        probs = circuit.signal_probability(stim)
+        toggles = circuit.toggle_counts(stim)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert toggles.dtype == np.float64
+        assert toggles.tobytes() == want_toggles.astype(float).tobytes()
+
+
+def _held_toggles(values, enables):
+    """Toggles of a net that keeps its value while disabled; before the
+    first enabled pattern it already holds that pattern's value."""
+    held, count = None, 0
+    for value, enabled in zip(values.tolist(), enables.tolist()):
+        if enabled:
+            if held is not None and value != held:
+                count += 1
+            held = value
+    return count
+
+
+@pytest.mark.parametrize(
+    "build", [column_bypass_multiplier, row_bypass_multiplier]
+)
+def test_bypass_hold_toggles_match_percell(build):
+    nl = build(6)
+    md, mr = uniform_operands(6, 300, seed=4)
+    stim = {"md": md, "mr": mr}
+    soa = CompiledCircuit(nl)
+    percell = CompiledCircuit(nl, kernel="percell")
+    toggles = soa.toggle_counts(stim)
+    assert toggles.tobytes() == percell.toggle_counts(stim).tobytes()
+    values = percell._settled_values(stim, "test")
+    functional = (values[:, 1:] != values[:, :-1]).sum(axis=1)
+    held_less = 0
+    for cell in nl.cells:
+        net = cell.output
+        if cell.group in nl.group_enables:
+            enable = values[nl.group_enables[cell.group]]
+            want = _held_toggles(values[net], enable)
+            held_less += want < functional[net]
+        else:
+            want = functional[net]
+        assert toggles[net] == want
+    assert held_less > 0  # the hold really suppresses toggles here

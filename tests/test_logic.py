@@ -131,6 +131,44 @@ class TestTribufMaskedToggles:
                 np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
             )
 
+    @staticmethod
+    def _held_reference(values, enables, carry):
+        """Plain-loop hold: before the first enable the net holds
+        ``carry``, or without one the first enabled value."""
+        held = carry
+        if held is None:
+            enabled = [v for v, e in zip(values, enables) if e]
+            held = enabled[0] if enabled else 0
+        toggles = []
+        for value, enable in zip(values, enables):
+            new = value if enable else held
+            toggles.append(bool(new != held))
+            held = new
+        return toggles, held
+
+    @pytest.mark.parametrize("carry", [None, 0, 1])
+    def test_stacked_rows_match_plain_loop(self, carry):
+        rng = np.random.default_rng(2)
+        values = rng.integers(0, 2, (5, 40)).astype(np.uint8)
+        enables = (rng.random(40) < 0.3).astype(np.uint8)
+        enables[:6] = 0  # the hold starts before the first enable
+        first = int(np.argmax(enables))
+        # Some rows change between pattern 0 and the first enable.
+        assert 0 < (values[:, 0] != values[:, first]).sum() < 5
+        toggles, finals = logic.tribuf_masked_toggles(
+            values, enables, carry
+        )
+        assert toggles.shape == values.shape
+        for row in range(values.shape[0]):
+            want, final = self._held_reference(
+                values[row].tolist(), enables.tolist(), carry
+            )
+            single, single_final = logic.tribuf_masked_toggles(
+                values[row], enables, carry
+            )
+            assert toggles[row].tolist() == want == single.tolist()
+            assert int(finals[row]) == final == single_final
+
 
 class TestTransitionVector:
     def _trans(self, opcode, values, transitions, changed=None, damping=1.0):

@@ -7,13 +7,17 @@ The robustness contract under test:
   exception;
 * concurrent writers and a concurrent compactor lose no manifest
   records (the shard locks close the PR-5 read/rewrite race);
-* ``compact()`` genuinely takes the same lock ``save()`` appends under.
+* ``compact()`` genuinely takes the same lock ``save()`` appends under;
+* two saves of one artifact that overlap in time both succeed (every
+  write owns its temp file) and leave a valid artifact.
 """
 
 import json
 import os
+import pickle
 import threading
 
+import numpy as np
 import pytest
 
 from repro.arith import column_bypass_multiplier
@@ -25,6 +29,9 @@ from repro.experiments.store import (
 )
 from repro.faults.campaign import SiteReport
 from repro.faults.store import CheckpointStore
+from repro.timing import CompiledCircuit, build_value_plane
+from repro.timing.value_cache import load_plane, save_plane
+from repro.workloads import uniform_operands
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +105,75 @@ class TestConcurrencySoak:
         store.save("netlist", _key(1, "post"), netlist4)
         assert store.compact() == 2
         assert len(store.manifest()) == 2
+
+
+class TestOverlappingSaves:
+    """A second full save of the same key runs from inside the first
+    save's write -- the interleaving two processes racing on one
+    artifact produce.  With a temp file shared per path, the inner
+    save renamed it away and the outer ``os.replace`` raised
+    ``FileNotFoundError``."""
+
+    @staticmethod
+    def _nest(monkeypatch, module, attr, again):
+        """Make the first ``module.attr`` write run ``again()`` (the
+        second save) before returning."""
+        original = getattr(module, attr)
+        nested = []
+
+        def write_then_save_again(*args, **kwargs):
+            original(*args, **kwargs)
+            if not nested:
+                nested.append(True)
+                again()
+
+        monkeypatch.setattr(module, attr, write_then_save_again)
+        return nested
+
+    @pytest.mark.parametrize("kind", ["surface", "stream"])
+    def test_store_saves_of_one_key_overlap(
+        self, store, netlist4, monkeypatch, kind
+    ):
+        key = _key(0, "overlap")
+        if kind == "surface":
+            payload = {"latency": [1.0, 2.0]}
+            module, attr = pickle, "dump"
+        else:
+            md, mr = uniform_operands(4, 40, seed=2)
+            payload = CompiledCircuit(netlist4).run({"md": md, "mr": mr})
+            module, attr = np, "savez"
+        nested = self._nest(
+            monkeypatch, module, attr, lambda: store.save(kind, key, payload)
+        )
+        store.save(kind, key, payload)
+        monkeypatch.undo()
+        assert nested
+        loaded = store.load(kind, key)
+        if kind == "surface":
+            assert loaded == payload
+        else:
+            assert loaded.delays.tobytes() == payload.delays.tobytes()
+        assert store.corruption["artifacts"] == 0
+        assert store.counters[kind]["writes"] == 2
+        assert not [f for f in os.listdir(store.directory) if "tmp" in f]
+
+    def test_plane_saves_of_one_path_overlap(
+        self, tmp_path, netlist4, monkeypatch
+    ):
+        md, mr = uniform_operands(4, 40, seed=2)
+        plane = build_value_plane(
+            CompiledCircuit(netlist4), {"md": md, "mr": mr}
+        )
+        path = str(tmp_path / "plane.npz")
+        nested = self._nest(
+            monkeypatch, np, "savez", lambda: save_plane(plane, path)
+        )
+        save_plane(plane, path)
+        monkeypatch.undo()
+        assert nested
+        loaded = load_plane(path)
+        assert loaded.may_packed.tobytes() == plane.may_packed.tobytes()
+        assert os.listdir(tmp_path) == ["plane.npz"]
 
 
 class TestArtifactCorruption:
