@@ -60,8 +60,9 @@ class ExperimentContext:
     #: Optional persistent :class:`~repro.experiments.store
     #: .ArtifactStore`.  When set, netlists / stress profiles / stream
     #: results are looked up there before being computed, every fresh
-    #: computation is persisted, and factories cache value planes under
-    #: the store directory -- a warm re-run touches almost no simulation.
+    #: computation is persisted, and factories persist their value planes
+    #: as ``plane`` artifacts -- a warm re-run touches almost no
+    #: simulation.
     store: Optional[ArtifactStore] = None
 
     def __post_init__(self):
@@ -157,9 +158,7 @@ class ExperimentContext:
                     ),
                 )
                 factory = AgedCircuitFactory(netlist, stress, self.technology)
-                factory.use_plane_cache(
-                    ValuePlaneCache(directory=self.store.planes_dir())
-                )
+                factory.use_plane_cache(ValuePlaneCache(store=self.store))
             else:
                 factory = AgedCircuitFactory.characterize(
                     netlist,

@@ -21,26 +21,20 @@ and across invocations:
 * ``activity`` -- per-net toggle counts of a stimulus
   (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`, the
   electromigration input), keyed like ``stream`` minus the aging point:
-  toggles do not depend on delay.
+  toggles do not depend on delay;
+* ``plane`` -- :class:`~repro.timing.replay.ValuePlane` s persisted by
+  a store-backed :class:`~repro.timing.value_cache.ValuePlaneCache`,
+  keyed ``{"plane": plane_cache_key(...)}``.
 
-Every entry is a single file written atomically (a per-call temp file +
-``os.replace``, see :func:`repro.util.atomic.write_atomic`) with its
-full key embedded; on read the embedded key must match the
+The store is a plain directory of content-addressed files,
+``<kind>-<digest>.<ext>``, and nothing else: no index or manifest, no
+locks.  Every entry is a single file written atomically (a per-call
+temp file + ``os.replace``, see :func:`repro.util.atomic.write_atomic`)
+with its full key embedded; on read the embedded key must match the
 requested key exactly, so a stale, corrupt or truncated file is ignored
 and rebuilt, never trusted -- the fingerprint-guard idiom proven in
-:mod:`repro.faults.store` and :mod:`repro.timing.value_cache`.
-
-The manifest recording every write is **sharded by digest prefix** into
-:data:`NUM_MANIFEST_SHARDS` JSONL files, each guarded by an advisory
-:class:`~repro.util.locking.FileLock` (``fcntl`` + bounded backoff, see
-:mod:`repro.util.retry`), so many concurrent writer processes append
-without interleaving and :meth:`ArtifactStore.compact` can never drop a
-record a writer appended mid-compaction.  Every shard is torn-line
-tolerant (a killed writer loses at most its last line) and an entirely
-unreadable shard is treated as empty -- counted in
-:attr:`ArtifactStore.corruption`, never raised.  A legacy unsharded
-``manifest.jsonl`` is still read, and folded into the shards by the
-next ``compact()``.
+:mod:`repro.faults.store`.  Files a reader does not ask for (another
+release's index or lock files, say) are never opened.
 
 Concurrent writers are safe by construction: two processes building the
 same artifact each write their own temp file and race to ``os.replace``
@@ -56,7 +50,7 @@ import json
 import os
 import pickle
 import shutil
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -64,11 +58,11 @@ from ..config import SimulationConfig, Technology
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
 from ..timing.engine import StreamResult
+from ..timing.replay import ValuePlane
 from ..util.atomic import write_atomic
-from ..util.locking import FileLock
 from ..util.retry import Backoff, retry_call
 
-#: Format tag embedded in every artifact and manifest header.
+#: Format tag embedded in every artifact.
 FORMAT = "repro-artifact"
 #: Current artifact schema version; bump to invalidate every store.
 VERSION = 1
@@ -89,21 +83,11 @@ KINDS = (
     "population",
     "surface",
     "delta",
+    "plane",
 )
-#: Legacy (pre-sharding) manifest file name, still read if present.
-MANIFEST = "manifest.jsonl"
-#: Manifest shard count; shard = first hex nibble of the digest.
-NUM_MANIFEST_SHARDS = 16
 
-_EXT = {
-    "netlist": ".pkl",
-    "stress": ".npz",
-    "stream": ".npz",
-    "activity": ".npz",
-    "population": ".npz",
-    "surface": ".pkl",
-    "delta": ".pkl",
-}
+#: Pickled kinds and the payload type each must have.
+_PICKLED = {"netlist": Netlist, "surface": dict, "delta": dict}
 
 
 def _canonical(key: Dict) -> str:
@@ -176,7 +160,7 @@ def _load_pickle(path: str, key: Dict):
     return record["payload"]
 
 
-def _save_npz(path: str, key: Dict, arrays: Dict, meta: Dict) -> None:
+def _save_npz(path: str, key: Dict, meta: Dict, arrays: Dict) -> None:
     meta = dict(meta)
     meta.update(
         {"format": FORMAT, "version": VERSION, "key": _canonical(key)}
@@ -204,14 +188,21 @@ def _load_npz(path: str, key: Dict):
     return meta, arrays
 
 
-def _stress_arrays(stress) -> Dict:
-    return {
-        "pmos_stress": stress.pmos_stress,
-        "nmos_stress": stress.nmos_stress,
-    }
+# Each npz kind encodes its payload to ``(meta, arrays)`` and decodes
+# ``(meta, arrays, key)`` back to the payload.
 
 
-def _stress_payload(meta: Dict, arrays: Dict):
+def _encode_stress(stress):
+    return (
+        {"netlist_name": stress.netlist_name},
+        {
+            "pmos_stress": stress.pmos_stress,
+            "nmos_stress": stress.nmos_stress,
+        },
+    )
+
+
+def _decode_stress(meta: Dict, arrays: Dict, key: Dict):
     from ..aging.stress import StressProfile
 
     return StressProfile(
@@ -221,21 +212,7 @@ def _stress_payload(meta: Dict, arrays: Dict):
     )
 
 
-def _population_payload(meta: Dict, arrays: Dict) -> Dict:
-    """Reassemble a Monte Carlo population's ``{"meta", "arrays"}``
-    payload (see :class:`repro.montecarlo.population
-    .PopulationReductions`)."""
-    return {
-        "meta": meta["population"],
-        "arrays": {
-            name[len("pop__"):]: arr
-            for name, arr in arrays.items()
-            if name.startswith("pop__")
-        },
-    }
-
-
-def _stream_arrays(result: StreamResult) -> "tuple[Dict, Dict]":
+def _encode_stream(result: StreamResult):
     meta = {
         "num_patterns": result.num_patterns,
         "outputs": sorted(result.outputs),
@@ -252,7 +229,7 @@ def _stream_arrays(result: StreamResult) -> "tuple[Dict, Dict]":
     return meta, arrays
 
 
-def _stream_payload(meta: Dict, arrays: Dict) -> StreamResult:
+def _decode_stream(meta: Dict, arrays: Dict, key: Dict) -> StreamResult:
     bit_arrivals = {
         name: arrays["arr__" + name] for name in meta["bit_arrivals"]
     }
@@ -267,6 +244,90 @@ def _stream_payload(meta: Dict, arrays: Dict) -> StreamResult:
     )
 
 
+def _encode_activity(counts):
+    return {}, {"toggle_counts": np.asarray(counts)}
+
+
+def _decode_activity(meta: Dict, arrays: Dict, key: Dict):
+    return arrays["toggle_counts"]
+
+
+def _encode_population(payload):
+    """A Monte Carlo population's ``{"meta", "arrays"}`` payload (see
+    :class:`repro.montecarlo.population.PopulationReductions`)."""
+    if (
+        not isinstance(payload, dict)
+        or "meta" not in payload
+        or "arrays" not in payload
+    ):
+        raise ConfigError(
+            'population artifact must be a {"meta", "arrays"} dict'
+        )
+    return (
+        {"population": payload["meta"]},
+        {
+            "pop__" + name: np.asarray(arr)
+            for name, arr in payload["arrays"].items()
+        },
+    )
+
+
+def _decode_population(meta: Dict, arrays: Dict, key: Dict) -> Dict:
+    return {
+        "meta": meta["population"],
+        "arrays": {
+            name[len("pop__"):]: arr
+            for name, arr in arrays.items()
+            if name.startswith("pop__")
+        },
+    }
+
+
+def _encode_plane(plane: ValuePlane):
+    meta = {
+        "num_patterns": plane.num_patterns,
+        "num_nets": plane.num_nets,
+        "num_cells": plane.num_cells,
+        "mode": plane.mode,
+        "outputs": sorted(plane.outputs),
+    }
+    arrays = {
+        "may_packed": plane.may_packed,
+        "aux_packed": plane.aux_packed,
+        "aux_offsets": plane.aux_offsets,
+        "switched_caps": plane.switched_caps,
+    }
+    for name, arr in plane.outputs.items():
+        arrays["out__" + name] = arr
+    return meta, arrays
+
+
+def _decode_plane(meta: Dict, arrays: Dict, key: Dict) -> ValuePlane:
+    return ValuePlane(
+        num_patterns=int(meta["num_patterns"]),
+        num_nets=int(meta["num_nets"]),
+        num_cells=int(meta["num_cells"]),
+        mode=meta["mode"],
+        may_packed=arrays["may_packed"],
+        aux_packed=arrays["aux_packed"],
+        aux_offsets=arrays["aux_offsets"],
+        outputs={
+            name: arrays["out__" + name] for name in meta["outputs"]
+        },
+        switched_caps=arrays["switched_caps"],
+        key=key["plane"],
+    )
+
+
+_NPZ_CODECS = {
+    "stress": (_encode_stress, _decode_stress),
+    "stream": (_encode_stream, _decode_stream),
+    "activity": (_encode_activity, _decode_activity),
+    "population": (_encode_population, _decode_population),
+    "plane": (_encode_plane, _decode_plane),
+}
+
+
 # ----------------------------------------------------------------------
 
 
@@ -274,64 +335,43 @@ class ArtifactStore:
     """On-disk artifact cache shared by contexts, workers and runs.
 
     Args:
-        directory: Store root (created on first write).  Value planes
-            cached by store-backed factories live under
-            ``<directory>/planes``; fault-campaign checkpoints under
-            ``<directory>/campaigns``.
+        directory: Store root (created on first write).  Fault-campaign
+            checkpoints live under ``<directory>/campaigns``.
 
     Attributes:
         counters: ``kind -> {"hits": n, "misses": n, "writes": n}``,
             cumulative for this process (a parallel suite run merges the
             workers' counters into the parent's accounting).
-        corruption: Robustness accounting -- ``{"artifacts": n,
-            "manifest_lines": n, "manifest_shards": n}``.  Torn or
-            corrupt state is always degraded to a cache miss and
-            rebuilt; these counters are how the degradation stays
-            observable instead of silent.
+        corruption: Robustness accounting -- ``{"artifacts": n}``, the
+            torn or foreign artifact files met.  Torn or corrupt state
+            is always degraded to a cache miss and rebuilt; this
+            counter is how the degradation stays observable instead of
+            silent.
     """
 
-    #: Acquisition budget for every internal shard lock.
-    LOCK_TIMEOUT_S = 10.0
-
-    def __init__(self, directory: str, lock_timeout_s: Optional[float] = None):
+    def __init__(self, directory: str):
         if not directory:
             raise ConfigError("artifact store needs a directory")
         self.directory = str(directory)
-        self.lock_timeout_s = (
-            self.LOCK_TIMEOUT_S if lock_timeout_s is None else lock_timeout_s
-        )
         self.counters: Dict[str, Dict[str, int]] = {
             kind: {"hits": 0, "misses": 0, "writes": 0} for kind in KINDS
         }
-        self.corruption: Dict[str, int] = {
-            "artifacts": 0,
-            "manifest_lines": 0,
-            "manifest_shards": 0,
-        }
+        self.corruption: Dict[str, int] = {"artifacts": 0}
 
     # -- paths ----------------------------------------------------------
 
     def _path(self, kind: str, key: Dict) -> str:
-        return self._digest_path(kind, artifact_digest(kind, key))
-
-    def _digest_path(self, kind: str, digest: str) -> str:
+        digest = artifact_digest(kind, key)
+        ext = ".pkl" if kind in _PICKLED else ".npz"
         return os.path.join(
-            self.directory, "%s-%s%s" % (kind, digest[:32], _EXT[kind])
+            self.directory, "%s-%s%s" % (kind, digest[:32], ext)
         )
-
-    def planes_dir(self) -> str:
-        """Directory for :class:`~repro.timing.value_cache
-        .ValuePlaneCache` entries of store-backed factories."""
-        return os.path.join(self.directory, "planes")
 
     def campaigns_dir(self) -> str:
         """Directory for fault-campaign JSONL checkpoints."""
         path = os.path.join(self.directory, "campaigns")
         os.makedirs(path, exist_ok=True)
         return path
-
-    def _ensure_dir(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
 
     # -- generic load/save ---------------------------------------------
 
@@ -346,20 +386,15 @@ class ArtifactStore:
         path = self._path(kind, key)
         if os.path.exists(path):
             try:
-                if kind in ("netlist", "surface", "delta"):
+                if kind in _PICKLED:
                     payload = _load_pickle(path, key)
                 else:
                     loaded = _load_npz(path, key)
-                    if loaded is None:
-                        payload = None
-                    elif kind == "stress":
-                        payload = _stress_payload(*loaded)
-                    elif kind == "population":
-                        payload = _population_payload(*loaded)
-                    elif kind == "activity":
-                        payload = loaded[1]["toggle_counts"]
-                    else:
-                        payload = _stream_payload(*loaded)
+                    payload = (
+                        None
+                        if loaded is None
+                        else _NPZ_CODECS[kind][1](*loaded, key)
+                    )
             except Exception:
                 payload = None  # corrupt/foreign file: treat as miss
             if payload is not None:
@@ -370,67 +405,21 @@ class ArtifactStore:
         return None
 
     def save(self, kind: str, key: Dict, payload) -> None:
-        """Atomically persist one artifact and log it to the manifest."""
-        if kind not in KINDS:
-            raise ConfigError(
-                "unknown artifact kind %r (known: %s)" % (kind, KINDS)
-            )
-        self._ensure_dir()
-        digest = artifact_digest(kind, key)
-        path = self._digest_path(kind, digest)
-        if kind == "netlist":
-            if not isinstance(payload, Netlist):
-                raise ConfigError("netlist artifact must be a Netlist")
-            _save_pickle(path, key, payload)
-        elif kind == "surface":
-            if not isinstance(payload, dict):
-                raise ConfigError("surface artifact must be a dict")
-            _save_pickle(path, key, payload)
-        elif kind == "delta":
-            if not isinstance(payload, dict):
-                raise ConfigError("delta artifact must be a dict")
-            _save_pickle(path, key, payload)
-        elif kind == "stress":
-            _save_npz(
-                path,
-                key,
-                _stress_arrays(payload),
-                {"netlist_name": payload.netlist_name},
-            )
-        elif kind == "population":
-            if (
-                not isinstance(payload, dict)
-                or "meta" not in payload
-                or "arrays" not in payload
-            ):
+        """Atomically persist one artifact as one file."""
+        path = self._path(kind, key)
+        if kind in _PICKLED:
+            if not isinstance(payload, _PICKLED[kind]):
                 raise ConfigError(
-                    'population artifact must be a {"meta", "arrays"} dict'
+                    "%s artifact must be a %s"
+                    % (kind, _PICKLED[kind].__name__)
                 )
-            _save_npz(
-                path,
-                key,
-                {
-                    "pop__" + name: np.asarray(arr)
-                    for name, arr in payload["arrays"].items()
-                },
-                {"population": payload["meta"]},
-            )
-        elif kind == "activity":
-            _save_npz(
-                path, key, {"toggle_counts": np.asarray(payload)}, {}
-            )
+            os.makedirs(self.directory, exist_ok=True)
+            _save_pickle(path, key, payload)
         else:
-            meta, arrays = _stream_arrays(payload)
-            _save_npz(path, key, arrays, meta)
+            meta, arrays = _NPZ_CODECS[kind][0](payload)
+            os.makedirs(self.directory, exist_ok=True)
+            _save_npz(path, key, meta, arrays)
         self.counters[kind]["writes"] += 1
-        self._log(
-            {
-                "kind": kind,
-                "key": key,
-                "file": os.path.basename(path),
-            },
-            digest,
-        )
 
     def get_or_build(self, kind: str, key: Dict, build):
         """Load ``key`` or build-and-persist it (built at most once per
@@ -441,163 +430,10 @@ class ArtifactStore:
             self.save(kind, key, payload)
         return payload
 
-    # -- manifest -------------------------------------------------------
-
-    def _manifest_path(self) -> str:
-        """The legacy unsharded manifest (read-only compatibility)."""
-        return os.path.join(self.directory, MANIFEST)
-
-    def _shard_path(self, shard: int) -> str:
-        return os.path.join(self.directory, "manifest-%x.jsonl" % shard)
-
-    def _shard_lock(self, shard: int) -> FileLock:
-        return FileLock(
-            self._shard_path(shard) + ".lock",
-            timeout_s=self.lock_timeout_s,
-        )
-
-    @staticmethod
-    def _shard_of_digest(digest: str) -> int:
-        return int(digest[0], 16) % NUM_MANIFEST_SHARDS
-
-    @staticmethod
-    def _shard_of_file(filename: str) -> int:
-        """Shard owning a manifest record, recovered from its artifact
-        file name (``<kind>-<digest32><ext>``)."""
-        _, _, digest = filename.partition("-")
-        try:
-            return int(digest[0], 16) % NUM_MANIFEST_SHARDS
-        except (IndexError, ValueError):
-            return 0
-
-    def shard_paths(self) -> List[str]:
-        """Existing manifest shard files (diagnostics and tests)."""
-        return [
-            self._shard_path(shard)
-            for shard in range(NUM_MANIFEST_SHARDS)
-            if os.path.exists(self._shard_path(shard))
-        ]
-
-    def _log(self, record: Dict, digest: str) -> None:
-        self._ensure_dir()
-        shard = self._shard_of_digest(digest)
-        line = _canonical(record) + "\n"
-        with self._shard_lock(shard):
-            with open(
-                self._shard_path(shard), "a", encoding="utf-8"
-            ) as fp:
-                fp.write(line)
-
-    def _read_jsonl(self, path: str) -> List[Dict]:
-        """One manifest file's complete records.  Torn/corrupt lines
-        are skipped and counted; a wholly unreadable file is an empty
-        shard (counted), never an exception."""
-        if not os.path.exists(path):
-            return []
-        try:
-            with open(path, "r", encoding="utf-8") as fp:
-                lines = [line for line in fp.read().split("\n") if line]
-        except (OSError, UnicodeError):
-            self.corruption["manifest_shards"] += 1
-            return []
-        records = []
-        for number, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.corruption["manifest_lines"] += 1
-                if number == len(lines) - 1:
-                    break  # torn trailing write of a killed process
-                continue  # interleaved writers: skip, keep the rest
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                self.corruption["manifest_lines"] += 1
-        return records
-
-    def manifest(self) -> List[Dict]:
-        """All complete manifest records over every shard (plus a
-        legacy unsharded manifest when present)."""
-        records = self._read_jsonl(self._manifest_path())
-        for shard in range(NUM_MANIFEST_SHARDS):
-            records.extend(self._read_jsonl(self._shard_path(shard)))
-        return records
-
-    def _rewrite_shard(self, shard: int, records: List[Dict]) -> None:
-        """Atomically replace one shard's contents (caller holds the
-        shard lock)."""
-        self._ensure_dir()
-        path = self._shard_path(shard)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fp:
-            for record in records:
-                fp.write(_canonical(record) + "\n")
-        os.replace(tmp, path)
-
-    def _fold_legacy_manifest(self) -> None:
-        """Distribute a pre-sharding ``manifest.jsonl`` into the shards
-        (idempotent; the legacy file is removed afterwards)."""
-        legacy_path = self._manifest_path()
-        if not os.path.exists(legacy_path):
-            return
-        legacy = self._read_jsonl(legacy_path)
-        by_shard: Dict[int, List[Dict]] = {}
-        for record in legacy:
-            shard = self._shard_of_file(record.get("file", ""))
-            by_shard.setdefault(shard, []).append(record)
-        for shard, records in sorted(by_shard.items()):
-            with self._shard_lock(shard):
-                with open(
-                    self._shard_path(shard), "a", encoding="utf-8"
-                ) as fp:
-                    for record in records:
-                        fp.write(_canonical(record) + "\n")
-        try:
-            os.remove(legacy_path)
-        except OSError:
-            pass
-
-    def compact(self) -> int:
-        """Rewrite every manifest shard from its valid lines,
-        de-duplicated by file name (last record wins), dropping records
-        whose artifact no longer exists.  Returns the number of
-        surviving records.
-
-        Each shard is read and rewritten while holding that shard's
-        lock -- the same lock :meth:`save` appends under -- so a record
-        appended by a concurrent writer can never fall between
-        compaction's read and its rewrite (the PR-5 store lost exactly
-        that race).  At most one shard lock is held at a time.
-        """
-        self._fold_legacy_manifest()
-        total = 0
-        for shard in range(NUM_MANIFEST_SHARDS):
-            with self._shard_lock(shard):
-                records = self._read_jsonl(self._shard_path(shard))
-                if not records and not os.path.exists(
-                    self._shard_path(shard)
-                ):
-                    continue
-                by_file: Dict[str, Dict] = {}
-                for record in records:
-                    by_file[record.get("file", "")] = record
-                survivors = [
-                    record
-                    for record in by_file.values()
-                    if os.path.exists(
-                        os.path.join(
-                            self.directory, record.get("file", "")
-                        )
-                    )
-                ]
-                self._rewrite_shard(shard, survivors)
-                total += len(survivors)
-        return total
-
     # -- maintenance ----------------------------------------------------
 
     def clear(self) -> None:
-        """Delete every artifact, plane and checkpoint (cold start).
+        """Delete the whole store directory (cold start).
 
         Safe to call while other processes write: deletion races
         (a writer re-creating files mid-``rmtree``) are retried with

@@ -150,9 +150,9 @@ class CheckpointStore:
         bytes never pollute subsequent appends.
 
         The load-compact-reopen sequence runs under an advisory
-        :class:`~repro.util.locking.FileLock` (the artifact store's
-        shard-lock primitive), so two processes resuming the same
-        checkpoint serialize instead of interleaving their rewrites.
+        :class:`~repro.util.locking.FileLock`, so two processes resuming
+        the same checkpoint serialize instead of interleaving their
+        rewrites.
         """
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)

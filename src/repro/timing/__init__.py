@@ -26,10 +26,8 @@ power / energy-delay-product metrics.
 
 from .delta import (
     DeltaBase,
-    DeltaPlane,
     DeltaResult,
     NetlistDelta,
-    build_delta_plane,
     diff_netlists,
     evaluate_full,
     patch_compiled,
@@ -59,7 +57,6 @@ __all__ = [
     "ArrivalReplay",
     "CompiledCircuit",
     "DeltaBase",
-    "DeltaPlane",
     "DeltaResult",
     "KERNELS",
     "NetlistDelta",
@@ -73,7 +70,6 @@ __all__ = [
     "ValuePlane",
     "ValuePlaneCache",
     "auto_chunk_size",
-    "build_delta_plane",
     "build_soa_plan",
     "build_value_plane",
     "critical_path",

@@ -21,8 +21,8 @@ makes the *delta* the unit of work:
 
 * :class:`DeltaBase` + :func:`replay_delta` re-simulate **only the
   cone**: values, may/aux masks and arrivals outside the cone are
-  reused from the parent's recorded plane and arrival tensor, cone
-  cells are re-evaluated through the exact same
+  reused from the parent's values-only pass, value plane and arrival
+  tensor, cone cells are re-evaluated through the exact same
   :mod:`repro.timing.logic` kernels the engine uses.
 
 Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
@@ -52,17 +52,15 @@ from ..errors import DeltaError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
 from .engine import CompiledCircuit, _CompiledCell, _check_delay_scales
-from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
+from .replay import ArrivalReplay, ValuePlane
 from .replay import _active_arrival, _aux_count, build_value_plane
 from .soa import SoAPlan, bucket_level
 from .value_cache import netlist_fingerprint
 
 __all__ = [
     "DeltaBase",
-    "DeltaPlane",
     "DeltaResult",
     "NetlistDelta",
-    "build_delta_plane",
     "diff_netlists",
     "evaluate_full",
     "patch_compiled",
@@ -343,108 +341,6 @@ def patch_compiled(
 
 
 # ----------------------------------------------------------------------
-# Value planes with captured values
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class DeltaPlane(ValuePlane):
-    """A :class:`ValuePlane` that additionally records every net's
-    settled-value stream, so a cone re-evaluation can read boundary
-    values without re-running the parent.
-
-    ``val_packed`` rows mirror ``may_packed``; constant rails are never
-    recorded (:meth:`value` special-cases them)."""
-
-    val_packed: Optional[np.ndarray] = None
-
-    def value(self, net: int) -> np.ndarray:
-        """Unpacked settled-value stream (uint8 0/1) for one net."""
-        if net == CONST0:
-            return np.zeros(self.num_patterns, dtype=np.uint8)
-        if net == CONST1:
-            return np.ones(self.num_patterns, dtype=np.uint8)
-        return np.unpackbits(
-            self.val_packed[net], count=self.num_patterns
-        )
-
-
-class _DeltaRecorder(_PlaneRecorder):
-    """Plane recorder that also captures per-net value streams.
-
-    ``wants_values`` opts into the engine's guarded ``net_values`` /
-    ``bucket_values`` callbacks (plain plane builds skip the capture
-    entirely)."""
-
-    wants_values = True
-
-    def __init__(self, circuit: CompiledCircuit, num_patterns: int):
-        super().__init__(circuit, num_patterns)
-        nbytes = (num_patterns + 7) // 8
-        self.values = np.zeros(
-            (circuit.num_nets, nbytes), dtype=np.uint8
-        )
-
-    def net_values(self, net: int, vals: np.ndarray) -> None:
-        self._pack_into(self.values[net], vals)
-
-    def bucket_values(self, nets, vals: np.ndarray) -> None:
-        packed = np.packbits(vals[:, self._lo:], axis=1)
-        width = packed.shape[1]
-        self.values[nets, self._byte:self._byte + width] = packed
-
-
-def build_delta_plane(
-    circuit: CompiledCircuit,
-    stimulus: Dict[str, Sequence[int]],
-    chunk_size: "Optional[int | str]" = "auto",
-    key: Optional[str] = None,
-) -> DeltaPlane:
-    """One value pass capturing a replayable-and-diffable
-    :class:`DeltaPlane`.
-
-    ``initial`` is pinned to None (settling pattern == pattern 0): the
-    cone value pass reproduces recorded may-masks via
-    ``changed_matrix(values, None)``, which only holds under that
-    settling convention.
-
-    Raises:
-        DeltaError: The circuit carries fault hooks (faulted planes are
-            hook-specific; delta bases must be pristine).
-    """
-    if circuit.fault_hooks:
-        raise DeltaError(
-            "delta base planes require a hook-free circuit"
-        )
-    lengths = {np.asarray(v).shape[0] for v in stimulus.values()}
-    if len(lengths) != 1:
-        raise DeltaError("stimulus arrays must be equally long")
-    (n,) = lengths
-    if isinstance(chunk_size, int) and chunk_size % 8:
-        chunk_size += 8 - chunk_size % 8
-    recorder = _DeltaRecorder(circuit, n)
-    result = circuit.run(
-        stimulus,
-        initial=None,
-        chunk_size=chunk_size,
-        _recorder=recorder,
-    )
-    return DeltaPlane(
-        num_patterns=result.num_patterns,
-        num_nets=circuit.num_nets,
-        num_cells=len(circuit._cells),
-        mode=circuit.mode,
-        may_packed=recorder.may,
-        aux_packed=recorder.aux,
-        aux_offsets=recorder.aux_offsets,
-        outputs=result.outputs,
-        switched_caps=result.switched_caps,
-        key=key,
-        val_packed=recorder.values,
-    )
-
-
-# ----------------------------------------------------------------------
 # Full-arrival tensor (the reusable base)
 # ----------------------------------------------------------------------
 
@@ -607,10 +503,16 @@ def evaluate_full(
 class DeltaBase:
     """Everything of a parent evaluation a cone replay can reuse.
 
-    One value pass (with value capture) plus one all-nets arrival
+    One value-plane pass, one values-only pass
+    (:meth:`CompiledCircuit._settled_values`, packed into
+    :attr:`values` for the cone boundaries) and one all-nets arrival
     replay at the base ``(k, num_cells)`` scale matrix.  Against this
     base, :func:`replay_delta` prices an aligned child netlist --
     and/or a perturbed scale matrix -- touching only the affected cone.
+
+    Raises:
+        DeltaError: Bad scale shape, a circuit with fault hooks (delta
+            bases must be pristine) or a ragged stimulus.
     """
 
     def __init__(
@@ -637,9 +539,22 @@ class DeltaBase:
             for name, values in stimulus.items()
         }
         self.scales = scales
-        self.plane = build_delta_plane(
-            circuit, self.stimulus, chunk_size=chunk_size
+        if circuit.fault_hooks:
+            raise DeltaError(
+                "delta base planes require a hook-free circuit"
+            )
+        lengths = {values.shape[0] for values in self.stimulus.values()}
+        if len(lengths) != 1:
+            raise DeltaError("stimulus arrays must be equally long")
+        # initial=None: see the module docstring.
+        self.plane = build_value_plane(
+            circuit, self.stimulus, initial=None, chunk_size=chunk_size
         )
+        settled = circuit._settled_values(self.stimulus, "a delta base")
+        #: ``(num_nets, ceil(n / 8))`` packed settled values of every
+        #: net, rails included, for cone boundaries.
+        self.values = np.packbits(settled[:, 1:], axis=1)
+        del settled  # before the arrival tensor allocates
         self.arrivals = _replay_all_arrivals(
             circuit, self.plane, scales
         )
@@ -661,7 +576,11 @@ class DeltaBase:
     @property
     def nbytes(self) -> int:
         """Approximate footprint (dominated by the arrival tensor)."""
-        return self.arrivals.nbytes + self.plane.nbytes
+        return self.arrivals.nbytes + self.plane.nbytes + self.values.nbytes
+
+    def value(self, net: int) -> np.ndarray:
+        """Unpacked settled-value stream (uint8 0/1) of one net."""
+        return np.unpackbits(self.values[net], count=self.num_patterns)
 
     def result(self, collect_bit_arrivals: bool = False) -> DeltaResult:
         """The base evaluation itself as a :class:`DeltaResult`."""
@@ -787,7 +706,7 @@ def replay_delta(
         if row is None:
             row = boundary_vals.get(net)
             if row is None:
-                row = plane.value(net)
+                row = base.value(net)
                 boundary_vals[net] = row
         return row
 

@@ -680,9 +680,6 @@ class CompiledCircuit:
         inertial = self.mode == "inertial"
         damping = self.technology.glitch_damping
         lo = 1 if drop_first else 0
-        record_values = recorder is not None and getattr(
-            recorder, "wants_values", False
-        )
         if recorder is not None:
             recorder.begin(start_index + lo, lo)
 
@@ -711,8 +708,6 @@ class CompiledCircuit:
                 T[net] = flags
                 if recorder is not None:
                     recorder.net_may(net, flags)
-                    if record_values:
-                        recorder.net_values(net, cur)
 
         for depth, bucket_list in enumerate(plan.levels):
             for slot, bucket in enumerate(bucket_list):
@@ -751,8 +746,6 @@ class CompiledCircuit:
                     recorder.cell_bucket(
                         bucket.positions, outs, out_may, aux
                     )
-                    if record_values:
-                        recorder.bucket_values(outs, out_val)
                 V[outs] = out_val
                 M[outs] = out_may
                 in_trans = [T[pins[j]] for j in range(pins.shape[0])]
@@ -813,9 +806,6 @@ class CompiledCircuit:
         false_b = np.zeros(n, dtype=bool)
         inertial = self.mode == "inertial"
         lo = 1 if drop_first else 0
-        record_values = recorder is not None and getattr(
-            recorder, "wants_values", False
-        )
         if recorder is not None:
             recorder.begin(start_index + lo, lo)
 
@@ -860,8 +850,6 @@ class CompiledCircuit:
                 final_values[net] = cur[-1]
                 if recorder is not None:
                     recorder.net_may(net, flags)
-                    if record_values:
-                        recorder.net_values(net, cur)
 
         for compiled in self._cells:
             in_vals = [values[net] for net in compiled.inputs]
@@ -891,8 +879,6 @@ class CompiledCircuit:
                 # arrival rules consume; arrivals are replayed later for
                 # arbitrarily many delay vectors.
                 recorder.cell(compiled.position, net, out_may, aux)
-                if record_values:
-                    recorder.net_values(net, out_val)
             values[net] = out_val
             mays[net] = out_may
             final_values[net] = out_val[-1]

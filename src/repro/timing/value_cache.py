@@ -1,4 +1,4 @@
-"""Keyed in-memory + on-disk cache of value planes.
+"""Keyed in-memory cache of value planes, persisted through a store.
 
 A :class:`~repro.timing.replay.ValuePlane` is a pure function of
 
@@ -18,40 +18,34 @@ fault's ``site_id()``, see :func:`repro.faults.injector
 and :meth:`ValuePlaneCache.get_or_build` silently bypasses the cache --
 correctness never depends on hook authors opting in.
 
-On-disk entries follow the fingerprint-guard idiom of
-:mod:`repro.faults.store`: each entry is a single ``.npz`` written
-atomically (:func:`repro.util.atomic.write_atomic`) whose embedded key
-must match the requested key exactly -- a stale or corrupt file is
-ignored and rebuilt, never trusted.  Planes carry no per-net activity
-(see :meth:`repro.timing.engine.CompiledCircuit.toggle_counts`), so the
-key has no stats field.
+A :class:`ValuePlaneCache` keeps planes in an in-memory LRU and, when
+given an :class:`~repro.experiments.store.ArtifactStore`, persists them
+there as ``plane`` artifacts keyed ``{"plane": plane_cache_key(...)}``:
+the store owns the file format, the embedded-key guard that turns a
+stale or corrupt file into a rebuild, and the hit/miss/write counters
+a suite run reports.  Planes carry no per-net activity (see
+:meth:`repro.timing.engine.CompiledCircuit.toggle_counts`), so the key
+has no stats field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..nets.netlist import Netlist
-from ..util.atomic import write_atomic
 from .engine import CompiledCircuit
 from .replay import ValuePlane, build_value_plane
 
-#: Format tag embedded in every cache entry.
-FORMAT = "repro-value-plane"
-#: Current plane cache schema version.  Version 2: planes are produced
-#: by the levelized SoA kernel, whose cross-cell switched-capacitance
-#: accumulation order differs from the version-1 per-cell interpreter
-#: (same values to float association); keying the version keeps the two
-#: provenances from mixing through the on-disk cache.
+#: Plane key schema version, hashed into every key.  Version 2: planes
+#: are produced by the levelized SoA kernel, whose cross-cell
+#: switched-capacitance accumulation order differs from the version-1
+#: per-cell interpreter (same values to float association); keying the
+#: version keeps the two provenances from mixing through a store.
 VERSION = 2
-
-#: Environment variable naming a default on-disk cache directory.
-CACHE_DIR_ENV = "REPRO_VALUE_PLANE_DIR"
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -124,13 +118,16 @@ def plane_cache_key(
     h.update(
         json.dumps(
             {
-                "format": FORMAT,
+                "format": "repro-value-plane",
                 "version": VERSION,
                 "netlist": netlist_fingerprint(circuit.netlist),
                 "mode": circuit.mode,
                 "glitch_damping": circuit.technology.glitch_damping,
                 "stimulus": stimulus_digest(stimulus),
-                "initial": sorted((initial or {}).items()),
+                "initial": sorted(
+                    (name, int(value))
+                    for name, value in (initial or {}).items()
+                ),
                 "hooks": hooks or "",
                 # Patched circuits (repro.timing.delta.patch_compiled)
                 # share the child's structural fingerprint with a
@@ -148,84 +145,24 @@ def plane_cache_key(
     return h.hexdigest()
 
 
-def save_plane(plane: ValuePlane, path: str) -> None:
-    """Atomically persist a plane as one ``.npz`` file."""
-    meta = {
-        "format": FORMAT,
-        "version": VERSION,
-        "num_patterns": plane.num_patterns,
-        "num_nets": plane.num_nets,
-        "num_cells": plane.num_cells,
-        "mode": plane.mode,
-        "key": plane.key,
-        "outputs": list(plane.outputs),
-    }
-    arrays = {
-        "meta": np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        ).copy(),
-        "may_packed": plane.may_packed,
-        "aux_packed": plane.aux_packed,
-        "aux_offsets": plane.aux_offsets,
-        "switched_caps": plane.switched_caps,
-    }
-    for name, arr in plane.outputs.items():
-        arrays["out__" + name] = arr
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    write_atomic(path, lambda fp: np.savez(fp, **arrays))
-
-
-def load_plane(path: str) -> ValuePlane:
-    """Load a plane written by :func:`save_plane` (raises on mismatch)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != FORMAT or meta.get("version") != VERSION:
-            raise ValueError(
-                "%s is not a version-%d value-plane file" % (path, VERSION)
-            )
-        return ValuePlane(
-            num_patterns=int(meta["num_patterns"]),
-            num_nets=int(meta["num_nets"]),
-            num_cells=int(meta["num_cells"]),
-            mode=meta["mode"],
-            may_packed=data["may_packed"],
-            aux_packed=data["aux_packed"],
-            aux_offsets=data["aux_offsets"],
-            outputs={
-                name: data["out__" + name] for name in meta["outputs"]
-            },
-            switched_caps=data["switched_caps"],
-            key=meta["key"],
-        )
-
-
 class ValuePlaneCache:
-    """LRU in-memory + optional on-disk value-plane cache.
+    """LRU in-memory value-plane cache, optionally backed by a store.
 
     Args:
-        directory: On-disk cache directory.  Defaults to the
-            ``REPRO_VALUE_PLANE_DIR`` environment variable; None (and
-            the variable unset) keeps the cache memory-only.
+        store: An :class:`~repro.experiments.store.ArtifactStore` that
+            persists planes as ``plane`` artifacts; None keeps the cache
+            memory-only.
         max_entries: In-memory LRU capacity (planes are a few MB each).
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        max_entries: int = 8,
-    ):
-        if directory is None:
-            directory = os.environ.get(CACHE_DIR_ENV) or None
-        self.directory = directory
+    def __init__(self, store=None, max_entries: int = 8):
+        self.store = store
         self.max_entries = max_entries
         self._memory: "Dict[str, ValuePlane]" = {}
         self.hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.bypasses = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, "plane-%s.npz" % key[:32])
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the hit/miss accounting (suite observability)."""
@@ -260,17 +197,12 @@ class ValuePlaneCache:
             self._memory[key] = plane  # refresh LRU position
             self.hits += 1
             return plane
-        if self.directory is not None:
-            path = self._path(key)
-            if os.path.exists(path):
-                try:
-                    plane = load_plane(path)
-                except Exception:
-                    plane = None  # corrupt/stale: rebuild below
-                if plane is not None and plane.key == key:
-                    self.disk_hits += 1
-                    self._remember(key, plane)
-                    return plane
+        if self.store is not None:
+            plane = self.store.load("plane", {"plane": key})
+            if plane is not None:
+                self.disk_hits += 1
+                self._remember(key, plane)
+                return plane
         self.misses += 1
         plane = build_value_plane(
             circuit,
@@ -280,8 +212,8 @@ class ValuePlaneCache:
             key=key,
         )
         self._remember(key, plane)
-        if self.directory is not None:
-            save_plane(plane, self._path(key))
+        if self.store is not None:
+            self.store.save("plane", {"plane": key}, plane)
         return plane
 
     def _remember(self, key: str, plane: ValuePlane) -> None:
@@ -290,5 +222,5 @@ class ValuePlaneCache:
             self._memory.pop(next(iter(self._memory)))
 
     def clear(self) -> None:
-        """Drop the in-memory entries (disk files are left in place)."""
+        """Drop the in-memory entries (stored planes are left in place)."""
         self._memory.clear()

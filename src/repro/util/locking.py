@@ -18,9 +18,10 @@ the full behavior.
 
 The lock file is a zero-byte sibling (``<target>.lock`` by
 convention); deleting a held lock file is harmless for the holder (the
-``flock`` lives on the open descriptor) and the stores that use this
-primitive only ever delete lock files together with the whole
-directory they guard.
+``flock`` lives on the open descriptor).  The one user, the campaign
+checkpoint store (:meth:`repro.faults.store.CheckpointStore.open`),
+only ever deletes its lock file together with the directory it
+guards.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Bounded exponential backoff and a typed retry driver.
 
-Every concurrent corner of the library (shard locks, store compaction,
+Every concurrent corner of the library (campaign checkpoint locks,
 ``clear()`` racing writers, the service's backend pool rebuilds) wants
 the same loop: try, sleep a growing-but-capped delay, try again, give
 up after a budget with a *typed* error.  This module is that loop,

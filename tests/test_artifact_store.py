@@ -1,6 +1,5 @@
-"""Persistent artifact store: round trips, guards, manifest."""
+"""Persistent artifact store: round trips, guards, parent-era stores."""
 
-import json
 import os
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.experiments.store import (
     delta_totals,
     technology_fingerprint,
 )
-from repro.timing import CompiledCircuit
+from repro.timing import CompiledCircuit, build_value_plane
 from repro.workloads import uniform_operands
 
 
@@ -57,7 +56,7 @@ class TestFingerprints:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            artifact_digest("plane", {})
+            artifact_digest("planes", {})
 
     def test_technology_fingerprint_sensitivity(self):
         base = technology_fingerprint(DEFAULT_TECHNOLOGY)
@@ -137,6 +136,26 @@ class TestRoundTrips:
         loaded = store.load("stream", {"bare": 1})
         assert loaded.bit_arrivals is None
         np.testing.assert_array_equal(loaded.delays, result.delays)
+
+    def test_plane_round_trip_lossless(self, store, netlist4):
+        md, mr = uniform_operands(4, 70, seed=9)
+        plane = build_value_plane(
+            CompiledCircuit(netlist4), {"md": md, "mr": mr}, key="k" * 64
+        )
+        store.save("plane", {"plane": plane.key}, plane)
+        loaded = store.load("plane", {"plane": plane.key})
+        assert loaded.key == plane.key
+        for name in ("num_patterns", "num_nets", "num_cells", "mode"):
+            assert getattr(loaded, name) == getattr(plane, name)
+        for name in ("may_packed", "aux_packed", "aux_offsets"):
+            got, want = getattr(loaded, name), getattr(plane, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert loaded.switched_caps.tobytes() == plane.switched_caps.tobytes()
+        assert set(loaded.outputs) == set(plane.outputs)
+        for name, arr in plane.outputs.items():
+            assert loaded.outputs[name].tobytes() == arr.tobytes()
+        assert store.load("plane", {"plane": "other"}) is None
 
     def test_netlist_type_checked(self, store):
         with pytest.raises(ConfigError):
@@ -228,51 +247,78 @@ class TestCounters:
 
 
 class TestManifest:
-    def test_records_every_write(self, store, netlist4):
-        store.save("netlist", {"w": 4}, netlist4)
-        store.save("netlist", {"w": 8}, column_bypass_multiplier(4))
-        records = store.manifest()
-        assert len(records) == 2
-        assert {r["kind"] for r in records} == {"netlist"}
-        for record in records:
-            assert os.path.exists(
-                os.path.join(store.directory, record["file"])
-            )
+    """The store keeps no manifest: every artifact is one
+    self-describing file, so the directory listing is the record."""
 
-    def test_torn_trailing_line_tolerated(self, store, netlist4):
+    def test_records_every_write(self, store, netlist4, stream4):
         store.save("netlist", {"w": 4}, netlist4)
-        with open(store._manifest_path(), "a", encoding="utf-8") as fp:
-            fp.write('{"kind": "netlist", "truncat')  # killed mid-write
-        assert len(store.manifest()) == 1
-
-    def test_mid_file_garbage_skipped(self, store, netlist4):
-        store.save("netlist", {"w": 4}, netlist4)
-        with open(store._manifest_path(), "a", encoding="utf-8") as fp:
-            fp.write("not json\n")
-        store.save("netlist", {"w": 8}, netlist4)
-        assert len(store.manifest()) == 2
-
-    def test_compact_dedupes_and_drops_missing(self, store, netlist4):
-        store.save("netlist", {"w": 4}, netlist4)
-        store.save("netlist", {"w": 4}, netlist4)  # duplicate record
-        store.save("netlist", {"w": 8}, netlist4)
-        os.remove(store._path("netlist", {"w": 8}))
-        assert store.compact() == 1
-        records = store.manifest()
-        assert len(records) == 1
-        assert records[0]["file"] == os.path.basename(
-            store._path("netlist", {"w": 4})
+        store.save("stream", {"w": 4}, stream4)
+        store.save("netlist", {"w": 4}, netlist4)  # same key: same file
+        assert sorted(os.listdir(store.directory)) == sorted(
+            os.path.basename(store._path(kind, {"w": 4}))
+            for kind in ("netlist", "stream")
         )
-        # Compacted manifest shards are valid canonical JSONL.
-        assert store.shard_paths()
-        for path in store.shard_paths():
-            with open(path, encoding="utf-8") as fp:
-                for line in fp.read().splitlines():
-                    json.loads(line)
+        assert store.counter_totals()["writes"] == 3
 
-    def test_empty_store_manifest(self, store):
-        assert store.manifest() == []
-        assert store.compact() == 0
+
+class TestParentStore:
+    """A store written before planes became artifacts: manifest shards,
+    their lock files and a ``planes/`` directory next to the artifacts.
+    Every artifact keeps its file name and bytes, so it stays a hit."""
+
+    #: File names the parent release gave these keys (same digests).
+    PARENT_FILES = {
+        "netlist": "netlist-390d6d568f20f000d21424d1fe217219.pkl",
+        "stress": "stress-a218ad15f7001397b702dc43d3460620.npz",
+        "stream": "stream-8da3492a9267c5ea348f35620f816d24.npz",
+        "activity": "activity-8ac0d0156c42d1375fe335122441d7e6.npz",
+        "population": "population-14161bb66f19efbe7d0c756eef83b958.npz",
+        "surface": "surface-4e9346f7cfac7e92615f6e730b387000.pkl",
+        "delta": "delta-41d2d0f15a2e8aa58ef5e796defd06ec.pkl",
+    }
+
+    @staticmethod
+    def _key(kind):
+        return {"width": 4, "kind": "column", "art": kind}
+
+    def test_parent_store_serves_every_artifact(
+        self, store, netlist4, stress4, stream4
+    ):
+        payloads = {
+            "netlist": netlist4,
+            "stress": stress4,
+            "stream": stream4,
+            "activity": np.arange(6, dtype=np.int64),
+            "population": {"meta": {"dies": 2}, "arrays": {"d": np.ones(4)}},
+            "surface": {"latency": [1.0, 2.0]},
+            "delta": {"cone": 3},
+        }
+        for kind, payload in payloads.items():
+            store.save(kind, self._key(kind), payload)
+        assert sorted(os.listdir(store.directory)) == sorted(
+            self.PARENT_FILES.values()
+        )
+        for shard in ("3", "a"):
+            path = os.path.join(store.directory, "manifest-%s.jsonl" % shard)
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write('{"kind": "netlist", "file": "x"}\n{"torn')
+            open(path + ".lock", "w").close()
+        with open(os.path.join(store.directory, "manifest.jsonl"), "w") as fp:
+            fp.write("not json\n")
+        planes = os.path.join(store.directory, "planes")
+        os.makedirs(planes)
+        with open(os.path.join(planes, "plane-0123.npz"), "wb") as fp:
+            fp.write(b"parent-era plane")
+
+        reopened = ArtifactStore(store.directory)
+        for kind in payloads:
+            assert reopened.load(kind, self._key(kind)) is not None
+            assert reopened.counters[kind] == {
+                "hits": 1, "misses": 0, "writes": 0,
+            }
+        assert reopened.corruption == {"artifacts": 0}
+        reopened.clear()
+        assert not os.path.exists(store.directory)
 
 
 class TestContextActivity:
@@ -304,7 +350,7 @@ class TestContextActivity:
 class TestMaintenance:
     def test_clear_removes_everything(self, store, netlist4):
         store.save("netlist", {"w": 4}, netlist4)
-        os.makedirs(store.planes_dir(), exist_ok=True)
+        store.campaigns_dir()
         store.clear()
         assert not os.path.isdir(store.directory)
         assert store.counter_totals() == {

@@ -43,7 +43,6 @@ from repro.nets.netlist import CONST0
 from repro.timing import CompiledCircuit
 from repro.timing.delta import (
     DeltaBase,
-    build_delta_plane,
     diff_netlists,
     evaluate_full,
     patch_compiled,
@@ -408,13 +407,15 @@ class TestDeltaErrors:
             netlist, [StuckAtFault(net=netlist.cells[0].output, value=1)]
         )
         with pytest.raises(DeltaError):
-            build_delta_plane(hooked, design["stimulus"])
+            DeltaBase(hooked, design["stimulus"], np.ones(len(netlist.cells)))
 
     def test_ragged_stimulus_rejected(self, design):
         circuit = CompiledCircuit(design["netlist"])
         with pytest.raises(DeltaError):
-            build_delta_plane(
-                circuit, {"md": [1, 2, 3], "mr": [1, 2]}
+            DeltaBase(
+                circuit,
+                {"md": [1, 2, 3], "mr": [1, 2]},
+                np.ones(len(design["netlist"].cells)),
             )
 
 

@@ -98,26 +98,19 @@ class TestStoreFlags:
         out = capsys.readouterr().out
         assert json.load(open(cold_dump)) == json.load(open(warm_dump))
         assert "store: %s" % store in out
-        assert glob.glob(os.path.join(store, "manifest-*.jsonl"))
+        assert glob.glob(os.path.join(store, "stress-*.npz"))
 
     def test_cold_clears_the_store(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["fig06", "--store", store] + RUN) == 0
-        shards = sorted(glob.glob(os.path.join(store, "manifest-*.jsonl")))
-        assert shards
-        before = max(os.path.getmtime(path) for path in shards)
+        stale = os.path.join(store, "stream-stale.npz")
+        open(stale, "wb").close()
         assert main(["fig06", "--store", store, "--cold"] + RUN) == 0
-        # The manifest was rebuilt from scratch, not appended.
-        shards = sorted(glob.glob(os.path.join(store, "manifest-*.jsonl")))
-        records = [
-            json.loads(line)
-            for path in shards
-            for line in open(path, encoding="utf-8")
-            if line.strip()
-        ]
-        assert max(os.path.getmtime(path) for path in shards) >= before
-        assert all(r["kind"] in ("netlist", "stress", "stream")
-                   for r in records)
+        # The store was rebuilt from scratch: the stale file is gone.
+        assert not os.path.exists(stale)
+        kinds = {name.split("-")[0] for name in os.listdir(store)}
+        assert "stress" in kinds
+        assert kinds <= {"netlist", "stress", "stream", "plane"}
 
 
 class TestParallelFlag:

@@ -20,6 +20,7 @@ from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.core.architecture import AgingAwareMultiplier
 from repro.errors import SimulationError
+from repro.experiments.store import ArtifactStore
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
 from repro.timing import (
@@ -344,11 +345,11 @@ class TestValuePlaneCacheFolded:
         circuit = CompiledCircuit(cb8)
         plan = fold_stimulus(foldable8)
         assert plan.profitable
-        writer = ValuePlaneCache(directory=str(tmp_path))
+        writer = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         writer.get_or_build(circuit, plan.folded)
         assert writer.misses == 1
 
-        reader = ValuePlaneCache(directory=str(tmp_path))
+        reader = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         loaded = reader.get_or_build(circuit, plan.folded)
         assert reader.disk_hits == 1
         folded_result = ArrivalReplay(circuit, loaded).stream()

@@ -8,6 +8,7 @@ import pytest
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.errors import SimulationError
+from repro.experiments.store import ArtifactStore
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.timing import (
@@ -187,11 +188,18 @@ class TestValuePlaneCache:
 
     def test_disk_round_trip(self, cb8, stream8, tmp_path):
         circuit = CompiledCircuit(cb8)
-        writer = ValuePlaneCache(directory=str(tmp_path))
+        writer = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         plane = writer.get_or_build(circuit, stream8)
-        reader = ValuePlaneCache(directory=str(tmp_path))
+        assert writer.store.counters["plane"] == {
+            "hits": 0, "misses": 1, "writes": 1,
+        }
+        reader = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         loaded = reader.get_or_build(circuit, stream8)
         assert reader.disk_hits == 1
+        assert reader.store.counters["plane"] == {
+            "hits": 1, "misses": 0, "writes": 0,
+        }
+        assert loaded.key == plane.key
         assert np.array_equal(plane.may_packed, loaded.may_packed)
         assert np.array_equal(plane.aux_packed, loaded.aux_packed)
         got = ArrivalReplay(circuit, loaded).stream()
@@ -199,15 +207,31 @@ class TestValuePlaneCache:
 
     def test_corrupt_file_rebuilds(self, cb8, stream8, tmp_path):
         circuit = CompiledCircuit(cb8)
-        writer = ValuePlaneCache(directory=str(tmp_path))
+        writer = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         writer.get_or_build(circuit, stream8)
         for path in tmp_path.iterdir():
             path.write_bytes(b"junk")
-        reader = ValuePlaneCache(directory=str(tmp_path))
+        reader = ValuePlaneCache(store=ArtifactStore(str(tmp_path)))
         plane = reader.get_or_build(circuit, stream8)
         assert reader.disk_hits == 0 and reader.misses == 1
+        assert reader.store.corruption["artifacts"] == 1
         got = ArrivalReplay(circuit, plane).stream()
         assert_streams_identical(got, circuit.run(stream8))
+
+    def test_numpy_initial_keys_like_python_ints(self, cb8, stream8):
+        circuit = CompiledCircuit(cb8)
+        numpy_initial = {"md": np.uint64(3), "mr": np.int64(5)}
+        python_initial = {"md": 3, "mr": 5}
+        assert plane_cache_key(circuit, stream8, numpy_initial) == (
+            plane_cache_key(circuit, stream8, python_initial)
+        )
+        cache = ValuePlaneCache()
+        first = cache.get_or_build(circuit, stream8, initial=numpy_initial)
+        second = cache.get_or_build(circuit, stream8, initial=python_initial)
+        assert first is second
+        assert cache.hits == 1 and cache.misses == 1
+        want = circuit.run(stream8, initial=python_initial)
+        assert_streams_identical(ArrivalReplay(circuit, first).stream(), want)
 
     def test_opaque_hook_bypasses_cache(self, cb8, stream8):
         def hook(values, start_index):

@@ -2,35 +2,29 @@
 
 The robustness contract under test:
 
-* a killed writer (torn artifact bytes, torn manifest line, leftover
-  ``.tmp``) degrades to a counted cache miss and a rebuild -- never an
-  exception;
-* concurrent writers and a concurrent compactor lose no manifest
-  records (the shard locks close the PR-5 read/rewrite race);
-* ``compact()`` genuinely takes the same lock ``save()`` appends under;
+* a killed writer (torn artifact bytes, leftover ``.tmp``) degrades to
+  a counted cache miss and a rebuild -- never an exception;
+* concurrent writers and readers of one store lose no artifact and
+  never see a partial one;
 * two saves of one artifact that overlap in time both succeed (every
-  write owns its temp file) and leave a valid artifact.
+  write owns its temp file) and leave a valid artifact;
+* a campaign checkpoint's torn tail or leftover temp file costs at most
+  the torn report, and concurrent openers serialize on its lock.
 """
 
-import json
 import os
 import pickle
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.arith import column_bypass_multiplier
-from repro.errors import LockTimeoutError
-from repro.experiments.store import (
-    NUM_MANIFEST_SHARDS,
-    ArtifactStore,
-    artifact_digest,
-)
+from repro.experiments.store import ArtifactStore
 from repro.faults.campaign import SiteReport
 from repro.faults.store import CheckpointStore
 from repro.timing import CompiledCircuit, build_value_plane
-from repro.timing.value_cache import load_plane, save_plane
 from repro.workloads import uniform_operands
 
 
@@ -49,12 +43,14 @@ def _key(index, tag="soak"):
 
 
 class TestConcurrencySoak:
-    def test_writers_plus_compactor_lose_no_records(self, store, netlist4):
-        """Acceptance: >= 8 concurrent writers + 1 compactor; every
-        record survives and every artifact stays loadable."""
-        writers, per_writer = 8, 12
+    def test_writers_plus_readers_lose_no_artifacts(self, store, netlist4):
+        """8 writer threads save while reader threads load: every
+        artifact lands, and no reader ever meets a partial file."""
+        writers, readers, per_writer = 8, 4, 12
+        total = writers * per_writer
         errors = []
         stop = threading.Event()
+        reader_stores = []
 
         def write(worker):
             try:
@@ -67,44 +63,50 @@ class TestConcurrencySoak:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        def compact_loop():
+        def read(offset):
             try:
                 local = ArtifactStore(store.directory)
+                reader_stores.append(local)
+                index = offset
                 while not stop.is_set():
-                    local.compact()
+                    local.load("netlist", _key(index % total))
+                    index += 1
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [
+        reading = [
+            threading.Thread(target=read, args=(offset,))
+            for offset in range(readers)
+        ]
+        writing = [
             threading.Thread(target=write, args=(worker,))
             for worker in range(writers)
         ]
-        compactor = threading.Thread(target=compact_loop)
-        compactor.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120.0)
-        stop.set()
-        compactor.join(timeout=120.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in reading + writing:
+                t.start()
+            for t in writing:
+                t.join(timeout=120.0)
+        finally:
+            stop.set()
+            for t in reading:
+                t.join(timeout=120.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in reading + writing)
         assert not errors
 
-        total = writers * per_writer
-        store.compact()
-        files = {record["file"] for record in store.manifest()}
-        assert len(files) == total
         for index in range(total):
-            digest = artifact_digest("netlist", _key(index))
-            assert "netlist-%s.pkl" % digest[:32] in files
             assert store.load("netlist", _key(index)) is not None
-
-    def test_record_saved_during_compact_survives(self, store, netlist4):
-        """A save landing between compaction passes is never dropped."""
-        store.save("netlist", _key(0, "pre"), netlist4)
-        store.compact()
-        store.save("netlist", _key(1, "post"), netlist4)
-        assert store.compact() == 2
-        assert len(store.manifest()) == 2
+        assert store.corruption["artifacts"] == 0
+        assert sum(
+            local.counters["netlist"]["hits"] for local in reader_stores
+        ) > 0
+        assert all(
+            local.corruption["artifacts"] == 0 for local in reader_stores
+        )
+        assert len(os.listdir(store.directory)) == total
 
 
 class TestOverlappingSaves:
@@ -158,22 +160,26 @@ class TestOverlappingSaves:
         assert not [f for f in os.listdir(store.directory) if "tmp" in f]
 
     def test_plane_saves_of_one_path_overlap(
-        self, tmp_path, netlist4, monkeypatch
+        self, store, netlist4, monkeypatch
     ):
         md, mr = uniform_operands(4, 40, seed=2)
         plane = build_value_plane(
-            CompiledCircuit(netlist4), {"md": md, "mr": mr}
+            CompiledCircuit(netlist4), {"md": md, "mr": mr}, key="p" * 64
         )
-        path = str(tmp_path / "plane.npz")
+        key = {"plane": plane.key}
         nested = self._nest(
-            monkeypatch, np, "savez", lambda: save_plane(plane, path)
+            monkeypatch, np, "savez",
+            lambda: store.save("plane", key, plane),
         )
-        save_plane(plane, path)
+        store.save("plane", key, plane)
         monkeypatch.undo()
         assert nested
-        loaded = load_plane(path)
+        loaded = store.load("plane", key)
         assert loaded.may_packed.tobytes() == plane.may_packed.tobytes()
-        assert os.listdir(tmp_path) == ["plane.npz"]
+        assert store.corruption["artifacts"] == 0
+        assert os.listdir(store.directory) == [
+            os.path.basename(store._path("plane", key))
+        ]
 
 
 class TestArtifactCorruption:
@@ -204,92 +210,24 @@ class TestArtifactCorruption:
         assert store.load("netlist", key) is not None
         assert store.corruption["artifacts"] == 0
 
-    def test_torn_manifest_line_skipped_and_counted(self, store, netlist4):
-        store.save("netlist", _key(0, "line"), netlist4)
-        store.save("netlist", _key(1, "line"), netlist4)
-        shard_path = store.shard_paths()[0]
-        with open(shard_path, "a", encoding="utf-8") as fp:
-            fp.write('{"kind": "netlist", "key": {"tr')  # torn append
-        fresh = ArtifactStore(store.directory)
-        records = fresh.manifest()
-        assert len(records) == 2
-        assert fresh.corruption["manifest_lines"] == 1
-        # compact() rewrites the shard clean.
-        fresh.compact()
-        for path in fresh.shard_paths():
-            for line in open(path, encoding="utf-8").read().splitlines():
-                json.loads(line)
-
     def test_mid_file_garbage_skipped_not_fatal(self, store, netlist4):
-        store.save("netlist", _key(0, "mid"), netlist4)
-        shard_path = store.shard_paths()[0]
-        original = open(shard_path, encoding="utf-8").read()
-        with open(shard_path, "w", encoding="utf-8") as fp:
-            fp.write("!!not json!!\n" + original)
+        """Garbage spliced into the middle of an npz artifact (a second
+        writer's bytes, a bad sector) is a counted miss, then rebuilt."""
+        md, mr = uniform_operands(4, 40, seed=4)
+        result = CompiledCircuit(netlist4).run({"md": md, "mr": mr})
+        key = _key(0, "mid")
+        store.save("stream", key, result)
+        path = store._path("stream", key)
+        data = open(path, "rb").read()
+        middle = len(data) // 2
+        with open(path, "wb") as fp:
+            fp.write(data[:middle] + b"!!not npz!!" + data[middle:])
         fresh = ArtifactStore(store.directory)
-        assert len(fresh.manifest()) == 1
-        assert fresh.corruption["manifest_lines"] == 1
-
-    def test_unreadable_shard_is_empty_and_counted(self, store, netlist4):
-        store.save("netlist", _key(0, "bin"), netlist4)
-        shard_path = store.shard_paths()[0]
-        with open(shard_path, "wb") as fp:
-            fp.write(b"\xff\xfe\x00\x80 binary garbage \x00")
-        fresh = ArtifactStore(store.directory)
-        assert fresh.manifest() == []
-        assert fresh.corruption["manifest_shards"] == 1
-        # The artifact itself is untouched -- only its manifest record
-        # was lost, and a later save/compact rebuilds the shard.
-        assert fresh.load("netlist", _key(0, "bin")) is not None
-
-
-class TestShardingAndLocking:
-    def test_compact_blocks_on_a_held_shard_lock(self, store, netlist4):
-        """Regression for the PR-5 race: compaction takes the same
-        per-shard lock save() appends under, so it cannot interleave
-        with a writer -- observable as a timeout when the lock is
-        already held."""
-        store.save("netlist", _key(0, "lock"), netlist4)
-        shard_path = store.shard_paths()[0]
-        shard = int(os.path.basename(shard_path)[len("manifest-"):][0], 16)
-        contender = ArtifactStore(store.directory, lock_timeout_s=0.2)
-        with store._shard_lock(shard):
-            with pytest.raises(LockTimeoutError):
-                contender.compact()
-        # Lock released: compaction proceeds.
-        assert contender.compact() == 1
-
-    def test_save_blocks_on_a_held_shard_lock(self, store, netlist4):
-        key = _key(0, "savelock")
-        digest = artifact_digest("netlist", key)
-        shard = store._shard_of_digest(digest)
-        contender = ArtifactStore(store.directory, lock_timeout_s=0.2)
-        with store._shard_lock(shard):
-            with pytest.raises(LockTimeoutError):
-                contender.save("netlist", key, netlist4)
-
-    def test_records_land_on_the_digest_shard(self, store, netlist4):
-        for index in range(24):
-            store.save("netlist", _key(index, "shard"), netlist4)
-        for path in store.shard_paths():
-            name = os.path.basename(path)
-            shard = int(name[len("manifest-"):][0], 16)
-            for line in open(path, encoding="utf-8").read().splitlines():
-                record = json.loads(line)
-                assert store._shard_of_file(record["file"]) == shard
-        assert len(store.manifest()) == 24
-
-    def test_legacy_manifest_folded_by_compact(self, store, netlist4):
-        store.save("netlist", _key(0, "legacy"), netlist4)
-        [record] = store.manifest()
-        # Rewind history: move the record into an unsharded manifest.
-        for path in store.shard_paths():
-            os.remove(path)
-        with open(store._manifest_path(), "w", encoding="utf-8") as fp:
-            fp.write(json.dumps(record) + "\n")
-        assert store.compact() == 1
-        assert not os.path.exists(store._manifest_path())
-        assert len(store.manifest()) == 1
+        assert fresh.load("stream", key) is None
+        assert fresh.corruption["artifacts"] == 1
+        rebuilt = fresh.get_or_build("stream", key, lambda: result)
+        assert rebuilt.delays.tobytes() == result.delays.tobytes()
+        assert fresh.load("stream", key) is not None
 
 
 def _report(site_id):
