@@ -65,7 +65,7 @@ def test_suite_store_and_jobs_speedup(benchmark, tmp_path):
     warm = benchmark.pedantic(warm_run, rounds=1, iterations=1)
 
     # Byte-identity gates come before any timing claim.  ext_faults
-    # reports how many checkpointed sites it *resumed* vs simulated --
+    # reports how many stored sites it *resumed* vs simulated --
     # operationally interesting, numerically irrelevant -- so the warm
     # run is compared modulo that one accounting line.
     serial_rendered = serial.rendered_by_name()

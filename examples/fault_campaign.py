@@ -15,10 +15,10 @@ that -- refusing to continue past the first unrecoverable overrun.
 
 The sweep itself runs as a *campaign job*: built from a JSON-able spec,
 sharded over a two-process ``local:2`` worker pool that rebuilds the
-campaign from that spec (bit-identical to serial), checkpointed to a
-JSONL file after every site, and pruned of sites whose logic cone
-cannot reach any product bit.  Re-running the script resumes from the checkpoint instead
-of re-simulating -- delete the file to start fresh.
+campaign from that spec (bit-identical to serial), saved to an
+artifact store one site at a time, and pruned of sites whose logic cone
+cannot reach any product bit.  Re-running the script resumes from the
+store instead of re-simulating -- delete the directory to start fresh.
 
 Run:  python examples/fault_campaign.py
 """
@@ -27,6 +27,7 @@ import os
 import tempfile
 
 from repro import RecoveryExhaustedError
+from repro.experiments.store import ArtifactStore
 from repro.faults import (
     DelayFault,
     InjectionCampaign,
@@ -37,7 +38,7 @@ from repro.faults import (
 WIDTH = 8
 SITES = 60
 PATTERNS = 2_000
-CHECKPOINT = os.path.join(tempfile.gettempdir(), "repro_campaign.jsonl")
+STORE = os.path.join(tempfile.gettempdir(), "repro_campaign_store")
 
 
 def main():
@@ -58,14 +59,14 @@ def main():
 
     print(
         "Sweeping %d fault sites x %d patterns (degrade policy,"
-        " pool local:2, checkpoint %s)..." % (SITES, PATTERNS, CHECKPOINT)
+        " pool local:2, store %s)..." % (SITES, PATTERNS, STORE)
     )
-    result = campaign.run(pool="local:2", checkpoint=CHECKPOINT)
+    result = campaign.run(pool="local:2", store=ArtifactStore(STORE))
     print()
     print(result.render())
     if result.resumed_sites:
         print(
-            "(resumed %d already-simulated sites from the checkpoint)"
+            "(resumed %d already-simulated sites from the store)"
             % result.resumed_sites
         )
     print()

@@ -8,12 +8,11 @@ methods:
 * ``summary() -> dict`` -- flat, scalar, JSON-ready key/value pairs
   (the numbers a benchmark log or a table row wants);
 * ``to_dict() -> dict`` -- the full JSON-ready representation
-  (everything a checkpoint store needs to round-trip the object).
+  (everything a store needs to round-trip the object).
 
-:func:`to_json` / :func:`dump_json` funnel every producer -- the
-campaign checkpoint store, ``render()`` headers and the benchmark JSON
-artifacts -- through that single code path instead of three ad-hoc
-formats.
+:func:`to_json` / :func:`dump_json` funnel every JSON producer --
+``render()`` headers and the campaign and benchmark JSON artifacts --
+through that single code path instead of ad-hoc formats.
 """
 
 from __future__ import annotations

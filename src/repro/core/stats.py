@@ -118,8 +118,8 @@ class LatencyReport:
         """JSON-ready dict: every field plus the derived ratios.
 
         This is the one serialization path (see
-        :mod:`repro.analysis.serialize`): the campaign checkpoint store,
-        ``render()`` headers and the benchmark JSON all consume it.
+        :mod:`repro.analysis.serialize`): ``render()`` headers and the
+        campaign and benchmark JSON all consume it.
         """
         data = dataclasses.asdict(self)
         data["indicator_trace"] = [bool(x) for x in self.indicator_trace]

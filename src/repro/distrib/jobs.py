@@ -15,7 +15,7 @@ Job kinds:
     rebuild the campaign via
     :func:`repro.faults.campaign.campaign_from_spec` and run the listed
     site indices.  Result: ``{"reports": [[index, report_dict], ...]}``
-    (:meth:`SiteReport.to_dict` payloads, checkpoint-compatible).
+    (:meth:`SiteReport.to_dict` payloads, as the store saves them).
 
 ``mc_shard``
     ``{"job": "mc_shard", "mc": {...}, "die_range": [lo, hi]}`` --

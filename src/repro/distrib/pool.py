@@ -504,7 +504,7 @@ def run_campaign_pooled(
     """Fan pending campaign site indices out over ``pool``.
 
     Sites travel in :func:`make_batches` batches, and ``on_result``
-    fires per site as batches stream back, so checkpoints and progress
+    fires per site as batches stream back, so site saves and progress
     advance while the sweep runs.  When the caller stops consuming
     (``on_result`` raised, e.g. ``KeyboardInterrupt``), queued batches
     are cancelled.

@@ -46,18 +46,13 @@ class DeltaError(SimulationError):
     back to a from-scratch compile + run."""
 
 
-class CheckpointError(FaultError):
-    """A campaign checkpoint file cannot be used (fingerprint mismatch,
-    mid-file corruption, unsupported version, ...)."""
-
-
 class CampaignInterrupted(SimulationError):
     """A fault-injection campaign was interrupted before completion.
 
     Raised by :meth:`repro.faults.InjectionCampaign.run` when a SIGINT /
-    :class:`KeyboardInterrupt` lands mid-sweep.  The checkpoint (when one
-    is configured) has already been flushed; :attr:`partial` carries the
-    reports completed so far so callers can still print coverage.
+    :class:`KeyboardInterrupt` lands mid-sweep.  Every completed site is
+    already saved (when a store is configured); :attr:`partial` carries
+    the reports completed so far so callers can still print coverage.
 
     Attributes:
         partial: The partial :class:`~repro.faults.CampaignResult`.
@@ -104,18 +99,6 @@ class RetryExhaustedError(ReproError):
         self.attempts = attempts
         self.elapsed_s = elapsed_s
         super().__init__(message)
-
-
-class LockTimeoutError(RetryExhaustedError):
-    """An advisory file lock could not be acquired within its timeout.
-
-    Raised by :class:`repro.util.locking.FileLock`; carries the lock
-    path so contention diagnostics can name the resource.
-    """
-
-    def __init__(self, message, path=None, attempts=0, elapsed_s=0.0):
-        self.path = path
-        super().__init__(message, attempts=attempts, elapsed_s=elapsed_s)
 
 
 class ServiceError(ReproError):

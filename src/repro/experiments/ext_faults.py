@@ -23,9 +23,6 @@ does both measurements for the reproduction:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 from typing import Dict, Optional
 
 from ..analysis.tables import format_table
@@ -125,7 +122,6 @@ def run(
     skip: Optional[int] = None,
     seed: int = 3,
     years: float = 0.0,
-    checkpoint: Optional[str] = None,
     prune: bool = True,
 ) -> FaultCoverageResult:
     ctx = context or default_context()
@@ -143,20 +139,9 @@ def run(
         seed=seed,
         years=years,
     )
-    if checkpoint is None and ctx.store is not None:
-        # Persist the campaign under the experiment store, keyed by the
-        # campaign fingerprint so a changed configuration gets a fresh
-        # file instead of a CheckpointError: a warm suite run resumes
-        # every site and simulates nothing.
-        digest = hashlib.sha256(
-            json.dumps(
-                campaign.fingerprint(), sort_keys=True, default=str
-            ).encode()
-        ).hexdigest()
-        checkpoint = os.path.join(
-            ctx.store.campaigns_dir(), "ext_faults-%s.jsonl" % digest[:24]
-        )
-    campaign_result = campaign.run(checkpoint=checkpoint, prune=prune)
+    # A warm suite run loads every site from the store and simulates
+    # nothing.
+    campaign_result = campaign.run(store=ctx.store, prune=prune)
 
     # A localized hot-spot late on the critical path: the extra delay
     # rides on top of every pattern exercising that path, lifting the

@@ -24,7 +24,12 @@ and across invocations:
   toggles do not depend on delay;
 * ``plane`` -- :class:`~repro.timing.replay.ValuePlane` s persisted by
   a store-backed :class:`~repro.timing.value_cache.ValuePlaneCache`,
-  keyed ``{"plane": plane_cache_key(...)}``.
+  keyed ``{"plane": plane_cache_key(...)}``;
+* ``site`` -- one fault-campaign :class:`~repro.faults.campaign
+  .SiteReport` (its ``to_dict()``), keyed ``{"campaign":
+  InjectionCampaign.fingerprint(), "site": site_id}``, so a campaign
+  resumes from the sites the store holds and another campaign's
+  reports never match.
 
 The store is a plain directory of content-addressed files,
 ``<kind>-<digest>.<ext>``, and nothing else: no index or manifest, no
@@ -32,8 +37,7 @@ locks.  Every entry is a single file written atomically (a per-call
 temp file + ``os.replace``, see :func:`repro.util.atomic.write_atomic`)
 with its full key embedded; on read the embedded key must match the
 requested key exactly, so a stale, corrupt or truncated file is ignored
-and rebuilt, never trusted -- the fingerprint-guard idiom proven in
-:mod:`repro.faults.store`.  Files a reader does not ask for (another
+and rebuilt, never trusted.  Files a reader does not ask for (another
 release's index or lock files, say) are never opened.
 
 Concurrent writers are safe by construction: two processes building the
@@ -74,7 +78,8 @@ VERSION = 1
 #: .MonteCarloResult`); ``delta`` holds per-variant sweep records
 #: (:mod:`repro.experiments.sweep` evaluation dicts, fingerprint-keyed
 #: on the parent base x mutation site), so re-running a variant sweep
-#: only evaluates mutants the store has not seen.
+#: only evaluates mutants the store has not seen; ``site`` holds
+#: fault-campaign site reports the same way.
 KINDS = (
     "netlist",
     "stress",
@@ -84,10 +89,11 @@ KINDS = (
     "surface",
     "delta",
     "plane",
+    "site",
 )
 
 #: Pickled kinds and the payload type each must have.
-_PICKLED = {"netlist": Netlist, "surface": dict, "delta": dict}
+_PICKLED = {"netlist": Netlist, "surface": dict, "delta": dict, "site": dict}
 
 
 def _canonical(key: Dict) -> str:
@@ -335,8 +341,7 @@ class ArtifactStore:
     """On-disk artifact cache shared by contexts, workers and runs.
 
     Args:
-        directory: Store root (created on first write).  Fault-campaign
-            checkpoints live under ``<directory>/campaigns``.
+        directory: Store root (created on first write).
 
     Attributes:
         counters: ``kind -> {"hits": n, "misses": n, "writes": n}``,
@@ -366,12 +371,6 @@ class ArtifactStore:
         return os.path.join(
             self.directory, "%s-%s%s" % (kind, digest[:32], ext)
         )
-
-    def campaigns_dir(self) -> str:
-        """Directory for fault-campaign JSONL checkpoints."""
-        path = os.path.join(self.directory, "campaigns")
-        os.makedirs(path, exist_ok=True)
-        return path
 
     # -- generic load/save ---------------------------------------------
 

@@ -21,11 +21,12 @@ Quickstart::
 
 Campaigns are restartable, partitionable jobs.  A campaign built from a
 JSON-able spec (:func:`campaign_from_spec`) can run as
-``run(pool="local:4", checkpoint="campaign.jsonl")``: that shards the
-site list over a :mod:`repro.distrib` worker pool (bit-identical to the
-serial sweep), persists every :class:`SiteReport` as it completes,
-resumes from the checkpoint after a kill, and prunes sites whose logic
-cone cannot reach an observed product bit.
+``run(pool="local:4", store=ArtifactStore("campaign-store"))``: that
+shards the site list over a :mod:`repro.distrib` worker pool
+(bit-identical to the serial sweep), saves every :class:`SiteReport`
+as a ``site`` artifact as it completes, resumes from the store after a
+kill, and prunes sites whose logic cone cannot reach an observed
+product bit.
 ``python -m repro faults run --help`` exposes the same machinery from
 the command line.
 """
@@ -52,11 +53,9 @@ from .models import (
     StuckAtFault,
     TransientBitFlip,
 )
-from .store import CheckpointStore
 
 __all__ = [
     "CampaignResult",
-    "CheckpointStore",
     "DelayFault",
     "FaultModel",
     "InjectionCampaign",

@@ -21,10 +21,12 @@ Campaign execution (this layer's production contract):
   :meth:`~repro.faults.models.FaultModel.site_id` derived purely from
   its parameters, so a site means the same thing across processes and
   interpreter runs (duplicates are suffixed ``#k`` in campaign order).
-* **Checkpointing** -- ``run(checkpoint=path)`` persists each
-  :class:`SiteReport` to a JSONL :class:`~repro.faults.store
-  .CheckpointStore` as it completes; ``resume=True`` (the default)
-  skips sites already recorded for the same campaign fingerprint.
+* **Resumable** -- ``run(store=...)`` saves each :class:`SiteReport`
+  as a ``site`` artifact of an :class:`~repro.experiments.store
+  .ArtifactStore` the moment it completes, keyed by the campaign
+  :meth:`~InjectionCampaign.fingerprint` and the site id;
+  ``resume=True`` (the default) loads the sites the store already
+  holds instead of simulating them.
 * **Sharding** -- ``run(pool="local:N")`` fans the pending sites out
   over a :mod:`repro.distrib` worker pool as ``fault_sites`` jobs.
   Workers rebuild the campaign from the spec it was built from
@@ -34,10 +36,10 @@ Campaign execution (this layer's production contract):
   sharded sweep is bit-identical to the serial one regardless of pool
   size or chunk boundaries.
 * **Graceful interruption** -- a SIGINT / :class:`KeyboardInterrupt`
-  mid-sweep flushes the checkpoint and raises
-  :class:`~repro.errors.CampaignInterrupted` carrying the partial
-  :class:`CampaignResult`, so partial coverage is still reportable and
-  the next ``run`` resumes where the sweep stopped.
+  mid-sweep raises :class:`~repro.errors.CampaignInterrupted` carrying
+  the partial :class:`CampaignResult`, so partial coverage is still
+  reportable and the next ``run`` on the same store resumes where the
+  sweep stopped.
 * **Logic-cone pruning** -- ``prune=True`` (default) skips simulating
   sites whose forward cone cannot reach any observed product bit
   (:meth:`~repro.timing.engine.CompiledCircuit.output_reach_mask`);
@@ -88,7 +90,7 @@ class SiteReport:
         avg_latency_ns: Mean latency under the fault.
         indicator_aged_at: Operation index where the AHL switched to
             Skip-(n+1) under this fault (-1: never).
-        site_id: Canonical fault site id (checkpoint key).
+        site_id: Canonical fault site id (its store key).
         pruned: True when the report was synthesized by logic-cone
             pruning instead of simulated (bit-exact either way).
     """
@@ -127,7 +129,7 @@ class SiteReport:
         }
 
     def to_dict(self) -> Dict:
-        """JSON-ready dict -- the checkpoint store's line payload."""
+        """JSON-ready dict -- the payload of its ``site`` artifact."""
         data = dataclasses.asdict(self)
         data["detection_fraction"] = self.detection_fraction
         return data
@@ -154,12 +156,12 @@ class CampaignResult:
     baseline: ArchitectureRunResult
     sites: List[SiteReport]
     #: Sites whose report was synthesized by logic-cone pruning (their
-    #: ``SiteReport.pruned`` flag is set, surviving checkpoint resume).
+    #: ``SiteReport.pruned`` flag is set, surviving a resume).
     pruned_sites: int = 0
-    #: Sites restored from a checkpoint instead of re-simulated.
+    #: Sites loaded from the store instead of re-simulated.
     resumed_sites: int = 0
     #: Sites actually simulated during this sweep (neither pruned nor
-    #: restored from the checkpoint).
+    #: loaded from the store).
     simulated_sites: int = 0
     #: Sites the campaign was asked to run (== len(sites) unless the
     #: sweep was interrupted and this is a partial result).
@@ -318,29 +320,40 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     return campaign
 
 
+def site_key(fingerprint: Dict, site_id: str) -> Dict:
+    """The ``site`` artifact key of one site of a campaign."""
+    return {"campaign": fingerprint, "site": site_id}
+
+
 def merge_campaign_shards(
-    campaign: "InjectionCampaign", checkpoints: Sequence[str]
+    campaign: "InjectionCampaign", stores: Sequence[str]
 ) -> CampaignResult:
-    """Fuse per-shard checkpoint files into the full campaign result.
+    """Fuse per-shard store directories into the full campaign result.
 
-    Each shard ran ``campaign.run(site_range=..., checkpoint=...)`` on
-    some host; every checkpoint carries the same campaign fingerprint
-    (validated here), and together they must cover every site.  The
-    merged result is byte-identical -- rendered text and sorted JSON --
-    to a single-host ``campaign.run()``: the baseline is recomputed
-    deterministically and the resumed/simulated accounting is reported
-    as the serial run would (``resumed=0``,
-    ``simulated = total - pruned``), since "which host simulated which
-    site" is pure scheduling, not a property of the result.
+    Each shard ran ``campaign.run(site_range=..., store=...)`` on some
+    host; together the stores must hold every site under this
+    campaign's fingerprint (a shard of another campaign matches no key,
+    so it leaves the merge incomplete).  The merged result is
+    byte-identical -- rendered text and sorted JSON -- to a single-host
+    ``campaign.run()``: the baseline is recomputed deterministically and
+    the resumed/simulated accounting is reported as the serial run
+    would (``resumed=0``, ``simulated = total - pruned``), since "which
+    host simulated which site" is pure scheduling, not a property of
+    the result.
     """
-    from .store import CheckpointStore
+    from ..experiments.store import ArtifactStore
 
-    if not checkpoints:
-        raise FaultError("no shard checkpoints to merge")
+    if not stores:
+        raise FaultError("no shard stores to merge")
     fingerprint = campaign.fingerprint()
+    shards = [ArtifactStore(path) for path in stores]
     restored: Dict[str, SiteReport] = {}
-    for path in checkpoints:
-        restored.update(CheckpointStore(path).load(fingerprint))
+    for site_id in campaign.site_ids:
+        for shard in shards:
+            payload = shard.load("site", site_key(fingerprint, site_id))
+            if payload is not None:
+                restored[site_id] = SiteReport.from_dict(payload)
+                break
     missing = [
         site_id
         for site_id in campaign.site_ids
@@ -509,10 +522,10 @@ class InjectionCampaign:
     def fingerprint(self) -> Dict:
         """Stable identity of this campaign's configuration.
 
-        The checkpoint store refuses to resume from a file written by a
-        different campaign (different design, workload, seed, aging
-        point or site list) -- mixing reports across configurations
-        would silently corrupt coverage numbers.
+        It keys every ``site`` artifact, so a campaign never resumes
+        from reports of a different design, workload, seed, aging point
+        or site list -- mixing reports across configurations would
+        silently corrupt coverage numbers.
         """
         digest = hashlib.sha256(
             "|".join(self.site_ids).encode("utf-8")
@@ -650,7 +663,7 @@ class InjectionCampaign:
 
     def run(
         self,
-        checkpoint: Optional[str] = None,
+        store=None,
         resume: bool = True,
         prune: bool = True,
         chunk_size: Optional[int] = None,
@@ -662,11 +675,13 @@ class InjectionCampaign:
         """Run every site and collect the campaign result.
 
         Args:
-            checkpoint: Optional JSONL path; each completed
-                :class:`SiteReport` is appended and flushed immediately,
-                so a killed sweep loses at most the in-flight sites.
-            resume: With ``checkpoint``, skip sites already recorded for
-                this campaign's :meth:`fingerprint` (False starts over).
+            store: Optional :class:`~repro.experiments.store
+                .ArtifactStore`; each completed :class:`SiteReport` is
+                saved as a ``site`` artifact the moment it completes, so
+                a killed sweep loses at most the in-flight sites.
+            resume: With ``store``, load the sites it holds for this
+                campaign's :meth:`fingerprint` instead of simulating
+                them (False simulates every site and overwrites them).
             prune: Skip simulating sites whose logic cone cannot reach
                 any observed product bit; their reports are synthesized
                 exactly from the baseline.
@@ -678,8 +693,8 @@ class InjectionCampaign:
                 granularity; default all).
             site_range: Optional ``(lo, hi)`` slice of the site list to
                 run -- the manifest-sharding unit.  The partial result
-                carries only those sites; merging every shard's
-                checkpoint reproduces the full serial result exactly
+                carries only those sites; merging every shard's store
+                reproduces the full serial result exactly
                 (``python -m repro faults merge``).
             pool: Optional :class:`~repro.distrib.pool.WorkerPool` or
                 pool spec string (``"local:4"``); pending sites are
@@ -689,8 +704,8 @@ class InjectionCampaign:
 
         Raises:
             CampaignInterrupted: A SIGINT / :class:`KeyboardInterrupt`
-                landed mid-sweep.  The checkpoint is already flushed and
-                the exception carries the partial result.
+                landed mid-sweep.  Every completed site is already in
+                the store and the exception carries the partial result.
         """
         if pool is not None and self.spec is None:
             raise FaultError(
@@ -711,21 +726,17 @@ class InjectionCampaign:
         requested = len(selected)
         baseline = self.run_pristine()
 
-        store = None
-        restored: Dict[str, SiteReport] = {}
-        if checkpoint is not None:
-            from .store import CheckpointStore
-
-            store = CheckpointStore(checkpoint)
-            restored = store.open(self.fingerprint(), resume=resume)
-
+        fingerprint = self.fingerprint()
         reports: List[Optional[SiteReport]] = [None] * total
         resumed = 0
-        for index in selected:
-            hit = restored.get(self.site_ids[index])
-            if hit is not None:
-                reports[index] = hit
-                resumed += 1
+        if store is not None and resume:
+            for index in selected:
+                hit = store.load(
+                    "site", site_key(fingerprint, self.site_ids[index])
+                )
+                if hit is not None:
+                    reports[index] = SiteReport.from_dict(hit)
+                    resumed += 1
 
         pruned_indices = (
             set(self.prunable_site_indices(observed_ports)) & set(selected)
@@ -742,7 +753,11 @@ class InjectionCampaign:
             reports[index] = report
             completed += 1
             if store is not None:
-                store.append(self.site_ids[index], report)
+                store.save(
+                    "site",
+                    site_key(fingerprint, self.site_ids[index]),
+                    report.to_dict(),
+                )
             if progress is not None:
                 progress(report, completed, requested)
 
@@ -786,9 +801,6 @@ class InjectionCampaign:
                         record(index, site)
         except KeyboardInterrupt:
             interrupted = True
-        finally:
-            if store is not None:
-                store.close()
 
         done_reports = [
             reports[index] for index in selected
@@ -816,9 +828,9 @@ class InjectionCampaign:
                     len(done_reports),
                     requested,
                     ""
-                    if checkpoint is None
-                    else " (checkpoint %s flushed; rerun with resume=True"
-                    " to continue)" % checkpoint,
+                    if store is None
+                    else " (completed sites saved to store %s; rerun with"
+                    " resume=True to continue)" % store.directory,
                 ),
                 partial=result,
                 completed=len(done_reports),

@@ -2,17 +2,17 @@
 
 Usage::
 
-    # sharded, checkpointed sweep over 4 local workers (resumes
-    # automatically when the checkpoint already holds reports for the
-    # same campaign)
+    # sharded, resumable sweep over 4 local workers (resumes
+    # automatically when the store already holds reports for the same
+    # campaign)
     python -m repro faults run --width 8 --sites 60 --patterns 2000 \\
-        --pool local:4 --checkpoint campaign.jsonl
+        --pool local:4 --store campaign-store
 
     # distributed: each host runs one shard of the site list...
-    python -m repro faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
-    python -m repro faults run --sites 60 --shard 2/2 --checkpoint b.jsonl
-    # ...and the merge fuses the checkpoints, byte-identical to serial
-    python -m repro faults merge --sites 60 --checkpoint a.jsonl b.jsonl
+    python -m repro faults run --sites 60 --shard 1/2 --store a
+    python -m repro faults run --sites 60 --shard 2/2 --store b
+    # ...and the merge fuses the stores, byte-identical to serial
+    python -m repro faults merge --sites 60 --store a b
 
     # or dispatch sites through remote workers (tcp / manifest)
     python -m repro faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
@@ -21,8 +21,9 @@ Usage::
     python -m repro faults bench --sites 52 --pool local:2 \\
         --json benchmarks/results/campaign_scaling.json
 
-``run`` exits 130 on SIGINT after flushing the checkpoint and printing
-the partial coverage, so interrupted sweeps resume cleanly.
+``run`` exits 130 on SIGINT, printing the partial coverage; every
+completed site is already in the store, so interrupted sweeps resume
+cleanly.
 """
 
 from __future__ import annotations
@@ -95,14 +96,19 @@ def cmd_run(args) -> int:
             len(campaign.faults),
             campaign.num_patterns,
             args.pool or "serial",
-            ", checkpoint=%s" % args.checkpoint if args.checkpoint else "",
+            ", store=%s" % args.store if args.store else "",
             ", shard=%d/%d" % args.shard if args.shard else "",
         )
     )
+    store = None
+    if args.store:
+        from ..experiments.store import ArtifactStore
+
+        store = ArtifactStore(args.store)
     start = time.time()
     try:
         result = campaign.run(
-            checkpoint=args.checkpoint,
+            store=store,
             resume=not args.no_resume,
             prune=not args.no_prune,
             progress=None if args.quiet else _progress,
@@ -134,15 +140,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    """Fuse per-shard checkpoints into the full campaign result.
+    """Fuse per-shard stores into the full campaign result.
 
     The campaign flags must match the ones the shards ran with (the
-    checkpoint header's fingerprint check enforces this); the output --
+    site keys carry the campaign fingerprint, so other flags find
+    nothing and the merge reports the sites missing); the output --
     rendered table and ``--json`` artifact -- is byte-identical to a
     single-host ``run`` with the same flags.
     """
     campaign = build_campaign(args)
-    result = merge_campaign_shards(campaign, args.checkpoint)
+    result = merge_campaign_shards(campaign, args.store)
     print(result.render())
     if args.json:
         _write_json(args.json, result)
@@ -233,15 +240,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", parents=[common],
-        help="run one (optionally sharded + checkpointed) campaign",
+        help="run one (optionally sharded + resumable) campaign",
     )
     run.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="JSONL checkpoint to append per-site reports to",
+        "--store", metavar="DIR",
+        help="artifact store each site report is saved to",
     )
     run.add_argument(
         "--no-resume", action="store_true",
-        help="ignore an existing checkpoint and start over",
+        help="ignore reports already in the store and start over",
     )
     run.add_argument(
         "--quiet", action="store_true", help="no per-site progress line"
@@ -249,7 +256,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shard", type=shard_arg, metavar="I/N", default=None,
         help="run only shard I of N (contiguous site slice; merge the"
-        " per-shard checkpoints with the 'merge' subcommand)",
+        " per-shard stores with the 'merge' subcommand)",
     )
     run.add_argument(
         "--pool", metavar="SPEC", default=None,
@@ -260,11 +267,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge", parents=[common],
-        help="fuse per-shard checkpoints into the full campaign result",
+        help="fuse per-shard stores into the full campaign result",
     )
     merge.add_argument(
-        "--checkpoint", metavar="PATH", nargs="+", required=True,
-        help="the shard checkpoint files (any order)",
+        "--store", metavar="DIR", nargs="+", required=True,
+        help="the shard store directories (any order)",
     )
     merge.set_defaults(func=cmd_merge)
 

@@ -86,7 +86,7 @@ class FaultModel:
         Unlike :meth:`describe` (which uses human-readable net names)
         the site id is derived purely from the fault's own parameters,
         so it is identical across processes and interpreter runs -- it
-        is the key the campaign checkpoint store persists reports under.
+        keys the campaign's ``site`` artifacts in the store.
         """
         raise NotImplementedError
 

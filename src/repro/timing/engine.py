@@ -603,6 +603,12 @@ class CompiledCircuit:
             name: np.asarray(values, dtype=np.uint64)
             for name, values in stimulus.items()
         }
+        for name, arr in arrays.items():
+            if arr.ndim != 1:
+                raise SimulationError(
+                    "stimulus port %r must be a 1-D pattern array, got"
+                    " shape %s" % (name, arr.shape)
+                )
         lengths = {arr.shape[0] for arr in arrays.values()}
         if len(lengths) != 1:
             raise SimulationError("stimulus arrays must be equally long")

@@ -211,10 +211,7 @@ def build_value_plane(
     are rounded up to a multiple of 8 so packed chunks stay
     byte-aligned.
     """
-    lengths = {np.asarray(v).shape[0] for v in stimulus.values()}
-    if len(lengths) != 1:
-        raise SimulationError("stimulus arrays must be equally long")
-    (n,) = lengths
+    _, _, n = circuit._settled_stimulus(stimulus, initial)
     if isinstance(chunk_size, int) and chunk_size % 8:
         chunk_size += 8 - chunk_size % 8
     recorder = _PlaneRecorder(circuit, n)
@@ -484,7 +481,9 @@ class ArrivalReplay:
         n: int,
         collect_bit_arrivals: bool,
     ):
-        """Reference per-cell replay (the pre-SoA interpreter)."""
+        """Reference per-cell replay (the pre-SoA interpreter), pricing
+        every cell with the reference rule :func:`repro.timing.logic
+        .arrival_masks`."""
         circuit = self.circuit
         plane = self.plane
         zeros_f = np.zeros(n)
@@ -493,40 +492,25 @@ class ArrivalReplay:
             for net in port.nets:
                 arrs[net] = zeros_f
 
-        # Freed (k, n) arrival buffers are pooled and reused, so the
-        # replay loop settles into zero allocator traffic.
-        pool: List[np.ndarray] = []
-
-        def alloc() -> np.ndarray:
-            return pool.pop() if pool else np.empty((k, n))
-
         protected = circuit._protected
         last_use = circuit._last_use
         for compiled in circuit._cells:
-            in_arrs = [arrs[net] for net in compiled.inputs]
-            out_may = plane.may(compiled.output)
-            aux = plane.aux(compiled.position)
             # Matches the engine's per-cell delay bit for bit:
             # fresh_delay_ns * scale, broadcast down the corner axis.
             delay = compiled.fresh_delay_ns * scales[:, compiled.index]
-            arrs[compiled.output] = _arrival_into(
+            arrs[compiled.output] = logic.arrival_masks(
                 compiled.opcode,
-                aux,
-                in_arrs,
+                plane.aux(compiled.position),
+                [arrs[net] for net in compiled.inputs],
                 delay[:, None],
-                out_may,
-                alloc,
-                pool,
-                zeros_f,
+                plane.may(compiled.output),
             )
             for used in compiled.inputs:
                 if (
                     used not in protected
                     and last_use.get(used) == compiled.position
                 ):
-                    dead = arrs.pop(used, None)
-                    if dead is not None and dead.shape == (k, n):
-                        pool.append(dead)
+                    arrs.pop(used, None)
 
         delays = np.zeros((k, n))
         bit_arrivals: Optional[Dict[str, np.ndarray]] = (
@@ -556,23 +540,19 @@ class ArrivalReplay:
         ).stream_result(0)
 
 
-def _cols(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Pattern-axis gather that tolerates (n,) and (k, n) operands."""
-    return arr[idx] if arr.ndim == 1 else arr[:, idx]
-
-
 def _active_arrival(opcode, aux, arrs, delay, out=None):
     """Arrival kernel over flat *active* entries.
 
     Operands are ``(nnz, k)`` arrays (one row per (cell, pattern) entry
     whose output may change, all corners side by side) with ``(nnz,)``
     aux masks.  Bit-identical to :func:`repro.timing.logic
-    .arrival_masks` restricted to those entries -- the elementwise
-    identities are the same ones :func:`_arrival_into` uses, minus the
-    quiet-zero pass (callers read quiet entries as 0.0 -- the replay
-    store's row 0, the delta engine's pre-zeroed tensor -- which IS the
-    ``where(may, .., 0.0)`` branch).  The result is written into
-    ``out`` when given, else into a new array.
+    .arrival_masks` restricted to those entries: integer-indexed
+    partial writes replace its ``np.where`` chains (every identity is
+    float-exact: arrivals are >= 0.0 and min/max/select never round),
+    and there is no quiet-zero pass (callers read quiet entries as 0.0
+    -- the replay store's row 0, the delta engine's pre-zeroed tensor --
+    which IS the ``where(may, .., 0.0)`` branch).  The result is
+    written into ``out`` when given, else into a new array.
     """
     if out is None:
         out = np.empty_like(arrs[0])
@@ -624,78 +604,4 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
     out[...] = logic.arrival_masks(
         opcode, tuple(a[:, None] for a in aux), arrs, delay, out_may
     )
-    return out
-
-
-def _arrival_into(opcode, aux, arrs, delay, out_may, alloc, pool, zeros_f):
-    """Replay-optimized arrival kernel, bit-identical to
-    :func:`repro.timing.logic.arrival_masks`.
-
-    Works in place on pooled ``(k, n)`` buffers and replaces the generic
-    ``np.where`` chains with integer-indexed partial writes: the
-    selection masks depend only on values, so one ``(n,)`` index vector
-    serves all ``k`` corners and the write cost scales with how often a
-    case actually occurs.  Every identity used is float-exact (arrivals
-    are always >= 0.0, min/max/select never round), which the
-    equivalence suite asserts against full engine runs.
-    """
-    if not out_may.any():
-        # Quiet everywhere: the engine's where(may, ..., 0) yields all
-        # zeros; share the (n,) zero rail (broadcasts downstream).
-        return zeros_f
-
-    if opcode in (logic.OP_BUF, logic.OP_INV):
-        out = alloc()
-        np.add(arrs[0], delay, out=out)
-    elif opcode in (logic.OP_XOR2, logic.OP_XNOR2):
-        out = alloc()
-        np.maximum(arrs[0], arrs[1], out=out)
-        out += delay
-    elif (
-        logic.CONTROLLING_VALUE.get(opcode) is not None
-        and len(arrs) == 2
-    ):
-        # 2-input controlled gate: base is max(a0, a1) (no controlling
-        # input), a0 / a1 (one controlling input: earliest-controller
-        # cap), or min(a0, a1) (both controlling).
-        c0, c1 = aux
-        a0, a1 = arrs
-        out = alloc()
-        np.maximum(a0, a1, out=out)
-        both = np.nonzero(c0 & c1)[0]
-        if both.size:
-            out[:, both] = np.minimum(_cols(a0, both), _cols(a1, both))
-        only0 = np.nonzero(c0 & ~c1)[0]
-        if only0.size:
-            out[:, only0] = _cols(a0, only0)
-        only1 = np.nonzero(c1 & ~c0)[0]
-        if only1.size:
-            out[:, only1] = _cols(a1, only1)
-        out += delay
-    elif opcode == logic.OP_MUX2:
-        (sel,) = aux
-        out = alloc()
-        out[:] = arrs[0]
-        chosen1 = np.nonzero(sel)[0]
-        if chosen1.size:
-            out[:, chosen1] = _cols(arrs[1], chosen1)
-        np.maximum(out, arrs[2], out=out)
-        out += delay
-    elif opcode == logic.OP_TRIBUF:
-        (enabled,) = aux
-        out = alloc()
-        out[:] = arrs[0]
-        disabled = np.nonzero(~enabled)[0]
-        if disabled.size:
-            out[:, disabled] = 0.0
-        np.maximum(out, arrs[1], out=out)
-        out += delay
-    else:
-        # Rare shapes (3-input controlled gates): generic reference
-        # kernel.  delay is (k, 1), so this is a fresh (k, n) array.
-        return logic.arrival_masks(opcode, aux, arrs, delay, out_may)
-
-    quiet = np.nonzero(~out_may)[0]
-    if quiet.size:
-        out[:, quiet] = 0.0
     return out

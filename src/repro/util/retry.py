@@ -1,10 +1,9 @@
 """Bounded exponential backoff and a typed retry driver.
 
-Every concurrent corner of the library (campaign checkpoint locks,
-``clear()`` racing writers, the service's backend pool rebuilds) wants
-the same loop: try, sleep a growing-but-capped delay, try again, give
-up after a budget with a *typed* error.  This module is that loop,
-written once.
+``ArtifactStore.clear()`` (:mod:`repro.experiments.store`) races
+concurrent writers and needs a loop: try, sleep a growing-but-capped
+delay, try again, give up after a budget with a *typed* error.  This
+module is that loop.
 
 The schedule is deterministic under a seeded RNG: jitter draws come
 from a private :class:`random.Random`, so tests can pin ``seed`` and

@@ -262,9 +262,11 @@ class TestManifest:
 
 
 class TestParentStore:
-    """A store written before planes became artifacts: manifest shards,
-    their lock files and a ``planes/`` directory next to the artifacts.
-    Every artifact keeps its file name and bytes, so it stays a hit."""
+    """A store written before planes and campaign reports became
+    artifacts: manifest shards, their lock files, a ``planes/`` directory
+    and JSONL campaign checkpoints under ``campaigns/`` next to the
+    artifacts.  Every artifact keeps its file name and bytes, so it
+    stays a hit; the old files are never read."""
 
     #: File names the parent release gave these keys (same digests).
     PARENT_FILES = {
@@ -309,6 +311,12 @@ class TestParentStore:
         os.makedirs(planes)
         with open(os.path.join(planes, "plane-0123.npz"), "wb") as fp:
             fp.write(b"parent-era plane")
+        campaigns = os.path.join(store.directory, "campaigns")
+        os.makedirs(campaigns)
+        checkpoint = os.path.join(campaigns, "ext_faults-0123.jsonl")
+        with open(checkpoint, "w", encoding="utf-8") as fp:
+            fp.write('{"format": "repro-campaign-checkpoint"}\n')
+        open(checkpoint + ".lock", "w").close()
 
         reopened = ArtifactStore(store.directory)
         for kind in payloads:
@@ -350,7 +358,11 @@ class TestContextActivity:
 class TestMaintenance:
     def test_clear_removes_everything(self, store, netlist4):
         store.save("netlist", {"w": 4}, netlist4)
-        store.campaigns_dir()
+        # A campaign checkpoint as stores written before site artifacts
+        # held it; never read, removed like everything else.
+        campaigns = os.path.join(store.directory, "campaigns")
+        os.makedirs(campaigns)
+        open(os.path.join(campaigns, "ext_faults-0123.jsonl"), "w").close()
         store.clear()
         assert not os.path.isdir(store.directory)
         assert store.counter_totals() == {
@@ -361,8 +373,3 @@ class TestMaintenance:
         # The store keeps working after a clear.
         store.save("netlist", {"w": 4}, netlist4)
         assert store.load("netlist", {"w": 4}) is not None
-
-    def test_campaigns_dir_created(self, store):
-        path = store.campaigns_dir()
-        assert os.path.isdir(path)
-        assert path.startswith(store.directory)

@@ -1,11 +1,11 @@
-"""Campaign execution: sharding, checkpoint/resume, cone pruning.
+"""Campaign execution: sharding, store-backed resume, cone pruning.
 
 The contracts under test (DESIGN.md section 9, "campaign execution"):
 
 * ``run(pool="local:N")`` is bit-identical to the serial sweep;
-* an interrupted campaign flushes its checkpoint, reports partial
-  coverage, and resumes without re-simulating completed sites -- even
-  from a checkpoint whose trailing line was torn by a kill;
+* an interrupted campaign has saved every completed site to its store,
+  reports partial coverage, and resumes without re-simulating completed
+  sites -- even from a store whose site file was torn by a kill;
 * logic-cone pruning synthesizes *exactly* the report a full simulation
   would have produced, and never touches a site that can corrupt an
   observed output bit.
@@ -22,9 +22,10 @@ from repro.arith import column_bypass_multiplier
 from repro.config import DEFAULT_TECHNOLOGY
 from repro.core import AgingAwareMultiplier
 from repro.distrib.pool import make_batches
-from repro.errors import CampaignInterrupted, CheckpointError, FaultError
+from repro.analysis.serialize import to_json
+from repro.errors import CampaignInterrupted, FaultError
+from repro.experiments.store import ArtifactStore
 from repro.faults import (
-    CheckpointStore,
     DelayFault,
     InjectionCampaign,
     StuckAtFault,
@@ -32,6 +33,7 @@ from repro.faults import (
     campaign_from_spec,
     unique_site_ids,
 )
+from repro.faults.campaign import SiteReport, site_key
 
 #: The shared campaign: 16 sites x 150 patterns on the 8-bit column
 #: design, clocked at 0.6x its critical path.  Built from a spec so the
@@ -62,6 +64,23 @@ def arch8(campaign):
 @pytest.fixture(scope="module")
 def serial_result(campaign):
     return campaign.run(prune=False)
+
+
+def site_files(store):
+    """The ``site`` artifact files of a store, sorted."""
+    return sorted(
+        name for name in os.listdir(store.directory)
+        if name.startswith("site-")
+    )
+
+
+def tear(store, site_id, fingerprint):
+    """Truncate one site artifact mid-write, as a killed writer would."""
+    path = store._path("site", site_key(fingerprint, site_id))
+    with open(path, "rb") as fp:
+        data = fp.read()
+    with open(path, "wb") as fp:
+        fp.write(data[: len(data) // 2])
 
 
 class TestSiteIds:
@@ -117,130 +136,128 @@ class TestShardedIdentity:
 
 
 class TestCheckpointStore:
+    """A campaign's checkpoint is the ``site`` kind of an
+    :class:`ArtifactStore`: one file per site report, keyed by the
+    campaign fingerprint and the site id."""
+
     def _fingerprint(self, n=1):
         return {"design": "test", "seed": n}
 
     def _store_with_reports(self, path, campaign, count=3):
-        store = CheckpointStore(str(path))
-        store.open(self._fingerprint())
+        store = ArtifactStore(str(path))
         reports = []
         for index in range(count):
             site, _ = campaign.run_site(
                 campaign.faults[index], campaign.site_ids[index]
             )
-            store.append(campaign.site_ids[index], site)
+            store.save(
+                "site",
+                site_key(self._fingerprint(), campaign.site_ids[index]),
+                site.to_dict(),
+            )
             reports.append(site)
-        store.close()
         return reports
 
+    def _load(self, store, site_id, n=1):
+        payload = store.load("site", site_key(self._fingerprint(n), site_id))
+        return None if payload is None else SiteReport.from_dict(payload)
+
     def test_round_trip(self, tmp_path, campaign):
-        path = tmp_path / "cp.jsonl"
+        path = tmp_path / "store"
         written = self._store_with_reports(path, campaign)
-        loaded = CheckpointStore(str(path)).load(self._fingerprint())
-        assert [loaded[r.site_id] for r in written] == written
+        store = ArtifactStore(str(path))
+        assert [self._load(store, r.site_id) for r in written] == written
+        assert len(site_files(store)) == len(written)
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert CheckpointStore(str(tmp_path / "nope.jsonl")).load() == {}
+        store = ArtifactStore(str(tmp_path / "nope"))
+        assert self._load(store, "sa0:n5") is None
+        assert store.counters["site"] == {
+            "hits": 0, "misses": 1, "writes": 0,
+        }
+        assert store.corruption == {"artifacts": 0}
 
     def test_fingerprint_mismatch_rejected(self, tmp_path, campaign):
-        path = tmp_path / "cp.jsonl"
-        self._store_with_reports(path, campaign)
-        with pytest.raises(CheckpointError):
-            CheckpointStore(str(path)).load(self._fingerprint(2))
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "other.jsonl"
-        path.write_text('{"hello": "world"}\n')
-        with pytest.raises(CheckpointError):
-            CheckpointStore(str(path)).load()
-
-    def test_torn_trailing_line_dropped(self, tmp_path, campaign):
-        path = tmp_path / "cp.jsonl"
+        path = tmp_path / "store"
         written = self._store_with_reports(path, campaign)
-        # Chop the last line mid-JSON, as a kill mid-write would.
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 25])
-        store = CheckpointStore(str(path))
-        loaded = store.load(self._fingerprint())
-        assert store.dropped_lines == 1
-        assert [loaded[r.site_id] for r in written[:-1]] == written[:-1]
-        assert written[-1].site_id not in loaded
+        store = ArtifactStore(str(path))
+        # Another campaign's key names another file: a plain miss.
+        assert self._load(store, written[0].site_id, n=2) is None
+        assert store.corruption == {"artifacts": 0}
 
-    def test_mid_file_corruption_refused(self, tmp_path, campaign):
-        path = tmp_path / "cp.jsonl"
-        self._store_with_reports(path, campaign)
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][:10]  # corrupt a non-trailing line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError):
-            CheckpointStore(str(path)).load()
-
-    def test_append_requires_open(self, tmp_path, campaign):
-        store = CheckpointStore(str(tmp_path / "cp.jsonl"))
-        site, _ = campaign.run_site(campaign.faults[0])
-        with pytest.raises(CheckpointError):
-            store.append("x", site)
-
-    def test_open_compacts_torn_bytes(self, tmp_path, campaign):
-        path = tmp_path / "cp.jsonl"
-        self._store_with_reports(path, campaign)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 25])
-        with CheckpointStore(str(path)) as store:
-            store.open(self._fingerprint())
-        # After compaction every line parses again.
-        for line in path.read_text().splitlines():
-            json.loads(line)
+    def test_foreign_file_rejected(self, tmp_path, campaign):
+        path = tmp_path / "store"
+        written = self._store_with_reports(path, campaign, count=1)
+        store = ArtifactStore(str(path))
+        target = store._path(
+            "site", site_key(self._fingerprint(), written[0].site_id)
+        )
+        with open(target, "w", encoding="utf-8") as fp:
+            fp.write('{"hello": "world"}\n')
+        assert self._load(store, written[0].site_id) is None
+        assert store.corruption == {"artifacts": 1}
 
 
 class TestResume:
     def test_second_run_simulates_nothing(self, tmp_path, campaign,
                                           serial_result):
-        path = str(tmp_path / "cp.jsonl")
-        first = campaign.run(checkpoint=path, prune=False)
-        second = campaign.run(checkpoint=path, prune=False)
+        store = ArtifactStore(str(tmp_path / "store"))
+        first = campaign.run(store=store, prune=False)
+        second = campaign.run(store=store, prune=False)
         assert second.resumed_sites == len(campaign.faults)
         assert second.simulated_sites == 0
         assert second.sites == first.sites == serial_result.sites
+        assert len(site_files(store)) == len(campaign.faults)
 
     def test_resume_after_kill_mid_write(self, tmp_path, campaign,
                                          serial_result):
-        """Acceptance: truncate the JSONL mid-line and resume."""
-        path = tmp_path / "cp.jsonl"
-        campaign.run(checkpoint=str(path), prune=False)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 40])  # torn trailing write
-        resumed = campaign.run(checkpoint=str(path), prune=False)
+        """Acceptance: truncate one site file mid-write and resume."""
+        store = ArtifactStore(str(tmp_path / "store"))
+        campaign.run(store=store, prune=False)
+        tear(store, campaign.site_ids[5], campaign.fingerprint())
+        store = ArtifactStore(store.directory)
+        resumed = campaign.run(store=store, prune=False)
         # Only the torn site re-simulates; everything else resumes.
         assert resumed.resumed_sites == len(campaign.faults) - 1
         assert resumed.simulated_sites == 1
-        assert resumed.sites == serial_result.sites
+        assert store.corruption == {"artifacts": 1}
+        assert store.counters["site"]["writes"] == 1
+        # Byte-identical once the resumed/simulated split is folded.
+        split = {"sites_resumed": 0, "sites_simulated": len(campaign.faults)}
+        assert to_json({**resumed.to_dict(), **split}) == to_json(
+            serial_result
+        )
+        again = campaign.run(store=ArtifactStore(store.directory))
+        assert again.resumed_sites == len(campaign.faults)
 
     def test_resume_false_starts_over(self, tmp_path, campaign):
-        path = str(tmp_path / "cp.jsonl")
-        campaign.run(checkpoint=path, prune=False)
-        fresh = campaign.run(checkpoint=path, resume=False, prune=False)
+        store = ArtifactStore(str(tmp_path / "store"))
+        campaign.run(store=store, prune=False)
+        fresh = campaign.run(store=store, resume=False, prune=False)
         assert fresh.resumed_sites == 0
         assert fresh.simulated_sites == len(campaign.faults)
+        assert store.counters["site"]["writes"] == 2 * len(campaign.faults)
 
     def test_resume_rejects_other_campaign(self, tmp_path, arch8, campaign):
-        path = str(tmp_path / "cp.jsonl")
-        campaign.run(checkpoint=path, prune=False)
+        store = ArtifactStore(str(tmp_path / "store"))
+        campaign.run(store=store, prune=False)
         other = InjectionCampaign.sweep(
             arch8, num_sites=16, num_patterns=150, seed=99
         )
-        with pytest.raises(CheckpointError):
-            other.run(checkpoint=path)
+        result = other.run(store=store, prune=False)
+        assert result.resumed_sites == 0
+        assert result.simulated_sites == len(other.faults)
 
     def test_sharded_resume_matches_serial(self, tmp_path, campaign,
                                            serial_result):
-        path = tmp_path / "cp.jsonl"
-        campaign.run(checkpoint=str(path), prune=False)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 40])
+        store = ArtifactStore(str(tmp_path / "store"))
+        campaign.run(store=store, prune=False)
+        tear(store, campaign.site_ids[-1], campaign.fingerprint())
         resumed = campaign.run(
-            checkpoint=str(path), pool="local:2", prune=False
+            store=ArtifactStore(store.directory), pool="local:2",
+            prune=False,
         )
+        assert resumed.simulated_sites == 1
         assert resumed.sites == serial_result.sites
 
 
@@ -251,7 +268,7 @@ class TestInterruption:
 
     def test_partial_result_flushed_and_resumable(self, tmp_path, campaign,
                                                   serial_result):
-        path = str(tmp_path / "cp.jsonl")
+        store = ArtifactStore(str(tmp_path / "store"))
 
         def bomb(report, completed, total):
             if completed >= 5:
@@ -259,7 +276,7 @@ class TestInterruption:
 
         with pytest.raises(CampaignInterrupted) as info:
             campaign.run(
-                checkpoint=path, prune=False, progress=bomb, **self.run_kw
+                store=store, prune=False, progress=bomb, **self.run_kw
             )
         exc = info.value
         assert exc.completed == 5
@@ -268,11 +285,11 @@ class TestInterruption:
         assert not exc.partial.complete
         assert exc.partial.num_sites == 5
         assert "[PARTIAL -- interrupted]" in exc.partial.render()
-        flushed = CheckpointStore(path).load(campaign.fingerprint())
-        assert len(flushed) < len(campaign.faults)
+        assert store.directory in str(exc)
+        assert len(site_files(store)) == 5
 
         resumed = campaign.run(
-            checkpoint=path, prune=False, **self.run_kw
+            store=store, prune=False, **self.run_kw
         )
         assert resumed.complete
         assert resumed.resumed_sites == 5
@@ -401,11 +418,11 @@ class TestCli:
     def test_run_and_resume(self, tmp_path, capsys):
         from repro.faults.cli import main
 
-        path = str(tmp_path / "cp.jsonl")
+        path = str(tmp_path / "store")
         args = [
             "run", "--width", "4", "--sites", "8", "--patterns", "80",
             "--characterize-patterns", "200", "--quiet",
-            "--checkpoint", path,
+            "--store", path,
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
@@ -413,7 +430,8 @@ class TestCli:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "resumed 8" in second
-        assert os.path.exists(path)
+        assert "simulated 0" in second
+        assert len(site_files(ArtifactStore(path))) == 8
 
     def test_listing_without_command(self, capsys):
         from repro.faults.cli import main

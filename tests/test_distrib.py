@@ -36,6 +36,7 @@ from repro.errors import (
     ManifestPending,
 )
 from repro.experiments.scheduler import shard_ranges
+from repro.experiments.store import ArtifactStore
 from repro.faults.campaign import (
     campaign_from_spec,
     merge_campaign_shards,
@@ -231,9 +232,9 @@ class TestCampaignSharding:
         total = len(campaign_from_spec(CAMPAIGN_SPEC).faults)
         paths = []
         for i, rng in enumerate(shard_ranges(total, 2)):
-            path = str(tmp_path / ("shard%d.jsonl" % i))
+            path = str(tmp_path / ("shard%d" % i))
             campaign_from_spec(CAMPAIGN_SPEC).run(
-                site_range=rng, checkpoint=path
+                site_range=rng, store=ArtifactStore(path)
             )
             paths.append(path)
         merged = merge_campaign_shards(
@@ -243,23 +244,28 @@ class TestCampaignSharding:
 
     def test_merge_missing_shard_rejected(self, tmp_path):
         campaign = campaign_from_spec(CAMPAIGN_SPEC)
-        path = str(tmp_path / "only.jsonl")
+        path = str(tmp_path / "only")
         campaign_from_spec(CAMPAIGN_SPEC).run(
-            site_range=(0, 2), checkpoint=path
+            site_range=(0, 2), store=ArtifactStore(path)
         )
         with pytest.raises(FaultError, match="incomplete"):
             merge_campaign_shards(campaign, [path])
-        with pytest.raises(FaultError, match="no shard checkpoints"):
+        with pytest.raises(FaultError, match="no shard stores"):
             merge_campaign_shards(campaign, [])
 
     def test_merge_foreign_checkpoint_rejected(self, tmp_path):
-        from repro.errors import CheckpointError
-
+        """Another campaign's store matches no site key: the merge
+        reports every site missing instead of mixing its reports in."""
+        campaign = campaign_from_spec(CAMPAIGN_SPEC)
         other = dict(CAMPAIGN_SPEC, seed=8)
-        path = str(tmp_path / "foreign.jsonl")
-        campaign_from_spec(other).run(site_range=(0, 2), checkpoint=path)
-        with pytest.raises(CheckpointError):
-            merge_campaign_shards(campaign_from_spec(CAMPAIGN_SPEC), [path])
+        path = str(tmp_path / "foreign")
+        campaign_from_spec(other).run(
+            site_range=(0, 2), store=ArtifactStore(path)
+        )
+        with pytest.raises(FaultError, match="incomplete: %d/%d" % (
+            len(campaign.faults), len(campaign.faults)
+        )):
+            merge_campaign_shards(campaign, [path])
 
     def test_pool_requires_spec(self):
         from repro.faults.campaign import InjectionCampaign

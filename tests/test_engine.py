@@ -74,6 +74,20 @@ class TestBasics:
         with pytest.raises(SimulationError):
             circuit.run({"a": []})
 
+    @pytest.mark.parametrize(
+        "stimulus",
+        [{"md": 3, "mr": 4}, {"md": [[1, 2]], "mr": [[1, 2]]}],
+        ids=["scalar", "2-D"],
+    )
+    def test_non_1d_stimulus_rejected(self, stimulus):
+        """A scalar or 2-D port is refused up front with a typed error,
+        not an ``IndexError`` or broadcast failure deep in the engine."""
+        circuit = CompiledCircuit(column_bypass_multiplier(4))
+        for call in (circuit.run, circuit.signal_probability,
+                     circuit.toggle_counts):
+            with pytest.raises(SimulationError, match="1-D"):
+                call(stimulus)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(SimulationError):
             CompiledCircuit(inverter_chain(), mode="optimistic")

@@ -157,6 +157,21 @@ class TestReplayEquivalence:
         with pytest.raises(SimulationError):
             ArrivalReplay(floating, plane)
 
+    @pytest.mark.parametrize(
+        "stimulus, match",
+        [
+            ({"md": 3, "mr": 4}, "1-D"),
+            ({"md": [[1, 2]], "mr": [[1, 2]]}, "1-D"),
+            ({}, "missing"),
+        ],
+        ids=["scalar", "2-D", "empty"],
+    )
+    def test_bad_stimulus_rejected(self, cb8, stimulus, match):
+        """The plane builder validates like ``run``: a typed error that
+        names the fault, not a misleading length complaint."""
+        with pytest.raises(SimulationError, match=match):
+            build_value_plane(CompiledCircuit(cb8), stimulus)
+
     def test_bad_delay_scales_rejected(self, cb8, stream8):
         circuit = CompiledCircuit(cb8)
         plane = build_value_plane(circuit, stream8)

@@ -1,15 +1,9 @@
-"""Backoff schedules, the retry driver, and the two-layer FileLock."""
-
-import os
-import subprocess
-import sys
-import threading
-import time
+"""Backoff schedules and the retry driver."""
 
 import pytest
 
-from repro.errors import ConfigError, LockTimeoutError, RetryExhaustedError
-from repro.util import Backoff, FileLock, retry_call
+from repro.errors import ConfigError, RetryExhaustedError
+from repro.util import Backoff, retry_call
 
 
 class TestBackoff:
@@ -113,100 +107,3 @@ class TestRetryCall:
 
         with pytest.raises(ValueError):
             retry_call(bad, retry_on=(OSError,), sleep=lambda _s: None)
-
-
-class TestFileLockThreads:
-    def test_exclusion_between_threads(self, tmp_path):
-        path = str(tmp_path / "x.lock")
-        order = []
-        holder_entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with FileLock(path, timeout_s=5.0):
-                order.append("holder-in")
-                holder_entered.set()
-                release.wait(timeout=10.0)
-                order.append("holder-out")
-
-        def waiter():
-            holder_entered.wait(timeout=10.0)
-            with FileLock(path, timeout_s=5.0):
-                order.append("waiter-in")
-
-        threads = [threading.Thread(target=holder),
-                   threading.Thread(target=waiter)]
-        for t in threads:
-            t.start()
-        holder_entered.wait(timeout=10.0)
-        time.sleep(0.05)  # give the waiter time to block on the lock
-        release.set()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert order == ["holder-in", "holder-out", "waiter-in"]
-
-    def test_contended_thread_times_out(self, tmp_path):
-        path = str(tmp_path / "x.lock")
-        with FileLock(path, timeout_s=5.0):
-            with pytest.raises(LockTimeoutError) as info:
-                FileLock(path, timeout_s=0.2).acquire()
-        assert info.value.path == os.path.abspath(path)
-        # Released now: immediately acquirable again.
-        with FileLock(path, timeout_s=0.2):
-            pass
-
-    def test_not_reentrant(self, tmp_path):
-        lock = FileLock(str(tmp_path / "x.lock"), timeout_s=0.2)
-        with lock:
-            with pytest.raises(LockTimeoutError):
-                lock.acquire()
-
-    def test_release_is_idempotent(self, tmp_path):
-        lock = FileLock(str(tmp_path / "x.lock"))
-        lock.acquire()
-        lock.release()
-        lock.release()
-        assert not lock.locked
-
-
-_CHILD_HOLDER = """
-import sys, time
-from repro.util import FileLock
-
-path, ready_path = sys.argv[1], sys.argv[2]
-with FileLock(path, timeout_s=5.0):
-    open(ready_path, "w").write("held")
-    time.sleep(%f)
-"""
-
-
-class TestFileLockProcesses:
-    def test_cross_process_contention(self, tmp_path):
-        lock_path = str(tmp_path / "shared.lock")
-        ready_path = str(tmp_path / "ready")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in [
-                os.path.join(os.path.dirname(__file__), "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ] if p
-        )
-        child = subprocess.Popen(
-            [sys.executable, "-c", _CHILD_HOLDER % 10.0,
-             lock_path, ready_path],
-            env=env,
-        )
-        try:
-            deadline = time.monotonic() + 30.0
-            while not os.path.exists(ready_path):
-                assert child.poll() is None, "lock-holder child died"
-                assert time.monotonic() < deadline, "child never ready"
-                time.sleep(0.01)
-            with pytest.raises(LockTimeoutError):
-                FileLock(lock_path, timeout_s=0.3).acquire()
-        finally:
-            child.kill()
-            child.wait()
-        # Holder gone: the flock died with its descriptor.
-        with FileLock(lock_path, timeout_s=2.0):
-            pass

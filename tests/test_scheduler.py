@@ -1,5 +1,9 @@
 """Suite planner/runner: plans, parallel identity, warm-store reuse."""
 
+import hashlib
+import os
+import re
+
 import pytest
 
 from repro.errors import ConfigError
@@ -18,6 +22,21 @@ from repro.experiments.scheduler import _spec_weight
 SUBSET = ("fig06", "fig07")
 SCALE = 0.05
 CHAR_PATTERNS = 300
+#: The ext_faults campaign line (see ``CampaignResult.render``).
+_CAMPAIGN_LINE = re.compile(r"pruned (\d+), resumed (\d+), simulated (\d+)")
+
+
+def _file_digests(directory):
+    """Relative path -> sha256 of every file under ``directory``."""
+    digests = {}
+    for dirpath, _, filenames in os.walk(directory):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fp:
+                digests[os.path.relpath(path, directory)] = hashlib.sha256(
+                    fp.read()
+                ).hexdigest()
+    return digests
 
 
 class TestResources:
@@ -161,6 +180,51 @@ class TestStoreBackedRuns:
         assert totals["writes"] == 0
         # Cold run wrote everything the warm run hit.
         assert cold.store_counters["stress"]["writes"] > 0
+
+    def test_warm_campaign_loads_every_site(self, tmp_path):
+        """ext_faults on a warm store loads every campaign site as a
+        ``site`` artifact, simulates none and writes nothing."""
+        store_dir = str(tmp_path / "store")
+
+        def run():
+            return run_suite(
+                names=("ext_faults",),
+                scale=0.02,
+                characterize_patterns=200,
+                store=ArtifactStore(store_dir),
+            )
+
+        def folded(result):
+            # The resumed/simulated split is the only store-dependent
+            # rendered text: fold it into one total.
+            return _CAMPAIGN_LINE.sub(
+                lambda m: "pruned %s, resumed+simulated %d"
+                % (m.group(1), int(m.group(2)) + int(m.group(3))),
+                result.entry("ext_faults").rendered,
+            )
+
+        cold = run()
+        before = _file_digests(store_dir)
+        warm = run()
+        sites = cold.entry("ext_faults").result.campaign.num_sites
+        assert sites > 0
+        assert "resumed 0, simulated %d" % sites in (
+            cold.entry("ext_faults").rendered
+        )
+        assert "resumed %d, simulated 0" % sites in (
+            warm.entry("ext_faults").rendered
+        )
+        assert folded(warm) == folded(cold)
+        assert warm.store_counters["site"] == {
+            "hits": sites, "misses": 0, "writes": 0,
+        }
+        totals = {"hits": 0, "misses": 0, "writes": 0}
+        for stats in warm.store_counters.values():
+            for name in totals:
+                totals[name] += stats.get(name, 0)
+        assert totals["misses"] == 0
+        assert totals["writes"] == 0
+        assert _file_digests(store_dir) == before
 
     def test_store_accepts_path_string(self, tmp_path):
         result = run_suite(

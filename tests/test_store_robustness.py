@@ -8,8 +8,8 @@ The robustness contract under test:
   never see a partial one;
 * two saves of one artifact that overlap in time both succeed (every
   write owns its temp file) and leave a valid artifact;
-* a campaign checkpoint's torn tail or leftover temp file costs at most
-  the torn report, and concurrent openers serialize on its lock.
+* a campaign's torn site file or leftover temp file costs at most the
+  torn report.
 """
 
 import os
@@ -22,8 +22,7 @@ import pytest
 
 from repro.arith import column_bypass_multiplier
 from repro.experiments.store import ArtifactStore
-from repro.faults.campaign import SiteReport
-from repro.faults.store import CheckpointStore
+from repro.faults.campaign import SiteReport, site_key
 from repro.timing import CompiledCircuit, build_value_plane
 from repro.workloads import uniform_operands
 
@@ -240,69 +239,49 @@ def _report(site_id):
 
 
 class TestCheckpointCrashFuzz:
+    """A campaign checkpoint is its ``site`` artifacts (one file each)."""
+
     FP = {"design": "fuzz", "seed": 7}
 
-    def _write(self, path, count=3):
-        store = CheckpointStore(str(path))
-        store.open(self.FP)
+    def _write(self, directory, count=3):
+        store = ArtifactStore(str(directory))
         for index in range(count):
-            store.append("s%d" % index, _report("s%d" % index))
-        store.close()
+            site_id = "s%d" % index
+            store.save(
+                "site", site_key(self.FP, site_id), _report(site_id).to_dict()
+            )
+        return store
+
+    def _loaded(self, store, count=3):
+        return [
+            site_id
+            for site_id in ("s%d" % index for index in range(count))
+            if store.load("site", site_key(self.FP, site_id)) is not None
+        ]
 
     def test_killed_writer_resumes_from_last_complete_report(
         self, tmp_path
     ):
-        path = tmp_path / "cp.jsonl"
-        self._write(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-17])  # SIGKILL mid-append
-        store = CheckpointStore(str(path))
-        reports = store.open(self.FP)
-        assert store.dropped_lines == 1
-        assert sorted(reports) == ["s0", "s1"]
-        # The append stream starts clean after the compacting open.
-        store.append("s2", _report("s2"))
-        store.close()
-        assert sorted(CheckpointStore(str(path)).load(self.FP)) == [
+        store = self._write(tmp_path / "store")
+        path = store._path("site", site_key(self.FP, "s2"))
+        with open(path, "rb") as fp:
+            data = fp.read()
+        with open(path, "wb") as fp:
+            fp.write(data[:-17])  # SIGKILL mid-write
+        reopened = ArtifactStore(store.directory)
+        assert self._loaded(reopened) == ["s0", "s1"]
+        assert reopened.corruption == {"artifacts": 1}
+        # Re-saving the torn site heals it.
+        reopened.save("site", site_key(self.FP, "s2"), _report("s2").to_dict())
+        assert self._loaded(ArtifactStore(store.directory)) == [
             "s0", "s1", "s2",
         ]
 
     def test_killed_writer_tmp_leftover_ignored(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        self._write(path)
-        with open(str(path) + ".tmp", "w", encoding="utf-8") as fp:
-            fp.write('{"torn": tr')  # killed mid-compaction rewrite
-        reports = CheckpointStore(str(path)).open(self.FP)
-        assert sorted(reports) == ["s0", "s1", "s2"]
-
-    def test_open_serializes_across_lock_holders(self, tmp_path):
-        path = tmp_path / "cp.jsonl"
-        self._write(path)
-        entered = threading.Event()
-        release = threading.Event()
-        opened = []
-
-        def holder():
-            from repro.util import FileLock
-
-            with FileLock(str(path) + ".lock", timeout_s=5.0):
-                entered.set()
-                release.wait(timeout=10.0)
-
-        def opener():
-            entered.wait(timeout=10.0)
-            store = CheckpointStore(str(path))
-            store.open(self.FP)
-            store.close()
-            opened.append(True)
-
-        threads = [threading.Thread(target=holder),
-                   threading.Thread(target=opener)]
-        for t in threads:
-            t.start()
-        entered.wait(timeout=10.0)
-        assert not opened  # opener is parked on the lock
-        release.set()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert opened == [True]
+        store = self._write(tmp_path / "store")
+        path = store._path("site", site_key(self.FP, "s0"))
+        with open(path + ".tmp", "w", encoding="utf-8") as fp:
+            fp.write('{"torn": tr')  # killed before its rename
+        reopened = ArtifactStore(store.directory)
+        assert self._loaded(reopened) == ["s0", "s1", "s2"]
+        assert reopened.corruption == {"artifacts": 0}
