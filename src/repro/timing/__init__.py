@@ -34,7 +34,6 @@ from .delta import (
     replay_delta,
 )
 from .engine import (
-    KERNELS,
     CompiledCircuit,
     StreamResult,
     auto_chunk_size,
@@ -58,7 +57,6 @@ __all__ = [
     "CompiledCircuit",
     "DeltaBase",
     "DeltaResult",
-    "KERNELS",
     "NetlistDelta",
     "FoldPlan",
     "StreamResult",

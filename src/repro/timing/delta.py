@@ -31,8 +31,8 @@ Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 :func:`evaluate_full` on the child netlist -- for both delay modes and
 any finite, positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
 *excluded* from the delta surface: transition densities propagate
-globally and are already the documented float-association exception
-between kernels (see DESIGN.md section 16).
+globally and their per-bucket sum is already the documented
+float-association exception (see DESIGN.md section 16).
 
 Base planes must be built with ``initial=None`` (settling pattern ==
 pattern 0), which makes every recorded may-mask equal to
@@ -317,18 +317,12 @@ def patch_compiled(
         new_levels[level] = bucket_level([cells[p] for p in positions])
 
     patched = CompiledCircuit.__new__(CompiledCircuit)
-    patched.kernel = parent_circuit.kernel
     patched.netlist = child
     patched.technology = parent_circuit.technology
     patched.mode = parent_circuit.mode
     patched.fault_hooks = {}
     patched.delay_scale = scale
     patched._cells = cells
-    patched._protected = set(parent_circuit._protected)
-    patched._last_use = {}
-    for compiled in cells:
-        for net in compiled.inputs:
-            patched._last_use[net] = compiled.position
     patched.num_nets = child.num_nets
     patched._reach_masks = None
     patched._cell_delays = None
@@ -461,7 +455,6 @@ def evaluate_full(
     delay_scales: np.ndarray,
     technology=None,
     mode: str = "inertial",
-    kernel: str = "soa",
     collect_bit_arrivals: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
 ) -> DeltaResult:
@@ -477,7 +470,6 @@ def evaluate_full(
         child,
         technology if technology is not None else DEFAULT_TECHNOLOGY,
         mode=mode,
-        kernel=kernel,
     )
     plane = build_value_plane(
         circuit, stimulus, initial=None, chunk_size=chunk_size
@@ -677,7 +669,6 @@ def replay_delta(
             technology=parent_circuit.technology,
             mode=parent_circuit.mode,
             collect_bit_arrivals=collect_bit_arrivals,
-            kernel=patched.kernel,
         )
         return dataclasses.replace(result, delta=delta)
 

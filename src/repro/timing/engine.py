@@ -18,8 +18,7 @@ from a separate values-only pass over the same plan
 (:meth:`CompiledCircuit.signal_probability`,
 :meth:`CompiledCircuit.toggle_counts`), not from :meth:`CompiledCircuit.run`.
 
-Two delay semantics are available (see :func:`repro.timing.logic
-.arrival_vector`):
+Two delay semantics are available (see DESIGN.md section 5):
 
 * ``mode="inertial"`` (default): only nets whose settled value changes
   propagate arrivals -- the glitch-filtered "last transition" a
@@ -57,21 +56,10 @@ FaultHook = Callable[[np.ndarray, int], np.ndarray]
 #: Delay-semantics modes accepted by :class:`CompiledCircuit`.
 MODES = ("inertial", "floating")
 
-#: Evaluation kernels accepted by :class:`CompiledCircuit`.  ``"soa"``
-#: (the default, and the only production path) evaluates whole
-#: (level, opcode) buckets with batched gather/scatter over
-#: ``(num_nets, n)`` matrices; ``"percell"`` is the original per-cell
-#: interpreter, kept only as the test and benchmark reference.  Both
-#: produce bit-identical per-net and per-pattern results (values,
-#: delays, arrivals, activity); only the cross-cell switched-capacitance
-#: *sum* may differ by float association.
-KERNELS = ("soa", "percell")
-
 #: Peak-memory target for ``chunk_size="auto"``: the streaming loop keeps
-#: on the order of ``num_nets`` live per-pattern arrays (uint8 value,
-#: bool may, float64 arrival, float64 transition density -- less after
-#: dead-net freeing), so patterns-per-chunk is bounded by this budget
-#: divided by ``num_nets * _AUTO_BYTES_PER_NET``.
+#: ``num_nets`` rows of per-pattern arrays (uint8 value, bool may,
+#: float64 arrival, float64 transition density), so patterns-per-chunk
+#: is bounded by this budget divided by ``num_nets * _AUTO_BYTES_PER_NET``.
 AUTO_CHUNK_TARGET_BYTES = 256 * 1024 * 1024
 _AUTO_BYTES_PER_NET = 32
 
@@ -171,10 +159,6 @@ class CompiledCircuit:
             transient value faults enter the simulation; delay faults
             enter through ``delay_scale``).  Constant rails cannot be
             hooked.
-        kernel: Evaluation kernel, one of :data:`KERNELS`.  ``"soa"``
-            runs the levelized bucketed kernel (hooks apply to their
-            rows inside the bucket); ``"percell"`` forces the per-cell
-            reference path everywhere.
     """
 
     def __init__(
@@ -184,17 +168,11 @@ class CompiledCircuit:
         delay_scale: Optional[np.ndarray] = None,
         mode: str = "inertial",
         fault_hooks: Optional[Dict[int, FaultHook]] = None,
-        kernel: str = "soa",
     ):
         if mode not in MODES:
             raise SimulationError(
                 "mode must be one of %s, got %r" % (MODES, mode)
             )
-        if kernel not in KERNELS:
-            raise SimulationError(
-                "kernel must be one of %s, got %r" % (KERNELS, kernel)
-            )
-        self.kernel = kernel
         netlist.validate()
         self.netlist = netlist
         self.technology = technology
@@ -241,18 +219,6 @@ class CompiledCircuit:
                     fresh_delay_ns=fresh,
                 )
             )
-
-        # Net protection and lifetime analysis for array freeing.
-        self._protected = {CONST0, CONST1}
-        for port in netlist.input_ports.values():
-            self._protected.update(port.nets)
-        for port in netlist.output_ports.values():
-            self._protected.update(port.nets)
-
-        self._last_use: Dict[int, int] = {}
-        for compiled in self._cells:
-            for net in compiled.inputs:
-                self._last_use[net] = compiled.position
 
         self.num_nets = netlist.num_nets
         self._reach_masks: Optional[List[int]] = None
@@ -337,7 +303,7 @@ class CompiledCircuit:
         """Recompile with new per-cell delay factors (e.g. another year)."""
         return CompiledCircuit(
             self.netlist, self.technology, delay_scale, self.mode,
-            self.fault_hooks, self.kernel,
+            self.fault_hooks,
         )
 
     def cell_delays_ns(self) -> np.ndarray:
@@ -540,11 +506,9 @@ class CompiledCircuit:
 
         The pass is unchunked, so it holds ``num_nets * (n + 1)`` bytes:
         23 MB for the 16x16 column-bypass design at 10,000 patterns,
-        100 MB for the 32x32 row-bypass design.  The SoA kernel
-        evaluates :meth:`soa_plan` a bucket at a time; the ``percell``
-        kernel runs the plain per-cell loop over the levelized cells,
-        the reference the buckets are tested against.  ``what`` names
-        the caller in the refusal of a hooked circuit.
+        100 MB for the 32x32 row-bypass design.  It evaluates
+        :meth:`soa_plan` a bucket at a time.  ``what`` names the caller
+        in the refusal of a hooked circuit.
         """
         if self.fault_hooks:
             raise SimulationError(
@@ -556,12 +520,6 @@ class CompiledCircuit:
         V[CONST1] = 1
         for name, port in self.netlist.input_ports.items():
             V[list(port.nets)] = logic.unpack_bits(prefixed[name], port.width)
-        if self.kernel == "percell":
-            for compiled in self._cells:
-                V[compiled.output] = logic.eval_vector(
-                    compiled.opcode, [V[pin] for pin in compiled.inputs]
-                )
-            return V
         for bucket_list in self.soa_plan().levels:
             for bucket in bucket_list:
                 V[bucket.outputs] = logic.eval_vector(
@@ -634,7 +592,7 @@ class CompiledCircuit:
         start_index: int = -1,
         recorder=None,
     ):
-        """Simulate one chunk through the configured kernel.
+        """Simulate one chunk, one (level, opcode) bucket at a time.
 
         ``carry_values`` holds every net's settled value at the end of
         the previous chunk (None for the first chunk, which instead
@@ -643,30 +601,6 @@ class CompiledCircuit:
         element (-1 for the settling pattern), forwarded to fault hooks.
         ``recorder``, when set, captures the value plane instead of
         computing arrivals.  Returns ``(result, final_values)``.
-        """
-        if self.kernel == "percell":
-            runner = self._run_chunk_percell
-        else:
-            runner = self._run_chunk_soa
-        return runner(
-            arrays,
-            carry_values,
-            collect_bit_arrivals,
-            drop_first,
-            start_index=start_index,
-            recorder=recorder,
-        )
-
-    def _run_chunk_soa(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        collect_bit_arrivals: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Levelized SoA chunk runner.
 
         Holds dense ``(num_nets, n)`` value / may / transition (and,
         unless recording, arrival) matrices and evaluates one
@@ -780,148 +714,6 @@ class CompiledCircuit:
             outputs[name] = logic.pack_bits(V[nets])[lo:]
             if recorder is None:
                 port_arr = A[nets]
-                if collect_bit_arrivals:
-                    bit_arrivals[name] = port_arr[:, lo:]
-                delays = np.maximum(delays, port_arr.max(axis=0))
-            elif collect_bit_arrivals:
-                bit_arrivals[name] = np.zeros((port.width, n - lo))
-
-        result = StreamResult(
-            outputs=outputs,
-            delays=delays[lo:],
-            switched_caps=switched[lo:],
-            num_patterns=n - lo,
-            bit_arrivals=bit_arrivals,
-        )
-        return result, final_values
-
-    def _run_chunk_percell(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        collect_bit_arrivals: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Reference per-cell chunk runner (the pre-SoA interpreter)."""
-        fault_hooks = self.fault_hooks
-        netlist = self.netlist
-        n = next(iter(arrays.values())).shape[0]
-        zeros_f = np.zeros(n)
-        false_b = np.zeros(n, dtype=bool)
-        inertial = self.mode == "inertial"
-        lo = 1 if drop_first else 0
-        if recorder is not None:
-            recorder.begin(start_index + lo, lo)
-
-        values: Dict[int, np.ndarray] = {}
-        mays: Dict[int, np.ndarray] = {}
-        arrs: Dict[int, np.ndarray] = {}
-        trans: Dict[int, np.ndarray] = {}
-
-        values[CONST0] = np.zeros(n, dtype=np.uint8)
-        values[CONST1] = np.ones(n, dtype=np.uint8)
-        mays[CONST0] = mays[CONST1] = false_b
-        arrs[CONST0] = arrs[CONST1] = zeros_f
-        trans[CONST0] = trans[CONST1] = zeros_f
-
-        switched = np.zeros(n)
-        final_values = np.zeros(self.num_nets, dtype=np.uint8)
-
-        def changed_flags(net: int, vals: np.ndarray) -> np.ndarray:
-            """Per-step value-change flags with exact chunk carry."""
-            flags = np.empty(n, dtype=bool)
-            if carry_values is None:
-                flags[0] = False
-            else:
-                flags[0] = vals[0] != carry_values[net]
-            flags[1:] = vals[1:] != vals[:-1]
-            return flags
-
-        # Primary inputs: expand port words into per-net bit streams.
-        for name, port in netlist.input_ports.items():
-            bits = logic.unpack_bits(arrays[name], port.width)
-            for lane, net in enumerate(port.nets):
-                cur = bits[lane]
-                if net in fault_hooks:
-                    cur = np.asarray(
-                        fault_hooks[net](cur, start_index), dtype=np.uint8
-                    )
-                flags = changed_flags(net, cur)
-                values[net] = cur
-                mays[net] = flags
-                arrs[net] = zeros_f
-                trans[net] = flags.astype(float)
-                final_values[net] = cur[-1]
-                if recorder is not None:
-                    recorder.net_may(net, flags)
-
-        for compiled in self._cells:
-            in_vals = [values[net] for net in compiled.inputs]
-            in_mays = [mays[net] for net in compiled.inputs]
-            out_val = logic.eval_vector(compiled.opcode, in_vals)
-            net = compiled.output
-            if net in fault_hooks:
-                out_val = np.asarray(
-                    fault_hooks[net](out_val, start_index), dtype=np.uint8
-                )
-            changed = changed_flags(net, out_val)
-            aux = logic.aux_masks(compiled.opcode, in_vals)
-            if inertial:
-                out_may = changed
-            else:
-                out_may = logic.may_vector(
-                    compiled.opcode, in_vals, in_mays, aux
-                )
-            if recorder is None:
-                in_arrs = [arrs[net] for net in compiled.inputs]
-                arrs[net] = logic.arrival_masks(
-                    compiled.opcode, aux, in_arrs, compiled.delay_ns,
-                    out_may,
-                )
-            else:
-                # Value-plane pass: the recorder keeps the masks the
-                # arrival rules consume; arrivals are replayed later for
-                # arbitrarily many delay vectors.
-                recorder.cell(compiled.position, net, out_may, aux)
-            values[net] = out_val
-            mays[net] = out_may
-            final_values[net] = out_val[-1]
-
-            # Switching activity: value-conditioned transition densities
-            # (glitches included; disabled tri-state groups stay quiet).
-            out_trans = logic.transition_vector(
-                compiled.opcode,
-                in_vals,
-                [trans[used] for used in compiled.inputs],
-                changed,
-                damping=self.technology.glitch_damping,
-            )
-            trans[net] = out_trans
-            switched += out_trans * compiled.cap
-
-            # Free nets whose last consumer has now run.
-            for used in compiled.inputs:
-                if (
-                    used not in self._protected
-                    and self._last_use.get(used) == compiled.position
-                ):
-                    values.pop(used, None)
-                    mays.pop(used, None)
-                    arrs.pop(used, None)
-                    trans.pop(used, None)
-
-        outputs: Dict[str, np.ndarray] = {}
-        bit_arrivals: Optional[Dict[str, np.ndarray]] = (
-            {} if collect_bit_arrivals else None
-        )
-        delays = np.zeros(n)
-        for name, port in netlist.output_ports.items():
-            bit_matrix = np.vstack([values[net] for net in port.nets])
-            outputs[name] = logic.pack_bits(bit_matrix)[lo:]
-            if recorder is None:
-                port_arr = np.vstack([arrs[net] for net in port.nets])
                 if collect_bit_arrivals:
                     bit_arrivals[name] = port_arr[:, lo:]
                 delays = np.maximum(delays, port_arr.max(axis=0))

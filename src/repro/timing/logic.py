@@ -249,48 +249,6 @@ def arrival_masks(
     raise SimulationError("no arrival rule for opcode %r" % (opcode,))
 
 
-def arrival_vector(
-    opcode: int,
-    values: Sequence[np.ndarray],
-    mays: Sequence[np.ndarray],
-    arrivals: Sequence[np.ndarray],
-    delay: float,
-    out_may: Optional[np.ndarray] = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Per-cell (may-change, arrival) over a pattern axis.
-
-    Two modes, selected by ``out_may`` (see DESIGN.md section 5):
-
-    * **floating** (``out_may=None``): ``may`` marks nets that can change
-      *or glitch*; arrivals are a provable upper bound on the event-driven
-      transport-delay settle time.
-    * **inertial** (``out_may`` = "this net's settled value changed"):
-      only actual value changes propagate -- the glitch-filtered "last
-      transition" semantics a switch-level simulator such as Nanosim
-      reports, and the mode the paper's delay distributions are built on.
-
-    Arrival rules in both modes:
-
-    * a quiet controlling input pins the output: quiet;
-    * no input may change: quiet;
-    * a (possibly late) controlling input caps the arrival at the
-      earliest controlling input's settle time plus the cell delay;
-    * otherwise the output settles one delay after the last moving input.
-
-    ``arrivals`` must satisfy the quiet-zero invariant documented on
-    :func:`arrival_masks` (engine-produced arrivals always do).  This is
-    a thin composition of :func:`aux_masks`, :func:`may_vector` and
-    :func:`arrival_masks` -- the value plane stores the first two, the
-    arrival plane replays the third.
-
-    Returns ``(may, arr)`` arrays.
-    """
-    aux = aux_masks(opcode, values)
-    if out_may is None:
-        out_may = may_vector(opcode, values, mays, aux)
-    return out_may, arrival_masks(opcode, aux, arrivals, delay, out_may)
-
-
 def transition_vector(
     opcode: int,
     values: Sequence[np.ndarray],

@@ -33,7 +33,8 @@ bit -- the same float ops as the shared
 :func:`repro.timing.logic.arrival_masks` kernel, the same quiet-zero
 invariant, regardless of how the plane build or the replay was
 chunked.  This is asserted by ``tests/test_replay.py`` and fuzzed
-against the ``percell`` kernel by ``tests/test_fuzz_engines.py``.
+against the scalar oracle ``tests/oracle.py`` by
+``tests/test_fuzz_engines.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from ..nets.netlist import CONST0, CONST1
 from . import logic
 from .engine import CompiledCircuit, StreamResult, _check_delay_scales
 
@@ -142,10 +142,10 @@ class _PlaneRecorder:
 
     The engine calls :meth:`begin` once per chunk with the chunk's first
     *reported* pattern index (always a multiple of 8 -- ``run`` enforces
-    byte-aligned chunk sizes when recording), then :meth:`net_may` /
-    :meth:`cell` once per net/cell; masks are packed straight into their
-    byte range, so chunked and unchunked builds produce identical
-    planes.
+    byte-aligned chunk sizes when recording), then :meth:`net_may` once
+    per primary-input net and :meth:`cell_bucket` once per bucket; masks
+    are packed straight into their byte range, so chunked and unchunked
+    builds produce identical planes.
     """
 
     def __init__(self, circuit: CompiledCircuit, num_patterns: int):
@@ -173,16 +173,10 @@ class _PlaneRecorder:
     def net_may(self, net: int, flags: np.ndarray) -> None:
         self._pack_into(self.may[net], flags)
 
-    def cell(self, position, net, out_may, aux) -> None:
-        self._pack_into(self.may[net], out_may)
-        offset = int(self.aux_offsets[position])
-        for lane, mask in enumerate(aux):
-            self._pack_into(self.aux[offset + lane], mask)
-
     def cell_bucket(self, positions, nets, out_may, aux) -> None:
-        """Batched :meth:`cell` for one SoA bucket: ``out_may`` is
-        ``(B, n)`` and each aux mask ``(B, n)``; rows pack straight into
-        their byte ranges exactly like the scalar path."""
+        """Pack one bucket's masks: ``out_may`` is ``(B, n)`` and each
+        aux mask ``(B, n)``; rows pack straight into their byte
+        ranges."""
         packed = np.packbits(out_may[:, self._lo:], axis=1)
         width = packed.shape[1]
         self.may[nets, self._byte:self._byte + width] = packed
@@ -328,7 +322,6 @@ class ArrivalReplay:
             collect_bit_arrivals: Keep port -> ``(width, k, n)`` per-bit
                 arrival matrices.
         """
-        circuit = self.circuit
         plane = self.plane
         scales = np.asarray(delay_scales, dtype=float)
         if scales.ndim == 1:
@@ -342,14 +335,9 @@ class ArrivalReplay:
         _check_delay_scales(scales)
         k = scales.shape[0]
         n = plane.num_patterns
-        if circuit.kernel != "percell":
-            delays, bit_arrivals = self._replay_soa(
-                scales, k, n, collect_bit_arrivals
-            )
-        else:
-            delays, bit_arrivals = self._replay_percell(
-                scales, k, n, collect_bit_arrivals
-            )
+        delays, bit_arrivals = self._replay_soa(
+            scales, k, n, collect_bit_arrivals
+        )
         return ReplayResult(
             plane=plane,
             delay_scales=scales,
@@ -372,7 +360,7 @@ class ArrivalReplay:
         active entries get the next contiguous rows ``[lo, hi)`` of a
         ``(1 + nnz, k)`` store; row 0 is the shared quiet zero that
         quiet nets, primary inputs and constant rails map to, exactly
-        the ``where(may, .., 0.0)`` zeros of the reference kernel.  A
+        the ``where(may, .., 0.0)`` zeros of :func:`logic.arrival_masks`.  A
         ``(num_nets, c)`` slot map records each (net, pattern) entry's
         store row, so pin gathers and the output ports are 1-D slot
         lookups, and :func:`_active_arrival` writes its result straight
@@ -472,58 +460,6 @@ class ArrivalReplay:
                 delays[:, start:stop] = np.maximum(
                     delays[:, start:stop], port_arr.max(axis=0).T
                 )
-        return delays, bit_arrivals
-
-    def _replay_percell(
-        self,
-        scales: np.ndarray,
-        k: int,
-        n: int,
-        collect_bit_arrivals: bool,
-    ):
-        """Reference per-cell replay (the pre-SoA interpreter), pricing
-        every cell with the reference rule :func:`repro.timing.logic
-        .arrival_masks`."""
-        circuit = self.circuit
-        plane = self.plane
-        zeros_f = np.zeros(n)
-        arrs: Dict[int, np.ndarray] = {CONST0: zeros_f, CONST1: zeros_f}
-        for port in circuit.netlist.input_ports.values():
-            for net in port.nets:
-                arrs[net] = zeros_f
-
-        protected = circuit._protected
-        last_use = circuit._last_use
-        for compiled in circuit._cells:
-            # Matches the engine's per-cell delay bit for bit:
-            # fresh_delay_ns * scale, broadcast down the corner axis.
-            delay = compiled.fresh_delay_ns * scales[:, compiled.index]
-            arrs[compiled.output] = logic.arrival_masks(
-                compiled.opcode,
-                plane.aux(compiled.position),
-                [arrs[net] for net in compiled.inputs],
-                delay[:, None],
-                plane.may(compiled.output),
-            )
-            for used in compiled.inputs:
-                if (
-                    used not in protected
-                    and last_use.get(used) == compiled.position
-                ):
-                    arrs.pop(used, None)
-
-        delays = np.zeros((k, n))
-        bit_arrivals: Optional[Dict[str, np.ndarray]] = (
-            {} if collect_bit_arrivals else None
-        )
-        for name, port in circuit.netlist.output_ports.items():
-            port_arr = np.stack(
-                [np.broadcast_to(arrs[net], (k, n)) for net in port.nets]
-            )
-            if collect_bit_arrivals:
-                bit_arrivals[name] = port_arr
-            delays = np.maximum(delays, port_arr.max(axis=0))
-
         return delays, bit_arrivals
 
     def stream(

@@ -1,7 +1,7 @@
 """Levelized structure-of-arrays (SoA) execution plan.
 
-The per-cell stream loop in :mod:`repro.timing.engine` pays a fixed
-Python + numpy-dispatch cost per *cell*; for a 16x16 bypassing array
+A per-cell stream loop pays a fixed Python + numpy-dispatch cost per
+*cell*; for a 16x16 bypassing array
 that is thousands of tiny allocations per chunk.  This module compiles
 the levelized cell list into a **bucketed SoA plan** evaluated a whole
 (level, opcode) bucket at a time:
@@ -30,13 +30,13 @@ never feed each other, so this is exact).  Input-port hooks rewrite the
 port rows before any bucket runs, and arrival replay consumes recorded,
 already-faulted masks.
 
-Bucket evaluation reuses the exact elementwise kernels of
-:mod:`repro.timing.logic` on stacked ``(B, n)`` rows, so every per-cell
-float/int op sequence is identical to the scalar path -- bucketing
-changes the iteration order, not the arithmetic.  (The only aggregate
-that sums *across* cells, switched capacitance, is accumulated
-per-bucket and may therefore differ from the per-cell path by float
-association; everything per-net/per-pattern is bit-identical.)
+Bucket evaluation applies the elementwise kernels of
+:mod:`repro.timing.logic` to stacked ``(B, n)`` rows, so every per-cell
+float/int op sequence is the one a cell-at-a-time walk would run --
+bucketing changes the iteration order, not the arithmetic.  (The only
+aggregate that sums *across* cells, switched capacitance, is
+accumulated per-bucket and may therefore differ from a per-cell sum by
+float association; everything per-net/per-pattern is bit-identical.)
 """
 
 from __future__ import annotations

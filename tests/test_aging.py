@@ -24,6 +24,7 @@ from repro.faults import StuckAtFault, compile_with_faults
 from repro.timing import CompiledCircuit
 from repro.workloads import uniform_operands
 
+from oracle import Oracle
 from test_fuzz_engines import random_netlists
 
 
@@ -112,17 +113,17 @@ class TestStressExtraction:
 
 
 def _percell_signal_prob(netlist, stimulus):
-    """The oracle: the per-cell reference kernel's values-only pass."""
-    return CompiledCircuit(netlist, kernel="percell").signal_probability(
-        stimulus
-    )
+    """The scalar oracle's signal probabilities (``tests/oracle.py``)."""
+    return Oracle(netlist).signal_probability(stimulus)
 
 
 class TestSignalProbability:
     """``signal_probability`` is the values-only pass behind stress
-    characterization; the SoA buckets must match the per-cell loop byte
-    for byte (``tests/test_fuzz_engines.py`` checks both against the
-    event simulator)."""
+    characterization; the SoA buckets must match the scalar oracle byte
+    for byte (``tests/test_fuzz_engines.py`` also checks them against
+    the event simulator).  Test names that say ``percell`` name the
+    per-cell reference kernel these checks ran against before the
+    oracle replaced it; they are kept so test ids stay stable."""
 
     @settings(max_examples=40, deadline=None)
     @given(random_netlists())

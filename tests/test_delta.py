@@ -183,7 +183,7 @@ class TestPatchCompiled:
         for name, matrix in want.bit_arrivals.items():
             assert np.array_equal(got.bit_arrivals[name], matrix)
         # Re-bucketing one level permutes the switched-cap accumulation
-        # order: identical to float association, like across-kernel.
+        # order: identical to float association only.
         assert np.allclose(
             got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
         )

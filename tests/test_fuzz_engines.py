@@ -10,36 +10,52 @@ masking discipline) and checks the engine-agreement invariants:
 * inertial-mode delays never exceed floating-mode delays;
 * chunked streaming is exact;
 * a dump/parse round trip simulates identically;
-* the production ``soa`` kernel is bit-identical to the ``percell``
-  reference on values, delays and bit arrivals, with and without
-  folding and fault hooks;
+* the engine is bit-identical to the scalar oracle (``tests/oracle.py``,
+  which shares no gate rules with it) on values, delays and bit
+  arrivals, with and without folding and fault hooks;
 * batched arrival replay of ``k`` random corners is bit-identical, per
-  corner, to a ``percell`` run at that corner's delay scale, with whole
+  corner, to an oracle run at that corner's delay scale, with whole
   and with forced 8-pattern chunks;
-* net activity (signal probabilities and toggle counts) from the SoA
-  and ``percell`` values-only passes equals activity rebuilt from
-  :meth:`EventSimulator.settle` pattern by pattern, and on bypass
-  multipliers the tri-state hold of grouped cells matches a plain loop.
+* net activity (signal probabilities and toggle counts) from the
+  values-only pass equals activity rebuilt from
+  :meth:`EventSimulator.settle` pattern by pattern and from the
+  oracle's settled values, and on bypass multipliers the tri-state hold
+  of grouped cells matches the oracle's hold loop;
+* cone-delta replay of random mutant chains is bit-identical to a
+  from-scratch evaluation and to the oracle, or refuses with a
+  :class:`~repro.errors.DeltaError`.
+
+Test names that say ``percell`` or ``kernels`` name the per-cell
+reference kernel these checks ran against before the oracle replaced
+it; they are kept so test ids stay stable.
 """
+
+import collections
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arith import column_bypass_multiplier, row_bypass_multiplier
+from repro.errors import DeltaError
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import StuckAtFault, TransientBitFlip
+from repro.nets import Mutation, apply_mutations, tie_high, tie_low
 from repro.nets.export import dump_netlist, parse_netlist
 from repro.nets.netlist import Netlist
 from repro.timing import (
     ArrivalReplay,
     CompiledCircuit,
+    DeltaBase,
     EventSimulator,
     build_value_plane,
+    evaluate_full,
+    replay_delta,
 )
 from repro.timing import replay as replay_mod
-from repro.timing.engine import KERNELS
 from repro.workloads import uniform_operands
+
+from oracle import Oracle
 
 GATES_1 = ["INV", "BUF"]
 GATES_2 = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"]
@@ -138,12 +154,9 @@ def test_chunked_streaming_exact(case, chunk_size):
        st.booleans(), st.booleans())
 def test_kernels_bit_identical(case, mode, fold, bit_arrivals):
     nl, stimulus = case
-    want, got = (
-        CompiledCircuit(nl, mode=mode, kernel=kernel).run(
-            {"x": stimulus}, fold=fold,
-            collect_bit_arrivals=bit_arrivals,
-        )
-        for kernel in ("percell", "soa")
+    want = Oracle(nl, mode=mode).run({"x": stimulus})
+    got = CompiledCircuit(nl, mode=mode).run(
+        {"x": stimulus}, fold=fold, collect_bit_arrivals=bit_arrivals
     )
     assert np.array_equal(got.outputs["o"], want.outputs["o"])
     assert np.array_equal(got.delays, want.delays)
@@ -165,12 +178,11 @@ def test_kernels_bit_identical_with_fault_hooks(case, pick, seu):
                                    seed=pick % 97)]
     else:
         faults = [StuckAtFault(net=target, value=pick % 2)]
-    want, got = (
-        compile_with_faults(nl, faults, kernel=kernel).run(
-            {"x": stimulus}, collect_bit_arrivals=True
-        )
-        for kernel in ("percell", "soa")
-    )
+    circuit = compile_with_faults(nl, faults)
+    got = circuit.run({"x": stimulus}, collect_bit_arrivals=True)
+    want = Oracle(nl, fault_hooks=circuit.fault_hooks).run({"x": stimulus})
+    assert np.allclose(got.switched_caps, want.switched_caps,
+                       rtol=1e-12, atol=1e-9)
     assert np.array_equal(got.outputs["o"], want.outputs["o"])
     assert np.array_equal(got.delays, want.delays)
     assert np.array_equal(got.bit_arrivals["o"], want.bit_arrivals["o"])
@@ -187,10 +199,10 @@ def test_export_roundtrip_simulates_identically(case):
     assert np.allclose(original.delays, roundtrip.delays)
 
 
-def assert_replay_matches_percell(nl, stimulus, mode, scales):
+def assert_replay_matches_oracle(nl, stimulus, mode, scales):
     """Replay ``scales`` over one value plane, whole and in forced
-    8-pattern chunks, and compare every corner byte for byte with a
-    ``percell`` run at that corner's delay scale."""
+    8-pattern chunks, and compare every corner byte for byte with an
+    oracle run at that corner's delay scale."""
     stim = {"x": stimulus}
     circuit = CompiledCircuit(nl, mode=mode)
     plane = build_value_plane(circuit, stim)
@@ -207,16 +219,10 @@ def assert_replay_matches_percell(nl, stimulus, mode, scales):
                 scales, collect_bit_arrivals=True
             )
         )
-    reference = CompiledCircuit(nl, mode=mode, kernel="percell")
-    for j, row in enumerate(scales):
-        want = reference.with_delay_scale(row).run(
-            stim, collect_bit_arrivals=True
-        )
-        for got in replays:
-            assert np.array_equal(got.delays[j], want.delays)
-            assert np.array_equal(
-                got.bit_arrivals["o"][:, j, :], want.bit_arrivals["o"]
-            )
+    delays, bit_arrivals = Oracle(nl, mode=mode).replay(stim, scales)
+    for got in replays:
+        assert got.delays.tobytes() == delays.tobytes()
+        assert got.bit_arrivals["o"].tobytes() == bit_arrivals["o"].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,7 +233,7 @@ def test_replay_bit_identical_to_percell_runs(case, mode, k, seed):
     nl, stimulus = case
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, (k, len(nl.cells)))
-    assert_replay_matches_percell(nl, stimulus, mode, scales)
+    assert_replay_matches_oracle(nl, stimulus, mode, scales)
 
 
 @pytest.mark.parametrize("mode", ["inertial", "floating"])
@@ -253,7 +259,7 @@ def test_replay_selection_shapes(mode):
     rng = np.random.default_rng(11)
     stimulus = rng.integers(0, 32, 37).astype(np.uint64)
     scales = rng.uniform(0.5, 2.0, (3, len(nl.cells)))
-    assert_replay_matches_percell(nl, stimulus, mode, scales)
+    assert_replay_matches_oracle(nl, stimulus, mode, scales)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,27 +276,18 @@ def test_net_activity_matches_event_settle(case):
     values = np.array(
         [[state[net] for state in settled] for net in range(nl.num_nets)]
     )
+    oracle = Oracle(nl)
+    assert np.array_equal(oracle.settle(stim), values)
     want_probs = values.sum(axis=1) / values.shape[1]
     want_toggles = (values[:, 1:] != values[:, :-1]).sum(axis=1)
-    for kernel in KERNELS:
-        circuit = CompiledCircuit(nl, kernel=kernel)
-        probs = circuit.signal_probability(stim)
-        toggles = circuit.toggle_counts(stim)
-        assert probs.tobytes() == want_probs.tobytes()
-        assert toggles.dtype == np.float64
-        assert toggles.tobytes() == want_toggles.astype(float).tobytes()
-
-
-def _held_toggles(values, enables):
-    """Toggles of a net that keeps its value while disabled; before the
-    first enabled pattern it already holds that pattern's value."""
-    held, count = None, 0
-    for value, enabled in zip(values.tolist(), enables.tolist()):
-        if enabled:
-            if held is not None and value != held:
-                count += 1
-            held = value
-    return count
+    circuit = CompiledCircuit(nl)
+    probs = circuit.signal_probability(stim)
+    toggles = circuit.toggle_counts(stim)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert probs.tobytes() == oracle.signal_probability(stim).tobytes()
+    assert toggles.dtype == np.float64
+    assert toggles.tobytes() == want_toggles.astype(float).tobytes()
+    assert toggles.tobytes() == oracle.toggle_counts(stim).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -300,20 +297,87 @@ def test_bypass_hold_toggles_match_percell(build):
     nl = build(6)
     md, mr = uniform_operands(6, 300, seed=4)
     stim = {"md": md, "mr": mr}
-    soa = CompiledCircuit(nl)
-    percell = CompiledCircuit(nl, kernel="percell")
-    toggles = soa.toggle_counts(stim)
-    assert toggles.tobytes() == percell.toggle_counts(stim).tobytes()
-    values = percell._settled_values(stim, "test")
+    toggles = CompiledCircuit(nl).toggle_counts(stim)
+    oracle = Oracle(nl)
+    want = oracle.toggle_counts(stim)
+    assert toggles.tobytes() == want.tobytes()
+    values = oracle.settle(stim)
     functional = (values[:, 1:] != values[:, :-1]).sum(axis=1)
-    held_less = 0
-    for cell in nl.cells:
-        net = cell.output
-        if cell.group in nl.group_enables:
-            enable = values[nl.group_enables[cell.group]]
-            want = _held_toggles(values[net], enable)
-            held_less += want < functional[net]
+    held = [cell.output for cell in nl.cells
+            if cell.group in nl.group_enables]
+    assert held and np.all(want[held] <= functional[held])
+    # The hold really suppresses toggles here.
+    assert np.any(want[held] < functional[held])
+
+
+GATES_BY_ARITY = {1: GATES_1, 2: GATES_2, 3: GATES_3}
+
+
+@st.composite
+def mutant_chains(draw, nl):
+    """1-3 mutations of distinct cells: a same-arity retype, a constant
+    tie, or a retype that rewires every pin to nets created before the
+    cell's output (so the child stays acyclic; a rewire may still be
+    unpatchable, which ``replay_delta`` refuses)."""
+    picks = draw(st.lists(st.integers(0, len(nl.cells) - 1),
+                          min_size=1, max_size=3, unique=True))
+    chain = []
+    for index in picks:
+        cell = nl.cells[index]
+        arity = cell.cell_type.num_inputs
+        kind = draw(st.sampled_from(["retype", "tie_low", "tie_high",
+                                     "rewire"]))
+        if kind == "tie_low":
+            chain.append(tie_low(index))
+        elif kind == "tie_high":
+            chain.append(tie_high(index))
         else:
-            want = functional[net]
-        assert toggles[net] == want
-    assert held_less > 0  # the hold really suppresses toggles here
+            gate = draw(st.sampled_from(GATES_BY_ARITY[arity]))
+            pins = None
+            if kind == "rewire":
+                pins = tuple(
+                    draw(st.integers(0, cell.output - 1))
+                    for _ in range(arity)
+                )
+            chain.append(Mutation(index, gate, pins))
+    return chain
+
+
+def test_delta_replay_matches_full_and_oracle():
+    """``replay_delta`` against ``evaluate_full`` and the oracle on
+    random netlists, mutant chains and ``(k, num_cells)`` scale
+    matrices; a ``DeltaError`` refusal is counted, not filtered out."""
+    outcomes = collections.Counter()
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_netlists(max_patterns=24),
+           st.sampled_from(["inertial", "floating"]),
+           st.integers(1, 3), st.integers(0, 10**9), st.data())
+    def check(case, mode, k, seed, data):
+        nl, stimulus = case
+        stim = {"x": stimulus}
+        child = apply_mutations(nl, data.draw(mutant_chains(nl)))
+        rng = np.random.default_rng(seed)
+        base_scales = rng.uniform(0.5, 2.0, (k, len(nl.cells)))
+        scales = base_scales.copy()
+        nudged = rng.random(len(nl.cells)) < 0.2
+        scales[:, nudged] *= rng.uniform(0.5, 2.0, (k, int(nudged.sum())))
+        base = DeltaBase(CompiledCircuit(nl, mode=mode), stim, base_scales)
+        want = evaluate_full(child, stim, scales, mode=mode,
+                             collect_bit_arrivals=True)
+        delays, bit_arrivals = Oracle(child, mode=mode).replay(stim, scales)
+        assert want.delays.tobytes() == delays.tobytes()
+        assert want.bit_arrivals["o"].tobytes() == bit_arrivals["o"].tobytes()
+        try:
+            got = replay_delta(base, child, scales,
+                               collect_bit_arrivals=True)
+        except DeltaError:
+            outcomes["refused"] += 1
+            return
+        outcomes["replayed"] += 1
+        assert np.array_equal(got.outputs["o"], want.outputs["o"])
+        assert got.delays.tobytes() == delays.tobytes()
+        assert got.bit_arrivals["o"].tobytes() == bit_arrivals["o"].tobytes()
+
+    check()
+    assert outcomes["replayed"] > outcomes["refused"], outcomes

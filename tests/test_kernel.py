@@ -1,16 +1,20 @@
-"""Levelized SoA kernel + unique-stimulus folding equivalence suite.
+"""Levelized SoA engine + unique-stimulus folding equivalence suite.
 
-The structure-of-arrays chunk runner (``kernel="soa"``, the only
-production path) and the reference per-cell interpreter
-(``kernel="percell"``) must be bit-identical for every observable:
-output values, per-pattern delays, bit arrivals, and (from the
-values-only pass) toggle counts / signal probabilities, across chunk
-sizes, initial conditions, every fault-hook model and every recovery
-policy.  ``switched_caps`` is the
-one deliberate exception *across kernels*: each accumulates
-capacitance in a different float association (values identical to
-~1 ulp, asserted with ``allclose``); within one kernel it stays exact,
-which the folding and chunking tests assert.
+The engine is checked against the scalar oracle (``tests/oracle.py``),
+which shares no gate rules with it.  Output values, per-pattern delays,
+bit arrivals and (from the values-only pass) toggle counts / signal
+probabilities must be bit-identical to the oracle's, across delay
+modes, per-cell delay scales, initial conditions, folding, chunking,
+every fault-hook model and every recovery policy; arrival replay must
+match the oracle corner by corner.  ``switched_caps`` is the one
+exception against the oracle: the oracle sums capacitance cell by cell
+and the engine bucket by bucket, so the two agree to float association
+(asserted with ``rtol=1e-12``); within the engine it stays exact, which
+the folding and chunking tests assert.  The oracle steps one pattern
+and one cell at a time, so its streams stay short.  Test names that
+say ``percell`` or ``kernels`` name the per-cell reference kernel
+these checks ran against before the oracle replaced it; they are kept
+so test ids stay stable.
 """
 
 import numpy as np
@@ -26,6 +30,7 @@ from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
 from repro.timing import (
     ArrivalReplay,
     CompiledCircuit,
+    StreamResult,
     ValuePlaneCache,
     auto_chunk_size,
     build_value_plane,
@@ -33,9 +38,13 @@ from repro.timing import (
     unfold_stream,
 )
 from repro.timing import replay as replay_mod
-from repro.timing.engine import KERNELS
 from repro.timing.fold import MIN_FOLD_PATTERNS
 from repro.workloads import sparse_fir_stream, uniform_operands
+
+from oracle import Oracle
+
+#: Oracle stream length on the 8x8 designs.
+ORACLE_PATTERNS = 100
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +62,19 @@ def stream8():
 def foldable8():
     md, mr = sparse_fir_stream(8, 600, seed=1)
     return {"md": md, "mr": mr}
+
+
+@pytest.fixture(scope="module")
+def short8():
+    md, mr = uniform_operands(8, ORACLE_PATTERNS, seed=3)
+    return {"md": md, "mr": mr}
+
+
+def random_scales(netlist, k=None, seed=5):
+    """Per-cell delay scales in [1, 1.4): one row, or ``(k, num_cells)``."""
+    rng = np.random.default_rng(seed)
+    shape = len(netlist.cells) if k is None else (k, len(netlist.cells))
+    return 1.0 + rng.uniform(0.0, 0.4, shape)
 
 
 def assert_same(got, want, bit_arrivals=False, caps_exact=True):
@@ -74,25 +96,27 @@ def assert_same(got, want, bit_arrivals=False, caps_exact=True):
 class TestKernelEquivalence:
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
     def test_kernels_match_percell_all_observables(
-        self, cb8, stream8, mode
+        self, cb8, short8, mode
     ):
-        percell = CompiledCircuit(cb8, mode=mode, kernel="percell")
-        soa = CompiledCircuit(cb8, mode=mode)
-        want = percell.run(stream8, collect_bit_arrivals=True)
-        got = soa.run(stream8, collect_bit_arrivals=True)
+        """Every observable of a run at random per-cell delay scales."""
+        scale = random_scales(cb8)
+        circuit = CompiledCircuit(cb8, delay_scale=scale, mode=mode)
+        oracle = Oracle(cb8, mode=mode)
+        want = oracle.run(short8, scale)
+        got = circuit.run(short8, collect_bit_arrivals=True)
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
-        assert np.array_equal(
-            soa.signal_probability(stream8),
-            percell.signal_probability(stream8),
+        assert (
+            circuit.signal_probability(short8).tobytes()
+            == oracle.signal_probability(short8).tobytes()
         )
-        assert np.array_equal(
-            soa.toggle_counts(stream8), percell.toggle_counts(stream8)
+        assert (
+            circuit.toggle_counts(short8).tobytes()
+            == oracle.toggle_counts(short8).tobytes()
         )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("chunk", [64, 136, 10_000])
-    def test_chunked_matches_unchunked(self, cb8, stream8, chunk, kernel):
-        circuit = CompiledCircuit(cb8, kernel=kernel)
+    def test_chunked_matches_unchunked(self, cb8, stream8, chunk):
+        circuit = CompiledCircuit(cb8)
         want = circuit.run(stream8, collect_bit_arrivals=True)
         got = circuit.run(stream8, collect_bit_arrivals=True,
                           chunk_size=chunk)
@@ -101,18 +125,11 @@ class TestKernelEquivalence:
     def test_initial_condition(self, cb8):
         stim = {"md": [7, 7, 3, 3], "mr": [5, 5, 9, 9]}
         initial = {"md": 0, "mr": 255}
-        want = CompiledCircuit(cb8, kernel="percell").run(
-            stim, initial=initial, collect_bit_arrivals=True
-        )
+        want = Oracle(cb8).run(stim, initial=initial)
         got = CompiledCircuit(cb8).run(
             stim, initial=initial, collect_bit_arrivals=True
         )
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
-
-    def test_unknown_kernel_rejected(self, cb8):
-        assert KERNELS == ("soa", "percell")
-        with pytest.raises(SimulationError):
-            CompiledCircuit(cb8, kernel="simd")
 
     def test_cell_delays_cached_and_frozen(self, cb8):
         circuit = CompiledCircuit(cb8)
@@ -138,40 +155,53 @@ class TestFaultKernelEquivalence:
                                      rate=0.1, seed=2)]
         return [DelayFault(cell=12, extra_ns=0.4)]
 
+    def oracle_for(self, circuit):
+        return Oracle(
+            circuit.netlist, circuit.technology, circuit.mode,
+            circuit.fault_hooks,
+        )
+
     @pytest.mark.parametrize("kind", ["sa0", "sa1", "seu", "delay"])
-    def test_every_fault_model_matches_percell(self, cb8, stream8, kind):
-        faults = self.faults_for(cb8, kind)
-        want = compile_with_faults(cb8, faults, kernel="percell").run(
-            stream8, collect_bit_arrivals=True
-        )
-        got = compile_with_faults(cb8, faults).run(
-            stream8, collect_bit_arrivals=True
-        )
+    def test_every_fault_model_matches_percell(self, cb8, short8, kind):
+        """The oracle applies the fault hook one pattern at a time."""
+        circuit = compile_with_faults(cb8, self.faults_for(cb8, kind))
+        want = self.oracle_for(circuit).run(short8, circuit.delay_scale)
+        got = circuit.run(short8, collect_bit_arrivals=True)
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
 
-    def test_multi_fault_chunked(self, cb8, stream8):
+    def test_multi_fault_chunked(self, cb8, short8):
         faults = self.faults_for(cb8, "sa1") + self.faults_for(cb8, "seu")
-        want = compile_with_faults(cb8, faults, kernel="percell").run(
-            stream8, chunk_size=96
-        )
-        got = compile_with_faults(cb8, faults).run(stream8, chunk_size=96)
+        circuit = compile_with_faults(cb8, faults)
+        want = self.oracle_for(circuit).run(short8)
+        got = circuit.run(short8, chunk_size=24)
         assert_same(got, want, caps_exact=False)
+
+    @pytest.fixture(scope="class")
+    def policy_case(self):
+        arch = AgingAwareMultiplier.build(8, characterize_patterns=300)
+        md, mr = uniform_operands(8, 300, seed=9)
+        run = Oracle(arch.netlist, arch.technology).run({"md": md, "mr": mr})
+        return arch, md, mr, StreamResult(
+            outputs=run.outputs,
+            delays=run.delays,
+            switched_caps=run.switched_caps,
+            num_patterns=run.num_patterns,
+        )
 
     @pytest.mark.parametrize(
         "policy", ["strict", "degrade", "detect-only"]
     )
-    def test_recovery_policies_see_identical_streams(self, policy):
-        arch = AgingAwareMultiplier.build(8)
-        md, mr = uniform_operands(8, 300, seed=9)
-        streams = {}
-        for kernel in KERNELS:
-            circuit = CompiledCircuit(
-                arch.netlist, arch.technology, kernel=kernel
-            )
-            streams[kernel] = circuit.run({"md": md, "mr": mr})
+    def test_recovery_policies_see_identical_streams(
+        self, policy, policy_case
+    ):
+        arch, md, mr, want = policy_case
+        got = CompiledCircuit(arch.netlist, arch.technology).run(
+            {"md": md, "mr": mr}
+        )
+        assert_same(got, want, caps_exact=False)
         a, b = (
-            arch.run_patterns(md, mr, stream=streams[kernel], policy=policy)
-            for kernel in ("soa", "percell")
+            arch.run_patterns(md, mr, stream=stream, policy=policy)
+            for stream in (got, want)
         )
         assert np.array_equal(a.products, b.products)
         assert np.array_equal(a.errors, b.errors)
@@ -192,12 +222,20 @@ class TestFolding:
             full = np.asarray(foldable8[name], dtype=np.uint64)
             assert np.array_equal(folded[1::2][plan.inverse], full)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_run_fold_bit_identical(self, cb8, foldable8, kernel):
-        circuit = CompiledCircuit(cb8, kernel=kernel)
+    def test_run_fold_bit_identical(self, cb8, foldable8):
+        circuit = CompiledCircuit(cb8)
         want = circuit.run(foldable8, collect_bit_arrivals=True)
         got = circuit.run(foldable8, collect_bit_arrivals=True, fold=True)
         assert_same(got, want, bit_arrivals=True)
+        # The oracle has no folding: the folded run must match it too.
+        head = {name: values[:ORACLE_PATTERNS]
+                for name, values in foldable8.items()}
+        assert fold_stimulus(head).profitable
+        oracle = Oracle(cb8).run(head)
+        assert_same(
+            circuit.run(head, collect_bit_arrivals=True, fold=True),
+            oracle, bit_arrivals=True, caps_exact=False,
+        )
 
     def test_fold_with_initial(self, cb8, foldable8):
         circuit = CompiledCircuit(cb8)
@@ -237,30 +275,26 @@ class TestFolding:
 
 
 class TestReplayKernels:
-    def scales_for(self, circuit, k, seed=5):
-        rng = np.random.default_rng(seed)
-        num_cells = len(circuit.netlist.cells)
-        return 1.0 + rng.uniform(0.0, 0.4, (k, num_cells))
-
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_replay_kernels_all_match(self, cb8, stream8, mode):
-        results = {}
-        for kernel in KERNELS:
-            circuit = CompiledCircuit(cb8, mode=mode, kernel=kernel)
-            plane = build_value_plane(circuit, stream8)
-            results[kernel] = ArrivalReplay(circuit, plane).replay(
-                self.scales_for(circuit, 3), collect_bit_arrivals=True
-            )
-        a, b = results["soa"], results["percell"]
-        assert np.array_equal(a.delays, b.delays)
-        for name in a.bit_arrivals:
-            assert np.array_equal(a.bit_arrivals[name],
-                                  b.bit_arrivals[name])
+    def test_replay_kernels_all_match(self, cb8, mode):
+        """Three corners replayed over one value plane against three
+        oracle runs."""
+        md, mr = uniform_operands(8, 40, seed=3)
+        stim = {"md": md, "mr": mr}
+        circuit = CompiledCircuit(cb8, mode=mode)
+        scales = random_scales(cb8, k=3)
+        got = ArrivalReplay(
+            circuit, build_value_plane(circuit, stim)
+        ).replay(scales, collect_bit_arrivals=True)
+        delays, bit_arrivals = Oracle(cb8, mode=mode).replay(stim, scales)
+        assert got.delays.tobytes() == delays.tobytes()
+        for name, matrix in bit_arrivals.items():
+            assert got.bit_arrivals[name].tobytes() == matrix.tobytes()
 
     def test_soa_replay_chunking_exact(self, cb8, stream8, monkeypatch):
         circuit = CompiledCircuit(cb8)
         plane = build_value_plane(circuit, stream8)
-        scales = self.scales_for(circuit, 2)
+        scales = random_scales(cb8, k=2)
         whole = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )

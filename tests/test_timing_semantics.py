@@ -1,7 +1,7 @@
 """Hand-computed arrival-rule semantics, gate by gate.
 
-These pin down the floating/inertial rules of
-:func:`repro.timing.logic.arrival_vector` on minimal circuits where the
+These pin down the floating/inertial arrival rules of
+:class:`repro.timing.CompiledCircuit` on minimal circuits where the
 correct arrival can be computed by hand -- the precision complement to
 the randomized cross-engine fuzzing.
 """
