@@ -25,8 +25,6 @@ from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import SimulationError
 from ..nets.netlist import Netlist
 from ..timing.engine import CompiledCircuit, StreamResult
-from ..timing.fold import fold_stimulus, unfold_stream
-from ..timing.replay import ArrivalReplay
 from ..timing.value_cache import ValuePlaneCache
 from .bti import BTIModel
 from .stress import StressProfile, extract_stress
@@ -226,6 +224,11 @@ class AgedCircuitFactory:
         """Swap in a shared (e.g. store-backed, on-disk) plane cache."""
         self._planes = cache
 
+    @property
+    def plane_cache(self) -> ValuePlaneCache:
+        """The value-plane cache this factory prices through."""
+        return self._planes
+
     def delay_scale(self, years: float) -> np.ndarray:
         """Per-cell delay factors after ``years``."""
         return aging_delay_scale(
@@ -294,52 +297,13 @@ class AgedCircuitFactory:
         years = list(years)
         if not years:
             return []
-        return self.replay_scales(
+        return self._planes.replay_scales(
+            self.circuit(0.0),
             self.lifetime_delay_scales(years),
             stimulus,
             collect_bit_arrivals=collect_bit_arrivals,
             fold=fold,
         )
-
-    def replay_scales(
-        self,
-        scales: np.ndarray,
-        stimulus: Dict[str, np.ndarray],
-        collect_bit_arrivals: bool = False,
-        fold: bool = True,
-    ) -> "List[StreamResult]":
-        """Stream results for arbitrary ``(k, num_cells)`` delay-scale
-        rows -- aging timesteps, EM-compounded corners, variation dies --
-        through one shared (cached) value pass.  Each row's result is
-        bit-identical to ``CompiledCircuit(netlist, technology,
-        row).run(stimulus, ...)`` (a row of ones matches the fresh
-        circuit)."""
-        scales = np.atleast_2d(np.asarray(scales, dtype=float))
-        if scales.shape[0] == 0:
-            return []
-        plan = None
-        if fold and not self.circuit(0.0).fault_hooks:
-            plan = fold_stimulus(stimulus)
-            if not plan.profitable:
-                plan = None
-        if plan is not None:
-            plane = self.value_plane(plan.folded)
-            replayer = ArrivalReplay(self.circuit(0.0), plane)
-            result = replayer.replay(
-                scales,
-                collect_bit_arrivals=collect_bit_arrivals,
-            )
-            return [
-                unfold_stream(result.stream_result(j), plan)
-                for j in range(scales.shape[0])
-            ]
-        plane = self.value_plane(stimulus)
-        replayer = ArrivalReplay(self.circuit(0.0), plane)
-        result = replayer.replay(
-            scales,
-            collect_bit_arrivals=collect_bit_arrivals,
-        )
-        return result.stream_results()
 
     def stream_result(
         self,

@@ -34,6 +34,7 @@ from ..config import (
 from ..errors import ConfigError, SimulationError
 from ..nets.netlist import Netlist
 from ..razor.flipflop import RazorBank
+from ..timing.engine import StreamResult
 from ..timing.sta import StaticTiming
 from .aging_indicator import AgingIndicator
 from .stats import ArchitectureRunResult, LatencyReport
@@ -115,17 +116,24 @@ class AgingAwareAdder:
         b: np.ndarray,
         years: float = 0.0,
         check_golden: bool = False,
+        stream: Optional[StreamResult] = None,
     ) -> ArchitectureRunResult:
-        """Cycle-accurate variable-latency addition of a stream."""
+        """Cycle-accurate variable-latency addition of a stream.
+
+        ``stream`` is the adder's simulated stream of ``(a, b)`` at age
+        ``years`` with bit arrivals (e.g. one row of
+        ``factory.stream_results(..., collect_bit_arrivals=True)``);
+        without it the stream is simulated here.
+        """
         a = np.asarray(a, dtype=np.uint64)
         b = np.asarray(b, dtype=np.uint64)
         if a.shape != b.shape or a.ndim != 1 or a.size == 0:
             raise SimulationError("a and b must be equal-length 1-D arrays")
 
-        circuit = self.factory.circuit(years)
-        stream = circuit.run(
-            {"a": a, "b": b}, collect_bit_arrivals=True
-        )
+        if stream is None:
+            stream = self.factory.circuit(years).run(
+                {"a": a, "b": b}, collect_bit_arrivals=True
+            )
         # Path delay of the *sum* only -- the hold bits are shallow
         # side logic, sampled separately by the controller.
         delays = stream.bit_arrivals["s"].max(axis=0)

@@ -9,9 +9,14 @@ seconds, so the context memoizes:
 * characterized :class:`~repro.aging.AgedCircuitFactory` instances
   (stress profiles + compiled circuits per year),
 * operand streams per ``(width, num_patterns, seed)``,
-* full :class:`~repro.timing.engine.StreamResult` runs per
+* standard :class:`~repro.timing.engine.StreamResult` s per
   ``(width, kind, years, num_patterns, seed)`` -- the clock-period
   sweeps then only re-run the (cheap) architecture control loop.
+
+:meth:`ExperimentContext.price` is the one path from an experiment to
+the timing engine: it prices any netlist under any ``(k, num_cells)``
+delay-scale matrix and any stimulus, and with a store every priced row
+persists as a ``stream`` artifact, so a warm re-run replays nothing.
 
 ``scale`` < 1.0 shrinks every pattern count proportionally -- the
 benchmark suite uses it to keep wall-clock reasonable while preserving
@@ -21,7 +26,8 @@ the statistics (documented in EXPERIMENTS.md).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +42,14 @@ from ..core.architecture import AgingAwareMultiplier
 from ..core.baselines import FixedLatencyDesign, build_multiplier
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
-from ..timing.engine import StreamResult
-from ..timing.value_cache import ValuePlaneCache, netlist_fingerprint
+from ..timing.engine import CompiledCircuit, StreamResult
+from ..timing.value_cache import (
+    ValuePlaneCache,
+    netlist_fingerprint,
+    technology_fingerprint,
+)
 from ..workloads.generators import uniform_operands
-from .store import ArtifactStore, technology_fingerprint
+from .store import ArtifactStore
 
 #: Seed offset so experiment streams differ from characterization streams.
 STREAM_SEED_BASE = 77_000
@@ -60,9 +70,8 @@ class ExperimentContext:
     #: Optional persistent :class:`~repro.experiments.store
     #: .ArtifactStore`.  When set, netlists / stress profiles / stream
     #: results are looked up there before being computed, every fresh
-    #: computation is persisted, and factories persist their value planes
-    #: as ``plane`` artifacts -- a warm re-run touches almost no
-    #: simulation.
+    #: computation is persisted, and value planes persist as ``plane``
+    #: artifacts -- a warm re-run prices no stream.
     store: Optional[ArtifactStore] = None
 
     def __post_init__(self):
@@ -109,18 +118,6 @@ class ExperimentContext:
                 "stream_patterns": num_patterns,
             }
         )
-        return key
-
-    def _stream_key(
-        self,
-        width: int,
-        kind: str,
-        years: float,
-        num_patterns: int,
-        seed: int,
-    ) -> Dict:
-        key = self._activity_key(width, kind, num_patterns, seed)
-        key["years"] = float(years)
         return key
 
     # ------------------------------------------------------------------
@@ -214,6 +211,47 @@ class ExperimentContext:
             )
         return self._streams[key]
 
+    def _pricer(
+        self, netlist: Netlist
+    ) -> Tuple[Callable[[], CompiledCircuit], ValuePlaneCache]:
+        """How to compile the fresh ``netlist`` and the value-plane
+        cache to price it with: its factory's when the context has one,
+        so the two share one compile and one plane; otherwise a compile
+        and a cache for this call (store-backed planes still persist)."""
+        fp = netlist_fingerprint(netlist)
+        for factory in self._factories.values():
+            if netlist_fingerprint(factory.netlist) == fp:
+                return (
+                    functools.partial(factory.circuit, 0.0),
+                    factory.plane_cache,
+                )
+        return (
+            functools.partial(CompiledCircuit, netlist, self.technology),
+            ValuePlaneCache(store=self.store),
+        )
+
+    def price(
+        self,
+        netlist: Netlist,
+        scales: np.ndarray,
+        stimulus: Dict[str, np.ndarray],
+    ) -> List[StreamResult]:
+        """Stream results of ``netlist`` on ``stimulus``, one per row of
+        the ``(k, num_cells)`` delay-scale matrix ``scales`` (a row of
+        ones is the fresh circuit).
+
+        :meth:`~repro.timing.value_cache.ValuePlaneCache.price` does
+        the work: it loads the rows the store holds and prices the
+        others together in one batched arrival replay over the cached
+        value plane, each bit-identical to ``CompiledCircuit(netlist,
+        technology, row).run(stimulus)``.  Pricing never characterizes
+        stress, so any netlist can be priced.
+        """
+        circuit, planes = self._pricer(netlist)
+        return planes.price(
+            netlist, self.technology, scales, stimulus, circuit
+        )
+
     def stream_result(
         self,
         width: int,
@@ -222,13 +260,8 @@ class ExperimentContext:
         num_patterns: int,
         seed: int = 1,
     ) -> StreamResult:
-        """Cached circuit simulation of the standard stream.
-
-        Backed by the two-plane engine: the factory computes (and
-        caches) one value plane per stimulus and replays arrivals for
-        the requested age -- bit-identical to a full
-        ``circuit(years).run(...)``.
-        """
+        """The standard stream of one design at age ``years``
+        (:meth:`stream_results` of one timestep)."""
         return self.stream_results(
             width, kind, [years], num_patterns, seed=seed
         )[0]
@@ -241,44 +274,30 @@ class ExperimentContext:
         num_patterns: int,
         seed: int = 1,
     ) -> "List[StreamResult]":
-        """Stream results for many aging timesteps (one per ``years``
-        entry), batch-replaying every timestep missing from the cache
-        in a single vectorized arrival pass."""
+        """The standard stream of one design at many aging timesteps
+        (one per ``years`` entry): :meth:`price` of the design's
+        lifetime delay-scale rows.
+
+        The priced rows are memoized per ``(width, kind, year,
+        num_patterns, seed)``, so a repeated call (the clock-period
+        sweeps make hundreds) computes no delay-scale row and no key.
+        """
         keys = [
-            (width, kind, float(year), num_patterns, seed)
-            for year in years
+            (width, kind, float(year), num_patterns, seed) for year in years
         ]
-        missing = []
-        for key in keys:
-            if key not in self._runs and key not in missing:
-                missing.append(key)
-        if missing and self.store is not None:
-            still_missing = []
-            for key in missing:
-                stored = self.store.load(
-                    "stream",
-                    self._stream_key(width, kind, key[2], num_patterns, seed),
-                )
-                if stored is None:
-                    still_missing.append(key)
-                else:
-                    self._runs[key] = stored
-            missing = still_missing
+        missing = [
+            key for key in dict.fromkeys(keys) if key not in self._runs
+        ]
         if missing:
             md, mr = self.stream(width, num_patterns, seed)
-            fresh = self.factory(width, kind).stream_results(
-                [key[2] for key in missing], {"md": md, "mr": mr}
+            priced = self.price(
+                self.netlist(width, kind),
+                self.factory(width, kind).lifetime_delay_scales(
+                    [key[2] for key in missing]
+                ),
+                {"md": md, "mr": mr},
             )
-            for key, result in zip(missing, fresh):
-                self._runs[key] = result
-                if self.store is not None:
-                    self.store.save(
-                        "stream",
-                        self._stream_key(
-                            width, kind, key[2], num_patterns, seed
-                        ),
-                        result,
-                    )
+            self._runs.update(zip(missing, priced))
         return [self._runs[key] for key in keys]
 
     def toggle_counts(

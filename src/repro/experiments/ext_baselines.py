@@ -35,7 +35,6 @@ from ..arith import (
     row_bypass_multiplier,
     wallace_multiplier,
 )
-from ..timing.engine import CompiledCircuit
 from ..timing.sta import StaticTiming
 from .context import ExperimentContext, default_context
 
@@ -104,12 +103,11 @@ def run(
     for name, generator in GENERATORS.items():
         if name in ("am", "column", "row"):
             netlist = ctx.netlist(width, name)
-            result = ctx.stream_result(width, name, 0.0, n)
         else:
             netlist = generator(width)
-            result = CompiledCircuit(netlist, ctx.technology).run(
-                {"md": md, "mr": mr}
-            )
+        (result,) = ctx.price(
+            netlist, np.ones((1, len(netlist.cells))), {"md": md, "mr": mr}
+        )
         judged = zeros if name != "row" else count_zeros(mr, width)
         usable = result.delays > 0
         correlation = float(

@@ -92,56 +92,34 @@ def run(
             bti_only.setdefault(name, [])
             combined.setdefault(name, [])
 
-        # One delay-scale row per (year, with_em) corner; the adaptive
-        # designs' streams are then priced in a single batched arrival
-        # replay off the shared value plane instead of one full
-        # simulation per corner -- bit-identical per the replay
-        # contract (see AgedCircuitFactory.replay_scales).
+        # One delay-scale row per (year, with_em) corner (ones for the
+        # fresh circuit); the adaptive designs' streams are priced
+        # through the context, so every corner is a ``stream`` artifact
+        # and a warm store replays nothing.
+        num_cells = len(netlist.cells)
         corners = []
         for year in years:
             bti_scale = (
-                factory.delay_scale(year) if year else None
+                factory.delay_scale(year) if year else np.ones(num_cells)
             )
             for with_em in (False, True):
-                if bti_scale is None:
-                    scale = None
-                    if with_em and year:
-                        scale = em.delay_scale(netlist, rates, year)
-                elif with_em:
+                scale = bti_scale
+                if with_em and year:
                     scale = combined_delay_scale(
                         bti_scale, em.delay_scale(netlist, rates, year)
                     )
-                else:
-                    scale = bti_scale
                 corners.append((with_em, scale))
-        num_cells = len(netlist.cells)
-        streams = factory.replay_scales(
-            np.vstack(
-                [
-                    np.ones(num_cells) if scale is None else scale
-                    for _, scale in corners
-                ]
-            ),
-            {"md": md, "mr": mr},
-        )
+        scales = np.vstack([scale for _, scale in corners])
+        streams = ctx.price(netlist, scales, {"md": md, "mr": mr})
         # Fixed designs clock at the degraded critical path: one
         # vectorized multi-corner STA sweep (bit-identical per corner
         # to a per-scale StaticTiming build).
-        fixed_delays = critical_delays(
-            netlist,
-            ctx.technology,
-            np.vstack(
-                [
-                    np.ones(num_cells) if scale is None else scale
-                    for _, scale in corners
-                ]
-            ),
-        )
-        for index, ((with_em, scale), stream) in enumerate(
-            zip(corners, streams)
+        fixed_delays = critical_delays(netlist, ctx.technology, scales)
+        for (with_em, _), stream, fixed in zip(
+            corners, streams, fixed_delays
         ):
             table = combined if with_em else bti_only
-            table[fixed_name].append(float(fixed_delays[index]))
+            table[fixed_name].append(float(fixed))
             # Adaptive design: fixed clock, Razor absorbs the drift.
             arch = ctx.variable_design(width, kind, skip, vl_cycle)
             report = arch.run_patterns(

@@ -26,8 +26,8 @@ import dataclasses
 from typing import Dict, Optional
 
 from ..analysis.tables import format_table
-from ..core.architecture import AgingAwareMultiplier
 from ..faults.campaign import CampaignResult, InjectionCampaign
+from ..faults.injector import fault_delay_scales
 from ..faults.models import DelayFault
 from ..timing.sta import StaticTiming
 from .context import ExperimentContext, default_context
@@ -139,32 +139,36 @@ def run(
         seed=seed,
         years=years,
     )
-    # A warm suite run loads every site from the store and simulates
-    # nothing.
+    # A warm suite run loads the baseline stream and every site from
+    # the store and simulates nothing.
     campaign_result = campaign.run(store=ctx.store, prune=prune)
 
     # A localized hot-spot late on the critical path: the extra delay
     # rides on top of every pattern exercising that path, lifting the
-    # one-cycle error rate past the indicator threshold.
+    # one-cycle error rate past the indicator threshold.  A delay fault
+    # has no hooks, so its stream is one priced delay-scale row, shared
+    # by both designs.
     path = sta.critical_path()
     victim = path[len(path) // 2]
     hot = DelayFault(victim.index, 0.9 * cycle_ns)
-
-    def run_design(arch: AgingAwareMultiplier):
-        site_campaign = InjectionCampaign(
-            arch, [hot], num_patterns=n, seed=seed, years=years
-        )
-        _, result = site_campaign.run_site(hot)
-        return result
+    (stream,) = ctx.price(
+        netlist,
+        fault_delay_scales(
+            netlist,
+            [hot],
+            ctx.factory(width, "column").lifetime_delay_scales([years]),
+            ctx.technology,
+        ),
+        {"md": campaign.md, "mr": campaign.mr},
+    )
 
     traditional = ctx.variable_design(
         width, "column", skip, cycle_ns, adaptive=False
     )
-    adaptive_run = run_design(adaptive)
-    traditional_run = run_design(traditional)
-    pristine = InjectionCampaign(
-        adaptive, [], num_patterns=n, seed=seed, years=years
-    ).run_pristine()
+    adaptive_run, traditional_run = (
+        arch.run_patterns(campaign.md, campaign.mr, years=years, stream=stream)
+        for arch in (adaptive, traditional)
+    )
 
     hotspot = HotSpotResponse(
         fault=hot,
@@ -177,7 +181,7 @@ def run(
             "traditional": traditional_run.report.average_latency_ns,
         },
         adaptive_aged_at=adaptive_run.report.indicator_aged_at,
-        pristine_errors=pristine.report.error_count,
+        pristine_errors=campaign_result.baseline.report.error_count,
     )
     return FaultCoverageResult(
         width=width,

@@ -112,7 +112,12 @@ def run(
     latency: Dict[str, list] = {"fixed": [], "t-vl": [], "a-vl": []}
     errors: Dict[str, list] = {"fixed": [], "t-vl": [], "a-vl": []}
     tight: Dict[str, list] = {"t-vl": [], "a-vl": []}
-    for year in years:
+    # The stream depends on the age only, not on the design or clock:
+    # one batched replay prices every year, shared by all four runs.
+    streams = adaptive.factory.stream_results(
+        years, {"a": a, "b": b}, collect_bit_arrivals=True
+    )
+    for year, stream in zip(years, streams):
         scale = (
             None if year == 0 else adaptive.factory.delay_scale(year)
         )
@@ -123,11 +128,13 @@ def run(
         )
         errors["fixed"].append(0)
         for name, design in (("t-vl", traditional), ("a-vl", adaptive)):
-            report = design.run_patterns(a, b, years=year).report
+            report = design.run_patterns(
+                a, b, years=year, stream=stream
+            ).report
             latency[name].append(report.average_latency_ns)
             errors[name].append(report.error_count)
             tight_report = design.with_cycle(tight_cycle).run_patterns(
-                a, b, years=year
+                a, b, years=year, stream=stream
             ).report
             tight[name].append(tight_report.error_count)
 

@@ -100,9 +100,14 @@ def run(
     from ..core.judging import JudgingBlock
 
     relaxed = JudgingBlock(width, skip)
+    netlist = ctx.netlist(width, kind)
+    fresh = np.ones((1, len(netlist.cells)))
     rows: Dict[str, WorkloadRow] = {}
     for name, (md, mr) in _streams(width, n).items():
-        result = arch.run_patterns(md, mr, check_golden=True)
+        (stream,) = ctx.price(netlist, fresh, {"md": md, "mr": mr})
+        result = arch.run_patterns(
+            md, mr, check_golden=True, stream=stream
+        )
         report = result.report
         judged = md if kind == "column" else mr
         rows[name] = WorkloadRow(

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..analysis.histogram import Histogram
 from ..analysis.tables import format_table
 from ..workloads.generators import operands_with_zero_count, uniform_operands
@@ -51,13 +53,14 @@ def run(
 ) -> Fig06Result:
     ctx = context or default_context()
     n = num_patterns or ctx.patterns(PAPER_PATTERNS)
-    circuit = ctx.factory(width, "column").circuit(0.0)
+    netlist = ctx.netlist(width, "column")
+    fresh = np.ones((1, len(netlist.cells)))
     histograms = {}
     means = {}
     for zeros in ZERO_COUNTS:
         md = operands_with_zero_count(width, n, zeros, seed=100 + zeros)
         _, mr = uniform_operands(width, n, seed=200 + zeros)
-        result = circuit.run({"md": md, "mr": mr})
+        (result,) = ctx.price(netlist, fresh, {"md": md, "mr": mr})
         histograms[zeros] = Histogram.from_samples(
             result.delays, num_bins=30, name="%d zeros" % zeros
         )

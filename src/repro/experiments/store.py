@@ -16,12 +16,14 @@ and across invocations:
   the netlist's structural hash x technology x characterization
   workload;
 * ``stream``  -- :class:`~repro.timing.engine.StreamResult` payloads,
-  keyed by netlist hash x technology x characterization x aging point x
-  stimulus;
+  one per priced delay-scale row, keyed by :func:`~repro.timing
+  .value_cache.stream_keys`: netlist hash x technology x circuit mode x
+  stimulus digest x the row's bytes, written only by
+  :meth:`~repro.timing.value_cache.ValuePlaneCache.price`;
 * ``activity`` -- per-net toggle counts of a stimulus
   (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`, the
-  electromigration input), keyed like ``stream`` minus the aging point:
-  toggles do not depend on delay;
+  electromigration input), keyed by netlist hash x technology x
+  characterization x stimulus: toggles do not depend on delay;
 * ``plane`` -- :class:`~repro.timing.replay.ValuePlane` s persisted by
   a store-backed :class:`~repro.timing.value_cache.ValuePlaneCache`,
   keyed ``{"plane": plane_cache_key(...)}``;
@@ -58,7 +60,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..config import SimulationConfig, Technology
+from ..config import SimulationConfig
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
 from ..timing.engine import StreamResult
@@ -118,13 +120,6 @@ def artifact_digest(kind: str, key: Dict) -> str:
             }
         ).encode()
     )
-    return h.hexdigest()
-
-
-def technology_fingerprint(technology: Technology) -> str:
-    """Stable sha256 of every technology constant."""
-    h = hashlib.sha256()
-    h.update(_canonical(dataclasses.asdict(technology)).encode())
     return h.hexdigest()
 
 

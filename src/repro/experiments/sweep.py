@@ -54,9 +54,9 @@ from ..timing.delta import (
     evaluate_full,
     replay_delta,
 )
-from ..timing.value_cache import netlist_fingerprint
+from ..timing.value_cache import netlist_fingerprint, technology_fingerprint
 from .context import ExperimentContext
-from .store import ArtifactStore, technology_fingerprint
+from .store import ArtifactStore
 
 #: Sweep payload format tag / schema version.
 FORMAT = "repro-variant-sweep"

@@ -60,6 +60,7 @@ from ..arith.reference import golden_products
 from ..core.architecture import AgingAwareMultiplier
 from ..core.stats import ArchitectureRunResult
 from ..errors import CampaignInterrupted, FaultError
+from ..timing.value_cache import ValuePlaneCache
 from .injector import (
     compile_with_faults,
     em_fault_sites,
@@ -554,11 +555,26 @@ class InjectionCampaign:
             )
         return self._pristine
 
-    def run_pristine(self) -> ArchitectureRunResult:
-        """The fault-free reference run on the campaign workload."""
-        circuit = self._pristine_circuit()
-        stream = circuit.run(
-            {"md": self.md, "mr": self.mr}, chunk_size="auto", fold=True
+    def run_pristine(self, store=None) -> ArchitectureRunResult:
+        """The fault-free reference run on the campaign workload.
+
+        The pristine stream is the campaign's aging row priced by
+        :meth:`~repro.timing.value_cache.ValuePlaneCache.price`; with
+        ``store`` it is a ``stream`` artifact there, so a warm campaign
+        simulates nothing.
+        """
+        netlist = self.architecture.netlist
+        row = (
+            np.ones(len(netlist.cells))
+            if self._base_scale is None
+            else self._base_scale
+        )
+        (stream,) = ValuePlaneCache(store=store).price(
+            netlist,
+            self.architecture.technology,
+            row,
+            {"md": self.md, "mr": self.mr},
+            self._pristine_circuit,
         )
         return self.architecture.run_patterns(
             self.md, self.mr, years=self.years, stream=stream
@@ -724,7 +740,7 @@ class InjectionCampaign:
                 )
         selected = range(lo, hi)
         requested = len(selected)
-        baseline = self.run_pristine()
+        baseline = self.run_pristine(store)
 
         fingerprint = self.fingerprint()
         reports: List[Optional[SiteReport]] = [None] * total

@@ -34,8 +34,7 @@ from ..config import (
     Technology,
 )
 from ..errors import ConfigError
-from ..timing.replay import ArrivalReplay
-from ..timing.value_cache import netlist_fingerprint
+from ..timing.value_cache import netlist_fingerprint, technology_fingerprint
 from ..workloads.generators import uniform_operands
 from .analytics import MonteCarloResult, analyze_population
 from .population import PopulationReductions, price_population
@@ -96,9 +95,9 @@ def _pricing_inputs(spec: MonteCarloSpec, width: int, kind: str, context):
     md, mr = uniform_operands(width, spec.num_patterns, spec.stream_seed)
     stimulus = {"md": md, "mr": mr}
     zeros = count_zeros(_judged_operand(kind, md, mr), width)
-    plane = factory.value_plane(stimulus)
-    replayer = ArrivalReplay(factory.circuit(0.0), plane)
-    fresh = replayer.replay(np.ones((1, len(netlist.cells))))
+    (fresh,) = context.price(
+        netlist, np.ones((1, len(netlist.cells))), stimulus
+    )
     base_period_ns = float(fresh.delays.max())
     clock_ns = tuple(
         float(f) * base_period_ns for f in spec.clock_fractions
@@ -296,11 +295,7 @@ def run_montecarlo(
     # the registered mc_* experiments, so the edge must stay lazy.
     from ..experiments.context import ExperimentContext
     from ..experiments.scheduler import shard_ranges
-    from ..experiments.store import (
-        ArtifactStore,
-        config_fingerprint,
-        technology_fingerprint,
-    )
+    from ..experiments.store import ArtifactStore, config_fingerprint
 
     if kind not in _KINDS:
         raise ConfigError(
@@ -331,7 +326,7 @@ def run_montecarlo(
         )
 
     # Base clock period inputs: the population-free fresh critical path
-    # over this stimulus (a ones-row replay on the shared value plane).
+    # over this stimulus (a priced ones row: a ``stream`` artifact).
     factory, netlist, stimulus, zeros, clock_ns, base_period_ns = (
         _pricing_inputs(spec, width, kind, context)
     )

@@ -55,6 +55,8 @@ FaultHook = Callable[[np.ndarray, int], np.ndarray]
 
 #: Delay-semantics modes accepted by :class:`CompiledCircuit`.
 MODES = ("inertial", "floating")
+#: The mode circuits compile in unless told otherwise.
+DEFAULT_MODE = MODES[0]
 
 #: Peak-memory target for ``chunk_size="auto"``: the streaming loop keeps
 #: ``num_nets`` rows of per-pattern arrays (uint8 value, bool may,
@@ -166,7 +168,7 @@ class CompiledCircuit:
         netlist: Netlist,
         technology: Technology = DEFAULT_TECHNOLOGY,
         delay_scale: Optional[np.ndarray] = None,
-        mode: str = "inertial",
+        mode: str = DEFAULT_MODE,
         fault_hooks: Optional[Dict[int, FaultHook]] = None,
     ):
         if mode not in MODES:

@@ -26,19 +26,31 @@ stale or corrupt file into a rebuild, and the hit/miss/write counters
 a suite run reports.  Planes carry no per-net activity (see
 :meth:`repro.timing.engine.CompiledCircuit.toggle_counts`), so the key
 has no stats field.
+
+:meth:`ValuePlaneCache.replay_scales` prices ``(k, num_cells)``
+delay-scale rows through the cached plane (folding the stimulus first
+when that pays).  :meth:`ValuePlaneCache.price` is the same call with
+each row persisted as a ``stream`` artifact keyed by
+:func:`stream_keys`: the one code path that writes ``stream`` artifacts,
+under both :meth:`~repro.experiments.context.ExperimentContext.price`
+and the fault campaign's pristine baseline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..config import Technology
+from ..errors import SimulationError
 from ..nets.netlist import Netlist
-from .engine import CompiledCircuit
-from .replay import ValuePlane, build_value_plane
+from .engine import DEFAULT_MODE, CompiledCircuit, StreamResult
+from .fold import fold_stimulus, unfold_stream
+from .replay import ArrivalReplay, ValuePlane, build_value_plane
 
 #: Plane key schema version, hashed into every key.  Version 2: planes
 #: are produced by the levelized SoA kernel, whose cross-cell
@@ -93,6 +105,49 @@ def stimulus_digest(stimulus: Dict[str, Sequence[int]]) -> str:
     return h.hexdigest()
 
 
+def technology_fingerprint(technology: Technology) -> str:
+    """Stable sha256 of every technology constant."""
+    h = hashlib.sha256()
+    h.update(
+        json.dumps(
+            dataclasses.asdict(technology),
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+def stream_keys(
+    netlist: Netlist,
+    technology: Technology,
+    stimulus: Dict[str, Sequence[int]],
+    scales: np.ndarray,
+) -> List[Dict]:
+    """Keys of the ``stream`` artifacts of the rows of the ``(k,
+    num_cells)`` delay-scale matrix ``scales``, one per row.
+
+    A key is :func:`netlist_fingerprint` x :func:`technology_fingerprint`
+    x the circuit mode x :func:`stimulus_digest` x the sha256 of the
+    row's float64 bytes.  The mode is always ``DEFAULT_MODE``: only such
+    circuits are priced (:meth:`ValuePlaneCache.price`).  Nothing else
+    shapes the stream of a circuit without fault hooks, so every caller
+    that prices the same row of the same circuit on the same stimulus
+    shares one artifact.
+    """
+    shared = {
+        "netlist": netlist_fingerprint(netlist),
+        "technology": technology_fingerprint(technology),
+        "mode": DEFAULT_MODE,
+        "stimulus": stimulus_digest(stimulus),
+    }
+    rows = np.ascontiguousarray(np.atleast_2d(scales), dtype=np.float64)
+    return [
+        dict(shared, scales=hashlib.sha256(row.tobytes()).hexdigest())
+        for row in rows
+    ]
+
+
 def hooks_cache_key(fault_hooks: Dict[int, object]) -> Optional[str]:
     """Stable key for a fault-hook set, or None if any hook is opaque
     (no ``cache_key`` attribute) -- None means *bypass the cache*."""
@@ -143,6 +198,17 @@ def plane_cache_key(
         ).encode()
     )
     return h.hexdigest()
+
+
+def _pricing(circuit: Callable[[], CompiledCircuit]) -> CompiledCircuit:
+    """The circuit ``circuit()`` returns, checked to be one whose
+    streams :func:`stream_keys` keys."""
+    compiled = circuit()
+    if compiled.fault_hooks or compiled.mode != DEFAULT_MODE:
+        raise SimulationError(
+            "only hook-free %s-mode circuits are priced" % DEFAULT_MODE
+        )
+    return compiled
 
 
 class ValuePlaneCache:
@@ -215,6 +281,87 @@ class ValuePlaneCache:
         if self.store is not None:
             self.store.save("plane", {"plane": key}, plane)
         return plane
+
+    def replay_scales(
+        self,
+        circuit: CompiledCircuit,
+        scales: np.ndarray,
+        stimulus: Dict[str, Sequence[int]],
+        collect_bit_arrivals: bool = False,
+        fold: bool = True,
+    ) -> List[StreamResult]:
+        """Stream results for ``(k, num_cells)`` delay-scale rows through
+        one cached value pass of ``stimulus`` on ``circuit``.
+
+        Each row's result is bit-identical to ``CompiledCircuit(
+        circuit.netlist, circuit.technology, row).run(stimulus)`` (a row
+        of ones matches the fresh circuit).  ``fold`` (default on)
+        deduplicates repeated operand transitions first: the *folded*
+        plane is what gets cached and replayed, and every row is
+        scattered back to stream order (see :mod:`repro.timing.fold`).
+        Folding is bypassed for hooked circuits and for streams that
+        barely repeat.
+        """
+        scales = np.atleast_2d(np.asarray(scales, dtype=float))
+        if scales.shape[0] == 0:
+            return []
+        plan = None
+        if fold and not circuit.fault_hooks:
+            plan = fold_stimulus(stimulus)
+            if not plan.profitable:
+                plan = None
+        plane = self.get_or_build(
+            circuit, stimulus if plan is None else plan.folded
+        )
+        result = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=collect_bit_arrivals
+        )
+        if plan is None:
+            return result.stream_results()
+        return [
+            unfold_stream(result.stream_result(j), plan)
+            for j in range(scales.shape[0])
+        ]
+
+    def price(
+        self,
+        netlist: Netlist,
+        technology: Technology,
+        scales: np.ndarray,
+        stimulus: Dict[str, Sequence[int]],
+        circuit: Callable[[], CompiledCircuit],
+    ) -> List[StreamResult]:
+        """:meth:`replay_scales` of ``netlist``, with every row a
+        ``stream`` artifact (keyed by :func:`stream_keys`) when the cache
+        has a store: rows the store holds are loaded, the rest are
+        replayed together in one batch and saved.
+
+        ``circuit`` returns the hook-free, default-mode compiled
+        ``netlist`` to replay on; it is called only when a row has to be
+        priced, so a warm store compiles nothing.  Its own
+        ``delay_scale`` does not matter, only the rows do.
+        """
+        scales = np.atleast_2d(np.asarray(scales, dtype=float))
+        if self.store is None:
+            return self.replay_scales(_pricing(circuit), scales, stimulus)
+        keys = stream_keys(netlist, technology, stimulus, scales)
+        # Within one call only the row hash varies between keys.
+        found: Dict[str, Optional[StreamResult]] = {}
+        missing: Dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if key["scales"] not in found:
+                found[key["scales"]] = self.store.load("stream", key)
+                if found[key["scales"]] is None:
+                    missing[key["scales"]] = index
+        if missing:
+            rows = list(missing.values())
+            if len(rows) < len(scales):
+                scales = scales[rows]
+            fresh = self.replay_scales(_pricing(circuit), scales, stimulus)
+            for (digest, index), result in zip(missing.items(), fresh):
+                found[digest] = result
+                self.store.save("stream", keys[index], result)
+        return [found[key["scales"]] for key in keys]
 
     def _remember(self, key: str, plane: ValuePlane) -> None:
         self._memory[key] = plane

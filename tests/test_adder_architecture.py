@@ -117,6 +117,22 @@ class TestAgingAwareAdder:
             adaptive_report.error_count <= traditional_report.error_count
         )
 
+    def test_replayed_streams_match_own_runs(self, adder):
+        """One batched replay over every year gives each run the same
+        report as simulating its own stream."""
+        a, b = uniform_operands(16, 1500, seed=89)
+        years = [0.0, 2.0, 7.0]
+        streams = adder.factory.stream_results(
+            years, {"a": a, "b": b}, collect_bit_arrivals=True
+        )
+        for year, stream in zip(years, streams):
+            for design in (adder, adder.with_cycle(adder.cycle_ns / 2)):
+                own = design.run_patterns(a, b, years=year).report
+                shared = design.run_patterns(
+                    a, b, years=year, stream=stream
+                ).report
+                assert shared == own
+
     def test_validation(self, adder):
         with pytest.raises(ConfigError):
             dataclasses.replace(adder, cycle_ns=0.0)

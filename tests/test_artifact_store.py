@@ -15,9 +15,9 @@ from repro.experiments.store import (
     config_fingerprint,
     counter_delta,
     delta_totals,
-    technology_fingerprint,
 )
 from repro.timing import CompiledCircuit, build_value_plane
+from repro.timing.value_cache import technology_fingerprint
 from repro.workloads import uniform_operands
 
 

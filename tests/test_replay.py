@@ -2,13 +2,22 @@
 to the single-pass :meth:`CompiledCircuit.run` for every mode, chunking,
 fault-hook and corner combination."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.aging.degradation import AgedCircuitFactory
-from repro.arith import column_bypass_multiplier
+from repro.arith import (
+    array_multiplier,
+    column_bypass_multiplier,
+    row_bypass_multiplier,
+    wallace_multiplier,
+)
 from repro.errors import SimulationError
+from repro.experiments.context import ExperimentContext
 from repro.experiments.store import ArtifactStore
+from repro.faults.campaign import InjectionCampaign
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.timing import (
@@ -295,3 +304,137 @@ class TestAgingIntegration:
         for j in range(scales.shape[0]):
             sta = StaticTiming(cb8, delay_scale=scales[j])
             assert batched[j] == sta.critical_delay
+
+
+class TestContextPrice:
+    """``ExperimentContext.price``: every row bit-identical to a full
+    run, one ``stream`` artifact per (netlist, stimulus, row), and a
+    warm store serves every row without the engine."""
+
+    @pytest.fixture(scope="class")
+    def stimulus(self):
+        md, mr = uniform_operands(8, 200, seed=3)
+        return {"md": md, "mr": mr}
+
+    @staticmethod
+    def _netlist(name):
+        return {
+            "am": array_multiplier,
+            "column": column_bypass_multiplier,
+            "row": row_bypass_multiplier,
+            "wallace": wallace_multiplier,
+        }[name](8)
+
+    @staticmethod
+    def _scales(netlist):
+        rng = np.random.default_rng(11)
+        num_cells = len(netlist.cells)
+        return np.vstack(
+            [
+                np.ones(num_cells),
+                1.0 + rng.uniform(0.0, 0.4, (2, num_cells)),
+            ]
+        )
+
+    @staticmethod
+    def _stream_files(directory):
+        return sorted(
+            name for name in os.listdir(directory)
+            if name.startswith("stream-")
+        )
+
+    @pytest.mark.parametrize("stored", [False, True])
+    @pytest.mark.parametrize("name", ["am", "column", "row", "wallace"])
+    def test_rows_match_full_runs(self, name, stored, stimulus, tmp_path):
+        netlist = self._netlist(name)
+        scales = self._scales(netlist)
+        store = ArtifactStore(str(tmp_path)) if stored else None
+        ctx = ExperimentContext(store=store)
+        priced = ctx.price(netlist, scales, stimulus)
+        assert len(priced) == 3
+        for row, got in zip(scales, priced):
+            want = CompiledCircuit(netlist, ctx.technology, row).run(stimulus)
+            assert_streams_identical(got, want)
+        if stored:
+            assert len(self._stream_files(tmp_path)) == 3
+            # The paper's designs and the baselines alike are priced
+            # without characterizing stress.
+            assert store.counters["stress"]["writes"] == 0
+
+    def test_keys_separate_stimuli_and_rows(self, tmp_path):
+        netlist = self._netlist("wallace")
+        scales = self._scales(netlist)
+        store = ArtifactStore(str(tmp_path))
+        ctx = ExperimentContext(store=store)
+        stimuli = []
+        for seed in (1, 2):
+            md, mr = uniform_operands(8, 150, seed=seed)
+            stimuli.append({"md": md, "mr": mr})
+        first = ctx.price(netlist, scales[:1], stimuli[0])
+        assert len(self._stream_files(tmp_path)) == 1
+        second = ctx.price(netlist, scales[:1], stimuli[1])
+        assert len(self._stream_files(tmp_path)) == 2
+        assert not np.array_equal(first[0].delays, second[0].delays)
+        ctx.price(netlist, scales[:2], stimuli[0])
+        assert len(self._stream_files(tmp_path)) == 3
+        # A repeated row is one artifact, loaded once.
+        again = ctx.price(netlist, scales[[0, 0]], stimuli[0])
+        assert again[0] is again[1]
+        assert_streams_identical(again[0], first[0])
+        assert store.counters["stream"]["writes"] == 3
+        assert store.counters["stress"] == {
+            "hits": 0, "misses": 0, "writes": 0,
+        }
+        assert not any(
+            name.startswith("stress-") for name in os.listdir(tmp_path)
+        )
+
+    def test_warm_context_serves_every_row(
+        self, stimulus, tmp_path, monkeypatch
+    ):
+        netlist = self._netlist("column")
+        scales = self._scales(netlist)
+        cold = ExperimentContext(store=ArtifactStore(str(tmp_path)))
+        want = cold.price(netlist, scales, stimulus)
+
+        def engine_called(*args, **kwargs):
+            raise AssertionError("a warm store must not reach the engine")
+
+        monkeypatch.setattr(CompiledCircuit, "run", engine_called)
+        monkeypatch.setattr(ArrivalReplay, "replay", engine_called)
+        monkeypatch.setattr(
+            "repro.timing.value_cache.build_value_plane", engine_called
+        )
+        store = ArtifactStore(str(tmp_path))
+        got = ExperimentContext(store=store).price(netlist, scales, stimulus)
+        for a, b in zip(got, want):
+            assert_streams_identical(a, b)
+        assert store.counters["stream"] == {
+            "hits": 3, "misses": 0, "writes": 0,
+        }
+
+    def test_campaign_baseline_shares_the_priced_row(self, tmp_path):
+        """The fault campaign's pristine stream is written by the same
+        pricing path as ``ExperimentContext.price``: one artifact, which
+        the context then serves as a hit."""
+        store = ArtifactStore(str(tmp_path))
+        ctx = ExperimentContext(store=store, characterize_patterns=300)
+        arch = ctx.variable_design(8, "column", 3, 0.5)
+        campaign = InjectionCampaign(
+            arch, [], num_patterns=150, seed=5, years=5.0
+        )
+        stored = campaign.run_pristine(store)
+        assert stored.report == campaign.run_pristine().report
+        assert store.counters["stream"] == {
+            "hits": 0, "misses": 1, "writes": 1,
+        }
+        stimulus = {"md": campaign.md, "mr": campaign.mr}
+        scales = ctx.factory(8, "column").lifetime_delay_scales([5.0])
+        (priced,) = ctx.price(arch.netlist, scales, stimulus)
+        assert store.counters["stream"] == {
+            "hits": 1, "misses": 1, "writes": 1,
+        }
+        want = CompiledCircuit(
+            arch.netlist, ctx.technology, scales[0]
+        ).run(stimulus)
+        assert_streams_identical(priced, want)

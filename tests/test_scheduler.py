@@ -16,6 +16,7 @@ from repro.experiments import (
 )
 from repro.experiments.context import ExperimentContext
 from repro.experiments.scheduler import _spec_weight
+from repro.experiments.store import delta_totals
 
 #: Cheap experiment subset used by the run_suite tests (16-bit designs,
 #: modest pattern counts).
@@ -24,6 +25,16 @@ SCALE = 0.05
 CHAR_PATTERNS = 300
 #: The ext_faults campaign line (see ``CampaignResult.render``).
 _CAMPAIGN_LINE = re.compile(r"pruned (\d+), resumed (\d+), simulated (\d+)")
+
+
+def _fold_campaign_line(text):
+    """Rendered text with the store-dependent resumed/simulated split
+    of the campaign line folded into one total."""
+    return _CAMPAIGN_LINE.sub(
+        lambda m: "pruned %s, resumed+simulated %d"
+        % (m.group(1), int(m.group(2)) + int(m.group(3))),
+        text,
+    )
 
 
 def _file_digests(directory):
@@ -181,31 +192,44 @@ class TestStoreBackedRuns:
         # Cold run wrote everything the warm run hit.
         assert cold.store_counters["stress"]["writes"] > 0
 
-    def test_warm_campaign_loads_every_site(self, tmp_path):
+    #: Every experiment that prices streams: through
+    #: ``ExperimentContext.price``, the campaign baseline or the MC base
+    #: period.
+    PRICED = (
+        "ext_em", "ext_workloads", "ext_baselines", "fig06",
+        "ext_faults", "mc_yield", "mc_guardband",
+    )
+
+    @staticmethod
+    def _run(store_dir, names):
+        return run_suite(
+            names=names,
+            scale=0.02,
+            characterize_patterns=200,
+            store=ArtifactStore(store_dir),
+        )
+
+    @pytest.fixture(scope="class")
+    def cold_store(self, tmp_path_factory):
+        """A store primed by one cold run of :attr:`PRICED` (shared:
+        both tests below only read it)."""
+        store_dir = str(tmp_path_factory.mktemp("priced") / "store")
+        cold = self._run(store_dir, self.PRICED)
+        assert not cold.failures()
+        return store_dir, cold
+
+    def test_warm_campaign_loads_every_site(self, cold_store):
         """ext_faults on a warm store loads every campaign site as a
         ``site`` artifact, simulates none and writes nothing."""
-        store_dir = str(tmp_path / "store")
-
-        def run():
-            return run_suite(
-                names=("ext_faults",),
-                scale=0.02,
-                characterize_patterns=200,
-                store=ArtifactStore(store_dir),
-            )
+        store_dir, cold = cold_store
 
         def folded(result):
             # The resumed/simulated split is the only store-dependent
-            # rendered text: fold it into one total.
-            return _CAMPAIGN_LINE.sub(
-                lambda m: "pruned %s, resumed+simulated %d"
-                % (m.group(1), int(m.group(2)) + int(m.group(3))),
-                result.entry("ext_faults").rendered,
-            )
+            # rendered text.
+            return _fold_campaign_line(result.entry("ext_faults").rendered)
 
-        cold = run()
         before = _file_digests(store_dir)
-        warm = run()
+        warm = self._run(store_dir, ("ext_faults",))
         sites = cold.entry("ext_faults").result.campaign.num_sites
         assert sites > 0
         assert "resumed 0, simulated %d" % sites in (
@@ -225,6 +249,37 @@ class TestStoreBackedRuns:
         assert totals["misses"] == 0
         assert totals["writes"] == 0
         assert _file_digests(store_dir) == before
+
+    def test_warm_store_calls_no_engine(self, cold_store, monkeypatch):
+        """Every experiment of :attr:`PRICED` re-runs on a warm store
+        without the engine: identical text, 0 misses, 0 writes."""
+        from repro.timing.engine import CompiledCircuit
+        from repro.timing.replay import ArrivalReplay
+
+        store_dir, cold = cold_store
+
+        def rendered(result):
+            return {
+                name: _fold_campaign_line(text)
+                for name, text in result.rendered_by_name().items()
+            }
+
+        def engine_called(*args, **kwargs):
+            raise AssertionError("a warm store must not reach the engine")
+
+        monkeypatch.setattr(CompiledCircuit, "run", engine_called)
+        monkeypatch.setattr(ArrivalReplay, "replay", engine_called)
+        monkeypatch.setattr(
+            "repro.timing.value_cache.build_value_plane", engine_called
+        )
+        warm = self._run(store_dir, self.PRICED)
+        assert not warm.failures()
+        assert rendered(warm) == rendered(cold)
+        for entry in warm.entries:
+            totals = delta_totals(entry.store_delta)
+            assert totals["misses"] == 0, entry.name
+            assert totals["writes"] == 0, entry.name
+            assert totals["hits"] > 0, entry.name
 
     def test_store_accepts_path_string(self, tmp_path):
         result = run_suite(
