@@ -34,7 +34,7 @@ COMMANDS = {
     ),
     "service": (
         "repro.service.cli",
-        "reliability query service (serve / query / direct / bench)",
+        "reliability query service (serve / query / direct)",
     ),
     "mc": (
         "repro.montecarlo.cli",

@@ -1,7 +1,8 @@
 """The one parallel mechanism: worker pools behind every ``pool=``.
 
-Fault-injection campaigns, the Monte Carlo pricer, variant sweeps and
-the experiment-suite scheduler fan work out only through this package:
+Fault-injection campaigns, the Monte Carlo pricer, variant sweeps, the
+experiment-suite scheduler and the reliability service's query backend
+fan work out only through this package:
 ``pool="local:4"`` for local processes, or a pool over machines that do
 not share a Python process -- or even a filesystem.  Every pool keeps
 the repo's bit-identity contract: a pooled run merges to byte-identical
@@ -22,7 +23,8 @@ Three pool flavours, selected by ``--pool SPEC``:
   worker-crash policy: rebuild once, then isolate the crasher);
 * ``tcp:host:port,host:port`` -- :class:`~.pool.TcpPool`, newline-
   delimited JSON over sockets to ``python -m repro distrib worker``
-  daemons (framing shared with :mod:`repro.service.protocol`);
+  daemons (the framing of :mod:`~.framing`, which the reliability
+  service speaks too);
 * ``manifest:DIR`` -- :class:`~.pool.ManifestPool`, a two-phase
   file-based flow for hosts that share only a directory (NFS, synced
   artifacts): the driver stages request files, any number of

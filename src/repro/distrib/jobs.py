@@ -46,12 +46,25 @@ Job kinds:
     ``{"records": [[index, record_dict], ...]}`` (engine-independent
     :func:`~repro.experiments.sweep._result_record` payloads).
 
+``query``
+    ``{"job": "query", "query": {"width": 8, "kind": "column",
+    "years": [0.0, 10.0], "num_patterns": 200, "seed": 1,
+    "cycle_ns": 8.0}, "characterize_patterns": 300, "store": DIR}`` --
+    price one reliability-service query (:func:`compute_batch`) on the
+    worker's cached context, the same context an ``experiment`` job of
+    that scale, characterization length and store gets.  Result:
+    ``{"records": [...]}``, one record per requested year.  An
+    ``"inject"`` field (``"crash"`` / ``"sleep:S"``) is honored only
+    when the worker runs with test hooks on
+    (:func:`repro.experiments._testing.apply_inject`).
+
 ``ping``
     Liveness probe.  Result: ``{"pong": true}``.
 
-``experiment``, ``warmup`` and ``mc_shard`` requests take an optional
-``"store"``: an :class:`~repro.experiments.store.ArtifactStore`
-directory the worker's context reads and writes.  It changes no
+``experiment``, ``warmup``, ``query`` and ``mc_shard`` requests take
+an optional ``"store"``: an
+:class:`~repro.experiments.store.ArtifactStore` directory the
+worker's context reads and writes.  It changes no
 result, so it enters no shard fingerprint or store key; without it the
 worker keeps its state in :data:`_STATE_CACHE` alone.
 """
@@ -60,15 +73,20 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict
+from typing import Dict, List
+
+import numpy as np
 
 from ..errors import ConfigError
 
 #: Job kinds :func:`run_job` dispatches on.
 JOB_KINDS = (
     "fault_sites", "mc_shard", "experiment", "warmup", "variant_shard",
-    "ping",
+    "query", "ping",
 )
+
+#: Delay percentiles a ``query`` record reports per aging point.
+PERCENTILES = (50.0, 99.0)
 
 #: Per-process cache of rebuilt heavy state, keyed by
 #: ``(kind, canonical-JSON-of-spec)``.  Bounded in practice: a worker
@@ -240,6 +258,61 @@ def _run_warmup(request: Dict) -> Dict:
     }
 
 
+def compute_batch(context, query: Dict) -> List[Dict]:
+    """Price one reliability query: one record per requested year.
+
+    Every year shares a single value plane; the arrival replay prices
+    all years in one vectorized pass (the two-plane engine), so a
+    coalesced multi-year build costs barely more than a single year.
+    """
+    years = query["years"]
+    results = context.stream_results(
+        query["width"],
+        query["kind"],
+        list(years),
+        query["num_patterns"],
+        seed=query["seed"],
+    )
+    cycle_ns = query["cycle_ns"]
+    records = []
+    for year, result in zip(years, results):
+        delays = result.delays
+        p50, p99 = (
+            float(np.percentile(delays, q)) for q in PERCENTILES
+        )
+        records.append({
+            "width": query["width"],
+            "kind": query["kind"],
+            "year": float(year),
+            "num_patterns": query["num_patterns"],
+            "seed": query["seed"],
+            "cycle_ns": cycle_ns,
+            "mean_delay_ns": float(np.mean(delays)),
+            "max_delay_ns": float(np.max(delays)),
+            "p50_delay_ns": p50,
+            "p99_delay_ns": p99,
+            "mean_switched_cap": float(np.mean(result.switched_caps)),
+            "error_rate": (
+                None
+                if cycle_ns is None
+                else float(np.mean(delays > cycle_ns))
+            ),
+        })
+    return records
+
+
+def _run_query(request: Dict) -> Dict:
+    from ..experiments._testing import apply_inject
+
+    query = request.get("query")
+    if not isinstance(query, dict):
+        raise ConfigError(
+            "query job needs a 'query' dict, got %r" % (query,)
+        )
+    apply_inject(request.get("inject"))
+    return {"records": compute_batch(_context_for(request), query)}
+
+
 def run_job(request: Dict) -> Dict:
     """Execute one JSON job request; returns a JSON-able result dict.
 
@@ -261,6 +334,8 @@ def run_job(request: Dict) -> Dict:
         return _run_warmup(request)
     if kind == "variant_shard":
         return _run_variant_shard(request)
+    if kind == "query":
+        return _run_query(request)
     import difflib
 
     hints = difflib.get_close_matches(str(kind), JOB_KINDS, n=1)

@@ -37,8 +37,8 @@ from typing import Callable, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple, Union
 
 from ..errors import ConfigError, DistribError, FaultError, ManifestPending
-from ..service.protocol import decode, encode
 from ..util.atomic import write_atomic
+from .framing import decode, encode
 from .jobs import run_job
 
 #: Pool schemes :func:`parse_pool_spec` understands.
@@ -96,17 +96,19 @@ class WorkerPool:
 
     size: int = 1
 
-    def map(self, requests: Sequence[Dict]) -> List[Dict]:
-        """Run every request; responses in request order."""
-        raise NotImplementedError
-
     def imap_unordered(
         self, requests: Sequence[Dict]
     ) -> Iterator[Tuple[int, Dict]]:
         """Yield ``(request index, envelope)`` pairs as requests
-        complete (default: the ordered :meth:`map`; transports override
-        for real streaming)."""
-        yield from enumerate(self.map(requests))
+        complete."""
+        raise NotImplementedError
+
+    def map(self, requests: Sequence[Dict]) -> List[Dict]:
+        """Run every request; responses in request order."""
+        responses: List[Optional[Dict]] = [None] * len(requests)
+        for index, response in self.imap_unordered(requests):
+            responses[index] = response
+        return responses
 
     def close(self) -> None:
         """Release transport resources (idempotent)."""
@@ -196,12 +198,6 @@ class LocalPool(WorkerPool):
         for index in pending:
             yield index, self._run_alone(requests[index])
 
-    def map(self, requests: Sequence[Dict]) -> List[Dict]:
-        responses: List[Optional[Dict]] = [None] * len(requests)
-        for index, response in self.imap_unordered(requests):
-            responses[index] = response
-        return responses
-
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown()
@@ -211,8 +207,8 @@ class LocalPool(WorkerPool):
 class TcpPool(WorkerPool):
     """Round-robin dispatch to ``distrib worker`` TCP daemons.
 
-    One connection per request (the protocol is newline-delimited JSON,
-    identical framing to :mod:`repro.service.protocol`), requests
+    One connection per request (newline-delimited JSON, the framing of
+    :mod:`repro.distrib.framing`), requests
     assigned ``i -> address[i % n]`` so a deterministic request list
     lands deterministically on workers.
     """
@@ -253,17 +249,6 @@ class TcpPool(WorkerPool):
             (i, self.addresses[i % self.size], request)
             for i, request in enumerate(requests)
         ]
-
-    def map(self, requests: Sequence[Dict]) -> List[Dict]:
-        responses: List[Optional[Dict]] = [None] * len(requests)
-        with ThreadPoolExecutor(max_workers=self.size) as executor:
-            futures = {
-                executor.submit(self.call, address, request): i
-                for i, address, request in self._assignments(requests)
-            }
-            for future in as_completed(futures):
-                responses[futures[future]] = future.result()
-        return [r for r in responses if r is not None]
 
     def imap_unordered(
         self, requests: Sequence[Dict]
@@ -350,6 +335,13 @@ class ManifestPool(WorkerPool):
                 missing=len(missing),
             )
         return responses
+
+    def imap_unordered(
+        self, requests: Sequence[Dict]
+    ) -> Iterator[Tuple[int, Dict]]:
+        """Manifest results arrive all at once: the ordered :meth:`map`,
+        enumerated."""
+        yield from enumerate(self.map(requests))
 
 
 def _write_json_atomic(path: str, payload: Dict) -> None:

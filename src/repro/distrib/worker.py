@@ -1,7 +1,7 @@
 """The ``distrib worker`` TCP daemon.
 
-A deliberately small newline-delimited-JSON server (framing shared
-with :mod:`repro.service.protocol`): each connection sends one request
+A deliberately small newline-delimited-JSON server (framing from
+:mod:`repro.distrib.framing`): each connection sends one request
 per line and reads one response line back.  A request is either a
 control op -- ``{"op": "ping"}`` / ``{"op": "shutdown"}`` -- or a job
 dict executed by :func:`repro.distrib.jobs.run_job`.
@@ -26,7 +26,7 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from ..errors import ServiceError
-from ..service.protocol import decode, encode
+from .framing import decode, encode
 from .jobs import run_job
 
 #: Protocol tag + version stamped into every response.

@@ -1,18 +1,45 @@
-"""Fault-injection experiment specs for scheduler degradation tests.
+"""Test-only fault injection, behind one switch.
 
-These specs are NOT part of the normal registry: they only exist when
-the ``REPRO_TEST_EXPERIMENTS`` environment variable is set (see the
-hook at the bottom of :mod:`repro.experiments.registry`).  Because the
-environment propagates to ``ProcessPoolExecutor`` workers, the injected
-ids resolve inside worker processes too -- which is exactly what the
-worker-crash degradation tests need: a spec that raises in-worker and a
-spec that kills its worker process outright.
+Everything here is inert unless the ``REPRO_TEST_EXPERIMENTS``
+environment variable is set (:func:`testing_enabled`):
+
+* the injected experiment specs below join the registry (see the hook
+  at the bottom of :mod:`repro.experiments.registry`);
+* the reliability service passes a query's ``inject`` field on to its
+  pool, and a ``query`` job honors it (:func:`apply_inject`).
+
+Because every pool worker inherits the environment it starts in --
+``local:N`` processes from the process that opens the pool, ``distrib
+worker`` daemons from their shell -- one variable gates the server
+side and the worker side alike: a spec that raises in-worker, a spec or query that kills its
+worker process outright, and a query that sleeps past its deadline.
 """
 
 from __future__ import annotations
 
 import os
 import time
+
+
+#: The one environment switch for test-only behavior.
+TESTING_ENV = "REPRO_TEST_EXPERIMENTS"
+
+
+def testing_enabled() -> bool:
+    """Whether this process honors test-only hooks."""
+    return bool(os.environ.get(TESTING_ENV))
+
+
+def apply_inject(inject) -> None:
+    """Deterministic query fault injection: ``"crash"`` kills the
+    worker process, ``"sleep:S"`` stalls it ``S`` seconds.  A no-op
+    unless :func:`testing_enabled`."""
+    if not inject or not testing_enabled():
+        return
+    if inject == "crash":
+        os._exit(3)
+    if inject.startswith("sleep:"):
+        time.sleep(float(inject.split(":", 1)[1]))
 
 
 class _Rendered:

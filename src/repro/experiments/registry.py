@@ -19,12 +19,12 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import inspect
-import os
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .context import ExperimentContext, default_context
 from . import (
+    _testing,
     claims,
     ext_baselines,
     ext_em,
@@ -323,10 +323,8 @@ REGISTRY: Dict[str, ExperimentSpec] = {
 
 # Fault-injection specs for scheduler degradation tests.  Registered
 # only when REPRO_TEST_EXPERIMENTS is set; the environment propagates
-# to ProcessPoolExecutor workers, so the injected ids resolve there too.
-if os.environ.get("REPRO_TEST_EXPERIMENTS"):
-    from . import _testing
-
+# to pool workers, so the injected ids resolve there too.
+if _testing.testing_enabled():
     _testing.register_test_experiments(REGISTRY)
 
 

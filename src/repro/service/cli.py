@@ -2,34 +2,33 @@
 
 Usage::
 
-    python -m repro service serve --store .repro-store --port 7753
+    python -m repro service serve --store .repro-store --port 7753 \\
+        --pool local:1
     python -m repro service query --port 7753 --width 16 --kind column \\
         --years 0,5,10 --patterns 2000 --cycle-ns 6.5
     python -m repro service direct --store .repro-store --width 16 \\
         --kind column --years 0,5,10 --patterns 2000 --cycle-ns 6.5
-    python -m repro service bench --json BENCH_service.json
 
-``query`` talks to a running server; ``direct`` computes the identical
-records in-process (the identity oracle CI ``cmp``'s served responses
-against).  ``bench`` spins a private server and measures cold / warm /
-coalesced latency plus both degraded paths, writing a JSON record.
+``serve`` prices queries on a worker pool (``--pool local:N`` or
+``tcp:host:port,...`` of ``distrib worker`` daemons); ``query`` talks
+to a running server; ``direct`` computes the identical records
+in-process (the identity oracle CI ``cmp``'s served responses
+against).
 
-Exit status: 0 on success, 2 on configuration/usage errors, 3 when a
-bench invariant fails.
+Exit status: 0 on success, 2 on configuration/usage errors, 3 when
+``query --json`` gets a non-ok response.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
 from ..errors import ReproError
 from ..util.argtypes import float_list
 from .backend import compute_direct
-from .client import ServiceClient, run_concurrent_queries
+from .client import ServiceClient
 from .protocol import QuerySpec
 from .server import ServiceConfig, serve_in_background
 
@@ -80,13 +79,13 @@ def main(argv=None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7753)
     serve.add_argument("--store", metavar="DIR", default=None)
-    serve.add_argument("--workers", type=int, default=1)
+    serve.add_argument(
+        "--pool", metavar="SPEC", default="local:1",
+        help="worker pool the backend prices on: local:N or"
+        " tcp:host:port[,host:port...] (default: local:1)",
+    )
     serve.add_argument("--lru-size", type=int, default=1024)
     serve.add_argument("--characterize-patterns", type=int, default=2000)
-    serve.add_argument(
-        "--testing-hooks", action="store_true",
-        help="honor the 'inject' request field (CI degraded-path checks)",
-    )
     serve.add_argument(
         "--port-file", metavar="PATH",
         help="write the bound port (use with --port 0)",
@@ -103,25 +102,12 @@ def main(argv=None) -> int:
     )
     _add_query_args(direct, with_store=True)
 
-    bench = sub.add_parser(
-        "bench", help="cold/warm/coalesced latency + degraded paths"
-    )
-    bench.add_argument("--store", metavar="DIR", default=None)
-    bench.add_argument("--characterize-patterns", type=int, default=300)
-    bench.add_argument("--width", type=int, default=8)
-    bench.add_argument("--kind", default="column")
-    bench.add_argument("--patterns", type=int, default=200)
-    bench.add_argument("--warm-repeats", type=int, default=20)
-    bench.add_argument("--duplicates", type=int, default=8)
-    bench.add_argument("--json", metavar="PATH", default=None)
-
     args = parser.parse_args(argv)
     try:
         return {
             "serve": _cmd_serve,
             "query": _cmd_query,
             "direct": _cmd_direct,
-            "bench": _cmd_bench,
         }[args.command](args)
     except ReproError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -134,10 +120,9 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             store_dir=args.store,
-            workers=args.workers,
+            pool=args.pool,
             lru_size=args.lru_size,
             characterize_patterns=args.characterize_patterns,
-            testing_hooks=args.testing_hooks,
         )
     )
     print(
@@ -198,30 +183,3 @@ def _cmd_direct(args) -> int:
     if args.json:
         _write_records(args.json, records)
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from .bench import run_service_bench
-
-    record, failures = run_service_bench(
-        store_dir=args.store,
-        characterize_patterns=args.characterize_patterns,
-        width=args.width,
-        kind=args.kind,
-        num_patterns=args.patterns,
-        warm_repeats=args.warm_repeats,
-        duplicates=args.duplicates,
-    )
-    print(json.dumps(record, sort_keys=True, indent=2))
-    if args.json:
-        directory = os.path.dirname(args.json)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump({"service": record}, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print("wrote %s" % args.json)
-    for failure in failures:
-        print("BENCH INVARIANT FAILED: %s" % failure, file=sys.stderr)
-    return 3 if failures else 0
-

@@ -18,7 +18,7 @@ import socket
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ServiceError
-from .protocol import decode, encode
+from ..distrib.framing import decode, encode
 
 
 def _query_request(
@@ -241,5 +241,5 @@ def run_concurrent_queries(
     port: int, requests: Sequence[Dict], host: str = "127.0.0.1"
 ) -> List[Dict]:
     """Synchronous wrapper around :func:`gather_queries` (spins a
-    private event loop; usable from tests and the CLI bench)."""
+    private event loop; usable from tests and scripts)."""
     return asyncio.run(gather_queries(port, requests, host=host))

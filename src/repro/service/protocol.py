@@ -2,8 +2,9 @@
 
 The service speaks newline-delimited JSON over a stream: every request
 is one JSON object on one line, every response one JSON object on one
-line carrying the request's ``id``.  The protocol is deliberately
-boring -- any language with sockets and a JSON parser is a client.
+line carrying the request's ``id`` (the framing of
+:mod:`repro.distrib.framing`).  The protocol is deliberately boring --
+any language with sockets and a JSON parser is a client.
 
 Request (``op: "query"``)::
 
@@ -12,7 +13,7 @@ Request (``op: "query"``)::
      "cycle_ns": 6.5, "deadline_ms": 250}
 
 Other ops: ``ping`` (liveness), ``stats`` (service counters),
-``shutdown`` (stop serving; used by CI and the bench harness).
+``shutdown`` (stop serving; used by CI).
 
 Response statuses form the degradation matrix (DESIGN.md section 13):
 
@@ -27,7 +28,6 @@ Response statuses form the degradation matrix (DESIGN.md section 13):
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServiceError
@@ -44,24 +44,6 @@ KNOWN_KINDS = ("am", "column", "row")
 
 #: Degradation reasons a ``degraded``/``error`` response may carry.
 REASONS = ("deadline", "backend-crash", "backend-error")
-
-
-def encode(message: Dict) -> bytes:
-    """One canonical JSON line (sorted keys, compact separators)."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def decode(line: bytes) -> Dict:
-    """Parse one request line; malformed input raises ServiceError."""
-    try:
-        message = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ServiceError("request is not valid JSON: %s" % exc) from None
-    if not isinstance(message, dict):
-        raise ServiceError("request must be a JSON object")
-    return message
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +139,7 @@ class QuerySpec:
         return dataclasses.replace(self, years=tuple(years))
 
     def to_payload(self) -> Dict:
-        """A picklable dict shipped to backend workers."""
+        """The ``query`` dict of the pool job that prices this spec."""
         return {
             "width": self.width,
             "kind": self.kind,

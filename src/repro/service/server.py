@@ -31,13 +31,13 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from ..distrib.framing import decode, encode
 from ..errors import BackendCrashError, ReproError, ServiceError
+from ..experiments._testing import testing_enabled
 from .backend import Backend
 from .protocol import (
     QuerySpec,
-    decode,
     degraded_response,
-    encode,
     error_response,
     ok_response,
 )
@@ -69,13 +69,11 @@ class ServiceConfig:
     store_dir: Optional[str] = None
     lru_size: int = 1024
     stale_size: int = 4096
-    workers: int = 1
+    #: Worker pool spec the backend prices queries on.
+    pool: str = "local:1"
     characterize_patterns: int = 2000
     #: Applied when a request carries no ``deadline_ms`` (None: wait).
     default_deadline_ms: Optional[float] = None
-    #: Enables the ``inject`` request field (deterministic crash/sleep
-    #: used by tests and the CI degraded-path checks).
-    testing_hooks: bool = False
 
 
 class ReliabilityService:
@@ -84,11 +82,13 @@ class ReliabilityService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.backend = Backend(
+            pool=config.pool,
             store_dir=config.store_dir,
-            workers=config.workers,
             characterize_patterns=config.characterize_patterns,
-            testing_hooks=config.testing_hooks,
         )
+        #: The ``inject`` request field (deterministic crash/sleep) is
+        #: honored only with test hooks on at startup.
+        self._honor_inject = testing_enabled()
         self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
         self._lru: "OrderedDict[Tuple, Dict]" = OrderedDict()
         self._stale: "OrderedDict[Tuple, Dict]" = OrderedDict()
@@ -211,9 +211,7 @@ class ReliabilityService:
         start = time.perf_counter()
         request_id = request.get("id")
         spec = QuerySpec.from_request(request)
-        inject = (
-            request.get("inject") if self.config.testing_hooks else None
-        )
+        inject = request.get("inject") if self._honor_inject else None
         self.counters["queries"] += 1
         deadline_ms = request.get(
             "deadline_ms", self.config.default_deadline_ms
@@ -389,7 +387,7 @@ class ReliabilityService:
 
 
 # ----------------------------------------------------------------------
-# Background serving (tests, the bench harness, the CLI).
+# Background serving (tests, the CLI).
 # ----------------------------------------------------------------------
 
 

@@ -424,8 +424,9 @@ class TestSuitePooled:
         class OneShotPool(WorkerPool):
             size = 1
 
-            def map(self, requests):
-                return [local_worker(request) for request in requests]
+            def imap_unordered(self, requests):
+                for index, request in enumerate(requests):
+                    yield index, local_worker(request)
 
         responses = run_suite_pooled(
             OneShotPool(),
@@ -436,6 +437,19 @@ class TestSuitePooled:
         )
         assert responses[0] == {"pong": True}
         assert "error" in responses[1]
+
+
+class TestWorkerPoolMap:
+    def test_map_places_responses_by_request_index(self):
+        class BackwardsPool(WorkerPool):
+            def imap_unordered(self, requests):
+                for index in reversed(range(len(requests))):
+                    yield index, {"ok": True, "result": requests[index]}
+
+        requests = [{"job": "ping", "n": n} for n in range(3)]
+        assert [r["result"] for r in BackwardsPool().map(requests)] == (
+            requests
+        )
 
 
 def _experiment_jobs(names):

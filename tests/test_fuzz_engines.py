@@ -24,10 +24,6 @@ masking discipline) and checks the engine-agreement invariants:
 * cone-delta replay of random mutant chains is bit-identical to a
   from-scratch evaluation and to the oracle, or refuses with a
   :class:`~repro.errors.DeltaError`.
-
-Test names that say ``percell`` or ``kernels`` name the per-cell
-reference kernel these checks ran against before the oracle replaced
-it; they are kept so test ids stay stable.
 """
 
 import collections
@@ -152,7 +148,7 @@ def test_chunked_streaming_exact(case, chunk_size):
 @settings(max_examples=40, deadline=None)
 @given(random_netlists(), st.sampled_from(["inertial", "floating"]),
        st.booleans(), st.booleans())
-def test_kernels_bit_identical(case, mode, fold, bit_arrivals):
+def test_run_bit_identical_to_oracle(case, mode, fold, bit_arrivals):
     nl, stimulus = case
     want = Oracle(nl, mode=mode).run({"x": stimulus})
     got = CompiledCircuit(nl, mode=mode).run(
@@ -169,7 +165,7 @@ def test_kernels_bit_identical(case, mode, fold, bit_arrivals):
 
 @settings(max_examples=30, deadline=None)
 @given(random_netlists(), st.integers(0, 10**9), st.booleans())
-def test_kernels_bit_identical_with_fault_hooks(case, pick, seu):
+def test_run_bit_identical_to_oracle_with_fault_hooks(case, pick, seu):
     nl, stimulus = case
     cells = nl.cells
     target = cells[pick % len(cells)].output
@@ -229,7 +225,7 @@ def assert_replay_matches_oracle(nl, stimulus, mode, scales):
 @given(random_netlists(max_patterns=41),
        st.sampled_from(["inertial", "floating"]),
        st.integers(1, 5), st.integers(0, 10**9))
-def test_replay_bit_identical_to_percell_runs(case, mode, k, seed):
+def test_replay_bit_identical_to_oracle_runs(case, mode, k, seed):
     nl, stimulus = case
     rng = np.random.default_rng(seed)
     scales = rng.uniform(0.5, 2.0, (k, len(nl.cells)))
@@ -293,7 +289,7 @@ def test_net_activity_matches_event_settle(case):
 @pytest.mark.parametrize(
     "build", [column_bypass_multiplier, row_bypass_multiplier]
 )
-def test_bypass_hold_toggles_match_percell(build):
+def test_bypass_hold_toggles_match_oracle(build):
     nl = build(6)
     md, mr = uniform_operands(6, 300, seed=4)
     stim = {"md": md, "mr": mr}

@@ -1,11 +1,21 @@
 """Reliability service: protocol, server end-to-end, degradation."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import repro
+from repro.distrib.jobs import clear_state_cache
+from repro.distrib.pool import TcpPool
+from repro.distrib.worker import WorkerServer
 from repro.errors import ServiceError
+from repro.experiments._testing import TESTING_ENV
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -13,12 +23,8 @@ from repro.service import (
     run_concurrent_queries,
     serve_in_background,
 )
-from repro.service.protocol import (
-    QuerySpec,
-    decode,
-    encode,
-    ok_response,
-)
+from repro.distrib.framing import decode, encode
+from repro.service.protocol import QuerySpec, ok_response
 from repro.service import cli as service_cli
 
 # Small-but-real knobs: an 8-bit design characterized with few patterns
@@ -26,6 +32,9 @@ from repro.service import cli as service_cli
 WIDTH = 8
 CHAR_PATTERNS = 150
 NUM_PATTERNS = 100
+#: Hot-LRU queries must beat the cold build by at least this factor.
+MIN_WARM_SPEEDUP = 5.0
+WARM_REPEATS = 20
 
 
 class TestProtocol:
@@ -85,15 +94,17 @@ class TestProtocol:
 
 @pytest.fixture(scope="module")
 def server():
-    config = ServiceConfig(
-        port=0,
-        store_dir=None,
-        workers=1,
-        characterize_patterns=CHAR_PATTERNS,
-        testing_hooks=True,
-    )
-    with serve_in_background(config) as handle:
-        yield handle
+    # Test hooks on: the server passes a query's ``inject`` on, and the
+    # pool workers it starts inherit the switch and honor it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(TESTING_ENV, "1")
+        config = ServiceConfig(
+            port=0,
+            store_dir=None,
+            characterize_patterns=CHAR_PATTERNS,
+        )
+        with serve_in_background(config) as handle:
+            yield handle
 
 
 @pytest.fixture()
@@ -115,7 +126,9 @@ class TestServerEndToEnd:
         assert "counters" in stats and "lru_entries" in stats
 
     def test_cold_then_warm_query(self, client):
+        start = time.perf_counter()
         cold = _query(client, [0.0, 10.0])
+        cold_s = time.perf_counter() - start
         assert cold["status"] == "ok"
         assert [r["year"] for r in cold["results"]] == [0.0, 10.0]
         record = cold["results"][0]
@@ -126,10 +139,15 @@ class TestServerEndToEnd:
         years0, years10 = cold["results"]
         assert years10["mean_delay_ns"] >= years0["mean_delay_ns"]
 
-        warm = _query(client, [0.0, 10.0])
-        assert warm["status"] == "ok"
-        assert warm["source"] == "lru"
-        assert warm["results"] == cold["results"]
+        warm_s = []
+        for _ in range(WARM_REPEATS):
+            start = time.perf_counter()
+            warm = _query(client, [0.0, 10.0])
+            warm_s.append(time.perf_counter() - start)
+            assert warm["status"] == "ok"
+            assert warm["source"] == "lru"
+            assert warm["results"] == cold["results"]
+        assert cold_s >= MIN_WARM_SPEEDUP * sum(warm_s) / len(warm_s)
 
     def test_error_rate_none_without_cycle(self, client):
         response = client.query(
@@ -153,7 +171,7 @@ class TestServerEndToEnd:
     ):
         """Acceptance: N identical concurrent cold queries -> exactly
         one backend build."""
-        duplicates = 6
+        duplicates = 8
         before = client.stats()["counters"]
         request = {
             "width": WIDTH,
@@ -174,6 +192,32 @@ class TestServerEndToEnd:
             + after["lru_hits"] - before["lru_hits"]
         )
         assert shared == duplicates - 1
+
+    def test_concurrent_distinct_queries_share_the_pool(
+        self, server, client
+    ):
+        """Concurrent builds of different groups all enter the one pool
+        through the backend's dispatcher thread; each gets its own
+        records."""
+        seeds = list(range(2, 8))
+        before = client.stats()["counters"]
+        responses = run_concurrent_queries(server.port, [
+            {
+                "width": WIDTH,
+                "kind": "column",
+                "years": 3.0,
+                "num_patterns": NUM_PATTERNS,
+                "seed": seed,
+                "cycle_ns": 8.0,
+            }
+            for seed in seeds
+        ])
+        after = client.stats()["counters"]
+        assert all(r["status"] == "ok" for r in responses)
+        assert [r["results"][0]["seed"] for r in responses] == seeds
+        assert after["backend_calls"] - before["backend_calls"] == len(
+            seeds
+        )
 
     def test_matches_direct_computation(self, client):
         """The service is an oracle-faithful cache: served records are
@@ -272,7 +316,7 @@ class TestKernelPlumbing:
             num_patterns=NUM_PATTERNS, seed=1, cycle_ns=8.0,
         )
         config = ServiceConfig(
-            port=0, store_dir=None, workers=1,
+            port=0, store_dir=None,
             characterize_patterns=CHAR_PATTERNS,
         )
         with serve_in_background(config) as handle:
@@ -283,6 +327,144 @@ class TestKernelPlumbing:
                 )
         direct = compute_direct(spec, characterize_patterns=CHAR_PATTERNS)
         assert served == direct
+
+
+def _spec(years):
+    return QuerySpec(
+        width=WIDTH, kind="column", years=tuple(years),
+        num_patterns=NUM_PATTERNS, seed=1, cycle_ns=8.0,
+    )
+
+
+def _canon(records):
+    return json.dumps(records, sort_keys=True)
+
+
+@pytest.fixture()
+def worker_daemon():
+    """A ``distrib worker`` job server on an ephemeral port, in-process."""
+    daemon = WorkerServer("127.0.0.1", 0)
+    thread = threading.Thread(
+        target=daemon.serve_until_shutdown, daemon=True
+    )
+    thread.start()
+    yield daemon
+    daemon.shutdown()
+    daemon.server_close()
+    thread.join(timeout=5)
+
+
+class TestPoolBackend:
+    """The backend is a ``query`` job on a worker pool; ``tcp:`` daemons
+    serve it as ``local:N`` processes do."""
+
+    def test_query_job_over_tcp_matches_direct(self, worker_daemon):
+        spec = _spec([0.0, 10.0])
+        job = {
+            "job": "query",
+            "query": spec.to_payload(),
+            "characterize_patterns": CHAR_PATTERNS,
+        }
+        pool = TcpPool([("127.0.0.1", worker_daemon.port)])
+        (response,) = pool.map([job])
+        assert response["ok"], response
+        clear_state_cache()  # the oracle prices on a fresh context
+        direct = compute_direct(spec, characterize_patterns=CHAR_PATTERNS)
+        assert _canon(response["result"]["records"]) == _canon(direct)
+
+    def test_tcp_service_degrades_when_daemon_is_gone(self, worker_daemon):
+        config = ServiceConfig(
+            port=0,
+            pool="tcp:127.0.0.1:%d" % worker_daemon.port,
+            characterize_patterns=CHAR_PATTERNS,
+        )
+        with serve_in_background(config) as handle:
+            with ServiceClient(port=handle.port) as client:
+                served = _query(client, [0.0, 10.0])
+                assert served["status"] == "ok"
+                assert _canon(served["results"]) == _canon(
+                    compute_direct(
+                        _spec([0.0, 10.0]),
+                        characterize_patterns=CHAR_PATTERNS,
+                    )
+                )
+                pool = TcpPool([("127.0.0.1", worker_daemon.port)])
+                assert pool.shutdown_workers() == 1
+                worker_daemon.shutdown()
+                worker_daemon.server_close()
+
+                stale = _query(client, [5.0])
+                assert stale["status"] == "degraded"
+                assert stale["degraded"]["reason"] == "backend-crash"
+                assert stale["results"]
+                fresh = client.query(
+                    WIDTH, "column", 0.0,
+                    num_patterns=NUM_PATTERNS + 3,  # a never-seen group
+                )
+                assert fresh["status"] == "error"
+                assert fresh["error"]["type"] == "BackendCrashError"
+                assert fresh["error"]["reason"] == "backend-crash"
+                counters = client.stats()["counters"]
+                assert counters["backend_crashes"] == 2
+
+
+class TestInjectGate:
+    """``inject`` is a test hook: a server or a worker started without
+    the test switch in its environment ignores it."""
+
+    def test_server_ignores_inject_and_serves_lru(self, monkeypatch):
+        monkeypatch.delenv(TESTING_ENV, raising=False)
+        config = ServiceConfig(port=0, characterize_patterns=CHAR_PATTERNS)
+        with serve_in_background(config) as handle:
+            with ServiceClient(port=handle.port) as client:
+                first = _query(client, [0.0], inject="crash")
+                again = _query(client, [0.0], inject="crash")
+        assert first["status"] == "ok"
+        assert first["source"] == "backend"
+        assert again["status"] == "ok"
+        assert again["source"] == "lru"
+        assert again["results"] == first["results"]
+
+    def test_distrib_worker_ignores_inject(self, tmp_path):
+        env = {
+            name: value for name, value in os.environ.items()
+            if name != TESTING_ENV
+        }
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(repro.__file__)
+        )
+        port_file = tmp_path / "worker.port"
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "distrib", "worker",
+                "--port", "0", "--port-file", str(port_file),
+            ],
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not port_file.exists() or not port_file.read_text():
+                assert daemon.poll() is None, "worker exited early"
+                assert time.monotonic() < deadline, "worker never bound"
+                time.sleep(0.05)
+            address = ("127.0.0.1", int(port_file.read_text()))
+            spec = _spec([0.0])
+            response = TcpPool.call(address, {
+                "job": "query",
+                "query": spec.to_payload(),
+                "characterize_patterns": CHAR_PATTERNS,
+                "inject": "crash",
+            })
+            assert response["ok"], response
+            assert _canon(response["result"]["records"]) == _canon(
+                compute_direct(spec, characterize_patterns=CHAR_PATTERNS)
+            )
+            assert TcpPool([address]).shutdown_workers() == 1
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
 
 
 class TestCli:
