@@ -86,7 +86,7 @@ def main():
     # A hot-spot the AHL *can* answer: extra delay on one cell raises
     # the error rate, the indicator trips, Skip-(n+1) sheds the errors.
     hot = DelayFault(len(mult.netlist.cells) // 2, 0.9 * mult.cycle_ns)
-    site, _ = InjectionCampaign(
+    site = InjectionCampaign(
         mult, [hot], num_patterns=PATTERNS, seed=7
     ).run_site(hot)
     switch = (

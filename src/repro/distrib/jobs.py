@@ -154,7 +154,7 @@ def _run_fault_sites(request: Dict) -> Dict:
                 "site index %d outside [0, %d)"
                 % (index, len(campaign.faults))
             )
-        report, _ = campaign.run_site(
+        report = campaign.run_site(
             campaign.faults[index], campaign.site_ids[index]
         )
         reports.append([index, report.to_dict()])

@@ -2,9 +2,10 @@
 
 An :class:`InjectionCampaign` sweeps a list of single-fault sites over
 one :class:`~repro.core.architecture.AgingAwareMultiplier`: for every
-site it compiles the faulty circuit, streams the same operands through
-it, feeds the faulty per-pattern delays and products through the healthy
-Razor/AHL control loop, and classifies every corrupted pattern as
+site it prices the faulty stream of the same operands as a cone delta
+against one pristine :class:`~repro.timing.delta.DeltaBase`, feeds the
+faulty per-pattern delays and products through the healthy Razor/AHL
+control loop, and classifies every corrupted pattern as
 *detected* (Razor flagged it) or *silent* (the corruption arrived early
 enough to latch cleanly -- the coverage hole value faults exploit).
 
@@ -60,11 +61,15 @@ from ..arith.reference import golden_products
 from ..core.architecture import AgingAwareMultiplier
 from ..core.stats import ArchitectureRunResult
 from ..errors import CampaignInterrupted, FaultError
+from ..timing.delta import DeltaBase, replay_delta
+from ..timing.engine import StreamResult
 from ..timing.value_cache import ValuePlaneCache
 from .injector import (
+    build_fault_hooks,
     compile_with_faults,
     em_fault_sites,
     enumerate_fault_sites,
+    fault_delay_scales,
 )
 from .models import FaultModel
 
@@ -449,6 +454,7 @@ class InjectionCampaign:
             architecture.factory.delay_scale(years) if years else None
         )
         self._pristine = None
+        self._base: Optional[DeltaBase] = None
         self.spec: Optional[Dict] = None
 
     @classmethod
@@ -543,6 +549,24 @@ class InjectionCampaign:
             "sites_digest": digest,
         }
 
+    def _base_row(self) -> np.ndarray:
+        """The campaign's aging delay-scale row (ones when fresh)."""
+        if self._base_scale is None:
+            return np.ones(len(self.architecture.netlist.cells))
+        return self._base_scale
+
+    def _delta_base(self) -> DeltaBase:
+        """The pristine :class:`~repro.timing.delta.DeltaBase` every
+        simulated site is priced against (built on first use, so a
+        campaign whose sites all resume never builds it)."""
+        if self._base is None:
+            self._base = DeltaBase(
+                self._pristine_circuit(),
+                {"md": self.md, "mr": self.mr},
+                self._base_row(),
+            )
+        return self._base
+
     def _pristine_circuit(self):
         """The compiled fault-free circuit (cached; also serves the
         logic-cone reachability masks)."""
@@ -563,16 +587,10 @@ class InjectionCampaign:
         ``store`` it is a ``stream`` artifact there, so a warm campaign
         simulates nothing.
         """
-        netlist = self.architecture.netlist
-        row = (
-            np.ones(len(netlist.cells))
-            if self._base_scale is None
-            else self._base_scale
-        )
         (stream,) = ValuePlaneCache(store=store).price(
-            netlist,
+            self.architecture.netlist,
             self.architecture.technology,
-            row,
+            self._base_row(),
             {"md": self.md, "mr": self.mr},
             self._pristine_circuit,
         )
@@ -580,22 +598,34 @@ class InjectionCampaign:
             self.md, self.mr, years=self.years, stream=stream
         )
 
-    def run_site(
-        self, fault: FaultModel, site_id: str = ""
-    ) -> Tuple[SiteReport, ArchitectureRunResult]:
-        """Inject one fault and execute the full control loop."""
+    def run_site(self, fault: FaultModel, site_id: str = "") -> SiteReport:
+        """Inject one fault and execute the full control loop.
+
+        The faulty stream is a cone delta against the campaign's
+        pristine base (:func:`~repro.timing.delta.replay_delta`): a
+        delay fault is its :func:`fault_delay_scales` row, a stuck-at or
+        transient fault a hooked child (the hooks
+        :func:`build_fault_hooks` returns).  Outputs and delays are
+        byte-identical to a full ``compile_with_faults(...).run``.
+        """
         arch = self.architecture
-        circuit = compile_with_faults(
-            arch.netlist,
-            [fault],
-            arch.technology,
-            delay_scale=self._base_scale,
+        netlist = arch.netlist
+        base = self._delta_base()
+        priced = replay_delta(
+            base,
+            netlist,
+            fault_delay_scales(
+                netlist, [fault], base.scales, arch.technology
+            ),
+            fault_hooks=build_fault_hooks(netlist, [fault]),
         )
-        # ``fold=True`` only folds hook-free circuits (pure delay
-        # faults); value-corrupting hooks make the engine bypass it, so
-        # every fault model keeps its exact per-pattern indexing.
-        stream = circuit.run(
-            {"md": self.md, "mr": self.mr}, chunk_size="auto", fold=True
+        # A cone delta prices no switched capacitance (DESIGN.md
+        # section 16), and a site report reads none.
+        stream = StreamResult(
+            outputs=priced.outputs,
+            delays=priced.delays[0],
+            switched_caps=np.full(priced.num_patterns, np.nan),
+            num_patterns=priced.num_patterns,
         )
         result = arch.run_patterns(
             self.md, self.mr, years=self.years, stream=stream
@@ -603,8 +633,8 @@ class InjectionCampaign:
         corrupted = result.products != self._golden
         detected = corrupted & result.errors
         report = result.report
-        site = SiteReport(
-            label=fault.describe(arch.netlist),
+        return SiteReport(
+            label=fault.describe(netlist),
             kind=fault.kind,
             corrupted_ops=int(corrupted.sum()),
             detected_ops=int(detected.sum()),
@@ -617,7 +647,6 @@ class InjectionCampaign:
             indicator_aged_at=report.indicator_aged_at,
             site_id=site_id or fault.site_id(),
         )
-        return site, result
 
     # ------------------------------------------------------------------
     # Logic-cone pruning
@@ -811,10 +840,12 @@ class InjectionCampaign:
                         )
                 else:
                     for index in pending:
-                        site, _ = self.run_site(
-                            self.faults[index], self.site_ids[index]
+                        record(
+                            index,
+                            self.run_site(
+                                self.faults[index], self.site_ids[index]
+                            ),
                         )
-                        record(index, site)
         except KeyboardInterrupt:
             interrupted = True
 

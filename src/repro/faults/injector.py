@@ -1,10 +1,13 @@
 """Applying fault models to a netlist / compiled engine.
 
-:func:`compile_with_faults` is the single entry point: it folds any mix
-of value faults (stuck-at, transient flips -- applied through the
-engine's fault hooks) and delay faults (applied through the per-cell
-delay-scale vector, composing with aging/EM scales) into one
-:class:`~repro.timing.engine.CompiledCircuit`.
+:func:`compile_with_faults` folds any mix of value faults (stuck-at,
+transient flips -- applied through the engine's fault hooks) and delay
+faults (applied through the per-cell delay-scale vector, composing with
+aging/EM scales) into one :class:`~repro.timing.engine.CompiledCircuit`
+for a full run.  Campaigns price the same two parts as a cone delta
+instead: :func:`build_fault_hooks` for a hooked child and
+:func:`fault_delay_scales` for a scale row
+(:func:`repro.timing.delta.replay_delta`).
 
 :func:`enumerate_fault_sites` produces a deterministic, seeded sweep of
 candidate fault sites over a netlist's cell outputs, used by

@@ -97,6 +97,8 @@ class ReliabilityService:
         #: weak ones; an unreferenced task can be collected mid-build).
         self._build_tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stopped: Optional[asyncio.Event] = None
         self.port: Optional[int] = None
 
@@ -110,10 +112,17 @@ class ReliabilityService:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            # Closing a connection's stream hands its handler EOF, so
+            # the handler returns instead of being cancelled while it
+            # waits on readline() (which asyncio logs as an error).
+            handlers = dict(self._connections)
+            for writer in handlers.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
+            await server.wait_closed()
         self.backend.close()
         if self._stopped is not None:
             self._stopped.set()
@@ -126,6 +135,8 @@ class ReliabilityService:
 
     async def _handle_connection(self, reader, writer) -> None:
         self.counters["connections"] += 1
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         write_lock = asyncio.Lock()
         tasks = []
         try:
@@ -143,6 +154,7 @@ class ReliabilityService:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.pop(handler, None)
             for task in tasks:
                 if not task.done():
                     task.cancel()
@@ -437,8 +449,8 @@ def serve_in_background(
         try:
             loop.run_until_complete(_main())
         finally:
-            # Idle connection handlers may still be parked on readline;
-            # cancel and drain them so loop.close() is clean.
+            # stop() already closed every connection; cancel whatever
+            # else is left (in-flight builds) so loop.close() is clean.
             pending = asyncio.all_tasks(loop)
             for task in pending:
                 task.cancel()

@@ -23,7 +23,10 @@ makes the *delta* the unit of work:
   cone**: values, may/aux masks and arrivals outside the cone are
   reused from the parent's values-only pass, value plane and arrival
   tensor, cone cells are re-evaluated through the exact same
-  :mod:`repro.timing.logic` kernels the engine uses.
+  :mod:`repro.timing.logic` kernels the engine uses.  A child may also
+  carry value-fault hooks over the hook-free base (a *hooked child*):
+  the hooked net seeds both cones, and the hook rewrites its row
+  exactly where the engine does.
 
 Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 ``delta-smoke`` job): ``replay_delta`` reproduces, bit for bit, the
@@ -37,7 +40,10 @@ float-association exception (see DESIGN.md section 16).
 Base planes must be built with ``initial=None`` (settling pattern ==
 pattern 0), which makes every recorded may-mask equal to
 ``changed_matrix(values, None)`` on the reported stream -- the identity
-the cone value pass relies on to reproduce recorded flags exactly.
+the cone value pass relies on to reproduce recorded flags exactly.  The
+cone value pass carries the settling column at index 0 (a boundary
+row's is its pattern-0 value), so a hook sees the row the engine hands
+it and a change at pattern 0 keeps its flag.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ import numpy as np
 from ..errors import DeltaError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
-from .engine import CompiledCircuit, _CompiledCell, _check_delay_scales
+from .engine import CompiledCircuit, FaultHook, _CompiledCell
+from .engine import _check_delay_scales
 from .replay import ArrivalReplay, ValuePlane
 from .replay import _active_arrival, _aux_count, build_value_plane
 from .soa import SoAPlan, bucket_level
@@ -117,15 +124,24 @@ class NetlistDelta:
         return digest.hexdigest()
 
 
-def _forward_cone(
-    netlist: Netlist, seed_cells: Sequence[int]
-) -> Tuple[List[int], frozenset]:
-    """Forward closure of ``seed_cells``: every cell reachable through
-    driver -> consumer edges, plus the set of their output nets."""
+def _consumers(netlist: Netlist) -> Dict[int, List[int]]:
+    """Net id -> indices of the cells that read it."""
     consumers: Dict[int, List[int]] = {}
     for cell in netlist.cells:
         for net in cell.inputs:
             consumers.setdefault(net, []).append(cell.index)
+    return consumers
+
+
+def _forward_cone(
+    netlist: Netlist,
+    seed_cells: Sequence[int],
+    consumers: Optional[Dict[int, List[int]]] = None,
+) -> Tuple[List[int], frozenset]:
+    """Forward closure of ``seed_cells``: every cell reachable through
+    driver -> consumer edges, plus the set of their output nets."""
+    if consumers is None:
+        consumers = _consumers(netlist)
     cone = set(int(index) for index in seed_cells)
     queue = list(cone)
     while queue:
@@ -457,6 +473,7 @@ def evaluate_full(
     mode: str = "inertial",
     collect_bit_arrivals: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
+    fault_hooks: Optional[Dict[int, FaultHook]] = None,
 ) -> DeltaResult:
     """From-scratch comparator: compile + value pass + arrival replay.
 
@@ -470,6 +487,7 @@ def evaluate_full(
         child,
         technology if technology is not None else DEFAULT_TECHNOLOGY,
         mode=mode,
+        fault_hooks=fault_hooks,
     )
     plane = build_value_plane(
         circuit, stimulus, initial=None, chunk_size=chunk_size
@@ -543,9 +561,10 @@ class DeltaBase:
             circuit, self.stimulus, initial=None, chunk_size=chunk_size
         )
         settled = circuit._settled_values(self.stimulus, "a delta base")
-        #: ``(num_nets, ceil(n / 8))`` packed settled values of every
-        #: net, rails included, for cone boundaries.
-        self.values = np.packbits(settled[:, 1:], axis=1)
+        #: ``(num_nets, ceil((n + 1) / 8))`` packed settled values of
+        #: every net, rails included, settling column first, for cone
+        #: boundaries.
+        self.values = np.packbits(settled, axis=1)
         del settled  # before the arrival tensor allocates
         self.arrivals = _replay_all_arrivals(
             circuit, self.plane, scales
@@ -571,8 +590,11 @@ class DeltaBase:
         return self.arrivals.nbytes + self.plane.nbytes + self.values.nbytes
 
     def value(self, net: int) -> np.ndarray:
-        """Unpacked settled-value stream (uint8 0/1) of one net."""
-        return np.unpackbits(self.values[net], count=self.num_patterns)
+        """Unpacked settled-value stream (uint8 0/1) of one net, its
+        settling column (equal to pattern 0) at index 0."""
+        return np.unpackbits(
+            self.values[net], count=self.num_patterns + 1
+        )
 
     def result(self, collect_bit_arrivals: bool = False) -> DeltaResult:
         """The base evaluation itself as a :class:`DeltaResult`."""
@@ -594,6 +616,38 @@ class DeltaBase:
         )
 
 
+def _hook_seeds(
+    netlist: Netlist,
+    fault_hooks: Dict[int, FaultHook],
+    consumers: Dict[int, List[int]],
+) -> List[int]:
+    """Cells a set of value hooks seeds the cones with: the driver of a
+    hooked cell output, the consumers of a hooked primary input.
+
+    Raises:
+        DeltaError: A hook on a constant rail or on a net the netlist
+            does not have.
+    """
+    seeds = set()
+    for net in fault_hooks:
+        if (
+            not isinstance(net, int)
+            or isinstance(net, bool)
+            or net in (CONST0, CONST1)
+            or not 0 <= net < netlist.num_nets
+        ):
+            raise DeltaError(
+                "cannot hook net %r: not a non-rail net of a %d-net"
+                " netlist" % (net, netlist.num_nets)
+            )
+        driver = netlist.driver_of(net)
+        if driver is None:
+            seeds.update(consumers.get(net, ()))
+        else:
+            seeds.add(driver.index)
+    return sorted(seeds)
+
+
 def replay_delta(
     base: DeltaBase,
     child: Netlist,
@@ -601,17 +655,19 @@ def replay_delta(
     delta: Optional[NetlistDelta] = None,
     collect_bit_arrivals: bool = False,
     max_cone_fraction: Optional[float] = None,
+    fault_hooks: Optional[Dict[int, FaultHook]] = None,
 ) -> DeltaResult:
     """Price an aligned child netlist against a parent base.
 
     Re-simulates only the affected cone: the *value cone* (forward
-    closure of structurally changed cells) is re-evaluated through
-    :func:`logic.eval_vector` / :func:`logic.aux_masks` /
-    :func:`logic.changed_matrix`; the *arrival cone* (forward closure
-    of changed plus scale-perturbed cells, a superset) is re-timed
-    through :func:`logic.arrival_masks` with ``(k, 1)`` delay columns.
-    Everything outside a cone is gathered from the base plane / arrival
-    tensor.  Bit-identical to :func:`evaluate_full` on the child.
+    closure of structurally changed and hook-seeded cells) is
+    re-evaluated through :func:`logic.eval_vector` /
+    :func:`logic.aux_masks` / :func:`logic.changed_matrix`; the
+    *arrival cone* (the value cone plus the closure of scale-perturbed
+    cells) is re-timed through :func:`logic.arrival_masks` with
+    ``(k, 1)`` delay columns.  Everything outside a cone is gathered
+    from the base plane / arrival tensor.  Bit-identical to
+    :func:`evaluate_full` on the child.
 
     Args:
         delay_scales: Optional replacement scale matrix; must match the
@@ -620,12 +676,20 @@ def replay_delta(
         max_cone_fraction: When set and the arrival cone exceeds this
             fraction of all cells, evaluate from scratch instead
             (``method="full"``) -- same bytes, different cost profile.
+        fault_hooks: Optional net id -> value hook map, applied as
+            :class:`~repro.timing.engine.CompiledCircuit` applies its
+            ``fault_hooks`` (to the row whose settling column is at
+            index 0, with ``start_index`` -1).  The hooked net seeds
+            both cones: its driver cell, or a primary input's
+            consumers.
 
     Raises:
-        DeltaError: Misaligned pair, mismatched scale shape, or an
-            unpatchable rewire (see :func:`patch_compiled`).
+        DeltaError: Misaligned pair, mismatched scale shape, an
+            unpatchable rewire (see :func:`patch_compiled`), or a hook
+            on a constant rail or unknown net.
     """
     parent_circuit = base.circuit
+    hooks = dict(fault_hooks or {})
     if delay_scales is None:
         scales = base.scales
     else:
@@ -644,7 +708,7 @@ def replay_delta(
         (scales != base.scales).any(axis=0)
     )[0]
 
-    if delta.is_empty and not scale_changed.size:
+    if delta.is_empty and not scale_changed.size and not hooks:
         result = base.result(collect_bit_arrivals=collect_bit_arrivals)
         return dataclasses.replace(result, delta=delta)
 
@@ -653,11 +717,14 @@ def replay_delta(
     else:
         patched = patch_compiled(parent_circuit, child, delta)
 
-    seeds = sorted(
-        set(delta.changed_cells)
-        | set(int(index) for index in scale_changed)
+    consumers = _consumers(child)
+    value_cone = set(delta.cone_cells)
+    if hooks:
+        seeds = _hook_seeds(child, hooks, consumers)
+        value_cone.update(_forward_cone(child, seeds, consumers)[0])
+    arrival_cone = value_cone | set(
+        _forward_cone(child, scale_changed, consumers)[0]
     )
-    arrival_cone, _ = _forward_cone(child, seeds)
     if (
         max_cone_fraction is not None
         and len(arrival_cone) > max_cone_fraction * base.num_cells
@@ -669,6 +736,7 @@ def replay_delta(
             technology=parent_circuit.technology,
             mode=parent_circuit.mode,
             collect_bit_arrivals=collect_bit_arrivals,
+            fault_hooks=hooks,
         )
         return dataclasses.replace(result, delta=delta)
 
@@ -686,6 +754,8 @@ def replay_delta(
         )
 
     # -- value cone: settled values, may masks, aux masks --------------
+    # Value and may rows are n + 1 long, the settling column first, as
+    # the engine hands them to hooks and to change detection.
     new_vals: Dict[int, np.ndarray] = {}
     new_mays: Dict[int, np.ndarray] = {}
     new_aux: Dict[int, tuple] = {}
@@ -706,17 +776,26 @@ def replay_delta(
         if row is None:
             row = boundary_mays.get(net)
             if row is None:
-                if net in (CONST0, CONST1):
-                    row = np.zeros(n, dtype=bool)
-                else:
-                    row = plane.may(net)
+                # The settling column never may-change.
+                row = np.zeros(n + 1, dtype=bool)
+                if net not in (CONST0, CONST1):
+                    row[1:] = plane.may(net)
                 boundary_mays[net] = row
         return row
 
-    for position in cone_order(delta.cone_cells):
+    for net, hook in hooks.items():
+        if child.is_primary_input(net):
+            row = np.asarray(hook(value_row(net), -1), dtype=np.uint8)
+            new_vals[net] = row
+            new_mays[net] = logic.changed_matrix(row, None)
+
+    for position in cone_order(value_cone):
         compiled = cells[position]
         in_vals = [value_row(pin) for pin in compiled.inputs]
         out_val = logic.eval_vector(compiled.opcode, in_vals)
+        hook = hooks.get(compiled.output)
+        if hook is not None:
+            out_val = np.asarray(hook(out_val, -1), dtype=np.uint8)
         aux = logic.aux_masks(compiled.opcode, in_vals)
         if inertial:
             out_may = logic.changed_matrix(out_val, None)
@@ -727,9 +806,9 @@ def replay_delta(
             )
         new_vals[compiled.output] = out_val
         new_mays[compiled.output] = out_may
-        new_aux[position] = aux
+        new_aux[position] = tuple(mask[1:] for mask in aux)
 
-    # -- arrival cone: re-time changed + scale-perturbed closure -------
+    # -- arrival cone: re-time the value cone + scale-perturbed closure
     new_arr: Dict[int, np.ndarray] = {}
 
     def arrival_row(net: int) -> np.ndarray:
@@ -747,6 +826,8 @@ def replay_delta(
         out_may = new_mays.get(compiled.output)
         if out_may is None:
             out_may = plane.may(compiled.output)
+        else:
+            out_may = out_may[1:]
         delay = (
             compiled.fresh_delay_ns * scales[:, compiled.index]
         )[:, None]
@@ -763,7 +844,7 @@ def replay_delta(
             for lane, net in enumerate(port.nets):
                 row = new_vals.get(net)
                 if row is not None:
-                    bits[lane] = row
+                    bits[lane] = row[1:]
             outputs[name] = logic.pack_bits(bits)
         else:
             outputs[name] = plane.outputs[name]
@@ -789,6 +870,6 @@ def replay_delta(
         method="delta",
         bit_arrivals=bit_arrivals,
         delta=delta,
-        value_cone_cells=tuple(delta.cone_cells),
-        arrival_cone_cells=tuple(arrival_cone),
+        value_cone_cells=tuple(sorted(value_cone)),
+        arrival_cone_cells=tuple(sorted(arrival_cone)),
     )

@@ -147,7 +147,7 @@ class TestCheckpointStore:
         store = ArtifactStore(str(path))
         reports = []
         for index in range(count):
-            site, _ = campaign.run_site(
+            site = campaign.run_site(
                 campaign.faults[index], campaign.site_ids[index]
             )
             store.save(
@@ -432,6 +432,25 @@ class TestCli:
         assert "resumed 8" in second
         assert "simulated 0" in second
         assert len(site_files(ArtifactStore(path))) == 8
+
+    @pytest.mark.parametrize("years", [0, 5])
+    def test_run_json_matches_golden_bytes(self, tmp_path, years):
+        """``faults run --json`` on a fixed 24-site campaign is byte for
+        byte the committed ``tests/data`` reference, fresh and aged (CI's
+        fault-injection smoke job ``cmp``s the same two runs)."""
+        from repro.faults.cli import main
+
+        out = tmp_path / "run.json"
+        assert main([
+            "run", "--width", "8", "--sites", "24", "--patterns", "400",
+            "--years", str(years), "--quiet", "--json", str(out),
+        ]) == 0
+        golden = os.path.join(
+            os.path.dirname(__file__), "data",
+            "faults_w8_s24_y%d.json" % years,
+        )
+        with open(golden, "rb") as fp:
+            assert out.read_bytes() == fp.read()
 
     def test_listing_without_command(self, capsys):
         from repro.faults.cli import main

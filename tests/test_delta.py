@@ -6,10 +6,12 @@ observable on the byte-identity surface (``outputs``, ``delays``,
 must be bit-identical to a from-scratch
 :func:`repro.timing.delta.evaluate_full` of the mutated child -- across
 multiplier architectures, delay modes, mutation families (retype,
-constant tie, rewire, delay nudge) and their combinations.  The suite
-also pins the failure modes: misaligned pairs, hooked circuits, bad
-scale shapes and unpatchable rewires must raise typed
-:class:`~repro.errors.DeltaError`, never silently fall back.
+constant tie, rewire, delay nudge) and their combinations.  A hooked
+child (value-fault hooks over the hook-free base) must match the
+engine's hooked ``compile_with_faults(...).run`` and the scalar oracle.
+The suite also pins the failure modes: misaligned pairs, hooked bases,
+bad scale shapes, unpatchable rewires and hooks on the rails must raise
+typed :class:`~repro.errors.DeltaError`, never silently fall back.
 """
 
 import dataclasses
@@ -32,12 +34,21 @@ from repro.experiments.sweep import (
     enumerate_variants,
     render_payload,
 )
+from repro.core import AgingAwareMultiplier
+from repro.faults import InjectionCampaign
 from repro.faults.injector import (
+    build_fault_hooks,
     compile_with_faults,
+    enumerate_fault_sites,
     fault_delay_scale,
     fault_delay_scales,
 )
-from repro.faults.models import DelayFault, StuckAtFault
+from repro.faults.models import (
+    DelayFault,
+    StuckAtFault,
+    TransientBitFlip,
+    _hash_uniform,
+)
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
 from repro.nets.netlist import CONST0
 from repro.timing import CompiledCircuit
@@ -50,6 +61,8 @@ from repro.timing.delta import (
 )
 from repro.timing.value_cache import plane_cache_key
 from repro.workloads import uniform_operands
+
+from oracle import Oracle
 
 WIDTH = 6
 NUM_PATTERNS = 192
@@ -365,6 +378,197 @@ class TestReplayDelta:
         assert result.num_corners == CORNERS
         assert result.max_delays().shape == (CORNERS,)
         assert np.all(result.mean_delays() <= result.max_delays())
+
+
+def price_fault(base, netlist, fault, **kwargs):
+    """One fault site as a cone delta, the way a campaign prices it."""
+    return replay_delta(
+        base,
+        netlist,
+        fault_delay_scales(netlist, [fault], base.scales),
+        fault_hooks=build_fault_hooks(netlist, [fault]),
+        collect_bit_arrivals=True,
+        **kwargs,
+    )
+
+
+def assert_site_same(got, want, corner=0):
+    """A delta result's ``corner`` row against a one-corner full run
+    (an engine ``StreamResult`` or an ``OracleRun``), byte for byte."""
+    for name, values in want.outputs.items():
+        assert np.array_equal(got.outputs[name], values), name
+    assert got.delays[corner].tobytes() == want.delays.tobytes()
+    for name, matrix in want.bit_arrivals.items():
+        assert (
+            np.ascontiguousarray(got.bit_arrivals[name][:, corner]).tobytes()
+            == matrix.tobytes()
+        ), name
+
+
+def engine_site(netlist, fault, stimulus, row, mode="inertial"):
+    return compile_with_faults(
+        netlist, [fault], delay_scale=row, mode=mode
+    ).run(stimulus, collect_bit_arrivals=True)
+
+
+def oracle_site(netlist, fault, stimulus, row, mode="inertial"):
+    scale = fault_delay_scales(netlist, [fault], row)[0]
+    return Oracle(
+        netlist, mode=mode, fault_hooks=build_fault_hooks(netlist, [fault])
+    ).run(stimulus, delay_scale=scale)
+
+
+class TestHookedChild:
+    """Value-fault hooks over the hook-free base, against the engine's
+    hooked full run (every corner) and the scalar oracle."""
+
+    @staticmethod
+    def sites(netlist):
+        cells = netlist.cells
+        picks = [cells[i] for i in (0, len(cells) // 3, len(cells) - 1)]
+        first_input = netlist.input_ports["md"].nets[0]
+        return [
+            StuckAtFault(picks[0].output, 0),
+            StuckAtFault(picks[1].output, 1),
+            StuckAtFault(first_input, 1),
+            TransientBitFlip(picks[2].output, 0.3, seed=4),
+            TransientBitFlip(first_input, 0.3, seed=9),
+            DelayFault(picks[1].index, 0.4),
+        ]
+
+    def test_every_fault_model_matches_engine(self, design, base):
+        netlist = design["netlist"]
+        mode = base.circuit.mode
+        for fault in self.sites(netlist):
+            got = price_fault(base, netlist, fault)
+            assert got.method == "delta"
+            for corner in range(CORNERS):
+                want = engine_site(
+                    netlist, fault, design["stimulus"],
+                    design["scales"][corner], mode,
+                )
+                assert_site_same(got, want, corner)
+
+    def test_matches_oracle(self, design, base):
+        netlist = design["netlist"]
+        stimulus = {
+            name: values[:48] for name, values in design["stimulus"].items()
+        }
+        short = DeltaBase(
+            CompiledCircuit(netlist, mode=base.circuit.mode),
+            stimulus,
+            design["scales"][0],
+        )
+        for fault in self.sites(netlist):
+            want = oracle_site(
+                netlist, fault, stimulus, design["scales"][0],
+                base.circuit.mode,
+            )
+            assert_site_same(price_fault(short, netlist, fault), want)
+
+    def test_transient_flipping_pattern_zero(self, design, base):
+        """A flip at pattern 0 changes a value the settling column does
+        not have: only a cone pass that carries the settling column
+        keeps its change flag and its pattern-0 arrival."""
+        netlist = design["netlist"]
+        net = netlist.output_ports["p"].nets[WIDTH]
+        rate = 0.25
+        seed = next(
+            s for s in range(1000)
+            if _hash_uniform(s, net, np.array([0]))[0] < rate
+        )
+        fault = TransientBitFlip(net, rate, seed=seed)
+        hook = fault.value_hook()
+        assert hook(np.zeros(2, dtype=np.uint8), -1).tolist() == [0, 1]
+        got = price_fault(base, netlist, fault)
+        for corner in range(CORNERS):
+            want = engine_site(
+                netlist, fault, design["stimulus"],
+                design["scales"][corner], base.circuit.mode,
+            )
+            if base.circuit.mode == "inertial":
+                # Floating-mode may flags come from the inputs, which
+                # the hook does not touch.
+                assert want.delays[0] > 0.0
+            assert_site_same(got, want, corner)
+
+    def test_stuck_at_on_primary_input(self, design, base):
+        netlist = design["netlist"]
+        for net in (
+            netlist.input_ports["md"].nets[-1],
+            netlist.input_ports["mr"].nets[0],
+        ):
+            for value in (0, 1):
+                fault = StuckAtFault(net, value)
+                got = price_fault(base, netlist, fault)
+                # The consumers of the input seed the cones.
+                consumers = {
+                    cell.index for cell in netlist.cells if net in cell.inputs
+                }
+                assert consumers <= set(got.value_cone_cells)
+                for corner in range(CORNERS):
+                    want = engine_site(
+                        netlist, fault, design["stimulus"],
+                        design["scales"][corner], base.circuit.mode,
+                    )
+                    assert_site_same(got, want, corner)
+
+    def test_cone_fraction_fallback_same_bytes(self, design, base):
+        netlist = design["netlist"]
+        fault = TransientBitFlip(netlist.cells[2].output, 0.3, seed=1)
+        fast = price_fault(base, netlist, fault)
+        slow = price_fault(base, netlist, fault, max_cone_fraction=0.0)
+        assert fast.method == "delta" and slow.method == "full"
+        assert_result_same(slow, fast, bit_arrivals=True)
+
+    def test_hook_on_rail_or_unknown_net_refused(self, design, base):
+        hook = StuckAtFault(2, 1).value_hook()
+        for net in (CONST0, design["netlist"].num_nets):
+            with pytest.raises(DeltaError, match="cannot hook"):
+                replay_delta(base, design["netlist"], fault_hooks={net: hook})
+
+
+class TestHookedCampaignSites:
+    """The campaign's own pricing on the 8x8 column design: aged bases
+    and electromigration delay sites against the engine."""
+
+    @pytest.fixture(scope="class")
+    def arch(self):
+        return AgingAwareMultiplier.build(
+            8, "column", characterize_patterns=300
+        )
+
+    @staticmethod
+    def check(campaign):
+        arch = campaign.architecture
+        netlist = arch.netlist
+        base = campaign._delta_base()
+        assert np.array_equal(base.scales[0], campaign._base_row())
+        stimulus = {"md": campaign.md, "mr": campaign.mr}
+        for fault in campaign.faults:
+            want = engine_site(
+                netlist, fault, stimulus, campaign._base_scale
+            )
+            assert_site_same(price_fault(base, netlist, fault), want)
+
+    def test_aged_base(self, arch):
+        campaign = InjectionCampaign(
+            arch,
+            enumerate_fault_sites(arch.netlist, limit=12, seed=3),
+            num_patterns=300,
+            seed=5,
+            years=5.0,
+        )
+        assert campaign._base_scale is not None
+        self.check(campaign)
+
+    def test_em_delay_sites(self, arch):
+        campaign = InjectionCampaign.sweep(
+            arch, num_sites=6, num_patterns=300, seed=2, sites="em"
+        )
+        assert campaign.faults
+        assert all(isinstance(f, DelayFault) for f in campaign.faults)
+        self.check(campaign)
 
 
 class TestDeltaErrors:

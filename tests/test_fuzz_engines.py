@@ -23,7 +23,10 @@ masking discipline) and checks the engine-agreement invariants:
   of grouped cells matches the oracle's hold loop;
 * cone-delta replay of random mutant chains is bit-identical to a
   from-scratch evaluation and to the oracle, or refuses with a
-  :class:`~repro.errors.DeltaError`.
+  :class:`~repro.errors.DeltaError`;
+* a hooked child (one random stuck-at, transient or delay site priced
+  against the hook-free base) is bit-identical to the engine's hooked
+  full run and to the oracle.
 """
 
 import collections
@@ -34,8 +37,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arith import column_bypass_multiplier, row_bypass_multiplier
 from repro.errors import DeltaError
-from repro.faults.injector import compile_with_faults
-from repro.faults.models import StuckAtFault, TransientBitFlip
+from repro.faults.injector import (
+    build_fault_hooks,
+    compile_with_faults,
+    fault_delay_scales,
+)
+from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
 from repro.nets import Mutation, apply_mutations, tie_high, tie_low
 from repro.nets.export import dump_netlist, parse_netlist
 from repro.nets.netlist import Netlist
@@ -377,3 +384,41 @@ def test_delta_replay_matches_full_and_oracle():
 
     check()
     assert outcomes["replayed"] > outcomes["refused"], outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_netlists(max_patterns=24),
+       st.sampled_from(["inertial", "floating"]),
+       st.sampled_from(["sa0", "sa1", "seu", "delay"]),
+       st.integers(0, 10**9))
+def test_hooked_delta_matches_engine_and_oracle(case, mode, kind, seed):
+    """One random fault site priced as a delta against the pristine
+    base -- stuck-at and transient faults as hooked children, on cell
+    outputs and primary inputs alike, delay faults as a scale row --
+    against ``compile_with_faults(...).run`` and the oracle."""
+    nl, stimulus = case
+    stim = {"x": stimulus}
+    rng = np.random.default_rng(seed)
+    row = rng.uniform(0.5, 2.0, len(nl.cells))
+    nets = list(nl.input_ports["x"].nets) + [c.output for c in nl.cells]
+    net = nets[seed % len(nets)]
+    if kind == "delay":
+        fault = DelayFault(seed % len(nl.cells), float(rng.uniform(0, 2)))
+    elif kind == "seu":
+        fault = TransientBitFlip(net, 0.3, seed=seed % 97)
+    else:
+        fault = StuckAtFault(net, int(kind[-1]))
+    hooks = build_fault_hooks(nl, [fault])
+    base = DeltaBase(CompiledCircuit(nl, mode=mode), stim, row)
+    got = replay_delta(base, nl, fault_delay_scales(nl, [fault], row),
+                       fault_hooks=hooks, collect_bit_arrivals=True)
+    engine = compile_with_faults(nl, [fault], delay_scale=row,
+                                 mode=mode).run(stim,
+                                                collect_bit_arrivals=True)
+    want = Oracle(nl, mode=mode, fault_hooks=hooks).run(
+        stim, delay_scale=fault_delay_scales(nl, [fault], row)[0])
+    for reference in (engine, want):
+        assert np.array_equal(got.outputs["o"], reference.outputs["o"])
+        assert got.delays[0].tobytes() == reference.delays.tobytes()
+        assert (np.ascontiguousarray(got.bit_arrivals["o"][:, 0]).tobytes()
+                == reference.bit_arrivals["o"].tobytes())

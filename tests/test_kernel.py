@@ -12,9 +12,8 @@ and the engine bucket by bucket, so the two agree to float association
 (asserted with ``rtol=1e-12``); within the engine it stays exact, which
 the folding and chunking tests assert.  The oracle steps one pattern
 and one cell at a time, so its streams stay short.  Test names that
-say ``percell`` or ``kernels`` name the per-cell reference kernel
-these checks ran against before the oracle replaced it; they are kept
-so test ids stay stable.
+say ``kernels`` name the engine's kernels these checks once compared;
+the comparison is against the oracle (``..._oracle``).
 """
 
 import numpy as np
@@ -95,7 +94,7 @@ def assert_same(got, want, bit_arrivals=False, caps_exact=True):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_kernels_match_percell_all_observables(
+    def test_kernels_match_oracle_all_observables(
         self, cb8, short8, mode
     ):
         """Every observable of a run at random per-cell delay scales."""
@@ -162,7 +161,7 @@ class TestFaultKernelEquivalence:
         )
 
     @pytest.mark.parametrize("kind", ["sa0", "sa1", "seu", "delay"])
-    def test_every_fault_model_matches_percell(self, cb8, short8, kind):
+    def test_every_fault_model_matches_oracle(self, cb8, short8, kind):
         """The oracle applies the fault hook one pattern at a time."""
         circuit = compile_with_faults(cb8, self.faults_for(cb8, kind))
         want = self.oracle_for(circuit).run(short8, circuit.delay_scale)
@@ -276,7 +275,7 @@ class TestFolding:
 
 class TestReplayKernels:
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_replay_kernels_all_match(self, cb8, mode):
+    def test_replay_kernels_all_match_oracle(self, cb8, mode):
         """Three corners replayed over one value plane against three
         oracle runs."""
         md, mr = uniform_operands(8, 40, seed=3)

@@ -252,7 +252,10 @@ class TestStoreBackedRuns:
 
     def test_warm_store_calls_no_engine(self, cold_store, monkeypatch):
         """Every experiment of :attr:`PRICED` re-runs on a warm store
-        without the engine: identical text, 0 misses, 0 writes."""
+        without the engine: identical text, 0 misses, 0 writes.  A warm
+        campaign resumes every site, so it never builds its delta base
+        or prices a site."""
+        from repro.timing.delta import DeltaBase
         from repro.timing.engine import CompiledCircuit
         from repro.timing.replay import ArrivalReplay
 
@@ -272,6 +275,9 @@ class TestStoreBackedRuns:
         monkeypatch.setattr(
             "repro.timing.value_cache.build_value_plane", engine_called
         )
+        monkeypatch.setattr(DeltaBase, "__init__", engine_called)
+        for module in ("repro.timing.delta", "repro.faults.campaign"):
+            monkeypatch.setattr(module + ".replay_delta", engine_called)
         warm = self._run(store_dir, self.PRICED)
         assert not warm.failures()
         assert rendered(warm) == rendered(cold)

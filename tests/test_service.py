@@ -1,6 +1,7 @@
 """Reliability service: protocol, server end-to-end, degradation."""
 
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -290,6 +291,26 @@ class TestDegradation:
     def test_unknown_op_is_error(self, client):
         response = client.request({"op": "dance", "id": 5})
         assert response["status"] == "error"
+
+
+class TestShutdown:
+    def test_shutdown_op_logs_no_callback_exception(self, caplog):
+        """A served ``shutdown`` op closes every connection's stream, so
+        no handler is cancelled while parked on ``readline()`` and
+        asyncio logs no ``Exception in callback`` traceback."""
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        handle = serve_in_background(
+            ServiceConfig(port=0, characterize_patterns=CHAR_PATTERNS)
+        )
+        with ServiceClient(port=handle.port) as idle, ServiceClient(
+            port=handle.port
+        ) as client:
+            assert idle.ping()
+            client.shutdown()
+            handle._thread.join(10.0)
+            assert not handle._thread.is_alive()
+        assert "Exception in callback" not in caplog.text
+        assert "CancelledError" not in caplog.text
 
 
 class TestStaleIsolation:
