@@ -67,9 +67,7 @@ def aging_delay_scale(
     scale_n = delay_scale_factor(
         dvth_n, technology.gate_overdrive_n, technology.alpha_sat
     )
-    pmos_fraction = np.array(
-        [cell.cell_type.pmos_fraction for cell in cells]
-    )
+    pmos_fraction = netlist.cell_columns().pmos_fraction
     return pmos_fraction * scale_p + (1.0 - pmos_fraction) * scale_n
 
 
@@ -128,9 +126,7 @@ def vth_shifted_delay_scale(
     alpha = technology.alpha_sat
     scale_p = (technology.gate_overdrive_p / remaining_p) ** alpha
     scale_n = (technology.gate_overdrive_n / remaining_n) ** alpha
-    pmos_fraction = np.array(
-        [cell.cell_type.pmos_fraction for cell in cells]
-    )
+    pmos_fraction = netlist.cell_columns().pmos_fraction
     scales = pmos_fraction * scale_p + (1.0 - pmos_fraction) * scale_n
     return scales[0] if squeeze else scales
 

@@ -57,13 +57,36 @@ def count_zeros(value: ArrayLike, width: int) -> np.ndarray:
     return width - count_ones(values, width)
 
 
+#: SWAR popcount constants: 2-, 4- and 8-bit lane masks and the byte
+#: summing multiplier.
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x0101010101010101,
+    )
+)
+
+
 def count_ones(value: ArrayLike, width: int) -> np.ndarray:
-    """Number of one bits in each ``width``-bit operand."""
+    """Number of one bits in each ``width``-bit operand (bits at and
+    above ``width`` are ignored).
+
+    A fixed handful of whole-array ops: the SWAR popcount sums bit
+    pairs, then nibbles, then bytes, and the multiply gathers the byte
+    sums into the top byte (uint64 array arithmetic wraps silently).
+    """
     values = np.asarray(value, dtype=np.uint64)
-    ones = np.zeros(values.shape, dtype=np.int64)
-    for i in range(width):
-        ones += ((values >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
-    return ones
+    x = values.reshape(-1)
+    if width < 64:
+        x = x & np.uint64((1 << width) - 1)
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    ones = ((x * _H01) >> np.uint64(56)).astype(np.int64)
+    return ones.reshape(values.shape)
 
 
 def _check_operand(value: int, width: int) -> None:

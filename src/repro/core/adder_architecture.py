@@ -33,10 +33,10 @@ from ..config import (
 )
 from ..errors import ConfigError, SimulationError
 from ..nets.netlist import Netlist
-from ..razor.flipflop import RazorBank
+from ..razor.flipflop import RazorBank, razor_errors
 from ..timing.engine import StreamResult
 from ..timing.sta import StaticTiming
-from .aging_indicator import AgingIndicator
+from .aging_indicator import AgingIndicator, walk_stream
 from .stats import ArchitectureRunResult, LatencyReport
 
 
@@ -137,8 +137,6 @@ class AgingAwareAdder:
         # Path delay of the *sum* only -- the hold bits are shallow
         # side logic, sampled separately by the controller.
         delays = stream.bit_arrivals["s"].max(axis=0)
-        hold_relaxed = stream.outputs["hold"].astype(bool)
-        hold_strict = stream.outputs["hold_strict"].astype(bool)
 
         razor = RazorBank(
             self.cycle_ns, self.cycle_ns * self.config.shadow_skew_fraction
@@ -149,57 +147,39 @@ class AgingAwareAdder:
             delays / self.cycle_ns
         )
 
+        # One-cycle flags, row 0 under the relaxed hold, row 1 under the
+        # strict hold.
+        judged = ~np.stack(
+            [stream.outputs["hold"], stream.outputs["hold_strict"]]
+        ).astype(bool)
+        block_errors = razor_errors(judged, late, over_budget)
         indicator = AgingIndicator(self.config)
-        n = a.size
-        window = self.config.indicator_window
-        penalty = self.config.razor_penalty_cycles
-        cycles = np.empty(n)
-        one_cycle = np.empty(n, dtype=bool)
-        errors = np.zeros(n, dtype=bool)
-        window_errors = []
-        indicator_trace = []
-        undetectable = 0
-        deep_retries = 0
-
-        for start in range(0, n, window):
-            stop = min(start + window, n)
-            use_strict = self.adaptive and indicator.aged
-            hold = (
-                hold_strict[start:stop]
-                if use_strict
-                else hold_relaxed[start:stop]
-            )
-            flags = ~hold
-            window_late = late[start:stop]
-            window_over = over_budget[start:stop]
-            err = (flags & window_late) | (~flags & window_over)
-            base = np.where(flags, 1.0 + (flags & window_late) * penalty, 2.0)
-            cycles[start:stop] = np.where(
-                window_over, retry_cycles[start:stop], base
-            )
-            one_cycle[start:stop] = flags
-            errors[start:stop] = err
-            undetectable += int((flags & window_over).sum())
-            deep_retries += int(window_over.sum())
-            num_errors = int(err.sum())
-            indicator.record_window(stop - start, num_errors)
-            window_errors.append(num_errors)
-            indicator_trace.append(indicator.aged)
+        walk = walk_stream(indicator, block_errors, self.adaptive)
+        flags = np.where(walk.strict_ops, judged[1], judged[0])
+        errors = np.where(walk.strict_ops, block_errors[1], block_errors[0])
+        # The adder has no recovery policy: an over-budget operation is
+        # always charged the uncapped slow retry.
+        base = np.where(
+            flags, 1.0 + (flags & late) * self.config.razor_penalty_cycles,
+            2.0,
+        )
+        cycles = np.where(over_budget, retry_cycles, base)
+        one_cycle_ops = int(np.count_nonzero(flags))
 
         report = LatencyReport(
             name=self.name,
             cycle_ns=self.cycle_ns,
             years=years,
-            num_ops=n,
+            num_ops=a.size,
             total_cycles=float(cycles.sum()),
-            one_cycle_ops=int(one_cycle.sum()),
-            two_cycle_ops=int((~one_cycle).sum()),
-            error_count=int(errors.sum()),
-            undetectable_count=undetectable,
-            window_errors=window_errors,
-            indicator_trace=indicator_trace,
+            one_cycle_ops=one_cycle_ops,
+            two_cycle_ops=a.size - one_cycle_ops,
+            error_count=int(np.count_nonzero(errors)),
+            undetectable_count=int(np.count_nonzero(flags & over_budget)),
+            window_errors=walk.window_errors,
+            indicator_trace=walk.trace,
             indicator_aged_at=indicator.aged_at_op,
-            deep_retry_ops=deep_retries,
+            deep_retry_ops=int(np.count_nonzero(over_budget)),
         )
         golden_ok = None
         if check_golden:
@@ -210,7 +190,7 @@ class AgingAwareAdder:
             report=report,
             delays=delays,
             products=stream.outputs["s"],
-            one_cycle=one_cycle,
+            one_cycle=flags,
             errors=errors,
             mean_switched_caps=stream.mean_switched_caps(),
             golden_ok=golden_ok,

@@ -11,9 +11,19 @@ Skip-(n+1) block.
 The paper's indicator is monotone (once aged, stay aged); setting
 ``sticky=False`` lets it relax again when errors subside -- an extension
 the ablation benchmarks explore.
+
+:func:`walk_stream` runs the whole control loop of a stream at once:
+both architectures judge the stream under both blocks, and the walk
+feeds each window's count under the block the indicator selected to
+:meth:`AgingIndicator.record_window`.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import List
+
+import numpy as np
 
 from ..config import DEFAULT_SIM_CONFIG, SimulationConfig
 from ..errors import SimulationError
@@ -35,6 +45,12 @@ class AgingIndicator:
     def aged(self) -> bool:
         """Current indicator output: 1 selects the stricter block."""
         return self._aged
+
+    def selects_strict(self, adaptive: bool) -> bool:
+        """Whether the mux selects the stricter Skip-(n+1) block: once
+        aged, in an ``adaptive`` design (a traditional one never
+        switches).  The one definition of which block judges."""
+        return adaptive and self._aged
 
     @property
     def aged_at_op(self) -> int:
@@ -90,3 +106,57 @@ class AgingIndicator:
         self._windows_observed = 0
         self._aged_at_op = -1
         self._total_ops = 0
+
+
+@dataclasses.dataclass
+class IndicatorWalk:
+    """One stream's control-loop decisions (see :func:`walk_stream`)."""
+
+    #: Window start indices (the ``np.add.reduceat`` offsets).
+    starts: np.ndarray
+    #: Per operation: judged by the stricter Skip-(n+1) block.
+    strict_ops: np.ndarray
+    #: Razor errors per window under the block that judged it.
+    window_errors: List[int]
+    #: Indicator output after each window.
+    trace: List[bool]
+
+
+def walk_stream(
+    indicator: AgingIndicator,
+    block_errors: np.ndarray,
+    adaptive: bool,
+) -> IndicatorWalk:
+    """Drive a fresh ``indicator`` over a whole stream.
+
+    ``block_errors`` is ``(2, n)``: the Razor errors of each operation
+    when judged by the relaxed (row 0) and by the strict block (row 1).
+    Each window is judged by the block the indicator selects at its
+    start (:meth:`AgingIndicator.selects_strict`).  One
+    ``np.add.reduceat`` counts every window under both blocks; the walk
+    itself touches one integer per window.
+    """
+    window = indicator.config.indicator_window
+    n = block_errors.shape[1]
+    starts = np.arange(0, n, window)
+    relaxed, strict = np.add.reduceat(
+        block_errors, starts, axis=1, dtype=np.intp
+    ).tolist()
+    sizes = [window] * len(starts)
+    sizes[-1] = n - window * (len(starts) - 1)
+    chosen: List[bool] = []
+    window_errors: List[int] = []
+    trace: List[bool] = []
+    for size, relaxed_count, strict_count in zip(sizes, relaxed, strict):
+        use_strict = indicator.selects_strict(adaptive)
+        count = strict_count if use_strict else relaxed_count
+        indicator.record_window(size, count)
+        chosen.append(use_strict)
+        window_errors.append(count)
+        trace.append(indicator.aged)
+    return IndicatorWalk(
+        starts=starts,
+        strict_ops=np.repeat(np.array(chosen), window)[:n],
+        window_errors=window_errors,
+        trace=trace,
+    )

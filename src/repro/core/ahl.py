@@ -3,9 +3,11 @@
 The AHL bundles two judging blocks -- Skip-``n`` and Skip-``n+1`` -- a
 mux steered by the aging indicator, and the gating flip-flop that stalls
 the input registers for one cycle on two-cycle patterns.  Behaviorally
-the class below makes the one/two-cycle decision per pattern; the
-structural netlist (:func:`ahl_netlist`) exists for the Fig. 25 area
-accounting and for inspection.
+the class below holds both blocks and the indicator that selects
+between them (the architectures judge a whole stream under both blocks
+and let :func:`repro.core.aging_indicator.walk_stream` choose per
+window); the structural netlist (:func:`ahl_netlist`) exists for the
+Fig. 25 area accounting and for inspection.
 
 A *traditional* variable-latency design (T-VLCB / T-VLRB in Figs. 19-24)
 is the same hold logic without adaptivity: construct with
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..config import DEFAULT_SIM_CONFIG, SimulationConfig
 from ..errors import ConfigError
 from ..nets.cells import CellLibrary, STANDARD_LIBRARY
@@ -28,7 +28,7 @@ from .judging import JudgingBlock, compare_ge_const, judging_netlist, popcount_n
 
 
 class AdaptiveHoldLogic:
-    """Behavioral AHL: decides one- vs two-cycle execution per pattern."""
+    """Behavioral AHL: both judging blocks and the aging indicator."""
 
     def __init__(
         self,
@@ -53,19 +53,9 @@ class AdaptiveHoldLogic:
     @property
     def active_block(self) -> JudgingBlock:
         """The judging block the mux currently selects."""
-        if self.adaptive and self.indicator.aged:
+        if self.indicator.selects_strict(self.adaptive):
             return self.block_strict
         return self.block_relaxed
-
-    def decide(self, operands) -> np.ndarray:
-        """One-cycle flags for a batch of operands under the current state.
-
-        The batch must not straddle an indicator window (the architecture
-        simulation feeds exactly one window at a time); the indicator is
-        *not* updated here -- call :meth:`observe` with the Razor
-        outcome afterwards.
-        """
-        return self.active_block.one_cycle(operands)
 
     def observe(self, num_ops: int, num_errors: int) -> None:
         """Report a window's Razor error count back to the indicator."""

@@ -22,6 +22,11 @@ and executes pattern streams cycle-accurately:
    threshold, permanently switches the AHL to the Skip-(n+1) block
    (adaptive designs only).
 
+The loop runs on the whole stream at once: the stream is judged under
+both blocks, the indicator walks the per-window error counts
+(:func:`repro.core.aging_indicator.walk_stream`), and the recovery policy
+resolves the chosen flags in one call.
+
 Two-cycle execution covers any pattern whose delay fits ``2T`` -- the
 paper's operating assumption in its preferred cycle-period ranges.  When
 the clock is pushed below that (the left edge of Figs. 13-18), a pattern
@@ -66,8 +71,9 @@ from ..config import (
 from ..errors import ConfigError, RecoveryExhaustedError, SimulationError
 from ..nets.area import AreaReport, area_report
 from ..nets.netlist import Netlist
-from ..razor.flipflop import RazorBank
+from ..razor.flipflop import RazorBank, razor_errors
 from ..timing.sta import StaticTiming
+from .aging_indicator import walk_stream
 from .ahl import AdaptiveHoldLogic, ahl_netlist
 from .baselines import build_multiplier
 from .stats import ArchitectureRunResult, LatencyReport
@@ -75,11 +81,11 @@ from .stats import ArchitectureRunResult, LatencyReport
 
 @dataclasses.dataclass
 class WindowResolution:
-    """Per-window outcome of a :class:`RecoveryPolicy`.
+    """Outcome of a :class:`RecoveryPolicy` over a stream.
 
-    All arrays are per-pattern over the window slice: cycle charges,
-    Razor detections, undetectable violations, and which operations the
-    policy recovered with a fallback / gave up on at the retry cap.
+    All arrays are per-pattern: cycle charges, Razor detections,
+    undetectable violations, and which operations the policy recovered
+    with a fallback / gave up on at the retry cap.
     """
 
     cycles: np.ndarray
@@ -92,8 +98,11 @@ class WindowResolution:
 class RecoveryPolicy:
     """How the architecture resolves arrivals Razor cannot absorb.
 
-    A policy turns one indicator window's worth of judged flags and path
-    delays into cycle charges and recovery statistics.  Subclasses
+    A policy turns a stream's judged flags and path delays into cycle
+    charges and recovery statistics.  Its Razor errors must be
+    :func:`repro.razor.flipflop.razor_errors` (as :meth:`_classify`
+    gives them): the aging indicator counts those to pick each window's
+    flags before :meth:`resolve` runs.  Subclasses
     implement :meth:`resolve`; :func:`resolve_policy` maps the
     configuration names (``"strict"``, ``"degrade"``, ``"detect-only"``)
     to singletons.
@@ -109,10 +118,9 @@ class RecoveryPolicy:
         shadow_ns: float,
         penalty: int,
         max_fallback: int,
-        start_op: int = 0,
     ) -> WindowResolution:
-        """Resolve one window.  ``flags`` marks one-cycle judgements;
-        ``start_op`` is the window's global operation offset (used in
+        """Resolve a stream.  ``flags`` marks one-cycle judgements; an
+        operation's index in the arrays is its stream index (used in
         diagnostics)."""
         raise NotImplementedError
 
@@ -125,8 +133,7 @@ class RecoveryPolicy:
         # A one-cycle pattern arriving past the shadow edge latches the
         # same stale data in main and shadow: Razor sees no mismatch.
         undetectable = flags & (delays > shadow_ns)
-        errors = (flags & late) | (~flags & over)
-        return late, over, undetectable, errors
+        return late, over, undetectable, razor_errors(flags, late, over)
 
 
 class DegradeRecovery(RecoveryPolicy):
@@ -140,7 +147,7 @@ class DegradeRecovery(RecoveryPolicy):
     name = "degrade"
 
     def resolve(self, flags, delays, cycle_ns, shadow_ns, penalty,
-                max_fallback, start_op=0):
+                max_fallback):
         late, over, undetectable, errors = self._classify(
             flags, delays, cycle_ns, shadow_ns
         )
@@ -170,10 +177,9 @@ class StrictRecovery(RecoveryPolicy):
     name = "strict"
 
     def resolve(self, flags, delays, cycle_ns, shadow_ns, penalty,
-                max_fallback, start_op=0):
+                max_fallback):
         resolution = DegradeRecovery.resolve(
-            self, flags, delays, cycle_ns, shadow_ns, penalty,
-            max_fallback, start_op,
+            self, flags, delays, cycle_ns, shadow_ns, penalty, max_fallback
         )
         fatal = resolution.undetectable | resolution.exhausted
         if fatal.any():
@@ -183,7 +189,7 @@ class StrictRecovery(RecoveryPolicy):
                 "strict recovery policy (cycle %.4f ns, shadow %.4f ns, "
                 "fallback cap %d)"
                 % (
-                    start_op + index,
+                    index,
                     float(delays[index]),
                     "shadow window"
                     if resolution.undetectable[index]
@@ -192,7 +198,7 @@ class StrictRecovery(RecoveryPolicy):
                     shadow_ns,
                     max_fallback,
                 ),
-                op_index=start_op + index,
+                op_index=index,
                 delay_ns=float(delays[index]),
             )
         return resolution
@@ -209,7 +215,7 @@ class DetectOnlyRecovery(RecoveryPolicy):
     name = "detect-only"
 
     def resolve(self, flags, delays, cycle_ns, shadow_ns, penalty,
-                max_fallback, start_op=0):
+                max_fallback):
         late, over, undetectable, errors = self._classify(
             flags, delays, cycle_ns, shadow_ns
         )
@@ -421,65 +427,47 @@ class AgingAwareMultiplier:
         ahl = AdaptiveHoldLogic(
             self.width, self.skip, self.config, adaptive=self.adaptive
         )
-
-        n = md.size
-        window = self.config.indicator_window
-        penalty = self.config.razor_penalty_cycles
-        max_fallback = self.config.max_fallback_cycles
-        cycles = np.empty(n)
-        one_cycle = np.empty(n, dtype=bool)
-        errors = np.zeros(n, dtype=bool)
-        undetectable = np.zeros(n, dtype=bool)
-        recovered = np.zeros(n, dtype=bool)
-        exhausted = np.zeros(n, dtype=bool)
-        window_errors = []
-        window_recoveries = []
-        indicator_trace = []
-
-        for start in range(0, n, window):
-            stop = min(start + window, n)
-            flags = zeros[start:stop] >= ahl.active_block.skip
-            resolution = active_policy.resolve(
-                flags,
-                delays[start:stop],
-                self.cycle_ns,
-                shadow_ns,
-                penalty,
-                max_fallback,
-                start_op=start,
-            )
-            cycles[start:stop] = resolution.cycles
-            one_cycle[start:stop] = flags
-            errors[start:stop] = resolution.errors
-            undetectable[start:stop] = resolution.undetectable
-            recovered[start:stop] = resolution.recovered
-            exhausted[start:stop] = resolution.exhausted
-            num_errors = int(resolution.errors.sum())
-            ahl.observe(stop - start, num_errors)
-            window_errors.append(num_errors)
-            window_recoveries.append(
-                int(resolution.recovered.sum())
-                + int(resolution.exhausted.sum())
-            )
-            indicator_trace.append(ahl.indicator.aged)
+        # Row 0: judged by the Skip-n block, row 1: by Skip-(n+1).
+        judged = zeros >= np.array(
+            [[ahl.block_relaxed.skip], [ahl.block_strict.skip]]
+        )
+        block_errors = razor_errors(
+            judged, razor.errors(delays), over_budget
+        )
+        walk = walk_stream(ahl.indicator, block_errors, self.adaptive)
+        one_cycle = np.where(walk.strict_ops, judged[1], judged[0])
+        resolution = active_policy.resolve(
+            one_cycle,
+            delays,
+            self.cycle_ns,
+            shadow_ns,
+            self.config.razor_penalty_cycles,
+            self.config.max_fallback_cycles,
+        )
+        recovered = resolution.recovered
+        exhausted = resolution.exhausted
+        window_recoveries = np.add.reduceat(
+            recovered.astype(np.intp) + exhausted, walk.starts
+        ).tolist()
+        one_cycle_ops = int(np.count_nonzero(one_cycle))
 
         report = LatencyReport(
             name=self.name,
             cycle_ns=self.cycle_ns,
             years=years,
-            num_ops=n,
-            total_cycles=float(cycles.sum()),
-            one_cycle_ops=int(one_cycle.sum()),
-            two_cycle_ops=int((~one_cycle).sum()),
-            error_count=int(errors.sum()),
-            undetectable_count=int(undetectable.sum()),
-            window_errors=window_errors,
-            indicator_trace=indicator_trace,
+            num_ops=md.size,
+            total_cycles=float(resolution.cycles.sum()),
+            one_cycle_ops=one_cycle_ops,
+            two_cycle_ops=md.size - one_cycle_ops,
+            error_count=int(np.count_nonzero(resolution.errors)),
+            undetectable_count=int(np.count_nonzero(resolution.undetectable)),
+            window_errors=walk.window_errors,
+            indicator_trace=walk.trace,
             indicator_aged_at=ahl.indicator.aged_at_op,
-            deep_retry_ops=int(over_budget.sum()),
+            deep_retry_ops=int(np.count_nonzero(over_budget)),
             policy=active_policy.name,
-            recovered_ops=int(recovered.sum()),
-            recovery_exhausted_ops=int(exhausted.sum()),
+            recovered_ops=int(np.count_nonzero(recovered)),
+            recovery_exhausted_ops=int(np.count_nonzero(exhausted)),
             window_recoveries=window_recoveries,
         )
         golden_ok = None
@@ -494,10 +482,10 @@ class AgingAwareMultiplier:
             delays=delays,
             products=stream.outputs["p"],
             one_cycle=one_cycle,
-            errors=errors,
+            errors=resolution.errors,
             mean_switched_caps=stream.mean_switched_caps(),
             golden_ok=golden_ok,
-            undetectable=undetectable,
+            undetectable=resolution.undetectable,
             recovered=recovered,
             exhausted=exhausted,
         )

@@ -55,7 +55,7 @@ class AreaReport:
 
 def transistor_count(netlist: Netlist) -> int:
     """Total transistor count of a netlist's combinational cells."""
-    return sum(cell.cell_type.transistors for cell in netlist.cells)
+    return int(netlist.cell_columns().transistors.sum())
 
 
 def area_report(

@@ -103,6 +103,7 @@ def apply_mutations(
     child._driver = dict(parent._driver)
     child._input_nets = set(parent._input_nets)
     child._levelized = None
+    child._levels = None
     child._validated = False
     child.group_enables = dict(parent.group_enables)
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CombinationalLoopError, NetlistError
 from .cells import CellLibrary, CellType, STANDARD_LIBRARY
@@ -53,6 +55,15 @@ class Cell:
     output: int
     name: str = ""
     group: Optional[str] = None
+
+
+class CellColumns(NamedTuple):
+    """Per-cell library attributes as read-only arrays indexed by cell
+    index (see :meth:`Netlist.cell_columns`)."""
+
+    delay_units: np.ndarray
+    pmos_fraction: np.ndarray
+    transistors: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +101,7 @@ class Netlist:
         self._driver: Dict[int, int] = {}  # net id -> cell index
         self._input_nets: set = set()
         self._levelized: Optional[List[Cell]] = None
+        self._levels: Optional[np.ndarray] = None
         self._validated = False
         #: Group tag -> enable net id.  Cells tagged with a group are
         #: understood to be frozen (no switching) whenever the enable net
@@ -312,11 +324,13 @@ class Netlist:
         """Topologically order the cells (inputs before consumers).
 
         Returns a cached list; raises :class:`CombinationalLoopError` if
-        the netlist has a combinational cycle.
+        the netlist has a combinational cycle.  The same Kahn pass fixes
+        each cell's level (see :meth:`cell_levels`).
         """
         if self._levelized is not None:
             return self._levelized
         indegree = [0] * len(self.cells)
+        level = [0] * len(self.cells)
         consumers: Dict[int, List[int]] = collections.defaultdict(list)
         for cell in self.cells:
             for net in cell.inputs:
@@ -331,15 +345,65 @@ class Netlist:
         while ready:
             idx = ready.popleft()
             order.append(self.cells[idx])
+            above = level[idx] + 1
             for succ in consumers[idx]:
+                if level[succ] < above:
+                    level[succ] = above
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     ready.append(succ)
         if len(order) != len(self.cells):
             stuck = [i for i, degree in enumerate(indegree) if degree > 0]
             raise CombinationalLoopError(stuck)
+        levels = np.array(level, dtype=np.intp)
+        levels.setflags(write=False)
         self._levelized = order
+        self._levels = levels
         return order
+
+    def cell_levels(self) -> np.ndarray:
+        """Topological level of every cell, indexed by cell index.
+
+        A cell's level is one more than the deepest level among the
+        cells driving its inputs; a cell fed only by primary inputs and
+        constant rails sits at level 0.  Cells of one level never feed
+        each other, which is what lets STA and the SoA plan evaluate a
+        level at a time.  Read-only; computed by :meth:`levelize`.
+        """
+        if getattr(self, "_levels", None) is None:
+            # A netlist pickled before levels were kept has a cached
+            # order but no levels: redo the pass.
+            self._levelized = None
+        self.levelize()
+        return self._levels
+
+    def cell_columns(self) -> CellColumns:
+        """The cell-type attributes the analyses read, one array per
+        attribute (read-only, indexed by cell index).
+
+        Memoized on the instance keyed by :attr:`version`, so a netlist
+        grown afterwards gets fresh columns; a mutated child netlist is
+        a new instance and starts without them.
+        """
+        cached = getattr(self, "_columns", None)
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        types = [cell.cell_type for cell in self.cells]
+        columns = CellColumns(
+            delay_units=np.array(
+                [t.delay_units for t in types], dtype=float
+            ),
+            pmos_fraction=np.array(
+                [t.pmos_fraction for t in types], dtype=float
+            ),
+            transistors=np.array(
+                [t.transistors for t in types], dtype=np.int64
+            ),
+        )
+        for column in columns:
+            column.setflags(write=False)
+        self._columns = (self.version, columns)
+        return columns
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`NetlistError`.
@@ -394,15 +458,8 @@ class Netlist:
 
     def max_logic_depth(self) -> int:
         """Longest cell chain from any input to any output (unit depth)."""
-        depth: Dict[int, int] = {}
-        best = 0
-        for cell in self.levelize():
-            level = 1 + max(
-                (depth.get(net, 0) for net in cell.inputs), default=0
-            )
-            depth[cell.output] = level
-            best = max(best, level)
-        return best
+        levels = self.cell_levels()
+        return int(levels.max()) + 1 if levels.size else 0
 
     def __repr__(self) -> str:
         return "Netlist(%r, cells=%d, nets=%d)" % (

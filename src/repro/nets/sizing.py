@@ -21,6 +21,7 @@ import numpy as np
 
 from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import ConfigError
+from ..timing.sta import StaticTiming
 from .netlist import Netlist
 
 
@@ -48,9 +49,7 @@ class SizingPlan:
         """Area cost of the plan over minimum sizing."""
         if netlist.name != self.netlist_name:
             raise ConfigError("plan belongs to %r" % self.netlist_name)
-        base = np.array(
-            [cell.cell_type.transistors for cell in netlist.cells]
-        )
+        base = netlist.cell_columns().transistors
         return int(np.round((self.factors - 1.0) @ base))
 
     def num_upsized(self) -> int:
@@ -99,24 +98,10 @@ def upsize_critical_paths(
         raise ConfigError("slack_fraction must lie in (0, 1]")
     if factor < 1.0:
         raise ConfigError("factor must be >= 1.0")
-    netlist.validate()
+    sta = StaticTiming(netlist, technology, base_scale)
     order = netlist.levelize()
-    unit = technology.time_unit_ns
-    if base_scale is None:
-        base_scale = np.ones(len(netlist.cells))
-
-    # Forward arrival times.
-    arrival: Dict[int, float] = {}
-    delay_of = {}
-    for cell in order:
-        delay = (
-            cell.cell_type.delay_units * unit * float(base_scale[cell.index])
-        )
-        delay_of[cell.index] = delay
-        worst = max(
-            (arrival.get(net, 0.0) for net in cell.inputs), default=0.0
-        )
-        arrival[cell.output] = worst + delay
+    arrival = sta.arrival
+    delay_of = sta.cell_delays_ns.tolist()
 
     # Backward: longest downstream continuation from each cell output.
     downstream: Dict[int, float] = {}
@@ -127,14 +112,7 @@ def upsize_critical_paths(
         for net in cell.inputs:
             downstream[net] = max(downstream.get(net, 0.0), through)
 
-    critical = max(
-        (
-            arrival.get(net, 0.0)
-            for port in netlist.output_ports.values()
-            for net in port.nets
-        ),
-        default=0.0,
-    )
+    critical = sta.critical_delay
     if critical <= 0:
         return SizingPlan(netlist.name, np.ones(len(netlist.cells)))
 
@@ -142,7 +120,7 @@ def upsize_critical_paths(
     factors = np.ones(len(netlist.cells))
     for cell in order:
         input_arrival = max(
-            (arrival.get(net, 0.0) for net in cell.inputs), default=0.0
+            (arrival(net) for net in cell.inputs), default=0.0
         )
         path = input_arrival + delay_of[cell.index] + downstream.get(
             cell.output, 0.0

@@ -7,6 +7,6 @@ uses one Razor flip-flop per product bit and ORs the per-bit error flags
 (:class:`RazorBank`) to trigger re-execution.
 """
 
-from .flipflop import RazorBank, RazorFlipFlop, RazorSample
+from .flipflop import RazorBank, RazorFlipFlop, RazorSample, razor_errors
 
-__all__ = ["RazorBank", "RazorFlipFlop", "RazorSample"]
+__all__ = ["RazorBank", "RazorFlipFlop", "RazorSample", "razor_errors"]

@@ -25,6 +25,14 @@ from ..errors import SimulationError
 Number = Union[float, np.ndarray]
 
 
+def razor_errors(one_cycle, late, over) -> np.ndarray:
+    """Razor errors of judged operations: a one-cycle operation that
+    arrives past the main edge (``late``), or a two-cycle one past
+    ``2T`` (``over``).  The architectures' recovery policies and the
+    aging indicator count exactly these."""
+    return (one_cycle & late) | (~one_cycle & over)
+
+
 @dataclasses.dataclass(frozen=True)
 class RazorSample:
     """Vectorized sampling outcome of a :class:`RazorBank` call.

@@ -325,7 +325,9 @@ class CompiledCircuit:
         stream run, the values-only pass, arrival replay and the delta
         engine (built lazily, cached)."""
         if self._soa_plan is None:
-            self._soa_plan = build_soa_plan(self._cells)
+            self._soa_plan = build_soa_plan(
+                self._cells, self.netlist.cell_levels()
+            )
         return self._soa_plan
 
     def _bucket_hooks(self) -> Dict:

@@ -6,11 +6,11 @@ that is thousands of tiny allocations per chunk.  This module compiles
 the levelized cell list into a **bucketed SoA plan** evaluated a whole
 (level, opcode) bucket at a time:
 
-* cells are grouped into topological **levels** (a cell's level is one
-  more than the deepest level among its driver cells; primary inputs
-  and constant rails sit below level 0), so every bucket's inputs were
-  fully produced by earlier levels and all cells inside a bucket are
-  independent;
+* cells are grouped into topological **levels**
+  (:meth:`repro.nets.Netlist.cell_levels`: one more than the deepest
+  level among a cell's driver cells; primary inputs and constant rails
+  sit below level 0), so every bucket's inputs were fully produced by
+  earlier levels and all cells inside a bucket are independent;
 * within a level, cells are **bucketed by opcode** into flat index
   arrays -- a ``(num_pins, B)`` input-net gather matrix, a ``(B,)``
   output-net scatter vector, and per-cell delay / capacitance / cell-
@@ -89,25 +89,20 @@ class SoAPlan:
     levels: List[List[LevelBucket]]
 
 
-def build_soa_plan(cells) -> SoAPlan:
+def build_soa_plan(cells, levels: np.ndarray) -> SoAPlan:
     """Compile levelized ``_CompiledCell`` s into an :class:`SoAPlan`.
 
     Args:
         cells: The circuit's levelized compiled cells (topological
             order -- every driver precedes its consumers).
+        levels: The netlist's per-cell-index levels
+            (:meth:`repro.nets.Netlist.cell_levels`).
     """
-    level_of_net: Dict[int, int] = {}
-    members: List[List] = []
+    members: List[List] = [
+        [] for _ in range(int(levels.max()) + 1 if levels.size else 0)
+    ]
     for compiled in cells:
-        level = 0
-        for pin in compiled.inputs:
-            depth = level_of_net.get(pin, -1)
-            if depth >= level:
-                level = depth + 1
-        level_of_net[compiled.output] = level
-        while len(members) <= level:
-            members.append([])
-        members[level].append(compiled)
+        members[levels[compiled.index]].append(compiled)
     return SoAPlan(levels=[bucket_level(cells_of) for cells_of in members])
 
 

@@ -3,7 +3,12 @@
 The fixed-latency designs of the paper clock at the critical-path delay;
 :class:`StaticTiming` computes that delay by propagating worst-case
 arrival times topologically, ignoring logic values (every input can be
-late, every path can be sensitized).  It also extracts the critical path
+late, every path can be sensitized).  One levelized pass serves every
+entry point: it walks the netlist's (level, arity) groups and, per
+group, takes the max over the pin rows of a ``(num_nets, k)`` arrival
+matrix and adds ``fresh * scale`` -- ``k`` = 1 for
+:class:`StaticTiming`, one column per delay-scale corner for
+:func:`critical_delays`.  It also extracts the critical path
 itself, which the aging experiments use to report which cells dominate
 degradation.
 """
@@ -20,6 +25,58 @@ from ..errors import SimulationError
 from ..nets.netlist import Cell, Netlist
 
 
+def _level_groups(netlist: Netlist):
+    """``[(cells, pins, outputs), ...]``: the cells of each (level,
+    arity) group as index arrays -- ``cells`` ``(g,)`` cell indices,
+    ``pins`` ``(g, arity)`` input nets, ``outputs`` ``(g,)`` output
+    nets -- in level order.
+
+    Memoized on the netlist instance keyed by ``Netlist.version`` (as
+    ``netlist_fingerprint`` is), so every STA of one netlist shares it.
+    """
+    cached = getattr(netlist, "_sta_groups", None)
+    if cached is not None and cached[0] == netlist.version:
+        return cached[1]
+    members: Dict[Tuple[int, int], List[Cell]] = {}
+    levels = netlist.cell_levels()
+    for cell in netlist.cells:
+        key = (int(levels[cell.index]), len(cell.inputs))
+        members.setdefault(key, []).append(cell)
+    groups = [
+        (
+            np.array([c.index for c in cells], dtype=np.intp),
+            np.array([c.inputs for c in cells], dtype=np.intp),
+            np.array([c.output for c in cells], dtype=np.intp),
+        )
+        for _, cells in sorted(members.items())
+    ]
+    netlist._sta_groups = (netlist.version, groups)
+    return groups
+
+
+def _forward_arrivals(
+    netlist: Netlist, technology: Technology, scales: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The one longest-path pass: ``(arrivals, delays)``.
+
+    ``scales`` is ``(k, num_cells)``.  ``delays`` is the ``(num_cells,
+    k)`` matrix ``fresh * scale`` and ``arrivals`` the ``(num_nets, k)``
+    worst-case arrival matrix (0 on primary inputs and rails).  Each
+    (level, arity) group takes the max over its pin rows and adds its
+    delays; levels run in order, so every pin row is final when read.
+    """
+    fresh = netlist.cell_columns().delay_units * technology.time_unit_ns
+    delays = np.ascontiguousarray((fresh * scales).T)
+    arrivals = np.zeros((netlist.num_nets, scales.shape[0]))
+    for cells, pins, outputs in _level_groups(netlist):
+        arrivals[outputs] = arrivals[pins].max(axis=1) + delays[cells]
+    return arrivals, delays
+
+
+def _output_nets(netlist: Netlist) -> List[int]:
+    return [net for port in netlist.output_ports.values() for net in port.nets]
+
+
 @dataclasses.dataclass
 class StaticTiming:
     """Worst-case arrival analysis of one netlist."""
@@ -31,58 +88,53 @@ class StaticTiming:
     def __post_init__(self):
         self.netlist.validate()
         scale = self.delay_scale
-        cells = self.netlist.cells
+        num_cells = len(self.netlist.cells)
         if scale is None:
-            scale = np.ones(len(cells))
+            scale = np.ones(num_cells)
         else:
             scale = np.asarray(scale, dtype=float)
-            if scale.shape != (len(cells),):
+            if scale.shape != (num_cells,):
                 raise SimulationError(
                     "delay_scale must have one entry per cell"
                 )
-        unit = self.technology.time_unit_ns
-        self._arrival: Dict[int, float] = {}
-        self._through: Dict[int, Cell] = {}
-        for cell in self.netlist.levelize():
-            delay = cell.cell_type.delay_units * unit * float(scale[cell.index])
-            worst_in = 0.0
-            for net in cell.inputs:
-                worst_in = max(worst_in, self._arrival.get(net, 0.0))
-            self._arrival[cell.output] = worst_in + delay
-            self._through[cell.output] = cell
+        arrivals, delays = _forward_arrivals(
+            self.netlist, self.technology, scale[None, :]
+        )
+        self._arrival = arrivals[:, 0]
+        #: Per-cell delay in ns, indexed by cell index.
+        self.cell_delays_ns = delays[:, 0]
 
     def arrival(self, net: int) -> float:
         """Worst-case arrival time of ``net`` in ns (0 for inputs)."""
-        return self._arrival.get(net, 0.0)
+        if 0 <= net < self._arrival.shape[0]:
+            return float(self._arrival[net])
+        return 0.0
 
     @property
     def critical_delay(self) -> float:
         """Worst-case delay to any primary output, in ns."""
-        worst = 0.0
-        for port in self.netlist.output_ports.values():
-            for net in port.nets:
-                worst = max(worst, self.arrival(net))
-        return worst
+        return float(
+            self._arrival[_output_nets(self.netlist)].max(initial=0.0)
+        )
 
     def critical_path(self) -> List[Cell]:
         """Cells along the worst path, input side first."""
         worst_net = None
         worst = -1.0
-        for port in self.netlist.output_ports.values():
-            for net in port.nets:
-                if self.arrival(net) > worst:
-                    worst = self.arrival(net)
-                    worst_net = net
+        for net in _output_nets(self.netlist):
+            if self.arrival(net) > worst:
+                worst = self.arrival(net)
+                worst_net = net
         path: List[Cell] = []
         net = worst_net
-        while net is not None and net in self._through:
-            cell = self._through[net]
+        while net is not None:
+            cell = self.netlist.driver_of(net)
+            if cell is None:
+                break
             path.append(cell)
             # Step back through the latest-arriving input.
-            net = max(
-                cell.inputs, key=lambda n: self._arrival.get(n, 0.0), default=None
-            )
-            if net is not None and self._arrival.get(net, 0.0) == 0.0:
+            net = max(cell.inputs, key=self.arrival, default=None)
+            if net is not None and self.arrival(net) == 0.0:
                 net = None
         path.reverse()
         return path
@@ -106,42 +158,24 @@ def critical_delays(
     """Critical-path delays for many delay-scale corners at once.
 
     ``delay_scales`` is ``(k, num_cells)`` (or ``(num_cells,)`` for a
-    single corner); the result is ``(k,)`` ns.  One topological sweep
-    with the corner axis vectorized -- entry ``j`` is bit-identical to
-    ``StaticTiming(netlist, technology, delay_scales[j]).critical_delay``
-    (same float op order per corner), which is what the aging-trend
-    sweeps (Fig. 7) rely on.
+    single corner); the result is ``(k,)`` ns.  Entry ``j`` is
+    bit-identical to ``StaticTiming(netlist, technology,
+    delay_scales[j]).critical_delay`` -- the same pass with the corner
+    axis ``k`` wide -- which is what the aging-trend sweeps (Fig. 7)
+    rely on.
     """
     netlist.validate()
-    cells = netlist.cells
+    num_cells = len(netlist.cells)
     if delay_scales is None:
-        scales = np.ones((1, len(cells)))
+        scales = np.ones((1, num_cells))
     else:
         scales = np.asarray(delay_scales, dtype=float)
         if scales.ndim == 1:
             scales = scales[None, :]
-        if scales.ndim != 2 or scales.shape[1] != len(cells):
+        if scales.ndim != 2 or scales.shape[1] != num_cells:
             raise SimulationError(
                 "delay_scales must be (k, num_cells) with num_cells=%d, "
-                "got %r" % (len(cells), np.shape(delay_scales))
+                "got %r" % (num_cells, np.shape(delay_scales))
             )
-    unit = technology.time_unit_ns
-    k = scales.shape[0]
-    zeros = np.zeros(k)
-    arrival: Dict[int, np.ndarray] = {}
-    for cell in netlist.levelize():
-        fresh = cell.cell_type.delay_units * unit
-        delay = fresh * scales[:, cell.index]
-        worst_in = zeros
-        for net in cell.inputs:
-            got = arrival.get(net)
-            if got is not None:
-                worst_in = np.maximum(worst_in, got)
-        arrival[cell.output] = worst_in + delay
-    worst = zeros
-    for port in netlist.output_ports.values():
-        for net in port.nets:
-            got = arrival.get(net)
-            if got is not None:
-                worst = np.maximum(worst, got)
-    return worst
+    arrivals, _ = _forward_arrivals(netlist, technology, scales)
+    return arrivals[_output_nets(netlist)].max(axis=0, initial=0.0)

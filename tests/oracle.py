@@ -23,6 +23,10 @@ Per-cell delays are ``delay_units * time_unit_ns * scale[index]`` in
 that order, so arrivals and path delays match the engine byte for byte;
 only the switched-capacitance sum runs in a different float
 association (cell by cell here, bucket by bucket in the engine).
+
+:class:`LongestPaths` is the static-timing reference: worst-case
+arrivals one cell at a time in the same topological walk, the critical
+delay and the critical path.
 """
 
 from __future__ import annotations
@@ -142,6 +146,58 @@ def topological_order(netlist):
                 if producer is not None and producer.index not in seen:
                     stack.append((producer, False))
     return order
+
+
+class LongestPaths:
+    """Scalar static timing: every input may be late and every path
+    sensitized, so a cell's output arrives at its latest input arrival
+    (0 for primary inputs and rails) plus its delay."""
+
+    def __init__(self, netlist, technology=DEFAULT_TECHNOLOGY, scale=None):
+        self.netlist = netlist
+        unit = technology.time_unit_ns
+        self.arrivals = {}
+        self.driver = {}
+        for cell in topological_order(netlist):
+            factor = 1.0 if scale is None else float(scale[cell.index])
+            latest = 0.0
+            for net in cell.inputs:
+                latest = max(latest, self.arrival(net))
+            self.arrivals[cell.output] = (
+                latest + cell.cell_type.delay_units * unit * factor
+            )
+            self.driver[cell.output] = cell
+
+    def arrival(self, net):
+        return self.arrivals.get(net, 0.0)
+
+    def output_nets(self):
+        return [
+            net
+            for port in self.netlist.output_ports.values()
+            for net in port.nets
+        ]
+
+    def critical_delay(self):
+        return max([0.0] + [self.arrival(n) for n in self.output_nets()])
+
+    def critical_path(self):
+        """Cell indices from the first output net with the latest
+        arrival back through each cell's first latest-arriving input,
+        stopping at an input that arrives at 0; input side first."""
+        nets = self.output_nets()
+        arrivals = [self.arrival(net) for net in nets]
+        net = nets[arrivals.index(max(arrivals))]
+        path = []
+        while net in self.driver:
+            cell = self.driver[net]
+            path.append(cell.index)
+            inputs = [self.arrival(pin) for pin in cell.inputs]
+            latest = max(inputs)
+            if latest == 0.0:
+                break
+            net = cell.inputs[inputs.index(latest)]
+        return path[::-1]
 
 
 @dataclasses.dataclass

@@ -121,13 +121,11 @@ class TestSignalProbability:
     """``signal_probability`` is the values-only pass behind stress
     characterization; the SoA buckets must match the scalar oracle byte
     for byte (``tests/test_fuzz_engines.py`` also checks them against
-    the event simulator).  Test names that say ``percell`` name the
-    per-cell reference kernel these checks ran against before the
-    oracle replaced it; they are kept so test ids stay stable."""
+    the event simulator)."""
 
     @settings(max_examples=40, deadline=None)
     @given(random_netlists())
-    def test_matches_percell_on_random_netlists(self, case):
+    def test_matches_oracle_on_random_netlists(self, case):
         nl, stimulus = case
         got = CompiledCircuit(nl).signal_probability({"x": stimulus})
         want = _percell_signal_prob(nl, {"x": stimulus})
@@ -140,7 +138,7 @@ class TestSignalProbability:
         "build",
         [array_multiplier, column_bypass_multiplier, row_bypass_multiplier],
     )
-    def test_matches_percell_on_multipliers(self, build, width, n):
+    def test_matches_oracle_on_multipliers(self, build, width, n):
         nl = build(width)
         md, mr = uniform_operands(width, n, seed=width + n)
         stimulus = {"md": md, "mr": mr}
@@ -149,7 +147,7 @@ class TestSignalProbability:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    def test_characterize_stress_matches_percell_run(self):
+    def test_characterize_stress_matches_oracle_run(self):
         nl = column_bypass_multiplier(8)
         profile = AgedCircuitFactory.characterize_stress(
             nl, num_patterns=2000

@@ -89,9 +89,9 @@ class TestAdaptiveHoldLogic:
     def test_decide_uses_active_block(self):
         ahl = AdaptiveHoldLogic(16, 7)
         operand = np.array([0b111111111_0000000], dtype=np.uint64)  # 7 zeros
-        assert ahl.decide(operand).tolist() == [True]
+        assert ahl.active_block.one_cycle(operand).tolist() == [True]
         ahl.observe(100, 15)
-        assert ahl.decide(operand).tolist() == [False]
+        assert ahl.active_block.one_cycle(operand).tolist() == [False]
 
     def test_skip_must_leave_room(self):
         with pytest.raises(ConfigError):

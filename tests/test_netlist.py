@@ -177,6 +177,69 @@ class TestLevelize:
         nl.add_output_port("o", [x])
         assert nl.max_logic_depth() == 5
 
+    def test_cell_levels(self):
+        nl = Netlist("t")
+        a, b = nl.add_input_port("ab", 2)
+        x = nl.inv(a)              # level 0
+        y = nl.and2(x, b)          # level 1
+        z = nl.xor2(nl.inv(x), y)  # INV level 1, XOR2 level 2
+        nl.add_output_port("o", [z, nl.buf(nl.const1)])  # BUF level 0
+        assert nl.cell_levels().tolist() == [0, 1, 1, 2, 0]
+        assert not nl.cell_levels().flags.writeable
+        assert nl.max_logic_depth() == 3
+
+    def test_cell_columns_follow_growth_and_mutation(self):
+        from repro.nets import apply_mutations, retype
+        from repro.nets.area import transistor_count
+
+        nl = half_adder()
+        lib = nl.library
+        first = nl.cell_columns()
+        assert nl.cell_columns() is first
+        assert first.transistors.tolist() == [
+            lib.get("XOR2").transistors, lib.get("AND2").transistors
+        ]
+        assert not first.delay_units.flags.writeable
+        nl.inv(nl.input_ports["a"].nets[0])
+        grown = nl.cell_columns()
+        assert grown.pmos_fraction.tolist()[-1] == lib.get("INV").pmos_fraction
+        assert transistor_count(nl) == sum(
+            c.cell_type.transistors for c in nl.cells
+        )
+        child = apply_mutations(nl, [retype(1, "OR2")])
+        or2 = lib.get("OR2").transistors
+        assert child.cell_columns().transistors[1] == or2
+        assert nl.cell_columns() is grown
+
+    def test_pickle_without_levels_relevelizes(self):
+        # A store written before levels were kept holds validated
+        # netlists with a cached order but no ``_levels``.
+        import pickle
+
+        import numpy as np
+
+        from repro.arith import column_bypass_multiplier
+        from repro.timing.engine import CompiledCircuit
+        from repro.timing.sta import StaticTiming, critical_delays
+
+        fresh = column_bypass_multiplier(8)
+        fresh.validate()
+        timing = StaticTiming(fresh)
+        stimulus = {"md": [0, 255, 17, 200], "mr": [0, 255, 99, 3]}
+        expected = CompiledCircuit(fresh).run(stimulus)
+
+        old = pickle.loads(pickle.dumps(fresh))
+        for attr in ("_levels", "_columns", "_sta_groups"):
+            old.__dict__.pop(attr, None)
+        assert old._levelized is not None
+        assert old.cell_levels().tolist() == fresh.cell_levels().tolist()
+        assert old.max_logic_depth() == fresh.max_logic_depth()
+        assert StaticTiming(old).critical_delay == timing.critical_delay
+        assert critical_delays(old).tolist() == [timing.critical_delay]
+        got = CompiledCircuit(old).run(stimulus)
+        assert np.array_equal(got.outputs["p"], expected.outputs["p"])
+        assert np.array_equal(got.delays, expected.delays)
+
 
 class TestValidate:
     def test_undriven_output_rejected(self):

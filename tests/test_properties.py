@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arith import (
     array_multiplier,
     column_bypass_multiplier,
+    count_ones,
     count_zeros,
     row_bypass_multiplier,
 )
@@ -13,6 +15,7 @@ from repro.arith.adders import carry_save_add
 from repro.core.aging_indicator import AgingIndicator
 from repro.core.judging import JudgingBlock
 from repro.config import SimulationConfig
+from repro.errors import WorkloadError
 from repro.nets.netlist import CONST0, CONST1, Netlist
 from repro.timing import CompiledCircuit
 from repro.timing.logic import pack_bits, unpack_bits
@@ -83,6 +86,36 @@ def test_count_zeros_matches_bin(values, width):
     zeros = count_zeros(np.array(masked, dtype=np.uint64), width)
     expected = [width - bin(v).count("1") for v in masked]
     assert zeros.tolist() == expected
+
+
+@st.composite
+def _operands(draw):
+    """A width in 1..64 and operands of that width; 64-bit operands
+    lean on the top bit."""
+    width = draw(st.integers(1, 64))
+    values = st.integers(0, (1 << width) - 1)
+    if width == 64:
+        values = values | st.integers(1 << 63, (1 << 64) - 1)
+    return width, draw(st.lists(values, min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands())
+def test_popcount_matches_bin_up_to_64_bits(case):
+    width, values = case
+    arr = np.array(values, dtype=np.uint64)
+    ones = [bin(v).count("1") for v in values]
+    assert count_ones(arr, width).tolist() == ones
+    assert count_zeros(arr, width).tolist() == [width - k for k in ones]
+    assert count_ones(arr[0], width) == ones[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 63), st.data())
+def test_count_zeros_refuses_out_of_range_operands(width, data):
+    wide = data.draw(st.integers(1 << width, (1 << 64) - 1))
+    with pytest.raises(WorkloadError):
+        count_zeros(np.array([0, wide], dtype=np.uint64), width)
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,7 +29,7 @@ PENALTY = 3
 CAP = 4
 
 
-def resolve(policy, flags, delays, cap=CAP, start_op=0):
+def resolve(policy, flags, delays, cap=CAP):
     return policy.resolve(
         np.asarray(flags, dtype=bool),
         np.asarray(delays, dtype=float),
@@ -37,7 +37,6 @@ def resolve(policy, flags, delays, cap=CAP, start_op=0):
         SHADOW,
         PENALTY,
         cap,
-        start_op=start_op,
     )
 
 
@@ -93,10 +92,28 @@ class TestStrict:
 
     def test_raises_on_undetectable(self):
         with pytest.raises(RecoveryExhaustedError) as info:
-            resolve(StrictRecovery(), [False, True], [1.0, 2.7], start_op=100)
-        assert info.value.op_index == 101
+            resolve(StrictRecovery(), [False, True], [1.0, 2.7])
+        assert info.value.op_index == 1
         assert info.value.delay_ns == pytest.approx(2.7)
         assert "shadow window" in str(info.value)
+
+    def test_run_raises_at_stream_index_in_later_window(self, arch8):
+        # The first fatal operation of this stream sits in window 1:
+        # the strict run must name its stream index, with the message
+        # the policy has always printed.
+        tight = arch8.with_cycle(0.28)
+        degrade = tight.run_random(400, seed=7, policy="degrade")
+        fatal = degrade.undetectable | degrade.exhausted
+        index = int(np.argmax(fatal))
+        assert fatal.any() and index >= arch8.config.indicator_window
+        with pytest.raises(RecoveryExhaustedError) as info:
+            tight.run_random(400, seed=7, policy="strict")
+        assert info.value.op_index == index
+        assert str(info.value) == (
+            "operation %d: arrival %.4f ns overruns the shadow window under "
+            "the strict recovery policy (cycle 0.2800 ns, shadow 0.5600 ns, "
+            "fallback cap 64)" % (index, degrade.delays[index])
+        )
 
     def test_raises_on_exhausted_cap(self):
         with pytest.raises(RecoveryExhaustedError) as info:

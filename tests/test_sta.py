@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arith import column_bypass_multiplier, row_bypass_multiplier
 from repro.errors import SimulationError
 from repro.nets.netlist import Netlist
 from repro.timing import StaticTiming, critical_path
+from repro.timing.sta import critical_delays
 from repro.config import DEFAULT_TECHNOLOGY
+
+from oracle import LongestPaths
+from test_fuzz_engines import random_netlists
 
 
 def diamond():
@@ -71,3 +77,60 @@ class TestStaticTiming:
         md, mr = stream16
         result = cb16_circuit.run({"md": md[:500], "mr": mr[:500]})
         assert result.max_delay <= StaticTiming(cb16).critical_delay + 1e-9
+
+
+def _as_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def check_against_oracle(nl, scales):
+    """Every STA entry point on ``(k, num_cells)`` corners against the
+    scalar longest-path oracle, byte for byte."""
+    refs = [LongestPaths(nl, scale=row) for row in scales]
+    got = critical_delays(nl, delay_scales=scales)
+    assert got.tobytes() == _as_bytes([r.critical_delay() for r in refs])
+    for row, ref in zip(scales, refs):
+        sta = StaticTiming(nl, delay_scale=row)
+        nets = range(nl.num_nets)
+        assert _as_bytes([sta.arrival(n) for n in nets]) == _as_bytes(
+            [ref.arrival(n) for n in nets]
+        )
+        assert _as_bytes([sta.critical_delay]) == _as_bytes(
+            [ref.critical_delay()]
+        )
+        assert [c.index for c in sta.critical_path()] == ref.critical_path()
+
+
+def _scales(num_cells, k, seed):
+    return np.random.default_rng(seed).uniform(1.0, 1.5, (k, num_cells))
+
+
+class TestOracle:
+    """The one levelized STA pass against ``tests/oracle.py``, which
+    walks the netlist one cell at a time in its own topological order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_netlists(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_random_netlists(self, case, k, seed):
+        nl, _ = case
+        check_against_oracle(nl, _scales(len(nl.cells), k, seed))
+        check_against_oracle(nl, np.ones((1, len(nl.cells))))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize(
+        "build", [column_bypass_multiplier, row_bypass_multiplier]
+    )
+    def test_bypass_multipliers(self, build, width, k):
+        nl = build(width)
+        check_against_oracle(nl, _scales(len(nl.cells), k, width + k))
+
+    def test_unscaled_defaults(self):
+        nl = column_bypass_multiplier(8)
+        ref = LongestPaths(nl)
+        assert _as_bytes([StaticTiming(nl).critical_delay]) == _as_bytes(
+            [ref.critical_delay()]
+        )
+        assert critical_delays(nl).tobytes() == _as_bytes(
+            [ref.critical_delay()]
+        )
