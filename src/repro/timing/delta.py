@@ -378,6 +378,9 @@ def _replay_all_arrivals(
     n = plane.num_patterns
     k = scales.shape[0]
     full = np.zeros((circuit.num_nets, n, k))
+    # Flat (net * n + pattern) rows: 1-D row takes and scatters run
+    # several times faster than 2-D fancy indexing at small k.
+    flat = full.reshape(circuit.num_nets * n, k)
     for bucket_list in plan.levels:
         for bucket in bucket_list:
             outs = bucket.outputs
@@ -402,14 +405,17 @@ def _replay_all_arrivals(
             else:
                 aux = ()
             arrs = [
-                full[pins[j][rows], cols] for j in range(pins.shape[0])
+                np.take(flat, pins[j][rows] * n + cols, axis=0)
+                for j in range(pins.shape[0])
             ]
             delay = (
                 bucket.fresh_delays[:, None]
                 * scales[:, bucket.cell_indices].T
             )
-            out = _active_arrival(bucket.opcode, aux, arrs, delay[rows])
-            full[outs[rows], cols] = out
+            out = _active_arrival(
+                bucket.opcode, aux, arrs, np.take(delay, rows, axis=0)
+            )
+            flat[outs[rows] * n + cols] = out
     return full
 
 

@@ -22,14 +22,16 @@ aging timestep and variation corner.  This module exploits that split:
   O(timesteps x full-sim) lifetime sweep becomes O(1 value pass +
   timesteps x cheap replay).  Arrivals live in a compact store with
   one ``(k,)`` row per *active* (cell, pattern) entry -- one whose
-  output may change -- plus a shared quiet-zero row; a slot map built
-  from the plane's masks, per call and pattern chunk, tells every pin
-  which store row to read (see ``ArrivalReplay._replay_soa``).
+  output may change -- plus a shared quiet-zero row.  Per pattern
+  chunk, the may-rows of every cell are unpacked once and a slot map
+  indexed by plan row tells every pin which store row to read; pins,
+  delays and ports are gathered with ``np.take`` (see
+  ``ArrivalReplay._replay_soa``).
 
 Bit-identity contract: for any scale vector ``s``,
 ``ArrivalReplay(circuit, plane).replay(s)`` reproduces
 ``CompiledCircuit(netlist, tech, s, mode, hooks).run(stimulus)`` bit for
-bit -- the same float ops as the shared
+bit -- the same float ops as the engine's
 :func:`repro.timing.logic.arrival_masks` kernel, the same quiet-zero
 invariant, regardless of how the plane build or the replay was
 chunked.  This is asserted by ``tests/test_replay.py`` and fuzzed
@@ -58,20 +60,20 @@ def _aux_count(opcode: int, num_inputs: int) -> int:
     return 0
 
 
-#: Per-chunk memory target of the SoA replay, priced as if every
-#: (net, pattern) entry of the chunk were active: ``num_nets * c * k * 8``
-#: bytes.  The compact store's buffer has one row per (cell, pattern)
-#: pair, so it stays within the target, and only its active rows --
-#: about a third on the bypass multipliers -- are ever touched.  The
-#: int32 slot map adds ``num_nets * c * 4`` bytes on top: half the
-#: target at ``k = 1``, negligible at Monte Carlo's ``k``.
+#: Per-chunk memory target of the SoA replay.  A chunk of ``c``
+#: patterns holds, per (cell, pattern) entry, one ``(k,)`` float64
+#: store row, one int32 slot and one mask byte:
+#: ``num_cells * c * (8 * k + 5)`` bytes.  The store is sized as if
+#: every entry were active, but only its active rows -- about a third
+#: on the bypass multipliers -- are ever touched; the slot map and the
+#: mask are written whole.
 REPLAY_CHUNK_TARGET_BYTES = 128 * 1024 * 1024
 
 
-def _replay_chunk_size(num_nets: int, k: int) -> int:
+def _replay_chunk_size(num_cells: int, k: int) -> int:
     """Patterns per replay chunk: a multiple of 8 (byte-aligned plane
     unpacking), at least 8, sized to the replay memory target."""
-    per_pattern = max(1, num_nets) * max(1, k) * 8
+    per_pattern = max(1, num_cells) * (8 * max(1, k) + 5)
     chunk = REPLAY_CHUNK_TARGET_BYTES // per_pattern
     return max(8, chunk - chunk % 8)
 
@@ -356,103 +358,150 @@ class ArrivalReplay:
 
         Only *active* entries -- the (cell, pattern) pairs whose output
         may change, about a third on a bypass multiplier under uniform
-        operands -- are ever priced.  Per pattern chunk, each bucket's
-        active entries get the next contiguous rows ``[lo, hi)`` of a
-        ``(1 + nnz, k)`` store; row 0 is the shared quiet zero that
-        quiet nets, primary inputs and constant rails map to, exactly
-        the ``where(may, .., 0.0)`` zeros of :func:`logic.arrival_masks`.  A
-        ``(num_nets, c)`` slot map records each (net, pattern) entry's
-        store row, so pin gathers and the output ports are 1-D slot
-        lookups, and :func:`_active_arrival` writes its result straight
-        into ``store[lo:hi]``: no dense ``(num_nets, c, k)`` matrix, no
-        per-chunk zeroing, no scatter.
+        operands -- are ever priced.  Cells are numbered by *plan row*:
+        bucket after bucket in :meth:`CompiledCircuit.soa_plan` order,
+        from 1; row 0 stands for every primary input and constant rail.
+        Each pattern chunk of ``c`` patterns gets one slot schedule:
 
-        The slot schedule depends only on the plane's masks.  It is
-        built bucket by bucket as the replay goes and dropped with the
-        chunk -- kept on the plane, its int indices would outweigh the
-        arrivals at small ``k``.  The ``fresh_delay * scale`` table is
-        built once per call as ``(num_cells, k)``.  The pattern axis is
-        chunked (multiples of 8, so the bit-packed plane unpacks
-        byte-aligned); replay carries no cross-pattern state, so
-        chunking is exact.  One store buffer, sized for a fully active
-        chunk, serves every chunk: only rows that are written are paged
-        in, and reusing it spares each chunk the page faults of a fresh
-        allocation.
+        * the may-rows of every cell output are unpacked once, in plan
+          order, into a ``(num_cells, c)`` mask, and one row sum gives
+          each row's active count;
+        * each bucket's active entries are the ``flatnonzero`` of its
+          one contiguous mask slice, and they take the next rows
+          ``[lo, hi)`` of a ``(1 + nnz, k)`` store whose row 0 is the
+          shared quiet zero -- exactly the ``where(may, .., 0.0)`` zeros
+          of :func:`logic.arrival_masks`;
+        * a ``(1 + num_cells, c)`` int32 slot map, zeroed per chunk,
+          records each entry's store row, so quiet entries, inputs and
+          rails read row 0.
+
+        A bucket's pin slots are its pins' plan rows of the slot map
+        (``slots[pin].ravel()[active]``), its delay rows are its rows
+        of the per-call ``(num_cells, k)`` ``fresh_delay * scale``
+        table repeated by each row's active count, and
+        :func:`_active_arrival` writes straight into ``store[lo:hi]``;
+        the output ports gather their plan rows the same way.  Every
+        row gather is ``np.take(..., axis=0)``: several times faster
+        than 2-D fancy indexing at small ``k`` and no slower at Monte
+        Carlo's, so there is one path for every ``k``.
+
+        The per-entry indices of a bucket (active entries, pin slots,
+        aux masks) are dropped with the bucket; the mask and the slot
+        map live for one chunk; nothing outlives the call -- kept on
+        the plane, the int indices would outweigh the arrivals at small
+        ``k``.  The pattern axis is chunked (multiples of 8, so the
+        bit-packed plane unpacks byte-aligned; see
+        :func:`_replay_chunk_size`); replay carries no cross-pattern
+        state, so chunking is exact.  One store buffer and one slot
+        buffer, sized for a full chunk, serve every chunk: only store
+        rows that are written are paged in, and reusing them spares
+        each chunk the page faults of a fresh allocation.
         """
         circuit = self.circuit
         plane = self.plane
-        plan = circuit.soa_plan()
-        num_nets = circuit.num_nets
-        chunk = _replay_chunk_size(num_nets, k)
-        fresh = np.zeros(self.num_cells)
-        for bucket_list in plan.levels:
+        num_cells = len(circuit._cells)
+        chunk = _replay_chunk_size(num_cells, k)
+        span = min(chunk, n)
+        outputs = np.zeros(num_cells, dtype=np.intp)
+        cells = np.zeros(num_cells, dtype=np.intp)
+        fresh = np.zeros(num_cells)
+        # Plan row of every net: cell outputs 1..num_cells, inputs and
+        # rails the zero row.  A bucket's pins are driven from earlier
+        # levels, so their rows are set before the bucket maps them.
+        net_row = np.zeros(circuit.num_nets, dtype=np.intp)
+        schedule = []
+        row = 0
+        for bucket_list in circuit.soa_plan().levels:
             for bucket in bucket_list:
-                fresh[bucket.cell_indices] = bucket.fresh_delays
-        # fresh_delay_ns * scale per (cell, corner), exactly the
+                lo, row = row, row + bucket.size
+                outputs[lo:row] = bucket.outputs
+                cells[lo:row] = bucket.cell_indices
+                fresh[lo:row] = bucket.fresh_delays
+                net_row[bucket.outputs] = np.arange(lo + 1, row + 1)
+                aux_rows = plane.aux_offsets[bucket.positions]
+                schedule.append((
+                    bucket.opcode,
+                    lo,
+                    row,
+                    net_row[bucket.pins],
+                    [
+                        aux_rows + lane
+                        for lane in range(
+                            _aux_count(bucket.opcode, bucket.pins.shape[0])
+                        )
+                    ],
+                ))
+        # fresh_delay_ns * scale per (plan row, corner), exactly the
         # engine's per-cell delay at every corner.
-        delay = np.multiply(fresh[:, None], scales.T, order="C")
+        delay = np.multiply(
+            fresh[:, None], np.take(scales, cells, axis=1).T, order="C"
+        )
         delays = np.zeros((k, n))
-        ports = circuit.netlist.output_ports
+        ports = [
+            (name, net_row[list(port.nets)])
+            for name, port in circuit.netlist.output_ports.items()
+        ]
         bit_arrivals: Optional[Dict[str, np.ndarray]] = None
         if collect_bit_arrivals:
             bit_arrivals = {
-                name: np.zeros((port.width, k, n))
-                for name, port in ports.items()
+                name: np.zeros((rows.shape[0], k, n)) for name, rows in ports
             }
-        store = np.empty((1 + len(circuit._cells) * min(chunk, n), k))
+        store = np.empty((1 + num_cells * span, k))
         store[0] = 0.0
+        # Active entries number fewer than 2**31, and int32 keeps the
+        # map at 4 bytes per (cell, pattern) entry.
+        slot_buf = np.empty((1 + num_cells) * span, dtype=np.int32)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             c = stop - start
             byte0 = start // 8
             byte1 = (stop + 7) // 8
-            # Flat (net * c + pattern) -> store row.  Rows number fewer
-            # than 2**31, and int32 halves the map at small k.
-            slot = np.zeros(num_nets * c, dtype=np.int32)
+            may = np.unpackbits(
+                np.take(plane.may_packed[:, byte0:byte1], outputs, axis=0),
+                axis=1,
+                count=c,
+            ).view(bool)
+            per_row = may.sum(axis=1, dtype=np.int32)
+            flat_slots = slot_buf[:(1 + num_cells) * c]
+            flat_slots[:] = 0
+            slots = flat_slots.reshape(1 + num_cells, c)
             hi = 1
-            for bucket_list in plan.levels:
-                for bucket in bucket_list:
-                    # Flat (row * c + col) entry indices: a 1-D nonzero
-                    # and 1-D takes run several times faster than their
-                    # 2-D forms.
-                    active = np.flatnonzero(
-                        np.unpackbits(
-                            plane.may_packed[bucket.outputs, byte0:byte1],
-                            axis=1,
-                            count=c,
-                        )
+            for opcode, r0, r1, pin_rows, aux_lanes in schedule:
+                # Flat (row * c + col) entries of the bucket's rows.
+                active = np.flatnonzero(may[r0:r1])
+                if not active.size:
+                    continue
+                lo, hi = hi, hi + active.size
+                aux = tuple(
+                    np.unpackbits(
+                        plane.aux_packed[rows, byte0:byte1],
+                        axis=1,
+                        count=c,
+                    ).view(bool).ravel()[active]
+                    for rows in aux_lanes
+                )
+                arrs = [
+                    np.take(
+                        store,
+                        np.take(slots, rows, axis=0).ravel()[active],
+                        axis=0,
                     )
-                    if not active.size:
-                        continue
-                    rows = active // c
-                    cols = active - rows * c
-                    pins = bucket.pins
-                    aux_rows = plane.aux_offsets[bucket.positions]
-                    aux = tuple(
-                        np.unpackbits(
-                            plane.aux_packed[aux_rows + lane, byte0:byte1],
-                            axis=1,
-                            count=c,
-                        ).view(bool).ravel()[active]
-                        for lane in range(
-                            _aux_count(bucket.opcode, pins.shape[0])
-                        )
-                    )
-                    arrs = [
-                        store[slot[base[rows] + cols]] for base in pins * c
-                    ]
-                    lo, hi = hi, hi + active.size
-                    _active_arrival(
-                        bucket.opcode,
-                        aux,
-                        arrs,
-                        delay[bucket.cell_indices[rows]],
-                        out=store[lo:hi],
-                    )
-                    slot[bucket.outputs[rows] * c + cols] = np.arange(lo, hi)
-            slot = slot.reshape(num_nets, c)
-            for name, port in ports.items():
-                port_arr = store[slot[list(port.nets)]]
+                    for rows in pin_rows
+                ]
+                _active_arrival(
+                    opcode,
+                    aux,
+                    arrs,
+                    np.repeat(delay[r0:r1], per_row[r0:r1], axis=0),
+                    out=store[lo:hi],
+                )
+                flat_slots[(r0 + 1) * c:(r1 + 1) * c][active] = np.arange(
+                    lo, hi, dtype=np.int32
+                )
+            for name, rows in ports:
+                port_arr = np.take(
+                    store, np.take(slots, rows, axis=0), axis=0
+                )
                 if collect_bit_arrivals:
                     bit_arrivals[name][:, :, start:stop] = (
                         port_arr.transpose(0, 2, 1)
@@ -507,13 +556,15 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
         np.maximum(a0, a1, out=out)
         both = np.nonzero(c0 & c1)[0]
         if both.size:
-            out[both] = np.minimum(a0[both], a1[both])
+            out[both] = np.minimum(
+                np.take(a0, both, axis=0), np.take(a1, both, axis=0)
+            )
         only0 = np.nonzero(c0 & ~c1)[0]
         if only0.size:
-            out[only0] = a0[only0]
+            out[only0] = np.take(a0, only0, axis=0)
         only1 = np.nonzero(c1 & ~c0)[0]
         if only1.size:
-            out[only1] = a1[only1]
+            out[only1] = np.take(a1, only1, axis=0)
         out += delay
         return out
     if opcode == logic.OP_MUX2:
@@ -521,7 +572,7 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
         out[...] = arrs[0]
         chosen = np.nonzero(sel)[0]
         if chosen.size:
-            out[chosen] = arrs[1][chosen]
+            out[chosen] = np.take(arrs[1], chosen, axis=0)
         np.maximum(out, arrs[2], out=out)
         out += delay
         return out
@@ -534,10 +585,22 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
         np.maximum(out, arrs[1], out=out)
         out += delay
         return out
-    # Rare shapes (3-input controlled gates): generic reference kernel
-    # with an all-True may -- every row here is active by construction.
-    out_may = np.ones(arrs[0].shape, dtype=bool)
-    out[...] = logic.arrival_masks(
-        opcode, tuple(a[:, None] for a in aux), arrs, delay, out_may
-    )
-    return out
+    if logic.CONTROLLING_VALUE.get(opcode) is not None:
+        # Three-input controlled gates (AND3, OR3): the earliest
+        # controlling pin where any pin controls, else the latest pin.
+        np.maximum(arrs[0], arrs[1], out=out)
+        for arr in arrs[2:]:
+            np.maximum(out, arr, out=out)
+        first = np.full_like(out, np.inf)
+        for arr, ctrl in zip(arrs, aux):
+            hit = np.nonzero(ctrl)[0]
+            if hit.size:
+                first[hit] = np.minimum(
+                    np.take(first, hit, axis=0), np.take(arr, hit, axis=0)
+                )
+        controlled = np.nonzero(np.logical_or.reduce(aux))[0]
+        if controlled.size:
+            out[controlled] = np.take(first, controlled, axis=0)
+        out += delay
+        return out
+    raise SimulationError("no arrival rule for opcode %r" % (opcode,))

@@ -302,7 +302,7 @@ class TestReplayKernels:
         monkeypatch.setattr(
             replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1
         )
-        assert replay_mod._replay_chunk_size(plane.num_nets, 2) == 8
+        assert replay_mod._replay_chunk_size(plane.num_cells, 2) == 8
         chunked = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )

@@ -28,9 +28,12 @@ from repro.timing import (
     build_value_plane,
     plane_cache_key,
 )
+from repro.timing import replay as replay_mod
 from repro.timing.replay import _replay_chunk_size
 from repro.timing.sta import critical_delays
 from repro.workloads import uniform_operands
+
+from oracle import Oracle
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +149,7 @@ class TestReplayEquivalence:
         circuit = CompiledCircuit(cb8)
         plane = build_value_plane(circuit, stream8)
         k = 512
-        assert _replay_chunk_size(plane.num_nets, k) < plane.num_patterns
+        assert _replay_chunk_size(plane.num_cells, k) < plane.num_patterns
         scales = scales_for(circuit, k, seed=9)
         replayed = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
@@ -199,6 +202,66 @@ class TestReplayEquivalence:
                 circuit.with_delay_scale(scales[1])
             with pytest.raises(SimulationError, match="finite"):
                 CompiledCircuit(cb8, delay_scale=scales[1])
+
+
+class TestReplayChunks:
+    """Replay in 8-pattern chunks, the floor, against one whole-stream
+    chunk and the oracle, on streams whose chunks hold no activity at
+    all or leave some buckets without an active entry.  45 patterns:
+    the last chunk is ragged."""
+
+    @staticmethod
+    def _stimulus(case):
+        md, mr = uniform_operands(4, 45, seed=3)
+        if case == "quiet_chunk":
+            # One operand pair held over patterns 7..23: chunks [8, 16)
+            # and [16, 24) see no input change.
+            md[7:24] = md[7]
+            mr[7:24] = mr[7]
+        else:
+            md[:] = 3
+        return {"md": md, "mr": mr}
+
+    @staticmethod
+    def _activity(circuit, plane):
+        """``(chunk, bucket)`` -> whether any bucket output may change
+        within the 8-pattern chunk."""
+        may = np.stack([plane.may(net) for net in range(plane.num_nets)])
+        buckets = [b for level in circuit.soa_plan().levels for b in level]
+        return np.array([
+            [may[b.outputs, start:start + 8].any() for b in buckets]
+            for start in range(0, plane.num_patterns, 8)
+        ])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64])
+    @pytest.mark.parametrize("case", ["quiet_chunk", "quiet_bucket"])
+    def test_eight_pattern_chunks_match_whole_and_oracle(
+        self, cb4, case, k, monkeypatch
+    ):
+        stim = self._stimulus(case)
+        circuit = CompiledCircuit(cb4)
+        plane = build_value_plane(circuit, stim)
+        active = self._activity(circuit, plane)
+        if case == "quiet_chunk":
+            assert (~active.any(axis=1)).any()
+        else:
+            assert (active.any(axis=1) & ~active.all(axis=1)).any()
+        scales = scales_for(circuit, k)
+        assert _replay_chunk_size(plane.num_cells, k) >= plane.num_patterns
+        whole = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        monkeypatch.setattr(replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1)
+        assert _replay_chunk_size(plane.num_cells, k) == 8
+        chunked = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        delays, bit_arrivals = Oracle(cb4).replay(stim, scales)
+        for got in (whole, chunked):
+            assert got.delays.tobytes() == delays.tobytes()
+            assert got.bit_arrivals.keys() == bit_arrivals.keys()
+            for name, matrix in bit_arrivals.items():
+                assert got.bit_arrivals[name].tobytes() == matrix.tobytes()
 
 
 class TestValuePlaneCache:
