@@ -63,7 +63,7 @@ from ..core.stats import ArchitectureRunResult
 from ..errors import CampaignInterrupted, FaultError
 from ..timing.delta import DeltaBase, replay_delta
 from ..timing.engine import StreamResult
-from ..timing.value_cache import ValuePlaneCache
+from ..timing.value_cache import stream_keys
 from .injector import (
     build_fault_hooks,
     compile_with_faults,
@@ -582,18 +582,29 @@ class InjectionCampaign:
     def run_pristine(self, store=None) -> ArchitectureRunResult:
         """The fault-free reference run on the campaign workload.
 
-        The pristine stream is the campaign's aging row priced by
-        :meth:`~repro.timing.value_cache.ValuePlaneCache.price`; with
-        ``store`` it is a ``stream`` artifact there, so a warm campaign
-        simulates nothing.
+        The pristine stream is one folded :meth:`~repro.timing.engine
+        .CompiledCircuit.run` of the pristine circuit, which is compiled
+        at the campaign's aging row; its plane serves no other stream,
+        so nothing caches it.  With ``store`` the stream is the
+        ``stream`` artifact of that row (keyed by
+        :func:`~repro.timing.value_cache.stream_keys`, as
+        :meth:`~repro.timing.value_cache.ValuePlaneCache.price` keys
+        it), so a warm campaign simulates nothing.
         """
-        (stream,) = ValuePlaneCache(store=store).price(
-            self.architecture.netlist,
-            self.architecture.technology,
-            self._base_row(),
-            {"md": self.md, "mr": self.mr},
-            self._pristine_circuit,
-        )
+        stimulus = {"md": self.md, "mr": self.mr}
+        stream = key = None
+        if store is not None:
+            (key,) = stream_keys(
+                self.architecture.netlist,
+                self.architecture.technology,
+                stimulus,
+                self._base_row(),
+            )
+            stream = store.load("stream", key)
+        if stream is None:
+            stream = self._pristine_circuit().run(stimulus, fold=True)
+            if store is not None:
+                store.save("stream", key, stream)
         return self.architecture.run_patterns(
             self.md, self.mr, years=self.years, stream=stream
         )

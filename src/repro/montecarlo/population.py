@@ -303,12 +303,16 @@ def price_population_naive(
     config: SimulationConfig = DEFAULT_SIM_CONFIG,
     die_range: Optional[Tuple[int, int]] = None,
 ) -> PopulationReductions:
-    """Reference per-die loop: compile and fully simulate one
+    """Reference per-die loop: compile and run one
     :class:`CompiledCircuit` per (die, year) -- what pricing a
-    population costs without the two-plane batched replay.  Reductions
-    are computed by the same kernel, so the output is bit-identical to
-    :func:`price_population` (asserted in tests); only the wall clock
-    differs.  The benchmark extrapolates this loop from a die subset.
+    population costs without sharing one value plane and batching the
+    dies' replays.  Each run is itself a value plane plus a one-row
+    arrival replay, so this loop shares the arrival rule with
+    :func:`price_population`; only the plane reuse and the batching
+    differ.  Reductions are computed by the same kernel, so the output
+    is bit-identical to :func:`price_population` (asserted in tests);
+    only the wall clock differs.  The benchmark extrapolates this loop
+    from a die subset.
     """
     lo, hi = die_range if die_range is not None else (0, spec.num_dies)
     if not 0 <= lo <= hi <= spec.num_dies:

@@ -12,13 +12,13 @@ Three engines share the cell semantics defined in
 * :mod:`repro.timing.sta` -- static (value-independent) worst-case timing
   and critical-path extraction.
 
-The stream engine additionally factors into two planes (see
-:mod:`repro.timing.replay`): a delay-independent :class:`ValuePlane`
-computed once per stimulus (cacheable across process runs via
+The stream engine is two planes (see :mod:`repro.timing.replay`): a
+delay-independent :class:`ValuePlane` computed once per stimulus
+(cacheable across process runs via
 :class:`repro.timing.value_cache.ValuePlaneCache`) and an
 :class:`ArrivalReplay` pass that re-times it for one or many per-cell
-delay-scale vectors at once -- the fast path under every lifetime /
-variation sweep.
+delay-scale vectors at once -- a single ``run`` is one plane and one
+replay, and every lifetime / variation sweep shares one plane.
 
 :mod:`repro.timing.power` converts switching activity into the paper's
 power / energy-delay-product metrics.

@@ -22,8 +22,9 @@ makes the *delta* the unit of work:
 * :class:`DeltaBase` + :func:`replay_delta` re-simulate **only the
   cone**: values, may/aux masks and arrivals outside the cone are
   reused from the parent's values-only pass, value plane and arrival
-  tensor, cone cells are re-evaluated through the exact same
-  :mod:`repro.timing.logic` kernels the engine uses.  A child may also
+  tensor; cone cells are re-evaluated through the value pass's
+  :mod:`repro.timing.logic` kernels and re-timed through the replay's
+  arrival rule.  A child may also
   carry value-fault hooks over the hook-free base (a *hooked child*):
   the hooked net seeds both cones, and the hook rewrites its row
   exactly where the engine does.
@@ -125,23 +126,29 @@ class NetlistDelta:
 
 
 def _consumers(netlist: Netlist) -> Dict[int, List[int]]:
-    """Net id -> indices of the cells that read it."""
+    """Net id -> indices of the cells that read it (read-only).
+
+    Memoized on the netlist instance keyed by ``Netlist.version``, as
+    :meth:`Netlist.cell_columns` is, so diffing a child and replaying
+    it build its map once.
+    """
+    cached = getattr(netlist, "_consumer_map", None)
+    if cached is not None and cached[0] == netlist.version:
+        return cached[1]
     consumers: Dict[int, List[int]] = {}
     for cell in netlist.cells:
         for net in cell.inputs:
             consumers.setdefault(net, []).append(cell.index)
+    netlist._consumer_map = (netlist.version, consumers)
     return consumers
 
 
 def _forward_cone(
-    netlist: Netlist,
-    seed_cells: Sequence[int],
-    consumers: Optional[Dict[int, List[int]]] = None,
+    netlist: Netlist, seed_cells: Sequence[int]
 ) -> Tuple[List[int], frozenset]:
     """Forward closure of ``seed_cells``: every cell reachable through
     driver -> consumer edges, plus the set of their output nets."""
-    if consumers is None:
-        consumers = _consumers(netlist)
+    consumers = _consumers(netlist)
     cone = set(int(index) for index in seed_cells)
     queue = list(cone)
     while queue:
@@ -623,9 +630,7 @@ class DeltaBase:
 
 
 def _hook_seeds(
-    netlist: Netlist,
-    fault_hooks: Dict[int, FaultHook],
-    consumers: Dict[int, List[int]],
+    netlist: Netlist, fault_hooks: Dict[int, FaultHook]
 ) -> List[int]:
     """Cells a set of value hooks seeds the cones with: the driver of a
     hooked cell output, the consumers of a hooked primary input.
@@ -648,7 +653,7 @@ def _hook_seeds(
             )
         driver = netlist.driver_of(net)
         if driver is None:
-            seeds.update(consumers.get(net, ()))
+            seeds.update(_consumers(netlist).get(net, ()))
         else:
             seeds.add(driver.index)
     return sorted(seeds)
@@ -670,10 +675,12 @@ def replay_delta(
     re-evaluated through :func:`logic.eval_vector` /
     :func:`logic.aux_masks` / :func:`logic.changed_matrix`; the
     *arrival cone* (the value cone plus the closure of scale-perturbed
-    cells) is re-timed through :func:`logic.arrival_masks` with
-    ``(k, 1)`` delay columns.  Everything outside a cone is gathered
-    from the base plane / arrival tensor.  Bit-identical to
-    :func:`evaluate_full` on the child.
+    cells) is re-timed cell by cell through the replay's one arrival
+    rule, :func:`~repro.timing.replay._active_arrival`, on the cell's
+    active patterns (its pins' ``(n, k)`` rows gathered there; quiet
+    patterns stay 0.0).  Everything outside a cone is gathered from the
+    base plane / arrival tensor.  Bit-identical to :func:`evaluate_full`
+    on the child.
 
     Args:
         delay_scales: Optional replacement scale matrix; must match the
@@ -723,13 +730,12 @@ def replay_delta(
     else:
         patched = patch_compiled(parent_circuit, child, delta)
 
-    consumers = _consumers(child)
     value_cone = set(delta.cone_cells)
     if hooks:
-        seeds = _hook_seeds(child, hooks, consumers)
-        value_cone.update(_forward_cone(child, seeds, consumers)[0])
+        seeds = _hook_seeds(child, hooks)
+        value_cone.update(_forward_cone(child, seeds)[0])
     arrival_cone = value_cone | set(
-        _forward_cone(child, scale_changed, consumers)[0]
+        _forward_cone(child, scale_changed)[0]
     )
     if (
         max_cone_fraction is not None
@@ -815,17 +821,17 @@ def replay_delta(
         new_aux[position] = tuple(mask[1:] for mask in aux)
 
     # -- arrival cone: re-time the value cone + scale-perturbed closure
+    # Rows are (n, k) like the base tensor's; boundary rows include PIs,
+    # constant rails and quiet nets (all exactly 0.0 there).
+    k = scales.shape[0]
     new_arr: Dict[int, np.ndarray] = {}
 
     def arrival_row(net: int) -> np.ndarray:
         row = new_arr.get(net)
-        # (n, k) -> (k, n) view; boundary rows include PIs, constant
-        # rails and quiet nets (all exactly 0.0 in the base tensor).
-        return base.arrivals[net].T if row is None else row
+        return base.arrivals[net] if row is None else row
 
     for position in cone_order(arrival_cone):
         compiled = cells[position]
-        in_arrs = [arrival_row(pin) for pin in compiled.inputs]
         aux = new_aux.get(position)
         if aux is None:
             aux = plane.aux(position)
@@ -834,12 +840,19 @@ def replay_delta(
             out_may = plane.may(compiled.output)
         else:
             out_may = out_may[1:]
-        delay = (
-            compiled.fresh_delay_ns * scales[:, compiled.index]
-        )[:, None]
-        new_arr[compiled.output] = logic.arrival_masks(
-            compiled.opcode, aux, in_arrs, delay, out_may
-        )
+        row = np.zeros((n, k))
+        active = np.flatnonzero(out_may)
+        if active.size:
+            row[active] = _active_arrival(
+                compiled.opcode,
+                tuple(mask[active] for mask in aux),
+                [
+                    np.take(arrival_row(pin), active, axis=0)
+                    for pin in compiled.inputs
+                ],
+                compiled.fresh_delay_ns * scales[:, compiled.index],
+            )
+        new_arr[compiled.output] = row
 
     # -- assemble: splice outputs, re-reduce port delays ---------------
     ports = child.output_ports
@@ -860,13 +873,11 @@ def replay_delta(
         {} if collect_bit_arrivals else None
     )
     for name, port in ports.items():
-        rows = [arrival_row(net) for net in port.nets]
+        rows = [arrival_row(net).T for net in port.nets]
         for row in rows:
             np.maximum(delays, row, out=delays)
         if collect_bit_arrivals:
-            bit_arrivals[name] = np.stack(
-                [np.ascontiguousarray(row) for row in rows]
-            )
+            bit_arrivals[name] = np.stack(rows)
 
     return DeltaResult(
         outputs=outputs,

@@ -27,7 +27,10 @@ Two delay semantics are available (see DESIGN.md section 5):
 * ``mode="floating"``: hazard-pessimistic; arrivals provably upper-bound
   the event-driven transport-delay settle time (cross-checked in tests).
 
-All per-pattern quantities are vectorized across the pattern axis; the
+:meth:`CompiledCircuit.run` is the two planes of :mod:`repro.timing.replay`
+back to back: the value pass records the stream's value plane, and the
+arrival replay prices it at the circuit's own delay scale.  All
+per-pattern quantities are vectorized across the pattern axis; the
 Python-level loop runs once per (level, opcode) bucket, not once per
 pattern.  Memory stays bounded by chunking the pattern axis; exactness
 across chunk boundaries is preserved by carrying each net's final value.
@@ -58,10 +61,11 @@ MODES = ("inertial", "floating")
 #: The mode circuits compile in unless told otherwise.
 DEFAULT_MODE = MODES[0]
 
-#: Peak-memory target for ``chunk_size="auto"``: the streaming loop keeps
+#: Peak-memory target for ``chunk_size="auto"``: the value pass keeps
 #: ``num_nets`` rows of per-pattern arrays (uint8 value, bool may,
-#: float64 arrival, float64 transition density), so patterns-per-chunk
-#: is bounded by this budget divided by ``num_nets * _AUTO_BYTES_PER_NET``.
+#: float64 transition density) plus its bucket temporaries, so
+#: patterns-per-chunk is bounded by this budget divided by
+#: ``num_nets * _AUTO_BYTES_PER_NET``.
 AUTO_CHUNK_TARGET_BYTES = 256 * 1024 * 1024
 _AUTO_BYTES_PER_NET = 32
 
@@ -360,9 +364,13 @@ class CompiledCircuit:
         collect_bit_arrivals: bool = False,
         chunk_size: "Optional[int | str]" = None,
         fold: bool = False,
-        _recorder=None,
     ) -> StreamResult:
         """Simulate a pattern stream.
+
+        The stream's value plane
+        (:func:`repro.timing.replay.build_value_plane`) replayed at this
+        circuit's ``delay_scale`` (:class:`repro.timing.replay
+        .ArrivalReplay`): there is one arrival rule, the replay's.
 
         Args:
             stimulus: Port name -> integer pattern values (all input ports
@@ -372,85 +380,31 @@ class CompiledCircuit:
                 pattern 0 arrives on a settled, quiet circuit and reports
                 zero delay.  Names must be input ports.
             collect_bit_arrivals: Keep per-output-bit arrival matrices.
-            chunk_size: Process the stream in chunks of this many patterns
-                to bound memory; results are exact regardless of chunking.
+            chunk_size: Run the value pass in chunks of this many
+                patterns (rounded up to a multiple of 8) to bound
+                memory; results are exact regardless of chunking.
                 ``"auto"`` picks a chunk from :func:`auto_chunk_size` so
                 peak memory stays near ``AUTO_CHUNK_TARGET_BYTES``
                 regardless of ``num_nets * n``.
             fold: Deduplicate repeated ``(previous, current)`` operand
                 transitions and simulate only the unique pairs (see
                 :mod:`repro.timing.fold`); results are bit-identical to
-                the unfolded run.  Silently bypassed whenever folding
-                cannot preserve semantics (fault hooks consume global
-                pattern indices; value-plane recording needs every
-                pattern) or when the stream barely repeats.
-            _recorder: Internal -- a value-plane recorder (see
-                :mod:`repro.timing.replay`).  When set, arrival
-                computation is skipped (the recorder captures the masks
-                needed to replay it) and the returned ``delays`` /
-                ``bit_arrivals`` are not meaningful.
+                the unfolded run.  Silently bypassed for hooked circuits
+                (fault hooks consume global pattern indices) and when
+                the stream barely repeats.
         """
-        arrays, prefixed, n = self._settled_stimulus(stimulus, initial)
+        from .replay import replay_stream
 
-        if fold and not self.fault_hooks and _recorder is None:
-            from .fold import fold_stimulus, unfold_stream
-
-            plan = fold_stimulus(arrays, initial)
-            if plan.profitable:
-                folded = self.run(
-                    plan.folded,
-                    collect_bit_arrivals=collect_bit_arrivals,
-                    chunk_size=chunk_size,
-                )
-                return unfold_stream(folded, plan)
-
-        if isinstance(chunk_size, str):
-            if chunk_size != "auto":
-                raise SimulationError(
-                    'chunk_size must be an int, None or "auto", got %r'
-                    % (chunk_size,)
-                )
-            chunk_size = auto_chunk_size(self.num_nets, n)
-
-        if chunk_size is None or chunk_size >= n + 1:
-            result, _ = self._run_chunk(
-                prefixed,
-                carry_values=None,
-                collect_bit_arrivals=collect_bit_arrivals,
-                drop_first=True,
-                start_index=-1,
-                recorder=_recorder,
-            )
-            return result
-
-        if chunk_size < 1:
-            raise SimulationError("chunk_size must be >= 1")
-        if _recorder is not None and chunk_size % 8:
-            raise SimulationError(
-                "value-plane recording needs a chunk_size that is a "
-                "multiple of 8 (byte-aligned bit packing), got %d"
-                % chunk_size
-            )
-        pieces: List[StreamResult] = []
-        carry_values: Optional[np.ndarray] = None
-        total = n + 1
-        start = 0
-        first_chunk = True
-        while start < total:
-            stop = min(start + chunk_size + (1 if first_chunk else 0), total)
-            chunk = {name: arr[start:stop] for name, arr in prefixed.items()}
-            result, carry_values = self._run_chunk(
-                chunk,
-                carry_values=carry_values,
-                collect_bit_arrivals=collect_bit_arrivals,
-                drop_first=first_chunk,
-                start_index=start - 1,
-                recorder=_recorder,
-            )
-            pieces.append(result)
-            start = stop
-            first_chunk = False
-        return _concatenate_results(pieces)
+        (result,) = replay_stream(
+            self,
+            stimulus,
+            self.delay_scale,
+            initial=initial,
+            collect_bit_arrivals=collect_bit_arrivals,
+            fold=fold,
+            chunk_size=chunk_size,
+        )
+        return result
 
     def signal_probability(
         self, stimulus: Dict[str, Sequence[int]]
@@ -586,175 +540,3 @@ class CompiledCircuit:
             )
             prefixed[name] = np.concatenate(([first], arr))
         return arrays, prefixed, n
-
-    def _run_chunk(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        collect_bit_arrivals: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Simulate one chunk, one (level, opcode) bucket at a time.
-
-        ``carry_values`` holds every net's settled value at the end of
-        the previous chunk (None for the first chunk, which instead
-        starts with the prepended settling pattern and ``drop_first``).
-        ``start_index`` is the global pattern index of the chunk's first
-        element (-1 for the settling pattern), forwarded to fault hooks.
-        ``recorder``, when set, captures the value plane instead of
-        computing arrivals.  Returns ``(result, final_values)``.
-
-        Holds dense ``(num_nets, n)`` value / may / transition (and,
-        unless recording, arrival) matrices and evaluates one
-        (level, opcode) bucket per batched kernel call.  A fault hook
-        rewrites its cell's row right after the bucket's values are
-        evaluated, before change detection: cells of one level never
-        feed each other, so every later use -- this bucket's masks,
-        arrivals and transitions, and all downstream buckets -- sees
-        the faulted row.
-        """
-        fault_hooks = self.fault_hooks
-        netlist = self.netlist
-        plan = self.soa_plan()
-        bucket_hooks = self._bucket_hooks()
-        n = next(iter(arrays.values())).shape[0]
-        num_nets = self.num_nets
-        inertial = self.mode == "inertial"
-        damping = self.technology.glitch_damping
-        lo = 1 if drop_first else 0
-        if recorder is not None:
-            recorder.begin(start_index + lo, lo)
-
-        V = np.zeros((num_nets, n), dtype=np.uint8)
-        V[CONST1] = 1
-        M = np.zeros((num_nets, n), dtype=bool)
-        T = np.zeros((num_nets, n))
-        A = None if recorder is not None else np.zeros((num_nets, n))
-        switched = np.zeros(n)
-
-        # Primary inputs: expand port words into per-net bit rows.
-        for name, port in netlist.input_ports.items():
-            bits = logic.unpack_bits(arrays[name], port.width)
-            for lane, net in enumerate(port.nets):
-                cur = bits[lane]
-                if net in fault_hooks:
-                    cur = np.asarray(
-                        fault_hooks[net](cur, start_index), dtype=np.uint8
-                    )
-                flags = logic.changed_matrix(
-                    cur,
-                    None if carry_values is None else carry_values[net],
-                )
-                V[net] = cur
-                M[net] = flags
-                T[net] = flags
-                if recorder is not None:
-                    recorder.net_may(net, flags)
-
-        for depth, bucket_list in enumerate(plan.levels):
-            for slot, bucket in enumerate(bucket_list):
-                pins = bucket.pins
-                outs = bucket.outputs
-                in_vals = [V[pins[j]] for j in range(pins.shape[0])]
-                out_val = logic.eval_vector(bucket.opcode, in_vals)
-                hooked = bucket_hooks.get((depth, slot))
-                if hooked:
-                    # BUF/TRIBUF return their input rows: copy first.
-                    out_val = out_val.copy()
-                    for row, hook in hooked:
-                        out_val[row] = hook(out_val[row], start_index)
-                changed = logic.changed_matrix(
-                    out_val,
-                    None if carry_values is None else carry_values[outs],
-                )
-                aux = logic.aux_masks(bucket.opcode, in_vals)
-                if inertial:
-                    out_may = changed
-                else:
-                    in_mays = [M[pins[j]] for j in range(pins.shape[0])]
-                    out_may = logic.may_vector(
-                        bucket.opcode, in_vals, in_mays, aux
-                    )
-                if recorder is None:
-                    in_arrs = [A[pins[j]] for j in range(pins.shape[0])]
-                    A[outs] = logic.arrival_masks(
-                        bucket.opcode,
-                        aux,
-                        in_arrs,
-                        bucket.delays[:, None],
-                        out_may,
-                    )
-                else:
-                    recorder.cell_bucket(
-                        bucket.positions, outs, out_may, aux
-                    )
-                V[outs] = out_val
-                M[outs] = out_may
-                in_trans = [T[pins[j]] for j in range(pins.shape[0])]
-                out_trans = logic.transition_vector(
-                    bucket.opcode, in_vals, in_trans, changed,
-                    damping=damping,
-                )
-                T[outs] = out_trans
-                # Reduce over the cell axis with an explicit sum (not a
-                # BLAS matvec): the pairwise accumulation then depends
-                # only on the bucket size, so chunked and unchunked runs
-                # produce bit-identical switched capacitance.
-                switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
-
-        final_values = V[:, -1].copy()
-        final_values[CONST0] = 0
-        final_values[CONST1] = 0
-
-        outputs: Dict[str, np.ndarray] = {}
-        bit_arrivals: Optional[Dict[str, np.ndarray]] = (
-            {} if collect_bit_arrivals else None
-        )
-        delays = np.zeros(n)
-        for name, port in netlist.output_ports.items():
-            nets = list(port.nets)
-            outputs[name] = logic.pack_bits(V[nets])[lo:]
-            if recorder is None:
-                port_arr = A[nets]
-                if collect_bit_arrivals:
-                    bit_arrivals[name] = port_arr[:, lo:]
-                delays = np.maximum(delays, port_arr.max(axis=0))
-            elif collect_bit_arrivals:
-                bit_arrivals[name] = np.zeros((port.width, n - lo))
-
-        result = StreamResult(
-            outputs=outputs,
-            delays=delays[lo:],
-            switched_caps=switched[lo:],
-            num_patterns=n - lo,
-            bit_arrivals=bit_arrivals,
-        )
-        return result, final_values
-
-
-def _concatenate_results(pieces: List[StreamResult]) -> StreamResult:
-    """Stitch per-chunk results back into one stream-long result."""
-    total = sum(piece.num_patterns for piece in pieces)
-    outputs = {
-        name: np.concatenate([piece.outputs[name] for piece in pieces])
-        for name in pieces[0].outputs
-    }
-    bit_arrivals = None
-    if pieces[0].bit_arrivals is not None:
-        bit_arrivals = {
-            name: np.concatenate(
-                [piece.bit_arrivals[name] for piece in pieces], axis=1
-            )
-            for name in pieces[0].bit_arrivals
-        }
-    return StreamResult(
-        outputs=outputs,
-        delays=np.concatenate([piece.delays for piece in pieces]),
-        switched_caps=np.concatenate(
-            [piece.switched_caps for piece in pieces]
-        ),
-        num_patterns=total,
-        bit_arrivals=bit_arrivals,
-    )

@@ -19,13 +19,12 @@ and are discarded).  :func:`unfold_stream` then scatters the odd rows
 back through the inverse index -- bit-identical to simulating the full
 stream, at the cost of ``2 * num_unique`` simulated patterns.
 
-Folding must be bypassed when per-pattern identity does not hold:
-
-* fault hooks consume the *global* pattern index (transient flips are a
-  function of it), so any hooked circuit simulates unfolded;
-* value-plane recording keeps every pattern's masks, so recorder runs
-  simulate unfolded (the replay layer instead folds the plane itself
-  and unfolds per corner).
+Folding happens before the value plane is built
+(:func:`repro.timing.replay.replay_stream`): the plane of the folded
+stimulus is replayed and every corner unfolded.  It must be bypassed
+when per-pattern identity does not hold: fault hooks consume the
+*global* pattern index (transient flips are a function of it), so any
+hooked circuit simulates unfolded.
 
 :meth:`FoldPlan.profitable` additionally skips folding when the stream
 barely repeats (``2 * num_unique`` close to ``num_patterns``) -- the
@@ -40,6 +39,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
+from .engine import StreamResult
 
 __all__ = ["FoldPlan", "fold_stimulus", "unfold_stream"]
 
@@ -145,8 +145,6 @@ def unfold_stream(folded_result, plan: FoldPlan):
     pair itself).  Returns a full-length result bit-identical to the
     unfolded run.
     """
-    from .engine import StreamResult
-
     if folded_result.num_patterns != 2 * plan.num_unique:
         raise SimulationError(
             "folded result has %d patterns, plan expects %d"

@@ -184,71 +184,6 @@ def may_vector(
     raise SimulationError("no arrival rule for opcode %r" % (opcode,))
 
 
-def arrival_masks(
-    opcode: int,
-    aux: "tuple[np.ndarray, ...]",
-    arrivals: Sequence[np.ndarray],
-    delay,
-    out_may: np.ndarray,
-) -> np.ndarray:
-    """Arrival propagation from precomputed masks (the arrival plane).
-
-    ``arrivals`` must satisfy the engine's quiet-zero invariant: an
-    arrival entry is exactly ``0.0`` wherever its net's may-mask is
-    False (every array produced by this function, and every primary
-    input / constant rail, satisfies it).  Under that invariant the
-    historical ``np.where(may, arr, 0.0)`` re-masking is the identity,
-    so it is omitted here -- results are bit-identical and the kernel is
-    what makes k-corner batched replay cheap.
-
-    ``delay`` may be a scalar (one delay vector -- the streaming engine)
-    or a ``(k, 1)`` column (k aging timesteps / variation corners at
-    once); all other arrays broadcast along the leading corner axis.
-    """
-    if opcode in (OP_BUF, OP_INV):
-        return np.where(out_may, arrivals[0] + delay, 0.0)
-
-    if opcode in (OP_XOR2, OP_XNOR2):
-        last = np.maximum(arrivals[0], arrivals[1])
-        return np.where(out_may, last + delay, 0.0)
-
-    if CONTROLLING_VALUE.get(opcode) is not None:
-        # A quiet controlling input pins the output; a moving controlling
-        # input caps the arrival at the earliest controlling settle time.
-        shape = np.broadcast_shapes(*(np.shape(arr) for arr in arrivals))
-        inf = np.float64(np.inf)
-        ctrl_arr = np.full(shape, inf)
-        last_arr = np.zeros(shape)
-        has_ctrl = np.zeros_like(aux[0])
-        for arr, c in zip(arrivals, aux):
-            ctrl_arr = np.where(c, np.minimum(ctrl_arr, arr), ctrl_arr)
-            has_ctrl |= c
-            last_arr = np.maximum(last_arr, arr)
-        base = np.where(has_ctrl, ctrl_arr, last_arr)
-        return np.where(out_may, base + delay, 0.0)
-
-    if opcode == OP_MUX2:
-        # The settled select isolates the unselected data input: the
-        # bypassed full adder behind the unselected pin can keep wiggling
-        # without stretching the mux output.
-        (sel,) = aux
-        chosen_eff = np.where(sel, arrivals[1], arrivals[0])
-        return np.where(
-            out_may, np.maximum(arrivals[2], chosen_eff) + delay, 0.0
-        )
-
-    if opcode == OP_TRIBUF:
-        # Quiet whenever it is stably disabled.
-        (enabled,) = aux
-        arr_moving = (
-            np.maximum(arrivals[1], np.where(enabled, arrivals[0], 0.0))
-            + delay
-        )
-        return np.where(out_may, arr_moving, 0.0)
-
-    raise SimulationError("no arrival rule for opcode %r" % (opcode,))
-
-
 def transition_vector(
     opcode: int,
     values: Sequence[np.ndarray],

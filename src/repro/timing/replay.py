@@ -28,15 +28,21 @@ aging timestep and variation corner.  This module exploits that split:
   delays and ports are gathered with ``np.take`` (see
   ``ArrivalReplay._replay_soa``).
 
-Bit-identity contract: for any scale vector ``s``,
-``ArrivalReplay(circuit, plane).replay(s)`` reproduces
-``CompiledCircuit(netlist, tech, s, mode, hooks).run(stimulus)`` bit for
-bit -- the same float ops as the engine's
-:func:`repro.timing.logic.arrival_masks` kernel, the same quiet-zero
-invariant, regardless of how the plane build or the replay was
-chunked.  This is asserted by ``tests/test_replay.py`` and fuzzed
-against the scalar oracle ``tests/oracle.py`` by
-``tests/test_fuzz_engines.py``.
+* :func:`replay_stream` is the one pricing sequence built on the two:
+  fold the stimulus when that pays, build (or fetch from a
+  :class:`~repro.timing.value_cache.ValuePlaneCache`) its plane, replay
+  it, unfold.  :meth:`CompiledCircuit.run` is this sequence at the
+  circuit's own delay scale, so :func:`_active_arrival` is the one
+  arrival rule in the package (the delta engine prices its cones with
+  it too).
+
+Bit-identity contract: for any scale matrix, corner ``j`` of
+``ArrivalReplay(circuit, plane).replay(scales)`` is byte-identical to
+the scalar oracle ``tests/oracle.py`` run at ``scales[j]`` (outputs,
+delays, bit arrivals; switched capacitance to float association),
+regardless of how the plane build or the replay was chunked.  The
+oracle shares no gate rules with this package; ``tests/test_replay.py``
+and ``tests/test_fuzz_engines.py`` assert the contract.
 """
 
 from __future__ import annotations
@@ -47,8 +53,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
+from ..nets.netlist import CONST0, CONST1
 from . import logic
 from .engine import CompiledCircuit, StreamResult, _check_delay_scales
+from .engine import auto_chunk_size
+from .fold import fold_stimulus, unfold_stream
 
 
 def _aux_count(opcode: int, num_inputs: int) -> int:
@@ -139,56 +148,119 @@ class ValuePlane:
         return total
 
 
-class _PlaneRecorder:
-    """Engine-side hook capturing the value plane during ``run``.
+def _value_chunk(
+    circuit: CompiledCircuit,
+    arrays: Dict[str, np.ndarray],
+    carry_values: Optional[np.ndarray],
+    start_index: int,
+    may: np.ndarray,
+    aux: np.ndarray,
+    aux_offsets: np.ndarray,
+):
+    """One chunk of :func:`build_value_plane`'s value pass, one (level,
+    opcode) bucket at a time.
 
-    The engine calls :meth:`begin` once per chunk with the chunk's first
-    *reported* pattern index (always a multiple of 8 -- ``run`` enforces
-    byte-aligned chunk sizes when recording), then :meth:`net_may` once
-    per primary-input net and :meth:`cell_bucket` once per bucket; masks
-    are packed straight into their byte range, so chunked and unchunked
-    builds produce identical planes.
+    ``carry_values`` holds every net's settled value at the end of the
+    previous chunk (None for the first chunk, which instead starts with
+    the prepended settling pattern and drops it from every result).
+    ``start_index`` is the global pattern index of the chunk's first
+    element (-1 for the settling pattern), forwarded to fault hooks.
+    The chunk's may-change flags and aux masks are bit-packed straight
+    into their byte range of the plane's ``may`` and ``aux`` rows
+    (``aux_offsets`` gives each cell position's first aux row); the
+    first reported pattern must be a multiple of 8.  Returns
+    ``(outputs, switched_caps, final_values)`` of the chunk's reported
+    patterns.
+
+    Holds dense ``(num_nets, n)`` value / may / transition matrices and
+    evaluates one bucket per batched kernel call.  A fault hook rewrites
+    its cell's row right after the bucket's values are evaluated, before
+    change detection: cells of one level never feed each other, so every
+    later use -- this bucket's masks and transitions, and all downstream
+    buckets -- sees the faulted row.
     """
+    fault_hooks = circuit.fault_hooks
+    netlist = circuit.netlist
+    bucket_hooks = circuit._bucket_hooks()
+    n = next(iter(arrays.values())).shape[0]
+    inertial = circuit.mode == "inertial"
+    damping = circuit.technology.glitch_damping
+    lo = 1 if carry_values is None else 0
+    byte = (start_index + lo) // 8
 
-    def __init__(self, circuit: CompiledCircuit, num_patterns: int):
-        nbytes = (num_patterns + 7) // 8
-        self.may = np.zeros((circuit.num_nets, nbytes), dtype=np.uint8)
-        counts = [
-            _aux_count(c.opcode, len(c.inputs)) for c in circuit._cells
-        ]
-        self.aux_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.aux_offsets[1:])
-        self.aux = np.zeros(
-            (int(self.aux_offsets[-1]), nbytes), dtype=np.uint8
-        )
-        self._byte = 0
-        self._lo = 0
+    def carried(nets):
+        return None if carry_values is None else carry_values[nets]
 
-    def begin(self, reported_start: int, lo: int) -> None:
-        self._byte = reported_start // 8
-        self._lo = lo
+    V = np.zeros((circuit.num_nets, n), dtype=np.uint8)
+    V[CONST1] = 1
+    M = np.zeros((circuit.num_nets, n), dtype=bool)
+    T = np.zeros((circuit.num_nets, n))
+    switched = np.zeros(n)
 
-    def _pack_into(self, row: np.ndarray, mask: np.ndarray) -> None:
-        packed = np.packbits(mask[self._lo:])
-        row[self._byte:self._byte + packed.shape[0]] = packed
+    # Primary inputs: expand port words into per-net bit rows.
+    for name, port in netlist.input_ports.items():
+        nets = list(port.nets)
+        bits = logic.unpack_bits(arrays[name], port.width)
+        for lane, net in enumerate(nets):
+            if net in fault_hooks:
+                bits[lane] = fault_hooks[net](bits[lane], start_index)
+        flags = logic.changed_matrix(bits, carried(nets))
+        V[nets] = bits
+        M[nets] = flags
+        T[nets] = flags
 
-    def net_may(self, net: int, flags: np.ndarray) -> None:
-        self._pack_into(self.may[net], flags)
-
-    def cell_bucket(self, positions, nets, out_may, aux) -> None:
-        """Pack one bucket's masks: ``out_may`` is ``(B, n)`` and each
-        aux mask ``(B, n)``; rows pack straight into their byte
-        ranges."""
-        packed = np.packbits(out_may[:, self._lo:], axis=1)
-        width = packed.shape[1]
-        self.may[nets, self._byte:self._byte + width] = packed
-        if aux:
-            rows = self.aux_offsets[positions]
-            for lane, mask in enumerate(aux):
-                packed = np.packbits(mask[:, self._lo:], axis=1)
-                self.aux[rows + lane, self._byte:self._byte + width] = (
-                    packed
+    for depth, bucket_list in enumerate(circuit.soa_plan().levels):
+        for slot, bucket in enumerate(bucket_list):
+            pins = bucket.pins
+            outs = bucket.outputs
+            in_vals = [V[pins[j]] for j in range(pins.shape[0])]
+            out_val = logic.eval_vector(bucket.opcode, in_vals)
+            hooked = bucket_hooks.get((depth, slot))
+            if hooked:
+                # BUF/TRIBUF return their input rows: copy first.
+                out_val = out_val.copy()
+                for row, hook in hooked:
+                    out_val[row] = hook(out_val[row], start_index)
+            changed = logic.changed_matrix(out_val, carried(outs))
+            masks = logic.aux_masks(bucket.opcode, in_vals)
+            if inertial:
+                out_may = changed
+            else:
+                in_mays = [M[pins[j]] for j in range(pins.shape[0])]
+                out_may = logic.may_vector(
+                    bucket.opcode, in_vals, in_mays, masks
                 )
+            if masks:
+                rows = aux_offsets[bucket.positions]
+                for lane, mask in enumerate(masks):
+                    packed = np.packbits(mask[:, lo:], axis=1)
+                    aux[rows + lane, byte:byte + packed.shape[1]] = (
+                        packed
+                    )
+            V[outs] = out_val
+            M[outs] = out_may
+            in_trans = [T[pins[j]] for j in range(pins.shape[0])]
+            out_trans = logic.transition_vector(
+                bucket.opcode, in_vals, in_trans, changed,
+                damping=damping,
+            )
+            T[outs] = out_trans
+            # Reduce over the cell axis with an explicit sum (not a
+            # BLAS matvec): the pairwise accumulation then depends
+            # only on the bucket size, so chunked and unchunked runs
+            # produce bit-identical switched capacitance.
+            switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
+
+    packed = np.packbits(M[:, lo:], axis=1)
+    may[:, byte:byte + packed.shape[1]] = packed
+    final_values = V[:, -1].copy()
+    final_values[CONST0] = 0
+    final_values[CONST1] = 0
+    outputs = {
+        name: logic.pack_bits(V[list(port.nets)])[lo:]
+        for name, port in netlist.output_ports.items()
+    }
+    return outputs, switched[lo:], final_values
 
 
 def build_value_plane(
@@ -203,32 +275,104 @@ def build_value_plane(
     The circuit's fault hooks (if any) apply during the pass, so the
     recorded values and masks are the *faulted* stream -- a plane is
     specific to its hook set exactly like a full run is.  ``chunk_size``
-    bounds peak memory as in :meth:`CompiledCircuit.run`; integer sizes
-    are rounded up to a multiple of 8 so packed chunks stay
-    byte-aligned.
+    bounds peak memory as in :meth:`CompiledCircuit.run` (None: one
+    chunk); integer sizes are rounded up to a multiple of 8 so every
+    chunk packs its masks into whole bytes of the plane, and chunked
+    and unchunked builds produce identical planes.
     """
-    _, _, n = circuit._settled_stimulus(stimulus, initial)
-    if isinstance(chunk_size, int) and chunk_size % 8:
-        chunk_size += 8 - chunk_size % 8
-    recorder = _PlaneRecorder(circuit, n)
-    result = circuit.run(
-        stimulus,
-        initial=initial,
-        chunk_size=chunk_size,
-        _recorder=recorder,
-    )
+    _, prefixed, n = circuit._settled_stimulus(stimulus, initial)
+    if isinstance(chunk_size, str):
+        if chunk_size != "auto":
+            raise SimulationError(
+                'chunk_size must be an int, None or "auto", got %r'
+                % (chunk_size,)
+            )
+        chunk_size = auto_chunk_size(circuit.num_nets, n)
+    elif chunk_size is None:
+        chunk_size = n
+    elif chunk_size < 1:
+        raise SimulationError("chunk_size must be >= 1")
+    chunk_size += -chunk_size % 8
+    nbytes = (n + 7) // 8
+    may = np.zeros((circuit.num_nets, nbytes), dtype=np.uint8)
+    counts = [_aux_count(c.opcode, len(c.inputs)) for c in circuit._cells]
+    aux_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=aux_offsets[1:])
+    aux = np.zeros((int(aux_offsets[-1]), nbytes), dtype=np.uint8)
+    pieces = []
+    carry_values: Optional[np.ndarray] = None
+    start = 0
+    # The first chunk also holds the settling pattern it drops.
+    while start <= n:
+        stop = min(start + chunk_size + (start == 0), n + 1)
+        outputs, switched, carry_values = _value_chunk(
+            circuit,
+            {name: arr[start:stop] for name, arr in prefixed.items()},
+            carry_values,
+            start - 1,
+            may,
+            aux,
+            aux_offsets,
+        )
+        pieces.append((outputs, switched))
+        start = stop
     return ValuePlane(
-        num_patterns=result.num_patterns,
+        num_patterns=n,
         num_nets=circuit.num_nets,
         num_cells=len(circuit._cells),
         mode=circuit.mode,
-        may_packed=recorder.may,
-        aux_packed=recorder.aux,
-        aux_offsets=recorder.aux_offsets,
-        outputs=result.outputs,
-        switched_caps=result.switched_caps,
+        may_packed=may,
+        aux_packed=aux,
+        aux_offsets=aux_offsets,
+        outputs={
+            name: np.concatenate([outputs[name] for outputs, _ in pieces])
+            for name in pieces[0][0]
+        },
+        switched_caps=np.concatenate([switched for _, switched in pieces]),
         key=key,
     )
+
+
+def replay_stream(
+    circuit: CompiledCircuit,
+    stimulus: Dict[str, Sequence[int]],
+    delay_scales: np.ndarray,
+    initial: Optional[Dict[str, int]] = None,
+    collect_bit_arrivals: bool = False,
+    fold: bool = False,
+    chunk_size: "Optional[int | str]" = "auto",
+    cache=None,
+) -> List[StreamResult]:
+    """Stream results of ``stimulus`` for each delay-scale row: fold,
+    build the value plane, replay it, unfold.
+
+    The one pricing sequence behind :meth:`CompiledCircuit.run` and
+    :meth:`~repro.timing.value_cache.ValuePlaneCache.replay_scales`.
+    ``fold`` deduplicates repeated operand transitions first (see
+    :mod:`repro.timing.fold`), and is bypassed for hooked circuits and
+    for streams that barely repeat; the plane of the (possibly folded)
+    stimulus comes from ``cache.get_or_build`` when a
+    :class:`~repro.timing.value_cache.ValuePlaneCache` is given, else
+    from :func:`build_value_plane`.
+    """
+    plan = None
+    if fold and not circuit.fault_hooks:
+        arrays, _, _ = circuit._settled_stimulus(stimulus, initial)
+        plan = fold_stimulus(arrays, initial)
+        if plan.profitable:
+            stimulus, initial = plan.folded, None
+        else:
+            plan = None
+    if cache is None:
+        plane = build_value_plane(circuit, stimulus, initial, chunk_size)
+    else:
+        plane = cache.get_or_build(circuit, stimulus, initial, chunk_size)
+    results = ArrivalReplay(circuit, plane).replay(
+        delay_scales, collect_bit_arrivals=collect_bit_arrivals
+    ).stream_results()
+    if plan is None:
+        return results
+    return [unfold_stream(result, plan) for result in results]
 
 
 @dataclasses.dataclass
@@ -369,8 +513,8 @@ class ArrivalReplay:
         * each bucket's active entries are the ``flatnonzero`` of its
           one contiguous mask slice, and they take the next rows
           ``[lo, hi)`` of a ``(1 + nnz, k)`` store whose row 0 is the
-          shared quiet zero -- exactly the ``where(may, .., 0.0)`` zeros
-          of :func:`logic.arrival_masks`;
+          shared quiet zero: a cell whose output may not change has
+          arrival 0.0;
         * a ``(1 + num_cells, c)`` int32 slot map, zeroed per chunk,
           records each entry's store row, so quiet entries, inputs and
           rails read row 0.
@@ -526,18 +670,29 @@ class ArrivalReplay:
 
 
 def _active_arrival(opcode, aux, arrs, delay, out=None):
-    """Arrival kernel over flat *active* entries.
+    """The arrival rule, over flat *active* entries.
 
     Operands are ``(nnz, k)`` arrays (one row per (cell, pattern) entry
     whose output may change, all corners side by side) with ``(nnz,)``
-    aux masks.  Bit-identical to :func:`repro.timing.logic
-    .arrival_masks` restricted to those entries: integer-indexed
-    partial writes replace its ``np.where`` chains (every identity is
-    float-exact: arrivals are >= 0.0 and min/max/select never round),
-    and there is no quiet-zero pass (callers read quiet entries as 0.0
-    -- the replay store's row 0, the delta engine's pre-zeroed tensor --
-    which IS the ``where(may, .., 0.0)`` branch).  The result is
-    written into ``out`` when given, else into a new array.
+    aux masks; ``delay`` is the matching ``(nnz, k)`` block or one
+    ``(k,)`` row for a single cell.  Per opcode (DESIGN.md section 5):
+
+    * BUF/INV, XOR2/XNOR2: the latest pin plus the cell delay;
+    * gates with a controlling value: the earliest controlling pin
+      where any pin controls (a quiet controlling pin pins the output),
+      else the latest pin;
+    * MUX2: the select and the selected data pin (the settled select
+      isolates the other one);
+    * TRIBUF: the enable, and the data pin only while enabled.
+
+    Quiet entries are not priced: callers read them as 0.0 (the replay
+    store's row 0, the delta cone's zeroed rows), the same zero a quiet
+    pin contributes.  Integer-indexed partial writes select among pins;
+    every identity is float-exact (arrivals are >= 0.0 and
+    min/max/select never round).  The result is written into ``out``
+    when given, else into a new array.  This is the one arrival rule of
+    :mod:`repro.timing`: replay, :meth:`CompiledCircuit.run`, the delta
+    base and the delta cone all price through it.
     """
     if out is None:
         out = np.empty_like(arrs[0])

@@ -49,8 +49,7 @@ from ..config import Technology
 from ..errors import SimulationError
 from ..nets.netlist import Netlist
 from .engine import DEFAULT_MODE, CompiledCircuit, StreamResult
-from .fold import fold_stimulus, unfold_stream
-from .replay import ArrivalReplay, ValuePlane, build_value_plane
+from .replay import ValuePlane, build_value_plane, replay_stream
 
 #: Plane key schema version, hashed into every key.  Version 2: planes
 #: are produced by the levelized SoA kernel, whose cross-cell
@@ -293,35 +292,26 @@ class ValuePlaneCache:
         """Stream results for ``(k, num_cells)`` delay-scale rows through
         one cached value pass of ``stimulus`` on ``circuit``.
 
-        Each row's result is bit-identical to ``CompiledCircuit(
-        circuit.netlist, circuit.technology, row).run(stimulus)`` (a row
-        of ones matches the fresh circuit).  ``fold`` (default on)
-        deduplicates repeated operand transitions first: the *folded*
-        plane is what gets cached and replayed, and every row is
-        scattered back to stream order (see :mod:`repro.timing.fold`).
-        Folding is bypassed for hooked circuits and for streams that
-        barely repeat.
+        The same sequence as ``CompiledCircuit(circuit.netlist,
+        circuit.technology, row).run(stimulus, fold=fold)``
+        (:func:`~repro.timing.replay.replay_stream`), with the plane
+        taken from this cache.  ``fold`` (default on) deduplicates
+        repeated operand transitions first: the *folded* plane is what
+        gets cached and replayed, and every row is scattered back to
+        stream order (see :mod:`repro.timing.fold`).  Folding is
+        bypassed for hooked circuits and for streams that barely repeat.
         """
         scales = np.atleast_2d(np.asarray(scales, dtype=float))
         if scales.shape[0] == 0:
             return []
-        plan = None
-        if fold and not circuit.fault_hooks:
-            plan = fold_stimulus(stimulus)
-            if not plan.profitable:
-                plan = None
-        plane = self.get_or_build(
-            circuit, stimulus if plan is None else plan.folded
+        return replay_stream(
+            circuit,
+            stimulus,
+            scales,
+            collect_bit_arrivals=collect_bit_arrivals,
+            fold=fold,
+            cache=self,
         )
-        result = ArrivalReplay(circuit, plane).replay(
-            scales, collect_bit_arrivals=collect_bit_arrivals
-        )
-        if plan is None:
-            return result.stream_results()
-        return [
-            unfold_stream(result.stream_result(j), plan)
-            for j in range(scales.shape[0])
-        ]
 
     def price(
         self,

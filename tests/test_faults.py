@@ -83,15 +83,26 @@ class TestInjection:
         assert np.array_equal(flipped, again)
 
     def test_transient_flip_chunking_independent(self, cb4):
-        lsb = cb4.output_ports["p"].nets[0]
-        circuit = compile_with_faults(
-            cb4, [TransientBitFlip(lsb, 0.3, seed=7)]
-        )
+        # One flip on a cell output (a bucket row), one on a primary
+        # input; each lands on the first pattern of some 64-pattern
+        # chunk while the last pattern of the chunk before stays clean.
+        faults = [
+            TransientBitFlip(cb4.output_ports["p"].nets[0], 0.3, seed=7),
+            TransientBitFlip(cb4.input_ports["md"].nets[0], 0.3, seed=7),
+        ]
+        for fault in faults:
+            flips = fault.value_hook()(np.zeros(500, dtype=np.uint8), 0)
+            assert any(
+                flips[start] and not flips[start - 1]
+                for start in range(64, 500, 64)
+            )
+        circuit = compile_with_faults(cb4, faults)
         md, mr = uniform_operands(4, 500, seed=9)
         whole = circuit.run({"md": md, "mr": mr})
         chunked = circuit.run({"md": md, "mr": mr}, chunk_size=64)
         assert np.array_equal(whole.outputs["p"], chunked.outputs["p"])
-        assert np.allclose(whole.delays, chunked.delays)
+        assert np.array_equal(whole.delays, chunked.delays)
+        assert np.array_equal(whole.switched_caps, chunked.switched_caps)
 
     def test_delay_fault_slows_only_its_cell(self, cb4):
         pristine = CompiledCircuit(cb4)

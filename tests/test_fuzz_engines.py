@@ -66,9 +66,10 @@ GATES_3 = ["MUX2", "AND3", "OR3"]
 
 
 @st.composite
-def random_netlists(draw, max_patterns=8):
+def random_netlists(draw, max_patterns=8, min_patterns=2):
     """A random combinational DAG with 2-5 inputs and 5-25 gates,
-    driven by a stream of 2 to ``max_patterns`` patterns."""
+    driven by a stream of ``min_patterns`` to ``max_patterns``
+    patterns."""
     num_inputs = draw(st.integers(2, 5))
     num_gates = draw(st.integers(5, 25))
     nl = Netlist("fuzz")
@@ -94,7 +95,7 @@ def random_netlists(draw, max_patterns=8):
     nl.add_output_port("o", nets[-out_count:])
     nl.validate()
 
-    num_patterns = draw(st.integers(2, max_patterns))
+    num_patterns = draw(st.integers(min_patterns, max_patterns))
     stimulus = [
         draw(st.integers(0, (1 << num_inputs) - 1))
         for _ in range(num_patterns)
@@ -141,15 +142,21 @@ def test_inertial_below_floating(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_netlists(), st.integers(1, 5))
-def test_chunked_streaming_exact(case, chunk_size):
+@given(random_netlists(min_patterns=17, max_patterns=40),
+       st.integers(1, 16), st.sampled_from(["inertial", "floating"]))
+def test_chunked_streaming_exact(case, chunk_size, mode):
+    # The value pass rounds chunks up to 8 or 16 patterns; 17 or more
+    # patterns always make at least two chunks.
     nl, stimulus = case
-    circuit = CompiledCircuit(nl)
-    whole = circuit.run({"x": stimulus})
-    chunked = circuit.run({"x": stimulus}, chunk_size=chunk_size)
+    circuit = CompiledCircuit(nl, mode=mode)
+    whole = circuit.run({"x": stimulus}, collect_bit_arrivals=True)
+    chunked = circuit.run(
+        {"x": stimulus}, chunk_size=chunk_size, collect_bit_arrivals=True
+    )
     assert np.array_equal(whole.outputs["o"], chunked.outputs["o"])
-    assert np.allclose(whole.delays, chunked.delays)
-    assert np.allclose(whole.switched_caps, chunked.switched_caps)
+    assert np.array_equal(whole.delays, chunked.delays)
+    assert np.array_equal(whole.switched_caps, chunked.switched_caps)
+    assert np.array_equal(whole.bit_arrivals["o"], chunked.bit_arrivals["o"])
 
 
 @settings(max_examples=40, deadline=None)

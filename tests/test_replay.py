@@ -1,6 +1,8 @@
 """Two-plane engine: value plane + arrival replay must be bit-identical
-to the single-pass :meth:`CompiledCircuit.run` for every mode, chunking,
-fault-hook and corner combination."""
+to the scalar oracle (``tests/oracle.py``) for every mode, chunking,
+fault-hook and corner combination.  :meth:`CompiledCircuit.run` is
+itself a plane plus a replay, so it is checked against the oracle too,
+never used as the reference."""
 
 import os
 
@@ -47,6 +49,39 @@ def stream8():
     return {"md": md, "mr": mr}
 
 
+@pytest.fixture(scope="module")
+def short8():
+    """A stream short enough for the oracle (about 0.1 s per run)."""
+    md, mr = uniform_operands(8, 96, seed=3)
+    return {"md": md, "mr": mr}
+
+
+def assert_matches_oracle(got, want, bit_arrivals=False):
+    """A :class:`StreamResult` against an ``Oracle.run``: outputs,
+    delays and bit arrivals byte for byte, switched capacitance to
+    float association (the oracle sums it cell by cell)."""
+    assert got.num_patterns == want.num_patterns
+    for name, values in want.outputs.items():
+        assert np.array_equal(got.outputs[name], values)
+    assert np.array_equal(got.delays, want.delays)
+    assert np.allclose(
+        got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
+    )
+    if bit_arrivals:
+        for name, matrix in want.bit_arrivals.items():
+            assert np.array_equal(got.bit_arrivals[name], matrix)
+
+
+def assert_replay_matches_oracle(got, delays, bit_arrivals=None):
+    """A :class:`ReplayResult` against ``Oracle.replay``'s ``(k, n)``
+    delays and port -> ``(width, k, n)`` bit arrivals, byte for byte."""
+    assert got.delays.tobytes() == delays.tobytes()
+    if bit_arrivals is not None:
+        assert got.bit_arrivals.keys() == bit_arrivals.keys()
+        for name, matrix in bit_arrivals.items():
+            assert got.bit_arrivals[name].tobytes() == matrix.tobytes()
+
+
 def assert_streams_identical(got, want, bit_arrivals=False):
     assert got.num_patterns == want.num_patterns
     for name, values in want.outputs.items():
@@ -66,30 +101,27 @@ def scales_for(circuit, k, seed=5):
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_batched_replay_matches_serial_runs(self, cb8, stream8, mode):
+    def test_batched_replay_matches_serial_runs(self, cb8, short8, mode):
         circuit = CompiledCircuit(cb8, mode=mode)
-        plane = build_value_plane(circuit, stream8)
+        plane = build_value_plane(circuit, short8)
         scales = scales_for(circuit, 3)
         replayed = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
-        for k in range(3):
-            want = circuit.with_delay_scale(scales[k]).run(
-                stream8, collect_bit_arrivals=True
-            )
-            assert_streams_identical(
-                replayed.stream_result(k), want, bit_arrivals=True
-            )
+        assert_replay_matches_oracle(
+            replayed, *Oracle(cb8, mode=mode).replay(short8, scales)
+        )
 
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_unit_scale_replay_matches_plain_run(self, cb8, stream8, mode):
+    def test_unit_scale_replay_matches_plain_run(self, cb8, short8, mode):
         circuit = CompiledCircuit(cb8, mode=mode)
-        plane = build_value_plane(circuit, stream8)
-        got = ArrivalReplay(circuit, plane).stream(
-            collect_bit_arrivals=True
-        )
-        want = circuit.run(stream8, collect_bit_arrivals=True)
-        assert_streams_identical(got, want, bit_arrivals=True)
+        plane = build_value_plane(circuit, short8)
+        want = Oracle(cb8, mode=mode).run(short8)
+        for got in (
+            ArrivalReplay(circuit, plane).stream(collect_bit_arrivals=True),
+            circuit.run(short8, collect_bit_arrivals=True),
+        ):
+            assert_matches_oracle(got, want, bit_arrivals=True)
 
     def test_chunked_plane_matches_unchunked(self, cb8, stream8):
         circuit = CompiledCircuit(cb8)
@@ -102,35 +134,40 @@ class TestReplayEquivalence:
         b = ArrivalReplay(circuit, chunked).replay(scales)
         assert np.array_equal(a.delays, b.delays)
 
-    def test_replay_matches_chunked_reference_run(self, cb8, stream8):
+    def test_replay_matches_chunked_reference_run(self, cb8, short8):
+        # The whole-stream replay and runs whose value pass takes two
+        # chunks (64 + 32 patterns), against the oracle.
         circuit = CompiledCircuit(cb8)
         scales = scales_for(circuit, 2)
-        plane = build_value_plane(circuit, stream8)
+        plane = build_value_plane(circuit, short8)
         replayed = ArrivalReplay(circuit, plane).replay(scales)
+        delays, _ = Oracle(cb8).replay(short8, scales)
+        assert_replay_matches_oracle(replayed, delays)
         for k in range(2):
-            want = circuit.with_delay_scale(scales[k]).run(
-                stream8, chunk_size=96
+            chunked = circuit.with_delay_scale(scales[k]).run(
+                short8, chunk_size=64
             )
-            assert_streams_identical(replayed.stream_result(k), want)
+            assert chunked.delays.tobytes() == delays[k].tobytes()
 
-    def test_replay_with_fault_hooks(self, cb8, stream8):
+    def test_replay_with_fault_hooks(self, cb8, short8):
         faults = [
             StuckAtFault(net=cb8.cells[10].output, value=1),
             TransientBitFlip(net=cb8.cells[40].output, rate=0.1, seed=2),
         ]
         circuit = compile_with_faults(cb8, faults)
         scales = scales_for(circuit, 2)
-        plane = build_value_plane(circuit, stream8)
+        plane = build_value_plane(circuit, short8)
         replayed = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
-        for k in range(2):
-            want = circuit.with_delay_scale(scales[k]).run(
-                stream8, collect_bit_arrivals=True
-            )
-            assert_streams_identical(
-                replayed.stream_result(k), want, bit_arrivals=True
-            )
+        oracle = Oracle(cb8, fault_hooks=circuit.fault_hooks)
+        assert_replay_matches_oracle(
+            replayed, *oracle.replay(short8, scales)
+        )
+        assert_matches_oracle(
+            circuit.with_delay_scale(scales[0]).run(short8),
+            oracle.run(short8, scales[0]),
+        )
 
     def test_initial_condition_respected(self, cb8):
         circuit = CompiledCircuit(cb8)
@@ -142,25 +179,25 @@ class TestReplayEquivalence:
         assert_streams_identical(got, want)
 
     def test_wide_batch_in_many_chunks_matches_single_runs(
-        self, cb8, stream8
+        self, cb8, short8
     ):
         # Monte Carlo's shape: hundreds of corners per call, so the
         # replay runs in many pattern chunks.
         circuit = CompiledCircuit(cb8)
-        plane = build_value_plane(circuit, stream8)
+        plane = build_value_plane(circuit, short8)
         k = 512
         assert _replay_chunk_size(plane.num_cells, k) < plane.num_patterns
         scales = scales_for(circuit, k, seed=9)
         replayed = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
-        for j in (0, 1, 200, k - 2, k - 1):
-            want = circuit.with_delay_scale(scales[j]).run(
-                stream8, collect_bit_arrivals=True
-            )
-            assert_streams_identical(
-                replayed.stream_result(j), want, bit_arrivals=True
-            )
+        rows = [0, 1, 200, k - 2, k - 1]
+        delays, bit_arrivals = Oracle(cb8).replay(short8, scales[rows])
+        for j, row in enumerate(rows):
+            got = replayed.stream_result(row)
+            assert got.delays.tobytes() == delays[j].tobytes()
+            for name, matrix in bit_arrivals.items():
+                assert np.array_equal(got.bit_arrivals[name], matrix[:, j])
 
     def test_mismatched_plane_rejected(self, cb8, stream8):
         inertial = CompiledCircuit(cb8, mode="inertial")
@@ -180,9 +217,13 @@ class TestReplayEquivalence:
     )
     def test_bad_stimulus_rejected(self, cb8, stimulus, match):
         """The plane builder validates like ``run``: a typed error that
-        names the fault, not a misleading length complaint."""
+        names the fault, not a misleading length complaint -- also
+        before a folded run dedups the stream."""
+        circuit = CompiledCircuit(cb8)
         with pytest.raises(SimulationError, match=match):
-            build_value_plane(CompiledCircuit(cb8), stimulus)
+            build_value_plane(circuit, stimulus)
+        with pytest.raises(SimulationError, match=match):
+            circuit.run(stimulus, fold=True)
 
     def test_bad_delay_scales_rejected(self, cb8, stream8):
         circuit = CompiledCircuit(cb8)
@@ -348,13 +389,14 @@ class TestAgingIntegration:
         return AgedCircuitFactory.characterize(cb8, num_patterns=400)
 
     def test_factory_stream_results_match_full_runs(
-        self, factory, stream8
+        self, factory, cb8, short8
     ):
         years = [0.0, 3.0, 7.0]
-        batched = factory.stream_results(years, stream8)
+        batched = factory.stream_results(years, short8)
+        oracle = Oracle(cb8)
         for year, got in zip(years, batched):
-            want = factory.circuit(year).run(stream8)
-            assert_streams_identical(got, want)
+            want = oracle.run(short8, factory.circuit(year).delay_scale)
+            assert_matches_oracle(got, want)
 
     def test_lifetime_delay_scales_shape(self, factory, cb8):
         scales = factory.lifetime_delay_scales([0.0, 7.0])
@@ -376,7 +418,8 @@ class TestContextPrice:
 
     @pytest.fixture(scope="class")
     def stimulus(self):
-        md, mr = uniform_operands(8, 200, seed=3)
+        # Short: every row of every design is also run by the oracle.
+        md, mr = uniform_operands(8, 100, seed=3)
         return {"md": md, "mr": mr}
 
     @staticmethod
@@ -406,18 +449,37 @@ class TestContextPrice:
             if name.startswith("stream-")
         )
 
+    @pytest.fixture(scope="class")
+    def oracle_runs(self, stimulus):
+        """Design name -> the oracle's runs of its three rows, shared
+        by the stored and storeless cases."""
+        runs = {}
+
+        def get(name):
+            if name not in runs:
+                netlist = self._netlist(name)
+                oracle = Oracle(netlist)
+                runs[name] = [
+                    oracle.run(stimulus, row)
+                    for row in self._scales(netlist)
+                ]
+            return runs[name]
+
+        return get
+
     @pytest.mark.parametrize("stored", [False, True])
     @pytest.mark.parametrize("name", ["am", "column", "row", "wallace"])
-    def test_rows_match_full_runs(self, name, stored, stimulus, tmp_path):
+    def test_rows_match_full_runs(
+        self, name, stored, stimulus, oracle_runs, tmp_path
+    ):
         netlist = self._netlist(name)
         scales = self._scales(netlist)
         store = ArtifactStore(str(tmp_path)) if stored else None
         ctx = ExperimentContext(store=store)
         priced = ctx.price(netlist, scales, stimulus)
         assert len(priced) == 3
-        for row, got in zip(scales, priced):
-            want = CompiledCircuit(netlist, ctx.technology, row).run(stimulus)
-            assert_streams_identical(got, want)
+        for got, want in zip(priced, oracle_runs(name)):
+            assert_matches_oracle(got, want)
         if stored:
             assert len(self._stream_files(tmp_path)) == 3
             # The paper's designs and the baselines alike are priced
@@ -477,9 +539,9 @@ class TestContextPrice:
         }
 
     def test_campaign_baseline_shares_the_priced_row(self, tmp_path):
-        """The fault campaign's pristine stream is written by the same
-        pricing path as ``ExperimentContext.price``: one artifact, which
-        the context then serves as a hit."""
+        """The fault campaign's pristine stream is stored under the key
+        ``ExperimentContext.price`` uses: one artifact, which the context
+        and a warm campaign then serve as hits."""
         store = ArtifactStore(str(tmp_path))
         ctx = ExperimentContext(store=store, characterize_patterns=300)
         arch = ctx.variable_design(8, "column", 3, 0.5)
@@ -496,6 +558,10 @@ class TestContextPrice:
         (priced,) = ctx.price(arch.netlist, scales, stimulus)
         assert store.counters["stream"] == {
             "hits": 1, "misses": 1, "writes": 1,
+        }
+        assert campaign.run_pristine(store).report == stored.report
+        assert store.counters["stream"] == {
+            "hits": 2, "misses": 1, "writes": 1,
         }
         want = CompiledCircuit(
             arch.netlist, ctx.technology, scales[0]
