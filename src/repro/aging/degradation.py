@@ -24,7 +24,7 @@ import numpy as np
 from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import SimulationError
 from ..nets.netlist import Netlist
-from ..timing.engine import CompiledCircuit, StreamResult
+from ..timing.engine import CompiledCircuit, StreamResult, fresh_circuit
 from ..timing.value_cache import ValuePlaneCache
 from .bti import BTIModel
 from .stress import StressProfile, extract_stress
@@ -209,7 +209,7 @@ class AgedCircuitFactory:
     ) -> StressProfile:
         """Just the characterization measurement, without building a
         factory -- what persistent stores cache and restore."""
-        circuit = CompiledCircuit(netlist, technology)
+        circuit = fresh_circuit(netlist, technology)
         if stimulus is None:
             stimulus = characterization_stimulus(
                 netlist.input_ports, num_patterns, seed
@@ -236,7 +236,7 @@ class AgedCircuitFactory:
         key = float(years)
         if key not in self._cache:
             if years == 0:
-                self._cache[key] = CompiledCircuit(
+                self._cache[key] = fresh_circuit(
                     self.netlist, self.technology
                 )
             else:

@@ -23,7 +23,7 @@ import numpy as np
 from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import FaultError
 from ..nets.netlist import Netlist
-from ..timing.engine import CompiledCircuit, FaultHook
+from ..timing.engine import CompiledCircuit, FaultHook, fresh_circuit
 from .models import DelayFault, FaultModel, StuckAtFault, TransientBitFlip
 
 #: Fault-kind tags accepted by :func:`enumerate_fault_sites`.
@@ -152,10 +152,14 @@ def compile_with_faults(
 
     With an empty fault list this is exactly ``CompiledCircuit(netlist,
     technology, delay_scale, mode)`` -- the zero-fault campaign is
-    bit-identical to the pristine simulation (property-tested).
+    bit-identical to the pristine simulation (property-tested) -- and
+    without a ``delay_scale`` it is the netlist's shared
+    :func:`~repro.timing.engine.fresh_circuit`.
     """
     hooks = build_fault_hooks(netlist, faults)
     scale = fault_delay_scale(netlist, faults, technology, delay_scale)
+    if scale is None and not hooks:
+        return fresh_circuit(netlist, technology, mode)
     return CompiledCircuit(
         netlist, technology, scale, mode, fault_hooks=hooks or None
     )

@@ -259,7 +259,13 @@ def patch_compiled(
     This is valid because per-net engine results are independent of
     bucketing order (an asserted repo property) -- a cell only needs
     every driver evaluated at a *strictly lower* level, which is
-    checked per changed input pin.
+    checked per changed input pin.  An aligned child differs from its
+    valid parent only in its changed cells, so that check also proves
+    the child valid (every pin driven, no loop) without a levelize
+    pass over it; only a refused pin validates the child, so an
+    undriven pin or a loop raises the child's own
+    :class:`~repro.errors.NetlistError` or
+    :class:`~repro.errors.CombinationalLoopError`.
 
     The patched circuit carries a ``delta_lineage`` tuple (the parent's
     lineage plus this delta's fingerprint) that
@@ -272,6 +278,8 @@ def patch_compiled(
             aligned, or a rewired pin is produced at (or above) the
             changed cell's kept level -- fall back to a from-scratch
             :class:`CompiledCircuit` in that case.
+        NetlistError: A rewired pin is undriven.
+        CombinationalLoopError: A rewire closes a loop.
     """
     parent = parent_circuit.netlist
     if parent_circuit.fault_hooks:
@@ -290,7 +298,6 @@ def patch_compiled(
             raise DeltaError(
                 "delta does not connect this parent/child pair"
             )
-    child.validate()
     plan = parent_circuit.soa_plan()
     cells = list(parent_circuit._cells)
     num_cells = len(cells)
@@ -311,6 +318,8 @@ def patch_compiled(
                 continue
             producer = driver_pos.get(pin)
             if producer is None or int(levels[producer]) >= level:
+                # An undriven pin or a loop is the child's own defect.
+                child.validate()
                 raise DeltaError(
                     "cell %d rewired to net %d produced at level >= its"
                     " kept level %d; patching would break levelization"
@@ -350,6 +359,7 @@ def patch_compiled(
     patched._reach_masks = None
     patched._cell_delays = None
     patched._soa_plan = SoAPlan(levels=new_levels)
+    patched._plan_rows = None
     patched._hook_rows = {}
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()

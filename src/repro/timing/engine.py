@@ -47,7 +47,7 @@ from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import FaultError, SimulationError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
-from .soa import build_soa_plan
+from .soa import build_plan_rows, build_soa_plan
 
 #: A value-fault hook: maps a net's per-pattern bit stream to the faulted
 #: stream.  ``start_index`` is the *global* index of the first element
@@ -134,6 +134,32 @@ class _CompiledCell:
     #: exactly ``fresh_delay_ns * delay_scale[index]``, and arrival
     #: replay recomputes it the same way for other scale vectors.
     fresh_delay_ns: float = 0.0
+
+
+def fresh_circuit(
+    netlist: Netlist,
+    technology: Technology = DEFAULT_TECHNOLOGY,
+    mode: str = DEFAULT_MODE,
+) -> "CompiledCircuit":
+    """The fresh compile of ``netlist``: unit delay scale, no hooks.
+
+    Memoized on the netlist instance keyed by ``Netlist.version``,
+    technology and mode (as :meth:`Netlist.cell_columns` is), so the
+    stress characterization, the aged-circuit factory and a fault-free
+    campaign of one netlist share one compile and its cached plans.
+    The circuit refers back to its netlist, so a dropped netlist and
+    its memoized compile are freed by the cyclic garbage collector,
+    not at once.
+    """
+    cached = getattr(netlist, "_fresh_circuits", None)
+    if cached is None or cached[0] != netlist.version:
+        cached = (netlist.version, {})
+        netlist._fresh_circuits = cached
+    circuit = cached[1].get((technology, mode))
+    if circuit is None:
+        circuit = CompiledCircuit(netlist, technology, mode=mode)
+        cached[1][technology, mode] = circuit
+    return circuit
 
 
 def _check_delay_scales(scales: np.ndarray, error=SimulationError) -> None:
@@ -230,6 +256,7 @@ class CompiledCircuit:
         self._reach_masks: Optional[List[int]] = None
         self._cell_delays: Optional[np.ndarray] = None
         self._soa_plan = None
+        self._plan_rows = None
         self._hook_rows = None
 
     # ------------------------------------------------------------------
@@ -334,24 +361,31 @@ class CompiledCircuit:
             )
         return self._soa_plan
 
+    def plan_rows(self):
+        """The :class:`~repro.timing.soa.PlanRows` numbering of
+        :meth:`soa_plan` that the value pass and the arrival replay
+        share (built lazily, cached)."""
+        if self._plan_rows is None:
+            self._plan_rows = build_plan_rows(self.soa_plan(), self.netlist)
+        return self._plan_rows
+
     def _bucket_hooks(self) -> Dict:
-        """``(level, bucket) -> [(row, hook), ...]`` for every bucket
-        with a hooked output net (built once per circuit, cached; empty
-        for hook-free circuits)."""
+        """``bucket -> [(row, hook), ...]`` for every bucket (numbered
+        in plan order, as :meth:`plan_rows` lists them) with a hooked
+        output net (built once per circuit, cached; empty for hook-free
+        circuits)."""
         if self._hook_rows is None:
             hooks = self.fault_hooks
             rows: Dict = {}
             if hooks:
-                levels = self.soa_plan().levels
-                for depth, bucket_list in enumerate(levels):
-                    for slot, bucket in enumerate(bucket_list):
-                        hooked = [
-                            (row, hooks[net])
-                            for row, net in enumerate(bucket.outputs.tolist())
-                            if net in hooks
-                        ]
-                        if hooked:
-                            rows[depth, slot] = hooked
+                for slot, bucket in enumerate(self.plan_rows().buckets):
+                    hooked = [
+                        (row, hooks[net])
+                        for row, net in enumerate(bucket.outputs.tolist())
+                        if net in hooks
+                    ]
+                    if hooked:
+                        rows[slot] = hooked
             self._hook_rows = rows
         return self._hook_rows
 

@@ -190,6 +190,7 @@ def transition_vector(
     transitions: Sequence[np.ndarray],
     changed: np.ndarray,
     damping: float = 1.0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-pattern expected transition counts (glitches included).
 
@@ -208,42 +209,53 @@ def transition_vector(
     activity stays bounded down deep arrays.  The result is floored at
     the functional toggle (``changed``) so power never drops below the
     zero-delay estimate.
+
+    ``values`` are uint8 0/1 rows, so a sensitizing condition is the
+    value itself (or its complement, ``v ^ 1``) and multiplies the float
+    transitions directly.  The terms accumulate left to right, then
+    damp and floor, into ``out`` when given (a float array shaped like
+    ``changed`` that no operand aliases), else into a new array.
     """
+    if out is None:
+        out = np.empty(changed.shape)
     if opcode in (OP_BUF, OP_INV):
-        out = transitions[0]
+        np.copyto(out, transitions[0])
     elif opcode in (OP_XOR2, OP_XNOR2):
-        out = transitions[0] + transitions[1]
+        np.add(transitions[0], transitions[1], out=out)
     elif opcode in (OP_AND2, OP_NAND2):
         a, b = values
-        out = transitions[0] * (b != 0) + transitions[1] * (a != 0)
+        np.multiply(transitions[0], b, out=out)
+        out += transitions[1] * a
     elif opcode in (OP_OR2, OP_NOR2):
         a, b = values
-        out = transitions[0] * (b == 0) + transitions[1] * (a == 0)
+        np.multiply(transitions[0], b ^ 1, out=out)
+        out += transitions[1] * (a ^ 1)
     elif opcode == OP_AND3:
         a, b, c = values
-        out = (
-            transitions[0] * ((b & c) != 0)
-            + transitions[1] * ((a & c) != 0)
-            + transitions[2] * ((a & b) != 0)
-        )
+        np.multiply(transitions[0], b & c, out=out)
+        out += transitions[1] * (a & c)
+        out += transitions[2] * (a & b)
     elif opcode == OP_OR3:
         a, b, c = values
-        out = (
-            transitions[0] * ((b | c) == 0)
-            + transitions[1] * ((a | c) == 0)
-            + transitions[2] * ((a | b) == 0)
-        )
+        np.multiply(transitions[0], (b | c) ^ 1, out=out)
+        out += transitions[1] * ((a | c) ^ 1)
+        out += transitions[2] * ((a | b) ^ 1)
     elif opcode == OP_MUX2:
         d0, d1, select = values
-        chosen = np.where(select.astype(bool), transitions[1], transitions[0])
-        out = chosen + transitions[2] * (d0 != d1)
+        # The selected data pin, as ``t0 * (s ^ 1) + t1 * s``: exact,
+        # since one term is the pin and the other 0.0.
+        np.multiply(transitions[0], select ^ 1, out=out)
+        out += transitions[1] * select
+        out += transitions[2] * (d0 ^ d1)
     elif opcode == OP_TRIBUF:
         din, enable = values
         # Disabled: quiet.  Enable flips contribute one output event.
-        out = transitions[0] * (enable != 0) + transitions[1] * 0.5
+        np.multiply(transitions[0], enable, out=out)
+        out += transitions[1] * 0.5
     else:
         raise SimulationError("no transition rule for opcode %r" % (opcode,))
-    return np.maximum(out * damping, changed)
+    np.multiply(out, damping, out=out)
+    return np.maximum(out, changed, out=out)
 
 
 def changed_matrix(

@@ -25,7 +25,7 @@ aging timestep and variation corner.  This module exploits that split:
   output may change -- plus a shared quiet-zero row.  Per pattern
   chunk, the may-rows of every cell are unpacked once and a slot map
   indexed by plan row tells every pin which store row to read; pins,
-  delays and ports are gathered with ``np.take`` (see
+  delays and ports are gathered with ``take`` (see
   ``ArrivalReplay._replay_soa``).
 
 * :func:`replay_stream` is the one pricing sequence built on the two:
@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from ..nets.netlist import CONST0, CONST1
+from ..nets.netlist import CONST1
 from . import logic
 from .engine import CompiledCircuit, StreamResult, _check_delay_scales
 from .engine import auto_chunk_size
@@ -71,18 +71,22 @@ def _aux_count(opcode: int, num_inputs: int) -> int:
 
 #: Per-chunk memory target of the SoA replay.  A chunk of ``c``
 #: patterns holds, per (cell, pattern) entry, one ``(k,)`` float64
-#: store row, one int32 slot and one mask byte:
-#: ``num_cells * c * (8 * k + 5)`` bytes.  The store is sized as if
+#: store row, one int32 slot, one mask byte and up to
+#: :data:`_MAX_AUX_LANES` unpacked aux bytes:
+#: ``num_cells * c * (8 * k + 8)`` bytes.  The store is sized as if
 #: every entry were active, but only its active rows -- about a third
-#: on the bypass multipliers -- are ever touched; the slot map and the
-#: mask are written whole.
+#: on the bypass multipliers -- are ever touched; the slot map, the
+#: mask and the aux masks are written whole.
 REPLAY_CHUNK_TARGET_BYTES = 128 * 1024 * 1024
+
+#: Most aux lanes of one cell (the 3-input controlled gates).
+_MAX_AUX_LANES = 3
 
 
 def _replay_chunk_size(num_cells: int, k: int) -> int:
     """Patterns per replay chunk: a multiple of 8 (byte-aligned plane
     unpacking), at least 8, sized to the replay memory target."""
-    per_pattern = max(1, num_cells) * (8 * max(1, k) + 5)
+    per_pattern = max(1, num_cells) * (8 * max(1, k) + 5 + _MAX_AUX_LANES)
     chunk = REPLAY_CHUNK_TARGET_BYTES // per_pattern
     return max(8, chunk - chunk % 8)
 
@@ -160,27 +164,32 @@ def _value_chunk(
     """One chunk of :func:`build_value_plane`'s value pass, one (level,
     opcode) bucket at a time.
 
-    ``carry_values`` holds every net's settled value at the end of the
-    previous chunk (None for the first chunk, which instead starts with
-    the prepended settling pattern and drops it from every result).
-    ``start_index`` is the global pattern index of the chunk's first
-    element (-1 for the settling pattern), forwarded to fault hooks.
-    The chunk's may-change flags and aux masks are bit-packed straight
-    into their byte range of the plane's ``may`` and ``aux`` rows
-    (``aux_offsets`` gives each cell position's first aux row); the
-    first reported pattern must be a multiple of 8.  Returns
+    ``carry_values`` holds every plan row's settled value at the end of
+    the previous chunk (None for the first chunk, which instead starts
+    with the prepended settling pattern and drops it from every
+    result).  ``start_index`` is the global pattern index of the chunk's
+    first element (-1 for the settling pattern), forwarded to fault
+    hooks.  The chunk's may-change flags and aux masks are bit-packed
+    straight into their byte range of the plane's ``may`` and ``aux``
+    rows (``aux_offsets`` gives each cell position's first aux row);
+    the first reported pattern must be a multiple of 8.  Returns
     ``(outputs, switched_caps, final_values)`` of the chunk's reported
     patterns.
 
-    Holds dense ``(num_nets, n)`` value / may / transition matrices and
-    evaluates one bucket per batched kernel call.  A fault hook rewrites
-    its cell's row right after the bucket's values are evaluated, before
-    change detection: cells of one level never feed each other, so every
-    later use -- this bucket's masks and transitions, and all downstream
+    Holds dense value / may / transition matrices with one row per
+    plan row (:meth:`CompiledCircuit.plan_rows`), so a bucket gathers
+    its pins with ``take`` and writes its outputs as one contiguous
+    slice; the power kernel writes its transitions straight into that
+    slice.  One row permutation per chunk packs the may rows into the
+    plane's per-net ``may``.  A fault hook rewrites its cell's row
+    right after the bucket's values are evaluated, before change
+    detection: cells of one level never feed each other, so every later
+    use -- this bucket's masks and transitions, and all downstream
     buckets -- sees the faulted row.
     """
     fault_hooks = circuit.fault_hooks
     netlist = circuit.netlist
+    plan_rows = circuit.plan_rows()
     bucket_hooks = circuit._bucket_hooks()
     n = next(iter(arrays.values())).shape[0]
     inertial = circuit.mode == "inertial"
@@ -188,79 +197,81 @@ def _value_chunk(
     lo = 1 if carry_values is None else 0
     byte = (start_index + lo) // 8
 
-    def carried(nets):
-        return None if carry_values is None else carry_values[nets]
+    def carried(r0, r1):
+        return None if carry_values is None else carry_values[r0:r1]
 
-    V = np.zeros((circuit.num_nets, n), dtype=np.uint8)
+    # The rails keep their net ids as plan rows.
+    V = np.zeros((plan_rows.num_rows, n), dtype=np.uint8)
     V[CONST1] = 1
-    M = np.zeros((circuit.num_nets, n), dtype=bool)
-    T = np.zeros((circuit.num_nets, n))
+    M = np.zeros((plan_rows.num_rows, n), dtype=bool)
+    T = np.zeros((plan_rows.num_rows, n))
     switched = np.zeros(n)
 
-    # Primary inputs: expand port words into per-net bit rows.
+    # Primary inputs: expand port words into per-net bit rows, one
+    # contiguous row range per port.
+    r1 = CONST1 + 1
     for name, port in netlist.input_ports.items():
-        nets = list(port.nets)
+        r0, r1 = r1, r1 + len(port.nets)
         bits = logic.unpack_bits(arrays[name], port.width)
-        for lane, net in enumerate(nets):
+        for lane, net in enumerate(port.nets):
             if net in fault_hooks:
                 bits[lane] = fault_hooks[net](bits[lane], start_index)
-        flags = logic.changed_matrix(bits, carried(nets))
-        V[nets] = bits
-        M[nets] = flags
-        T[nets] = flags
+        flags = logic.changed_matrix(bits, carried(r0, r1))
+        V[r0:r1] = bits
+        M[r0:r1] = flags
+        T[r0:r1] = flags
 
-    for depth, bucket_list in enumerate(circuit.soa_plan().levels):
-        for slot, bucket in enumerate(bucket_list):
-            pins = bucket.pins
-            outs = bucket.outputs
-            in_vals = [V[pins[j]] for j in range(pins.shape[0])]
-            out_val = logic.eval_vector(bucket.opcode, in_vals)
-            hooked = bucket_hooks.get((depth, slot))
-            if hooked:
-                # BUF/TRIBUF return their input rows: copy first.
-                out_val = out_val.copy()
-                for row, hook in hooked:
-                    out_val[row] = hook(out_val[row], start_index)
-            changed = logic.changed_matrix(out_val, carried(outs))
-            masks = logic.aux_masks(bucket.opcode, in_vals)
-            if inertial:
-                out_may = changed
-            else:
-                in_mays = [M[pins[j]] for j in range(pins.shape[0])]
-                out_may = logic.may_vector(
-                    bucket.opcode, in_vals, in_mays, masks
-                )
-            if masks:
-                rows = aux_offsets[bucket.positions]
-                for lane, mask in enumerate(masks):
-                    packed = np.packbits(mask[:, lo:], axis=1)
-                    aux[rows + lane, byte:byte + packed.shape[1]] = (
-                        packed
-                    )
-            V[outs] = out_val
-            M[outs] = out_may
-            in_trans = [T[pins[j]] for j in range(pins.shape[0])]
-            out_trans = logic.transition_vector(
-                bucket.opcode, in_vals, in_trans, changed,
-                damping=damping,
+    for slot, (bucket, (r0, r1), pin_rows) in enumerate(zip(
+        plan_rows.buckets, plan_rows.spans, plan_rows.pin_rows
+    )):
+        in_vals = [V.take(rows, axis=0) for rows in pin_rows]
+        out_val = logic.eval_vector(bucket.opcode, in_vals)
+        hooked = bucket_hooks.get(slot)
+        if hooked:
+            # BUF/TRIBUF return their input rows: copy first.
+            out_val = out_val.copy()
+            for row, hook in hooked:
+                out_val[row] = hook(out_val[row], start_index)
+        changed = logic.changed_matrix(out_val, carried(r0, r1))
+        masks = logic.aux_masks(bucket.opcode, in_vals)
+        if inertial:
+            out_may = changed
+        else:
+            in_mays = [M.take(rows, axis=0) for rows in pin_rows]
+            out_may = logic.may_vector(
+                bucket.opcode, in_vals, in_mays, masks
             )
-            T[outs] = out_trans
-            # Reduce over the cell axis with an explicit sum (not a
-            # BLAS matvec): the pairwise accumulation then depends
-            # only on the bucket size, so chunked and unchunked runs
-            # produce bit-identical switched capacitance.
-            switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
+        if masks:
+            rows = aux_offsets[bucket.positions]
+            for lane, mask in enumerate(masks):
+                packed = np.packbits(mask[:, lo:], axis=1)
+                aux[rows + lane, byte:byte + packed.shape[1]] = packed
+        V[r0:r1] = out_val
+        M[r0:r1] = out_may
+        out_trans = T[r0:r1]
+        logic.transition_vector(
+            bucket.opcode,
+            in_vals,
+            [T.take(rows, axis=0) for rows in pin_rows],
+            changed,
+            damping=damping,
+            out=out_trans,
+        )
+        # Reduce over the cell axis with an explicit sum (not a BLAS
+        # matvec): the pairwise accumulation then depends only on the
+        # bucket size, so chunked and unchunked runs produce
+        # bit-identical switched capacitance.
+        switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
 
     packed = np.packbits(M[:, lo:], axis=1)
-    may[:, byte:byte + packed.shape[1]] = packed
-    final_values = V[:, -1].copy()
-    final_values[CONST0] = 0
-    final_values[CONST1] = 0
+    may[plan_rows.row_net, byte:byte + packed.shape[1]] = packed
     outputs = {
-        name: logic.pack_bits(V[list(port.nets)])[lo:]
+        name: logic.pack_bits(
+            V.take(plan_rows.net_row[list(port.nets)], axis=0)
+        )[lo:]
         for name, port in netlist.output_ports.items()
     }
-    return outputs, switched[lo:], final_values
+    return outputs, switched[lo:], V[:, -1].copy()
 
 
 def build_value_plane(
@@ -502,35 +513,38 @@ class ArrivalReplay:
 
         Only *active* entries -- the (cell, pattern) pairs whose output
         may change, about a third on a bypass multiplier under uniform
-        operands -- are ever priced.  Cells are numbered by *plan row*:
-        bucket after bucket in :meth:`CompiledCircuit.soa_plan` order,
-        from 1; row 0 stands for every primary input and constant rail.
-        Each pattern chunk of ``c`` patterns gets one slot schedule:
+        operands -- are ever priced.  Nets are numbered by the plan
+        rows the value pass uses (:meth:`CompiledCircuit.plan_rows`):
+        the rails and primary inputs first, then each bucket's cells as
+        one contiguous row range.  Each pattern chunk of ``c`` patterns
+        gets one slot schedule:
 
         * the may-rows of every cell output are unpacked once, in plan
           order, into a ``(num_cells, c)`` mask, and one row sum gives
           each row's active count;
-        * each bucket's active entries are the ``flatnonzero`` of its
-          one contiguous mask slice, and they take the next rows
+        * each bucket's active entries are the ``nonzero`` of its one
+          contiguous mask slice, and they take the next rows
           ``[lo, hi)`` of a ``(1 + nnz, k)`` store whose row 0 is the
           shared quiet zero: a cell whose output may not change has
           arrival 0.0;
-        * a ``(1 + num_cells, c)`` int32 slot map, zeroed per chunk,
-          records each entry's store row, so quiet entries, inputs and
-          rails read row 0.
+        * a ``(num_rows, c)`` int32 slot map, zeroed per chunk, records
+          each entry's store row; quiet entries, and the input and rail
+          rows, which are never written, read row 0;
+        * the aux rows are unpacked once, permuted so that every
+          bucket's lane is one contiguous row range.
 
-        A bucket's pin slots are its pins' plan rows of the slot map
-        (``slots[pin].ravel()[active]``), its delay rows are its rows
-        of the per-call ``(num_cells, k)`` ``fresh_delay * scale``
-        table repeated by each row's active count, and
+        A bucket's pin slots are its pins' rows of the slot map taken
+        at its active entries, its delay rows are its rows of the
+        per-call ``(num_cells, k)`` ``fresh_delay * scale`` table
+        repeated by each row's active count, and
         :func:`_active_arrival` writes straight into ``store[lo:hi]``;
         the output ports gather their plan rows the same way.  Every
-        row gather is ``np.take(..., axis=0)``: several times faster
-        than 2-D fancy indexing at small ``k`` and no slower at Monte
-        Carlo's, so there is one path for every ``k``.
+        row gather is ``ndarray.take(..., axis=0)``: several times
+        faster than 2-D fancy indexing at small ``k`` and no slower at
+        Monte Carlo's, so there is one path for every ``k``.
 
         The per-entry indices of a bucket (active entries, pin slots,
-        aux masks) are dropped with the bucket; the mask and the slot
+        aux masks) are dropped with the bucket; the masks and the slot
         map live for one chunk; nothing outlives the call -- kept on
         the plane, the int indices would outweigh the arrivals at small
         ``k``.  The pattern axis is chunked (multiples of 8, so the
@@ -543,46 +557,41 @@ class ArrivalReplay:
         """
         circuit = self.circuit
         plane = self.plane
-        num_cells = len(circuit._cells)
+        plan_rows = circuit.plan_rows()
+        base = plan_rows.base
+        num_rows = plan_rows.num_rows
+        num_cells = num_rows - base
         chunk = _replay_chunk_size(num_cells, k)
         span = min(chunk, n)
-        outputs = np.zeros(num_cells, dtype=np.intp)
-        cells = np.zeros(num_cells, dtype=np.intp)
-        fresh = np.zeros(num_cells)
-        # Plan row of every net: cell outputs 1..num_cells, inputs and
-        # rails the zero row.  A bucket's pins are driven from earlier
-        # levels, so their rows are set before the bucket maps them.
-        net_row = np.zeros(circuit.num_nets, dtype=np.intp)
+        # Per bucket: its rows among the cells, its pin rows and the
+        # first row of each aux lane in the permuted aux block.
         schedule = []
-        row = 0
-        for bucket_list in circuit.soa_plan().levels:
-            for bucket in bucket_list:
-                lo, row = row, row + bucket.size
-                outputs[lo:row] = bucket.outputs
-                cells[lo:row] = bucket.cell_indices
-                fresh[lo:row] = bucket.fresh_delays
-                net_row[bucket.outputs] = np.arange(lo + 1, row + 1)
-                aux_rows = plane.aux_offsets[bucket.positions]
-                schedule.append((
-                    bucket.opcode,
-                    lo,
-                    row,
-                    net_row[bucket.pins],
-                    [
-                        aux_rows + lane
-                        for lane in range(
-                            _aux_count(bucket.opcode, bucket.pins.shape[0])
-                        )
-                    ],
-                ))
-        # fresh_delay_ns * scale per (plan row, corner), exactly the
+        aux_order = [np.zeros(0, dtype=np.int64)]
+        aux_row = 0
+        for bucket, (r0, r1), pin_rows in zip(
+            plan_rows.buckets, plan_rows.spans, plan_rows.pin_rows
+        ):
+            positions = plane.aux_offsets[bucket.positions]
+            lanes = []
+            for lane in range(_aux_count(bucket.opcode, pin_rows.shape[0])):
+                aux_order.append(positions + lane)
+                lanes.append(aux_row)
+                aux_row += r1 - r0
+            schedule.append(
+                (bucket.opcode, r0 - base, r1 - base, pin_rows, lanes)
+            )
+        aux_order = np.concatenate(aux_order)
+        # fresh_delay_ns * scale per (cell row, corner), exactly the
         # engine's per-cell delay at every corner.
         delay = np.multiply(
-            fresh[:, None], np.take(scales, cells, axis=1).T, order="C"
+            plan_rows.fresh_delays[:, None],
+            scales.take(plan_rows.cell_indices, axis=1).T,
+            order="C",
         )
+        cell_nets = plan_rows.row_net[base:]
         delays = np.zeros((k, n))
         ports = [
-            (name, net_row[list(port.nets)])
+            (name, plan_rows.net_row[list(port.nets)])
             for name, port in circuit.netlist.output_ports.items()
         ]
         bit_arrivals: Optional[Dict[str, np.ndarray]] = None
@@ -594,58 +603,53 @@ class ArrivalReplay:
         store[0] = 0.0
         # Active entries number fewer than 2**31, and int32 keeps the
         # map at 4 bytes per (cell, pattern) entry.
-        slot_buf = np.empty((1 + num_cells) * span, dtype=np.int32)
+        slot_buf = np.empty(num_rows * span, dtype=np.int32)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             c = stop - start
             byte0 = start // 8
             byte1 = (stop + 7) // 8
             may = np.unpackbits(
-                np.take(plane.may_packed[:, byte0:byte1], outputs, axis=0),
+                plane.may_packed[:, byte0:byte1].take(cell_nets, axis=0),
                 axis=1,
                 count=c,
             ).view(bool)
             per_row = may.sum(axis=1, dtype=np.int32)
-            flat_slots = slot_buf[:(1 + num_cells) * c]
+            aux = np.unpackbits(
+                plane.aux_packed[:, byte0:byte1].take(aux_order, axis=0),
+                axis=1,
+                count=c,
+            ).view(bool)
+            flat_slots = slot_buf[:num_rows * c]
             flat_slots[:] = 0
-            slots = flat_slots.reshape(1 + num_cells, c)
+            slots = flat_slots.reshape(num_rows, c)
             hi = 1
-            for opcode, r0, r1, pin_rows, aux_lanes in schedule:
+            for opcode, s0, s1, pin_rows, lanes in schedule:
                 # Flat (row * c + col) entries of the bucket's rows.
-                active = np.flatnonzero(may[r0:r1])
+                active = may[s0:s1].ravel().nonzero()[0]
                 if not active.size:
                     continue
                 lo, hi = hi, hi + active.size
-                aux = tuple(
-                    np.unpackbits(
-                        plane.aux_packed[rows, byte0:byte1],
-                        axis=1,
-                        count=c,
-                    ).view(bool).ravel()[active]
-                    for rows in aux_lanes
-                )
-                arrs = [
-                    np.take(
-                        store,
-                        np.take(slots, rows, axis=0).ravel()[active],
-                        axis=0,
-                    )
-                    for rows in pin_rows
-                ]
                 _active_arrival(
                     opcode,
-                    aux,
-                    arrs,
-                    np.repeat(delay[r0:r1], per_row[r0:r1], axis=0),
+                    tuple(
+                        aux[row:row + s1 - s0].ravel().take(active)
+                        for row in lanes
+                    ),
+                    [
+                        store.take(
+                            slots.take(pins, axis=0).take(active), axis=0
+                        )
+                        for pins in pin_rows
+                    ],
+                    delay[s0:s1].repeat(per_row[s0:s1], axis=0),
                     out=store[lo:hi],
                 )
-                flat_slots[(r0 + 1) * c:(r1 + 1) * c][active] = np.arange(
-                    lo, hi, dtype=np.int32
+                flat_slots[(base + s0) * c:(base + s1) * c][active] = (
+                    np.arange(lo, hi, dtype=np.int32)
                 )
             for name, rows in ports:
-                port_arr = np.take(
-                    store, np.take(slots, rows, axis=0), axis=0
-                )
+                port_arr = store.take(slots.take(rows, axis=0), axis=0)
                 if collect_bit_arrivals:
                     bit_arrivals[name][:, :, start:stop] = (
                         port_arr.transpose(0, 2, 1)
@@ -687,8 +691,9 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
 
     Quiet entries are not priced: callers read them as 0.0 (the replay
     store's row 0, the delta cone's zeroed rows), the same zero a quiet
-    pin contributes.  Integer-indexed partial writes select among pins;
-    every identity is float-exact (arrivals are >= 0.0 and
+    pin contributes.  The pin operands are the caller's scratch copies
+    and may be overwritten.  Integer-indexed partial writes select
+    among pins; every identity is float-exact (arrivals are >= 0.0 and
     min/max/select never round).  The result is written into ``out``
     when given, else into a new array.  This is the one arrival rule of
     :mod:`repro.timing`: replay, :meth:`CompiledCircuit.run`, the delta
@@ -708,33 +713,32 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
     ):
         c0, c1 = aux
         a0, a1 = arrs
+        # Where exactly one pin controls, zero the other: the max then
+        # is the controlling pin (arrivals are >= 0.0).  On bools,
+        # ``x > y`` is ``x & ~y``.
+        a1[(c0 > c1).nonzero()[0]] = 0.0
+        a0[(c1 > c0).nonzero()[0]] = 0.0
         np.maximum(a0, a1, out=out)
-        both = np.nonzero(c0 & c1)[0]
+        both = (c0 & c1).nonzero()[0]
         if both.size:
             out[both] = np.minimum(
-                np.take(a0, both, axis=0), np.take(a1, both, axis=0)
+                a0.take(both, axis=0), a1.take(both, axis=0)
             )
-        only0 = np.nonzero(c0 & ~c1)[0]
-        if only0.size:
-            out[only0] = np.take(a0, only0, axis=0)
-        only1 = np.nonzero(c1 & ~c0)[0]
-        if only1.size:
-            out[only1] = np.take(a1, only1, axis=0)
         out += delay
         return out
     if opcode == logic.OP_MUX2:
         (sel,) = aux
         out[...] = arrs[0]
-        chosen = np.nonzero(sel)[0]
+        chosen = sel.nonzero()[0]
         if chosen.size:
-            out[chosen] = np.take(arrs[1], chosen, axis=0)
+            out[chosen] = arrs[1].take(chosen, axis=0)
         np.maximum(out, arrs[2], out=out)
         out += delay
         return out
     if opcode == logic.OP_TRIBUF:
         (enabled,) = aux
         out[...] = arrs[0]
-        disabled = np.nonzero(~enabled)[0]
+        disabled = (~enabled).nonzero()[0]
         if disabled.size:
             out[disabled] = 0.0
         np.maximum(out, arrs[1], out=out)
@@ -748,14 +752,14 @@ def _active_arrival(opcode, aux, arrs, delay, out=None):
             np.maximum(out, arr, out=out)
         first = np.full_like(out, np.inf)
         for arr, ctrl in zip(arrs, aux):
-            hit = np.nonzero(ctrl)[0]
+            hit = ctrl.nonzero()[0]
             if hit.size:
                 first[hit] = np.minimum(
-                    np.take(first, hit, axis=0), np.take(arr, hit, axis=0)
+                    first.take(hit, axis=0), arr.take(hit, axis=0)
                 )
-        controlled = np.nonzero(np.logical_or.reduce(aux))[0]
+        controlled = np.logical_or.reduce(aux).nonzero()[0]
         if controlled.size:
-            out[controlled] = np.take(first, controlled, axis=0)
+            out[controlled] = first.take(controlled, axis=0)
         out += delay
         return out
     raise SimulationError("no arrival rule for opcode %r" % (opcode,))

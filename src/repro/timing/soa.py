@@ -46,7 +46,16 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["LevelBucket", "SoAPlan", "bucket_level", "build_soa_plan"]
+from ..nets.netlist import CONST0, CONST1
+
+__all__ = [
+    "LevelBucket",
+    "PlanRows",
+    "SoAPlan",
+    "bucket_level",
+    "build_plan_rows",
+    "build_soa_plan",
+]
 
 
 @dataclasses.dataclass
@@ -135,3 +144,82 @@ def bucket_level(members) -> List[LevelBucket]:
             )
         )
     return packed
+
+
+@dataclasses.dataclass
+class PlanRows:
+    """The plan-row numbering of a circuit's nets, shared by the value
+    pass and the arrival replay.
+
+    The constant rails take rows 0 and 1 and the primary-input nets the
+    next ``num_inputs`` rows, port after port in port order (so every
+    input port is one contiguous row range); then each bucket's output
+    nets take one contiguous row range, bucket after bucket in plan
+    order.  A bucket's rows are ``spans[b]``, its cells in bucket order,
+    so per-row matrices write a bucket's results as one slice.
+
+    Attributes:
+        base: Rows of the rails and primary inputs (``2 +
+            num_inputs``); cell outputs start here.
+        net_row: ``(num_nets,)`` plan row of every net (-1 for a net
+            that is neither a rail, a primary input nor a cell output).
+        row_net: ``(base + num_cells,)`` net of every plan row.
+        buckets: The plan's buckets, level after level.
+        spans: ``(r0, r1)`` row range of every bucket, in plan order.
+        pin_rows: Every bucket's ``(num_pins, B)`` pin plan rows.
+        cell_indices: ``(num_cells,)`` netlist cell index of each cell
+            row (row ``base + i`` is entry ``i``).
+        fresh_delays: ``(num_cells,)`` unscaled delay of each cell row.
+    """
+
+    base: int
+    net_row: np.ndarray
+    row_net: np.ndarray
+    buckets: List[LevelBucket]
+    spans: List["tuple[int, int]"]
+    pin_rows: List[np.ndarray]
+    cell_indices: np.ndarray
+    fresh_delays: np.ndarray
+
+    @property
+    def num_rows(self) -> int:
+        return int(self.row_net.shape[0])
+
+
+def build_plan_rows(plan: SoAPlan, netlist) -> PlanRows:
+    """Number ``netlist``'s nets in plan rows (see :class:`PlanRows`).
+
+    Every pin net is a rail, a primary input or the output of a cell at
+    an earlier level, so no entry of ``pin_rows`` is -1.
+    """
+    inputs = [
+        net for port in netlist.input_ports.values() for net in port.nets
+    ]
+    buckets = [bucket for level in plan.levels for bucket in level]
+    fixed = [CONST0, CONST1] + inputs
+    row_net = np.concatenate(
+        [np.array(fixed, dtype=np.intp)]
+        + [bucket.outputs for bucket in buckets]
+    )
+    net_row = np.full(netlist.num_nets, -1, dtype=np.intp)
+    net_row[row_net] = np.arange(row_net.shape[0])
+    spans = []
+    row = len(fixed)
+    for bucket in buckets:
+        spans.append((row, row + bucket.size))
+        row += bucket.size
+    return PlanRows(
+        base=len(fixed),
+        net_row=net_row,
+        row_net=row_net,
+        buckets=buckets,
+        spans=spans,
+        pin_rows=[net_row[bucket.pins] for bucket in buckets],
+        cell_indices=np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [bucket.cell_indices for bucket in buckets]
+        ),
+        fresh_delays=np.concatenate(
+            [np.zeros(0)] + [bucket.fresh_delays for bucket in buckets]
+        ),
+    )

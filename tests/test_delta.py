@@ -25,7 +25,12 @@ from repro.arith import (
     row_bypass_multiplier,
 )
 from repro.distrib.jobs import clear_state_cache, run_job
-from repro.errors import ConfigError, DeltaError, NetlistError
+from repro.errors import (
+    CombinationalLoopError,
+    ConfigError,
+    DeltaError,
+    NetlistError,
+)
 from repro.experiments import ArtifactStore
 from repro.experiments.sweep import (
     RETYPE_SWAPS,
@@ -50,7 +55,7 @@ from repro.faults.models import (
     _hash_uniform,
 )
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
-from repro.nets.netlist import CONST0
+from repro.nets.netlist import CONST0, Netlist
 from repro.timing import CompiledCircuit
 from repro.timing.delta import (
     DeltaBase,
@@ -269,6 +274,30 @@ class TestPatchCompiled:
         child = apply_mutations(netlist, [mutation])
         with pytest.raises(DeltaError):
             patch_compiled(parent, child)
+
+
+    def test_loop_closing_rewire_raises_loop_error(self, design):
+        # Rewiring a cell to read one of its own consumers closes a
+        # loop: the patcher refuses it with the child's own error, as a
+        # from-scratch compile would.
+        netlist = design["netlist"]
+        parent = CompiledCircuit(netlist)
+        victim, consumer = next(
+            (cell, reader)
+            for cell in netlist.cells
+            for reader in netlist.cells
+            if cell.output in reader.inputs
+        )
+        mutation = Mutation(
+            victim.index,
+            victim.cell_type.name,
+            (consumer.output,) + tuple(victim.inputs[1:]),
+        )
+        child = apply_mutations(netlist, [mutation])
+        with pytest.raises(CombinationalLoopError):
+            patch_compiled(parent, child)
+        with pytest.raises(CombinationalLoopError):
+            CompiledCircuit(child)
 
 
 class TestReplayDelta:
@@ -684,6 +713,26 @@ class TestVariantSweep:
         assert render_payload(fast) == render_payload(slow)
         assert set(fast_stats["methods"]) <= {"delta", "base", "full"}
         assert slow_stats["methods"] == {"full": 9}
+
+    def test_sweep_levelizes_only_the_parent(self, monkeypatch):
+        # Mutants are patched onto the parent's plan: a 100-mutant
+        # sweep runs one Kahn pass, the parent's.
+        levelize = Netlist.levelize
+        passes = []
+
+        def counting(netlist):
+            if netlist._levelized is None:
+                passes.append(netlist)
+            return levelize(netlist)
+
+        monkeypatch.setattr(Netlist, "levelize", counting)
+        spec = dataclasses.replace(
+            SWEEP_SPEC, width=8, kind="column", num_variants=100
+        )
+        sweep = VariantSweep(spec)
+        _, stats = sweep.run(engine="delta")
+        assert stats["methods"] == {"delta": 100}
+        assert passes == [sweep.netlist]
 
     def test_store_caches_records(self, tmp_path):
         store = ArtifactStore(str(tmp_path))

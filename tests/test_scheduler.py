@@ -1,5 +1,6 @@
 """Suite planner/runner: plans, parallel identity, warm-store reuse."""
 
+import collections
 import hashlib
 import os
 import re
@@ -212,16 +213,36 @@ class TestStoreBackedRuns:
     @pytest.fixture(scope="class")
     def cold_store(self, tmp_path_factory):
         """A store primed by one cold run of :attr:`PRICED` (shared:
-        both tests below only read it)."""
+        the tests below only read it), and the fresh compiles that run
+        made: ``(netlist, technology, mode) -> count``."""
+        from repro.timing.engine import CompiledCircuit
+
         store_dir = str(tmp_path_factory.mktemp("priced") / "store")
-        cold = self._run(store_dir, self.PRICED)
+        compiles = collections.Counter()
+        netlists = {}
+        init = CompiledCircuit.__init__
+
+        def counting(circuit, netlist, *args, **kwargs):
+            init(circuit, netlist, *args, **kwargs)
+            if not circuit.fault_hooks and (circuit.delay_scale == 1).all():
+                # Keep the netlist alive so its id is never reused.
+                netlists[id(netlist)] = netlist
+                compiles[
+                    id(netlist), circuit.technology, circuit.mode
+                ] += 1
+
+        CompiledCircuit.__init__ = counting
+        try:
+            cold = self._run(store_dir, self.PRICED)
+        finally:
+            CompiledCircuit.__init__ = init
         assert not cold.failures()
-        return store_dir, cold
+        return store_dir, cold, compiles
 
     def test_warm_campaign_loads_every_site(self, cold_store):
         """ext_faults on a warm store loads every campaign site as a
         ``site`` artifact, simulates none and writes nothing."""
-        store_dir, cold = cold_store
+        store_dir, cold, _ = cold_store
 
         def folded(result):
             # The resumed/simulated split is the only store-dependent
@@ -259,7 +280,7 @@ class TestStoreBackedRuns:
         from repro.timing.engine import CompiledCircuit
         from repro.timing.replay import ArrivalReplay
 
-        store_dir, cold = cold_store
+        store_dir, cold, _ = cold_store
 
         def rendered(result):
             return {
@@ -286,6 +307,13 @@ class TestStoreBackedRuns:
             assert totals["misses"] == 0, entry.name
             assert totals["writes"] == 0, entry.name
             assert totals["hits"] > 0, entry.name
+
+    def test_cold_suite_compiles_each_fresh_netlist_once(self, cold_store):
+        """Stress characterization, the aged-circuit factory and the
+        pricing paths share one fresh compile per netlist."""
+        _, _, compiles = cold_store
+        assert compiles
+        assert set(compiles.values()) == {1}
 
     def test_store_accepts_path_string(self, tmp_path):
         result = run_suite(
