@@ -5,10 +5,12 @@ variable-latency multiplier architecture (Section III).
   predicates plus their structural netlists (popcount + comparator);
 * :mod:`repro.core.aging_indicator` -- the error-rate counter that flips
   the AHL to the stricter judging block;
-* :mod:`repro.core.ahl` -- the adaptive hold logic assembling both;
+* :mod:`repro.core.ahl` -- the adaptive hold logic's structural netlist;
 * :mod:`repro.core.architecture` -- the full architecture of Fig. 8:
   bypassing multiplier + Razor output bank + AHL, simulated
-  cycle-accurately over pattern streams at any aging point;
+  cycle-accurately over pattern streams at any aging point, and the
+  one variable-latency control loop it shares with
+  :mod:`repro.core.adder_architecture`;
 * :mod:`repro.core.baselines` -- fixed-latency baselines (AM, FLCB,
   FLRB) measured consistently;
 * :mod:`repro.core.stats` -- latency/error reports.
@@ -16,7 +18,7 @@ variable-latency multiplier architecture (Section III).
 
 from .adder_architecture import AgingAwareAdder
 from .aging_indicator import AgingIndicator
-from .ahl import AdaptiveHoldLogic, ahl_netlist
+from .ahl import ahl_netlist
 from .architecture import (
     AgingAwareMultiplier,
     DegradeRecovery,
@@ -39,7 +41,6 @@ from .throughput import (
 )
 
 __all__ = [
-    "AdaptiveHoldLogic",
     "AgingAwareAdder",
     "AgingAwareMultiplier",
     "AgingIndicator",

@@ -33,11 +33,10 @@ from ..config import (
 )
 from ..errors import ConfigError, SimulationError
 from ..nets.netlist import Netlist
-from ..razor.flipflop import RazorBank, razor_errors
 from ..timing.engine import StreamResult
 from ..timing.sta import StaticTiming
-from .aging_indicator import AgingIndicator, walk_stream
-from .stats import ArchitectureRunResult, LatencyReport
+from .architecture import run_control_loop
+from .stats import ArchitectureRunResult
 
 
 @dataclasses.dataclass
@@ -123,7 +122,10 @@ class AgingAwareAdder:
         ``stream`` is the adder's simulated stream of ``(a, b)`` at age
         ``years`` with bit arrivals (e.g. one row of
         ``factory.stream_results(..., collect_bit_arrivals=True)``);
-        without it the stream is simulated here.
+        without it the stream is replayed here.  The stream then runs
+        the multiplier's control loop
+        (:func:`repro.core.architecture.run_control_loop`) under
+        ``config.recovery_policy``.
         """
         a = np.asarray(a, dtype=np.uint64)
         b = np.asarray(b, dtype=np.uint64)
@@ -131,55 +133,25 @@ class AgingAwareAdder:
             raise SimulationError("a and b must be equal-length 1-D arrays")
 
         if stream is None:
-            stream = self.factory.circuit(years).run(
-                {"a": a, "b": b}, collect_bit_arrivals=True
+            stream = self.factory.stream_result(
+                years, {"a": a, "b": b}, collect_bit_arrivals=True
             )
         # Path delay of the *sum* only -- the hold bits are shallow
         # side logic, sampled separately by the controller.
         delays = stream.bit_arrivals["s"].max(axis=0)
-
-        razor = RazorBank(
-            self.cycle_ns, self.cycle_ns * self.config.shadow_skew_fraction
-        )
-        late = razor.errors(delays)
-        over_budget = delays > 2.0 * self.cycle_ns
-        retry_cycles = self.config.razor_penalty_cycles + np.ceil(
-            delays / self.cycle_ns
-        )
-
         # One-cycle flags, row 0 under the relaxed hold, row 1 under the
         # strict hold.
         judged = ~np.stack(
             [stream.outputs["hold"], stream.outputs["hold_strict"]]
         ).astype(bool)
-        block_errors = razor_errors(judged, late, over_budget)
-        indicator = AgingIndicator(self.config)
-        walk = walk_stream(indicator, block_errors, self.adaptive)
-        flags = np.where(walk.strict_ops, judged[1], judged[0])
-        errors = np.where(walk.strict_ops, block_errors[1], block_errors[0])
-        # The adder has no recovery policy: an over-budget operation is
-        # always charged the uncapped slow retry.
-        base = np.where(
-            flags, 1.0 + (flags & late) * self.config.razor_penalty_cycles,
-            2.0,
-        )
-        cycles = np.where(over_budget, retry_cycles, base)
-        one_cycle_ops = int(np.count_nonzero(flags))
-
-        report = LatencyReport(
-            name=self.name,
-            cycle_ns=self.cycle_ns,
-            years=years,
-            num_ops=a.size,
-            total_cycles=float(cycles.sum()),
-            one_cycle_ops=one_cycle_ops,
-            two_cycle_ops=a.size - one_cycle_ops,
-            error_count=int(np.count_nonzero(errors)),
-            undetectable_count=int(np.count_nonzero(flags & over_budget)),
-            window_errors=walk.window_errors,
-            indicator_trace=walk.trace,
-            indicator_aged_at=indicator.aged_at_op,
-            deep_retry_ops=int(np.count_nonzero(over_budget)),
+        report, one_cycle, resolution = run_control_loop(
+            self.name,
+            judged,
+            delays,
+            self.cycle_ns,
+            years,
+            self.config,
+            self.adaptive,
         )
         golden_ok = None
         if check_golden:
@@ -190,8 +162,11 @@ class AgingAwareAdder:
             report=report,
             delays=delays,
             products=stream.outputs["s"],
-            one_cycle=flags,
-            errors=errors,
+            one_cycle=one_cycle,
+            errors=resolution.errors,
             mean_switched_caps=stream.mean_switched_caps(),
             golden_ok=golden_ok,
+            undetectable=resolution.undetectable,
+            recovered=resolution.recovered,
+            exhausted=resolution.exhausted,
         )

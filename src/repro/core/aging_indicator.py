@@ -12,10 +12,10 @@ The paper's indicator is monotone (once aged, stay aged); setting
 ``sticky=False`` lets it relax again when errors subside -- an extension
 the ablation benchmarks explore.
 
-:func:`walk_stream` runs the whole control loop of a stream at once:
-both architectures judge the stream under both blocks, and the walk
-feeds each window's count under the block the indicator selected to
-:meth:`AgingIndicator.record_window`.
+:func:`walk_stream` walks a whole stream at once for the one control
+loop (:func:`repro.core.architecture.run_control_loop`): the stream is
+judged under both blocks, and the walk feeds each window's count under
+the block the indicator selected to :meth:`AgingIndicator.record_window`.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@
 The AHL bundles two judging blocks -- Skip-``n`` and Skip-``n+1`` -- a
 mux steered by the aging indicator, and the gating flip-flop that stalls
 the input registers for one cycle on two-cycle patterns.  Behaviorally
-the class below holds both blocks and the indicator that selects
-between them (the architectures judge a whole stream under both blocks
-and let :func:`repro.core.aging_indicator.walk_stream` choose per
-window); the structural netlist (:func:`ahl_netlist`) exists for the
-Fig. 25 area accounting and for inspection.
+the AHL is no object: an architecture judges its whole stream under
+both blocks (a ``(2, n)`` flag matrix) and the one control loop,
+:func:`repro.core.architecture.run_control_loop`, lets the aging
+indicator pick each window's row.  This module holds what is left: the
+structural netlist (:func:`ahl_netlist`) for the Fig. 25 area
+accounting and for inspection, and the legal Skip-``n`` range
+(:func:`skip_candidates`).
 
 A *traditional* variable-latency design (T-VLCB / T-VLRB in Figs. 19-24)
-is the same hold logic without adaptivity: construct with
-``adaptive=False`` and only the Skip-``n`` block is ever consulted.
+is the same hold logic without adaptivity: built with ``adaptive=False``
+it only ever judges with the Skip-``n`` block.
 """
 
 from __future__ import annotations
@@ -19,59 +21,21 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from ..config import DEFAULT_SIM_CONFIG, SimulationConfig
+from ..config import DEFAULT_SIM_CONFIG
 from ..errors import ConfigError
 from ..nets.cells import CellLibrary, STANDARD_LIBRARY
 from ..nets.netlist import Netlist
-from .aging_indicator import AgingIndicator
 from .judging import JudgingBlock, compare_ge_const, judging_netlist, popcount_nets
-
-
-class AdaptiveHoldLogic:
-    """Behavioral AHL: both judging blocks and the aging indicator."""
-
-    def __init__(
-        self,
-        width: int,
-        skip: int,
-        config: SimulationConfig = DEFAULT_SIM_CONFIG,
-        adaptive: bool = True,
-    ):
-        if skip + 1 > width:
-            raise ConfigError(
-                "skip=%d leaves no room for the stricter Skip-%d block in "
-                "a %d-bit operand" % (skip, skip + 1, width)
-            )
-        self.width = width
-        self.skip = skip
-        self.adaptive = adaptive
-        self.config = config
-        self.block_relaxed = JudgingBlock(width, skip)
-        self.block_strict = JudgingBlock(width, skip + 1)
-        self.indicator = AgingIndicator(config)
-
-    @property
-    def active_block(self) -> JudgingBlock:
-        """The judging block the mux currently selects."""
-        if self.indicator.selects_strict(self.adaptive):
-            return self.block_strict
-        return self.block_relaxed
-
-    def observe(self, num_ops: int, num_errors: int) -> None:
-        """Report a window's Razor error count back to the indicator."""
-        self.indicator.record_window(num_ops, num_errors)
-
-    def reset(self) -> None:
-        self.indicator.reset()
 
 
 def skip_candidates(width: int) -> range:
     """Every AHL-legal Skip-n for a ``width``-bit judged operand.
 
     The adaptive pair needs Skip-``n+1`` to fit alongside Skip-``n``
-    (the :class:`AdaptiveHoldLogic` constructor check), so candidates
-    run ``0 .. width - 1``.  The Monte Carlo guard-band tuner scans
-    exactly this range (:mod:`repro.montecarlo.analytics`).
+    (the check :class:`repro.core.architecture.AgingAwareMultiplier`
+    makes when it is built), so candidates run ``0 .. width - 1``.
+    The Monte Carlo guard-band tuner scans exactly this range
+    (:mod:`repro.montecarlo.analytics`).
     """
     if width < 1:
         raise ConfigError("width must be >= 1, got %r" % (width,))
@@ -119,7 +83,6 @@ def ahl_netlist(
 
 
 __all__ = [
-    "AdaptiveHoldLogic",
     "ahl_netlist",
     "judging_netlist",
     "skip_candidates",

@@ -4,7 +4,9 @@ One :class:`AgingAwareMultiplier` bundles
 
 * a column- or row-bypassing multiplier netlist,
 * ``2m`` Razor flip-flops on the product (:class:`repro.razor.RazorBank`),
-* the adaptive hold logic (:class:`repro.core.ahl.AdaptiveHoldLogic`),
+* the adaptive hold logic: a Skip-``n`` and a Skip-``n+1`` judging
+  block behind the aging indicator's mux (structurally
+  :func:`repro.core.ahl.ahl_netlist`),
 * an aging model hooked to the netlist
   (:class:`repro.aging.AgedCircuitFactory`),
 
@@ -22,7 +24,8 @@ and executes pattern streams cycle-accurately:
    threshold, permanently switches the AHL to the Skip-(n+1) block
    (adaptive designs only).
 
-The loop runs on the whole stream at once: the stream is judged under
+The loop runs on the whole stream at once (:func:`run_control_loop`,
+which the variable-latency adder runs too): the stream is judged under
 both blocks, the indicator walks the per-window error counts
 (:func:`repro.core.aging_indicator.walk_stream`), and the recovery policy
 resolves the chosen flags in one call.
@@ -55,7 +58,7 @@ plain re-execution.  What happens next is governed by a
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,8 +76,8 @@ from ..nets.area import AreaReport, area_report
 from ..nets.netlist import Netlist
 from ..razor.flipflop import RazorBank, razor_errors
 from ..timing.sta import StaticTiming
-from .aging_indicator import walk_stream
-from .ahl import AdaptiveHoldLogic, ahl_netlist
+from .aging_indicator import AgingIndicator, walk_stream
+from .ahl import ahl_netlist
 from .baselines import build_multiplier
 from .stats import ArchitectureRunResult, LatencyReport
 
@@ -165,7 +168,7 @@ class DegradeRecovery(RecoveryPolicy):
         )
 
 
-class StrictRecovery(RecoveryPolicy):
+class StrictRecovery(DegradeRecovery):
     """Raise on any overrun the architecture cannot guarantee to fix.
 
     The first undetectable violation (one-cycle judgement past the
@@ -178,8 +181,8 @@ class StrictRecovery(RecoveryPolicy):
 
     def resolve(self, flags, delays, cycle_ns, shadow_ns, penalty,
                 max_fallback):
-        resolution = DegradeRecovery.resolve(
-            self, flags, delays, cycle_ns, shadow_ns, penalty, max_fallback
+        resolution = super().resolve(
+            flags, delays, cycle_ns, shadow_ns, penalty, max_fallback
         )
         fatal = resolution.undetectable | resolution.exhausted
         if fatal.any():
@@ -255,6 +258,76 @@ def resolve_policy(
         ) from None
 
 
+def run_control_loop(
+    name: str,
+    judged: np.ndarray,
+    delays: np.ndarray,
+    cycle_ns: float,
+    years: float,
+    config: SimulationConfig,
+    adaptive: bool,
+    policy: Union[str, RecoveryPolicy, None] = None,
+) -> Tuple[LatencyReport, np.ndarray, WindowResolution]:
+    """The variable-latency control loop over a whole stream.
+
+    ``judged`` is the ``(2, n)`` one-cycle flag matrix: row 0 as the
+    relaxed block judges each operation, row 1 as the strict block
+    does; ``delays`` are the ``n`` path delays the Razor bank samples.
+    A fresh :class:`~repro.core.aging_indicator.AgingIndicator` walks
+    the per-window Razor errors and picks each window's row
+    (:func:`~repro.core.aging_indicator.walk_stream`), and the recovery
+    policy (``policy``, else ``config.recovery_policy``) resolves the
+    chosen flags.  Every variable-latency design -- the multiplier and
+    the adder -- runs this one loop.
+
+    Returns ``(report, one_cycle, resolution)``: the run's
+    :class:`LatencyReport`, the per-operation flags the loop judged
+    with, and the policy's per-operation resolution.
+    """
+    active_policy = resolve_policy(policy, config)
+    razor = RazorBank(cycle_ns, cycle_ns * config.shadow_skew_fraction)
+    shadow_ns = razor.cycle_ns + razor.shadow_skew_ns
+    over_budget = delays > 2.0 * cycle_ns
+    block_errors = razor_errors(judged, razor.errors(delays), over_budget)
+    indicator = AgingIndicator(config)
+    walk = walk_stream(indicator, block_errors, adaptive)
+    one_cycle = np.where(walk.strict_ops, judged[1], judged[0])
+    resolution = active_policy.resolve(
+        one_cycle,
+        delays,
+        cycle_ns,
+        shadow_ns,
+        config.razor_penalty_cycles,
+        config.max_fallback_cycles,
+    )
+    window_recoveries = np.add.reduceat(
+        resolution.recovered.astype(np.intp) + resolution.exhausted,
+        walk.starts,
+    ).tolist()
+    num_ops = delays.size
+    one_cycle_ops = int(np.count_nonzero(one_cycle))
+    report = LatencyReport(
+        name=name,
+        cycle_ns=cycle_ns,
+        years=years,
+        num_ops=num_ops,
+        total_cycles=float(resolution.cycles.sum()),
+        one_cycle_ops=one_cycle_ops,
+        two_cycle_ops=num_ops - one_cycle_ops,
+        error_count=int(np.count_nonzero(resolution.errors)),
+        undetectable_count=int(np.count_nonzero(resolution.undetectable)),
+        window_errors=walk.window_errors,
+        indicator_trace=walk.trace,
+        indicator_aged_at=indicator.aged_at_op,
+        deep_retry_ops=int(np.count_nonzero(over_budget)),
+        policy=active_policy.name,
+        recovered_ops=int(np.count_nonzero(resolution.recovered)),
+        recovery_exhausted_ops=int(np.count_nonzero(resolution.exhausted)),
+        window_recoveries=window_recoveries,
+    )
+    return report, one_cycle, resolution
+
+
 @dataclasses.dataclass
 class AgingAwareMultiplier:
     """The proposed architecture: bypassing multiplier + Razor + AHL.
@@ -281,6 +354,12 @@ class AgingAwareMultiplier:
             )
         if self.cycle_ns <= 0:
             raise ConfigError("cycle_ns must be positive")
+        if not 0 <= self.skip < self.width:
+            raise ConfigError(
+                "skip=%d leaves no room for the stricter Skip-%d block in "
+                "a %d-bit operand (skip must lie in [0, %d])"
+                % (self.skip, self.skip + 1, self.width, self.width - 1)
+            )
         if not self.name:
             prefix = "A-VL" if self.adaptive else "T-VL"
             tag = "CB" if self.kind == "column" else "RB"
@@ -415,60 +494,18 @@ class AgingAwareMultiplier:
                 "precomputed stream has %d patterns, operands have %d"
                 % (stream.num_patterns, md.size)
             )
-        active_policy = resolve_policy(policy, self.config)
-        delays = stream.delays
         zeros = count_zeros(self.judged_operand(md, mr), self.width)
-
-        skew_ns = self.cycle_ns * self.config.shadow_skew_fraction
-        razor = RazorBank(self.cycle_ns, skew_ns)
-        shadow_ns = razor.cycle_ns + razor.shadow_skew_ns
-        over_budget = delays > 2.0 * self.cycle_ns
-
-        ahl = AdaptiveHoldLogic(
-            self.width, self.skip, self.config, adaptive=self.adaptive
-        )
         # Row 0: judged by the Skip-n block, row 1: by Skip-(n+1).
-        judged = zeros >= np.array(
-            [[ahl.block_relaxed.skip], [ahl.block_strict.skip]]
-        )
-        block_errors = razor_errors(
-            judged, razor.errors(delays), over_budget
-        )
-        walk = walk_stream(ahl.indicator, block_errors, self.adaptive)
-        one_cycle = np.where(walk.strict_ops, judged[1], judged[0])
-        resolution = active_policy.resolve(
-            one_cycle,
-            delays,
+        judged = zeros >= np.array([[self.skip], [self.skip + 1]])
+        report, one_cycle, resolution = run_control_loop(
+            self.name,
+            judged,
+            stream.delays,
             self.cycle_ns,
-            shadow_ns,
-            self.config.razor_penalty_cycles,
-            self.config.max_fallback_cycles,
-        )
-        recovered = resolution.recovered
-        exhausted = resolution.exhausted
-        window_recoveries = np.add.reduceat(
-            recovered.astype(np.intp) + exhausted, walk.starts
-        ).tolist()
-        one_cycle_ops = int(np.count_nonzero(one_cycle))
-
-        report = LatencyReport(
-            name=self.name,
-            cycle_ns=self.cycle_ns,
-            years=years,
-            num_ops=md.size,
-            total_cycles=float(resolution.cycles.sum()),
-            one_cycle_ops=one_cycle_ops,
-            two_cycle_ops=md.size - one_cycle_ops,
-            error_count=int(np.count_nonzero(resolution.errors)),
-            undetectable_count=int(np.count_nonzero(resolution.undetectable)),
-            window_errors=walk.window_errors,
-            indicator_trace=walk.trace,
-            indicator_aged_at=ahl.indicator.aged_at_op,
-            deep_retry_ops=int(np.count_nonzero(over_budget)),
-            policy=active_policy.name,
-            recovered_ops=int(np.count_nonzero(recovered)),
-            recovery_exhausted_ops=int(np.count_nonzero(exhausted)),
-            window_recoveries=window_recoveries,
+            years,
+            self.config,
+            self.adaptive,
+            policy,
         )
         golden_ok = None
         if check_golden:
@@ -479,15 +516,15 @@ class AgingAwareMultiplier:
             )
         return ArchitectureRunResult(
             report=report,
-            delays=delays,
+            delays=stream.delays,
             products=stream.outputs["p"],
             one_cycle=one_cycle,
             errors=resolution.errors,
             mean_switched_caps=stream.mean_switched_caps(),
             golden_ok=golden_ok,
             undetectable=resolution.undetectable,
-            recovered=recovered,
-            exhausted=exhausted,
+            recovered=resolution.recovered,
+            exhausted=resolution.exhausted,
         )
 
     def run_lifetime(

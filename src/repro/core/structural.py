@@ -117,8 +117,11 @@ class StructuralArchitecture:
         cycle = arch.cycle_ns
         late_bits = arrivals > cycle  # per-bit Razor flags
         over_budget = stream.delays > 2.0 * cycle
-        retry_cycles = arch.config.razor_penalty_cycles + np.ceil(
-            stream.delays / cycle
+        # The degrade policy's slow retry: detection plus a fallback
+        # issue capped at max_fallback_cycles.
+        retry_cycles = arch.config.razor_penalty_cycles + np.minimum(
+            np.ceil(stream.delays / cycle),
+            float(arch.config.max_fallback_cycles),
         )
 
         judged = arch.judged_operand(md, mr)

@@ -402,25 +402,26 @@ def _replay_all_arrivals(
         for bucket in bucket_list:
             outs = bucket.outputs
             pins = bucket.pins
-            may = np.unpackbits(
+            # Flat (cell * n + pattern) indices of the active entries.
+            active = np.unpackbits(
                 plane.may_packed[outs], axis=1, count=n
-            ).view(bool)
-            rows, cols = np.nonzero(may)
-            if not rows.size:
+            ).view(bool).ravel().nonzero()[0]
+            if not active.size:
                 continue
+            rows, cols = np.divmod(active, n)
             count = _aux_count(bucket.opcode, pins.shape[0])
-            if count:
-                aux_rows = plane.aux_offsets[bucket.positions]
-                aux = tuple(
-                    np.unpackbits(
-                        plane.aux_packed[aux_rows + lane],
-                        axis=1,
-                        count=n,
-                    ).view(bool)[rows, cols]
-                    for lane in range(count)
-                )
-            else:
-                aux = ()
+            # Every aux lane of the bucket in one unpack, lane-major.
+            lanes = np.unpackbits(
+                plane.aux_packed[
+                    (
+                        np.arange(count)[:, None]
+                        + plane.aux_offsets[bucket.positions]
+                    ).ravel()
+                ],
+                axis=1,
+                count=n,
+            ).view(bool).reshape(count, outs.size * n)
+            aux = tuple(lane.take(active) for lane in lanes)
             arrs = [
                 np.take(flat, pins[j][rows] * n + cols, axis=0)
                 for j in range(pins.shape[0])

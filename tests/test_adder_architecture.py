@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.arith.adders import adaptive_hold_rca
+from repro.config import SimulationConfig
 from repro.core.adder_architecture import AgingAwareAdder
-from repro.errors import ConfigError, NetlistError, SimulationError
+from repro.errors import (
+    ConfigError,
+    NetlistError,
+    RecoveryExhaustedError,
+    SimulationError,
+)
 from repro.experiments import ext_vladder
 from repro.timing import CompiledCircuit
 from repro.workloads import uniform_operands
@@ -140,6 +146,63 @@ class TestAgingAwareAdder:
             adder.run_patterns(
                 np.zeros(2, dtype=np.uint64), np.zeros(3, dtype=np.uint64)
             )
+
+
+class TestAdderRecovery:
+    """The adder runs the multiplier's control loop: a shadow edge, the
+    configured recovery policy and capped retries.  An 8-bit adder at
+    0.3 of its critical path overruns 2T on about 2% of 1,050 ops."""
+
+    @pytest.fixture(scope="class")
+    def tight(self):
+        adder = AgingAwareAdder.build(8, characterize_patterns=300)
+        return adder.with_cycle(0.3 * adder.critical_path_ns())
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        return uniform_operands(8, 1050, seed=9)
+
+    def _run(self, tight, operands, **config):
+        adder = dataclasses.replace(
+            tight, config=SimulationConfig(**config), name=""
+        )
+        return adder.run_patterns(*operands)
+
+    def test_undetectable_past_shadow_edge(self, tight, operands):
+        result = self._run(tight, operands, shadow_skew_fraction=0.5)
+        past_shadow = result.one_cycle & (result.delays > 1.5 * tight.cycle_ns)
+        assert past_shadow.any()
+        assert result.report.undetectable_count == np.count_nonzero(
+            past_shadow
+        )
+
+    def test_strict_raises(self, tight, operands):
+        past_shadow = self._run(
+            tight, operands, shadow_skew_fraction=0.5
+        ).report.undetectable_count
+        assert past_shadow > 0
+        with pytest.raises(RecoveryExhaustedError):
+            self._run(
+                tight,
+                operands,
+                shadow_skew_fraction=0.5,
+                recovery_policy="strict",
+            )
+
+    def test_detect_only_charges_judged_cycles(self, tight, operands):
+        report = self._run(
+            tight, operands, recovery_policy="detect-only"
+        ).report
+        assert report.error_count > 0
+        assert report.total_cycles == (
+            report.one_cycle_ops + 2 * report.two_cycle_ops
+        )
+
+    def test_degrade_recovers_deep_retries(self, tight, operands):
+        report = self._run(tight, operands).report
+        assert report.policy == "degrade"
+        assert report.deep_retry_ops > 0
+        assert report.recovered_ops == report.deep_retry_ops
 
 
 class TestExtVlAdder:

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.arith.reference import count_zeros
 from repro.config import SimulationConfig
-from repro.core.ahl import AdaptiveHoldLogic, ahl_netlist
+from repro.core import AgingAwareMultiplier
+from repro.core.ahl import ahl_netlist
+from repro.core.architecture import run_control_loop
+from repro.core.judging import JudgingBlock
 from repro.core.aging_indicator import AgingIndicator
 from repro.errors import ConfigError, SimulationError
 from repro.timing import CompiledCircuit
@@ -72,36 +76,68 @@ class TestAgingIndicator:
 
 
 class TestAdaptiveHoldLogic:
+    """The AHL's block mux, driven by the one control loop
+    (:func:`repro.core.architecture.run_control_loop`)."""
+
+    @staticmethod
+    def _run(adaptive, burst=15, operands=None):
+        # Two 100-op windows; by default every operand has exactly 7
+        # zeros: one-cycle under Skip-7, two-cycle under Skip-8.  The
+        # first ``burst`` operations miss the clock.
+        if operands is None:
+            operands = np.full(200, 0b111111111_0000000, dtype=np.uint64)
+        judged = count_zeros(operands, 16) >= np.array([[7], [8]])
+        delays = np.full(200, 0.5)
+        delays[:burst] = 1.5
+        return run_control_loop(
+            "ahl", judged, delays, 1.0, 0.0, SimulationConfig(), adaptive
+        )
+
     def test_starts_on_relaxed_block(self):
-        ahl = AdaptiveHoldLogic(16, 7)
-        assert ahl.active_block.skip == 7
+        report, one_cycle, _ = self._run(adaptive=True, burst=0)
+        assert one_cycle.all()
+        assert report.indicator_trace == [False, False]
 
     def test_switches_after_error_burst(self):
-        ahl = AdaptiveHoldLogic(16, 7)
-        ahl.observe(100, 15)
-        assert ahl.active_block.skip == 8
+        report, one_cycle, _ = self._run(adaptive=True)
+        assert one_cycle[:100].all()  # window 0: the Skip-7 flags
+        assert not one_cycle[100:].any()  # window 1: the Skip-8 flags
+        assert report.window_errors == [15, 0]
+        assert report.indicator_trace == [True, True]
+        assert report.indicator_aged_at == 100
 
     def test_traditional_never_switches(self):
-        ahl = AdaptiveHoldLogic(16, 7, adaptive=False)
-        ahl.observe(100, 100)
-        assert ahl.active_block.skip == 7
+        report, one_cycle, _ = self._run(adaptive=False)
+        assert one_cycle.all()
+        # The indicator still flags; nothing reads it.
+        assert report.indicator_trace == [True, True]
 
     def test_decide_uses_active_block(self):
-        ahl = AdaptiveHoldLogic(16, 7)
-        operand = np.array([0b111111111_0000000], dtype=np.uint64)  # 7 zeros
-        assert ahl.active_block.one_cycle(operand).tolist() == [True]
-        ahl.observe(100, 15)
-        assert ahl.active_block.one_cycle(operand).tolist() == [False]
+        operands = np.random.default_rng(5).integers(
+            0, 1 << 16, 200, dtype=np.uint64
+        )
+        report, one_cycle, _ = self._run(
+            adaptive=True, burst=100, operands=operands
+        )
+        assert report.indicator_trace == [True, True]
+        assert np.array_equal(
+            one_cycle[:100], JudgingBlock(16, 7).one_cycle(operands[:100])
+        )
+        assert np.array_equal(
+            one_cycle[100:], JudgingBlock(16, 8).one_cycle(operands[100:])
+        )
 
     def test_skip_must_leave_room(self):
         with pytest.raises(ConfigError):
-            AdaptiveHoldLogic(16, 16)
+            AgingAwareMultiplier.build(16, skip=16)
 
     def test_reset(self):
-        ahl = AdaptiveHoldLogic(16, 7)
-        ahl.observe(100, 15)
-        ahl.reset()
-        assert ahl.active_block.skip == 7
+        """Each run starts a fresh indicator."""
+        arch = AgingAwareMultiplier.build(8, characterize_patterns=300)
+        tight = arch.with_cycle(0.55 * arch.critical_path_ns())
+        first = tight.run_random(1050, seed=3).report
+        assert any(first.indicator_trace)
+        assert tight.run_random(1050, seed=3).report == first
 
 
 class TestAhlNetlist:

@@ -5,7 +5,8 @@ for a grid of 8x8 multiplier runs (column and row bypassing, adaptive
 and traditional, the three recovery policies, sticky and non-sticky
 indicator, fresh and 5-year aged) and for the adaptive-hold adder, all
 on 1,050 operations so the last indicator window is ragged, plus one
-strict run that raises.  Regenerate the reference with::
+strict run that raises.  The adder's cells are also checked against a
+per-window reference loop written here.  Regenerate the reference with::
 
     PYTHONPATH=src python tests/test_control_loop_golden.py --write
 
@@ -24,6 +25,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.core import AgingAwareMultiplier
 from repro.core.adder_architecture import AgingAwareAdder
+from repro.core.aging_indicator import AgingIndicator
 from repro.errors import RecoveryExhaustedError
 
 GOLDEN = os.path.join(
@@ -117,8 +119,8 @@ def control_loop_grid():
     adder = AgingAwareAdder.build(WIDTH, characterize_patterns=300)
     crit = adder.critical_path_ns()
     for years in YEARS:
-        stream = adder.factory.circuit(years).run(
-            {"a": a, "b": b}, collect_bit_arrivals=True
+        stream = adder.factory.stream_result(
+            years, {"a": a, "b": b}, collect_bit_arrivals=True
         )
         for fraction in ADDER_CLOCKS:
             for adaptive in (True, False):
@@ -178,6 +180,69 @@ def test_control_loop_matches_golden_bytes():
     assert failure is not None
     assert failure["op_index"] >= SimulationConfig().indicator_window
     assert "operation %d:" % failure["op_index"] in failure["message"]
+
+
+def _adder_per_window(adder, stream):
+    """One adder run, window by window: the indicator picks each
+    window's hold output and the degrade charges are applied here."""
+    config = adder.config
+    cycle = adder.cycle_ns
+    penalty = config.razor_penalty_cycles
+    delays = stream.bit_arrivals["s"].max(axis=0)
+    late = delays > cycle
+    over = delays > 2.0 * cycle
+    retry = penalty + np.minimum(
+        np.ceil(delays / cycle), config.max_fallback_cycles
+    )
+    indicator = AgingIndicator(config)
+    one_cycle, errors, trace = [], [], []
+    total_cycles = 0.0
+    for start in range(0, delays.size, config.indicator_window):
+        window = slice(start, start + config.indicator_window)
+        strict = adder.adaptive and indicator.aged
+        flags = stream.outputs["hold_strict" if strict else "hold"][window] == 0
+        err = (flags & late[window]) | (~flags & over[window])
+        cycles = np.where(
+            over[window],
+            retry[window],
+            np.where(flags, 1 + penalty * late[window], 2),
+        )
+        total_cycles += float(cycles.sum())
+        indicator.record_window(flags.size, int(err.sum()))
+        one_cycle.append(flags)
+        errors.append(err)
+        trace.append(indicator.aged)
+    return (
+        np.concatenate(one_cycle), np.concatenate(errors), total_cycles,
+        trace,
+    )
+
+
+def test_adder_matches_per_window_reference():
+    a, b = _operands(9)
+    adder = AgingAwareAdder.build(WIDTH, characterize_patterns=300)
+    crit = adder.critical_path_ns()
+    switched = 0
+    for years in YEARS:
+        stream = adder.factory.stream_result(
+            years, {"a": a, "b": b}, collect_bit_arrivals=True
+        )
+        for fraction in ADDER_CLOCKS:
+            for adaptive in (True, False):
+                for sticky in (True, False):
+                    run = _with(adder, fraction * crit, adaptive, sticky)
+                    result = run.run_patterns(a, b, years=years, stream=stream)
+                    one_cycle, errors, total, trace = _adder_per_window(
+                        run, stream
+                    )
+                    assert np.array_equal(result.one_cycle, one_cycle)
+                    assert np.array_equal(result.errors, errors)
+                    assert result.report.total_cycles == total
+                    assert result.report.indicator_trace == trace
+                    # Aged before the last window: a later one judged
+                    # with the strict hold.
+                    switched += adaptive and any(trace[:-1])
+    assert switched, "no adaptive adder run uses the strict hold"
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.config import SimulationConfig
 from repro.core import AgingAwareMultiplier
 from repro.core.structural import (
     StructuralArchitecture,
@@ -93,6 +94,21 @@ class TestBehavioralEquivalence:
         md, mr = uniform_operands(8, 500, seed=93)
         validation = validate_against_behavioral(traditional, md, mr)
         assert validation.ok
+
+    def test_capped_fallback(self, arch):
+        """Past 2T the reference charges the degrade policy's capped
+        slow retry, not an uncapped ``penalty + ceil(d / T)``."""
+        capped = dataclasses.replace(
+            arch,
+            cycle_ns=0.3 * arch.critical_path_ns(),
+            config=SimulationConfig(max_fallback_cycles=2),
+            name="",
+        )
+        md, mr = uniform_operands(8, 600, seed=99)
+        report = capped.run_patterns(md, mr).report
+        assert report.recovery_exhausted_ops > 0
+        validation = validate_against_behavioral(capped, md, mr)
+        assert validation.ok, validation.mismatched_ops[:10]
 
     def test_row_kind(self):
         arch = AgingAwareMultiplier.build(
