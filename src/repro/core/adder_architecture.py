@@ -136,6 +136,11 @@ class AgingAwareAdder:
             stream = self.factory.stream_result(
                 years, {"a": a, "b": b}, collect_bit_arrivals=True
             )
+        elif stream.num_patterns != a.size:
+            raise SimulationError(
+                "precomputed stream has %d patterns, operands have %d"
+                % (stream.num_patterns, a.size)
+            )
         # Path delay of the *sum* only -- the hold bits are shallow
         # side logic, sampled separately by the controller.
         delays = stream.bit_arrivals["s"].max(axis=0)

@@ -26,9 +26,12 @@ Job kinds:
 ``experiment``
     ``{"job": "experiment", "name": "fig7", "scale": 1.0,
     "characterize_patterns": 2000}`` -- run one
-    registered experiment.  Result:
-    ``{"title": ..., "rendered": ..., "elapsed": ...,
-    "store_delta": {...}}`` (the store counters the run moved).
+    registered experiment (after prefetching its declared stream
+    demands when the job names no store: with a store, the suite's
+    ``prefetch`` jobs priced them).  Result: ``{"title": ...,
+    "rendered": ..., "elapsed": ..., "store_delta": {...},
+    "unplanned_rows": n}`` (the store counters the run moved, and the
+    stream rows it priced outside the prefetch).
 
 ``warmup``
     ``{"job": "warmup", "design": [32, "column"], "scale": 1.0,
@@ -36,6 +39,24 @@ Job kinds:
     design (or, with ``"netlist"`` in place of ``"design"``, build one
     netlist) into the store, so later experiment jobs find it warm.
     Result: ``{"elapsed": ..., "store_delta": {...}}``.
+
+``plan``
+    ``{"job": "plan", "name": "fig26", "scale": 1.0,
+    "characterize_patterns": 2000, "store": DIR}`` -- list the value
+    planes on which the named experiment's declared stream demands
+    have rows the store lacks.  Result: ``{"planes": [[NETLIST_FP,
+    STIMULUS_DIGEST, WORK], ...], "store_delta": {...}}``, ``WORK``
+    being cells x patterns x missing rows.
+
+``prefetch``
+    ``{"job": "prefetch", "plane": [NETLIST_FP, STIMULUS_DIGEST],
+    "experiments": ["fig26", "claims"], "scale": 1.0,
+    "characterize_patterns": 2000, "store": DIR}`` -- price into the
+    store the rows of one value plane that the named experiments'
+    declared demands ask for
+    (:meth:`~repro.experiments.context.ExperimentContext.prefetch`),
+    with one value pass and one replay.  Result: ``{"elapsed": ...,
+    "rows": n, "store_delta": {...}}``.
 
 ``variant_shard``
     ``{"job": "variant_shard", "sweep": {...}, "engine": "delta",
@@ -61,8 +82,8 @@ Job kinds:
 ``ping``
     Liveness probe.  Result: ``{"pong": true}``.
 
-``experiment``, ``warmup``, ``query`` and ``mc_shard`` requests take
-an optional ``"store"``: an
+``experiment``, ``warmup``, ``plan``, ``prefetch``, ``query`` and
+``mc_shard`` requests take an optional ``"store"``: an
 :class:`~repro.experiments.store.ArtifactStore` directory the
 worker's context reads and writes.  It changes no
 result, so it enters no shard fingerprint or store key; without it the
@@ -81,8 +102,8 @@ from ..errors import ConfigError
 
 #: Job kinds :func:`run_job` dispatches on.
 JOB_KINDS = (
-    "fault_sites", "mc_shard", "experiment", "warmup", "variant_shard",
-    "query", "ping",
+    "fault_sites", "mc_shard", "experiment", "warmup", "plan",
+    "prefetch", "variant_shard", "query", "ping",
 )
 
 #: Delay percentiles a ``query`` record reports per aging point.
@@ -214,25 +235,35 @@ def _run_variant_shard(request: Dict) -> Dict:
     return {"records": records}
 
 
-def _run_experiment(request: Dict) -> Dict:
+def _named_spec(request: Dict):
     from ..experiments.registry import get_experiment
-    from ..experiments.scheduler import _delta, _snapshot
 
     name = request.get("name")
     if not isinstance(name, str):
         raise ConfigError(
-            "experiment job needs a 'name' string, got %r" % (name,)
+            "%s job needs a 'name' string, got %r"
+            % (request.get("job"), name)
         )
-    spec = get_experiment(name)
+    return get_experiment(name)
+
+
+def _run_experiment(request: Dict) -> Dict:
+    from ..experiments.scheduler import _delta, _snapshot
+
+    spec = _named_spec(request)
     context = _context_for(request)
     before = _snapshot(context)
+    unplanned = context.unplanned_rows
     start = time.perf_counter()
+    if context.store is None:
+        context.prefetch(spec.demands(context))
     result = spec.run(context)
     return {
         "title": spec.title,
         "rendered": result.render(),
         "elapsed": time.perf_counter() - start,
         "store_delta": _delta(context, before),
+        "unplanned_rows": context.unplanned_rows - unplanned,
     }
 
 
@@ -254,6 +285,54 @@ def _run_warmup(request: Dict) -> Dict:
     build(int(target[0]), str(target[1]))
     return {
         "elapsed": time.perf_counter() - start,
+        "store_delta": _delta(context, before),
+    }
+
+
+def _run_plan(request: Dict) -> Dict:
+    from ..experiments.scheduler import _delta, _snapshot
+
+    spec = _named_spec(request)
+    context = _context_for(request)
+    before = _snapshot(context)
+    planes = []
+    for plane, group in context.plane_groups(spec.demands(context)).items():
+        netlist, stimulus, rows = context.unpriced(group)
+        if len(rows):
+            patterns = len(next(iter(stimulus.values())))
+            planes.append(
+                [plane[0], plane[1], len(netlist.cells) * patterns * len(rows)]
+            )
+    return {"planes": planes, "store_delta": _delta(context, before)}
+
+
+def _run_prefetch(request: Dict) -> Dict:
+    from ..experiments.registry import get_experiment
+    from ..experiments.scheduler import _delta, _snapshot
+
+    plane = request.get("plane")
+    names = request.get("experiments")
+    if not (isinstance(plane, list) and len(plane) == 2):
+        raise ConfigError(
+            "prefetch job needs a [netlist, stimulus] 'plane', got %r"
+            % (plane,)
+        )
+    if not isinstance(names, list):
+        raise ConfigError(
+            "prefetch job needs an 'experiments' list, got %r" % (names,)
+        )
+    context = _context_for(request)
+    before = _snapshot(context)
+    start = time.perf_counter()
+    demands = [
+        demand
+        for name in names
+        for demand in get_experiment(str(name)).demands(context)
+    ]
+    priced = context.prefetch(demands, planes=[tuple(plane)])
+    return {
+        "elapsed": time.perf_counter() - start,
+        "rows": sum(priced.values()),
         "store_delta": _delta(context, before),
     }
 
@@ -332,6 +411,10 @@ def run_job(request: Dict) -> Dict:
         return _run_experiment(request)
     if kind == "warmup":
         return _run_warmup(request)
+    if kind == "plan":
+        return _run_plan(request)
+    if kind == "prefetch":
+        return _run_prefetch(request)
     if kind == "variant_shard":
         return _run_variant_shard(request)
     if kind == "query":

@@ -9,10 +9,10 @@ reproduces the paper.  Each claim mirrors a row of EXPERIMENTS.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import List, Optional
 
 from ..analysis.report import ReproductionReport
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 from . import (
     fig05_delay_distribution,
     fig07_aging_trend,
@@ -34,6 +34,25 @@ class ClaimsResult:
 
     def render(self) -> str:
         return self.report.render()
+
+
+#: Lifetime points of the Fig. 26 claim.
+LIFETIME_YEARS = (0.0, 7.0)
+
+
+def demands(
+    context: ExperimentContext, num_patterns: Optional[int] = None
+) -> List[StreamDemand]:
+    """The demands of the figures the checklist re-runs."""
+    patterns = num_patterns or context.patterns(4000)
+    return (
+        fig05_delay_distribution.demands(context, num_patterns=patterns)
+        + fig13_14_latency_sweep.demands(context, num_patterns=patterns)
+        + fig19_22_adaptive_errors.demands(context, num_patterns=patterns)
+        + fig26_27_lifetime.demands(
+            context, num_patterns=patterns, years=LIFETIME_YEARS
+        )
+    )
 
 
 def run(
@@ -137,7 +156,7 @@ def run(
 
     # 7. Lifetime latency (Fig. 26).
     fig26 = fig26_27_lifetime.run_fig26(
-        ctx, num_patterns=patterns, years=(0.0, 7.0)
+        ctx, num_patterns=patterns, years=LIFETIME_YEARS
     )
     report.add_claim(
         "fixed designs degrade ~15%, adaptive stay flat",

@@ -17,6 +17,9 @@ seconds, so the context memoizes:
 the timing engine: it prices any netlist under any ``(k, num_cells)``
 delay-scale matrix and any stimulus, and with a store every priced row
 persists as a ``stream`` artifact, so a warm re-run replays nothing.
+An experiment declares the rows it prices as :class:`StreamDemand` s,
+and :meth:`ExperimentContext.prefetch` prices the demands of many
+experiments with one replay per value plane before any of them runs.
 
 ``scale`` < 1.0 shrinks every pattern count proportionally -- the
 benchmark suite uses it to keep wall-clock reasonable while preserving
@@ -32,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aging.degradation import AgedCircuitFactory
+from ..arith import booth_multiplier, dadda_multiplier, wallace_multiplier
 from ..config import (
     DEFAULT_SIM_CONFIG,
     DEFAULT_TECHNOLOGY,
@@ -46,6 +50,8 @@ from ..timing.engine import CompiledCircuit, StreamResult
 from ..timing.value_cache import (
     ValuePlaneCache,
     netlist_fingerprint,
+    stimulus_digest,
+    stream_keys,
     technology_fingerprint,
 )
 from ..workloads.generators import uniform_operands
@@ -56,6 +62,39 @@ STREAM_SEED_BASE = 77_000
 
 #: Seed the characterization workload uses (AgedCircuitFactory default).
 CHARACTERIZE_SEED = 2014
+
+#: Related-work multipliers :meth:`ExperimentContext.netlist` builds
+#: next to the paper's ``am``/``column``/``row``.  They are generated
+#: per process and never stored, so a store holds the paper's designs
+#: only.
+BASELINE_GENERATORS = {
+    "wallace": wallace_multiplier,
+    "dadda": dadda_multiplier,
+    "booth": booth_multiplier,
+}
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class StreamDemand:
+    """Rows of one stream an experiment prices, as data.
+
+    Attributes:
+        width / kind: The netlist, :meth:`ExperimentContext.netlist`
+            ``(width, kind)``.
+        stimulus: Port name -> operand array.
+        scales: ``(k, num_cells)`` delay-scale rows (a row of ones is
+            the fresh circuit).
+    """
+
+    width: int
+    kind: str
+    stimulus: Dict[str, np.ndarray]
+    scales: np.ndarray
+
+
+def _row_key(key: Dict) -> Tuple:
+    """A hashable form of one :func:`stream_keys` key."""
+    return tuple(sorted(key.items()))
 
 
 @dataclasses.dataclass
@@ -82,6 +121,14 @@ class ExperimentContext:
         self._streams: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._runs: Dict[Tuple[int, str, float, int, int], StreamResult] = {}
         self._fixed: Dict[Tuple[int, str], FixedLatencyDesign] = {}
+        self._activity: Dict[Tuple[int, str, int, int], np.ndarray] = {}
+        #: Rows priced here, by ``stream`` key: every :meth:`prefetch`
+        #: row, and without a store every row :meth:`price` returned.
+        self._priced: Dict[Tuple, StreamResult] = {}
+        #: Rows :meth:`price` replayed itself, outside any
+        #: :meth:`prefetch`: a missing or stale demand declaration.
+        #: Rows a store serves load and do not count.
+        self.unplanned_rows = 0
         self._tech_fp: Optional[str] = None
         self._netlist_fps: Dict[Tuple[int, str], str] = {}
 
@@ -129,7 +176,9 @@ class ExperimentContext:
     def netlist(self, width: int, kind: str) -> Netlist:
         key = (width, kind)
         if key not in self._netlists:
-            if self.store is not None:
+            if kind in BASELINE_GENERATORS:
+                self._netlists[key] = BASELINE_GENERATORS[kind](width)
+            elif self.store is not None:
                 self._netlists[key] = self.store.get_or_build(
                     "netlist",
                     {"width": width, "kind": kind},
@@ -240,17 +289,118 @@ class ExperimentContext:
         the ``(k, num_cells)`` delay-scale matrix ``scales`` (a row of
         ones is the fresh circuit).
 
-        :meth:`~repro.timing.value_cache.ValuePlaneCache.price` does
-        the work: it loads the rows the store holds and prices the
-        others together in one batched arrival replay over the cached
-        value plane, each bit-identical to ``CompiledCircuit(netlist,
-        technology, row).run(stimulus)``.  Pricing never characterizes
-        stress, so any netlist can be priced.
+        Rows this context prefetched (or, without a store, priced) are
+        memoized by their ``stream`` key.  For the others
+        :meth:`~repro.timing.value_cache.ValuePlaneCache.price` does the
+        work: it loads the rows the store holds and prices the rest
+        together in one batched arrival replay over the cached value
+        plane, each bit-identical to ``CompiledCircuit(netlist,
+        technology, row).run(stimulus)``; those count as
+        :attr:`unplanned_rows`.  Pricing never characterizes stress, so
+        any netlist can be priced.
         """
-        circuit, planes = self._pricer(netlist)
-        return planes.price(
-            netlist, self.technology, scales, stimulus, circuit
+        return self._price(netlist, scales, stimulus, planned=False)
+
+    def price_demand(self, demand: StreamDemand) -> List[StreamResult]:
+        """:meth:`price` of one declared :class:`StreamDemand`."""
+        return self.price(
+            self.netlist(demand.width, demand.kind),
+            demand.scales,
+            demand.stimulus,
         )
+
+    def _price(self, netlist, scales, stimulus, planned: bool):
+        scales = np.atleast_2d(np.asarray(scales, dtype=float))
+        keys = [
+            _row_key(key)
+            for key in stream_keys(netlist, self.technology, stimulus, scales)
+        ]
+        found: Dict[Tuple, StreamResult] = {}
+        todo: Dict[Tuple, int] = {}
+        for index, key in enumerate(keys):
+            if key in self._priced:
+                found[key] = self._priced[key]
+            else:
+                todo.setdefault(key, index)
+        if todo:
+            circuit, planes = self._pricer(netlist)
+            before = planes.priced_rows
+            fresh = dict(
+                zip(
+                    todo,
+                    planes.price(
+                        netlist,
+                        self.technology,
+                        scales[list(todo.values())],
+                        stimulus,
+                        circuit,
+                    ),
+                )
+            )
+            if not planned:
+                self.unplanned_rows += planes.priced_rows - before
+            # A store serves its rows on demand; the memo keeps what a
+            # prefetch priced for the experiments still to read it.
+            if planned or self.store is None:
+                self._priced.update(fresh)
+            found.update(fresh)
+        return [found[key] for key in keys]
+
+    def plane_groups(
+        self, demands: Sequence[StreamDemand]
+    ) -> Dict[Tuple[str, str], List[StreamDemand]]:
+        """``demands`` grouped by the value plane they price on,
+        ``(netlist fingerprint, stimulus digest)``, in first-seen
+        order."""
+        groups: Dict[Tuple[str, str], List[StreamDemand]] = {}
+        for demand in demands:
+            plane = (
+                self._netlist_fp(demand.width, demand.kind),
+                stimulus_digest(demand.stimulus),
+            )
+            groups.setdefault(plane, []).append(demand)
+        return groups
+
+    def unpriced(
+        self, group: Sequence[StreamDemand]
+    ) -> Tuple[Netlist, Dict[str, np.ndarray], np.ndarray]:
+        """The netlist, stimulus and distinct delay-scale rows of one
+        plane group that are neither memoized nor stored (stored rows
+        are checked for, not loaded)."""
+        netlist = self.netlist(group[0].width, group[0].kind)
+        stimulus = group[0].stimulus
+        scales = np.vstack([demand.scales for demand in group])
+        wanted: Dict[Tuple, int] = {}
+        keys = stream_keys(netlist, self.technology, stimulus, scales)
+        for index, key in enumerate(keys):
+            row = _row_key(key)
+            if row in self._priced or row in wanted:
+                continue
+            if self.store is None or not self.store.contains("stream", key):
+                wanted[row] = index
+        return netlist, stimulus, scales[list(wanted.values())]
+
+    def prefetch(
+        self,
+        demands: Sequence[StreamDemand],
+        planes: Optional[Sequence[Tuple[str, str]]] = None,
+    ) -> Dict[Tuple[str, str], int]:
+        """Price the :meth:`unpriced` rows of ``demands`` with one
+        :meth:`~repro.timing.value_cache.ValuePlaneCache.price` call
+        (one value pass, one replay) per value plane; :meth:`price`
+        then serves them as memo or store hits.  ``planes`` restricts
+        the work to those :meth:`plane_groups` keys.  Returns the
+        number of rows priced per priced plane.
+        """
+        priced: Dict[Tuple[str, str], int] = {}
+        for plane, group in self.plane_groups(demands).items():
+            if planes is not None and plane not in planes:
+                continue
+            netlist, stimulus, rows = self.unpriced(group)
+            if len(rows):
+                self._price(netlist, rows, stimulus, planned=True)
+                priced[plane] = len(rows)
+        return priced
 
     def stream_result(
         self,
@@ -289,22 +439,38 @@ class ExperimentContext:
             key for key in dict.fromkeys(keys) if key not in self._runs
         ]
         if missing:
-            md, mr = self.stream(width, num_patterns, seed)
-            priced = self.price(
-                self.netlist(width, kind),
-                self.factory(width, kind).lifetime_delay_scales(
-                    [key[2] for key in missing]
-                ),
-                {"md": md, "mr": mr},
+            priced = self.price_demand(
+                self.standard_demand(
+                    width, kind, [key[2] for key in missing],
+                    num_patterns, seed,
+                )
             )
             self._runs.update(zip(missing, priced))
         return [self._runs[key] for key in keys]
 
+    def standard_demand(
+        self,
+        width: int,
+        kind: str,
+        years: "Sequence[float]",
+        num_patterns: int,
+        seed: int = 1,
+    ) -> StreamDemand:
+        """The rows :meth:`stream_results` prices: the design's lifetime
+        delay-scale rows at ``years`` on its standard stream."""
+        md, mr = self.stream(width, num_patterns, seed)
+        return StreamDemand(
+            width,
+            kind,
+            {"md": md, "mr": mr},
+            self.factory(width, kind).lifetime_delay_scales(years),
+        )
+
     def toggle_counts(
         self, width: int, kind: str, num_patterns: int, seed: int = 1
     ) -> np.ndarray:
-        """Per-net toggle counts of the standard stream, persisted as an
-        ``activity`` artifact when a store is set.
+        """Per-net toggle counts of the standard stream (memoized),
+        persisted as an ``activity`` artifact when a store is set.
 
         One values-only pass through the fresh circuit
         (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`):
@@ -316,13 +482,17 @@ class ExperimentContext:
             circuit = self.factory(width, kind).circuit(0.0)
             return circuit.toggle_counts({"md": md, "mr": mr})
 
-        if self.store is None:
-            return build()
-        return self.store.get_or_build(
-            "activity",
-            self._activity_key(width, kind, num_patterns, seed),
-            build,
-        )
+        key = (width, kind, num_patterns, seed)
+        if key not in self._activity:
+            if self.store is None:
+                self._activity[key] = build()
+            else:
+                self._activity[key] = self.store.get_or_build(
+                    "activity",
+                    self._activity_key(width, kind, num_patterns, seed),
+                    build,
+                )
+        return self._activity[key]
 
     def clear(self) -> None:
         """Drop every cache (used by memory-sensitive test runs)."""
@@ -331,6 +501,8 @@ class ExperimentContext:
         self._streams.clear()
         self._runs.clear()
         self._fixed.clear()
+        self._activity.clear()
+        self._priced.clear()
 
 
 #: Module-level default context shared by ad-hoc callers.

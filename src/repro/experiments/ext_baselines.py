@@ -21,33 +21,19 @@ patterns -- the architectural reason the paper builds on bypassing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.tables import format_table
-from ..arith import (
-    array_multiplier,
-    booth_multiplier,
-    column_bypass_multiplier,
-    count_zeros,
-    dadda_multiplier,
-    row_bypass_multiplier,
-    wallace_multiplier,
-)
+from ..arith import count_zeros
 from ..timing.sta import StaticTiming
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 PAPER_PATTERNS = 10000
 
-GENERATORS = {
-    "am": array_multiplier,
-    "column": column_bypass_multiplier,
-    "row": row_bypass_multiplier,
-    "wallace": wallace_multiplier,
-    "dadda": dadda_multiplier,
-    "booth": booth_multiplier,
-}
+#: The compared designs, as :meth:`ExperimentContext.netlist` kinds.
+DESIGNS = ("am", "column", "row", "wallace", "dadda", "booth")
 
 
 @dataclasses.dataclass
@@ -89,6 +75,25 @@ class BaselineComparison:
         )
 
 
+def demands(
+    context: ExperimentContext,
+    width: int = 16,
+    num_patterns: Optional[int] = None,
+) -> List[StreamDemand]:
+    """Each fresh design of :data:`DESIGNS` on the standard stream."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    md, mr = context.stream(width, n)
+    return [
+        StreamDemand(
+            width,
+            name,
+            {"md": md, "mr": mr},
+            np.ones((1, len(context.netlist(width, name).cells))),
+        )
+        for name in DESIGNS
+    ]
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 16,
@@ -100,14 +105,9 @@ def run(
     zeros = count_zeros(md, width)
 
     stats: Dict[str, BaselineStats] = {}
-    for name, generator in GENERATORS.items():
-        if name in ("am", "column", "row"):
-            netlist = ctx.netlist(width, name)
-        else:
-            netlist = generator(width)
-        (result,) = ctx.price(
-            netlist, np.ones((1, len(netlist.cells))), {"md": md, "mr": mr}
-        )
+    for name, demand in zip(DESIGNS, demands(ctx, width, n)):
+        netlist = ctx.netlist(width, name)
+        (result,) = ctx.price_demand(demand)
         judged = zeros if name != "row" else count_zeros(mr, width)
         usable = result.delays > 0
         correlation = float(

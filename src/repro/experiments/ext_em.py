@@ -12,7 +12,7 @@ compares the fixed-latency and adaptive designs' latency growth.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..aging.electromigration import (
 from ..analysis.series import Series
 from ..analysis.tables import format_table
 from ..timing.sta import StaticTiming, critical_delays
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 YEARS = (0.0, 2.0, 5.0, 7.0, 10.0)
 PAPER_PATTERNS = 10000
@@ -57,6 +57,50 @@ class EmResult:
         )
 
 
+KINDS = ("column", "row")
+
+
+def demands(
+    context: ExperimentContext,
+    width: int = 16,
+    years: Sequence[float] = YEARS,
+    num_patterns: Optional[int] = None,
+    em_model: Optional[ElectromigrationModel] = None,
+    **_,
+) -> List[StreamDemand]:
+    """Per bypassing design (in :data:`KINDS` order), one delay-scale
+    row per ``(year, with_em)`` corner -- BTI only, then BTI + EM --
+    on the standard stream (ones for the fresh circuit)."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    md, mr = context.stream(width, n)
+    em = em_model or ElectromigrationModel(context.technology)
+    out = []
+    for kind in KINDS:
+        netlist = context.netlist(width, kind)
+        factory = context.factory(width, kind)
+        rates = cell_toggle_rates(
+            netlist, context.toggle_counts(width, kind, n), n
+        )
+        num_cells = len(netlist.cells)
+        rows = []
+        for year in years:
+            bti_scale = (
+                factory.delay_scale(year) if year else np.ones(num_cells)
+            )
+            rows.append(bti_scale)
+            rows.append(
+                combined_delay_scale(
+                    bti_scale, em.delay_scale(netlist, rates, year)
+                )
+                if year
+                else bti_scale
+            )
+        out.append(
+            StreamDemand(width, kind, {"md": md, "mr": mr}, np.vstack(rows))
+        )
+    return out
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 16,
@@ -70,21 +114,18 @@ def run(
     n = num_patterns or ctx.patterns(PAPER_PATTERNS)
     skip = skip if skip is not None else width // 2 - 1
     md, mr = ctx.stream(width, n)
-    em = em_model or ElectromigrationModel(ctx.technology)
 
     bti_only: Dict[str, list] = {}
     combined: Dict[str, list] = {}
-    for kind in ("column", "row"):
+    for kind, demand in zip(
+        KINDS, demands(ctx, width, years, n, em_model)
+    ):
         netlist = ctx.netlist(width, kind)
-        factory = ctx.factory(width, kind)
         if cycle_ns is None:
             flcb0 = StaticTiming(netlist, ctx.technology).critical_delay
             vl_cycle = 0.64 * flcb0
         else:
             vl_cycle = cycle_ns
-        rates = cell_toggle_rates(
-            netlist, ctx.toggle_counts(width, kind, n), n
-        )
 
         fixed_name = "flcb" if kind == "column" else "flrb"
         adaptive_name = "a-vlcb" if kind == "column" else "a-vlrb"
@@ -92,33 +133,17 @@ def run(
             bti_only.setdefault(name, [])
             combined.setdefault(name, [])
 
-        # One delay-scale row per (year, with_em) corner (ones for the
-        # fresh circuit); the adaptive designs' streams are priced
-        # through the context, so every corner is a ``stream`` artifact
-        # and a warm store replays nothing.
-        num_cells = len(netlist.cells)
-        corners = []
-        for year in years:
-            bti_scale = (
-                factory.delay_scale(year) if year else np.ones(num_cells)
-            )
-            for with_em in (False, True):
-                scale = bti_scale
-                if with_em and year:
-                    scale = combined_delay_scale(
-                        bti_scale, em.delay_scale(netlist, rates, year)
-                    )
-                corners.append((with_em, scale))
-        scales = np.vstack([scale for _, scale in corners])
-        streams = ctx.price(netlist, scales, {"md": md, "mr": mr})
+        # The adaptive designs' streams are priced through the context,
+        # so every corner is a ``stream`` artifact and a warm store
+        # replays nothing.
+        streams = ctx.price_demand(demand)
         # Fixed designs clock at the degraded critical path: one
         # vectorized multi-corner STA sweep (bit-identical per corner
         # to a per-scale StaticTiming build).
-        fixed_delays = critical_delays(netlist, ctx.technology, scales)
-        for (with_em, _), stream, fixed in zip(
-            corners, streams, fixed_delays
-        ):
-            table = combined if with_em else bti_only
+        fixed_delays = critical_delays(netlist, ctx.technology, demand.scales)
+        for index, (stream, fixed) in enumerate(zip(streams, fixed_delays)):
+            # Rows alternate BTI only / BTI + EM per year.
+            table = combined if index % 2 else bti_only
             table[fixed_name].append(float(fixed))
             # Adaptive design: fixed clock, Razor absorbs the drift.
             arch = ctx.variable_design(width, kind, skip, vl_cycle)

@@ -23,14 +23,20 @@ does both measurements for the reproduction:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..analysis.tables import format_table
-from ..faults.campaign import CampaignResult, InjectionCampaign
+from ..faults.campaign import (
+    CampaignResult,
+    InjectionCampaign,
+    campaign_operands,
+)
 from ..faults.injector import fault_delay_scales
 from ..faults.models import DelayFault
 from ..timing.sta import StaticTiming
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 PAPER_PATTERNS = 10000
 
@@ -113,6 +119,44 @@ class FaultCoverageResult:
         return "\n".join(lines)
 
 
+def _hot_spot(
+    ctx: ExperimentContext, width: int, cycle_fraction: float, years: float,
+) -> Tuple[float, DelayFault, np.ndarray]:
+    """The clock ``T``, the hot-spot fault -- an extra 0.9 T midway
+    along the critical path of the ``width``-bit column design -- and
+    its ``(1, num_cells)`` delay-scale row at age ``years``.  A delay
+    fault has no hooks, so its stream is one priced row."""
+    netlist = ctx.netlist(width, "column")
+    sta = StaticTiming(netlist, ctx.technology)
+    cycle_ns = cycle_fraction * sta.critical_delay
+    path = sta.critical_path()
+    hot = DelayFault(path[len(path) // 2].index, 0.9 * cycle_ns)
+    scales = fault_delay_scales(
+        netlist,
+        [hot],
+        ctx.factory(width, "column").lifetime_delay_scales([years]),
+        ctx.technology,
+    )
+    return cycle_ns, hot, scales
+
+
+def demands(
+    context: ExperimentContext,
+    width: int = 8,
+    num_patterns: Optional[int] = None,
+    cycle_fraction: float = 0.6,
+    seed: int = 3,
+    years: float = 0.0,
+    **_,
+) -> List[StreamDemand]:
+    """The hot-spot row on the campaign workload.  The campaign's own
+    pristine stream is priced by the campaign, outside any prefetch."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS, floor=400)
+    _, _, scales = _hot_spot(context, width, cycle_fraction, years)
+    md, mr = campaign_operands(width, n, seed)
+    return [StreamDemand(width, "column", {"md": md, "mr": mr}, scales)]
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 8,
@@ -127,9 +171,7 @@ def run(
     ctx = context or default_context()
     n = num_patterns or ctx.patterns(PAPER_PATTERNS, floor=400)
     skip = skip if skip is not None else width // 2 - 1
-    netlist = ctx.netlist(width, "column")
-    sta = StaticTiming(netlist, ctx.technology)
-    cycle_ns = cycle_fraction * sta.critical_delay
+    cycle_ns, hot, scales = _hot_spot(ctx, width, cycle_fraction, years)
 
     adaptive = ctx.variable_design(width, "column", skip, cycle_ns)
     campaign = InjectionCampaign.sweep(
@@ -143,22 +185,12 @@ def run(
     # the store and simulates nothing.
     campaign_result = campaign.run(store=ctx.store, prune=prune)
 
-    # A localized hot-spot late on the critical path: the extra delay
-    # rides on top of every pattern exercising that path, lifting the
-    # one-cycle error rate past the indicator threshold.  A delay fault
-    # has no hooks, so its stream is one priced delay-scale row, shared
-    # by both designs.
-    path = sta.critical_path()
-    victim = path[len(path) // 2]
-    hot = DelayFault(victim.index, 0.9 * cycle_ns)
+    # The hot spot's extra delay rides on top of every pattern
+    # exercising that path, lifting the one-cycle error rate past the
+    # indicator threshold; its stream is shared by both designs.
     (stream,) = ctx.price(
-        netlist,
-        fault_delay_scales(
-            netlist,
-            [hot],
-            ctx.factory(width, "column").lifetime_delay_scales([years]),
-            ctx.technology,
-        ),
+        ctx.netlist(width, "column"),
+        scales,
         {"md": campaign.md, "mr": campaign.mr},
     )
 

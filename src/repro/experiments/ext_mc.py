@@ -14,11 +14,11 @@ design); ``python -m repro mc`` is the population-scale entry point.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..montecarlo.analytics import MonteCarloResult
 from ..montecarlo.spec import MonteCarloSpec
-from .context import ExperimentContext
+from .context import ExperimentContext, StreamDemand
 
 
 def _build_spec(
@@ -35,6 +35,30 @@ def _build_spec(
     return MonteCarloSpec.from_overrides(
         **{k: v for k, v in overrides.items() if v is not None}
     )
+
+
+def demands(
+    context: ExperimentContext,
+    num_dies: Optional[int] = None,
+    width: int = 8,
+    kind: str = "column",
+    years: Optional[Tuple[float, ...]] = None,
+    clock_fractions: Optional[Tuple[float, ...]] = None,
+    seed: Optional[int] = None,
+    num_patterns: Optional[int] = None,
+    target_yield: Optional[float] = None,
+    **_,
+) -> List[StreamDemand]:
+    """The fresh row that sets the population's base clock period.
+    The die slabs are replayed per ``die_chunk`` to bound memory, so
+    they are priced by the runner, outside any prefetch."""
+    from ..montecarlo.runner import base_period_demand
+
+    spec = _build_spec(
+        num_dies, years, clock_fractions, seed, num_patterns,
+        target_yield,
+    )
+    return [base_period_demand(spec, width, kind, context)]
 
 
 def run_yield(

@@ -23,25 +23,25 @@ emergent property of the paper's design worth documenting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.tables import format_table
 from ..workloads.dsp import dct_stream, fir_filter_stream, image_gradient_stream
 from ..workloads.generators import uniform_operands
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 PAPER_PATTERNS = 10000
 
 
-def _streams(width: int, n: int) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    return {
-        "uniform": uniform_operands(width, n, seed=5),
-        "fir": fir_filter_stream(width, n, seed=5),
-        "dct": dct_stream(width, n, seed=5),
-        "image": image_gradient_stream(width, n, seed=5),
-    }
+#: Workload name -> operand-stream generator (seeded with 5).
+WORKLOADS = {
+    "uniform": uniform_operands,
+    "fir": fir_filter_stream,
+    "dct": dct_stream,
+    "image": image_gradient_stream,
+}
 
 
 @dataclasses.dataclass
@@ -83,6 +83,23 @@ class WorkloadResult:
         )
 
 
+def demands(
+    context: ExperimentContext,
+    width: int = 16,
+    kind: str = "column",
+    num_patterns: Optional[int] = None,
+    **_,
+) -> List[StreamDemand]:
+    """The fresh design on each stream of :data:`WORKLOADS`."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    fresh = np.ones((1, len(context.netlist(width, kind).cells)))
+    out = []
+    for generate in WORKLOADS.values():
+        md, mr = generate(width, n, seed=5)
+        out.append(StreamDemand(width, kind, {"md": md, "mr": mr}, fresh))
+    return out
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 16,
@@ -100,11 +117,10 @@ def run(
     from ..core.judging import JudgingBlock
 
     relaxed = JudgingBlock(width, skip)
-    netlist = ctx.netlist(width, kind)
-    fresh = np.ones((1, len(netlist.cells)))
     rows: Dict[str, WorkloadRow] = {}
-    for name, (md, mr) in _streams(width, n).items():
-        (stream,) = ctx.price(netlist, fresh, {"md": md, "mr": mr})
+    for name, demand in zip(WORKLOADS, demands(ctx, width, kind, n)):
+        md, mr = demand.stimulus["md"], demand.stimulus["mr"]
+        (stream,) = ctx.price_demand(demand)
         result = arch.run_patterns(
             md, mr, check_golden=True, stream=stream
         )

@@ -10,14 +10,14 @@ AHL judging blocks exploit.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..analysis.histogram import Histogram
 from ..analysis.tables import format_table
 from ..workloads.generators import operands_with_zero_count, uniform_operands
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 PAPER_PATTERNS = 3000
 ZERO_COUNTS = (6, 8, 10)
@@ -46,6 +46,23 @@ class Fig06Result:
         )
 
 
+def demands(
+    context: ExperimentContext,
+    num_patterns: Optional[int] = None,
+    width: int = 16,
+) -> List[StreamDemand]:
+    """The fresh column design on one stream per zero count (in
+    :data:`ZERO_COUNTS` order)."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    fresh = np.ones((1, len(context.netlist(width, "column").cells)))
+    out = []
+    for zeros in ZERO_COUNTS:
+        md = operands_with_zero_count(width, n, zeros, seed=100 + zeros)
+        _, mr = uniform_operands(width, n, seed=200 + zeros)
+        out.append(StreamDemand(width, "column", {"md": md, "mr": mr}, fresh))
+    return out
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     num_patterns: Optional[int] = None,
@@ -53,14 +70,10 @@ def run(
 ) -> Fig06Result:
     ctx = context or default_context()
     n = num_patterns or ctx.patterns(PAPER_PATTERNS)
-    netlist = ctx.netlist(width, "column")
-    fresh = np.ones((1, len(netlist.cells)))
     histograms = {}
     means = {}
-    for zeros in ZERO_COUNTS:
-        md = operands_with_zero_count(width, n, zeros, seed=100 + zeros)
-        _, mr = uniform_operands(width, n, seed=200 + zeros)
-        (result,) = ctx.price(netlist, fresh, {"md": md, "mr": mr})
+    for zeros, demand in zip(ZERO_COUNTS, demands(ctx, n, width)):
+        (result,) = ctx.price_demand(demand)
         histograms[zeros] = Histogram.from_samples(
             result.delays, num_bins=30, name="%d zeros" % zeros
         )

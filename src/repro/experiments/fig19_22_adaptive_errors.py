@@ -13,11 +13,11 @@ one-cycle.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.series import Series
 from ..analysis.tables import format_table
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 from .fig13_14_latency_sweep import CYCLE_GRIDS, PAPER_PATTERNS
 
 
@@ -44,6 +44,19 @@ class AdaptiveErrorResult:
             )
         ]
         return format_table(["cycle ns", "T-VL errors", "A-VL errors"], rows)
+
+
+def demands(
+    context: ExperimentContext,
+    width: int = 16,
+    kind: str = "column",
+    years: float = 7.0,
+    num_patterns: Optional[int] = None,
+    **_,
+) -> List[StreamDemand]:
+    """The standard stream of the design at age ``years``."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    return [context.standard_demand(width, kind, [years], n)]
 
 
 def run(

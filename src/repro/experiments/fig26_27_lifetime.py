@@ -18,12 +18,12 @@ Paper readings this reproduces:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.series import Series
 from ..analysis.tables import format_table
 from ..timing.power import power_report
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 
 YEARS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
 PAPER_PATTERNS = 10000
@@ -98,6 +98,25 @@ def _design_kind(design: str) -> str:
     return "column" if "cb" in design else "row"
 
 
+def demands(
+    context: ExperimentContext,
+    width: int = 16,
+    years: Sequence[float] = YEARS,
+    num_patterns: Optional[int] = None,
+    **_,
+) -> List[StreamDemand]:
+    """Each design's fresh standard stream (its switching activity),
+    and the bypassing designs' stream at every year (the adaptive
+    designs' aged runs)."""
+    n = num_patterns or context.patterns(PAPER_PATTERNS)
+    return [
+        context.standard_demand(
+            width, kind, [0.0] + ([] if kind == "am" else list(years)), n
+        )
+        for kind in ("am", "column", "row")
+    ]
+
+
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 16,
@@ -111,6 +130,9 @@ def run(
     cycle_ns = cycle_ns or SETTINGS[width]["cycle_ns"]
     skip = skip or SETTINGS[width]["skip"]
     md, mr = ctx.stream(width, n)
+    # One replay per design prices every year (a suite has already
+    # prefetched them).
+    ctx.prefetch(demands(ctx, width, years, n))
 
     latency: Dict[str, list] = {d: [] for d in DESIGNS}
     power: Dict[str, list] = {d: [] for d in DESIGNS}
@@ -124,13 +146,7 @@ def run(
         # every year (leakage picks up the Vth drift separately).
         stream = ctx.stream_result(width, kind, 0.0, n)
         adaptive = design.startswith("a-")
-        if adaptive:
-            # Prefetch every aging timestep in one batched arrival
-            # replay (shared value plane, vectorized corner axis).
-            aged_streams = dict(
-                zip(years, ctx.stream_results(width, kind, years, n))
-            )
-        else:
+        if not adaptive:
             # Prefetch every year's critical path in one vectorized
             # STA sweep (fills the design's per-year latency cache).
             ctx.fixed_design(width, kind).latencies_ns(years)
@@ -140,11 +156,11 @@ def run(
                 arch = ctx.variable_design(
                     width, kind, skip, cycle_ns, adaptive=True
                 )
-                aged_stream = (
-                    stream if year == 0 else aged_streams[year]
-                )
                 report = arch.run_patterns(
-                    md, mr, years=year, stream=aged_stream
+                    md,
+                    mr,
+                    years=year,
+                    stream=ctx.stream_result(width, kind, year, n),
                 ).report
                 lat = report.average_latency_ns
                 pw = power_report(

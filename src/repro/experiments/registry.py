@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+from functools import partial
 import inspect
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .context import ExperimentContext, default_context
+from .context import ExperimentContext, StreamDemand, default_context
 from . import (
     _testing,
     claims,
@@ -56,11 +57,13 @@ class Resources:
 
     What used to be implicit in each experiment module -- which
     ``(width, kind)`` designs it characterizes, which netlists it merely
-    builds, which operand-stream widths it draws -- becomes an explicit
+    builds, which stream rows it prices -- becomes an explicit
     declaration on the spec, so the suite scheduler
     (:mod:`repro.experiments.scheduler`) can group the expensive shared
-    characterization into a warm-up stage that runs each design exactly
-    once, before independent experiments fan out over worker processes.
+    work into stages that run before independent experiments fan out
+    over worker processes: a warm-up that characterizes each design
+    exactly once, then a prefetch that prices each value plane's
+    declared rows in one replay.
 
     Attributes:
         designs: ``(width, kind)`` pairs whose characterized
@@ -68,13 +71,16 @@ class Resources:
             touches (the expensive resource: implies the netlist too).
         netlists: ``(width, kind)`` pairs needing only the generated
             netlist (e.g. area accounting).
-        streams: Operand-stream widths the experiment draws via
-            ``context.stream`` (cheap; declared for completeness).
+        demands: ``demands(context, **defaults)`` -> the
+            :class:`~repro.experiments.context.StreamDemand` s the
+            experiment prices through ``ExperimentContext.price`` or
+            ``stream_results`` (None: it prices none).  It takes the
+            runner's keyword arguments (the spec's defaults).
     """
 
     designs: Tuple[Tuple[int, str], ...] = ()
     netlists: Tuple[Tuple[int, str], ...] = ()
-    streams: Tuple[int, ...] = ()
+    demands: Optional[Callable[..., Sequence[StreamDemand]]] = None
 
     def __post_init__(self):
         for width, kind in tuple(self.designs) + tuple(self.netlists):
@@ -126,8 +132,9 @@ class ExperimentSpec:
     runner: Callable
     defaults: Mapping = dataclasses.field(default_factory=dict)
     tags: Tuple[str, ...] = ()
-    #: Declared shared-state needs (designs / netlists / streams) the
-    #: suite scheduler warms up and shares across workers.
+    #: Declared shared-state needs (designs / netlists / stream
+    #: demands) the suite scheduler warms up, prefetches and shares
+    #: across workers.
     resources: Resources = dataclasses.field(default_factory=Resources)
 
     def __post_init__(self):
@@ -182,6 +189,13 @@ class ExperimentSpec:
                     )
                 )
 
+    def demands(self, context: ExperimentContext) -> List[StreamDemand]:
+        """The stream rows the runner prices under :attr:`defaults`,
+        as declared by :attr:`Resources.demands`."""
+        if self.resources.demands is None:
+            return []
+        return list(self.resources.demands(context, **self.defaults))
+
     def run(
         self,
         context: Optional[ExperimentContext] = None,
@@ -225,98 +239,132 @@ REGISTRY: Dict[str, ExperimentSpec] = {
     for spec in (
         _spec("fig05", "Per-pattern delay distributions (Fig. 5)",
               fig05_delay_distribution.run, ("paper",),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=fig05_delay_distribution.demands)),
         _spec("fig06", "Zero count vs mean delay (Fig. 6)",
               fig06_zeros_vs_delay.run, ("paper",),
-              Resources(designs=_designs((16, "column")), streams=(16,))),
+              Resources(designs=_designs((16, "column")),
+                        demands=fig06_zeros_vs_delay.demands)),
         _spec("fig07", "BTI aging trend of the critical path (Fig. 7)",
               fig07_aging_trend.run, ("paper", "aging"),
               Resources(designs=_designs((16, "column"), (16, "row")))),
         _spec("fig09_10", "Operand zero-count distributions (Figs. 9-10)",
-              fig09_10_zero_distribution.run, ("paper",),
-              Resources(streams=(16,))),
+              fig09_10_zero_distribution.run, ("paper",)),
         _spec("tab1", "One-cycle ratios, 16x16 (Table I)",
-              tables_one_cycle_ratio.run_table1, ("paper",),
-              Resources(streams=(16,))),
+              tables_one_cycle_ratio.run_table1, ("paper",)),
         _spec("tab2", "One-cycle ratios, 32x32 (Table II)",
-              tables_one_cycle_ratio.run_table2, ("paper",),
-              Resources(streams=(32,))),
+              tables_one_cycle_ratio.run_table2, ("paper",)),
         _spec("fig13", "Latency vs cycle period, 16x16 (Fig. 13)",
               fig13_14_latency_sweep.run_fig13, ("paper",),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=16))),
         _spec("fig14", "Latency vs cycle period, 32x32 (Fig. 14)",
               fig13_14_latency_sweep.run_fig14, ("paper",),
-              Resources(designs=_all_kinds(32), streams=(32,))),
+              Resources(designs=_all_kinds(32),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=32))),
         _spec("fig15", "Skip comparison: 16x16 latency (Fig. 15)",
               fig15_18_skip_comparison.run_fig15, ("paper",),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=16, kinds=("column",)))),
         _spec("fig16", "Skip comparison: 16x16 errors (Fig. 16)",
               fig15_18_skip_comparison.run_fig16, ("paper",),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=16, kinds=("column",)))),
         _spec("fig17", "Skip comparison: 32x32 latency (Fig. 17)",
               fig15_18_skip_comparison.run_fig17, ("paper",),
-              Resources(designs=_all_kinds(32), streams=(32,))),
+              Resources(designs=_all_kinds(32),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=32, kinds=("column",)))),
         _spec("fig18", "Skip comparison: 32x32 errors (Fig. 18)",
               fig15_18_skip_comparison.run_fig18, ("paper",),
-              Resources(designs=_all_kinds(32), streams=(32,))),
+              Resources(designs=_all_kinds(32),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=32, kinds=("column",)))),
         _spec("fig19", "Adaptive vs traditional errors, 16 CB (Fig. 19)",
               fig19_22_adaptive_errors.run_fig19, ("paper", "aging"),
-              Resources(designs=_designs((16, "column")), streams=(16,))),
-        _spec("fig20", "Adaptive vs traditional errors, 16 RB (Fig. 20)",
+              Resources(designs=_designs((16, "column")),
+                        demands=partial(fig19_22_adaptive_errors.demands,
+                                        width=16, kind="column"))),
+        _spec("fig20", "Adaptive vs traditional errors, 32 CB (Fig. 20)",
               fig19_22_adaptive_errors.run_fig20, ("paper", "aging"),
-              Resources(designs=_designs((16, "row")), streams=(16,))),
-        _spec("fig21", "Adaptive vs traditional errors, 32 CB (Fig. 21)",
+              Resources(designs=_designs((32, "column")),
+                        demands=partial(fig19_22_adaptive_errors.demands,
+                                        width=32, kind="column"))),
+        _spec("fig21", "Adaptive vs traditional errors, 16 RB (Fig. 21)",
               fig19_22_adaptive_errors.run_fig21, ("paper", "aging"),
-              Resources(designs=_designs((32, "column")), streams=(32,))),
+              Resources(designs=_designs((16, "row")),
+                        demands=partial(fig19_22_adaptive_errors.demands,
+                                        width=16, kind="row"))),
         _spec("fig22", "Adaptive vs traditional errors, 32 RB (Fig. 22)",
               fig19_22_adaptive_errors.run_fig22, ("paper", "aging"),
-              Resources(designs=_designs((32, "row")), streams=(32,))),
+              Resources(designs=_designs((32, "row")),
+                        demands=partial(fig19_22_adaptive_errors.demands,
+                                        width=32, kind="row"))),
         _spec("fig23", "Adaptive vs traditional latency, 16x16 (Fig. 23)",
               fig23_24_adaptive_latency.run_fig23, ("paper", "aging"),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=16, years=7.0))),
         _spec("fig24", "Adaptive vs traditional latency, 32x32 (Fig. 24)",
               fig23_24_adaptive_latency.run_fig24, ("paper", "aging"),
-              Resources(designs=_all_kinds(32), streams=(32,))),
+              Resources(designs=_all_kinds(32),
+                        demands=partial(fig13_14_latency_sweep.demands,
+                                        width=32, years=7.0))),
         _spec("fig25", "Area accounting (Fig. 25)",
               fig25_area.run, ("paper",),
               Resources(netlists=_all_kinds(16) + _all_kinds(32))),
         _spec("fig26", "Lifetime latency under aging (Fig. 26)",
               fig26_27_lifetime.run_fig26, ("paper", "aging"),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        demands=partial(fig26_27_lifetime.demands,
+                                        width=16))),
         _spec("fig27", "Lifetime power under aging (Fig. 27)",
               fig26_27_lifetime.run_fig27, ("paper", "aging"),
-              Resources(designs=_all_kinds(32), streams=(32,))),
+              Resources(designs=_all_kinds(32),
+                        demands=partial(fig26_27_lifetime.demands,
+                                        width=32))),
         _spec("claims", "Headline-claim checklist over all figures",
               claims.run, ("paper",),
-              Resources(designs=_all_kinds(16),
-                        netlists=_all_kinds(32), streams=(16,))),
+              Resources(designs=_all_kinds(16), netlists=_all_kinds(32),
+                        demands=claims.demands)),
         # Extensions beyond the paper's figures (Section V discussion,
         # related-work baselines, motivating workloads).
         _spec("ext_em", "Electromigration-aware aging",
               ext_em.run, ("extension", "aging"),
               Resources(designs=_designs((16, "column"), (16, "row")),
-                        streams=(16,))),
+                        demands=ext_em.demands)),
         _spec("ext_baselines", "Wallace/Dadda/Booth baselines",
               ext_baselines.run, ("extension",),
-              Resources(designs=_all_kinds(16), streams=(16,))),
+              Resources(designs=_all_kinds(16),
+                        netlists=_designs((16, "wallace"), (16, "dadda"),
+                                          (16, "booth")),
+                        demands=ext_baselines.demands)),
         _spec("ext_faults", "Fault-injection coverage + recovery",
               ext_faults.run, ("extension", "faults"),
-              Resources(designs=_designs((8, "column")))),
+              Resources(designs=_designs((8, "column")),
+                        demands=ext_faults.demands)),
         _spec("ext_vladder", "Aging-aware variable-latency adder",
               ext_vladder.run, ("extension",)),
         _spec("mc_yield",
               "Variation x aging Monte Carlo: yield/latency surfaces",
               ext_mc.run_yield, ("extension", "mc", "aging"),
-              Resources(designs=_designs((8, "column"))),
+              Resources(designs=_designs((8, "column")),
+                        demands=ext_mc.demands),
               num_dies=200, years=(0.0, 5.0, 10.0)),
         _spec("mc_guardband",
               "Variation x aging Monte Carlo: Skip-n guard-band tuning",
               ext_mc.run_guardband, ("extension", "mc", "aging"),
-              Resources(designs=_designs((8, "column"))),
+              Resources(designs=_designs((8, "column")),
+                        demands=ext_mc.demands),
               num_dies=200, years=(0.0, 5.0, 10.0)),
         _spec("ext_workloads", "DSP / Markov workload study",
               ext_workloads.run, ("extension", "workloads"),
-              Resources(designs=_designs((16, "column")))),
+              Resources(designs=_designs((16, "column")),
+                        demands=ext_workloads.demands)),
     )
 }
 

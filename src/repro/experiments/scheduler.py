@@ -10,16 +10,24 @@ usage into an explicit schedule:
    unique ``(width, kind)`` designs and netlists the suite needs.
    Experiments themselves are mutually independent; the only shared
    edges in the dependency graph are these characterization artifacts,
-   so the topological order collapses to exactly two stages.
+   so the topological order collapses to a few shared stages.
 2. **Warm-up** -- each unique design is characterized exactly once
    (widest first: the 32-bit designs dominate) and persisted to the
    shared :class:`~repro.experiments.store.ArtifactStore`.
-3. **Fan-out** -- with ``pool=`` (or its shorthand ``jobs=N``, meaning
+3. **Prefetch** -- the union of the experiments' declared stream
+   demands (:attr:`Resources.demands`) is grouped by value plane, and
+   each plane's rows missing from the store are priced with one value
+   pass and one replay (:meth:`ExperimentContext.prefetch`), under the
+   same ``stream`` keys the experiments look up.  Pooled runs with a
+   store shard this stage by plane group: ``plan`` jobs find each
+   experiment's planes with missing rows, then one ``prefetch`` job
+   prices each plane.
+4. **Fan-out** -- with ``pool=`` (or its shorthand ``jobs=N``, meaning
    ``pool="local:N"``) the experiments run as ``experiment`` jobs of
    :mod:`repro.distrib`, widest first.  Each worker holds an
    :class:`~repro.experiments.context.ExperimentContext` backed by the
    same store, so no worker recomputes a warm artifact; the pool's
-   ``warmup`` jobs fill that store first.
+   ``warmup`` and ``prefetch`` jobs fill that store first.
 
 Rendered experiment outputs are byte-identical to the serial run: every
 random draw is seeded, the store round-trips arrays losslessly, and the
@@ -128,6 +136,9 @@ class SuiteEntry:
     #: Failure description when the experiment raised or its worker
     #: died -- a degraded-but-typed record instead of an aborted suite.
     error: Optional[str] = None
+    #: Stream rows the experiment replayed itself: rows its declared
+    #: demands miss (:attr:`ExperimentContext.unplanned_rows`).
+    unplanned_rows: int = 0
 
     def cache_hits(self) -> int:
         return delta_totals(self.store_delta)["hits"]
@@ -145,6 +156,11 @@ class SuiteResult:
     store_dir: Optional[str]
     #: Merged store counters over parent + all workers (None: no store).
     store_counters: Optional[Dict[str, Dict[str, int]]]
+    #: Wall time of the prefetch stage, and the rows it priced over
+    #: how many value planes (rows a store already held are skipped).
+    prefetch_s: float = 0.0
+    prefetch_rows: int = 0
+    prefetch_planes: int = 0
 
     def entry(self, name: str) -> SuiteEntry:
         for entry in self.entries:
@@ -189,6 +205,22 @@ class SuiteResult:
         ]
         if self.store_dir is not None:
             lines.append("store: %s" % self.store_dir)
+        unplanned = [
+            "%s %d" % (entry.name, entry.unplanned_rows)
+            for entry in self.entries
+            if entry.unplanned_rows
+        ]
+        lines.append(
+            "prefetch: %d rows over %d value planes in %.1f s;"
+            " priced outside the prefetch: %d rows%s"
+            % (
+                self.prefetch_rows,
+                self.prefetch_planes,
+                self.prefetch_s,
+                sum(entry.unplanned_rows for entry in self.entries),
+                " (%s)" % ", ".join(unplanned) if unplanned else "",
+            )
+        )
         lines.append(
             format_table(
                 ["experiment", "seconds", "hits", "misses", "writes"],
@@ -315,10 +347,14 @@ def _run_pooled(
     """Fan the experiments out over a :class:`WorkerPool`.
 
     With a store, ``warmup`` jobs first characterize every planned
-    design into it (widest first); then the ``experiment`` jobs run
-    widest first.  Workers rebuild an :class:`ExperimentContext` from
-    the job spec and return rendered text plus store-counter deltas,
-    which the parent folds into ``store``.
+    design into it (widest first), ``plan`` jobs list each experiment's
+    value planes with rows the store lacks, and ``prefetch`` jobs price
+    those rows into it, one job per plane; then the
+    ``experiment`` jobs run widest first.  Workers rebuild an
+    :class:`ExperimentContext` from the job spec and return rendered
+    text plus store-counter deltas, which the parent folds into
+    ``store``.  Without a store each experiment job prefetches its own
+    demands in its worker.
     """
     from ..distrib.pool import open_pool, run_suite_pooled
 
@@ -347,6 +383,7 @@ def _run_pooled(
                 rendered=response["rendered"],
                 elapsed=float(response.get("elapsed", 0.0)),
                 store_delta=delta,
+                unplanned_rows=int(response.get("unplanned_rows", 0)),
             )
         entries[order[position]] = entry
         # Flush finalized entries strictly in request order.
@@ -366,12 +403,15 @@ def _run_pooled(
                 for pair in plan.warmup_netlists
             ]
             for response in run_suite_pooled(workers, warmups):
-                if "error" in response:
-                    raise DistribError(
-                        "suite warm-up failed: %s" % response["error"]
-                    )
-                store.merge_counters(response["store_delta"])
+                _merge_stage(store, "warm-up", response)
         warmup_s = time.perf_counter() - warmup_start
+        prefetch_start = time.perf_counter()
+        prefetch_rows = prefetch_planes = 0
+        if store is not None:
+            prefetch_rows, prefetch_planes = _pooled_prefetch(
+                workers, base, plan.names, store
+            )
+        prefetch_s = time.perf_counter() - prefetch_start
         run_suite_pooled(
             workers,
             [dict(base, job="experiment", name=plan.names[i])
@@ -387,7 +427,51 @@ def _run_pooled(
         warmup_s=warmup_s,
         store_dir=store.directory if store is not None else None,
         store_counters=store.snapshot() if store is not None else None,
+        prefetch_s=prefetch_s,
+        prefetch_rows=prefetch_rows,
+        prefetch_planes=prefetch_planes,
     )
+
+
+def _pooled_prefetch(workers, base: Dict, names, store) -> Tuple[int, int]:
+    """The prefetch stage on a pool: ``plan`` jobs list each
+    experiment's planes with rows the store lacks, then one
+    ``prefetch`` job per such plane, costliest first, names the
+    experiments whose demands hold its rows.  Returns ``(rows,
+    planes)`` priced."""
+    from ..distrib.pool import run_suite_pooled
+
+    owners: Dict[Tuple[str, str], List[str]] = {}
+    cost: Dict[Tuple[str, str], int] = {}
+    planned = run_suite_pooled(
+        workers, [dict(base, job="plan", name=name) for name in names]
+    )
+    for name, response in zip(names, planned):
+        _merge_stage(store, "plan", response)
+        for netlist_fp, digest, work in response["planes"]:
+            plane = (netlist_fp, digest)
+            owners.setdefault(plane, []).append(name)
+            cost[plane] = cost.get(plane, 0) + work
+    jobs = [
+        dict(base, job="prefetch", plane=list(plane),
+             experiments=owners[plane])
+        for plane in sorted(owners, key=lambda plane: -cost[plane])
+    ]
+    rows = 0
+    for response in run_suite_pooled(workers, jobs):
+        _merge_stage(store, "prefetch", response)
+        rows += response["rows"]
+    return rows, len(jobs)
+
+
+def _merge_stage(store, stage: str, response: Dict) -> None:
+    """Fold one shared-stage job's store counters into ``store``; a
+    failed job fails the suite (its experiments would all miss)."""
+    if "error" in response:
+        raise DistribError(
+            "suite %s failed: %s" % (stage, response["error"])
+        )
+    store.merge_counters(response["store_delta"])
 
 
 def _run_serial(
@@ -407,11 +491,21 @@ def _run_serial(
     for width, kind in plan.warmup_netlists:
         ctx.netlist(width, kind)
     warmup_s = time.perf_counter() - warmup_start
+    prefetch_start = time.perf_counter()
+    priced = ctx.prefetch(
+        [
+            demand
+            for name in plan.names
+            for demand in get_experiment(name).demands(ctx)
+        ]
+    )
+    prefetch_s = time.perf_counter() - prefetch_start
 
     entries: List[SuiteEntry] = []
     for name in plan.names:
         spec = get_experiment(name)
         before = _snapshot(ctx)
+        unplanned = ctx.unplanned_rows
         t0 = time.perf_counter()
         result = spec.run(ctx)
         entry = SuiteEntry(
@@ -421,6 +515,7 @@ def _run_serial(
             elapsed=time.perf_counter() - t0,
             store_delta=_delta(ctx, before),
             result=result,
+            unplanned_rows=ctx.unplanned_rows - unplanned,
         )
         entries.append(entry)
         if on_result is not None:
@@ -433,6 +528,9 @@ def _run_serial(
         warmup_s=warmup_s,
         store_dir=ctx.store.directory if ctx.store else None,
         store_counters=ctx.store.snapshot() if ctx.store else None,
+        prefetch_s=prefetch_s,
+        prefetch_rows=sum(priced.values()),
+        prefetch_planes=len(priced),
     )
 
 

@@ -398,6 +398,11 @@ class ArtifactStore:
         self.counters[kind]["misses"] += 1
         return None
 
+    def contains(self, kind: str, key: Dict) -> bool:
+        """Whether a file for ``key`` exists (nothing is loaded or
+        counted; a corrupt file still reads as a miss on load)."""
+        return os.path.exists(self._path(kind, key))
+
     def save(self, kind: str, key: Dict, payload) -> None:
         """Atomically persist one artifact as one file."""
         path = self._path(kind, key)

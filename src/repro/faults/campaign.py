@@ -404,6 +404,17 @@ def unique_site_ids(faults: Sequence[FaultModel]) -> List[str]:
     return ids
 
 
+def campaign_operands(
+    width: int, num_patterns: int, seed: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """The ``(md, mr)`` workload a campaign of ``seed`` runs."""
+    rng = np.random.default_rng(seed)
+    high = 1 << width
+    md = rng.integers(0, high, num_patterns, dtype=np.uint64)
+    mr = rng.integers(0, high, num_patterns, dtype=np.uint64)
+    return md, mr
+
+
 class InjectionCampaign:
     """Sweep fault sites through one architecture on a fixed workload.
 
@@ -443,10 +454,9 @@ class InjectionCampaign:
         self.num_patterns = num_patterns
         self.seed = seed
         self.years = years
-        rng = np.random.default_rng(seed)
-        high = 1 << architecture.width
-        self.md = rng.integers(0, high, num_patterns, dtype=np.uint64)
-        self.mr = rng.integers(0, high, num_patterns, dtype=np.uint64)
+        self.md, self.mr = campaign_operands(
+            architecture.width, num_patterns, seed
+        )
         self._golden = golden_products(
             self.md, self.mr, architecture.width
         )
@@ -483,10 +493,9 @@ class InjectionCampaign:
         :func:`~repro.faults.injector.em_fault_sites`).
         """
         if sites == "em":
-            rng = np.random.default_rng(seed)
-            high = 1 << architecture.width
-            md = rng.integers(0, high, num_patterns, dtype=np.uint64)
-            mr = rng.integers(0, high, num_patterns, dtype=np.uint64)
+            md, mr = campaign_operands(
+                architecture.width, num_patterns, seed
+            )
             counts = architecture.factory.circuit(0.0).toggle_counts(
                 {"md": md, "mr": mr}
             )

@@ -87,17 +87,30 @@ def population_key(
     }
 
 
+def base_period_demand(spec: MonteCarloSpec, width: int, kind: str, context):
+    """The fresh row on the population's stimulus, whose slowest
+    pattern sets the base clock period (a
+    :class:`~repro.experiments.context.StreamDemand`)."""
+    from ..experiments.context import StreamDemand
+
+    md, mr = uniform_operands(width, spec.num_patterns, spec.stream_seed)
+    netlist = context.netlist(width, kind)
+    return StreamDemand(
+        width, kind, {"md": md, "mr": mr}, np.ones((1, len(netlist.cells)))
+    )
+
+
 def _pricing_inputs(spec: MonteCarloSpec, width: int, kind: str, context):
     """Shared deterministic pricing setup: factory, stimulus, zero
     counts and the clock grid derived from the fresh critical path."""
     factory = context.factory(width, kind)
     netlist = factory.netlist
-    md, mr = uniform_operands(width, spec.num_patterns, spec.stream_seed)
-    stimulus = {"md": md, "mr": mr}
-    zeros = count_zeros(_judged_operand(kind, md, mr), width)
-    (fresh,) = context.price(
-        netlist, np.ones((1, len(netlist.cells))), stimulus
+    demand = base_period_demand(spec, width, kind, context)
+    stimulus = demand.stimulus
+    zeros = count_zeros(
+        _judged_operand(kind, stimulus["md"], stimulus["mr"]), width
     )
+    (fresh,) = context.price_demand(demand)
     base_period_ns = float(fresh.delays.max())
     clock_ns = tuple(
         float(f) * base_period_ns for f in spec.clock_fractions

@@ -61,7 +61,7 @@ from . import logic
 from .engine import CompiledCircuit, FaultHook, _CompiledCell
 from .engine import _check_delay_scales
 from .replay import ArrivalReplay, ValuePlane
-from .replay import _active_arrival, _aux_count, build_value_plane
+from .replay import _active_arrival, build_value_plane
 from .soa import SoAPlan, bucket_level
 from .value_cache import netlist_fingerprint
 
@@ -409,7 +409,7 @@ def _replay_all_arrivals(
             if not active.size:
                 continue
             rows, cols = np.divmod(active, n)
-            count = _aux_count(bucket.opcode, pins.shape[0])
+            count = logic.aux_count(bucket.opcode, pins.shape[0])
             # Every aux lane of the bucket in one unpack, lane-major.
             lanes = np.unpackbits(
                 plane.aux_packed[

@@ -145,6 +145,16 @@ def aux_masks(
     raise SimulationError("no arrival rule for opcode %r" % (opcode,))
 
 
+def aux_count(opcode: int, num_inputs: int) -> int:
+    """How many masks :func:`aux_masks` yields for a cell of
+    ``opcode`` with ``num_inputs`` pins."""
+    if CONTROLLING_VALUE.get(opcode) is not None:
+        return num_inputs
+    if opcode in (OP_MUX2, OP_TRIBUF):
+        return 1
+    return 0
+
+
 def may_vector(
     opcode: int,
     values: Sequence[np.ndarray],

@@ -60,15 +60,6 @@ from .engine import auto_chunk_size
 from .fold import fold_stimulus, unfold_stream
 
 
-def _aux_count(opcode: int, num_inputs: int) -> int:
-    """How many aux masks :func:`logic.aux_masks` yields for a cell."""
-    if logic.CONTROLLING_VALUE.get(opcode) is not None:
-        return num_inputs
-    if opcode in (logic.OP_MUX2, logic.OP_TRIBUF):
-        return 1
-    return 0
-
-
 #: Per-chunk memory target of the SoA replay.  A chunk of ``c``
 #: patterns holds, per (cell, pattern) entry, one ``(k,)`` float64
 #: store row, one int32 slot, one mask byte and up to
@@ -306,9 +297,7 @@ def build_value_plane(
     chunk_size += -chunk_size % 8
     nbytes = (n + 7) // 8
     may = np.zeros((circuit.num_nets, nbytes), dtype=np.uint8)
-    counts = [_aux_count(c.opcode, len(c.inputs)) for c in circuit._cells]
-    aux_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=aux_offsets[1:])
+    aux_offsets = circuit.plan_rows().aux_offsets
     aux = np.zeros((int(aux_offsets[-1]), nbytes), dtype=np.uint8)
     pieces = []
     carry_values: Optional[np.ndarray] = None
@@ -573,7 +562,7 @@ class ArrivalReplay:
         ):
             positions = plane.aux_offsets[bucket.positions]
             lanes = []
-            for lane in range(_aux_count(bucket.opcode, pin_rows.shape[0])):
+            for lane in range(logic.aux_count(bucket.opcode, len(pin_rows))):
                 aux_order.append(positions + lane)
                 lanes.append(aux_row)
                 aux_row += r1 - r0

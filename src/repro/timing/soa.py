@@ -47,6 +47,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..nets.netlist import CONST0, CONST1
+from . import logic
 
 __all__ = [
     "LevelBucket",
@@ -170,6 +171,9 @@ class PlanRows:
         cell_indices: ``(num_cells,)`` netlist cell index of each cell
             row (row ``base + i`` is entry ``i``).
         fresh_delays: ``(num_cells,)`` unscaled delay of each cell row.
+        aux_offsets: ``(num_cells + 1,)`` first row of each levelized
+            cell position's aux masks (:func:`logic.aux_masks`) in a
+            value plane's ``aux_packed``; the last entry is the total.
     """
 
     base: int
@@ -180,6 +184,7 @@ class PlanRows:
     pin_rows: List[np.ndarray]
     cell_indices: np.ndarray
     fresh_delays: np.ndarray
+    aux_offsets: np.ndarray
 
     @property
     def num_rows(self) -> int:
@@ -205,9 +210,15 @@ def build_plan_rows(plan: SoAPlan, netlist) -> PlanRows:
     net_row[row_net] = np.arange(row_net.shape[0])
     spans = []
     row = len(fixed)
+    counts = np.zeros(row_net.shape[0] - row, dtype=np.int64)
     for bucket in buckets:
         spans.append((row, row + bucket.size))
         row += bucket.size
+        counts[bucket.positions] = logic.aux_count(
+            bucket.opcode, bucket.pins.shape[0]
+        )
+    aux_offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=aux_offsets[1:])
     return PlanRows(
         base=len(fixed),
         net_row=net_row,
@@ -222,4 +233,5 @@ def build_plan_rows(plan: SoAPlan, netlist) -> PlanRows:
         fresh_delays=np.concatenate(
             [np.zeros(0)] + [bucket.fresh_delays for bucket in buckets]
         ),
+        aux_offsets=aux_offsets,
     )

@@ -39,6 +39,7 @@ and the fault campaign's pristine baseline.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Callable, Dict, List, Optional, Sequence
@@ -104,8 +105,11 @@ def stimulus_digest(stimulus: Dict[str, Sequence[int]]) -> str:
     return h.hexdigest()
 
 
+@functools.lru_cache(maxsize=8)
 def technology_fingerprint(technology: Technology) -> str:
-    """Stable sha256 of every technology constant."""
+    """Stable sha256 of every technology constant (memoized: every
+    :func:`stream_keys` call needs it, and a ``Technology`` is a
+    frozen value)."""
     h = hashlib.sha256()
     h.update(
         json.dumps(
@@ -228,6 +232,8 @@ class ValuePlaneCache:
         self.disk_hits = 0
         self.misses = 0
         self.bypasses = 0
+        #: Rows :meth:`price` replayed (not loaded from the store).
+        self.priced_rows = 0
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the hit/miss accounting (suite observability)."""
@@ -333,6 +339,7 @@ class ValuePlaneCache:
         """
         scales = np.atleast_2d(np.asarray(scales, dtype=float))
         if self.store is None:
+            self.priced_rows += scales.shape[0]
             return self.replay_scales(_pricing(circuit), scales, stimulus)
         keys = stream_keys(netlist, technology, stimulus, scales)
         # Within one call only the row hash varies between keys.
@@ -347,6 +354,7 @@ class ValuePlaneCache:
             rows = list(missing.values())
             if len(rows) < len(scales):
                 scales = scales[rows]
+            self.priced_rows += len(rows)
             fresh = self.replay_scales(_pricing(circuit), scales, stimulus)
             for (digest, index), result in zip(missing.items(), fresh):
                 found[digest] = result

@@ -204,6 +204,19 @@ class TestAdderRecovery:
         assert report.deep_retry_ops > 0
         assert report.recovered_ops == report.deep_retry_ops
 
+    def test_precomputed_stream_length_checked(self, tight, operands):
+        """A stream of another length is refused, as the multiplier
+        refuses it, instead of reporting its own pattern count."""
+        a, b = operands
+        stream = tight.factory.stream_result(
+            0.0, {"a": a, "b": b}, collect_bit_arrivals=True
+        )
+        with pytest.raises(
+            SimulationError, match="precomputed stream has 1050 patterns,"
+            " operands have 100"
+        ):
+            tight.run_patterns(a[:100], b[:100], stream=stream)
+
 
 class TestExtVlAdder:
     def test_experiment_claims(self, ctx):

@@ -1,10 +1,12 @@
 """Suite planner/runner: plans, parallel identity, warm-store reuse."""
 
 import collections
+import dataclasses
 import hashlib
 import os
 import re
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -15,9 +17,14 @@ from repro.experiments import (
     plan_suite,
     run_suite,
 )
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import (
+    BASELINE_GENERATORS,
+    ExperimentContext,
+    StreamDemand,
+)
 from repro.experiments.scheduler import _spec_weight
 from repro.experiments.store import delta_totals
+from repro.timing.engine import CompiledCircuit
 
 #: Cheap experiment subset used by the run_suite tests (16-bit designs,
 #: modest pattern counts).
@@ -52,15 +59,34 @@ def _file_digests(directory):
 
 
 class TestResources:
-    def test_every_spec_declares_coherent_resources(self):
+    @pytest.fixture(scope="class")
+    def demand_context(self):
+        return ExperimentContext(scale=0.01, characterize_patterns=100)
+
+    def test_every_spec_declares_coherent_resources(self, demand_context):
         for spec in REGISTRY.values():
             resources = spec.resources
             assert isinstance(resources, Resources)
-            for width, kind in resources.designs + resources.netlists:
+            for width, kind in resources.designs:
                 assert width in (8, 16, 32)
                 assert kind in ("am", "column", "row")
-            for width in resources.streams:
+            for width, kind in resources.netlists:
                 assert width in (8, 16, 32)
+                # ext_baselines' related-work designs are netlist-only.
+                assert kind in ("am", "column", "row") + tuple(
+                    BASELINE_GENERATORS
+                )
+            for demand in spec.demands(demand_context):
+                assert isinstance(demand, StreamDemand)
+                assert demand.width in (8, 16, 32)
+                assert (demand.width, demand.kind) in (
+                    resources.designs + resources.netlists
+                ), spec.id
+                netlist = demand_context.netlist(demand.width, demand.kind)
+                assert demand.scales.ndim == 2
+                assert demand.scales.shape[1] == len(netlist.cells)
+                lengths = {len(arr) for arr in demand.stimulus.values()}
+                assert len(lengths) == 1, spec.id
             # Designs imply their netlists exactly once.
             all_nets = resources.all_netlists()
             assert len(set(all_nets)) == len(all_nets)
@@ -357,3 +383,137 @@ class TestRunSuiteParallel:
         )
         assert result.store_dir is None  # temp store, already removed
         assert seen == list(SUBSET)  # emission stays in request order
+
+
+class TestDemandPrefetch:
+    """A suite prices its experiments' declared stream demands up
+    front, one value pass and one replay per value plane."""
+
+    #: Experiments that price only through ``ExperimentContext.price``
+    #: and ``stream_results``; several share the 16x16 standard planes.
+    NAMES = ("fig05", "fig06", "fig19", "fig26", "ext_em", "ext_baselines")
+
+    @staticmethod
+    def _run(names, store=None, **kwargs):
+        return run_suite(
+            names=names,
+            scale=0.02,
+            characterize_patterns=200,
+            store=store,
+            **kwargs,
+        )
+
+    def test_cold_suite_replays_each_plane_once(self, monkeypatch):
+        from repro.timing import value_cache
+        from repro.timing.replay import ArrivalReplay
+
+        counts = collections.Counter()
+        replay = ArrivalReplay.replay
+        build = value_cache.build_value_plane
+
+        def counting_replay(self, *args, **kwargs):
+            counts["replay"] += 1
+            return replay(self, *args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            counts["value"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ArrivalReplay, "replay", counting_replay)
+        monkeypatch.setattr(value_cache, "build_value_plane", counting_build)
+        ctx = ExperimentContext(scale=0.02, characterize_patterns=200)
+        result = run_suite(names=self.NAMES, context=ctx)
+        planes = ctx.plane_groups(
+            [
+                demand
+                for name in self.NAMES
+                for demand in REGISTRY[name].demands(ctx)
+            ]
+        )
+        # fig19, fig26, ext_em and ext_baselines share the three 16x16
+        # standard planes; fig05's longer stream, fig06's zero-count
+        # streams and ext_baselines' related-work designs add three
+        # planes each.
+        assert len(planes) == 12
+        assert result.prefetch_planes == len(planes)
+        assert counts == {"replay": len(planes), "value": len(planes)}
+        assert all(entry.unplanned_rows == 0 for entry in result.entries)
+        assert (
+            "priced outside the prefetch: 0 rows\n" in result.render()
+        )
+
+    def test_store_of_lone_runs_serves_the_suite(self, tmp_path):
+        """Each experiment run alone prefetches only its own demands;
+        the rows it stores are exactly the keys the whole suite's
+        prefetch looks up."""
+        store_dir = str(tmp_path / "store")
+        alone = {}
+        for name in self.NAMES:
+            alone.update(
+                self._run([name], ArtifactStore(store_dir)).rendered_by_name()
+            )
+        suite = self._run(self.NAMES, ArtifactStore(store_dir))
+        assert suite.rendered_by_name() == alone
+        assert suite.prefetch_rows == 0
+        assert suite.store_counters["stream"]["misses"] == 0
+        assert suite.store_counters["stream"]["writes"] == 0
+        assert suite.store_counters["stream"]["hits"] > 0
+
+    def test_pooled_prefetch_shards_by_plane(self, tmp_path):
+        """With a store, ``plan`` jobs find the planes and one
+        ``prefetch`` job prices each: the pooled cold run prices the
+        serial run's planes, then nothing outside them."""
+        names = ("fig06", "fig19", "ext_em")
+        serial = self._run(names)
+        pooled = self._run(
+            names, ArtifactStore(str(tmp_path / "store")), pool="local:2"
+        )
+        assert pooled.rendered_by_name() == serial.rendered_by_name()
+        # fig06's three zero-count planes; fig19 and ext_em share the
+        # column standard plane, ext_em adds the row one.
+        assert serial.prefetch_planes == pooled.prefetch_planes == 5
+        assert pooled.prefetch_rows == serial.prefetch_rows
+        assert all(entry.unplanned_rows == 0 for entry in pooled.entries)
+
+    def test_undeclared_demand_prices_and_is_counted(self, monkeypatch):
+        declared = self._run(["fig06"])
+        spec = REGISTRY["fig06"]
+        monkeypatch.setitem(
+            REGISTRY,
+            "fig06",
+            dataclasses.replace(
+                spec,
+                resources=dataclasses.replace(spec.resources, demands=None),
+            ),
+        )
+        stale = self._run(["fig06"])
+        assert stale.rendered_by_name() == declared.rendered_by_name()
+        assert declared.entry("fig06").unplanned_rows == 0
+        # One fresh row per zero-count stream.
+        assert stale.entry("fig06").unplanned_rows == 3
+        assert stale.prefetch_rows == 0
+        assert (
+            "priced outside the prefetch: 3 rows (fig06 3)"
+            in stale.render()
+        )
+
+    def test_price_counts_rows_outside_the_prefetch(self):
+        ctx = ExperimentContext(scale=0.02, characterize_patterns=200)
+        demand = ctx.standard_demand(16, "column", [0.0, 7.0], 200)
+        assert ctx.prefetch([demand]) == {
+            next(iter(ctx.plane_groups([demand]))): 2
+        }
+        netlist = ctx.netlist(16, "column")
+        prefetched = ctx.price_demand(demand)
+        assert ctx.unplanned_rows == 0
+        aged = ctx.factory(16, "column").lifetime_delay_scales([3.0])
+        (undeclared,) = ctx.price(netlist, aged, demand.stimulus)
+        assert ctx.unplanned_rows == 1
+        direct = CompiledCircuit(netlist, ctx.technology, aged[0]).run(
+            demand.stimulus
+        )
+        np.testing.assert_array_equal(undeclared.delays, direct.delays)
+        # Repeats are memo hits: no further row is priced.
+        assert ctx.price_demand(demand)[1] is prefetched[1]
+        ctx.price(netlist, aged, demand.stimulus)
+        assert ctx.unplanned_rows == 1
