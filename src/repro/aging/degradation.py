@@ -281,7 +281,9 @@ class AgedCircuitFactory:
 
         Bit-identical to ``[self.circuit(y).run(stimulus, ...) for y in
         years]`` but the levelized value loop runs once and the aged
-        corners are batch-replayed (see :mod:`repro.timing.replay`).
+        corners are batch-replayed (see :mod:`repro.timing.replay`);
+        the results carry no switched capacitance (the power pass,
+        :func:`repro.timing.replay.build_switched_caps`, prices it).
 
         ``fold`` (default on) additionally deduplicates repeated
         operand transitions before the value pass: the *folded* plane

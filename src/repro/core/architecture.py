@@ -520,7 +520,11 @@ class AgingAwareMultiplier:
             products=stream.outputs["p"],
             one_cycle=one_cycle,
             errors=resolution.errors,
-            mean_switched_caps=stream.mean_switched_caps(),
+            mean_switched_caps=(
+                None
+                if stream.switched_caps is None
+                else stream.mean_switched_caps()
+            ),
             golden_ok=golden_ok,
             undetectable=resolution.undetectable,
             recovered=resolution.recovered,

@@ -143,8 +143,9 @@ class ArchitectureRunResult:
     one_cycle: np.ndarray
     #: Per-pattern Razor error flag.
     errors: np.ndarray
-    #: Mean switched capacitance per op (drives the power model).
-    mean_switched_caps: float
+    #: Mean switched capacitance per op (drives the power model); None
+    #: when the stream was priced without the power pass.
+    mean_switched_caps: Optional[float]
     #: Whether products matched the golden model (None when unchecked).
     golden_ok: Optional[bool] = None
     #: Per-pattern mask: arrival overran the shadow window while judged
@@ -162,7 +163,8 @@ class ArchitectureRunResult:
         aggregates) -- same protocol as ``CampaignResult.summary()``."""
         data = self.report.summary()
         data["num_ops"] = float(self.report.num_ops)
-        data["mean_switched_caps"] = float(self.mean_switched_caps)
+        if self.mean_switched_caps is not None:
+            data["mean_switched_caps"] = float(self.mean_switched_caps)
         if self.golden_ok is not None:
             data["golden_ok"] = float(self.golden_ok)
         return data
@@ -172,7 +174,11 @@ class ArchitectureRunResult:
         arrays stay in memory; serialize them separately if needed)."""
         return {
             "report": self.report.to_dict(),
-            "mean_switched_caps": float(self.mean_switched_caps),
+            "mean_switched_caps": (
+                None
+                if self.mean_switched_caps is None
+                else float(self.mean_switched_caps)
+            ),
             "golden_ok": self.golden_ok,
             "num_ops": self.report.num_ops,
         }

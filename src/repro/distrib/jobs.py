@@ -30,8 +30,9 @@ Job kinds:
     demands when the job names no store: with a store, the suite's
     ``prefetch`` jobs priced them).  Result: ``{"title": ...,
     "rendered": ..., "elapsed": ..., "store_delta": {...},
-    "unplanned_rows": n}`` (the store counters the run moved, and the
-    stream rows it priced outside the prefetch).
+    "unplanned_rows": n, "failed_claims": n}`` (the store counters the
+    run moved, the stream rows it priced outside the prefetch, and the
+    paper claims it checked that do not hold).
 
 ``warmup``
     ``{"job": "warmup", "design": [32, "column"], "scale": 1.0,
@@ -264,6 +265,7 @@ def _run_experiment(request: Dict) -> Dict:
         "elapsed": time.perf_counter() - start,
         "store_delta": _delta(context, before),
         "unplanned_rows": context.unplanned_rows - unplanned,
+        "failed_claims": getattr(result, "failed_claims", 0),
     }
 
 
@@ -343,6 +345,7 @@ def compute_batch(context, query: Dict) -> List[Dict]:
     Every year shares a single value plane; the arrival replay prices
     all years in one vectorized pass (the two-plane engine), so a
     coalesced multi-year build costs barely more than a single year.
+    Switched capacitance is the same at every year: one power pass.
     """
     years = query["years"]
     results = context.stream_results(
@@ -352,6 +355,13 @@ def compute_batch(context, query: Dict) -> List[Dict]:
         query["num_patterns"],
         seed=query["seed"],
     )
+    switched_caps = context.switched_caps(
+        query["width"],
+        query["kind"],
+        query["num_patterns"],
+        seed=query["seed"],
+    )
+    mean_switched_cap = float(np.mean(switched_caps))
     cycle_ns = query["cycle_ns"]
     records = []
     for year, result in zip(years, results):
@@ -370,7 +380,7 @@ def compute_batch(context, query: Dict) -> List[Dict]:
             "max_delay_ns": float(np.max(delays)),
             "p50_delay_ns": p50,
             "p99_delay_ns": p99,
-            "mean_switched_cap": float(np.mean(result.switched_caps)),
+            "mean_switched_cap": mean_switched_cap,
             "error_rate": (
                 None
                 if cycle_ns is None

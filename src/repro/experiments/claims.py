@@ -30,7 +30,12 @@ class ClaimsResult:
 
     @property
     def all_hold(self) -> bool:
-        return self.report.claims_held == len(self.report.claims)
+        return self.failed_claims == 0
+
+    @property
+    def failed_claims(self) -> int:
+        """Claims that do not hold (a suite run fails on any)."""
+        return len(self.report.claims) - self.report.claims_held
 
     def render(self) -> str:
         return self.report.render()

@@ -18,8 +18,9 @@ exactly once into it); rendered outputs are byte-identical to the
 serial run.  ``tcp:`` and ``manifest:`` pools work the same way.  ``--store PATH`` persists
 netlists / stress profiles / stream results across invocations, so a
 warm re-run touches almost no simulation; ``--cold`` clears the store
-first.  Exit status: 0 on success, 1 when any experiment failed (the
-rest still ran -- see the accounting table), 2 on configuration errors
+first.  Exit status: 0 on success, 1 when any experiment failed or a
+paper claim of the ``claims`` checklist does not hold (the rest still
+ran -- see the accounting table), 2 on configuration errors
 (unknown experiment ids come with a did-you-mean suggestion).
 """
 
@@ -154,5 +155,7 @@ def _run(args) -> int:
         report.add_section("suite accounting", suite.render())
         report.write(args.report)
         print("report written to %s" % args.report)
-    return 1 if suite.failures() else 0
+    # An experiment that raised, or a paper claim that does not hold,
+    # fails the command.
+    return 1 if suite.failures() or suite.failed_claims() else 0
 

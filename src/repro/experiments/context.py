@@ -47,9 +47,11 @@ from ..core.baselines import FixedLatencyDesign, build_multiplier
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
 from ..timing.engine import CompiledCircuit, StreamResult
+from ..timing.replay import build_switched_caps
 from ..timing.value_cache import (
     ValuePlaneCache,
     netlist_fingerprint,
+    power_key,
     stimulus_digest,
     stream_keys,
     technology_fingerprint,
@@ -122,6 +124,7 @@ class ExperimentContext:
         self._runs: Dict[Tuple[int, str, float, int, int], StreamResult] = {}
         self._fixed: Dict[Tuple[int, str], FixedLatencyDesign] = {}
         self._activity: Dict[Tuple[int, str, int, int], np.ndarray] = {}
+        self._power: Dict[Tuple[int, str, int, int], np.ndarray] = {}
         #: Rows priced here, by ``stream`` key: every :meth:`prefetch`
         #: row, and without a store every row :meth:`price` returned.
         self._priced: Dict[Tuple, StreamResult] = {}
@@ -494,6 +497,39 @@ class ExperimentContext:
                 )
         return self._activity[key]
 
+    def switched_caps(
+        self, width: int, kind: str, num_patterns: int, seed: int = 1
+    ) -> np.ndarray:
+        """Per-pattern switched capacitance of the standard stream
+        through the fresh design (memoized), persisted as a ``power``
+        artifact when a store is set.
+
+        One power pass (:func:`~repro.timing.replay
+        .build_switched_caps`): switched capacitance does not depend on
+        delay, so every aging row of the design shares it, and no
+        priced stream carries it.  Only the consumers that read power
+        call this.
+        """
+        key = (width, kind, num_patterns, seed)
+        if key not in self._power:
+            netlist = self.netlist(width, kind)
+            md, mr = self.stream(width, num_patterns, seed)
+            stimulus = {"md": md, "mr": mr}
+
+            def build() -> np.ndarray:
+                circuit, _ = self._pricer(netlist)
+                return build_switched_caps(circuit(), stimulus)
+
+            if self.store is None:
+                self._power[key] = build()
+            else:
+                self._power[key] = self.store.get_or_build(
+                    "power",
+                    power_key(netlist, self.technology, stimulus),
+                    build,
+                )
+        return self._power[key]
+
     def clear(self) -> None:
         """Drop every cache (used by memory-sensitive test runs)."""
         self._netlists.clear()
@@ -502,6 +538,7 @@ class ExperimentContext:
         self._runs.clear()
         self._fixed.clear()
         self._activity.clear()
+        self._power.clear()
         self._priced.clear()
 
 

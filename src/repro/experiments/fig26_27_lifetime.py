@@ -105,9 +105,10 @@ def demands(
     num_patterns: Optional[int] = None,
     **_,
 ) -> List[StreamDemand]:
-    """Each design's fresh standard stream (its switching activity),
-    and the bypassing designs' stream at every year (the adaptive
-    designs' aged runs)."""
+    """Each design's fresh standard stream (the year-0 run its power
+    report reads, with the power pass's switched capacitance), and the
+    bypassing designs' stream at every year (the adaptive designs' aged
+    runs)."""
     n = num_patterns or context.patterns(PAPER_PATTERNS)
     return [
         context.standard_demand(
@@ -142,9 +143,13 @@ def run(
         kind = _design_kind(design)
         netlist = ctx.netlist(width, kind)
         factory = ctx.factory(width, kind)
-        # Switching activity is delay-independent: one fresh run serves
-        # every year (leakage picks up the Vth drift separately).
-        stream = ctx.stream_result(width, kind, 0.0, n)
+        # Switched capacitance is delay-independent: one power pass
+        # per design serves every year (leakage picks up the Vth drift
+        # separately).
+        stream = dataclasses.replace(
+            ctx.stream_result(width, kind, 0.0, n),
+            switched_caps=ctx.switched_caps(width, kind, n),
+        )
         adaptive = design.startswith("a-")
         if not adaptive:
             # Prefetch every year's critical path in one vectorized

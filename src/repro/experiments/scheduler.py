@@ -139,6 +139,9 @@ class SuiteEntry:
     #: Stream rows the experiment replayed itself: rows its declared
     #: demands miss (:attr:`ExperimentContext.unplanned_rows`).
     unplanned_rows: int = 0
+    #: Paper claims the experiment checked that do not hold (its
+    #: result's ``failed_claims``; 0 for experiments that check none).
+    failed_claims: int = 0
 
     def cache_hits(self) -> int:
         return delta_totals(self.store_delta)["hits"]
@@ -184,6 +187,10 @@ class SuiteResult:
         """Entries whose experiment raised or whose worker died."""
         return [entry for entry in self.entries if entry.error is not None]
 
+    def failed_claims(self) -> int:
+        """Paper claims that do not hold, over every entry."""
+        return sum(entry.failed_claims for entry in self.entries)
+
     def render(self) -> str:
         """Per-experiment wall-clock / cache-hit accounting table."""
         rows = []
@@ -227,6 +234,18 @@ class SuiteResult:
                 rows,
             )
         )
+        if self.failed_claims():
+            lines.append(
+                "claims: %d do not hold (%s)"
+                % (
+                    self.failed_claims(),
+                    ", ".join(
+                        "%s %d" % (entry.name, entry.failed_claims)
+                        for entry in self.entries
+                        if entry.failed_claims
+                    ),
+                )
+            )
         failed = self.failures()
         if failed:
             lines.append("failed: %d of %d experiments"
@@ -384,6 +403,7 @@ def _run_pooled(
                 elapsed=float(response.get("elapsed", 0.0)),
                 store_delta=delta,
                 unplanned_rows=int(response.get("unplanned_rows", 0)),
+                failed_claims=int(response.get("failed_claims", 0)),
             )
         entries[order[position]] = entry
         # Flush finalized entries strictly in request order.
@@ -516,6 +536,7 @@ def _run_serial(
             store_delta=_delta(ctx, before),
             result=result,
             unplanned_rows=ctx.unplanned_rows - unplanned,
+            failed_claims=getattr(result, "failed_claims", 0),
         )
         entries.append(entry)
         if on_result is not None:

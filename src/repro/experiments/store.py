@@ -19,7 +19,12 @@ and across invocations:
   one per priced delay-scale row, keyed by :func:`~repro.timing
   .value_cache.stream_keys`: netlist hash x technology x circuit mode x
   stimulus digest x the row's bytes, written only by
-  :meth:`~repro.timing.value_cache.ValuePlaneCache.price`;
+  :meth:`~repro.timing.value_cache.ValuePlaneCache.price` and the fault
+  campaign's pristine baseline; a stream holds no switched capacitance;
+* ``power`` -- the per-pattern switched capacitance of a stimulus (the
+  power pass, :func:`~repro.timing.replay.build_switched_caps`), keyed
+  by :func:`~repro.timing.value_cache.power_key`: netlist hash x
+  technology x stimulus digest, shared by every delay-scale row;
 * ``activity`` -- per-net toggle counts of a stimulus
   (:meth:`~repro.timing.engine.CompiledCircuit.toggle_counts`, the
   electromigration input), keyed by netlist hash x technology x
@@ -86,6 +91,7 @@ KINDS = (
     "netlist",
     "stress",
     "stream",
+    "power",
     "activity",
     "population",
     "surface",
@@ -219,10 +225,7 @@ def _encode_stream(result: StreamResult):
         "outputs": sorted(result.outputs),
         "bit_arrivals": sorted(result.bit_arrivals or {}),
     }
-    arrays = {
-        "delays": result.delays,
-        "switched_caps": result.switched_caps,
-    }
+    arrays = {"delays": result.delays}
     for name, arr in result.outputs.items():
         arrays["out__" + name] = arr
     for name, arr in (result.bit_arrivals or {}).items():
@@ -239,10 +242,17 @@ def _decode_stream(meta: Dict, arrays: Dict, key: Dict) -> StreamResult:
             name: arrays["out__" + name] for name in meta["outputs"]
         },
         delays=arrays["delays"],
-        switched_caps=arrays["switched_caps"],
         num_patterns=int(meta["num_patterns"]),
         bit_arrivals=bit_arrivals or None,
     )
+
+
+def _encode_power(switched_caps):
+    return {}, {"switched_caps": np.asarray(switched_caps)}
+
+
+def _decode_power(meta: Dict, arrays: Dict, key: Dict):
+    return arrays["switched_caps"]
 
 
 def _encode_activity(counts):
@@ -296,7 +306,6 @@ def _encode_plane(plane: ValuePlane):
         "may_packed": plane.may_packed,
         "aux_packed": plane.aux_packed,
         "aux_offsets": plane.aux_offsets,
-        "switched_caps": plane.switched_caps,
     }
     for name, arr in plane.outputs.items():
         arrays["out__" + name] = arr
@@ -315,7 +324,6 @@ def _decode_plane(meta: Dict, arrays: Dict, key: Dict) -> ValuePlane:
         outputs={
             name: arrays["out__" + name] for name in meta["outputs"]
         },
-        switched_caps=arrays["switched_caps"],
         key=key["plane"],
     )
 
@@ -323,6 +331,7 @@ def _decode_plane(meta: Dict, arrays: Dict, key: Dict) -> ValuePlane:
 _NPZ_CODECS = {
     "stress": (_encode_stress, _decode_stress),
     "stream": (_encode_stream, _decode_stream),
+    "power": (_encode_power, _decode_power),
     "activity": (_encode_activity, _decode_activity),
     "population": (_encode_population, _decode_population),
     "plane": (_encode_plane, _decode_plane),

@@ -63,7 +63,7 @@ from ..core.stats import ArchitectureRunResult
 from ..errors import CampaignInterrupted, FaultError
 from ..timing.delta import DeltaBase, replay_delta
 from ..timing.engine import StreamResult
-from ..timing.value_cache import stream_keys
+from ..timing.value_cache import power_key, stream_keys
 from .injector import (
     build_fault_hooks,
     compile_with_faults,
@@ -594,26 +594,33 @@ class InjectionCampaign:
         The pristine stream is one folded :meth:`~repro.timing.engine
         .CompiledCircuit.run` of the pristine circuit, which is compiled
         at the campaign's aging row; its plane serves no other stream,
-        so nothing caches it.  With ``store`` the stream is the
-        ``stream`` artifact of that row (keyed by
-        :func:`~repro.timing.value_cache.stream_keys`, as
+        so nothing caches it.  The baseline reports switched
+        capacitance, so the run includes the power pass.  With
+        ``store`` the stream is the ``stream`` artifact of that row
+        (keyed by :func:`~repro.timing.value_cache.stream_keys`, as
         :meth:`~repro.timing.value_cache.ValuePlaneCache.price` keys
-        it), so a warm campaign simulates nothing.
+        it) plus the stimulus's ``power`` artifact (keyed by
+        :func:`~repro.timing.value_cache.power_key`), so a warm
+        campaign simulates nothing.
         """
         stimulus = {"md": self.md, "mr": self.mr}
-        stream = key = None
+        stream = caps = None
         if store is not None:
+            netlist = self.architecture.netlist
+            technology = self.architecture.technology
             (key,) = stream_keys(
-                self.architecture.netlist,
-                self.architecture.technology,
-                stimulus,
-                self._base_row(),
+                netlist, technology, stimulus, self._base_row()
             )
+            caps_key = power_key(netlist, technology, stimulus)
             stream = store.load("stream", key)
-        if stream is None:
+            caps = store.load("power", caps_key)
+        if stream is None or caps is None:
             stream = self._pristine_circuit().run(stimulus, fold=True)
             if store is not None:
                 store.save("stream", key, stream)
+                store.save("power", caps_key, stream.switched_caps)
+        else:
+            stream.switched_caps = caps
         return self.architecture.run_patterns(
             self.md, self.mr, years=self.years, stream=stream
         )
@@ -639,12 +646,11 @@ class InjectionCampaign:
             ),
             fault_hooks=build_fault_hooks(netlist, [fault]),
         )
-        # A cone delta prices no switched capacitance (DESIGN.md
-        # section 16), and a site report reads none.
+        # A site report reads no switched capacitance, so the stream
+        # carries none, like every replayed stream.
         stream = StreamResult(
             outputs=priced.outputs,
             delays=priced.delays[0],
-            switched_caps=np.full(priced.num_patterns, np.nan),
             num_patterns=priced.num_patterns,
         )
         result = arch.run_patterns(

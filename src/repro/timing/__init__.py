@@ -20,8 +20,10 @@ delay-independent :class:`ValuePlane` computed once per stimulus
 delay-scale vectors at once -- a single ``run`` is one plane and one
 replay, and every lifetime / variation sweep shares one plane.
 
-:mod:`repro.timing.power` converts switching activity into the paper's
-power / energy-delay-product metrics.
+Switched capacitance is a third, separate pass over the same plan
+(:func:`build_switched_caps`), priced only where power is read, and
+:mod:`repro.timing.power` converts it into the paper's power /
+energy-delay-product metrics.
 """
 
 from .delta import (
@@ -44,6 +46,7 @@ from .replay import (
     ArrivalReplay,
     ReplayResult,
     ValuePlane,
+    build_switched_caps,
     build_value_plane,
 )
 from .soa import SoAPlan, build_soa_plan
@@ -69,6 +72,7 @@ __all__ = [
     "ValuePlaneCache",
     "auto_chunk_size",
     "build_soa_plan",
+    "build_switched_caps",
     "build_value_plane",
     "critical_path",
     "diff_netlists",

@@ -33,10 +33,9 @@ Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 ``delta-smoke`` job): ``replay_delta`` reproduces, bit for bit, the
 ``outputs``, ``delays`` and ``bit_arrivals`` of a from-scratch
 :func:`evaluate_full` on the child netlist -- for both delay modes and
-any finite, positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
-*excluded* from the delta surface: transition densities propagate
-globally and their per-bucket sum is already the documented
-float-association exception (see DESIGN.md section 16).
+any finite, positive ``(k, num_cells)`` scale matrix.  Nothing here
+prices power: value planes hold no switched capacitance, which is the
+separate power pass (:func:`repro.timing.replay.build_switched_caps`).
 
 Base planes must be built with ``initial=None`` (settling pattern ==
 pattern 0), which makes every recorded may-mask equal to
@@ -450,8 +449,7 @@ class DeltaResult:
     ``delays`` and ``bit_arrivals`` are bit-identical however the
     variant was evaluated (``method`` records which path ran --
     ``"base"``: unchanged, parent result; ``"delta"``: cone replay;
-    ``"full"``: from-scratch fallback).  Switched capacitance is
-    deliberately absent (see the module docstring).
+    ``"full"``: from-scratch fallback).
 
     Attributes:
         outputs: Output port name -> uint64 settled values, ``(n,)``.

@@ -10,7 +10,9 @@ every pattern, computes
   Figs. 5, 6 and 13-24 are built from),
 * the switched capacitance (dynamic power), with switching inside
   *bypassed* full-adder groups frozen exactly as the tri-state gates do in
-  the real circuit.
+  the real circuit -- a separate power pass
+  (:func:`repro.timing.replay.build_switched_caps`), run only by
+  :meth:`CompiledCircuit.run` and by the consumers that read power.
 
 Per-net *activity* -- signal probabilities (the BTI stress input) and
 toggle counts (the electromigration input) -- is delay-free, so it comes
@@ -61,9 +63,10 @@ MODES = ("inertial", "floating")
 #: The mode circuits compile in unless told otherwise.
 DEFAULT_MODE = MODES[0]
 
-#: Peak-memory target for ``chunk_size="auto"``: the value pass keeps
-#: ``num_nets`` rows of per-pattern arrays (uint8 value, bool may,
-#: float64 transition density) plus its bucket temporaries, so
+#: Peak-memory target for ``chunk_size="auto"``: a pass keeps
+#: ``num_nets`` rows of per-pattern arrays (the value pass uint8 values
+#: and bool may flags, the power pass uint8 values and float64
+#: transition densities) plus its bucket temporaries, so
 #: patterns-per-chunk is bounded by this budget divided by
 #: ``num_nets * _AUTO_BYTES_PER_NET``.
 AUTO_CHUNK_TARGET_BYTES = 256 * 1024 * 1024
@@ -91,15 +94,17 @@ class StreamResult:
         outputs: Output port name -> uint64 settled values per pattern.
         delays: Per-pattern path delay in ns (max over all output bits;
             0 when no output changes).
-        switched_caps: Per-pattern switched capacitance in unit caps.
-        bit_arrivals: Optional port -> ``(width, n)`` per-bit arrival ns.
         num_patterns: Stream length.
+        switched_caps: Per-pattern switched capacitance in unit caps,
+            or None for a stream priced without the power pass (every
+            replayed row; see :meth:`mean_switched_caps`).
+        bit_arrivals: Optional port -> ``(width, n)`` per-bit arrival ns.
     """
 
     outputs: Dict[str, np.ndarray]
     delays: np.ndarray
-    switched_caps: np.ndarray
     num_patterns: int
+    switched_caps: Optional[np.ndarray] = None
     bit_arrivals: Optional[Dict[str, np.ndarray]] = None
 
     @property
@@ -113,7 +118,18 @@ class StreamResult:
         return float(self.delays.mean()) if self.num_patterns else 0.0
 
     def mean_switched_caps(self) -> float:
-        """Average switched capacitance per operation (unit caps)."""
+        """Average switched capacitance per operation (unit caps).
+
+        Raises:
+            SimulationError: The stream carries no switched capacitance
+                (it was priced without the power pass).
+        """
+        if self.switched_caps is None:
+            raise SimulationError(
+                "this stream carries no switched capacitance: price it"
+                " with CompiledCircuit.run or the power pass"
+                " (repro.timing.replay.build_switched_caps)"
+            )
         if not self.num_patterns:
             return 0.0
         return float(self.switched_caps.mean())
@@ -404,7 +420,10 @@ class CompiledCircuit:
         The stream's value plane
         (:func:`repro.timing.replay.build_value_plane`) replayed at this
         circuit's ``delay_scale`` (:class:`repro.timing.replay
-        .ArrivalReplay`): there is one arrival rule, the replay's.
+        .ArrivalReplay`): there is one arrival rule, the replay's.  The
+        full result also carries the stream's switched capacitance,
+        from the power pass (:func:`repro.timing.replay
+        .build_switched_caps`).
 
         Args:
             stimulus: Port name -> integer pattern values (all input ports
@@ -437,6 +456,7 @@ class CompiledCircuit:
             collect_bit_arrivals=collect_bit_arrivals,
             fold=fold,
             chunk_size=chunk_size,
+            power=True,
         )
         return result
 

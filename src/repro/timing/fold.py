@@ -161,10 +161,13 @@ def unfold_stream(folded_result, plan: FoldPlan):
             name: matrix[..., 1::2][..., pick]
             for name, matrix in folded_result.bit_arrivals.items()
         }
+    switched_caps = folded_result.switched_caps
+    if switched_caps is not None:
+        switched_caps = switched_caps[1::2][pick]
     return StreamResult(
         outputs=outputs,
         delays=folded_result.delays[1::2][pick],
-        switched_caps=folded_result.switched_caps[1::2][pick],
         num_patterns=plan.num_patterns,
+        switched_caps=switched_caps,
         bit_arrivals=bit_arrivals,
     )

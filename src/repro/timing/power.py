@@ -4,8 +4,9 @@ Two components, both tied to the technology card:
 
 * **dynamic**: ``E = 0.5 * Vdd^2 * C_unit * switched_caps`` per operation,
   with switching inside bypassed full-adder groups already frozen by the
-  stream engine -- this is where the bypassing multipliers' power win over
-  the plain array multiplier comes from;
+  power pass (:func:`repro.timing.replay.build_switched_caps`) -- this is
+  where the bypassing multipliers' power win over the plain array
+  multiplier comes from;
 * **leakage**: subthreshold current falls exponentially with the BTI
   threshold-voltage shift, which is why the paper's measured power
   *decreases* year over year while delay increases.
@@ -73,7 +74,9 @@ def power_report(
 
     Args:
         netlist: The combinational design (supplies the leakage weight).
-        stream: Simulation result carrying switched capacitance.
+        stream: Simulation result carrying switched capacitance: a
+            :meth:`~repro.timing.engine.CompiledCircuit.run` result, or
+            a replayed stream given its stimulus's power pass.
         avg_latency_ns: Average latency per operation (from the
             architecture simulation; sets the power averaging window).
         technology: Voltage/cap/leakage card.
@@ -84,6 +87,10 @@ def power_report(
         cycles_per_op: Average clock cycles per operation (variable-
             latency designs clock their flip-flops on every cycle, not
             every operation).
+
+    Raises:
+        SimulationError: A non-positive latency or cycle count, or a
+            stream that carries no switched capacitance.
     """
     if avg_latency_ns <= 0:
         raise SimulationError("avg_latency_ns must be positive")

@@ -9,11 +9,16 @@ aging timestep and variation corner.  This module exploits that split:
   stimulus (delay-free), recording everything the arrival rules consume
   -- per-net may-change flags and per-cell value-derived aux masks
   (controlling-input hits, mux selects, tri-state enables), bit-packed
-  via :func:`repro.timing.logic.pack_bits` semantics -- plus all the
-  delay-independent :class:`~repro.timing.engine.StreamResult` fields
-  (outputs, switched capacitance).  Per-net activity is not recorded:
-  it comes from the values-only :meth:`CompiledCircuit.toggle_counts`
-  and :meth:`CompiledCircuit.signal_probability`.
+  via :func:`repro.timing.logic.pack_bits` semantics -- plus the
+  settled outputs.  Per-net activity is not recorded: it comes from the
+  values-only :meth:`CompiledCircuit.toggle_counts` and
+  :meth:`CompiledCircuit.signal_probability`.
+
+* :func:`build_switched_caps` is the power pass: the same settling
+  loop (:func:`_settle_chunk`) with transition densities in place of
+  the masks.  Switched capacitance depends on neither the delay scale
+  nor the mode, so it is priced once per (netlist, stimulus), and only
+  by the consumers that read it.
 
 * :class:`ArrivalReplay` then recomputes per-pattern path delays for one
   or *many* per-cell delay-scale vectors.  ``replay(scales)`` with a
@@ -32,17 +37,19 @@ aging timestep and variation corner.  This module exploits that split:
   fold the stimulus when that pays, build (or fetch from a
   :class:`~repro.timing.value_cache.ValuePlaneCache`) its plane, replay
   it, unfold.  :meth:`CompiledCircuit.run` is this sequence at the
-  circuit's own delay scale, so :func:`_active_arrival` is the one
-  arrival rule in the package (the delta engine prices its cones with
-  it too).
+  circuit's own delay scale plus the power pass, so
+  :func:`_active_arrival` is the one arrival rule in the package (the
+  delta engine prices its cones with it too).
 
 Bit-identity contract: for any scale matrix, corner ``j`` of
 ``ArrivalReplay(circuit, plane).replay(scales)`` is byte-identical to
 the scalar oracle ``tests/oracle.py`` run at ``scales[j]`` (outputs,
-delays, bit arrivals; switched capacitance to float association),
-regardless of how the plane build or the replay was chunked.  The
-oracle shares no gate rules with this package; ``tests/test_replay.py``
-and ``tests/test_fuzz_engines.py`` assert the contract.
+delays, bit arrivals), regardless of how the plane build or the replay
+was chunked; :func:`build_switched_caps` matches the oracle's switched
+capacitance to float association, and its own chunkings byte for
+byte.  The oracle shares no gate rules with this package;
+``tests/test_replay.py`` and ``tests/test_fuzz_engines.py`` assert the
+contract.
 """
 
 from __future__ import annotations
@@ -88,7 +95,9 @@ class ValuePlane:
 
     All boolean streams are bit-packed (8 patterns per byte, big-endian
     bit order, matching :func:`numpy.packbits`); a 16x16 multiplier's
-    plane for 10k patterns is a few MB.
+    plane for 10k patterns is a few MB.  The plane holds what the
+    arrival replay reads and nothing else: switched capacitance comes
+    from the separate power pass (:func:`build_switched_caps`).
 
     Attributes:
         num_patterns: Reported stream length ``n``.
@@ -102,8 +111,7 @@ class ValuePlane:
         aux_packed: Packed aux-mask rows for all cells, concatenated.
         aux_offsets: ``(num_cells + 1,)`` row ranges into ``aux_packed``
             per cell position.
-        outputs / switched_caps: The delay-independent
-            :class:`StreamResult` fields, shared by every replayed
+        outputs: The settled output words, shared by every replayed
             corner.
         key: Optional cache key (see :mod:`repro.timing.value_cache`).
     """
@@ -116,7 +124,6 @@ class ValuePlane:
     aux_packed: np.ndarray
     aux_offsets: np.ndarray
     outputs: Dict[str, np.ndarray]
-    switched_caps: np.ndarray
     key: Optional[str] = None
 
     def may(self, net: int) -> np.ndarray:
@@ -138,149 +145,26 @@ class ValuePlane:
     def nbytes(self) -> int:
         """Approximate in-memory footprint of the packed planes."""
         total = self.may_packed.nbytes + self.aux_packed.nbytes
-        total += self.switched_caps.nbytes
         total += sum(arr.nbytes for arr in self.outputs.values())
         return total
 
 
-def _value_chunk(
-    circuit: CompiledCircuit,
-    arrays: Dict[str, np.ndarray],
-    carry_values: Optional[np.ndarray],
-    start_index: int,
-    may: np.ndarray,
-    aux: np.ndarray,
-    aux_offsets: np.ndarray,
-):
-    """One chunk of :func:`build_value_plane`'s value pass, one (level,
-    opcode) bucket at a time.
-
-    ``carry_values`` holds every plan row's settled value at the end of
-    the previous chunk (None for the first chunk, which instead starts
-    with the prepended settling pattern and drops it from every
-    result).  ``start_index`` is the global pattern index of the chunk's
-    first element (-1 for the settling pattern), forwarded to fault
-    hooks.  The chunk's may-change flags and aux masks are bit-packed
-    straight into their byte range of the plane's ``may`` and ``aux``
-    rows (``aux_offsets`` gives each cell position's first aux row);
-    the first reported pattern must be a multiple of 8.  Returns
-    ``(outputs, switched_caps, final_values)`` of the chunk's reported
-    patterns.
-
-    Holds dense value / may / transition matrices with one row per
-    plan row (:meth:`CompiledCircuit.plan_rows`), so a bucket gathers
-    its pins with ``take`` and writes its outputs as one contiguous
-    slice; the power kernel writes its transitions straight into that
-    slice.  One row permutation per chunk packs the may rows into the
-    plane's per-net ``may``.  A fault hook rewrites its cell's row
-    right after the bucket's values are evaluated, before change
-    detection: cells of one level never feed each other, so every later
-    use -- this bucket's masks and transitions, and all downstream
-    buckets -- sees the faulted row.
-    """
-    fault_hooks = circuit.fault_hooks
-    netlist = circuit.netlist
-    plan_rows = circuit.plan_rows()
-    bucket_hooks = circuit._bucket_hooks()
-    n = next(iter(arrays.values())).shape[0]
-    inertial = circuit.mode == "inertial"
-    damping = circuit.technology.glitch_damping
-    lo = 1 if carry_values is None else 0
-    byte = (start_index + lo) // 8
-
-    def carried(r0, r1):
-        return None if carry_values is None else carry_values[r0:r1]
-
-    # The rails keep their net ids as plan rows.
-    V = np.zeros((plan_rows.num_rows, n), dtype=np.uint8)
-    V[CONST1] = 1
-    M = np.zeros((plan_rows.num_rows, n), dtype=bool)
-    T = np.zeros((plan_rows.num_rows, n))
-    switched = np.zeros(n)
-
-    # Primary inputs: expand port words into per-net bit rows, one
-    # contiguous row range per port.
-    r1 = CONST1 + 1
-    for name, port in netlist.input_ports.items():
-        r0, r1 = r1, r1 + len(port.nets)
-        bits = logic.unpack_bits(arrays[name], port.width)
-        for lane, net in enumerate(port.nets):
-            if net in fault_hooks:
-                bits[lane] = fault_hooks[net](bits[lane], start_index)
-        flags = logic.changed_matrix(bits, carried(r0, r1))
-        V[r0:r1] = bits
-        M[r0:r1] = flags
-        T[r0:r1] = flags
-
-    for slot, (bucket, (r0, r1), pin_rows) in enumerate(zip(
-        plan_rows.buckets, plan_rows.spans, plan_rows.pin_rows
-    )):
-        in_vals = [V.take(rows, axis=0) for rows in pin_rows]
-        out_val = logic.eval_vector(bucket.opcode, in_vals)
-        hooked = bucket_hooks.get(slot)
-        if hooked:
-            # BUF/TRIBUF return their input rows: copy first.
-            out_val = out_val.copy()
-            for row, hook in hooked:
-                out_val[row] = hook(out_val[row], start_index)
-        changed = logic.changed_matrix(out_val, carried(r0, r1))
-        masks = logic.aux_masks(bucket.opcode, in_vals)
-        if inertial:
-            out_may = changed
-        else:
-            in_mays = [M.take(rows, axis=0) for rows in pin_rows]
-            out_may = logic.may_vector(
-                bucket.opcode, in_vals, in_mays, masks
-            )
-        if masks:
-            rows = aux_offsets[bucket.positions]
-            for lane, mask in enumerate(masks):
-                packed = np.packbits(mask[:, lo:], axis=1)
-                aux[rows + lane, byte:byte + packed.shape[1]] = packed
-        V[r0:r1] = out_val
-        M[r0:r1] = out_may
-        out_trans = T[r0:r1]
-        logic.transition_vector(
-            bucket.opcode,
-            in_vals,
-            [T.take(rows, axis=0) for rows in pin_rows],
-            changed,
-            damping=damping,
-            out=out_trans,
-        )
-        # Reduce over the cell axis with an explicit sum (not a BLAS
-        # matvec): the pairwise accumulation then depends only on the
-        # bucket size, so chunked and unchunked runs produce
-        # bit-identical switched capacitance.
-        switched += (bucket.caps[:, None] * out_trans).sum(axis=0)
-
-    packed = np.packbits(M[:, lo:], axis=1)
-    may[plan_rows.row_net, byte:byte + packed.shape[1]] = packed
-    outputs = {
-        name: logic.pack_bits(
-            V.take(plan_rows.net_row[list(port.nets)], axis=0)
-        )[lo:]
-        for name, port in netlist.output_ports.items()
-    }
-    return outputs, switched[lo:], V[:, -1].copy()
-
-
-def build_value_plane(
+def _pattern_chunks(
     circuit: CompiledCircuit,
     stimulus: Dict[str, Sequence[int]],
-    initial: Optional[Dict[str, int]] = None,
-    chunk_size: "Optional[int | str]" = "auto",
-    key: Optional[str] = None,
-) -> ValuePlane:
-    """Run the value pass once and capture a :class:`ValuePlane`.
+    initial: Optional[Dict[str, int]],
+    chunk_size: "Optional[int | str]",
+):
+    """``(n, chunks)``: the stream length and the ``(arrays,
+    start_index)`` pattern chunks of one pass over ``stimulus``.
 
-    The circuit's fault hooks (if any) apply during the pass, so the
-    recorded values and masks are the *faulted* stream -- a plane is
-    specific to its hook set exactly like a full run is.  ``chunk_size``
-    bounds peak memory as in :meth:`CompiledCircuit.run` (None: one
-    chunk); integer sizes are rounded up to a multiple of 8 so every
-    chunk packs its masks into whole bytes of the plane, and chunked
-    and unchunked builds produce identical planes.
+    ``arrays`` are views of the stimulus with its settling pattern
+    prepended (:meth:`CompiledCircuit._settled_stimulus`); the first
+    chunk also holds that pattern (``start_index`` -1) and drops it
+    from every result.  ``chunk_size`` bounds peak memory as in
+    :meth:`CompiledCircuit.run` (None: one chunk); integer sizes are
+    rounded up to a multiple of 8 so every chunk packs its masks into
+    whole bytes of the plane.
     """
     _, prefixed, n = circuit._settled_stimulus(stimulus, initial)
     if isinstance(chunk_size, str):
@@ -295,27 +179,173 @@ def build_value_plane(
     elif chunk_size < 1:
         raise SimulationError("chunk_size must be >= 1")
     chunk_size += -chunk_size % 8
+    chunks = []
+    start = 0
+    while start <= n:
+        stop = min(start + chunk_size + (start == 0), n + 1)
+        chunks.append(
+            ({name: arr[start:stop] for name, arr in prefixed.items()},
+             start - 1)
+        )
+        start = stop
+    return n, chunks
+
+
+def _settle_chunk(
+    circuit: CompiledCircuit,
+    V: np.ndarray,
+    arrays: Dict[str, np.ndarray],
+    carry_values: Optional[np.ndarray],
+    start_index: int,
+):
+    """Settle one pattern chunk into ``V``, one plan-row block at a
+    time: the gate rules both passes share.
+
+    ``V`` is a zeroed uint8 ``(num_rows, c)`` matrix with one row per
+    plan row (:meth:`CompiledCircuit.plan_rows`); the rails keep their
+    net ids as rows.  ``carry_values`` holds every plan row's settled
+    value at the end of the previous chunk (None for the first chunk,
+    whose first column is the settling pattern), and ``start_index``
+    is the global pattern index of the chunk's first column (-1 for
+    the settling pattern), forwarded to fault hooks.
+
+    Yields ``(bucket, (r0, r1), pin_rows, in_vals, changed)`` per row
+    block: first each primary-input port (``bucket``, ``pin_rows`` and
+    ``in_vals`` None), its port word expanded into bit rows, then each
+    (level, opcode) bucket, whose pins are gathered with ``take`` and
+    whose outputs are one contiguous row range.  ``changed`` flags the
+    block's settled-value changes.  A fault hook rewrites its row right
+    after the block is evaluated, before change detection: cells of one
+    level never feed each other, so every later use -- the caller's
+    masks and transitions for this block, and all downstream buckets --
+    sees the faulted row.
+    """
+    fault_hooks = circuit.fault_hooks
+    plan_rows = circuit.plan_rows()
+    bucket_hooks = circuit._bucket_hooks()
+
+    def carried(r0, r1):
+        return None if carry_values is None else carry_values[r0:r1]
+
+    V[CONST1] = 1
+    r1 = CONST1 + 1
+    for name, port in circuit.netlist.input_ports.items():
+        r0, r1 = r1, r1 + len(port.nets)
+        bits = logic.unpack_bits(arrays[name], port.width)
+        for lane, net in enumerate(port.nets):
+            if net in fault_hooks:
+                bits[lane] = fault_hooks[net](bits[lane], start_index)
+        V[r0:r1] = bits
+        yield None, (r0, r1), None, None, logic.changed_matrix(
+            bits, carried(r0, r1)
+        )
+
+    for slot, (bucket, (r0, r1), pin_rows) in enumerate(zip(
+        plan_rows.buckets, plan_rows.spans, plan_rows.pin_rows
+    )):
+        in_vals = [V.take(rows, axis=0) for rows in pin_rows]
+        out_val = logic.eval_vector(bucket.opcode, in_vals)
+        hooked = bucket_hooks.get(slot)
+        if hooked:
+            # BUF/TRIBUF return their input rows: copy first.
+            out_val = out_val.copy()
+            for row, hook in hooked:
+                out_val[row] = hook(out_val[row], start_index)
+        V[r0:r1] = out_val
+        yield bucket, (r0, r1), pin_rows, in_vals, logic.changed_matrix(
+            out_val, carried(r0, r1)
+        )
+
+
+def _value_chunk(
+    circuit: CompiledCircuit,
+    arrays: Dict[str, np.ndarray],
+    carry_values: Optional[np.ndarray],
+    start_index: int,
+    may: np.ndarray,
+    aux: np.ndarray,
+    aux_offsets: np.ndarray,
+):
+    """One chunk of :func:`build_value_plane`'s value pass.
+
+    Settles the chunk (:func:`_settle_chunk`) and bit-packs its
+    may-change flags and aux masks straight into their byte range of
+    the plane's ``may`` and ``aux`` rows (``aux_offsets`` gives each
+    cell position's first aux row); the first reported pattern must be
+    a multiple of 8.  Holds a dense may matrix next to the values, one
+    row per plan row; one row permutation per chunk packs it into the
+    plane's per-net ``may``.  Returns ``(outputs, final_values)`` of
+    the chunk's reported patterns.
+    """
+    plan_rows = circuit.plan_rows()
+    n = next(iter(arrays.values())).shape[0]
+    inertial = circuit.mode == "inertial"
+    lo = 1 if carry_values is None else 0
+    byte = (start_index + lo) // 8
+    V = np.zeros((plan_rows.num_rows, n), dtype=np.uint8)
+    M = np.zeros((plan_rows.num_rows, n), dtype=bool)
+    for bucket, (r0, r1), pin_rows, in_vals, changed in _settle_chunk(
+        circuit, V, arrays, carry_values, start_index
+    ):
+        if bucket is None:
+            M[r0:r1] = changed
+            continue
+        masks = logic.aux_masks(bucket.opcode, in_vals)
+        if inertial:
+            M[r0:r1] = changed
+        else:
+            M[r0:r1] = logic.may_vector(
+                bucket.opcode,
+                in_vals,
+                [M.take(rows, axis=0) for rows in pin_rows],
+                masks,
+            )
+        if masks:
+            rows = aux_offsets[bucket.positions]
+            for lane, mask in enumerate(masks):
+                packed = np.packbits(mask[:, lo:], axis=1)
+                aux[rows + lane, byte:byte + packed.shape[1]] = packed
+
+    packed = np.packbits(M[:, lo:], axis=1)
+    may[plan_rows.row_net, byte:byte + packed.shape[1]] = packed
+    outputs = {
+        name: logic.pack_bits(
+            V.take(plan_rows.net_row[list(port.nets)], axis=0)
+        )[lo:]
+        for name, port in circuit.netlist.output_ports.items()
+    }
+    return outputs, V[:, -1].copy()
+
+
+def build_value_plane(
+    circuit: CompiledCircuit,
+    stimulus: Dict[str, Sequence[int]],
+    initial: Optional[Dict[str, int]] = None,
+    chunk_size: "Optional[int | str]" = "auto",
+    key: Optional[str] = None,
+) -> ValuePlane:
+    """Run the value pass once and capture a :class:`ValuePlane`.
+
+    The circuit's fault hooks (if any) apply during the pass, so the
+    recorded values and masks are the *faulted* stream -- a plane is
+    specific to its hook set exactly like a full run is.  ``chunk_size``
+    bounds peak memory as in :meth:`CompiledCircuit.run` (see
+    :func:`_pattern_chunks`); chunked and unchunked builds produce
+    identical planes.
+    """
+    n, chunks = _pattern_chunks(circuit, stimulus, initial, chunk_size)
     nbytes = (n + 7) // 8
     may = np.zeros((circuit.num_nets, nbytes), dtype=np.uint8)
     aux_offsets = circuit.plan_rows().aux_offsets
     aux = np.zeros((int(aux_offsets[-1]), nbytes), dtype=np.uint8)
     pieces = []
     carry_values: Optional[np.ndarray] = None
-    start = 0
-    # The first chunk also holds the settling pattern it drops.
-    while start <= n:
-        stop = min(start + chunk_size + (start == 0), n + 1)
-        outputs, switched, carry_values = _value_chunk(
-            circuit,
-            {name: arr[start:stop] for name, arr in prefixed.items()},
-            carry_values,
-            start - 1,
-            may,
-            aux,
+    for arrays, start_index in chunks:
+        outputs, carry_values = _value_chunk(
+            circuit, arrays, carry_values, start_index, may, aux,
             aux_offsets,
         )
-        pieces.append((outputs, switched))
-        start = stop
+        pieces.append(outputs)
     return ValuePlane(
         num_patterns=n,
         num_nets=circuit.num_nets,
@@ -325,12 +355,65 @@ def build_value_plane(
         aux_packed=aux,
         aux_offsets=aux_offsets,
         outputs={
-            name: np.concatenate([outputs[name] for outputs, _ in pieces])
-            for name in pieces[0][0]
+            name: np.concatenate([outputs[name] for outputs in pieces])
+            for name in pieces[0]
         },
-        switched_caps=np.concatenate([switched for _, switched in pieces]),
         key=key,
     )
+
+
+def build_switched_caps(
+    circuit: CompiledCircuit,
+    stimulus: Dict[str, Sequence[int]],
+    initial: Optional[Dict[str, int]] = None,
+    chunk_size: "Optional[int | str]" = "auto",
+) -> np.ndarray:
+    """The power pass: per-pattern switched capacitance (unit caps) of
+    ``stimulus``, shape ``(n,)``.
+
+    Settles every chunk as the value pass does (:func:`_settle_chunk`)
+    and propagates transition densities next to the values
+    (:func:`repro.timing.logic.transition_vector`, damped by the
+    technology's ``glitch_damping``), summing each bucket's
+    capacitance-weighted transitions.  Switched capacitance depends on
+    the values alone: not on the delay scale and not on the delay
+    mode, so one pass serves every aging row and both modes.  Fault
+    hooks apply as in the value pass.  Chunked and unchunked passes
+    give the same bytes.
+    """
+    damping = circuit.technology.glitch_damping
+    num_rows = circuit.plan_rows().num_rows
+    _, chunks = _pattern_chunks(circuit, stimulus, initial, chunk_size)
+    pieces = []
+    carry_values: Optional[np.ndarray] = None
+    for arrays, start_index in chunks:
+        n = next(iter(arrays.values())).shape[0]
+        V = np.zeros((num_rows, n), dtype=np.uint8)
+        T = np.zeros((num_rows, n))
+        switched = np.zeros(n)
+        for bucket, (r0, r1), pin_rows, in_vals, changed in _settle_chunk(
+            circuit, V, arrays, carry_values, start_index
+        ):
+            out = T[r0:r1]
+            if bucket is None:
+                out[...] = changed
+                continue
+            logic.transition_vector(
+                bucket.opcode,
+                in_vals,
+                [T.take(rows, axis=0) for rows in pin_rows],
+                changed,
+                damping=damping,
+                out=out,
+            )
+            # Reduce over the cell axis with an explicit sum (not a
+            # BLAS matvec): the accumulation then depends only on the
+            # bucket size, so chunked and unchunked passes produce
+            # bit-identical switched capacitance.
+            switched += (bucket.caps[:, None] * out).sum(axis=0)
+        pieces.append(switched[1:] if carry_values is None else switched)
+        carry_values = V[:, -1].copy()
+    return np.concatenate(pieces)
 
 
 def replay_stream(
@@ -342,6 +425,7 @@ def replay_stream(
     fold: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
     cache=None,
+    power: bool = False,
 ) -> List[StreamResult]:
     """Stream results of ``stimulus`` for each delay-scale row: fold,
     build the value plane, replay it, unfold.
@@ -353,7 +437,9 @@ def replay_stream(
     for streams that barely repeat; the plane of the (possibly folded)
     stimulus comes from ``cache.get_or_build`` when a
     :class:`~repro.timing.value_cache.ValuePlaneCache` is given, else
-    from :func:`build_value_plane`.
+    from :func:`build_value_plane`.  ``power`` adds the (possibly
+    folded) stimulus's :func:`build_switched_caps` to every row; without
+    it the results carry no switched capacitance.
     """
     plan = None
     if fold and not circuit.fault_hooks:
@@ -370,6 +456,10 @@ def replay_stream(
     results = ArrivalReplay(circuit, plane).replay(
         delay_scales, collect_bit_arrivals=collect_bit_arrivals
     ).stream_results()
+    if power:
+        caps = build_switched_caps(circuit, stimulus, initial, chunk_size)
+        for result in results:
+            result.switched_caps = caps
     if plan is None:
         return results
     return [unfold_stream(result, plan) for result in results]
@@ -402,7 +492,8 @@ class ReplayResult:
 
     def stream_result(self, corner: int = 0) -> StreamResult:
         """One corner as a :class:`StreamResult`, bit-identical to the
-        full engine run at that corner's delay scale."""
+        full engine run at that corner's delay scale, without its
+        switched capacitance (the plane records none)."""
         bit_arrivals = None
         if self.bit_arrivals is not None:
             bit_arrivals = {
@@ -412,7 +503,6 @@ class ReplayResult:
         return StreamResult(
             outputs=self.plane.outputs,
             delays=self.delays[corner],
-            switched_caps=self.plane.switched_caps,
             num_patterns=self.plane.num_patterns,
             bit_arrivals=bit_arrivals,
         )

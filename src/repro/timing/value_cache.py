@@ -6,7 +6,6 @@ A :class:`~repro.timing.replay.ValuePlane` is a pure function of
 * the **stimulus** (and optional ``initial`` settling state),
 * the delay-semantics **mode** (may-masks differ between ``inertial``
   and ``floating``),
-* the technology's ``glitch_damping`` (switched-capacitance stream),
 * the **fault hooks** compiled into the circuit (hooks rewrite the
   value streams, so a faulty plane is a different plane).
 
@@ -33,7 +32,11 @@ when that pays).  :meth:`ValuePlaneCache.price` is the same call with
 each row persisted as a ``stream`` artifact keyed by
 :func:`stream_keys`: the one code path that writes ``stream`` artifacts,
 under both :meth:`~repro.experiments.context.ExperimentContext.price`
-and the fault campaign's pristine baseline.
+and the fault campaign's pristine baseline.  A ``stream`` artifact holds
+no switched capacitance: the power pass
+(:func:`~repro.timing.replay.build_switched_caps`) prices it once per
+(netlist, stimulus), and its consumers persist it as a ``power``
+artifact keyed by :func:`power_key`.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ from .engine import DEFAULT_MODE, CompiledCircuit, StreamResult
 from .replay import ValuePlane, build_value_plane, replay_stream
 
 #: Plane key schema version, hashed into every key.  Version 2: planes
-#: are produced by the levelized SoA kernel, whose cross-cell
-#: switched-capacitance accumulation order differs from the version-1
-#: per-cell interpreter (same values to float association); keying the
-#: version keeps the two provenances from mixing through a store.
-VERSION = 2
+#: are produced by the levelized SoA kernel.  Version 3: planes hold no
+#: switched capacitance, so the key drops ``glitch_damping`` and a
+#: stored version-2 plane (which carries it) is never read back.
+VERSION = 3
 
 
 def netlist_fingerprint(netlist: Netlist) -> str:
@@ -151,6 +153,25 @@ def stream_keys(
     ]
 
 
+def power_key(
+    netlist: Netlist,
+    technology: Technology,
+    stimulus: Dict[str, Sequence[int]],
+) -> Dict:
+    """Key of the ``power`` artifact of ``stimulus`` through the fresh,
+    hook-free ``netlist``: its switched capacitance per pattern.
+
+    :func:`stream_keys` without the mode and the row: switched
+    capacitance depends on neither (the technology fingerprint carries
+    ``glitch_damping``), so every priced row and both modes share one.
+    """
+    return {
+        "netlist": netlist_fingerprint(netlist),
+        "technology": technology_fingerprint(technology),
+        "stimulus": stimulus_digest(stimulus),
+    }
+
+
 def hooks_cache_key(fault_hooks: Dict[int, object]) -> Optional[str]:
     """Stable key for a fault-hook set, or None if any hook is opaque
     (no ``cache_key`` attribute) -- None means *bypass the cache*."""
@@ -180,7 +201,6 @@ def plane_cache_key(
                 "version": VERSION,
                 "netlist": netlist_fingerprint(circuit.netlist),
                 "mode": circuit.mode,
-                "glitch_damping": circuit.technology.glitch_damping,
                 "stimulus": stimulus_digest(stimulus),
                 "initial": sorted(
                     (name, int(value))

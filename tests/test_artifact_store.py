@@ -101,9 +101,8 @@ class TestRoundTrips:
         loaded = store.load("stream", key)
         assert loaded.num_patterns == stream4.num_patterns
         np.testing.assert_array_equal(loaded.delays, stream4.delays)
-        np.testing.assert_array_equal(
-            loaded.switched_caps, stream4.switched_caps
-        )
+        # Switched capacitance is a ``power`` artifact of its own.
+        assert loaded.switched_caps is None
         assert set(loaded.outputs) == set(stream4.outputs)
         for name in stream4.outputs:
             np.testing.assert_array_equal(
@@ -129,6 +128,17 @@ class TestRoundTrips:
             "hits": 1, "misses": 1, "writes": 1,
         }
 
+    def test_power_round_trip_lossless(self, store, stream4):
+        key = {"power": 1}
+        assert store.load("power", key) is None
+        store.save("power", key, stream4.switched_caps)
+        loaded = store.load("power", key)
+        assert loaded.dtype == stream4.switched_caps.dtype
+        assert loaded.tobytes() == stream4.switched_caps.tobytes()
+        assert store.counters["power"] == {
+            "hits": 1, "misses": 1, "writes": 1,
+        }
+
     def test_stream_without_optionals(self, store, netlist4):
         md, mr = uniform_operands(4, 50, seed=7)
         result = CompiledCircuit(netlist4).run({"md": md, "mr": mr})
@@ -151,7 +161,6 @@ class TestRoundTrips:
             got, want = getattr(loaded, name), getattr(plane, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        assert loaded.switched_caps.tobytes() == plane.switched_caps.tobytes()
         assert set(loaded.outputs) == set(plane.outputs)
         for name, arr in plane.outputs.items():
             assert loaded.outputs[name].tobytes() == arr.tobytes()

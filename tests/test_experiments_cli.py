@@ -131,3 +131,27 @@ class TestParallelFlag:
         out = capsys.readouterr().out
         assert json.load(open(serial_dump)) == json.load(open(parallel_dump))
         assert "jobs=2" in out
+
+
+class TestClaimsExitCode:
+    def test_all_claims_hold_exits_0(self, capsys):
+        assert main(["claims"] + RUN) == 0
+        out = capsys.readouterr().out
+        assert "(11/11 hold)" in out
+        assert "do not hold" not in out
+
+    def test_failed_claim_exits_nonzero(self, monkeypatch, capsys):
+        from repro.analysis.report import ReproductionReport
+
+        add_claim = ReproductionReport.add_claim
+
+        def failing(self, claim, paper, measured, holds):
+            if claim == "AM burns the most power":
+                holds = False
+            add_claim(self, claim, paper, measured, holds)
+
+        monkeypatch.setattr(ReproductionReport, "add_claim", failing)
+        assert main(["claims"] + RUN) == 1
+        out = capsys.readouterr().out
+        assert "(10/11 hold)" in out
+        assert "claims: 1 do not hold (claims 1)" in out

@@ -17,7 +17,7 @@ from repro.faults import (
     enumerate_fault_sites,
     fault_delay_scale,
 )
-from repro.timing import CompiledCircuit
+from repro.timing import CompiledCircuit, build_switched_caps
 from repro.workloads import uniform_operands
 
 
@@ -102,7 +102,11 @@ class TestInjection:
         chunked = circuit.run({"md": md, "mr": mr}, chunk_size=64)
         assert np.array_equal(whole.outputs["p"], chunked.outputs["p"])
         assert np.array_equal(whole.delays, chunked.delays)
-        assert np.array_equal(whole.switched_caps, chunked.switched_caps)
+        # The power pass applies the hooks per chunk the same way.
+        assert np.array_equal(
+            build_switched_caps(circuit, {"md": md, "mr": mr}),
+            build_switched_caps(circuit, {"md": md, "mr": mr}, chunk_size=64),
+        )
 
     def test_delay_fault_slows_only_its_cell(self, cb4):
         pristine = CompiledCircuit(cb4)
@@ -180,6 +184,35 @@ class TestZeroFaultEquivalence:
         assert np.array_equal(baseline.products, direct.products)
         assert np.allclose(baseline.delays, direct.delays)
         assert baseline.report == direct.report
+
+
+class TestSiteStreamsCarryNoPower:
+    def test_site_stream_has_no_switched_caps(self, arch8, monkeypatch):
+        """A cone-delta site stream carries no switched capacitance,
+        like every replayed stream; the pristine baseline does."""
+        fault = StuckAtFault(arch8.netlist.cells[5].output, 1)
+        campaign = InjectionCampaign(
+            arch8, [fault], num_patterns=200, seed=3
+        )
+        seen = []
+        run_patterns = arch8.run_patterns
+
+        def recording(md, mr, years=0.0, stream=None, **kwargs):
+            result = run_patterns(md, mr, years=years, stream=stream,
+                                  **kwargs)
+            seen.append((stream, result))
+            return result
+
+        monkeypatch.setattr(arch8, "run_patterns", recording)
+        campaign.run_site(fault)
+        ((stream, result),) = seen
+        assert stream.switched_caps is None
+        assert result.mean_switched_caps is None
+        assert result.to_dict()["mean_switched_caps"] is None
+        assert "mean_switched_caps" not in result.summary()
+        with pytest.raises(SimulationError, match="no switched capacitance"):
+            stream.mean_switched_caps()
+        assert campaign.run_pristine().mean_switched_caps > 0
 
 
 class TestDegradeNeverCorrupts:

@@ -90,3 +90,37 @@ class TestPowerReport:
             technology=DEFAULT_TECHNOLOGY.replace(vdd=1.2),
         )
         assert high.dynamic_watts > low.dynamic_watts
+
+
+class TestPowerlessStreams:
+    """A replayed stream carries no switched capacitance: reading power
+    from it is a typed error, and the power pass supplies it."""
+
+    def test_replayed_stream_refuses_power(self):
+        import dataclasses
+
+        from repro.arith import column_bypass_multiplier
+        from repro.timing import (
+            ArrivalReplay,
+            build_switched_caps,
+            build_value_plane,
+        )
+
+        netlist = column_bypass_multiplier(8)
+        circuit = CompiledCircuit(netlist)
+        md, mr = uniform_operands(8, 300, seed=5)
+        stimulus = {"md": md, "mr": mr}
+        replayed = ArrivalReplay(
+            circuit, build_value_plane(circuit, stimulus)
+        ).stream()
+        assert replayed.switched_caps is None
+        with pytest.raises(SimulationError, match="no switched capacitance"):
+            replayed.mean_switched_caps()
+        with pytest.raises(SimulationError, match="no switched capacitance"):
+            power_report(netlist, replayed, 2.0)
+        powered = dataclasses.replace(
+            replayed, switched_caps=build_switched_caps(circuit, stimulus)
+        )
+        assert power_report(netlist, powered, 2.0) == power_report(
+            netlist, circuit.run(stimulus), 2.0
+        )

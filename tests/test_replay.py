@@ -27,6 +27,7 @@ from repro.timing import (
     CompiledCircuit,
     StaticTiming,
     ValuePlaneCache,
+    build_switched_caps,
     build_value_plane,
     plane_cache_key,
 )
@@ -56,17 +57,22 @@ def short8():
     return {"md": md, "mr": mr}
 
 
-def assert_matches_oracle(got, want, bit_arrivals=False):
+def assert_matches_oracle(got, want, bit_arrivals=False, power=True):
     """A :class:`StreamResult` against an ``Oracle.run``: outputs,
     delays and bit arrivals byte for byte, switched capacitance to
-    float association (the oracle sums it cell by cell)."""
+    float association (the oracle sums it cell by cell).  ``power``
+    False: ``got`` is a replayed stream, which carries no switched
+    capacitance."""
     assert got.num_patterns == want.num_patterns
     for name, values in want.outputs.items():
         assert np.array_equal(got.outputs[name], values)
     assert np.array_equal(got.delays, want.delays)
-    assert np.allclose(
-        got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
-    )
+    if power:
+        assert np.allclose(
+            got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
+        )
+    else:
+        assert got.switched_caps is None
     if bit_arrivals:
         for name, matrix in want.bit_arrivals.items():
             assert np.array_equal(got.bit_arrivals[name], matrix)
@@ -82,12 +88,18 @@ def assert_replay_matches_oracle(got, delays, bit_arrivals=None):
             assert got.bit_arrivals[name].tobytes() == matrix.tobytes()
 
 
-def assert_streams_identical(got, want, bit_arrivals=False):
+def assert_streams_identical(got, want, bit_arrivals=False, power=True):
+    """Two :class:`StreamResult` s byte for byte; ``power`` False:
+    ``got`` is a replayed stream, which carries no switched
+    capacitance."""
     assert got.num_patterns == want.num_patterns
     for name, values in want.outputs.items():
         assert np.array_equal(got.outputs[name], values)
     assert np.array_equal(got.delays, want.delays)
-    assert np.array_equal(got.switched_caps, want.switched_caps)
+    if power:
+        assert np.array_equal(got.switched_caps, want.switched_caps)
+    else:
+        assert got.switched_caps is None
     if bit_arrivals:
         for name, matrix in want.bit_arrivals.items():
             assert np.array_equal(got.bit_arrivals[name], matrix)
@@ -117,11 +129,17 @@ class TestReplayEquivalence:
         circuit = CompiledCircuit(cb8, mode=mode)
         plane = build_value_plane(circuit, short8)
         want = Oracle(cb8, mode=mode).run(short8)
-        for got in (
+        assert_matches_oracle(
             ArrivalReplay(circuit, plane).stream(collect_bit_arrivals=True),
-            circuit.run(short8, collect_bit_arrivals=True),
-        ):
-            assert_matches_oracle(got, want, bit_arrivals=True)
+            want,
+            bit_arrivals=True,
+            power=False,
+        )
+        run = circuit.run(short8, collect_bit_arrivals=True)
+        assert_matches_oracle(run, want, bit_arrivals=True)
+        # The full run's switched capacitance is the power pass's.
+        caps = build_switched_caps(circuit, short8)
+        assert caps.tobytes() == run.switched_caps.tobytes()
 
     def test_chunked_plane_matches_unchunked(self, cb8, stream8):
         circuit = CompiledCircuit(cb8)
@@ -176,7 +194,11 @@ class TestReplayEquivalence:
         plane = build_value_plane(circuit, stim, initial=initial)
         got = ArrivalReplay(circuit, plane).stream()
         want = circuit.run(stim, initial=initial)
-        assert_streams_identical(got, want)
+        assert_streams_identical(got, want, power=False)
+        caps = build_switched_caps(circuit, stim, initial=initial)
+        assert caps.tobytes() == want.switched_caps.tobytes()
+        # Pattern 0 switches against the initial state, not itself.
+        assert caps[0] > 0
 
     def test_wide_batch_in_many_chunks_matches_single_runs(
         self, cb8, short8
@@ -331,7 +353,7 @@ class TestValuePlaneCache:
         assert np.array_equal(plane.may_packed, loaded.may_packed)
         assert np.array_equal(plane.aux_packed, loaded.aux_packed)
         got = ArrivalReplay(circuit, loaded).stream()
-        assert_streams_identical(got, circuit.run(stream8))
+        assert_streams_identical(got, circuit.run(stream8), power=False)
 
     def test_corrupt_file_rebuilds(self, cb8, stream8, tmp_path):
         circuit = CompiledCircuit(cb8)
@@ -344,7 +366,7 @@ class TestValuePlaneCache:
         assert reader.disk_hits == 0 and reader.misses == 1
         assert reader.store.corruption["artifacts"] == 1
         got = ArrivalReplay(circuit, plane).stream()
-        assert_streams_identical(got, circuit.run(stream8))
+        assert_streams_identical(got, circuit.run(stream8), power=False)
 
     def test_numpy_initial_keys_like_python_ints(self, cb8, stream8):
         circuit = CompiledCircuit(cb8)
@@ -359,7 +381,9 @@ class TestValuePlaneCache:
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
         want = circuit.run(stream8, initial=python_initial)
-        assert_streams_identical(ArrivalReplay(circuit, first).stream(), want)
+        assert_streams_identical(
+            ArrivalReplay(circuit, first).stream(), want, power=False
+        )
 
     def test_opaque_hook_bypasses_cache(self, cb8, stream8):
         def hook(values, start_index):
@@ -396,7 +420,7 @@ class TestAgingIntegration:
         oracle = Oracle(cb8)
         for year, got in zip(years, batched):
             want = oracle.run(short8, factory.circuit(year).delay_scale)
-            assert_matches_oracle(got, want)
+            assert_matches_oracle(got, want, power=False)
 
     def test_lifetime_delay_scales_shape(self, factory, cb8):
         scales = factory.lifetime_delay_scales([0.0, 7.0])
@@ -479,7 +503,7 @@ class TestContextPrice:
         priced = ctx.price(netlist, scales, stimulus)
         assert len(priced) == 3
         for got, want in zip(priced, oracle_runs(name)):
-            assert_matches_oracle(got, want)
+            assert_matches_oracle(got, want, power=False)
         if stored:
             assert len(self._stream_files(tmp_path)) == 3
             # The paper's designs and the baselines alike are priced
@@ -505,7 +529,7 @@ class TestContextPrice:
         # A repeated row is one artifact, loaded once.
         again = ctx.price(netlist, scales[[0, 0]], stimuli[0])
         assert again[0] is again[1]
-        assert_streams_identical(again[0], first[0])
+        assert_streams_identical(again[0], first[0], power=False)
         assert store.counters["stream"]["writes"] == 3
         assert store.counters["stress"] == {
             "hits": 0, "misses": 0, "writes": 0,
@@ -533,7 +557,7 @@ class TestContextPrice:
         store = ArtifactStore(str(tmp_path))
         got = ExperimentContext(store=store).price(netlist, scales, stimulus)
         for a, b in zip(got, want):
-            assert_streams_identical(a, b)
+            assert_streams_identical(a, b, power=False)
         assert store.counters["stream"] == {
             "hits": 3, "misses": 0, "writes": 0,
         }
@@ -550,20 +574,29 @@ class TestContextPrice:
         )
         stored = campaign.run_pristine(store)
         assert stored.report == campaign.run_pristine().report
-        assert store.counters["stream"] == {
-            "hits": 0, "misses": 1, "writes": 1,
-        }
+        assert stored.mean_switched_caps == (
+            campaign.run_pristine().mean_switched_caps
+        )
+        for kind in ("stream", "power"):
+            assert store.counters[kind] == {
+                "hits": 0, "misses": 1, "writes": 1,
+            }
         stimulus = {"md": campaign.md, "mr": campaign.mr}
         scales = ctx.factory(8, "column").lifetime_delay_scales([5.0])
         (priced,) = ctx.price(arch.netlist, scales, stimulus)
         assert store.counters["stream"] == {
             "hits": 1, "misses": 1, "writes": 1,
         }
-        assert campaign.run_pristine(store).report == stored.report
+        warm = campaign.run_pristine(store)
+        assert warm.report == stored.report
+        assert warm.mean_switched_caps == stored.mean_switched_caps
         assert store.counters["stream"] == {
             "hits": 2, "misses": 1, "writes": 1,
+        }
+        assert store.counters["power"] == {
+            "hits": 1, "misses": 1, "writes": 1,
         }
         want = CompiledCircuit(
             arch.netlist, ctx.technology, scales[0]
         ).run(stimulus)
-        assert_streams_identical(priced, want)
+        assert_streams_identical(priced, want, power=False)

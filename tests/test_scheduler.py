@@ -517,3 +517,81 @@ class TestDemandPrefetch:
         assert ctx.price_demand(demand)[1] is prefetched[1]
         ctx.price(netlist, aged, demand.stimulus)
         assert ctx.unplanned_rows == 1
+
+
+class TestPowerPass:
+    """Switched capacitance is its own pass, priced once per (netlist,
+    stimulus) and only where it is read: fig26's power report, not
+    fig05's planes or a delta base."""
+
+    def test_power_priced_only_where_read(self, tmp_path, monkeypatch):
+        from repro.experiments import context as context_mod
+        from repro.experiments import (
+            fig05_delay_distribution,
+            fig26_27_lifetime,
+        )
+        from repro.timing import replay
+
+        passes = []
+        build = replay.build_switched_caps
+
+        def counting(circuit, stimulus, *args, **kwargs):
+            passes.append(len(next(iter(stimulus.values()))))
+            return build(circuit, stimulus, *args, **kwargs)
+
+        monkeypatch.setattr(context_mod, "build_switched_caps", counting)
+        monkeypatch.setattr(replay, "build_switched_caps", counting)
+
+        def run():
+            return run_suite(
+                names=["fig05", "fig26"],
+                scale=0.02,
+                characterize_patterns=200,
+                store=ArtifactStore(str(tmp_path / "store")),
+            )
+
+        ctx = ExperimentContext(scale=0.02)
+        fig05_n = ctx.patterns(fig05_delay_distribution.PAPER_PATTERNS)
+        fig26_n = ctx.patterns(fig26_27_lifetime.PAPER_PATTERNS)
+        assert fig05_n != fig26_n
+        cold = run()
+        # fig26's three designs' year-0 stream, and nothing of fig05.
+        assert passes == [fig26_n] * 3
+        assert cold.store_counters["power"] == {
+            "hits": 0, "misses": 3, "writes": 3,
+        }
+        del passes[:]
+        warm = run()
+        assert passes == []
+        assert warm.rendered_by_name() == cold.rendered_by_name()
+        assert warm.store_counters["power"] == {
+            "hits": 3, "misses": 0, "writes": 0,
+        }
+        totals = delta_totals(warm.store_counters)
+        assert totals["misses"] == 0
+        assert totals["writes"] == 0
+
+    def test_delta_base_prices_no_power(self, monkeypatch):
+        from repro.arith import column_bypass_multiplier
+        from repro.timing import logic
+        from repro.timing.delta import DeltaBase
+        from repro.timing.replay import build_switched_caps
+        from repro.workloads import uniform_operands
+
+        calls = []
+        transition_vector = logic.transition_vector
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return transition_vector(*args, **kwargs)
+
+        monkeypatch.setattr(logic, "transition_vector", counting)
+        netlist = column_bypass_multiplier(8)
+        circuit = CompiledCircuit(netlist)
+        md, mr = uniform_operands(8, 200, seed=3)
+        stimulus = {"md": md, "mr": mr}
+        DeltaBase(circuit, stimulus, np.ones((2, len(netlist.cells))))
+        assert calls == []
+        # The counter sees the power pass, which is what prices power.
+        build_switched_caps(circuit, stimulus)
+        assert calls

@@ -1,13 +1,18 @@
-"""The value pass, byte for byte against a committed reference.
+"""The value pass and the power pass, byte for byte against a committed
+reference.
 
 ``tests/data/value_plane_digests.json`` holds sha256 digests of the
-four arrays :func:`repro.timing.replay.build_value_plane` records --
-``may_packed``, ``aux_packed``, ``switched_caps`` and the output
-words -- for the 8x8 and 16x16 column- and row-bypass designs and the
-16x16 array design, in inertial and floating mode, built in one chunk
-and in 64-pattern chunks, fault-free and under a stuck-at plus
-transient hook set.  The scalar oracle checks switched capacitance only
-to a relative tolerance, so this file is what pins its bytes.
+three arrays :func:`repro.timing.replay.build_value_plane` records --
+``may_packed``, ``aux_packed`` and the output words -- and of the
+``switched_caps`` the power pass
+(:func:`repro.timing.replay.build_switched_caps`) prices, for the 8x8
+and 16x16 column- and row-bypass designs and the 16x16 array design,
+in inertial and floating mode, built in one chunk and in 64-pattern
+chunks, fault-free and under a stuck-at plus transient hook set.  The
+scalar oracle checks switched capacitance only to a relative
+tolerance, so this file is what pins its bytes.  The power pass
+ignores the delay mode, so both modes pin the same ``switched_caps``
+digest.
 Regenerate the reference with::
 
     PYTHONPATH=src python tests/test_value_plane_golden.py --write
@@ -32,7 +37,7 @@ from repro.arith import (
 from repro.faults.injector import build_fault_hooks
 from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.timing.engine import MODES, CompiledCircuit
-from repro.timing.replay import build_value_plane
+from repro.timing.replay import build_switched_caps, build_value_plane
 
 GOLDEN = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -80,7 +85,8 @@ def _digest(array: np.ndarray) -> str:
 
 
 def plane_digests():
-    """Case name -> the four array digests (a JSON-ready dict)."""
+    """Case name -> the four array digests (a JSON-ready dict): three
+    from the value plane, ``switched_caps`` from the power pass."""
     digests = {}
     for design, build in DESIGNS.items():
         netlist = build()
@@ -96,6 +102,9 @@ def plane_digests():
                     plane = build_value_plane(
                         circuit, stimulus, chunk_size=chunk
                     )
+                    caps = build_switched_caps(
+                        circuit, stimulus, chunk_size=chunk
+                    )
                     outputs = hashlib.sha256()
                     for name in sorted(plane.outputs):
                         outputs.update(name.encode())
@@ -107,7 +116,7 @@ def plane_digests():
                     digests[case] = {
                         "may_packed": _digest(plane.may_packed),
                         "aux_packed": _digest(plane.aux_packed),
-                        "switched_caps": _digest(plane.switched_caps),
+                        "switched_caps": _digest(caps),
                         "outputs": outputs.hexdigest(),
                     }
     return digests
