@@ -105,16 +105,14 @@ def demands(
     num_patterns: Optional[int] = None,
     **_,
 ) -> List[StreamDemand]:
-    """Each design's fresh standard stream (the year-0 run its power
-    report reads, with the power pass's switched capacitance), and the
-    bypassing designs' stream at every year (the adaptive designs' aged
-    runs)."""
+    """The bypassing designs' standard stream at every year (the
+    adaptive designs' aged runs).  The fixed designs read their latency
+    from STA and their power from the power pass, so the AM demands no
+    stream row."""
     n = num_patterns or context.patterns(PAPER_PATTERNS)
     return [
-        context.standard_demand(
-            width, kind, [0.0] + ([] if kind == "am" else list(years)), n
-        )
-        for kind in ("am", "column", "row")
+        context.standard_demand(width, kind, list(years), n)
+        for kind in ("column", "row")
     ]
 
 
@@ -146,10 +144,7 @@ def run(
         # Switched capacitance is delay-independent: one power pass
         # per design serves every year (leakage picks up the Vth drift
         # separately).
-        stream = dataclasses.replace(
-            ctx.stream_result(width, kind, 0.0, n),
-            switched_caps=ctx.switched_caps(width, kind, n),
-        )
+        switched_caps = ctx.switched_caps(width, kind, n)
         adaptive = design.startswith("a-")
         if not adaptive:
             # Prefetch every year's critical path in one vectorized
@@ -170,7 +165,7 @@ def run(
                 lat = report.average_latency_ns
                 pw = power_report(
                     netlist,
-                    stream,
+                    switched_caps,
                     lat,
                     ctx.technology,
                     mean_delta_vth=dvth,
@@ -183,7 +178,7 @@ def run(
                 lat = ctx.fixed_design(width, kind).latency_ns(year)
                 pw = power_report(
                     netlist,
-                    stream,
+                    switched_caps,
                     lat,
                     ctx.technology,
                     mean_delta_vth=dvth,

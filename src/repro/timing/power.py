@@ -22,12 +22,13 @@ import dataclasses
 import math
 from typing import Optional
 
+import numpy as np
+
 from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import SimulationError
 from ..nets.area import transistor_count
 from ..nets.cells import DFF_TRANSISTORS, RAZOR_FF_TRANSISTORS
 from ..nets.netlist import Netlist
-from .engine import StreamResult
 
 #: Energy per clocked flip-flop bit per cycle, in unit caps switched
 #: (clock load + internal nodes; a DFF toggles its clock network every
@@ -60,7 +61,7 @@ class PowerReport:
 
 def power_report(
     netlist: Netlist,
-    stream: StreamResult,
+    switched_caps: Optional[np.ndarray],
     avg_latency_ns: float,
     technology: Technology = DEFAULT_TECHNOLOGY,
     mean_delta_vth: float = 0.0,
@@ -70,13 +71,16 @@ def power_report(
     cycles_per_op: float = 1.0,
     name: str = "",
 ) -> PowerReport:
-    """Build a :class:`PowerReport` from a simulated stream.
+    """Build a :class:`PowerReport` from a stimulus's switched
+    capacitance.
 
     Args:
         netlist: The combinational design (supplies the leakage weight).
-        stream: Simulation result carrying switched capacitance: a
-            :meth:`~repro.timing.engine.CompiledCircuit.run` result, or
-            a replayed stream given its stimulus's power pass.
+        switched_caps: Per-pattern switched capacitance (unit caps): the
+            power pass's :func:`~repro.timing.replay.build_switched_caps`,
+            or a :meth:`~repro.timing.engine.CompiledCircuit.run`
+            result's ``switched_caps``.  It depends on no delay, so one
+            array serves every aging point of the design.
         avg_latency_ns: Average latency per operation (from the
             architecture simulation; sets the power averaging window).
         technology: Voltage/cap/leakage card.
@@ -89,18 +93,25 @@ def power_report(
             every operation).
 
     Raises:
-        SimulationError: A non-positive latency or cycle count, or a
-            stream that carries no switched capacitance.
+        SimulationError: A non-positive latency or cycle count, or no
+            switched capacitance (``None``, as a replayed stream
+            carries).
     """
     if avg_latency_ns <= 0:
         raise SimulationError("avg_latency_ns must be positive")
     if cycles_per_op <= 0:
         raise SimulationError("cycles_per_op must be positive")
+    if switched_caps is None:
+        raise SimulationError(
+            "no switched capacitance: price it with CompiledCircuit.run"
+            " or the power pass (repro.timing.replay.build_switched_caps)"
+        )
 
     cap_unit_farads = technology.unit_cap_ff * 1e-15
     half_cvv = 0.5 * cap_unit_farads * technology.vdd**2
 
-    dynamic_energy_per_op = half_cvv * stream.mean_switched_caps()
+    mean_caps = float(switched_caps.mean()) if switched_caps.size else 0.0
+    dynamic_energy_per_op = half_cvv * mean_caps
 
     seq_caps_per_cycle = (
         (input_ff_bits + output_ff_bits) * DFF_CAPS_PER_CYCLE

@@ -67,7 +67,7 @@ from .engine import auto_chunk_size
 from .fold import fold_stimulus, unfold_stream
 
 
-#: Per-chunk memory target of the SoA replay.  A chunk of ``c``
+#: Per-chunk memory cap of the SoA replay.  A chunk of ``c``
 #: patterns holds, per (cell, pattern) entry, one ``(k,)`` float64
 #: store row, one int32 slot, one mask byte and up to
 #: :data:`_MAX_AUX_LANES` unpacked aux bytes:
@@ -77,16 +77,31 @@ from .fold import fold_stimulus, unfold_stream
 #: mask and the aux masks are written whole.
 REPLAY_CHUNK_TARGET_BYTES = 128 * 1024 * 1024
 
+#: Per-bucket block target of the SoA replay, in (entry, corner)
+#: elements: a chunk is long enough that the mean bucket hands numpy
+#: ``num_cells / num_buckets * c * k`` of them, which amortizes a
+#: bucket's ~10 numpy calls, and no longer, so that a wide corner
+#: batch's gathers and max/add passes stay cache-resident (DESIGN.md
+#: section 11).
+REPLAY_BLOCK_TARGET = 32768
+
 #: Most aux lanes of one cell (the 3-input controlled gates).
 _MAX_AUX_LANES = 3
 
 
-def _replay_chunk_size(num_cells: int, k: int) -> int:
+def _replay_chunk_size(num_cells: int, num_buckets: int, k: int) -> int:
     """Patterns per replay chunk: a multiple of 8 (byte-aligned plane
-    unpacking), at least 8, sized to the replay memory target."""
-    per_pattern = max(1, num_cells) * (8 * max(1, k) + 5 + _MAX_AUX_LANES)
-    chunk = REPLAY_CHUNK_TARGET_BYTES // per_pattern
-    return max(8, chunk - chunk % 8)
+    unpacking), at least 8; the smallest one whose mean per-bucket
+    block reaches :data:`REPLAY_BLOCK_TARGET`, capped by
+    :data:`REPLAY_CHUNK_TARGET_BYTES`."""
+    num_cells = max(1, num_cells)
+    k = max(1, k)
+    per_pattern = num_cells * (8 * k + 5 + _MAX_AUX_LANES)
+    cap = REPLAY_CHUNK_TARGET_BYTES // per_pattern
+    # ceil(target * buckets / (cells * k)), rounded up to a multiple of 8.
+    block = -(-REPLAY_BLOCK_TARGET * max(1, num_buckets) // (num_cells * k))
+    block += -block % 8
+    return max(8, min(cap - cap % 8, block))
 
 
 @dataclasses.dataclass
@@ -640,7 +655,9 @@ class ArrivalReplay:
         base = plan_rows.base
         num_rows = plan_rows.num_rows
         num_cells = num_rows - base
-        chunk = _replay_chunk_size(num_cells, k)
+        chunk = _replay_chunk_size(
+            num_cells, len(plan_rows.buckets), k
+        )
         span = min(chunk, n)
         # Per bucket: its rows among the cells, its pin rows and the
         # first row of each aux lane in the permuted aux block.

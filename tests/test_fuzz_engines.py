@@ -228,7 +228,9 @@ def assert_replay_matches_oracle(nl, stimulus, mode, scales):
     ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1)
-        assert replay_mod._replay_chunk_size(plane.num_cells, 1) == 8
+        assert replay_mod._replay_chunk_size(
+            plane.num_cells, len(circuit.plan_rows().buckets), 1
+        ) == 8
         replays.append(
             ArrivalReplay(circuit, plane).replay(
                 scales, collect_bit_arrivals=True

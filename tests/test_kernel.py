@@ -306,7 +306,9 @@ class TestReplayKernels:
         monkeypatch.setattr(
             replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1
         )
-        assert replay_mod._replay_chunk_size(plane.num_cells, 2) == 8
+        assert replay_mod._replay_chunk_size(
+            plane.num_cells, len(circuit.plan_rows().buckets), 2
+        ) == 8
         chunked = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
@@ -316,9 +318,9 @@ class TestReplayKernels:
                                   chunked.bit_arrivals[name])
 
     def test_replay_chunk_size_properties(self):
-        assert replay_mod._replay_chunk_size(1, 1) % 8 == 0
-        assert replay_mod._replay_chunk_size(10**9, 10**3) == 8
-        big = replay_mod._replay_chunk_size(100, 1)
+        assert replay_mod._replay_chunk_size(1, 1, 1) % 8 == 0
+        assert replay_mod._replay_chunk_size(10**9, 10**3, 10**3) == 8
+        big = replay_mod._replay_chunk_size(100, 1, 1)
         assert big >= 8 and big % 8 == 0
 
     def test_folded_lifetime_sweep_matches_full_runs(self, cb8, foldable8):

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import (
@@ -55,6 +56,13 @@ def short8():
     """A stream short enough for the oracle (about 0.1 s per run)."""
     md, mr = uniform_operands(8, 96, seed=3)
     return {"md": md, "mr": mr}
+
+
+def chunk_size(circuit, plane, k):
+    """Patterns per chunk of a ``k``-corner replay of ``plane``."""
+    return _replay_chunk_size(
+        plane.num_cells, len(circuit.plan_rows().buckets), k
+    )
 
 
 def assert_matches_oracle(got, want, bit_arrivals=False, power=True):
@@ -208,7 +216,7 @@ class TestReplayEquivalence:
         circuit = CompiledCircuit(cb8)
         plane = build_value_plane(circuit, short8)
         k = 512
-        assert _replay_chunk_size(plane.num_cells, k) < plane.num_patterns
+        assert chunk_size(circuit, plane, k) < plane.num_patterns
         scales = scales_for(circuit, k, seed=9)
         replayed = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
@@ -220,6 +228,39 @@ class TestReplayEquivalence:
             assert got.delays.tobytes() == delays[j].tobytes()
             for name, matrix in bit_arrivals.items():
                 assert np.array_equal(got.bit_arrivals[name], matrix[:, j])
+
+    def test_monte_carlo_batch_in_eight_pattern_chunks(
+        self, cb8, short8, monkeypatch
+    ):
+        # Monte Carlo's slab width: the block rule replays it in
+        # 8-pattern chunks, a third of what the memory cap alone gives.
+        # The first, middle and last rows match the oracle, and the
+        # whole batch matches the memory-rule chunking byte for byte.
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, short8)
+        k = 1152
+        assert chunk_size(circuit, plane, k) == 8
+        scales = scales_for(circuit, k, seed=13)
+        replayed = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        rows = [0, k // 2, k - 1]
+        delays, bit_arrivals = Oracle(cb8).replay(short8, scales[rows])
+        for j, row in enumerate(rows):
+            got = replayed.stream_result(row)
+            assert got.delays.tobytes() == delays[j].tobytes()
+            for name, matrix in bit_arrivals.items():
+                assert np.array_equal(got.bit_arrivals[name], matrix[:, j])
+        monkeypatch.setattr(replay_mod, "REPLAY_BLOCK_TARGET", 2**62)
+        by_memory = chunk_size(circuit, plane, k)
+        assert 8 < by_memory < plane.num_patterns
+        capped = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        assert capped.delays.tobytes() == replayed.delays.tobytes()
+        assert capped.bit_arrivals.keys() == replayed.bit_arrivals.keys()
+        for name, matrix in capped.bit_arrivals.items():
+            assert matrix.tobytes() == replayed.bit_arrivals[name].tobytes()
 
     def test_mismatched_plane_rejected(self, cb8, stream8):
         inertial = CompiledCircuit(cb8, mode="inertial")
@@ -310,12 +351,12 @@ class TestReplayChunks:
         else:
             assert (active.any(axis=1) & ~active.all(axis=1)).any()
         scales = scales_for(circuit, k)
-        assert _replay_chunk_size(plane.num_cells, k) >= plane.num_patterns
+        assert chunk_size(circuit, plane, k) >= plane.num_patterns
         whole = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
         monkeypatch.setattr(replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1)
-        assert _replay_chunk_size(plane.num_cells, k) == 8
+        assert chunk_size(circuit, plane, k) == 8
         chunked = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
@@ -325,6 +366,54 @@ class TestReplayChunks:
             assert got.bit_arrivals.keys() == bit_arrivals.keys()
             for name, matrix in bit_arrivals.items():
                 assert got.bit_arrivals[name].tobytes() == matrix.tobytes()
+
+
+class TestReplayChunkRule:
+    """Chunks are the smallest multiple of 8 patterns whose mean bucket
+    block reaches :data:`REPLAY_BLOCK_TARGET` elements, capped by the
+    memory target and floored at 8."""
+
+    @staticmethod
+    def _memory_cap(num_cells, k):
+        per_pattern = num_cells * (8 * k + 8)
+        cap = replay_mod.REPLAY_CHUNK_TARGET_BYTES // per_pattern
+        return cap - cap % 8
+
+    @staticmethod
+    def _shape(netlist):
+        plan_rows = CompiledCircuit(netlist).plan_rows()
+        return plan_rows.num_rows - plan_rows.base, len(plan_rows.buckets)
+
+    def test_monte_carlo_shape_gets_eight(self, cb8):
+        cells, buckets = self._shape(cb8)
+        assert _replay_chunk_size(cells, buckets, 1152) == 8
+        assert _replay_chunk_size(cells, buckets, 600) == 16
+        # The memory cap alone would give three and six times as many.
+        assert self._memory_cap(cells, 1152) == 24
+        assert self._memory_cap(cells, 600) == 48
+
+    def test_wide_design_at_few_corners_keeps_memory_cap(self):
+        cells, buckets = self._shape(column_bypass_multiplier(32))
+        cap = self._memory_cap(cells, 8)
+        assert cap == 184
+        assert _replay_chunk_size(cells, buckets, 8) == cap
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10**6),
+        st.integers(1, 10**4),
+        st.integers(1, 10**4),
+    )
+    def test_any_shape_is_a_capped_multiple_of_eight(
+        self, cells, buckets, k
+    ):
+        chunk = _replay_chunk_size(cells, buckets, k)
+        assert chunk >= 8 and chunk % 8 == 0
+        assert chunk == 8 or chunk <= self._memory_cap(cells, k)
+        # The smallest such multiple: 8 fewer patterns miss the block
+        # target (or the chunk is the floor).
+        target = replay_mod.REPLAY_BLOCK_TARGET
+        assert chunk == 8 or (chunk - 8) * cells * k < target * buckets
 
 
 class TestValuePlaneCache:

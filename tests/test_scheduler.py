@@ -571,6 +571,39 @@ class TestPowerPass:
         assert totals["misses"] == 0
         assert totals["writes"] == 0
 
+    def test_lifetime_prices_no_am_stream(self, monkeypatch):
+        """The AM's latency comes from STA and its power from the power
+        pass: fig26 prices no value plane and no replay of it, and
+        still runs one power pass per design kind."""
+        from repro.experiments import context as context_mod
+        from repro.timing import replay, value_cache
+
+        planes, replays, passes = [], [], []
+        build_plane = value_cache.build_value_plane
+        build_caps = replay.build_switched_caps
+        replay_rows = replay.ArrivalReplay.replay
+
+        def counting_plane(circuit, *args, **kwargs):
+            planes.append(circuit.netlist.name)
+            return build_plane(circuit, *args, **kwargs)
+
+        def counting_caps(circuit, *args, **kwargs):
+            passes.append(circuit.netlist.name)
+            return build_caps(circuit, *args, **kwargs)
+
+        def counting_replay(self, *args, **kwargs):
+            replays.append(self.circuit.netlist.name)
+            return replay_rows(self, *args, **kwargs)
+
+        monkeypatch.setattr(value_cache, "build_value_plane", counting_plane)
+        monkeypatch.setattr(context_mod, "build_switched_caps", counting_caps)
+        monkeypatch.setattr(replay, "build_switched_caps", counting_caps)
+        monkeypatch.setattr(replay.ArrivalReplay, "replay", counting_replay)
+        run_suite(names=["fig26"], scale=0.02, characterize_patterns=200)
+        assert sorted(passes) == ["am-16x16", "cb-16x16", "rb-16x16"]
+        assert sorted(set(planes)) == ["cb-16x16", "rb-16x16"]
+        assert sorted(set(replays)) == ["cb-16x16", "rb-16x16"]
+
     def test_delta_base_prices_no_power(self, monkeypatch):
         from repro.arith import column_bypass_multiplier
         from repro.timing import logic
