@@ -26,9 +26,9 @@ Job kinds:
 ``experiment``
     ``{"job": "experiment", "name": "fig7", "scale": 1.0,
     "characterize_patterns": 2000}`` -- run one
-    registered experiment (after prefetching its declared stream
-    demands when the job names no store: with a store, the suite's
-    ``prefetch`` jobs priced them).  Result: ``{"title": ...,
+    registered experiment (``ExperimentSpec.run`` prefetches its
+    declared stream demands: with a store, the suite's ``prefetch``
+    jobs priced them already).  Result: ``{"title": ...,
     "rendered": ..., "elapsed": ..., "store_delta": {...},
     "unplanned_rows": n, "failed_claims": n}`` (the store counters the
     run moved, the stream rows it priced outside the prefetch, and the
@@ -256,8 +256,6 @@ def _run_experiment(request: Dict) -> Dict:
     before = _snapshot(context)
     unplanned = context.unplanned_rows
     start = time.perf_counter()
-    if context.store is None:
-        context.prefetch(spec.demands(context))
     result = spec.run(context)
     return {
         "title": spec.title,
@@ -299,11 +297,11 @@ def _run_plan(request: Dict) -> Dict:
     before = _snapshot(context)
     planes = []
     for plane, group in context.plane_groups(spec.demands(context)).items():
-        netlist, stimulus, rows = context.unpriced(group)
-        if len(rows):
+        netlist, stimulus, _, keys = context.unpriced(group)
+        if keys:
             patterns = len(next(iter(stimulus.values())))
             planes.append(
-                [plane[0], plane[1], len(netlist.cells) * patterns * len(rows)]
+                [plane[0], plane[1], len(netlist.cells) * patterns * len(keys)]
             )
     return {"planes": planes, "store_delta": _delta(context, before)}
 

@@ -13,6 +13,7 @@ from typing import List, Optional
 
 from ..analysis.report import ReproductionReport
 from .context import ExperimentContext, StreamDemand, default_context
+from .context import standard_demands
 from . import (
     fig05_delay_distribution,
     fig07_aging_trend,
@@ -48,15 +49,13 @@ LIFETIME_YEARS = (0.0, 7.0)
 def demands(
     context: ExperimentContext, num_patterns: Optional[int] = None
 ) -> List[StreamDemand]:
-    """The demands of the figures the checklist re-runs."""
-    patterns = num_patterns or context.patterns(4000)
+    """The standard streams the checklist's figures read: figs. 5 and
+    13 fresh, fig. 19 and the fig. 26 lifetime aged."""
+    n = num_patterns or context.patterns(4000)
     return (
-        fig05_delay_distribution.demands(context, num_patterns=patterns)
-        + fig13_14_latency_sweep.demands(context, num_patterns=patterns)
-        + fig19_22_adaptive_errors.demands(context, num_patterns=patterns)
-        + fig26_27_lifetime.demands(
-            context, num_patterns=patterns, years=LIFETIME_YEARS
-        )
+        standard_demands(context, 16, fig05_delay_distribution.KINDS, 0.0, n)
+        + standard_demands(context, 16, ("column",), 7.0, n)
+        + standard_demands(context, 16, ("column", "row"), LIFETIME_YEARS, n)
     )
 
 

@@ -17,9 +17,11 @@ seconds, so the context memoizes:
 the timing engine: it prices any netlist under any ``(k, num_cells)``
 delay-scale matrix and any stimulus, and with a store every priced row
 persists as a ``stream`` artifact, so a warm re-run replays nothing.
-An experiment declares the rows it prices as :class:`StreamDemand` s,
-and :meth:`ExperimentContext.prefetch` prices the demands of many
-experiments with one replay per value plane before any of them runs.
+An experiment declares the rows it prices as :class:`StreamDemand` s
+through :meth:`ExperimentContext.demands`, which builds and keys each
+declaration once per context, and :meth:`ExperimentContext.prefetch`
+prices the demands of many experiments with one replay per value plane
+before any of them runs.
 
 ``scale`` < 1.0 shrinks every pattern count proportionally -- the
 benchmark suite uses it to keep wall-clock reasonable while preserving
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
+import inspect
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,6 +103,32 @@ def _row_key(key: Dict) -> Tuple:
     return tuple(sorted(key.items()))
 
 
+def _frozen(value):
+    """A hashable form of one declaring-function argument."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def standard_demands(
+    context: "ExperimentContext",
+    width: int,
+    kinds: Sequence[str] = ("column", "row"),
+    years=0.0,
+    num_patterns: Optional[int] = None,
+    paper_patterns: int = 10000,
+    **_,
+) -> List[StreamDemand]:
+    """The declaration of an experiment that reads standard streams
+    (:meth:`ExperimentContext.stream_results`): the
+    :meth:`~ExperimentContext.standard_demand` of each of ``kinds`` at
+    ``years`` (one age or many) on ``num_patterns`` patterns (default:
+    ``paper_patterns``, scaled)."""
+    n = num_patterns or context.patterns(paper_patterns)
+    years = np.atleast_1d(years).tolist()
+    return [context.standard_demand(width, kind, years, n) for kind in kinds]
+
+
 @dataclasses.dataclass
 class ExperimentContext:
     """Caches shared between experiments.  Not thread-safe."""
@@ -128,32 +158,24 @@ class ExperimentContext:
         #: Rows priced here, by ``stream`` key: every :meth:`prefetch`
         #: row, and without a store every row :meth:`price` returned.
         self._priced: Dict[Tuple, StreamResult] = {}
+        #: :meth:`demands` lists by declaring function and arguments,
+        #: and :meth:`standard_demand` s by their arguments.
+        self._declared: Dict[Tuple, object] = {}
+        #: Per demand: its value plane and its rows' ``stream`` keys.
+        self._plans: Dict[StreamDemand, Tuple[Tuple[str, str], List]] = {}
+        #: ``(plane, sha256 of a row)`` -> ``stream`` key.
+        self._row_keys: Dict[Tuple[Tuple[str, str], str], Dict] = {}
         #: Rows :meth:`price` replayed itself, outside any
         #: :meth:`prefetch`: a missing or stale demand declaration.
         #: Rows a store serves load and do not count.
         self.unplanned_rows = 0
-        self._tech_fp: Optional[str] = None
-        self._netlist_fps: Dict[Tuple[int, str], str] = {}
 
     # -- store keys ----------------------------------------------------
 
-    def _technology_fp(self) -> str:
-        if self._tech_fp is None:
-            self._tech_fp = technology_fingerprint(self.technology)
-        return self._tech_fp
-
-    def _netlist_fp(self, width: int, kind: str) -> str:
-        key = (width, kind)
-        if key not in self._netlist_fps:
-            self._netlist_fps[key] = netlist_fingerprint(
-                self.netlist(width, kind)
-            )
-        return self._netlist_fps[key]
-
     def _stress_key(self, width: int, kind: str) -> Dict:
         return {
-            "netlist": self._netlist_fp(width, kind),
-            "technology": self._technology_fp(),
+            "netlist": netlist_fingerprint(self.netlist(width, kind)),
+            "technology": technology_fingerprint(self.technology),
             "num_patterns": self.characterize_patterns,
             "seed": CHARACTERIZE_SEED,
         }
@@ -270,9 +292,8 @@ class ExperimentContext:
         cache to price it with: its factory's when the context has one,
         so the two share one compile and one plane; otherwise a compile
         and a cache for this call (store-backed planes still persist)."""
-        fp = netlist_fingerprint(netlist)
         for factory in self._factories.values():
-            if netlist_fingerprint(factory.netlist) == fp:
+            if factory.netlist is netlist:
                 return (
                     functools.partial(factory.circuit, 0.0),
                     factory.plane_cache,
@@ -281,6 +302,50 @@ class ExperimentContext:
             functools.partial(CompiledCircuit, netlist, self.technology),
             ValuePlaneCache(store=self.store),
         )
+
+    def demands(
+        self, declare: Callable[..., Sequence[StreamDemand]], *args, **kw
+    ) -> List[StreamDemand]:
+        """``declare(self, *args, **kw)``, memoized by ``declare`` and
+        its bound, default-applied arguments (a ``**`` catch-all
+        excluded): a suite's prefetch and the runner get the same
+        :class:`StreamDemand` s, each built and keyed once."""
+        bound = inspect.signature(declare).bind(self, *args, **kw)
+        bound.apply_defaults()
+        params = bound.signature.parameters
+        key = (declare,) + tuple(
+            (name, _frozen(value))
+            for name, value in list(bound.arguments.items())[1:]
+            if params[name].kind is not inspect.Parameter.VAR_KEYWORD
+        )
+        if key not in self._declared:
+            self._declared[key] = list(declare(self, *args, **kw))
+        return self._declared[key]
+
+    def _plan(self, demand: StreamDemand) -> Tuple[Tuple[str, str], List]:
+        """The value plane of ``demand``, ``(netlist fingerprint,
+        stimulus digest)``, and the ``stream`` keys of its rows:
+        computed on first use and kept.  A row an earlier demand on the
+        same plane holds reuses that demand's key."""
+        if demand not in self._plans:
+            netlist = self.netlist(demand.width, demand.kind)
+            plane = (
+                netlist_fingerprint(netlist),
+                stimulus_digest(demand.stimulus),
+            )
+            scales = np.ascontiguousarray(demand.scales, dtype=np.float64)
+            rows = [(plane, hashlib.sha256(row).hexdigest()) for row in scales]
+            new = {row: index for index, row in enumerate(rows)
+                   if row not in self._row_keys}
+            if new:
+                self._row_keys.update(zip(new, stream_keys(
+                    netlist,
+                    self.technology,
+                    demand.stimulus,
+                    scales[list(new.values())],
+                )))
+            self._plans[demand] = (plane, [self._row_keys[r] for r in rows])
+        return self._plans[demand]
 
     def price(
         self,
@@ -302,44 +367,40 @@ class ExperimentContext:
         :attr:`unplanned_rows`.  Pricing never characterizes stress, so
         any netlist can be priced.
         """
-        return self._price(netlist, scales, stimulus, planned=False)
+        scales = np.atleast_2d(np.asarray(scales, dtype=float))
+        keys = stream_keys(netlist, self.technology, stimulus, scales)
+        return self._price(netlist, scales, stimulus, keys, planned=False)
 
     def price_demand(self, demand: StreamDemand) -> List[StreamResult]:
-        """:meth:`price` of one declared :class:`StreamDemand`."""
-        return self.price(
+        """:meth:`price` of one declared :class:`StreamDemand`, under
+        the keys its plan holds."""
+        return self._price(
             self.netlist(demand.width, demand.kind),
             demand.scales,
             demand.stimulus,
+            self._plan(demand)[1],
+            planned=False,
         )
 
-    def _price(self, netlist, scales, stimulus, planned: bool):
-        scales = np.atleast_2d(np.asarray(scales, dtype=float))
-        keys = [
-            _row_key(key)
-            for key in stream_keys(netlist, self.technology, stimulus, scales)
-        ]
+    def _price(self, netlist, scales, stimulus, keys, planned: bool):
+        names = [_row_key(key) for key in keys]
         found: Dict[Tuple, StreamResult] = {}
         todo: Dict[Tuple, int] = {}
-        for index, key in enumerate(keys):
-            if key in self._priced:
-                found[key] = self._priced[key]
+        for index, name in enumerate(names):
+            if name in self._priced:
+                found[name] = self._priced[name]
             else:
-                todo.setdefault(key, index)
+                todo.setdefault(name, index)
         if todo:
             circuit, planes = self._pricer(netlist)
             before = planes.priced_rows
-            fresh = dict(
-                zip(
-                    todo,
-                    planes.price(
-                        netlist,
-                        self.technology,
-                        scales[list(todo.values())],
-                        stimulus,
-                        circuit,
-                    ),
-                )
-            )
+            rows = list(todo.values())
+            fresh = dict(zip(todo, planes.price(
+                [keys[index] for index in rows],
+                scales[rows],
+                stimulus,
+                circuit,
+            )))
             if not planned:
                 self.unplanned_rows += planes.priced_rows - before
             # A store serves its rows on demand; the memo keeps what a
@@ -347,7 +408,7 @@ class ExperimentContext:
             if planned or self.store is None:
                 self._priced.update(fresh)
             found.update(fresh)
-        return [found[key] for key in keys]
+        return [found[name] for name in names]
 
     def plane_groups(
         self, demands: Sequence[StreamDemand]
@@ -357,31 +418,32 @@ class ExperimentContext:
         order."""
         groups: Dict[Tuple[str, str], List[StreamDemand]] = {}
         for demand in demands:
-            plane = (
-                self._netlist_fp(demand.width, demand.kind),
-                stimulus_digest(demand.stimulus),
-            )
-            groups.setdefault(plane, []).append(demand)
+            groups.setdefault(self._plan(demand)[0], []).append(demand)
         return groups
 
     def unpriced(
         self, group: Sequence[StreamDemand]
-    ) -> Tuple[Netlist, Dict[str, np.ndarray], np.ndarray]:
-        """The netlist, stimulus and distinct delay-scale rows of one
-        plane group that are neither memoized nor stored (stored rows
-        are checked for, not loaded)."""
-        netlist = self.netlist(group[0].width, group[0].kind)
-        stimulus = group[0].stimulus
-        scales = np.vstack([demand.scales for demand in group])
-        wanted: Dict[Tuple, int] = {}
-        keys = stream_keys(netlist, self.technology, stimulus, scales)
-        for index, key in enumerate(keys):
-            row = _row_key(key)
-            if row in self._priced or row in wanted:
-                continue
-            if self.store is None or not self.store.contains("stream", key):
-                wanted[row] = index
-        return netlist, stimulus, scales[list(wanted.values())]
+    ) -> Tuple[Netlist, Dict[str, np.ndarray], np.ndarray, List[Dict]]:
+        """The netlist, stimulus, distinct delay-scale rows and their
+        keys of one plane group that are neither memoized nor stored
+        (stored rows are checked for, not loaded)."""
+        wanted: Dict[Tuple, Tuple[np.ndarray, Dict]] = {}
+        for demand in group:
+            for row, key in zip(demand.scales, self._plan(demand)[1]):
+                name = _row_key(key)
+                if name in self._priced or name in wanted:
+                    continue
+                if self.store is None or not self.store.contains(
+                    "stream", key
+                ):
+                    wanted[name] = (row, key)
+        first = group[0]
+        return (
+            self.netlist(first.width, first.kind),
+            first.stimulus,
+            np.array([row for row, _ in wanted.values()]),
+            [key for _, key in wanted.values()],
+        )
 
     def prefetch(
         self,
@@ -399,10 +461,10 @@ class ExperimentContext:
         for plane, group in self.plane_groups(demands).items():
             if planes is not None and plane not in planes:
                 continue
-            netlist, stimulus, rows = self.unpriced(group)
-            if len(rows):
-                self._price(netlist, rows, stimulus, planned=True)
-                priced[plane] = len(rows)
+            netlist, stimulus, rows, keys = self.unpriced(group)
+            if keys:
+                self._price(netlist, rows, stimulus, keys, planned=True)
+                priced[plane] = len(keys)
         return priced
 
     def stream_result(
@@ -428,25 +490,34 @@ class ExperimentContext:
         seed: int = 1,
     ) -> "List[StreamResult]":
         """The standard stream of one design at many aging timesteps
-        (one per ``years`` entry): :meth:`price` of the design's
-        lifetime delay-scale rows.
+        (one per ``years`` entry): the rows of the
+        :meth:`standard_demand` of ``years`` not read before, priced
+        under the keys its plan holds.
 
         The priced rows are memoized per ``(width, kind, year,
         num_patterns, seed)``, so a repeated call (the clock-period
-        sweeps make hundreds) computes no delay-scale row and no key.
+        sweeps make hundreds) builds no demand and prices no row; a
+        first call with the years an experiment declared reads the
+        very demand the prefetch planned.
         """
         keys = [
             (width, kind, float(year), num_patterns, seed) for year in years
         ]
-        missing = [
-            key for key in dict.fromkeys(keys) if key not in self._runs
-        ]
+        missing = {
+            key: row for row, key in enumerate(keys) if key not in self._runs
+        }
         if missing:
-            priced = self.price_demand(
-                self.standard_demand(
-                    width, kind, [key[2] for key in missing],
-                    num_patterns, seed,
-                )
+            demand = self.standard_demand(
+                width, kind, years, num_patterns, seed
+            )
+            rows = list(missing.values())
+            row_keys = self._plan(demand)[1]
+            priced = self._price(
+                self.netlist(width, kind),
+                demand.scales[rows],
+                demand.stimulus,
+                [row_keys[row] for row in rows],
+                planned=False,
             )
             self._runs.update(zip(missing, priced))
         return [self._runs[key] for key in keys]
@@ -460,14 +531,21 @@ class ExperimentContext:
         seed: int = 1,
     ) -> StreamDemand:
         """The rows :meth:`stream_results` prices: the design's lifetime
-        delay-scale rows at ``years`` on its standard stream."""
-        md, mr = self.stream(width, num_patterns, seed)
-        return StreamDemand(
-            width,
-            kind,
-            {"md": md, "mr": mr},
-            self.factory(width, kind).lifetime_delay_scales(years),
-        )
+        delay-scale rows at ``years`` on its standard stream (built once
+        per arguments, next to the :meth:`demands` declarations).  At
+        year 0 only, the rows are ones and need no characterization."""
+        key = (width, kind, tuple(map(float, years)), num_patterns, seed)
+        if key not in self._declared:
+            md, mr = self.stream(width, num_patterns, seed)
+            cells = len(self.netlist(width, kind).cells)
+            scales = (
+                self.factory(width, kind).lifetime_delay_scales(years)
+                if any(years) else np.ones((len(years), cells))
+            )
+            self._declared[key] = StreamDemand(
+                width, kind, {"md": md, "mr": mr}, scales
+            )
+        return self._declared[key]
 
     def toggle_counts(
         self, width: int, kind: str, num_patterns: int, seed: int = 1
@@ -540,6 +618,9 @@ class ExperimentContext:
         self._activity.clear()
         self._power.clear()
         self._priced.clear()
+        self._declared.clear()
+        self._plans.clear()
+        self._row_keys.clear()
 
 
 #: Module-level default context shared by ad-hoc callers.

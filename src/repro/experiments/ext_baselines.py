@@ -80,18 +80,10 @@ def demands(
     width: int = 16,
     num_patterns: Optional[int] = None,
 ) -> List[StreamDemand]:
-    """Each fresh design of :data:`DESIGNS` on the standard stream."""
+    """Each fresh design of :data:`DESIGNS` on the standard stream
+    (shared with the figures that read the paper's designs fresh)."""
     n = num_patterns or context.patterns(PAPER_PATTERNS)
-    md, mr = context.stream(width, n)
-    return [
-        StreamDemand(
-            width,
-            name,
-            {"md": md, "mr": mr},
-            np.ones((1, len(context.netlist(width, name).cells))),
-        )
-        for name in DESIGNS
-    ]
+    return [context.standard_demand(width, name, [0.0], n) for name in DESIGNS]
 
 
 def run(
@@ -100,12 +92,12 @@ def run(
     num_patterns: Optional[int] = None,
 ) -> BaselineComparison:
     ctx = context or default_context()
-    n = num_patterns or ctx.patterns(PAPER_PATTERNS)
-    md, mr = ctx.stream(width, n)
+    declared = ctx.demands(demands, width, num_patterns)
+    md, mr = declared[0].stimulus["md"], declared[0].stimulus["mr"]
     zeros = count_zeros(md, width)
 
     stats: Dict[str, BaselineStats] = {}
-    for name, demand in zip(DESIGNS, demands(ctx, width, n)):
+    for name, demand in zip(DESIGNS, declared):
         netlist = ctx.netlist(width, name)
         (result,) = ctx.price_demand(demand)
         judged = zeros if name != "row" else count_zeros(mr, width)

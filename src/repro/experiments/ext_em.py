@@ -111,15 +111,13 @@ def run(
     em_model: Optional[ElectromigrationModel] = None,
 ) -> EmResult:
     ctx = context or default_context()
-    n = num_patterns or ctx.patterns(PAPER_PATTERNS)
     skip = skip if skip is not None else width // 2 - 1
-    md, mr = ctx.stream(width, n)
 
     bti_only: Dict[str, list] = {}
     combined: Dict[str, list] = {}
-    for kind, demand in zip(
-        KINDS, demands(ctx, width, years, n, em_model)
-    ):
+    declared = ctx.demands(demands, width, years, num_patterns, em_model)
+    for kind, demand in zip(KINDS, declared):
+        md, mr = demand.stimulus["md"], demand.stimulus["mr"]
         netlist = ctx.netlist(width, kind)
         if cycle_ns is None:
             flcb0 = StaticTiming(netlist, ctx.technology).critical_delay

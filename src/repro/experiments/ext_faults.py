@@ -25,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..analysis.tables import format_table
 from ..faults.campaign import (
     CampaignResult,
@@ -120,24 +118,14 @@ class FaultCoverageResult:
 
 
 def _hot_spot(
-    ctx: ExperimentContext, width: int, cycle_fraction: float, years: float,
-) -> Tuple[float, DelayFault, np.ndarray]:
-    """The clock ``T``, the hot-spot fault -- an extra 0.9 T midway
-    along the critical path of the ``width``-bit column design -- and
-    its ``(1, num_cells)`` delay-scale row at age ``years``.  A delay
-    fault has no hooks, so its stream is one priced row."""
-    netlist = ctx.netlist(width, "column")
-    sta = StaticTiming(netlist, ctx.technology)
+    ctx: ExperimentContext, width: int, cycle_fraction: float
+) -> Tuple[float, DelayFault]:
+    """The clock ``T`` and the hot-spot fault: an extra 0.9 T midway
+    along the critical path of the ``width``-bit column design."""
+    sta = StaticTiming(ctx.netlist(width, "column"), ctx.technology)
     cycle_ns = cycle_fraction * sta.critical_delay
     path = sta.critical_path()
-    hot = DelayFault(path[len(path) // 2].index, 0.9 * cycle_ns)
-    scales = fault_delay_scales(
-        netlist,
-        [hot],
-        ctx.factory(width, "column").lifetime_delay_scales([years]),
-        ctx.technology,
-    )
-    return cycle_ns, hot, scales
+    return cycle_ns, DelayFault(path[len(path) // 2].index, 0.9 * cycle_ns)
 
 
 def demands(
@@ -149,10 +137,18 @@ def demands(
     years: float = 0.0,
     **_,
 ) -> List[StreamDemand]:
-    """The hot-spot row on the campaign workload.  The campaign's own
-    pristine stream is priced by the campaign, outside any prefetch."""
+    """The hot-spot row at age ``years`` on the campaign workload (a
+    delay fault has no hooks, so its stream is one priced row).  The
+    campaign's own pristine stream is priced by the campaign, outside
+    any prefetch."""
     n = num_patterns or context.patterns(PAPER_PATTERNS, floor=400)
-    _, _, scales = _hot_spot(context, width, cycle_fraction, years)
+    _, hot = _hot_spot(context, width, cycle_fraction)
+    scales = fault_delay_scales(
+        context.netlist(width, "column"),
+        [hot],
+        context.factory(width, "column").lifetime_delay_scales([years]),
+        context.technology,
+    )
     md, mr = campaign_operands(width, n, seed)
     return [StreamDemand(width, "column", {"md": md, "mr": mr}, scales)]
 
@@ -171,7 +167,7 @@ def run(
     ctx = context or default_context()
     n = num_patterns or ctx.patterns(PAPER_PATTERNS, floor=400)
     skip = skip if skip is not None else width // 2 - 1
-    cycle_ns, hot, scales = _hot_spot(ctx, width, cycle_fraction, years)
+    cycle_ns, hot = _hot_spot(ctx, width, cycle_fraction)
 
     adaptive = ctx.variable_design(width, "column", skip, cycle_ns)
     campaign = InjectionCampaign.sweep(
@@ -188,11 +184,10 @@ def run(
     # The hot spot's extra delay rides on top of every pattern
     # exercising that path, lifting the one-cycle error rate past the
     # indicator threshold; its stream is shared by both designs.
-    (stream,) = ctx.price(
-        ctx.netlist(width, "column"),
-        scales,
-        {"md": campaign.md, "mr": campaign.mr},
+    (demand,) = ctx.demands(
+        demands, width, num_patterns, cycle_fraction, seed, years
     )
+    (stream,) = ctx.price_demand(demand)
 
     traditional = ctx.variable_design(
         width, "column", skip, cycle_ns, adaptive=False

@@ -52,13 +52,13 @@ def demands(
     """The fresh row that sets the population's base clock period.
     The die slabs are replayed per ``die_chunk`` to bound memory, so
     they are priced by the runner, outside any prefetch."""
-    from ..montecarlo.runner import base_period_demand
+    from ..montecarlo.runner import base_period_demands
 
     spec = _build_spec(
         num_dies, years, clock_fractions, seed, num_patterns,
         target_yield,
     )
-    return [base_period_demand(spec, width, kind, context)]
+    return context.demands(base_period_demands, spec, width, kind)
 
 
 def run_yield(

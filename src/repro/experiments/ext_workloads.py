@@ -109,7 +109,6 @@ def run(
     skip: Optional[int] = None,
 ) -> WorkloadResult:
     ctx = context or default_context()
-    n = num_patterns or ctx.patterns(PAPER_PATTERNS)
     skip = skip if skip is not None else width // 2 - 1
     arch = ctx.variable_design(width, kind, skip, cycle_ns)
     fixed = ctx.fixed_design(width, kind).latency_ns(0.0)
@@ -118,7 +117,8 @@ def run(
 
     relaxed = JudgingBlock(width, skip)
     rows: Dict[str, WorkloadRow] = {}
-    for name, demand in zip(WORKLOADS, demands(ctx, width, kind, n)):
+    declared = ctx.demands(demands, width, kind, num_patterns)
+    for name, demand in zip(WORKLOADS, declared):
         md, mr = demand.stimulus["md"], demand.stimulus["mr"]
         (stream,) = ctx.price_demand(demand)
         result = arch.run_patterns(

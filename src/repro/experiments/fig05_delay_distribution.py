@@ -12,12 +12,12 @@ Paper readings this reproduces:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.histogram import Histogram
 from ..analysis.tables import format_table
 from ..timing.sta import StaticTiming
-from .context import ExperimentContext, StreamDemand, default_context
+from .context import ExperimentContext, default_context
 
 PAPER_PATTERNS = 65536
 KINDS = ("am", "column", "row")
@@ -62,14 +62,6 @@ class Fig05Result:
             ],
             rows,
         )
-
-
-def demands(
-    context: ExperimentContext, num_patterns: Optional[int] = None
-) -> List[StreamDemand]:
-    """The fresh standard stream of each 16x16 design."""
-    n = num_patterns or context.patterns(PAPER_PATTERNS)
-    return [context.standard_demand(16, kind, [0.0], n) for kind in KINDS]
 
 
 def run(

@@ -72,7 +72,8 @@ def run(
     n = num_patterns or ctx.patterns(PAPER_PATTERNS)
     histograms = {}
     means = {}
-    for zeros, demand in zip(ZERO_COUNTS, demands(ctx, n, width)):
+    declared = ctx.demands(demands, num_patterns, width)
+    for zeros, demand in zip(ZERO_COUNTS, declared):
         (result,) = ctx.price_demand(demand)
         histograms[zeros] = Histogram.from_samples(
             result.delays, num_bins=30, name="%d zeros" % zeros

@@ -16,13 +16,13 @@ overlay the same latency series across skip numbers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.series import Series
 from ..analysis.tables import format_table
-from .context import ExperimentContext, StreamDemand, default_context
+from .context import ExperimentContext, default_context
 
 PAPER_PATTERNS = 10000
 
@@ -87,21 +87,6 @@ class LatencySweepResult:
             "%s=%.3f" % (k, v) for k, v in sorted(self.baselines.items())
         )
         return table + "\n" + base_line
-
-
-def demands(
-    context: ExperimentContext,
-    width: int = 16,
-    num_patterns: Optional[int] = None,
-    years: float = 0.0,
-    kinds: Sequence[str] = ("column", "row"),
-    **_,
-) -> List[StreamDemand]:
-    """The standard stream of each swept design at age ``years``."""
-    n = num_patterns or context.patterns(PAPER_PATTERNS)
-    return [
-        context.standard_demand(width, kind, [years], n) for kind in kinds
-    ]
 
 
 def run(

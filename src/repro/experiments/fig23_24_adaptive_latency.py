@@ -15,12 +15,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis.series import Series
 from ..analysis.tables import format_table
-from .context import ExperimentContext, default_context
-from .fig13_14_latency_sweep import (
-    CYCLE_GRIDS,
-    PAPER_PATTERNS,
-    SKIP_SETS,
-)
+from . import fig13_14_latency_sweep
+from .context import ExperimentContext
 
 
 @dataclasses.dataclass
@@ -65,42 +61,25 @@ def run(
     num_patterns: Optional[int] = None,
     kinds: Sequence[str] = ("column", "row"),
 ) -> AdaptiveLatencyResult:
-    ctx = context or default_context()
-    n = num_patterns or ctx.patterns(PAPER_PATTERNS)
-    skips = tuple(skips or SKIP_SETS[width])
-    cycles = tuple(cycles or CYCLE_GRIDS[width])
-    md, mr = ctx.stream(width, n)
-
-    baselines = {
-        "am": ctx.fixed_design(width, "am").latency_ns(years),
-        "flcb": ctx.fixed_design(width, "column").latency_ns(years),
-        "flrb": ctx.fixed_design(width, "row").latency_ns(years),
+    """Fig. 13/14's latency sweep at age ``years``, once traditional
+    and once adaptive."""
+    sweeps = {
+        adaptive: fig13_14_latency_sweep.run(
+            context, width=width, skips=skips, cycles=cycles,
+            num_patterns=num_patterns, years=years, adaptive=adaptive,
+            kinds=kinds,
+        )
+        for adaptive in (False, True)
     }
-    latency: Dict[Tuple[str, int, bool], Series] = {}
-    for kind in kinds:
-        stream = ctx.stream_result(width, kind, years, n)
-        for skip in skips:
-            for adaptive in (False, True):
-                values = []
-                for cycle in cycles:
-                    design = ctx.variable_design(
-                        width, kind, skip, cycle, adaptive=adaptive
-                    )
-                    report = design.run_patterns(
-                        md, mr, years=years, stream=stream
-                    ).report
-                    values.append(report.average_latency_ns)
-                label = "%s-%s-%d skip%d" % (
-                    "A" if adaptive else "T",
-                    "VLCB" if kind == "column" else "VLRB",
-                    width,
-                    skip,
-                )
-                latency[(kind, skip, adaptive)] = Series.build(
-                    label, cycles, values
-                )
     return AdaptiveLatencyResult(
-        width=width, years=years, latency=latency, baselines=baselines
+        width=width,
+        years=years,
+        latency={
+            (kind, skip, adaptive): series
+            for adaptive, sweep in sweeps.items()
+            for (kind, skip), series in sweep.latency.items()
+        },
+        baselines=sweeps[True].baselines,
     )
 
 

@@ -18,12 +18,12 @@ Paper readings this reproduces:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..analysis.series import Series
 from ..analysis.tables import format_table
 from ..timing.power import power_report
-from .context import ExperimentContext, StreamDemand, default_context
+from .context import ExperimentContext, default_context
 
 YEARS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
 PAPER_PATTERNS = 10000
@@ -98,24 +98,6 @@ def _design_kind(design: str) -> str:
     return "column" if "cb" in design else "row"
 
 
-def demands(
-    context: ExperimentContext,
-    width: int = 16,
-    years: Sequence[float] = YEARS,
-    num_patterns: Optional[int] = None,
-    **_,
-) -> List[StreamDemand]:
-    """The bypassing designs' standard stream at every year (the
-    adaptive designs' aged runs).  The fixed designs read their latency
-    from STA and their power from the power pass, so the AM demands no
-    stream row."""
-    n = num_patterns or context.patterns(PAPER_PATTERNS)
-    return [
-        context.standard_demand(width, kind, list(years), n)
-        for kind in ("column", "row")
-    ]
-
-
 def run(
     context: Optional[ExperimentContext] = None,
     width: int = 16,
@@ -129,9 +111,6 @@ def run(
     cycle_ns = cycle_ns or SETTINGS[width]["cycle_ns"]
     skip = skip or SETTINGS[width]["skip"]
     md, mr = ctx.stream(width, n)
-    # One replay per design prices every year (a suite has already
-    # prefetched them).
-    ctx.prefetch(demands(ctx, width, years, n))
 
     latency: Dict[str, list] = {d: [] for d in DESIGNS}
     power: Dict[str, list] = {d: [] for d in DESIGNS}
@@ -146,47 +125,39 @@ def run(
         # separately).
         switched_caps = ctx.switched_caps(width, kind, n)
         adaptive = design.startswith("a-")
-        if not adaptive:
+        if adaptive:
+            # Every year's row of the declared demand, in one read.
+            streams = ctx.stream_results(width, kind, years, n)
+        else:
             # Prefetch every year's critical path in one vectorized
             # STA sweep (fills the design's per-year latency cache).
             ctx.fixed_design(width, kind).latencies_ns(years)
-        for year in years:
-            dvth = factory.mean_delta_vth(year)
+        for index, year in enumerate(years):
             if adaptive:
                 arch = ctx.variable_design(
                     width, kind, skip, cycle_ns, adaptive=True
                 )
                 report = arch.run_patterns(
-                    md,
-                    mr,
-                    years=year,
-                    stream=ctx.stream_result(width, kind, year, n),
+                    md, mr, years=year, stream=streams[index]
                 ).report
                 lat = report.average_latency_ns
-                pw = power_report(
-                    netlist,
-                    switched_caps,
-                    lat,
-                    ctx.technology,
-                    mean_delta_vth=dvth,
-                    input_ff_bits=2 * width,
-                    razor_bits=2 * width,
-                    cycles_per_op=report.average_cycles_per_op,
-                    name=design,
-                )
+                cycles = report.average_cycles_per_op
+                bits = {"razor_bits": 2 * width}
             else:
                 lat = ctx.fixed_design(width, kind).latency_ns(year)
-                pw = power_report(
-                    netlist,
-                    switched_caps,
-                    lat,
-                    ctx.technology,
-                    mean_delta_vth=dvth,
-                    input_ff_bits=2 * width,
-                    output_ff_bits=2 * width,
-                    cycles_per_op=1.0,
-                    name=design,
-                )
+                cycles = 1.0
+                bits = {"output_ff_bits": 2 * width}
+            pw = power_report(
+                netlist,
+                switched_caps,
+                lat,
+                ctx.technology,
+                mean_delta_vth=factory.mean_delta_vth(year),
+                input_ff_bits=2 * width,
+                cycles_per_op=cycles,
+                name=design,
+                **bits,
+            )
             latency[design].append(lat)
             power[design].append(pw.total_watts)
             edp[design].append(pw.edp_joule_ns)

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from .context import ExperimentContext, StreamDemand, default_context
+from .context import standard_demands
 from . import (
     _testing,
     claims,
@@ -73,9 +74,10 @@ class Resources:
             netlist (e.g. area accounting).
         demands: ``demands(context, **defaults)`` -> the
             :class:`~repro.experiments.context.StreamDemand` s the
-            experiment prices through ``ExperimentContext.price`` or
-            ``stream_results`` (None: it prices none).  It takes the
-            runner's keyword arguments (the spec's defaults).
+            experiment prices through ``ExperimentContext.price_demand``
+            or ``stream_results`` (None: it prices none).  It takes the
+            runner's keyword arguments; ``ExperimentContext.demands``
+            memoizes it, so the runner reads the same objects.
     """
 
     designs: Tuple[Tuple[int, str], ...] = ()
@@ -191,10 +193,11 @@ class ExperimentSpec:
 
     def demands(self, context: ExperimentContext) -> List[StreamDemand]:
         """The stream rows the runner prices under :attr:`defaults`,
-        as declared by :attr:`Resources.demands`."""
+        as declared by :attr:`Resources.demands` through
+        :meth:`ExperimentContext.demands`."""
         if self.resources.demands is None:
             return []
-        return list(self.resources.demands(context, **self.defaults))
+        return context.demands(self.resources.demands, **self.defaults)
 
     def run(
         self,
@@ -202,11 +205,16 @@ class ExperimentSpec:
         **overrides,
     ):
         """Validate ``overrides``, merge :attr:`defaults` under them,
-        and invoke the runner."""
+        prefetch the declared demands (in a suite, already priced) and
+        invoke the runner."""
         merged = dict(self.defaults)
         merged.update(overrides)
         self.validate_overrides(merged)
-        return self.runner(context or default_context(), **merged)
+        context = context or default_context()
+        if self.resources.demands is not None:
+            declare = self.resources.demands
+            context.prefetch(context.demands(declare, **merged))
+        return self.runner(context, **merged)
 
 
 def _suggestion(name: str, known) -> str:
@@ -239,8 +247,10 @@ REGISTRY: Dict[str, ExperimentSpec] = {
     for spec in (
         _spec("fig05", "Per-pattern delay distributions (Fig. 5)",
               fig05_delay_distribution.run, ("paper",),
-              Resources(designs=_all_kinds(16),
-                        demands=fig05_delay_distribution.demands)),
+              Resources(designs=_all_kinds(16), demands=partial(
+                  standard_demands, width=16,
+                  kinds=fig05_delay_distribution.KINDS,
+                  paper_patterns=fig05_delay_distribution.PAPER_PATTERNS))),
         _spec("fig06", "Zero count vs mean delay (Fig. 6)",
               fig06_zeros_vs_delay.run, ("paper",),
               Resources(designs=_designs((16, "column")),
@@ -257,76 +267,75 @@ REGISTRY: Dict[str, ExperimentSpec] = {
         _spec("fig13", "Latency vs cycle period, 16x16 (Fig. 13)",
               fig13_14_latency_sweep.run_fig13, ("paper",),
               Resources(designs=_all_kinds(16),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=16))),
+                        demands=partial(standard_demands, width=16))),
         _spec("fig14", "Latency vs cycle period, 32x32 (Fig. 14)",
               fig13_14_latency_sweep.run_fig14, ("paper",),
               Resources(designs=_all_kinds(32),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=32))),
+                        demands=partial(standard_demands, width=32))),
         _spec("fig15", "Skip comparison: 16x16 latency (Fig. 15)",
               fig15_18_skip_comparison.run_fig15, ("paper",),
               Resources(designs=_all_kinds(16),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=16, kinds=("column",)))),
+                        demands=partial(standard_demands, width=16,
+                                        kinds=("column",)))),
         _spec("fig16", "Skip comparison: 16x16 errors (Fig. 16)",
               fig15_18_skip_comparison.run_fig16, ("paper",),
               Resources(designs=_all_kinds(16),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=16, kinds=("column",)))),
+                        demands=partial(standard_demands, width=16,
+                                        kinds=("column",)))),
         _spec("fig17", "Skip comparison: 32x32 latency (Fig. 17)",
               fig15_18_skip_comparison.run_fig17, ("paper",),
               Resources(designs=_all_kinds(32),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=32, kinds=("column",)))),
+                        demands=partial(standard_demands, width=32,
+                                        kinds=("column",)))),
         _spec("fig18", "Skip comparison: 32x32 errors (Fig. 18)",
               fig15_18_skip_comparison.run_fig18, ("paper",),
               Resources(designs=_all_kinds(32),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=32, kinds=("column",)))),
+                        demands=partial(standard_demands, width=32,
+                                        kinds=("column",)))),
         _spec("fig19", "Adaptive vs traditional errors, 16 CB (Fig. 19)",
               fig19_22_adaptive_errors.run_fig19, ("paper", "aging"),
               Resources(designs=_designs((16, "column")),
-                        demands=partial(fig19_22_adaptive_errors.demands,
-                                        width=16, kind="column"))),
+                        demands=partial(standard_demands, width=16,
+                                        kinds=("column",), years=7.0))),
         _spec("fig20", "Adaptive vs traditional errors, 32 CB (Fig. 20)",
               fig19_22_adaptive_errors.run_fig20, ("paper", "aging"),
               Resources(designs=_designs((32, "column")),
-                        demands=partial(fig19_22_adaptive_errors.demands,
-                                        width=32, kind="column"))),
+                        demands=partial(standard_demands, width=32,
+                                        kinds=("column",), years=7.0))),
         _spec("fig21", "Adaptive vs traditional errors, 16 RB (Fig. 21)",
               fig19_22_adaptive_errors.run_fig21, ("paper", "aging"),
               Resources(designs=_designs((16, "row")),
-                        demands=partial(fig19_22_adaptive_errors.demands,
-                                        width=16, kind="row"))),
+                        demands=partial(standard_demands, width=16,
+                                        kinds=("row",), years=7.0))),
         _spec("fig22", "Adaptive vs traditional errors, 32 RB (Fig. 22)",
               fig19_22_adaptive_errors.run_fig22, ("paper", "aging"),
               Resources(designs=_designs((32, "row")),
-                        demands=partial(fig19_22_adaptive_errors.demands,
-                                        width=32, kind="row"))),
+                        demands=partial(standard_demands, width=32,
+                                        kinds=("row",), years=7.0))),
         _spec("fig23", "Adaptive vs traditional latency, 16x16 (Fig. 23)",
               fig23_24_adaptive_latency.run_fig23, ("paper", "aging"),
               Resources(designs=_all_kinds(16),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=16, years=7.0))),
+                        demands=partial(standard_demands, width=16,
+                                        years=7.0))),
         _spec("fig24", "Adaptive vs traditional latency, 32x32 (Fig. 24)",
               fig23_24_adaptive_latency.run_fig24, ("paper", "aging"),
               Resources(designs=_all_kinds(32),
-                        demands=partial(fig13_14_latency_sweep.demands,
-                                        width=32, years=7.0))),
+                        demands=partial(standard_demands, width=32,
+                                        years=7.0))),
         _spec("fig25", "Area accounting (Fig. 25)",
               fig25_area.run, ("paper",),
               Resources(netlists=_all_kinds(16) + _all_kinds(32))),
+        # Figs. 26/27 read the AM from STA and the power pass: no row.
         _spec("fig26", "Lifetime latency under aging (Fig. 26)",
               fig26_27_lifetime.run_fig26, ("paper", "aging"),
-              Resources(designs=_all_kinds(16),
-                        demands=partial(fig26_27_lifetime.demands,
-                                        width=16))),
+              Resources(designs=_all_kinds(16), demands=partial(
+                  standard_demands, width=16,
+                  years=fig26_27_lifetime.YEARS))),
         _spec("fig27", "Lifetime power under aging (Fig. 27)",
               fig26_27_lifetime.run_fig27, ("paper", "aging"),
-              Resources(designs=_all_kinds(32),
-                        demands=partial(fig26_27_lifetime.demands,
-                                        width=32))),
+              Resources(designs=_all_kinds(32), demands=partial(
+                  standard_demands, width=32,
+                  years=fig26_27_lifetime.YEARS))),
         _spec("claims", "Headline-claim checklist over all figures",
               claims.run, ("paper",),
               Resources(designs=_all_kinds(16), netlists=_all_kinds(32),

@@ -87,17 +87,18 @@ def population_key(
     }
 
 
-def base_period_demand(spec: MonteCarloSpec, width: int, kind: str, context):
+def base_period_demands(context, spec: MonteCarloSpec, width: int, kind: str):
     """The fresh row on the population's stimulus, whose slowest
-    pattern sets the base clock period (a
-    :class:`~repro.experiments.context.StreamDemand`)."""
+    pattern sets the base clock period (one
+    :class:`~repro.experiments.context.StreamDemand`, declared through
+    ``ExperimentContext.demands``)."""
     from ..experiments.context import StreamDemand
 
     md, mr = uniform_operands(width, spec.num_patterns, spec.stream_seed)
     netlist = context.netlist(width, kind)
-    return StreamDemand(
+    return [StreamDemand(
         width, kind, {"md": md, "mr": mr}, np.ones((1, len(netlist.cells)))
-    )
+    )]
 
 
 def _pricing_inputs(spec: MonteCarloSpec, width: int, kind: str, context):
@@ -105,7 +106,7 @@ def _pricing_inputs(spec: MonteCarloSpec, width: int, kind: str, context):
     counts and the clock grid derived from the fresh critical path."""
     factory = context.factory(width, kind)
     netlist = factory.netlist
-    demand = base_period_demand(spec, width, kind, context)
+    (demand,) = context.demands(base_period_demands, spec, width, kind)
     stimulus = demand.stimulus
     zeros = count_zeros(
         _judged_operand(kind, stimulus["md"], stimulus["mr"]), width

@@ -341,19 +341,18 @@ class ValuePlaneCache:
 
     def price(
         self,
-        netlist: Netlist,
-        technology: Technology,
+        keys: List[Dict],
         scales: np.ndarray,
         stimulus: Dict[str, Sequence[int]],
         circuit: Callable[[], CompiledCircuit],
     ) -> List[StreamResult]:
-        """:meth:`replay_scales` of ``netlist``, with every row a
-        ``stream`` artifact (keyed by :func:`stream_keys`) when the cache
-        has a store: rows the store holds are loaded, the rest are
-        replayed together in one batch and saved.
+        """:meth:`replay_scales` of the circuit, with every row a
+        ``stream`` artifact under its :func:`stream_keys` key in
+        ``keys`` when the cache has a store: rows the store holds are
+        loaded, the rest are replayed together in one batch and saved.
 
         ``circuit`` returns the hook-free, default-mode compiled
-        ``netlist`` to replay on; it is called only when a row has to be
+        netlist to replay on; it is called only when a row has to be
         priced, so a warm store compiles nothing.  Its own
         ``delay_scale`` does not matter, only the rows do.
         """
@@ -361,7 +360,6 @@ class ValuePlaneCache:
         if self.store is None:
             self.priced_rows += scales.shape[0]
             return self.replay_scales(_pricing(circuit), scales, stimulus)
-        keys = stream_keys(netlist, technology, stimulus, scales)
         # Within one call only the row hash varies between keys.
         found: Dict[str, Optional[StreamResult]] = {}
         missing: Dict[str, int] = {}

@@ -519,6 +519,101 @@ class TestDemandPrefetch:
         assert ctx.unplanned_rows == 1
 
 
+class TestDemandPlan:
+    """Each declared demand is built and keyed once per context: the
+    prefetch, the pooled ``plan``/``prefetch`` jobs and the runners read
+    the same objects, so a warm suite pays for no second plan."""
+
+    @staticmethod
+    def _run(store_dir, **kwargs):
+        return run_suite(
+            names=None,
+            scale=0.02,
+            characterize_patterns=200,
+            store=ArtifactStore(store_dir),
+            **kwargs,
+        )
+
+    @pytest.fixture(scope="class")
+    def primed(self, tmp_path_factory):
+        store_dir = str(tmp_path_factory.mktemp("plan") / "store")
+        assert not self._run(store_dir).failures()
+        return store_dir
+
+    def test_warm_suite_builds_and_keys_each_demand_once(
+        self, primed, monkeypatch
+    ):
+        from repro.experiments import context as context_mod
+        from repro.faults import campaign
+        from repro.timing import value_cache
+
+        keys = collections.Counter()
+        stream_keys = value_cache.stream_keys
+
+        def counting_keys(*args, **kwargs):
+            out = stream_keys(*args, **kwargs)
+            keys.update(tuple(sorted(key.items())) for key in out)
+            return out
+
+        for module in (context_mod, campaign, value_cache):
+            monkeypatch.setattr(module, "stream_keys", counting_keys)
+        demands = collections.Counter()
+        init = StreamDemand.__init__
+
+        def counting_init(demand, width, kind, stimulus, scales):
+            init(demand, width, kind, stimulus, scales)
+            digest = hashlib.sha256()
+            for name in sorted(stimulus):
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(stimulus[name]).tobytes())
+            digest.update(np.ascontiguousarray(scales, float).tobytes())
+            demands[width, kind, digest.hexdigest()] += 1
+
+        monkeypatch.setattr(StreamDemand, "__init__", counting_init)
+        warm = self._run(primed)
+        assert not warm.failures()
+        assert keys and demands
+        assert set(keys.values()) == {1}
+        assert set(demands.values()) == {1}
+        assert "\nprefetch: 0 rows over 0 value planes " in warm.render()
+        assert "priced outside the prefetch: 0 rows\n" in warm.render()
+
+    def test_pooled_warm_suite_submits_no_prefetch_job(
+        self, primed, monkeypatch
+    ):
+        from repro.distrib import pool
+
+        jobs = collections.Counter()
+        run_pooled = pool.run_suite_pooled
+
+        def counting(workers, requests, *args, **kwargs):
+            jobs.update(request["job"] for request in requests)
+            return run_pooled(workers, requests, *args, **kwargs)
+
+        monkeypatch.setattr(pool, "run_suite_pooled", counting)
+        warm = self._run(primed, pool="local:2")
+        assert not warm.failures()
+        assert jobs["plan"] == jobs["experiment"] == len(REGISTRY)
+        assert jobs["prefetch"] == 0
+        assert warm.prefetch_rows == warm.prefetch_planes == 0
+
+    def test_clear_drops_the_plan(self):
+        ctx = ExperimentContext(scale=0.02, characterize_patterns=200)
+        spec = REGISTRY["fig06"]
+        declared = spec.demands(ctx)
+        assert spec.demands(ctx) is declared
+        # The runner's own call, with its raw arguments, is a memo hit.
+        assert ctx.demands(
+            spec.resources.demands, num_patterns=None, width=16
+        ) is declared
+        ctx.clear()
+        rebuilt = spec.demands(ctx)
+        assert rebuilt is not declared
+        assert all(
+            a is not b for a, b in zip(rebuilt, declared)
+        )
+
+
 class TestPowerPass:
     """Switched capacitance is its own pass, priced once per (netlist,
     stimulus) and only where it is read: fig26's power report, not
